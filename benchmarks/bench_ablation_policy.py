@@ -19,7 +19,7 @@ replicates written pages, which costs it on phase-changing workloads.
 from _common import publish
 
 from repro.analysis import format_table
-from repro.core.policy import (
+from repro.policy.fixed import (
     AceStylePolicy,
     AlwaysReplicatePolicy,
     NeverCachePolicy,

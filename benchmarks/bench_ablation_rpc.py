@@ -22,7 +22,7 @@ import numpy as np
 from _common import publish
 
 from repro.analysis import format_table
-from repro.core.policy import (
+from repro.policy.fixed import (
     AlwaysReplicatePolicy,
     NeverCachePolicy,
     TimestampFreezePolicy,

@@ -7,7 +7,7 @@ no-local-copy transition against the live fault handler.
 from _common import publish
 
 from repro.core import CpageState, format_table, lookup
-from repro.core.policy import Action
+from repro.policy.base import Action
 
 from tests.conftest import make_harness
 
@@ -30,7 +30,7 @@ def _drive_handler() -> str:
             elif state is CpageState.MODIFIED:
                 harness.fault(0, write=True)
             else:  # present+
-                from repro.core.policy import AlwaysReplicatePolicy
+                from repro.policy.fixed import AlwaysReplicatePolicy
 
                 saved = harness.kernel.coherent.fault_handler.policy
                 harness.kernel.coherent.fault_handler.policy = (

@@ -17,7 +17,7 @@ Run:  python examples/policy_playground.py
 
 from repro import make_kernel, run_program
 from repro.analysis import MigrationCostModel, format_table
-from repro.core.policy import (
+from repro.policy.fixed import (
     AceStylePolicy,
     AlwaysReplicatePolicy,
     NeverCachePolicy,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from ..core.policy import ReplicationPolicy
+from ..policy.base import ReplicationPolicy
 from ..kernel.kernel import Kernel
 from ..runtime.program import Program
 from ..runtime.run import RunResult, make_kernel, run_program

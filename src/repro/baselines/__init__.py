@@ -5,7 +5,7 @@
 * SMP message passing over ports -- the other side of that comparison;
 * the Sequent Symmetry UMA machine with small write-through caches --
   the Figure 5 merge-sort comparison;
-* the ACE-style policy (Bolosky et al.) lives in ``repro.core.policy``.
+* the ACE-style policy (Bolosky et al.) lives in ``repro.policy.fixed``.
 """
 
 from .sequent import (

@@ -12,7 +12,7 @@ program, with
 
 * the matrix pages placed round-robin over all memory modules
   ("interleave" placement) and *never* migrated or replicated
-  (:class:`~repro.core.policy.NeverCachePolicy` -- the Uniform System has
+  (:class:`~repro.policy.fixed.NeverCachePolicy` -- the Uniform System has
   no coherent memory), and
 * the hand optimization of copying each pivot row into a private local
   buffer every round.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..core.policy import NeverCachePolicy
+from ..policy.fixed import NeverCachePolicy
 from ..kernel.kernel import Kernel
 from ..runtime.run import make_kernel
 from ..workloads.gauss import GaussianElimination

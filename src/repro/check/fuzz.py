@@ -29,7 +29,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..core.policy import TimestampFreezePolicy
+from ..policy.fixed import TimestampFreezePolicy
 from ..kernel.kernel import Kernel
 from ..machine.params import MachineParams
 from ..machine.pmap import Rights
@@ -111,7 +111,7 @@ def _make_fuzz_policy(policy: Optional[str], t1: float):
     """
     if policy is None or policy == "freeze":
         return TimestampFreezePolicy(t1=t1)
-    from ..core.policy import (
+    from ..policy.fixed import (
         AceStylePolicy,
         AlwaysReplicatePolicy,
         NeverCachePolicy,

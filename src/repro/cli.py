@@ -779,7 +779,7 @@ def _check_workloads(machine: int):
     """The small workload battery the check commands run: every
     protocol behaviour class (replication, migration, freeze, defrost
     thaw, thaw-on-fault) in a few hundred milliseconds of wall time."""
-    from .core.policy import TimestampFreezePolicy
+    from .policy.fixed import TimestampFreezePolicy
     from .workloads import PhaseChangeSharing, RoundRobinSharing
 
     return [

@@ -25,13 +25,11 @@ from .cpage import (
 from .defrost import DefrostDaemon
 from .fault import CoherentFaultHandler, FaultResult, ProtectionError
 from .instrumentation import CpageReportRow, MemoryReport, build_report
-from .policy import (
+from ..policy.base import Action, FaultContext, ReplicationPolicy
+from ..policy.fixed import (
     AceStylePolicy,
-    Action,
     AlwaysReplicatePolicy,
-    FaultContext,
     NeverCachePolicy,
-    ReplicationPolicy,
     TimestampFreezePolicy,
 )
 from .protocol import TRANSITIONS, Transition, format_table, lookup

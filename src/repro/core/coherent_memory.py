@@ -19,7 +19,8 @@ from .cpage import Cpage, CpageTable
 from .defrost import DefrostDaemon
 from .fault import CoherentFaultHandler, FaultResult
 from .instrumentation import MemoryReport, build_report
-from .policy import ReplicationPolicy, TimestampFreezePolicy
+from ..policy.base import ReplicationPolicy
+from ..policy.fixed import TimestampFreezePolicy
 from .shootdown import ShootdownMechanism
 from .trace import ProtocolTracer
 

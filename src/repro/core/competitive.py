@@ -31,7 +31,7 @@ from ..machine.pmap import Rights
 from .cmap import Directive
 from .coherent_memory import CoherentMemorySystem
 from .cpage import Cpage
-from .policy import Action, FaultContext, ReplicationPolicy
+from ..policy.base import Action, FaultContext, ReplicationPolicy
 
 
 class CompetitivePolicy(ReplicationPolicy):

@@ -22,7 +22,7 @@ from ..machine.pmap import Rights
 from ..telemetry.metrics import MetricsRegistry
 from .cmap import Directive
 from .cpage import Cpage
-from .policy import ReplicationPolicy
+from ..policy.base import ReplicationPolicy
 from .shootdown import ShootdownMechanism
 from .trace import EventKind, ProtocolTracer
 

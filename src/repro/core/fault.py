@@ -29,7 +29,7 @@ from ..machine.pmap import Rights
 from ..telemetry.metrics import MetricsRegistry
 from .cmap import Cmap, CmapEntry, Directive
 from .cpage import CoherencyError, Cpage, CpageState
-from .policy import Action, FaultContext, ReplicationPolicy
+from ..policy.base import Action, FaultContext, ReplicationPolicy
 from .shootdown import ShootdownMechanism
 from .trace import EventKind, ProtocolTracer
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .cpage import CpageState
-from .policy import Action
+from ..policy.base import Action
 
 E = CpageState.EMPTY
 P1 = CpageState.PRESENT1

@@ -12,9 +12,10 @@ from typing import Optional
 from ..core.coherent_memory import CoherentMemorySystem
 from ..core.fault import FaultResult
 from ..core.instrumentation import MemoryReport
-from ..core.policy import ReplicationPolicy
+from ..policy.base import ReplicationPolicy
 from ..machine.machine import Machine
 from ..machine.params import MachineParams
+from ..sim.resource import FifoResource
 from .ports import PortNamespace
 from .threads import ThreadManager
 from .vm import VirtualMemorySystem
@@ -50,6 +51,9 @@ class Kernel:
         self.vm = VirtualMemorySystem(self.coherent)
         self.threads = ThreadManager(machine, self.coherent)
         self.ports = PortNamespace(machine)
+        #: per-processor resources that serialize the threads sharing a
+        #: processor, filled on first use by the thread executor
+        self.cpu_resources: dict[int, FifoResource] = {}
         self.kernel_aspace = None
         self.kernel_text = None
         self.kernel_data = None

@@ -37,7 +37,7 @@ from ..analysis.costmodel import run_counters
 from ..runtime import ops
 from ..runtime.executor import ThreadProcess, _cpu_resource
 from ..runtime.program import Program, ProgramAPI
-from ..runtime.run import RunResult
+from ..runtime.run import RunResult, run_threads
 from ..runtime.sync import Broadcast
 from ..sim.process import Delay, Op
 from .bundle import (
@@ -287,64 +287,22 @@ def record_program(
     layout = _capture_layout(kernel, api.thread_specs)
     rec = TraceRecorder()
     start = kernel.engine.now
-    processes = []
-    for spec in api.thread_specs:
-        cpu = _cpu_resource(kernel, spec.thread.processor)
-        local_tid = rec.add_thread()
-        processes.append(
-            RecordingThreadProcess(
-                rec, local_tid, kernel, spec.thread, spec.body, cpu
-            )
+    processes = [
+        RecordingThreadProcess(
+            rec, rec.add_thread(), kernel, spec.thread, spec.body,
+            _cpu_resource(kernel, spec.thread.processor),
         )
-
-    n_threads = len(processes)
-    state = {"finished": 0, "crashed": False}
-
-    def _note_finish(p) -> None:
-        state["finished"] += 1
-        if p.error is not None:
-            state["crashed"] = True
-
-    last_activity = [kernel.engine.now]
-    events_since_check = [0]
-
-    def stop_when() -> bool:
-        if state["crashed"] or state["finished"] == n_threads:
-            return True
-        events_since_check[0] += 1
-        if events_since_check[0] & 63:
-            return False
-        busy = max(
-            (c.busy_until for c in getattr(
-                kernel, "_cpu_resources", {}).values()),
-            default=0,
-        )
-        if busy > last_activity[0]:
-            last_activity[0] = busy
-        if kernel.engine.now - last_activity[0] > stall_limit_ns:
-            raise RuntimeError(
-                f"{program.name}: no thread progress for "
-                f"{stall_limit_ns / 1e9:.1f} simulated seconds while "
-                "recording (deadlock in the simulated program?)"
-            )
-        return False
-
+        for spec in api.thread_specs
+    ]
     # install the fire hook only now: setup-time fires are part of each
     # channel's base version, not of any thread's stream
     Broadcast.recorder = rec
     try:
-        for proc in processes:
-            proc.on_finish(_note_finish)
-            proc.start()
-        kernel.engine.run(max_events=max_events, stop_when=stop_when)
+        results = run_threads(
+            kernel, processes, program.name, max_events, stall_limit_ns
+        )
     finally:
         Broadcast.recorder = None
-    results = [p.check() for p in processes]
-    unfinished = [p.name for p in processes if not p.finished]
-    if unfinished:
-        raise RuntimeError(
-            f"{program.name}: threads never finished: {unfinished}"
-        )
     if check_invariants:
         kernel.check_invariants()
     program.verify(results)
@@ -373,7 +331,7 @@ def record_program(
     expected = {
         "sim_time_ns": int(result.sim_time_ns),
         "events_executed": int(kernel.engine.events_executed),
-        "n_threads": n_threads,
+        "n_threads": len(processes),
         "counters": run_counters(result),
     }
     bundle = TraceBundle(

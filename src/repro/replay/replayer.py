@@ -11,12 +11,15 @@ ordering, protocol event counts, attribution totals and completion time
 exactly.  What is elided -- generator execution and data movement (the
 machine is built *dataless*) -- carries no simulated cost.
 
-Memory operations are pre-decoded into per-page ``(vpage, words)`` runs
-and the common case (ATC hit with sufficient rights) is costed inline
-with the same arithmetic as :meth:`Machine.access`; anything else falls
-back to a faithful mirror of the executor's translate/fault loop, so the
-protocol path -- the thing being studied -- is always the real kernel
-code, never an approximation.
+Nothing is priced or timed here.  A replayed thread is the executor's
+own :class:`~repro.runtime.executor.ThreadProcess` with the generator
+swapped for a cursor over pre-decoded ops (memory operations already
+split into per-page ``(vpage, words)`` runs): op start and completion
+come from its ``_begin``/``_commit``, every run is priced by its
+``_cost_run`` -- the same call a live read or write makes -- and the
+threads are run by :func:`~repro.runtime.run.run_threads`, the driver of
+live and recording runs too.  So the protocol path -- the thing being
+studied -- is always the real kernel code, never an approximation.
 
 Replays under a *variant* (different policy, freeze window, latency
 constants) hold the recorded reference string fixed: spin iterations and
@@ -24,21 +27,24 @@ branch outcomes are the live run's.  Structural parameters that would
 invalidate the recorded addresses (``page_bytes``, ``word_bytes``,
 ``n_processors``) cannot be overridden.
 
-Two fidelity modes are offered.  ``mode="exact"`` (the default, described
-above) replays one engine event per op and is bit-identical to the live
-run under the recording configuration.  ``mode="fast"`` trades that
-guarantee for array-at-a-time cost accounting: stretches of mapped
-memory references and thinks are costed in one vectorized pass per
-engine event, and only protocol events -- faults, shootdowns, freezes,
-defrosts -- and synchronization drop to scalar simulation of the real
-kernel code.  Fast mode is deterministic, conserves the reference
-string's word counts exactly, and prices every access with the same
-latency arithmetic, but approximates three things: batched accesses do
-not contend for buses or switch ports (no queueing delay), the ATC is
-treated as unbounded (no refill cost), and a concurrent shootdown takes
-effect for a thread at its next batch boundary rather than mid-stretch.
-It therefore refuses ``check_expected``, probes and protocol tracing --
-exactness claims belong to exact mode.
+Two fidelity modes share that cursor.  ``mode="exact"`` (the default)
+replays one engine event per op and is bit-identical to the live run
+under the recording configuration.  ``mode="fast"`` asks, before each
+op, whether a fault-free *window* starts there
+(:meth:`FastReplayThreadProcess._window`); a stretch of mapped memory
+references and thinks is then costed in one vectorized pass and
+committed as one engine event, and only protocol events -- faults,
+shootdowns, freezes, defrosts -- and synchronization take the shared
+scalar path.  Fast mode alone owns the window costing, its precomputed
+per-slot arrays and the pmap mirror that classifies a window.  It is
+deterministic, conserves the reference string's word counts exactly,
+and prices every access with the same latency constants, but
+approximates three things: batched accesses do not contend for buses or
+switch ports (no queueing delay), the ATC is treated as unbounded (no
+refill cost), and a concurrent shootdown takes effect for a thread at
+its next batch boundary rather than mid-stretch.  It therefore refuses
+``check_expected``, probes and protocol tracing -- exactness claims
+belong to exact mode.
 """
 
 from __future__ import annotations
@@ -52,10 +58,11 @@ import numpy as np
 from ..analysis.costmodel import run_counters
 from ..core.instrumentation import MemoryReport
 from ..kernel.kernel import Kernel
-from ..machine.machine import AccessOutcome, Machine
+from ..machine.machine import Machine
 from ..machine.params import MachineParams
 from ..machine.pmap import Rights
 from ..runtime.executor import ThreadProcess, _cpu_resource
+from ..runtime.run import run_threads
 from ..runtime.sync import Broadcast
 from .bundle import (
     K_DELAY,
@@ -195,37 +202,25 @@ def _fast_arrays(decoded: list[tuple]) -> dict:
 
 
 class ReplayThreadProcess(ThreadProcess):
-    """Drives one thread's decoded op stream instead of a generator."""
+    """Drives one thread's decoded op stream instead of a generator.
 
-    __slots__ = ("ops", "pos", "channels", "_wake", "_consts")
+    Only the cursor lives here: every op is timed by the executor's own
+    ``_begin``/``_commit`` and every reference priced by its
+    ``_cost_run``, so replay cannot drift from the live run.
+    """
+
+    __slots__ = ("ops", "pos", "channels")
 
     def __init__(self, kernel, thread, cpu, decoded, channels) -> None:
         super().__init__(kernel, thread, None, cpu)
         self.ops = decoded
         self.pos = 0
         self.channels = channels
-        # one reusable callback instead of a fresh closure per op
-        self._wake = lambda: self._resume(None)
-        # immutable timing constants, hoisted out of the per-op path
-        p = kernel.params
-        self._consts = (
-            p.t_module_service, p.t_switch_service, p.t_local,
-            p.t_remote_read, p.t_remote_write,
-        )
 
-    def _commit(self, end, value=None) -> None:
-        # same arithmetic as ThreadProcess._commit, but the common
-        # value-less resume reuses the bound callback
-        engine = self.engine
-        now = engine.now
-        end = int(round(end if end > now else now))
-        cpu = self.cpu
-        if end > cpu.busy_until:
-            cpu.busy_until = end
-        engine.schedule_at(
-            end,
-            self._wake if value is None else (lambda: self._resume(value)),
-        )
+    def _window(self, pos: int) -> bool:
+        """Cost a stretch of ops starting at ``pos`` in one event and
+        advance the cursor past it; exact mode never batches."""
+        return False
 
     def _resume(self, value) -> None:
         # the generator is gone; step the cursor instead.  Fires, satisfied
@@ -234,37 +229,25 @@ class ReplayThreadProcess(ThreadProcess):
         try:
             ops = self.ops
             n = len(ops)
-            engine = self.engine
-            istate = self.kernel.machine.interrupts.state
             while True:
                 pos = self.pos
                 if pos >= n:
                     self._finish(result=None)
                     return
+                if self._window(pos):
+                    return
                 op = ops[pos]
                 self.pos = pos + 1
                 k = op[0]
                 if k == K_MEM:
-                    # ThreadProcess._begin inlined (same arithmetic)
-                    st = istate[self.thread.processor]
-                    penalty = st.pending_penalty
-                    st.pending_penalty = 0.0
-                    now = engine.now
-                    busy = self.cpu.busy_until
-                    t = int(round(
-                        (now if now > busy else busy) + penalty))
-                    t = self._mem(op[2], op[1], t)
+                    t = self._begin()
+                    write = op[1]
+                    for vpage, words in op[2]:
+                        t, _entry = self._cost_run(vpage, words, write, t)
                     self._commit(t)
                     return
                 if k == K_THINK:
-                    st = istate[self.thread.processor]
-                    penalty = st.pending_penalty
-                    st.pending_penalty = 0.0
-                    now = engine.now
-                    busy = self.cpu.busy_until
-                    start = int(round(
-                        (now if now > busy else busy) + penalty))
-                    self._commit(start + op[1])
+                    self._commit(self._begin() + op[1])
                     return
                 if k == K_FIRE:
                     self.channels[op[1]].fire()
@@ -281,148 +264,11 @@ class ReplayThreadProcess(ThreadProcess):
                     self.engine.schedule(op[1], self._wake)
                     return
                 if k == K_MIGRATE:
-                    start = self._begin()
-                    cost = self.kernel.threads.migrate(self.thread, op[1])
-                    self.cpu = _cpu_resource(self.kernel, op[1])
-                    self._commit(start + cost)
+                    self._migrate(op[1])
                     return
                 raise ReplayError(f"unknown decoded op {op!r}")
         except Exception as exc:  # noqa: BLE001 - recorded, like a crash
             self._finish(error=exc)
-
-    def _mem(self, runs, write: bool, t: int) -> int:
-        """Cost one memory op's per-page runs starting at time ``t``.
-
-        The ATC-hit case inlines ``MMU.translate`` + ``Machine.access``
-        (same arithmetic, same counter updates); everything else takes
-        the faithful slow path.  Counter equivalence holds because the
-        fast path touches the ATC only on a sufficient-rights hit --
-        any other case falls through to ``translate``'s single
-        authoritative lookup, exactly as the live executor does.
-        """
-        kernel = self.kernel
-        machine = kernel.machine
-        coherent = kernel.coherent
-        proc = self.thread.processor
-        aspace_id = self.thread.aspace_id
-        atc = machine.mmus[proc].atc
-        entries = atc._entries
-        move_to_end = entries.move_to_end
-        modules = machine.modules
-        t_module, t_switch, t_local, t_rread, t_rwrite = self._consts
-        probe = coherent.access_probe
-        refcount = coherent.reference_counting
-        queue_delay_ns = machine.queue_delay_ns
-        for vpage, n in runs:
-            key = (aspace_id, vpage)
-            entry = entries.get(key)
-            # rights check via plain int comparison (Rights values are
-            # only ever NONE=0, READ=1, WRITE=3; IntFlag.__and__ is slow)
-            if entry is None or not (
-                entry.rights == 3 or (entry.rights == 1 and not write)
-            ):
-                t = self._run_slow(vpage, n, write, t)
-                continue
-            move_to_end(key)
-            atc.hits += 1
-            entry.referenced = True
-            if write:
-                entry.modified = True
-            dst = entry.frame.module_index
-            module = modules[dst]
-            remote = proc != dst
-            tt = t
-            if remote:
-                route = machine.topology.route(proc, dst)
-                n_hops = len(route)
-                for port in route:
-                    _, tt = port.occupy(tt, n * t_switch)
-                t_word = t_rwrite if write else t_rread
-                service_per_word = t_module + n_hops * t_switch
-            else:
-                t_word = t_local
-                service_per_word = t_module
-            # FifoResource.occupy(tt, n * t_module) inlined
-            bus = module.bus
-            duration = int(round(n * t_module))
-            busy = bus.busy_until
-            start = tt if tt > busy else busy
-            bus.wait_time += start - tt
-            tt = start + duration
-            bus.busy_until = tt
-            bus.busy_time += duration
-            bus.requests += 1
-            extra = t_word - service_per_word
-            if extra < 0.0:
-                extra = 0.0
-            completion = int(round(tt + n * extra))
-            service_floor = t + int(round(n * service_per_word))
-            queue_delay = tt - service_floor
-            if queue_delay < 0:
-                queue_delay = 0
-            if remote:
-                machine.remote_words[proc] += n
-                if write:
-                    machine.remote_write_words[proc] += n
-            else:
-                machine.local_words[proc] += n
-            queue_delay_ns[proc] += queue_delay
-            module.words_served += n
-            module.accesses_served += 1
-            cpage_index = entry.cpage_index
-            if remote and refcount and cpage_index is not None:
-                coherent.note_remote_access(cpage_index, proc, n)
-            if probe is not None and cpage_index is not None:
-                probe.note(
-                    cpage_index,
-                    proc,
-                    write,
-                    AccessOutcome(
-                        completion=completion,
-                        queue_delay=queue_delay,
-                        remote=remote,
-                        words=n,
-                    ),
-                )
-            t = completion
-        return t
-
-    def _run_slow(self, vpage: int, n: int, write: bool, t: int) -> int:
-        """``ThreadProcess._access_run`` minus the data slice."""
-        kernel = self.kernel
-        machine = kernel.machine
-        proc = self.thread.processor
-        mmu = machine.mmus[proc]
-        aspace_id = self.thread.aspace_id
-        for _attempt in range(3):
-            result = mmu.translate(aspace_id, vpage, write)
-            t += int(round(result.cost))
-            if result.entry is not None:
-                outcome = machine.access(
-                    proc, result.entry.frame, n, write, t
-                )
-                if (
-                    outcome.remote
-                    and kernel.coherent.reference_counting
-                    and result.entry.cpage_index is not None
-                ):
-                    kernel.coherent.note_remote_access(
-                        result.entry.cpage_index, proc, n
-                    )
-                probe = kernel.coherent.access_probe
-                if probe is not None and (
-                    result.entry.cpage_index is not None
-                ):
-                    probe.note(
-                        result.entry.cpage_index, proc, write, outcome
-                    )
-                return outcome.completion
-            fault = kernel.fault(proc, aspace_id, vpage, write, t)
-            t = fault.completion
-        raise ReplayError(
-            f"cpu{proc} could not obtain a translation for vpage {vpage} "
-            f"(aspace {aspace_id}, write={write}) after repeated faults"
-        )
 
 
 class FastReplayThreadProcess(ReplayThreadProcess):
@@ -517,12 +363,16 @@ class FastReplayThreadProcess(ReplayThreadProcess):
         self.batched_ops = 0
         self.windows = 0
 
-    def _run_slow(self, vpage: int, n: int, write: bool, t: int) -> int:
-        t = super()._run_slow(vpage, n, write, t)
+    def _fault(self, vpage: int, write: bool, t: int) -> int:
+        t = super()._fault(vpage, write, t)
         # the fault mutated mappings machine-wide, but only for the
         # faulted page's cpage: dirty its sibling vpages everywhere
         self._shared["dirty"].extend(self._sibs.get(vpage, (vpage,)))
         return t
+
+    def _migrate(self, processor: int) -> None:
+        super()._migrate(processor)
+        self._epoch = -1  # new cpu, new pmap: rebuild mirror
 
     def _full_rebuild(self) -> None:
         shared = self._shared
@@ -577,6 +427,8 @@ class FastReplayThreadProcess(ReplayThreadProcess):
     def _window(self, pos: int) -> bool:
         """Cost ops[pos:stretch-end] in one event; False if ops[pos]
         itself needs the scalar slow path."""
+        if self._kind[pos] == 2:
+            return False
         self._sync_cls()
         cls = self._cls
         wri8 = self._wri8
@@ -645,23 +497,10 @@ class FastReplayThreadProcess(ReplayThreadProcess):
                 machine.remote_words[proc] += int(rw)
                 machine.remote_write_words[proc] += int(rww)
         machine.local_words[proc] += int(lw)
-        # _begin/_commit arithmetic, once per window
-        st = machine.interrupts.state[proc]
-        penalty = st.pending_penalty
-        st.pending_penalty = 0.0
-        engine = self.engine
-        now = engine.now
-        busy_until = self.cpu.busy_until
-        t0 = int(round(
-            (now if now > busy_until else busy_until) + penalty
-        ))
-        end = t0 + int(round(float(total)))
         self.pos = stop
-        if end > self.cpu.busy_until:
-            self.cpu.busy_until = end
         self.windows += 1
         self.batched_ops += stop - pos
-        engine.schedule_at(end, self._wake)
+        self._commit(self._begin() + int(round(float(total))))
         return True
 
     def _flush_counters(self) -> None:
@@ -681,70 +520,6 @@ class FastReplayThreadProcess(ReplayThreadProcess):
             bus = module.bus
             bus.busy_time += int(busy[i])
             bus.requests += c
-
-    def _resume(self, value) -> None:
-        try:
-            ops = self.ops
-            n = len(ops)
-            kind = self._kind
-            engine = self.engine
-            istate = self.kernel.machine.interrupts.state
-            while True:
-                pos = self.pos
-                if pos >= n:
-                    self._finish(result=None)
-                    return
-                if kind[pos] != 2 and self._window(pos):
-                    return
-                op = ops[pos]
-                self.pos = pos + 1
-                k = op[0]
-                if k == K_MEM:
-                    st = istate[self.thread.processor]
-                    penalty = st.pending_penalty
-                    st.pending_penalty = 0.0
-                    now = engine.now
-                    busy = self.cpu.busy_until
-                    t = int(round(
-                        (now if now > busy else busy) + penalty))
-                    t = self._mem(op[2], op[1], t)
-                    self._commit(t)
-                    return
-                if k == K_THINK:
-                    st = istate[self.thread.processor]
-                    penalty = st.pending_penalty
-                    st.pending_penalty = 0.0
-                    now = engine.now
-                    busy = self.cpu.busy_until
-                    start = int(round(
-                        (now if now > busy else busy) + penalty))
-                    self._commit(start + op[1])
-                    return
-                if k == K_FIRE:
-                    self.channels[op[1]].fire()
-                    continue
-                if k == K_WAIT:
-                    ch = self.channels[op[1]]
-                    if ch.version > op[2]:
-                        continue
-                    ch.event.wait(self._resume)
-                    return
-                if k == K_GETTIME:
-                    continue
-                if k == K_DELAY:
-                    engine.schedule(op[1], self._wake)
-                    return
-                if k == K_MIGRATE:
-                    start = self._begin()
-                    cost = self.kernel.threads.migrate(
-                        self.thread, op[1])
-                    self.cpu = _cpu_resource(self.kernel, op[1])
-                    self._epoch = -1  # new cpu, new pmap: rebuild mirror
-                    self._commit(start + cost)
-                    return
-                raise ReplayError(f"unknown decoded op {op!r}")
-        except Exception as exc:  # noqa: BLE001 - recorded, like a crash
-            self._finish(error=exc)
 
 
 def _build_kernel(
@@ -1008,50 +783,13 @@ def replay_trace(
                                     channels)
             )
 
-    n_threads = len(processes)
-    state = {"finished": 0, "crashed": False}
-
-    def _note_finish(p) -> None:
-        state["finished"] += 1
-        if p.error is not None:
-            state["crashed"] = True
-
-    for proc in processes:
-        proc.on_finish(_note_finish)
-        proc.start()
-
-    last_activity = [kernel.engine.now]
-    events_since_check = [0]
-
-    def stop_when() -> bool:
-        if state["crashed"] or state["finished"] == n_threads:
-            return True
-        events_since_check[0] += 1
-        if events_since_check[0] & 63:
-            return False
-        busy = max(
-            (c.busy_until for c in getattr(
-                kernel, "_cpu_resources", {}).values()),
-            default=0,
-        )
-        if busy > last_activity[0]:
-            last_activity[0] = busy
-        if kernel.engine.now - last_activity[0] > stall_limit_ns:
-            raise ReplayError(
-                f"no thread progress for {stall_limit_ns / 1e9:.1f} "
-                "simulated seconds; the variant configuration deadlocked "
-                "the recorded reference string"
-            )
-        return False
-
-    kernel.engine.run(max_events=max_events, stop_when=stop_when)
+    results = run_threads(
+        kernel, processes, bundle.config.get("workload") or "replay",
+        max_events, stall_limit_ns, error=ReplayError,
+    )
     if mode == "fast":
         for proc in processes:
             proc._flush_counters()
-    results = [p.check() for p in processes]
-    unfinished = [p.name for p in processes if not p.finished]
-    if unfinished:
-        raise ReplayError(f"threads never finished: {unfinished}")
     if check_invariants:
         kernel.check_invariants()
     result = ReplayResult(

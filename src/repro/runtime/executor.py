@@ -24,7 +24,9 @@ import numpy as np
 
 from ..kernel.kernel import Kernel
 from ..kernel.threads import Thread
+from ..machine.machine import AccessOutcome
 from ..machine.memory import WORD_DTYPE
+from ..machine.pmap import PmapEntry
 from ..sim.process import Delay, Op, Process, WaitFor
 from ..sim.resource import FifoResource
 from . import ops
@@ -37,7 +39,7 @@ class ExecutionError(RuntimeError):
 class ThreadProcess(Process):
     """Runs one user thread's generator in simulated time."""
 
-    __slots__ = ("kernel", "thread", "cpu")
+    __slots__ = ("kernel", "thread", "cpu", "_wake", "_consts")
 
     def __init__(
         self,
@@ -50,6 +52,14 @@ class ThreadProcess(Process):
         self.kernel = kernel
         self.thread = thread
         self.cpu = cpu
+        # one reusable callback instead of a fresh closure per op
+        self._wake = lambda: self._resume(None)
+        # immutable timing constants, hoisted out of the per-op path
+        p = kernel.params
+        self._consts = (
+            p.t_module_service, p.t_switch_service, p.t_local,
+            p.t_remote_read, p.t_remote_write,
+        )
         self.on_finish(lambda _p: self.kernel.threads.exit(self.thread))
 
     # -- operation dispatch -------------------------------------------------
@@ -67,7 +77,7 @@ class ThreadProcess(Process):
             elif isinstance(op, ops.FetchAdd):
                 self._do_fetch_add(op)
             elif isinstance(op, ops.Migrate):
-                self._do_migrate(op)
+                self._migrate(op.processor)
             elif isinstance(op, ops.SendPort):
                 self._do_send(op)
             elif isinstance(op, ops.RecvPort):
@@ -91,17 +101,24 @@ class ThreadProcess(Process):
         """Start time of the next op: after CPU availability and any
         pending interrupt penalty."""
         now = self.engine.now
+        busy = self.cpu.busy_until
         penalty = self.kernel.machine.interrupts.collect_penalty(
             self.thread.processor
         )
-        return int(round(max(now, self.cpu.busy_until) + penalty))
+        return int(round((now if now > busy else busy) + penalty))
 
     def _commit(self, end: float, value: Any = None) -> None:
-        """Occupy the CPU until ``end`` and resume the generator then."""
-        end = int(round(max(end, self.engine.now)))
-        if end > self.cpu.busy_until:
-            self.cpu.busy_until = end
-        self.engine.schedule_at(end, lambda: self._resume(value))
+        """Occupy the CPU until ``end`` and resume the thread then."""
+        engine = self.engine
+        now = engine.now
+        end = int(round(end if end > now else now))
+        cpu = self.cpu
+        if end > cpu.busy_until:
+            cpu.busy_until = end
+        engine.schedule_at(
+            end,
+            self._wake if value is None else (lambda: self._resume(value)),
+        )
 
     # -- compute -----------------------------------------------------------------
 
@@ -113,52 +130,139 @@ class ThreadProcess(Process):
 
     # -- memory access -------------------------------------------------------------
 
+    def _fault(self, vpage: int, write: bool, t: int) -> int:
+        """Trap into the Cpage fault handler at time ``t``; returns the
+        time the handler completes."""
+        thread = self.thread
+        return self.kernel.fault(
+            thread.processor, thread.aspace_id, vpage, write, t
+        ).completion
+
+    def _cost_run(
+        self, vpage: int, n: int, write: bool, t: int
+    ) -> tuple[int, PmapEntry]:
+        """Translate and cost one ``n``-word within-page run starting at
+        time ``t``: the one definition of what a reference costs.
+
+        Returns (completion_time, translation entry).  An ATC hit with
+        sufficient rights is costed inline -- ``MMU.translate`` +
+        ``Machine.access`` + ``FifoResource.occupy`` with the same
+        arithmetic and the same counter updates (the differential test
+        in tests/test_cost_run.py holds the two together).  Counter
+        equivalence holds because the inline path touches the ATC only
+        on a sufficient-rights hit; any other case falls through to
+        ``translate``'s single authoritative lookup, faulting into the
+        kernel until a translation is obtained.
+        """
+        kernel = self.kernel
+        machine = kernel.machine
+        thread = self.thread
+        proc = thread.processor
+        aspace_id = thread.aspace_id
+        mmu = machine.mmus[proc]
+        atc = mmu.atc
+        key = (aspace_id, vpage)
+        entries = atc._entries
+        entry = entries.get(key)
+        # rights check via plain int comparison (Rights values are
+        # only ever NONE=0, READ=1, WRITE=3; IntFlag.__and__ is slow)
+        if entry is not None and (
+            entry.rights == 3 or (entry.rights == 1 and not write)
+        ):
+            entries.move_to_end(key)
+            atc.hits += 1
+            entry.referenced = True
+            if write:
+                entry.modified = True
+            t_module, t_switch, t_local, t_rread, t_rwrite = self._consts
+            dst = entry.frame.module_index
+            module = machine.modules[dst]
+            remote = proc != dst
+            tt = t
+            if remote:
+                route = machine.topology.route(proc, dst)
+                for port in route:
+                    _, tt = port.occupy(tt, n * t_switch)
+                t_word = t_rwrite if write else t_rread
+                service_per_word = t_module + len(route) * t_switch
+            else:
+                t_word = t_local
+                service_per_word = t_module
+            # FifoResource.occupy(tt, n * t_module) inlined
+            bus = module.bus
+            duration = int(round(n * t_module))
+            busy = bus.busy_until
+            start = tt if tt > busy else busy
+            bus.wait_time += start - tt
+            tt = start + duration
+            bus.busy_until = tt
+            bus.busy_time += duration
+            bus.requests += 1
+            extra = t_word - service_per_word
+            if extra < 0.0:
+                extra = 0.0
+            completion = int(round(tt + n * extra))
+            queue_delay = tt - (t + int(round(n * service_per_word)))
+            if queue_delay < 0:
+                queue_delay = 0
+            if remote:
+                machine.remote_words[proc] += n
+                if write:
+                    machine.remote_write_words[proc] += n
+            else:
+                machine.local_words[proc] += n
+            machine.queue_delay_ns[proc] += queue_delay
+            module.words_served += n
+            module.accesses_served += 1
+            outcome = None
+        else:
+            for _attempt in range(3):
+                result = mmu.translate(aspace_id, vpage, write)
+                t += int(round(result.cost))
+                entry = result.entry
+                if entry is not None:
+                    break
+                t = self._fault(vpage, write, t)
+            else:
+                raise ExecutionError(
+                    f"cpu{proc} could not obtain a translation for vpage "
+                    f"{vpage} (aspace {aspace_id}, write={write}) after "
+                    "repeated faults"
+                )
+            outcome = machine.access(proc, entry.frame, n, write, t)
+            completion = outcome.completion
+            remote = outcome.remote
+        cpage_index = entry.cpage_index
+        if cpage_index is not None:
+            coherent = kernel.coherent
+            if remote and coherent.reference_counting:
+                coherent.note_remote_access(cpage_index, proc, n)
+            probe = coherent.access_probe
+            if probe is not None:
+                if outcome is None:
+                    outcome = AccessOutcome(
+                        completion=completion,
+                        queue_delay=queue_delay,
+                        remote=remote,
+                        words=n,
+                    )
+                probe.note(cpage_index, proc, write, outcome)
+        return completion, entry
+
     def _access_run(
         self, va: int, n: int, write: bool, t: int
     ) -> tuple[int, np.ndarray]:
-        """Translate-and-access one within-page run starting at time ``t``.
+        """Cost one within-page run starting at time ``t``.
 
         Returns (completion_time, view-of-frame-data).  The view is live
         frame data: callers read from or write into it at event time.
         """
-        machine = self.kernel.machine
-        proc = self.thread.processor
-        wpp = machine.params.words_per_page
+        wpp = self.kernel.machine.params.words_per_page
         vpage, offset = divmod(va, wpp)
         if offset + n > wpp:
             raise ExecutionError("access run crosses a page boundary")
-        mmu = machine.mmus[proc]
-        aspace_id = self.thread.aspace_id
-        for _attempt in range(3):
-            result = mmu.translate(aspace_id, vpage, write)
-            t += int(round(result.cost))
-            if result.entry is not None:
-                outcome = machine.access(
-                    proc, result.entry.frame, n, write, t
-                )
-                if (
-                    outcome.remote
-                    and self.kernel.coherent.reference_counting
-                    and result.entry.cpage_index is not None
-                ):
-                    self.kernel.coherent.note_remote_access(
-                        result.entry.cpage_index, proc, n
-                    )
-                probe = self.kernel.coherent.access_probe
-                if probe is not None and (
-                    result.entry.cpage_index is not None
-                ):
-                    probe.note(
-                        result.entry.cpage_index, proc, write, outcome
-                    )
-                data = result.entry.frame.data[offset: offset + n]
-                return outcome.completion, data
-            fault = self.kernel.fault(proc, aspace_id, vpage, write, t)
-            t = fault.completion
-        raise ExecutionError(
-            f"cpu{proc} could not obtain a translation for vpage {vpage} "
-            f"(aspace {aspace_id}, write={write}) after repeated faults"
-        )
+        t, entry = self._cost_run(vpage, n, write, t)
+        return t, entry.frame.data[offset: offset + n]
 
     def _split_runs(self, va: int, n: int) -> list[tuple[int, int]]:
         if n <= 0:
@@ -221,12 +325,11 @@ class ThreadProcess(Process):
 
     # -- thread migration --------------------------------------------------------------
 
-    def _do_migrate(self, op: ops.Migrate) -> None:
+    def _migrate(self, processor: int) -> None:
         start = self._begin()
-        cost = self.kernel.threads.migrate(self.thread, op.processor)
+        cost = self.kernel.threads.migrate(self.thread, processor)
         # after migration the thread competes for the new processor
-        runner = self  # clarity: the cpu resource must follow the thread
-        runner.cpu = _cpu_resource(self.kernel, op.processor)
+        self.cpu = _cpu_resource(self.kernel, processor)
         self._commit(start + cost)
 
     # -- ports -------------------------------------------------------------------------
@@ -257,14 +360,10 @@ class ThreadProcess(Process):
         op.channel.event.wait(self._resume)
 
 
-#: per-kernel cache of cpu resources, keyed by processor index
 def _cpu_resource(kernel: Kernel, processor: int) -> FifoResource:
-    cache = getattr(kernel, "_cpu_resources", None)
-    if cache is None:
-        cache = {}
-        kernel._cpu_resources = cache  # type: ignore[attr-defined]
-    res = cache.get(processor)
+    """The kernel's cpu resource of ``processor``, created on first use."""
+    res = kernel.cpu_resources.get(processor)
     if res is None:
         res = FifoResource(f"cpu[{processor}]")
-        cache[processor] = res
+        kernel.cpu_resources[processor] = res
     return res

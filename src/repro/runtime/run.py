@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..core.instrumentation import MemoryReport
-from ..core.policy import ReplicationPolicy
+from ..policy.base import ReplicationPolicy
 from ..kernel.kernel import Kernel
 from ..machine.params import MachineParams
 from .executor import ThreadProcess, _cpu_resource
@@ -44,30 +44,25 @@ class RunResult:
         )
 
 
-def run_program(
+def run_threads(
     kernel: Kernel,
-    program: Program,
+    processes: list[ThreadProcess],
+    name: str,
     max_events: Optional[int] = None,
-    check_invariants: bool = True,
     stall_limit_ns: float = 30e9,
-) -> RunResult:
-    """Run ``program`` to completion on ``kernel``.
+    error: type[Exception] = RuntimeError,
+) -> list[Any]:
+    """Start ``processes`` and run the engine until every one finished
+    or one crashed; returns their results in order.
 
-    ``stall_limit_ns`` bounds how long (in simulated time) the run may go
-    with every thread suspended and only daemon activity in the event
-    queue -- a deadlocked program is reported instead of spinning on
-    defrost ticks forever.
+    The one thread driver: live runs, recording runs and replays all
+    come through here.  A crash re-raises as ``ProcessCrashed``; a
+    stall or a thread that never finished raises ``error``, named
+    after ``name``.  ``stall_limit_ns`` bounds how long (in simulated
+    time) the run may go with every thread suspended and only daemon
+    activity in the event queue -- a deadlocked program is reported
+    instead of spinning on defrost ticks forever.
     """
-    api = ProgramAPI(kernel)
-    program.setup(api)
-    if not api.thread_specs:
-        raise ValueError(f"{program.name}: setup spawned no threads")
-    start = kernel.engine.now
-    processes = []
-    for spec in api.thread_specs:
-        cpu = _cpu_resource(kernel, spec.thread.processor)
-        processes.append(ThreadProcess(kernel, spec.thread, spec.body, cpu))
-
     # O(1) per-event completion tracking: counting finish callbacks beats
     # scanning every process after every event (the scan was ~20% of a
     # whole run's wall clock)
@@ -89,22 +84,18 @@ def run_program(
     def stop_when() -> bool:
         if state["crashed"] or state["finished"] == n_threads:
             return True
-        # the stall check scans every cpu resource; amortize it -- the
+        # the stall check scans every thread's cpu; amortize it -- the
         # stall limit is simulated seconds, so a 64-event granularity
         # changes only how promptly the diagnostic fires
         events_since_check[0] += 1
         if events_since_check[0] & 63:
             return False
-        busy = max(
-            (c.busy_until for c in getattr(
-                kernel, "_cpu_resources", {}).values()),
-            default=0,
-        )
+        busy = max(p.cpu.busy_until for p in processes)
         if busy > last_activity[0]:
             last_activity[0] = busy
         if kernel.engine.now - last_activity[0] > stall_limit_ns:
-            raise RuntimeError(
-                f"{program.name}: no thread progress for "
+            raise error(
+                f"{name}: no thread progress for "
                 f"{stall_limit_ns / 1e9:.1f} simulated seconds; "
                 f"still running: "
                 f"{[p.name for p in processes if not p.finished]} "
@@ -116,10 +107,39 @@ def run_program(
     results = [p.check() for p in processes]
     unfinished = [p.name for p in processes if not p.finished]
     if unfinished:
-        raise RuntimeError(
-            f"{program.name}: threads never finished: {unfinished} "
+        raise error(
+            f"{name}: threads never finished: {unfinished} "
             "(deadlock or starvation in the simulated program)"
         )
+    return results
+
+
+def run_program(
+    kernel: Kernel,
+    program: Program,
+    max_events: Optional[int] = None,
+    check_invariants: bool = True,
+    stall_limit_ns: float = 30e9,
+) -> RunResult:
+    """Run ``program`` to completion on ``kernel``.
+
+    ``max_events`` and ``stall_limit_ns`` are :func:`run_threads`'s.
+    """
+    api = ProgramAPI(kernel)
+    program.setup(api)
+    if not api.thread_specs:
+        raise ValueError(f"{program.name}: setup spawned no threads")
+    start = kernel.engine.now
+    processes = [
+        ThreadProcess(
+            kernel, spec.thread, spec.body,
+            _cpu_resource(kernel, spec.thread.processor),
+        )
+        for spec in api.thread_specs
+    ]
+    results = run_threads(
+        kernel, processes, program.name, max_events, stall_limit_ns
+    )
     if check_invariants:
         kernel.check_invariants()
     program.verify(results)

@@ -1,7 +1,8 @@
 """Discrete-event simulation engine.
 
-The engine is a classic calendar-queue simulator: callbacks are scheduled
-at absolute simulated times (in nanoseconds) and executed in (time, seq)
+The engine is a binary heap (``heapq``) of future events plus a FIFO deque
+of events due at the current timestamp: callbacks are scheduled at
+absolute simulated times (in nanoseconds) and executed in (time, seq)
 order, where ``seq`` is a monotonically increasing tie-breaker that makes
 every run fully deterministic.
 

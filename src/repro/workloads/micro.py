@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.policy import AlwaysReplicatePolicy
+from ..policy.fixed import AlwaysReplicatePolicy
 from ..kernel.kernel import Kernel
 from ..machine.params import MachineParams
 from ..machine.pmap import Rights
@@ -161,7 +161,7 @@ def measure_remote_map_write() -> float:
     setup = _setup(home_module=0)
     setup.fault(1, write=True)  # modified on node 1
     # force a remote mapping via a never-cache decision
-    from ..core.policy import NeverCachePolicy
+    from ..policy.fixed import NeverCachePolicy
 
     setup.kernel.coherent.fault_handler.policy = NeverCachePolicy()
     return setup.fault(0, write=True)

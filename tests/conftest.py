@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.core.policy import (
+from repro.policy.fixed import (
     AlwaysReplicatePolicy,
     NeverCachePolicy,
     TimestampFreezePolicy,

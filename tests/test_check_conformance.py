@@ -8,7 +8,7 @@ the event and the expected-versus-actual successor.
 import dataclasses
 
 from repro.check import check_trace
-from repro.core.policy import TimestampFreezePolicy
+from repro.policy.fixed import TimestampFreezePolicy
 from repro.core.trace import EventKind, TraceEvent
 from repro.runtime import make_kernel, run_program
 from repro.workloads import GaussianElimination, PhaseChangeSharing

@@ -10,7 +10,7 @@ from repro.core import (
     break_even_words,
     competitive_kernel,
 )
-from repro.core.policy import NeverCachePolicy
+from repro.policy.fixed import NeverCachePolicy
 from repro.runtime import Compute, Program, Read, Write
 from repro.workloads import GaussianElimination
 

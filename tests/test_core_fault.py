@@ -147,7 +147,7 @@ def test_present_plus_write_migrates_to_new_node(harness):
 def test_present_plus_write_remote_map_collapses_to_one():
     harness = make_harness(policy="never")
     # force two replicas via the always policy first
-    from repro.core.policy import AlwaysReplicatePolicy, NeverCachePolicy
+    from repro.policy.fixed import AlwaysReplicatePolicy, NeverCachePolicy
 
     harness.kernel.coherent.fault_handler.policy = AlwaysReplicatePolicy()
     _replicated(harness, nodes=(0, 1))

@@ -3,11 +3,10 @@
 import pytest
 
 from repro.core import CpageState
-from repro.core.policy import (
+from repro.policy.base import Action, FaultContext
+from repro.policy.fixed import (
     AceStylePolicy,
-    Action,
     AlwaysReplicatePolicy,
-    FaultContext,
     NeverCachePolicy,
     TimestampFreezePolicy,
 )

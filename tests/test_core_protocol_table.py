@@ -4,7 +4,7 @@ with the live fault handler."""
 import pytest
 
 from repro.core import CpageState, TRANSITIONS, format_table, lookup
-from repro.core.policy import Action
+from repro.policy.base import Action
 
 from tests.conftest import make_harness
 

@@ -1,0 +1,241 @@
+"""Differential test: ``ThreadProcess._cost_run`` vs the reference path.
+
+``_cost_run`` inlines ``MMU.translate`` + ``Machine.access`` +
+``FifoResource.occupy`` for an ATC hit with sufficient rights.  Live
+runs and replays both go through it, so live == replay no longer says
+anything about that arithmetic; this test does.  Twin kernels receive
+the same random string of references and bus/port reservations, one
+through ``_cost_run`` and one through the reference methods, and must
+stay in the same state after every step.
+"""
+
+import dataclasses
+import random
+from collections import Counter
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro import make_kernel
+from repro.machine.pmap import Rights
+from repro.policy.fixed import NeverCachePolicy, TimestampFreezePolicy
+from repro.profile import AccessProbe
+from repro.runtime.executor import ThreadProcess, _cpu_resource
+
+N_PROCESSORS = 5  # more than one switch: remote routes have two hops
+N_PAGES = 5
+ATC_ENTRIES = 3  # fewer than the pages: refills and LRU evictions happen
+
+POLICIES = {
+    # every mapping remote except on the page's home node
+    "never": NeverCachePolicy,
+    # replicas, read-only mappings, migrations and frozen pages
+    "freeze": TimestampFreezePolicy,
+}
+
+
+class LoggingProbe(AccessProbe):
+    """An AccessProbe that also keeps every outcome it was handed."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, cpages) -> None:
+        super().__init__(cpages)
+        self.log = []
+
+    def note(self, cpage_index, proc, write, outcome) -> None:
+        self.log.append(
+            (cpage_index, proc, write, dataclasses.astuple(outcome))
+        )
+        super().note(cpage_index, proc, write, outcome)
+
+
+def build(policy: str):
+    kernel = make_kernel(
+        n_processors=N_PROCESSORS, policy=POLICIES[policy](),
+        defrost_enabled=False, atc_entries=ATC_ENTRIES,
+        frames_per_module=32,
+    )
+    kernel.coherent.reference_counting = True
+    probe = LoggingProbe.install(kernel.coherent)
+    aspace = kernel.vm.create_address_space()
+    obj = kernel.vm.create_object(N_PAGES, label="shared")
+    kernel.vm.bind(aspace, 0, obj, rights=Rights.WRITE)
+    threads = [
+        ThreadProcess(
+            kernel, kernel.threads.spawn(aspace.asid, p, name=f"t{p}"),
+            None, _cpu_resource(kernel, p),
+        )
+        for p in range(N_PROCESSORS)
+    ]
+    return kernel, probe, threads
+
+
+def reference_cost_run(process, vpage, n, write, t):
+    """What a reference costs, spelled with the reference methods only."""
+    kernel, thread = process.kernel, process.thread
+    proc = thread.processor
+    mmu = kernel.machine.mmus[proc]
+    for _attempt in range(3):
+        result = mmu.translate(thread.aspace_id, vpage, write)
+        t += int(round(result.cost))
+        entry = result.entry
+        if entry is not None:
+            outcome = kernel.machine.access(proc, entry.frame, n, write, t)
+            if outcome.remote and kernel.coherent.reference_counting:
+                kernel.coherent.note_remote_access(
+                    entry.cpage_index, proc, n
+                )
+            kernel.coherent.access_probe.note(
+                entry.cpage_index, proc, write, outcome
+            )
+            return outcome.completion, entry
+        t = kernel.fault(proc, thread.aspace_id, vpage, write, t).completion
+    raise AssertionError("no translation after repeated faults")
+
+
+def describe(entry):
+    return (
+        entry.vpage, entry.frame.module_index, entry.frame.frame_index,
+        int(entry.rights), entry.remote, entry.referenced, entry.modified,
+        entry.cpage_index,
+    )
+
+
+def snapshot(kernel, probe):
+    machine = kernel.machine
+    return {
+        "mmus": [
+            (
+                # ATC contents in LRU order, with the R/M bits
+                [(key, describe(e)) for key, e in mmu.atc._entries.items()],
+                mmu.atc.hits, mmu.atc.misses, mmu.atc.flushes, mmu.faults,
+                [
+                    sorted(describe(e) for e in pmap._entries.values())
+                    for pmap in mmu._pmaps.values()
+                ],
+            )
+            for mmu in machine.mmus
+        ],
+        "words": (
+            list(machine.local_words), list(machine.remote_words),
+            list(machine.remote_write_words), list(machine.queue_delay_ns),
+        ),
+        "modules": [
+            (m.words_served, m.accesses_served, dataclasses.astuple(m.bus))
+            for m in machine.modules
+        ],
+        "ports": [
+            dataclasses.astuple(r) for r in machine.topology.all_resources()
+        ],
+        "probe": (probe.log, probe.counts),
+        "cpages": [
+            (c.stats.remote_access_words, dict(c.remote_counts))
+            for c in kernel.coherent.cpages
+        ],
+        "report": dataclasses.asdict(kernel.report()),
+    }
+
+
+#: (processor, vpage, words, write?, ns since the previous step)
+ACCESS = st.tuples(
+    st.integers(0, N_PROCESSORS - 1),
+    st.integers(0, N_PAGES - 1),
+    st.integers(1, 1024),
+    st.booleans(),
+    # up to 3 ms apart: both sides of the 10 ms freeze window occur
+    st.integers(0, 3_000_000),
+)
+
+#: reserve a module bus (and the switch ports from ``src`` to it) for
+#: ``ns`` ahead of the next access, so that access finds them occupied
+OCCUPY = st.tuples(
+    st.integers(0, N_PROCESSORS - 1),
+    st.integers(0, N_PROCESSORS - 1),
+    st.integers(1, 200_000),
+)
+
+
+def occupy(kernel, src, module, ns, t):
+    machine = kernel.machine
+    if src != module:
+        for port in machine.topology.route(src, module):
+            port.occupy(t, ns)
+    machine.modules[module].bus.occupy(t, ns)
+
+
+def run_string(policy, steps) -> Counter:
+    """Feed ``steps`` to twin kernels, comparing after every step;
+    returns how often each kind of reference was met."""
+    kernel_a, probe_a, threads_a = build(policy)
+    kernel_b, probe_b, threads_b = build(policy)
+    assert kernel_a.params.words_per_page == 1024
+    met = Counter()
+    t = 0
+    for step in steps:
+        if len(step) == 3:
+            occupy(kernel_a, *step, t)
+            occupy(kernel_b, *step, t)
+            continue
+        proc, vpage, n, write, dt = step
+        t += dt
+        process = threads_a[proc]
+        cached = kernel_a.machine.mmus[proc].atc._entries.get(
+            (process.thread.aspace_id, vpage)
+        )
+        waited = sum(kernel_a.machine.queue_delay_ns)
+        done_a, entry_a = process._cost_run(vpage, n, write, t)
+        done_b, entry_b = reference_cost_run(
+            threads_b[proc], vpage, n, write, t
+        )
+        assert done_a == done_b
+        assert describe(entry_a) == describe(entry_b)
+        assert snapshot(kernel_a, probe_a) == snapshot(kernel_b, probe_b)
+        if cached is None:
+            met["atc miss"] += 1
+        elif cached.rights.allows(write):
+            met["atc hit"] += 1
+            met["hit, remote" if entry_a.remote else "hit, local"] += 1
+            if sum(kernel_a.machine.queue_delay_ns) > waited:
+                met["hit, queued"] += 1
+        else:
+            met["rights-restricted entry"] += 1
+    kernel_a.check_invariants()
+    return met
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    policy=st.sampled_from(sorted(POLICIES)),
+    steps=st.lists(st.one_of(ACCESS, OCCUPY), max_size=60),
+)
+def test_cost_run_matches_translate_plus_access(policy, steps):
+    run_string(policy, steps)
+
+
+@pytest.mark.parametrize("policy", sorted(POLICIES))
+def test_seeded_string_meets_every_kind_of_reference(policy):
+    """The comparison is only as good as the cases it is fed: a long
+    seeded string must take the inlined path on local and remote frames,
+    with and without queueing, and fall off it both ways."""
+    rng = random.Random(1989)
+    steps = []
+    for _ in range(600):
+        if rng.random() < 0.2:
+            steps.append((
+                rng.randrange(N_PROCESSORS), rng.randrange(N_PROCESSORS),
+                rng.randrange(1, 200_000),
+            ))
+        else:
+            steps.append((
+                rng.randrange(N_PROCESSORS), rng.randrange(N_PAGES),
+                rng.randrange(1, 1025), rng.random() < 0.3,
+                rng.randrange(0, 100_000),
+            ))
+    met = run_string(policy, steps)
+    wanted = {"atc miss", "atc hit", "hit, remote", "hit, queued"}
+    if policy == "freeze":
+        wanted |= {"hit, local", "rights-restricted entry"}
+    assert wanted <= set(met), met

@@ -18,6 +18,7 @@ from repro.runtime import (
     Write,
 )
 from repro.runtime.executor import ThreadProcess, _cpu_resource
+from repro.runtime.run import run_threads
 from repro.workloads import GaussianElimination, MergeSort
 
 
@@ -34,18 +35,14 @@ def run_together(kernel, programs, max_events=None):
             processes.append(
                 ThreadProcess(kernel, spec.thread, spec.body, cpu)
             )
-    for proc in processes:
-        proc.start()
-    kernel.engine.run(
-        max_events=max_events,
-        stop_when=lambda: all(p.finished for p in processes)
-        or any(p.error is not None for p in processes),
+    thread_results = run_threads(
+        kernel, processes, "+".join(p.name for p in programs), max_events
     )
     results = {}
     i = 0
     for program, api in zip(programs, apis):
         n = len(api.thread_specs)
-        chunk = [p.check() for p in processes[i: i + n]]
+        chunk = thread_results[i: i + n]
         program.verify(chunk)
         results[program.name] = chunk
         i += n

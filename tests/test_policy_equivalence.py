@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import policy as core_policy
+import repro.core
 from repro import policy as policy_pkg
 from repro.policy.registry import make_policy
 from repro.replay import record_spec
@@ -77,14 +77,14 @@ def test_counter_dict_is_complete(committed):
 
 def test_registry_freeze_is_the_papers_policy():
     policy = make_policy("freeze", None)
-    assert isinstance(policy, core_policy.TimestampFreezePolicy)
+    assert isinstance(policy, policy_pkg.TimestampFreezePolicy)
     assert policy.t1 == 10_000_000.0
     assert policy.thaw_on_fault is False
 
 
-def test_core_shim_reexports_zoo_classes():
-    """``repro.core.policy`` stays import-compatible and points at the
-    very same classes the zoo exports -- no parallel hierarchies."""
+def test_core_package_reexports_zoo_classes():
+    """``repro.core`` re-exports the very same classes the zoo
+    exports -- no parallel hierarchies."""
     for name in (
         "Action",
         "FaultContext",
@@ -94,4 +94,4 @@ def test_core_shim_reexports_zoo_classes():
         "NeverCachePolicy",
         "AceStylePolicy",
     ):
-        assert getattr(core_policy, name) is getattr(policy_pkg, name)
+        assert getattr(repro.core, name) is getattr(policy_pkg, name)

@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import MigrationCostModel
-from repro.core.policy import (
+from repro.policy.fixed import (
     AlwaysReplicatePolicy,
     NeverCachePolicy,
     TimestampFreezePolicy,

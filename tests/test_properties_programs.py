@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.policy import (
+from repro.policy.fixed import (
     AlwaysReplicatePolicy,
     NeverCachePolicy,
     TimestampFreezePolicy,

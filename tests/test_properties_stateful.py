@@ -23,7 +23,7 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
-from repro.core.policy import TimestampFreezePolicy
+from repro.policy.fixed import TimestampFreezePolicy
 from repro.kernel.kernel import Kernel
 from repro.machine.params import MachineParams
 from repro.machine.pmap import Rights

@@ -3,9 +3,19 @@
 import pytest
 
 from repro import make_kernel, run_program
-from repro.core.policy import NeverCachePolicy
-from repro.runtime import Compute, Program, WaitFor
-from repro.sim import SimEvent
+from repro.policy.fixed import NeverCachePolicy
+from repro.replay import ReplayError, record_program, replay_trace
+from repro.replay.bundle import K_FIRE
+from repro.runtime import (
+    Broadcast,
+    Compute,
+    Program,
+    ThreadProcess,
+    WaitFor,
+    WaitNewer,
+)
+from repro.runtime.run import run_threads
+from repro.sim import FifoResource, SimEvent
 
 
 class Trivial(Program):
@@ -84,6 +94,94 @@ def test_deadlock_detected_via_stall_limit():
     kernel = make_kernel(n_processors=2)  # defrost keeps the queue alive
     with pytest.raises(RuntimeError, match="no thread progress"):
         run_program(kernel, Deadlocked(), stall_limit_ns=2e9)
+
+
+class Waiting(Program):
+    """One thread finishes; the other waits on a channel nobody fires."""
+
+    name = "waiting"
+
+    def setup(self, api):
+        self.channel = Broadcast(api.engine, "never")
+        api.spawn(0, self.done, name="done")
+        api.spawn(1, self.stuck, name="stuck")
+
+    def done(self, env):
+        yield Compute(1000)
+
+    def stuck(self, env):
+        yield WaitNewer(self.channel, 0)
+
+
+class Woken(Waiting):
+    def done(self, env):
+        yield Compute(1000)
+        self.channel.fire()
+
+
+def _replay_unfired(kernel_args, **kwargs):
+    """Replay a recording of ``Woken`` with its fire taken out."""
+    bundle, _ = record_program(make_kernel(n_processors=2), Woken())
+    bundle.config["workload"] = "waiting"
+    bundle.streams = [s[s[:, 0] != K_FIRE] for s in bundle.streams]
+    return replay_trace(
+        bundle, defrost=kernel_args.get("defrost_enabled"), **kwargs
+    )
+
+
+FRONT_ENDS = [
+    pytest.param(
+        lambda kernel_args, **kwargs: run_program(
+            make_kernel(n_processors=2, **kernel_args), Waiting(), **kwargs
+        ),
+        RuntimeError, id="run_program",
+    ),
+    pytest.param(
+        lambda kernel_args, **kwargs: record_program(
+            make_kernel(n_processors=2, **kernel_args), Waiting(), **kwargs
+        ),
+        RuntimeError, id="record_program",
+    ),
+    pytest.param(_replay_unfired, ReplayError, id="replay_trace"),
+]
+
+
+@pytest.mark.parametrize("front_end, error", FRONT_ENDS)
+def test_stall_names_the_running_threads(front_end, error):
+    # defrost ticks keep the queue alive, so only the detector ends this
+    with pytest.raises(error, match="waiting: no thread progress") as info:
+        front_end({}, stall_limit_ns=2e9)
+    assert "still running: ['stuck']" in str(info.value)
+    assert Broadcast.recorder is None
+
+
+@pytest.mark.parametrize("front_end, error", FRONT_ENDS)
+def test_drained_queue_names_the_unfinished_threads(front_end, error):
+    with pytest.raises(
+        error, match=r"waiting: threads never finished: \['stuck'\]"
+    ):
+        front_end({"defrost_enabled": False})
+
+
+def test_stall_detector_sees_cpus_the_kernel_does_not_own():
+    """A caller may hand ThreadProcess its own cpu resource; progress on
+    it must still count as progress."""
+    kernel = make_kernel(n_processors=2)
+    aspace = kernel.vm.create_address_space()
+
+    def body():
+        for _ in range(200):
+            yield Compute(1e6)
+
+    processes = [
+        ThreadProcess(
+            kernel, kernel.threads.spawn(aspace.asid, 0, name="busy"),
+            body(), FifoResource("own-cpu"),
+        )
+    ]
+    # 200 ms of compute in 1 ms steps, against a 50 ms stall limit
+    run_threads(kernel, processes, "own-cpu", stall_limit_ns=50e6)
+    assert kernel.engine.now == 200e6
 
 
 def test_make_kernel_overrides():

@@ -4,7 +4,7 @@ import pytest
 
 from repro import make_kernel, run_program
 from repro.analysis import measure_speedup
-from repro.core.policy import NeverCachePolicy
+from repro.policy.fixed import NeverCachePolicy
 from repro.workloads.matmul import MatrixMultiply
 
 

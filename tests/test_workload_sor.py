@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro import make_kernel, run_program
-from repro.core.policy import AlwaysReplicatePolicy, NeverCachePolicy
+from repro.policy.fixed import AlwaysReplicatePolicy, NeverCachePolicy
 from repro.workloads.sor import (
     JacobiSOR,
     jacobi_reference,

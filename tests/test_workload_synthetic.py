@@ -3,7 +3,7 @@
 import pytest
 
 from repro import make_kernel, run_program
-from repro.core.policy import AlwaysReplicatePolicy, NeverCachePolicy
+from repro.policy.fixed import AlwaysReplicatePolicy, NeverCachePolicy
 from repro.workloads.synthetic import (
     PhaseChangeSharing,
     PrivateWork,
