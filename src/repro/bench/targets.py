@@ -28,67 +28,9 @@ from ..analysis.costmodel import (
     run_counters,
 )
 from ..analysis.speedup import SpeedupCurve
-from ..baselines import (
-    SMPGauss,
-    UniformSystemGauss,
-    run_on_sequent,
-    smp_kernel,
-    uniform_system_kernel,
-)
-from ..core import competitive_kernel
-from ..policy.registry import POLICIES, make_policy
-from ..runtime import make_kernel, run_program
-from ..workloads import (
-    GaussianElimination,
-    GeneratedWorkload,
-    JacobiSOR,
-    MatrixMultiply,
-    MergeSort,
-    NeuralNetSimulator,
-    PhaseChangeSharing,
-    ReadOnlySharing,
-    RoundRobinSharing,
-)
-
-_WORKLOADS: dict[str, Callable] = {
-    "gauss": GaussianElimination,
-    "mergesort": MergeSort,
-    "neural": NeuralNetSimulator,
-    "jacobi": JacobiSOR,
-    "matmul": MatrixMultiply,
-    "roundrobin": RoundRobinSharing,
-    "phasechange": PhaseChangeSharing,
-    "readonly": ReadOnlySharing,
-    # constrained-random programs; args = {"spec": WorkloadSpec.to_dict()}
-    "generated": GeneratedWorkload,
-}
-
-# policy construction now lives in repro.policy.registry (imported
-# above); the alias keeps historical imports working
-_POLICIES = POLICIES
-
-
-def make_program_for_spec(spec: dict):
-    """The workload program a ``run``-kind point spec describes."""
-    return _WORKLOADS[spec["workload"]](**dict(spec.get("args", {})))
-
-
-def build_kernel_for_spec(spec: dict, metrics=False, trace: bool = False):
-    """A plain PLATINUM kernel per a ``run``-kind point spec.
-
-    Covers the non-competitive platinum branch of :func:`_exec_run`; the
-    trace recorder uses the same function so a recording run is built
-    exactly as the bench run it stands in for.
-    """
-    return make_kernel(
-        n_processors=spec.get("machine", 16),
-        policy=make_policy(spec.get("policy"), spec.get("policy_args")),
-        defrost_enabled=spec.get("defrost", True),
-        defrost_period=spec.get("defrost_period"),
-        metrics=metrics,
-        trace=trace,
-        **dict(spec.get("params", {})),
-    )
+from ..baselines import run_on_sequent
+from ..point import point_kernel, point_program, sec42_spec
+from ..runtime import run_program
 
 
 # -- point execution ----------------------------------------------------------
@@ -96,46 +38,25 @@ def build_kernel_for_spec(spec: dict, metrics=False, trace: bool = False):
 
 def _exec_run(spec: dict, seed: int) -> dict:
     """A full simulated program run, reduced to its counter dict."""
-    args = dict(spec.get("args", {}))
-    machine = spec.get("machine", 16)
-    params = dict(spec.get("params", {}))
-    system = spec.get("system", "platinum")
+    plain = spec.get("system", "platinum") == "platinum"
     # telemetry only reads protocol state, so its summary is as
     # deterministic as the counters; spec {"telemetry": False} opts out
-    telemetry = spec.get("telemetry", True) and system == "platinum"
+    telemetry = spec.get("telemetry", True) and plain
     # {"profile": K} embeds a top-K cost-attribution summary; the
     # profiler needs the tracer and the access probe, so it is only
     # meaningful on plain platinum kernels
     profile = (
         int(spec.get("profile", 0))
-        if system == "platinum" and not spec.get("competitive")
+        if plain and not spec.get("competitive")
         else 0
     )
+    kernel = point_kernel(spec, metrics=telemetry, trace=profile > 0)
+    program = point_program(spec)
     probe = None
-    if system == "uniform":
-        kernel = uniform_system_kernel(machine, **params)
-        program = UniformSystemGauss(**args)
-    elif system == "smp":
-        kernel = smp_kernel(machine, **params)
-        program = SMPGauss(**args)
-    else:
-        if spec.get("competitive"):
-            kernel, _daemon = competitive_kernel(
-                n_processors=machine,
-                period=spec.get("competitive_period", 100e6),
-                **params,
-            )
-            if telemetry:
-                kernel.coherent.metrics.enabled = True
-        else:
-            kernel = build_kernel_for_spec(
-                spec, metrics=telemetry, trace=profile > 0
-            )
-            if profile:
-                from ..profile import AccessProbe
+    if profile:
+        from ..profile import AccessProbe
 
-                probe = AccessProbe.install(kernel.coherent)
-        program = _WORKLOADS[spec["workload"]](**args)
+        probe = AccessProbe.install(kernel.coherent)
     result = run_program(kernel, program)
     metrics = run_counters(result)
     metrics["sim_time_ms"] = result.sim_time_ms
@@ -212,8 +133,8 @@ def _exec_replay(spec: dict, seed: int) -> dict:
 def _exec_sequent(spec: dict, seed: int) -> dict:
     """The UMA (Sequent-like) baseline run: wall model only, no
     coherence counters exist on that machine."""
-    program = _WORKLOADS[spec["workload"]](**dict(spec.get("args", {})))
-    result = run_on_sequent(program, n_processors=spec.get("machine", 16))
+    result = run_on_sequent(
+        point_program(spec), n_processors=spec.get("machine", 16))
     return {
         "sim_time_ns": int(result.sim_time_ns),
         "sim_time_ms": result.sim_time_ns / 1e6,
@@ -252,13 +173,8 @@ def _exec_transitions(spec: dict, seed: int) -> dict:
     """A traced run replayed against the Figure 4 transition table."""
     from ..check import check_trace
 
-    kernel = make_kernel(
-        n_processors=spec.get("machine", 8),
-        trace=True,
-        defrost_period=spec.get("defrost_period"),
-    )
-    program = _WORKLOADS[spec["workload"]](**dict(spec.get("args", {})))
-    run_program(kernel, program)
+    kernel = point_kernel(spec, trace=True)
+    run_program(kernel, point_program(spec))
     report = check_trace(kernel.tracer)
     return {
         "ok": report.ok,
@@ -599,19 +515,10 @@ def _points_sec42(scale: str):
             points.append((
                 name,
                 {
-                    "kind": "run",
-                    "workload": "gauss",
-                    "machine": machine,
-                    "defrost": defrost,
-                    "defrost_period": 20e6,
+                    **sec42_spec(n, machine, threads,
+                                 colocate=colocate, defrost=defrost),
                     "page_detail": ["misc"],
                     "profile": 5,
-                    "args": {
-                        "n": n,
-                        "n_threads": threads,
-                        "verify_result": False,
-                        "colocate_lock_with_size": colocate,
-                    },
                 },
             ))
     return config, points
@@ -831,20 +738,7 @@ def _points_ablation_adaptive(scale: str):
     for policy in ("freeze", "adaptive"):
         points.append((
             f"gauss-colocated:{policy}",
-            {
-                "kind": "run",
-                "workload": "gauss",
-                "machine": machine,
-                "policy": policy,
-                "defrost": True,
-                "defrost_period": 20e6,
-                "args": {
-                    "n": n,
-                    "n_threads": threads,
-                    "verify_result": False,
-                    "colocate_lock_with_size": True,
-                },
-            },
+            {**sec42_spec(n, machine, threads), "policy": policy},
         ))
     # the generated cases are pinned to the smoke-profile golden-corpus
     # specs at every scale: the seeds were chosen for their measured

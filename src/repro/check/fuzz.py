@@ -29,10 +29,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..policy.fixed import TimestampFreezePolicy
 from ..kernel.kernel import Kernel
-from ..machine.params import MachineParams
 from ..machine.pmap import Rights
+from ..point import point_kernel
+from ..policy.registry import policy_names
 from .invariants import InvariantChecker
 
 #: operation kinds a schedule is built from
@@ -102,32 +102,6 @@ class ScheduleOutcome:
         return self.failure is None
 
 
-def _make_fuzz_policy(policy: Optional[str], t1: float):
-    """A replication policy for the fuzz kernel by short name.
-
-    ``None``/"freeze" keep the historical default (timestamp freezing
-    with a short window so freezes occur inside the schedule's span);
-    the other registry names let corpus fuzzing sweep policies.
-    """
-    if policy is None or policy == "freeze":
-        return TimestampFreezePolicy(t1=t1)
-    from ..policy.fixed import (
-        AceStylePolicy,
-        AlwaysReplicatePolicy,
-        NeverCachePolicy,
-    )
-
-    table = {
-        "always": AlwaysReplicatePolicy,
-        "never": NeverCachePolicy,
-        "ace": AceStylePolicy,
-    }
-    try:
-        return table[policy]()
-    except KeyError:
-        raise ValueError(f"unknown fuzz policy {policy!r}")
-
-
 def run_schedule(
     ops: Sequence[FuzzOp],
     *,
@@ -145,19 +119,22 @@ def run_schedule(
 
     The freeze policy runs with a short ``t1`` so freezes actually occur
     within the schedule's time span; ``policy`` swaps in another
-    registry policy ("always", "never", "ace") for corpus sweeps.
+    ``policy.registry`` name (at its defaults) for corpus sweeps.
     ``on_step(i, kernel)`` is called after operation ``i`` -- the
     corruption-injection tests use it.  Tracing, when requested, uses
     the ring-buffer mode so unbounded schedules cannot exhaust memory.
     """
-    params = MachineParams(
-        n_processors=n_processors, frames_per_module=frames_per_module
-    ).validated()
-    kernel = Kernel(
-        params=params,
-        policy=_make_fuzz_policy(policy, t1),
-        defrost_enabled=False,
-    )
+    if policy is None:
+        policy = "freeze"
+    elif policy not in policy_names():
+        raise ValueError(f"unknown fuzz policy {policy!r}")
+    kernel = point_kernel({
+        "machine": n_processors,
+        "params": {"frames_per_module": frames_per_module},
+        "policy": policy,
+        "policy_args": {"t1": t1} if policy == "freeze" else None,
+        "defrost": False,
+    })
     if trace:
         kernel.tracer.use_ring(trace_max_events)
         kernel.tracer.enable()

@@ -31,30 +31,91 @@ from .analysis import (
     format_table,
     measure_speedup,
 )
-from .baselines import (
-    SMPGauss,
-    UniformSystemGauss,
-    smp_kernel,
-    uniform_system_kernel,
-)
 from .core import format_table as format_transitions
+from .point import point_kernel, point_program, sec42_spec
 from .policy.registry import policy_names
-from .runtime import make_kernel, run_program
-from .workloads import (
-    GaussianElimination,
-    JacobiSOR,
-    MatrixMultiply,
-    MergeSort,
-    NeuralNetSimulator,
-)
+from .runtime import run_program
+
+#: the workloads with a verb of their own -> default problem size (-n)
+_CLI_WORKLOADS = {
+    "gauss": 64, "mergesort": 16384, "neural": 40,
+    "jacobi": 48, "matmul": 48,
+}
+
+
+class _BadPoint(Exception):
+    """The point a verb was asked to run cannot be built; ``_run_verb``
+    prints it as ``repro <verb>: <reason>`` and exits 2."""
+
+
+def _checked(build, *args, **kwargs):
+    """Call a point-building function, turning its ``ValueError`` into
+    the exit-2 :class:`_BadPoint`.  Wrapped around building only, never
+    around a simulation: a real crash is still a crash."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise _BadPoint(str(exc)) from None
+
+
+def _build_point(spec: dict, **instruments):
+    """``(kernel, program)`` for a point spec (see :mod:`repro.point`)."""
+    return (_checked(point_kernel, spec, **instruments),
+            _checked(point_program, spec))
+
+
+def _policy_spec(args: argparse.Namespace) -> dict:
+    """The ``--policy/--policy-args/--tuned/--defrost*`` option group
+    (whichever of it the verb declares) lowered to point-spec keys."""
+    import json
+
+    spec = {}
+    if getattr(args, "policy", None):
+        spec["policy"] = args.policy
+    if getattr(args, "policy_args", None):
+        try:
+            spec["policy_args"] = json.loads(args.policy_args)
+        except json.JSONDecodeError as exc:
+            raise _BadPoint(f"--policy-args is not JSON: {exc}") from None
+    if getattr(args, "tuned", None):
+        from .policy import TuneError, load_tuned
+
+        try:
+            spec["policy"], spec["policy_args"] = load_tuned(args.tuned)
+        except TuneError as exc:
+            raise _BadPoint(str(exc)) from None
+    if getattr(args, "defrost", None) is not None:
+        spec["defrost"] = args.defrost
+    if getattr(args, "defrost_period_ms", None) is not None:
+        spec["defrost_period"] = args.defrost_period_ms * 1e6
+    return spec
+
+
+def _point_spec(args: argparse.Namespace, workload=None, p=None) -> dict:
+    """A verb's ``-n/-p/--epochs/--no-verify/--machine`` and policy
+    options lowered to the ``{"kind": "run"}`` point spec it runs."""
+    name = workload or args.workload
+    p = args.p if p is None else p
+    if name == "neural":
+        program_args = {"epochs": args.epochs, "n_threads": p}
+    else:
+        n = args.n if args.n is not None else _CLI_WORKLOADS[name]
+        program_args = {"n": n, "n_threads": p,
+                        "verify_result": args.verify}
+        if name == "jacobi":
+            program_args["iterations"] = args.epochs
+    return {"kind": "run", "workload": name, "machine": args.machine,
+            "args": program_args, **_policy_spec(args)}
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from .machine.params import MachineParams
+
     model = (
         MigrationCostModel.paper_constants()
         if args.paper_constants
         else MigrationCostModel.from_params(
-            make_kernel(n_processors=2).params
+            MachineParams(n_processors=2).validated()
         )
     )
     print(model.format_table1())
@@ -96,25 +157,6 @@ def _cmd_micro(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_program(name: str, args: argparse.Namespace, p: int):
-    if name == "gauss":
-        return GaussianElimination(
-            n=args.n, n_threads=p, verify_result=args.verify
-        )
-    if name == "mergesort":
-        return MergeSort(n=args.n, n_threads=p,
-                         verify_result=args.verify)
-    if name == "neural":
-        return NeuralNetSimulator(epochs=args.epochs, n_threads=p)
-    if name == "jacobi":
-        return JacobiSOR(n=args.n, iterations=args.epochs, n_threads=p,
-                         verify_result=args.verify)
-    if name == "matmul":
-        return MatrixMultiply(n=args.n, n_threads=p,
-                              verify_result=args.verify)
-    raise ValueError(f"unknown workload {name!r}")
-
-
 def _attach_trace_sink(kernel, destination: str):
     """Stream trace events to ``destination`` (extension picks the
     format: ``.jsonl`` -> JSON Lines, anything else -> Chrome
@@ -154,22 +196,6 @@ def _write_metrics_jsonl(kernel, sampler, destination: str) -> int:
     return text.count("\n")
 
 
-def _parse_policy_args(raw, verb: str):
-    """``--policy-args`` JSON -> dict, or the exit-2 sentinel string."""
-    import json
-
-    if not raw:
-        return None
-    try:
-        return json.loads(raw)
-    except json.JSONDecodeError as exc:
-        print(f"repro {verb}: --policy-args is not JSON: {exc}")
-        return _POLICY_ARGS_ERROR
-
-
-_POLICY_ARGS_ERROR = object()
-
-
 def _note_history_run(workload: str, args: argparse.Namespace,
                       result) -> None:
     """Drop one simulated run's facts into the ambient history
@@ -191,29 +217,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"repro {args.workload}: --sample-ms must be positive, "
               f"got {args.sample_ms}")
         return 2
-    policy = None
-    if args.policy:
-        policy_args = _parse_policy_args(args.policy_args, args.workload)
-        if policy_args is _POLICY_ARGS_ERROR:
-            return 2
-        from .policy import make_policy
-
-        try:
-            policy = make_policy(args.policy, policy_args)
-        except ValueError as exc:
-            print(f"repro {args.workload}: {exc}")
-            return 2
-    kernel = make_kernel(
-        n_processors=args.machine, trace=args.trace,
-        metrics=want_metrics, policy=policy,
-    )
+    kernel, program = _build_point(
+        _point_spec(args), trace=args.trace, metrics=want_metrics)
     if args.trace_out:
         _attach_trace_sink(kernel, args.trace_out)
         # without --trace the history lives only on disk: constant memory
         kernel.tracer.retain = args.trace
     sampler = _start_sampler(kernel, args.sample_ms) if want_metrics \
         else None
-    program = _make_program(args.workload, args, args.p)
     try:
         from .obs import span as obs_span
 
@@ -311,9 +322,8 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
         print(f"repro metrics: --sample-ms must be positive, "
               f"got {args.sample_ms}")
         return 2
-    kernel = make_kernel(n_processors=args.machine, metrics=True)
+    kernel, program = _build_point(_point_spec(args), metrics=True)
     sampler = _start_sampler(kernel, args.sample_ms)
-    program = _make_program(args.workload, args, args.p)
     result = run_program(kernel, program)
     _note_history_run(args.workload, args, result)
     if args.format == "prom":
@@ -343,48 +353,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-#: workloads `repro explain` can run live
-_EXPLAIN_WORKLOADS = ("gauss", "mergesort", "neural", "jacobi", "matmul")
-
-#: default problem sizes for live `repro explain` runs
-_EXPLAIN_DEFAULT_N = {
-    "gauss": 64, "mergesort": 16384, "neural": 40,
-    "jacobi": 48, "matmul": 48,
-}
-
-
-def _explain_run(args: argparse.Namespace, target: str):
-    """Run a workload live with the tracer and access probe on, and
-    return its :class:`~repro.profile.ProfileSource`.
-
-    ``sec42`` is the paper's section 4.2 anecdote: Gauss with the
-    column-size word sharing a page with the column lock, and a short
-    defrost period so freeze/thaw shows up in a small run.
-    """
-    from .profile import AccessProbe, ProfileSource
-
-    kernel = make_kernel(
-        n_processors=args.machine,
-        trace=True,
-        defrost_period=20e6 if target == "sec42" else None,
-    )
-    probe = AccessProbe.install(kernel.coherent)
-    if target == "sec42":
-        program = GaussianElimination(
-            n=args.n if args.n is not None else 24,
-            n_threads=args.p,
-            verify_result=False,
-            colocate_lock_with_size=True,
-        )
-    else:
-        if args.n is None:
-            args.n = _EXPLAIN_DEFAULT_N[target]
-        program = _make_program(target, args, args.p)
-    result = run_program(kernel, program)
-    return ProfileSource.from_run(kernel, result, probe,
-                                  workload=target)
-
-
 def _is_workload_spec(target: str) -> bool:
     """True when ``target`` is a ``repro-workload/1`` spec file."""
     import json
@@ -400,24 +368,36 @@ def _is_workload_spec(target: str) -> bool:
     return isinstance(doc, dict) and doc.get("schema") == "repro-workload/1"
 
 
-def _explain_spec(target: str):
-    """Run a generated workload spec live under the profiler.
+def _live_profile(args: argparse.Namespace, target: str):
+    """Run ``target`` live with the tracer and access probe on and
+    return its :class:`~repro.profile.ProfileSource`; ``None`` when
+    ``target`` names no live run (a saved bundle, trace or ledger).
 
-    The machine size and thread count come from the spec itself; a
-    short defrost period makes freeze/thaw visible in small runs, as in
-    the ``sec42`` target.
+    A workload name runs at the verb's ``-n/-p/--machine``; ``sec42``
+    is the paper's section 4.2 anecdote (:func:`repro.point.sec42_spec`);
+    a ``repro-workload/1`` spec file runs on the spec's own machine with
+    the same short defrost period.
     """
     from .profile import AccessProbe, ProfileSource
-    from .workloads import GeneratedWorkload, WorkloadSpec
 
-    spec = WorkloadSpec.load(target)
-    kernel = make_kernel(
-        n_processors=spec.machine, trace=True, defrost_period=20e6
-    )
+    label = target
+    if target in _CLI_WORKLOADS:
+        spec = _point_spec(args, workload=target)
+    elif target == "sec42":
+        spec = sec42_spec(24 if args.n is None else args.n,
+                          args.machine, args.p)
+    elif _is_workload_spec(target):
+        from .workloads import WorkloadSpec, bench_spec_for
+
+        generated = WorkloadSpec.load(target)
+        label = generated.name
+        spec = {**bench_spec_for(generated), "defrost_period": 20e6}
+    else:
+        return None
+    kernel, program = _build_point(spec, trace=True)
     probe = AccessProbe.install(kernel.coherent)
-    result = run_program(kernel, GeneratedWorkload(spec))
-    return ProfileSource.from_run(kernel, result, probe,
-                                  workload=spec.name)
+    result = run_program(kernel, program)
+    return ProfileSource.from_run(kernel, result, probe, workload=label)
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
@@ -426,11 +406,8 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
     target = args.target
     try:
-        if target in _EXPLAIN_WORKLOADS or target == "sec42":
-            source = _explain_run(args, target)
-        elif _is_workload_spec(target):
-            source = _explain_spec(target)
-        else:
+        source = _live_profile(args, target)
+        if source is None:
             source = ProfileSource.load(target)
     except (ProfileError, SpecError) as exc:
         print(f"repro explain: {exc}")
@@ -486,19 +463,15 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
             # reject an unknown detector *before* the expensive run
             validate_detectors(detectors)
         target = args.target
-        source = None
         ledger_records = None
-        if target in _EXPLAIN_WORKLOADS or target == "sec42":
-            source = _explain_run(args, target)
-        elif _is_workload_spec(target):
-            source = _explain_spec(target)
-        elif _is_events_ledger(target):
+        source = _live_profile(args, target)
+        if source is None and _is_events_ledger(target):
             from .obs import read_ledger
 
             ledger_records = read_ledger(target)
             if detectors is None:
                 detectors = ["pool_wall"]
-        else:
+        elif source is None:
             source = ProfileSource.load(target)
         report = diagnose(
             source,
@@ -538,42 +511,10 @@ def _version() -> str:
         return __version__
 
 
-def _record_spec_args(args: argparse.Namespace) -> dict:
-    """Workload constructor args for a record spec (mirrors
-    ``_make_program``, but as a picklable spec dict)."""
-    name = args.workload
-    if name == "neural":
-        return {"epochs": args.epochs, "n_threads": args.p}
-    spec_args = {"n": args.n, "n_threads": args.p,
-                 "verify_result": args.verify}
-    if name == "jacobi":
-        spec_args["iterations"] = args.epochs
-    return spec_args
-
-
 def _cmd_record(args: argparse.Namespace) -> int:
-    import json
-
     from .replay import TraceError, record_spec, save_trace
 
-    spec = {
-        "kind": "run",
-        "workload": args.workload,
-        "machine": args.machine,
-        "args": _record_spec_args(args),
-    }
-    if args.policy:
-        spec["policy"] = args.policy
-        if args.policy_args:
-            try:
-                spec["policy_args"] = json.loads(args.policy_args)
-            except json.JSONDecodeError as exc:
-                print(f"repro record: --policy-args is not JSON: {exc}")
-                return 2
-    if not args.defrost:
-        spec["defrost"] = False
-    if args.defrost_period_ms is not None:
-        spec["defrost_period"] = args.defrost_period_ms * 1e6
+    spec = _point_spec(args)
     from .obs import span as obs_span
 
     try:
@@ -595,8 +536,6 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    import json
-
     from .replay import TraceError, replay_trace
 
     params = {}
@@ -611,22 +550,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
             print(f"repro replay: --param {key}: {value!r} is not a "
                   "number")
             return 2
-    policy = args.policy
-    policy_args = None
-    if args.policy_args:
-        try:
-            policy_args = json.loads(args.policy_args)
-        except json.JSONDecodeError as exc:
-            print(f"repro replay: --policy-args is not JSON: {exc}")
-            return 2
-    if args.tuned:
-        from .policy import TuneError, load_tuned
-
-        try:
-            policy, policy_args = load_tuned(args.tuned)
-        except TuneError as exc:
-            print(f"repro replay: {exc}")
-            return 2
+    variant = _policy_spec(args)
     if args.fast and args.check:
         print("repro replay: --fast is approximate; --check needs "
               "exact mode")
@@ -636,16 +560,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     try:
         with obs_span("replay.run", trace=args.trace,
                       mode="fast" if args.fast else "exact",
-                      policy=policy) as sp:
+                      policy=variant.get("policy")) as sp:
             result = replay_trace(
                 args.trace,
-                policy=policy,
-                policy_args=policy_args,
-                defrost=args.defrost,
-                defrost_period=(
-                    args.defrost_period_ms * 1e6
-                    if args.defrost_period_ms is not None else None
-                ),
+                **variant,
                 params=params or None,
                 check_expected=args.check,
                 mode="fast" if args.fast else "exact",
@@ -705,24 +623,28 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 def _cmd_dashboard(args: argparse.Namespace) -> int:
     from .analysis import run_dashboard
 
-    kernel = make_kernel(n_processors=args.machine, trace=True)
+    kernel, program = _build_point(_point_spec(args), trace=True)
     # long runs: keep the newest events rather than silently truncating
     # the interesting tail (keep-first mode drops everything after the
     # cap, which starved the dashboard's late-run panels)
     kernel.tracer.use_ring()
-    program = _make_program(args.workload, args, args.p)
     run_program(kernel, program)
     print(run_dashboard(kernel))
     return 0
 
 
 def _cmd_speedup(args: argparse.Namespace) -> int:
-    counts = [int(c) for c in args.counts.split(",")]
+    try:
+        counts = [int(c) for c in args.counts.split(",")]
+    except ValueError:
+        raise _BadPoint("--counts wants comma-separated processor "
+                        f"counts, got {args.counts!r}") from None
+    specs = {p: _point_spec(args, p=p) for p in counts}
     curve = measure_speedup(
-        lambda p: _make_program(args.workload, args, p),
+        lambda p: _checked(point_program, specs[p]),
         processor_counts=counts,
-        machine_processors=args.machine,
-        label=f"{args.workload}",
+        kernel_factory=lambda p: _checked(point_kernel, specs[p]),
+        label=args.workload,
     )
     print(curve.format())
     print()
@@ -737,28 +659,18 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    systems = {
-        "PLATINUM": (
-            lambda: make_kernel(n_processors=args.machine),
-            lambda p: GaussianElimination(n=args.n, n_threads=p,
-                                          verify_result=False),
-        ),
-        "Uniform System": (
-            lambda: uniform_system_kernel(args.machine),
-            lambda p: UniformSystemGauss(n=args.n, n_threads=p,
-                                         verify_result=False),
-        ),
-        "SMP": (
-            lambda: smp_kernel(args.machine),
-            lambda p: SMPGauss(n=args.n, n_threads=p,
-                               verify_result=False),
-        ),
-    }
     rows = []
-    for name, (kf, pf) in systems.items():
+    for name, system in (("PLATINUM", "platinum"),
+                         ("Uniform System", "uniform"), ("SMP", "smp")):
         times = {}
         for p in (1, args.machine):
-            times[p] = run_program(kf(), pf(p)).sim_time_ns
+            kernel, program = _build_point({
+                "system": system, "workload": "gauss",
+                "machine": args.machine,
+                "args": {"n": args.n, "n_threads": p,
+                         "verify_result": False},
+            })
+            times[p] = run_program(kernel, program).sim_time_ns
         rows.append([
             name,
             f"{times[1] / times[args.machine]:.2f}",
@@ -775,46 +687,32 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _check_workloads(machine: int):
-    """The small workload battery the check commands run: every
-    protocol behaviour class (replication, migration, freeze, defrost
-    thaw, thaw-on-fault) in a few hundred milliseconds of wall time."""
-    from .policy.fixed import TimestampFreezePolicy
-    from .workloads import PhaseChangeSharing, RoundRobinSharing
+#: the small workload battery the check commands run: every protocol
+#: behaviour class (replication, migration, freeze, defrost thaw,
+#: thaw-on-fault) in a few hundred milliseconds of wall time
+_CHECK_BATTERY = (
+    ("round-robin-sharing",
+     {"workload": "roundrobin",
+      "args": {"n_threads": 4, "operations": 16}}),
+    ("phase-change-sharing",
+     {"workload": "phasechange", "defrost_period": 30e6,
+      "args": {"n_threads": 4}}),
+    ("gauss-16",
+     {"workload": "gauss", "args": {"n": 16, "n_threads": 4}}),
+    ("gauss-16-thaw-on-fault",
+     {"workload": "gauss", "args": {"n": 16, "n_threads": 4},
+      "policy": "freeze", "policy_args": {"thaw_on_fault": True}}),
+    ("mergesort-256",
+     {"workload": "mergesort", "args": {"n": 256, "n_threads": 4}}),
+)
 
-    return [
-        (
-            "round-robin-sharing",
-            lambda: make_kernel(n_processors=machine, trace=True),
-            lambda: RoundRobinSharing(n_threads=4, operations=16),
-        ),
-        (
-            "phase-change-sharing",
-            lambda: make_kernel(
-                n_processors=machine, trace=True, defrost_period=30e6
-            ),
-            lambda: PhaseChangeSharing(n_threads=4),
-        ),
-        (
-            "gauss-16",
-            lambda: make_kernel(n_processors=machine, trace=True),
-            lambda: GaussianElimination(n=16, n_threads=4),
-        ),
-        (
-            "gauss-16-thaw-on-fault",
-            lambda: make_kernel(
-                n_processors=machine,
-                trace=True,
-                policy=TimestampFreezePolicy(thaw_on_fault=True),
-            ),
-            lambda: GaussianElimination(n=16, n_threads=4),
-        ),
-        (
-            "mergesort-256",
-            lambda: make_kernel(n_processors=machine, trace=True),
-            lambda: MergeSort(n=256, n_threads=4),
-        ),
-    ]
+
+def _check_points(machine: int):
+    """``(name, traced kernel, program)`` per battery entry."""
+    for name, spec in _CHECK_BATTERY:
+        kernel, program = _build_point(
+            {**spec, "machine": machine}, trace=True)
+        yield name, kernel, program
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -1103,11 +1001,10 @@ def _cmd_check_invariants(args: argparse.Namespace) -> int:
     from .check import InvariantViolation, install_invariant_checker
 
     failed = 0
-    for name, make_k, make_p in _check_workloads(args.machine):
-        kernel = make_k()
+    for name, kernel, program in _check_points(args.machine):
         checker = install_invariant_checker(kernel.coherent)
         try:
-            run_program(kernel, make_p())
+            run_program(kernel, program)
         except InvariantViolation as exc:
             failed += 1
             print(f"{name}: FAILED after {checker.checks} sweeps -- {exc}")
@@ -1127,9 +1024,8 @@ def _cmd_check_conformance(args: argparse.Namespace) -> int:
     from .check import check_trace
 
     failed = 0
-    for name, make_k, make_p in _check_workloads(args.machine):
-        kernel = make_k()
-        run_program(kernel, make_p())
+    for name, kernel, program in _check_points(args.machine):
+        run_program(kernel, program)
         report = check_trace(kernel.tracer)
         print(f"{name}: {report.describe()}")
         if not report.ok:
@@ -1257,28 +1153,12 @@ def _cmd_gen_run(args: argparse.Namespace) -> int:
     specs.extend(WorkloadSpec.load(file) for file in args.files)
     if not specs:
         raise SpecError("give spec files to run, or --seed to generate")
-    policy = args.policy
-    policy_args = _parse_policy_args(args.policy_args, "gen")
-    if policy_args is _POLICY_ARGS_ERROR:
-        return 2
-    if args.tuned:
-        from .policy import TuneError, load_tuned
-
-        try:
-            policy, policy_args = load_tuned(args.tuned)
-        except TuneError as exc:
-            print(f"repro gen: {exc}")
-            return 2
+    variant = _policy_spec(args)
     for spec in specs:
         _kernel, result = run_spec(
             spec,
-            policy=policy,
-            policy_args=policy_args,
+            **variant,
             machine=args.machine,
-            defrost_period=(
-                args.defrost_period_ms * 1e6
-                if args.defrost_period_ms is not None else None
-            ),
             check_invariants=args.check_invariants,
         )
         counters = run_counters(result)
@@ -1356,18 +1236,56 @@ def build_parser() -> argparse.ArgumentParser:
     mi = sub.add_parser("micro", help="section 4 microbenchmarks")
     mi.set_defaults(fn=_cmd_micro)
 
-    def workload_args(p, default_n):
+    def workload_args(p, default_n, verify_flag=True):
+        """``-n/-p/--machine/--epochs[/--no-verify]``, the options
+        ``_point_spec`` lowers; ``default_n=None`` defers to the
+        target's own default (explain/doctor)."""
         p.add_argument("-n", type=int, default=default_n,
-                       help="problem size")
+                       help="problem size" if default_n is not None
+                       else "problem size (default depends on the "
+                       "workload, 24 for sec42)")
         p.add_argument("-p", type=int, default=8,
                        help="threads to use")
         p.add_argument("--machine", type=int, default=16,
                        help="processors in the simulated machine")
         p.add_argument("--epochs", type=int, default=25,
                        help="training epochs (neural only)")
-        p.add_argument("--no-verify", dest="verify",
-                       action="store_false",
-                       help="skip the end-to-end result check")
+        if verify_flag:
+            p.add_argument("--no-verify", dest="verify",
+                           action="store_false",
+                           help="skip the end-to-end result check")
+
+    def workload_choice(p, **kwargs):
+        p.add_argument("workload", choices=tuple(_CLI_WORKLOADS),
+                       **kwargs)
+
+    def policy_options(p, policy_help, tuned_help=None, defrost=None):
+        """The option group ``_policy_spec`` lowers.  ``defrost`` names
+        the daemon flags the verb takes: ``"period"``, ``"off"`` (plus
+        ``--no-defrost``) or ``"force"`` (plus ``--defrost`` too)."""
+        p.add_argument("--policy", default=None, choices=policy_names(),
+                       help=policy_help)
+        p.add_argument("--policy-args", default=None, metavar="JSON",
+                       help="policy constructor kwargs as a JSON object")
+        if tuned_help:
+            p.add_argument("--tuned", default=None, metavar="FILE",
+                           help=tuned_help)
+        if defrost == "force":
+            group = p.add_mutually_exclusive_group()
+            group.add_argument("--defrost", dest="defrost", default=None,
+                               action="store_true",
+                               help="force the defrost daemon on")
+            group.add_argument("--no-defrost", dest="defrost",
+                               action="store_false",
+                               help="force the defrost daemon off")
+        elif defrost == "off":
+            p.add_argument("--no-defrost", dest="defrost",
+                           action="store_false",
+                           help="run with the defrost daemon disabled")
+        if defrost:
+            p.add_argument("--defrost-period-ms", type=float,
+                           default=None,
+                           help="defrost daemon period in simulated ms")
 
     retention_epilog = (
         "trace retention modes:\n"
@@ -1384,9 +1302,7 @@ def build_parser() -> argparse.ArgumentParser:
         "see docs/OBSERVABILITY.md for the full catalog."
     )
 
-    for name, default_n in (("gauss", 64), ("mergesort", 16384),
-                            ("neural", 40), ("jacobi", 48),
-                            ("matmul", 48)):
+    for name, default_n in _CLI_WORKLOADS.items():
         rp = sub.add_parser(
             name,
             help=f"run {name} and print the post-mortem report",
@@ -1394,13 +1310,8 @@ def build_parser() -> argparse.ArgumentParser:
             formatter_class=argparse.RawDescriptionHelpFormatter,
         )
         workload_args(rp, default_n)
-        rp.add_argument("--policy", default=None,
-                        choices=policy_names(),
-                        help="replication policy (default: the "
-                        "paper's freeze/defrost policy)")
-        rp.add_argument("--policy-args", default=None, metavar="JSON",
-                        help="policy constructor kwargs as a JSON "
-                        "object")
+        policy_options(rp, "replication policy (default: the paper's "
+                       "freeze/defrost policy)")
         rp.add_argument("--trace", action="store_true",
                         help="record and print the protocol trace")
         rp.add_argument("--trace-out", default=None, metavar="PATH",
@@ -1422,25 +1333,13 @@ def build_parser() -> argparse.ArgumentParser:
         "record",
         help="run a workload once and write a repro-trace bundle",
     )
-    rc.add_argument("workload",
-                    choices=("gauss", "mergesort", "neural", "jacobi",
-                             "matmul"),
-                    help="workload to record")
+    workload_choice(rc, help="workload to record")
     workload_args(rc, 64)
     rc.add_argument("-o", "--out", default=None, metavar="PATH",
                     help="bundle path (default: WORKLOAD.trace)")
-    rc.add_argument("--policy", default=None,
-                    choices=policy_names(),
-                    help="coherence policy to record under "
-                    "(default: the paper's freeze/defrost policy)")
-    rc.add_argument("--policy-args", default=None, metavar="JSON",
-                    help="policy constructor kwargs as a JSON object")
-    rc.add_argument("--no-defrost", dest="defrost",
-                    action="store_false",
-                    help="record with the defrost daemon disabled")
-    rc.add_argument("--defrost-period-ms", type=float, default=None,
-                    help="defrost daemon period in simulated ms")
-    rc.set_defaults(fn=_cmd_record, defrost=True)
+    policy_options(rc, "coherence policy to record under (default: "
+                   "the paper's freeze/defrost policy)", defrost="off")
+    rc.set_defaults(fn=_cmd_record)
 
     rx = sub.add_parser(
         "replay",
@@ -1448,24 +1347,12 @@ def build_parser() -> argparse.ArgumentParser:
         "variants",
     )
     rx.add_argument("trace", help="repro-trace bundle to replay")
-    rx.add_argument("--policy", default=None,
-                    choices=policy_names(),
-                    help="override the recorded coherence policy")
-    rx.add_argument("--policy-args", default=None, metavar="JSON",
-                    help="policy constructor kwargs as a JSON object")
-    rx.add_argument("--tuned", default=None, metavar="FILE",
-                    help="replay under the policy and parameters of a "
-                    "repro-tune/1 document (from `repro tune`); "
-                    "overrides --policy/--policy-args")
-    defr = rx.add_mutually_exclusive_group()
-    defr.add_argument("--defrost", dest="defrost", default=None,
-                      action="store_true",
-                      help="force the defrost daemon on")
-    defr.add_argument("--no-defrost", dest="defrost",
-                      action="store_false",
-                      help="force the defrost daemon off")
-    rx.add_argument("--defrost-period-ms", type=float, default=None,
-                    help="override the defrost period in simulated ms")
+    policy_options(
+        rx, "override the recorded coherence policy",
+        tuned_help="replay under the policy and parameters of a "
+        "repro-tune/1 document (from `repro tune`); overrides "
+        "--policy/--policy-args",
+        defrost="force")
     rx.add_argument("--param", action="append", default=[],
                     metavar="KEY=VALUE",
                     help="override a machine timing parameter "
@@ -1504,12 +1391,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a workload with the telemetry registry enabled and "
         "print the metrics table + sampled timeline",
     )
-    me.add_argument(
-        "workload",
-        nargs="?",
-        choices=("gauss", "mergesort", "neural", "jacobi", "matmul"),
-        help="workload to run (omit with --from)",
-    )
+    workload_choice(me, nargs="?",
+                    help="workload to run (omit with --from)")
     workload_args(me, 48)
     me.add_argument("--sample-ms", type=float, default=1.0,
                     help="sim-time sampling period in simulated "
@@ -1551,16 +1434,7 @@ def build_parser() -> argparse.ArgumentParser:
         "target",
         help="workload name, 'sec42', or a saved .jsonl trace/bundle",
     )
-    ex.add_argument("-n", type=int, default=None,
-                    help="problem size (live runs; default depends on "
-                    "the workload, 24 for sec42)")
-    ex.add_argument("-p", type=int, default=8,
-                    help="threads to use (live runs)")
-    ex.add_argument("--machine", type=int, default=16,
-                    help="processors in the simulated machine "
-                    "(live runs)")
-    ex.add_argument("--epochs", type=int, default=25,
-                    help="training epochs (neural only)")
+    workload_args(ex, None, verify_flag=False)
     ex.add_argument("--page", type=int, default=None, metavar="N",
                     help="include cpage N's diagnosis and lifecycle "
                     "timeline even if it is not in the top K")
@@ -1601,16 +1475,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload name, 'sec42', a workload spec, a saved "
         ".jsonl trace/bundle, or a run ledger",
     )
-    dr.add_argument("-n", type=int, default=None,
-                    help="problem size (live runs; default depends on "
-                    "the workload, 24 for sec42)")
-    dr.add_argument("-p", type=int, default=8,
-                    help="threads to use (live runs)")
-    dr.add_argument("--machine", type=int, default=16,
-                    help="processors in the simulated machine "
-                    "(live runs)")
-    dr.add_argument("--epochs", type=int, default=25,
-                    help="training epochs (neural only)")
+    workload_args(dr, None, verify_flag=False)
     dr.add_argument("--detector", action="append", default=None,
                     metavar="NAME",
                     help="run only this detector (repeatable; "
@@ -1629,18 +1494,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run a workload traced and print the full visualization "
         "dashboard",
     )
-    db.add_argument(
-        "workload",
-        choices=("gauss", "mergesort", "neural", "jacobi", "matmul"),
-    )
+    workload_choice(db)
     workload_args(db, 48)
     db.set_defaults(fn=_cmd_dashboard, verify=False)
 
     sp = sub.add_parser("speedup", help="measure a speedup curve")
-    sp.add_argument(
-        "workload",
-        choices=("gauss", "mergesort", "neural", "jacobi", "matmul"),
-    )
+    workload_choice(sp)
     workload_args(sp, 200)
     sp.add_argument("--counts", default="1,2,4,8,16",
                     help="comma-separated processor counts")
@@ -1902,18 +1761,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="specs to generate with --seed")
     ger.add_argument("--profile", choices=("smoke", "quick"),
                      default="smoke", help="profile for --seed")
-    ger.add_argument("--policy",
-                     choices=policy_names(),
-                     help="replication policy override")
-    ger.add_argument("--policy-args", default=None, metavar="JSON",
-                     help="policy constructor kwargs as a JSON object")
-    ger.add_argument("--tuned", default=None, metavar="FILE",
-                     help="run under the policy and parameters of a "
-                     "repro-tune/1 document; overrides --policy")
     ger.add_argument("--machine", type=int,
                      help="processors (default: the spec's machine)")
-    ger.add_argument("--defrost-period-ms", type=float, default=None,
-                     help="defrost daemon period in simulated ms")
+    policy_options(
+        ger, "replication policy override",
+        tuned_help="run under the policy and parameters of a "
+        "repro-tune/1 document; overrides --policy",
+        defrost="period")
     ger.add_argument("--check-invariants", action="store_true",
                      help="hook the invariant checker after every "
                      "protocol action")
@@ -1948,6 +1802,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run_verb(args: argparse.Namespace) -> int:
+    """Run the verb; the one place a point that cannot be built
+    becomes ``repro <verb>: <reason>`` and exit 2."""
+    try:
+        return args.fn(args)
+    except _BadPoint as exc:
+        print(f"repro {args.command}: {exc}")
+        return 2
+
+
 def _dispatch(args: argparse.Namespace,
               argv: Optional[Sequence[str]]) -> int:
     """Run the verb, under a run-ledger root span and/or a history
@@ -1966,7 +1830,7 @@ def _dispatch(args: argparse.Namespace,
         or bool(os.environ.get("REPRO_HISTORY"))
     )
     if not ledger_dest and not want_history:
-        return args.fn(args)
+        return _run_verb(args)
     from .obs import set_ledger, set_recorder
 
     recorder = None
@@ -1988,7 +1852,7 @@ def _dispatch(args: argparse.Namespace,
     status = "error"
     code = 1
     try:
-        code = args.fn(args)
+        code = _run_verb(args)
         status = "ok" if code == 0 else "error"
         if root is not None:
             root.attrs["exit_code"] = code

@@ -1,9 +1,10 @@
 """The policy registry: every zoo member by its CLI/bench/replay name.
 
-One table, consumed everywhere a policy crosses a serialization
-boundary: ``repro run/record/replay/gen --policy``, bench point specs,
-the replayer's variant builder and ``run_spec``.  Names are stable --
-they appear in committed BENCH snapshots and tuned-parameter documents.
+One table behind every place a policy crosses a serialization boundary
+(``--policy`` flags, point specs, trace bundles, tuned-parameter
+documents); ``repro.point`` is the one caller of :func:`make_policy`.
+Names are stable -- they appear in committed BENCH snapshots and
+tuned-parameter documents.
 """
 
 from __future__ import annotations
@@ -40,10 +41,15 @@ def policy_names() -> tuple[str, ...]:
 def make_policy(
     name: Optional[str], args: Optional[dict] = None
 ) -> Optional[ReplicationPolicy]:
-    """Instantiate a replication policy by registry name (None -> kernel
-    default)."""
+    """Instantiate a replication policy by registry name.
+
+    No name and no args is the kernel default (``None``); args without a
+    name configure the default ``freeze`` policy rather than being
+    dropped."""
     if name is None:
-        return None
+        if not args:
+            return None
+        name = "freeze"
     try:
         cls = POLICIES[name]
     except KeyError:

@@ -34,6 +34,7 @@ from typing import Optional
 import numpy as np
 
 from ..analysis.costmodel import run_counters
+from ..point import point_kernel, point_program
 from ..runtime import ops
 from ..runtime.executor import ThreadProcess, _cpu_resource
 from ..runtime.program import Program, ProgramAPI
@@ -265,7 +266,7 @@ def record_program(
 
     ``config`` carries replay-relevant provenance the kernel object cannot
     answer for itself (workload name/args, policy name, defrost flags);
-    :func:`record_spec` fills it from a bench point spec.  The resolved
+    :func:`record_spec` fills it from a point spec.  The resolved
     machine parameters are always captured from the kernel.
     """
     if Broadcast.recorder is not None:
@@ -344,9 +345,7 @@ def record_program(
 
 
 def record_spec(spec: dict) -> tuple[TraceBundle, RunResult]:
-    """Record the run described by a bench ``{"kind": "run"}`` point spec."""
-    from ..bench.targets import build_kernel_for_spec, make_program_for_spec
-
+    """Record the run described by a ``{"kind": "run"}`` point spec."""
     if spec.get("kind", "run") != "run":
         raise RecordError(
             f"cannot record point kind {spec.get('kind')!r}; only full "
@@ -359,8 +358,8 @@ def record_spec(spec: dict) -> tuple[TraceBundle, RunResult]:
             "recording supports plain PLATINUM kernels only (baseline "
             "systems use ports or different executors)"
         )
-    kernel = build_kernel_for_spec(spec)
-    program = make_program_for_spec(spec)
+    kernel = point_kernel(spec)
+    program = point_program(spec)
     config = {
         "workload": spec.get("workload", ""),
         "args": dict(spec.get("args", {})),

@@ -58,9 +58,8 @@ import numpy as np
 from ..analysis.costmodel import run_counters
 from ..core.instrumentation import MemoryReport
 from ..kernel.kernel import Kernel
-from ..machine.machine import Machine
-from ..machine.params import MachineParams
 from ..machine.pmap import Rights
+from ..point import point_kernel
 from ..runtime.executor import ThreadProcess, _cpu_resource
 from ..runtime.run import run_threads
 from ..runtime.sync import Broadcast
@@ -522,66 +521,37 @@ class FastReplayThreadProcess(ReplayThreadProcess):
             bus.requests += c
 
 
-def _build_kernel(
-    bundle: TraceBundle,
+def _variant_spec(
+    config: dict,
     policy: Optional[str],
     policy_args: Optional[dict],
     defrost: Optional[bool],
     defrost_period,
     params: Optional[dict],
-    trace: bool,
-    metrics,
-    dataless: bool,
-) -> Kernel:
-    config = bundle.config
-    try:
-        base = MachineParams(**config["params"])
-    except (KeyError, TypeError) as exc:
-        raise ReplayError(f"bundle has unusable machine params: {exc}")
-    if params:
-        forbidden = sorted(set(params) & set(_STRUCTURAL_PARAMS))
-        if forbidden:
-            raise ReplayError(
-                f"cannot override {', '.join(forbidden)}: the recorded "
-                "reference string depends on them structurally"
-            )
-        base = base.scaled(**params)
-    name = policy if policy is not None else config.get("policy")
-    if policy_args is not None:
-        pargs = dict(policy_args)
-    elif policy is not None:
-        pargs = {}
-    else:
-        pargs = dict(config.get("policy_args") or {})
-    policy_obj = None
-    if name is not None:
-        from ..policy.registry import make_policy
-
-        try:
-            policy_obj = make_policy(name, pargs)
-        except ValueError as exc:
-            raise ReplayError(str(exc))
-    if metrics is True:
-        from ..telemetry.metrics import MetricsRegistry
-
-        metrics = MetricsRegistry(enabled=True)
-    elif metrics is False:
-        metrics = None
-    machine = Machine(base, dataless=dataless)
-    return Kernel(
-        machine=machine,
-        policy=policy_obj,
-        defrost_enabled=(
-            bool(config.get("defrost", True)) if defrost is None
-            else defrost
-        ),
-        defrost_period=(
-            config.get("defrost_period") if defrost_period is None
-            else defrost_period
-        ),
-        trace=trace,
-        metrics=metrics,
-    )
+) -> dict:
+    """The recorded ``config`` with the variant overrides merged in: the
+    point spec of the kernel to replay on (``None`` = as recorded)."""
+    recorded = config.get("params")
+    if not isinstance(recorded, dict):
+        raise ReplayError("bundle has unusable machine params")
+    forbidden = sorted(set(params or ()) & set(_STRUCTURAL_PARAMS))
+    if forbidden:
+        raise ReplayError(
+            f"cannot override {', '.join(forbidden)}: the recorded "
+            "reference string depends on them structurally"
+        )
+    spec = dict(config, params={**recorded, **(params or {})})
+    if policy is not None:
+        # a new policy starts from its own defaults, not the recorded args
+        spec["policy"] = policy
+        spec["policy_args"] = policy_args
+    elif policy_args is not None:
+        spec["policy_args"] = policy_args
+    if defrost is not None:
+        spec["defrost"] = defrost
+    if defrost_period is not None:
+        spec["defrost_period"] = defrost_period
+    return spec
 
 
 def _rebuild_layout(
@@ -691,10 +661,15 @@ def replay_trace(
         )
     if not isinstance(bundle, TraceBundle):
         bundle = load_trace(bundle)
-    kernel = _build_kernel(
-        bundle, policy, policy_args, defrost, defrost_period, params,
-        trace, metrics, dataless,
+    spec = _variant_spec(
+        bundle.config, policy, policy_args, defrost, defrost_period, params
     )
+    try:
+        kernel = point_kernel(
+            spec, trace=trace, metrics=metrics, dataless=dataless
+        )
+    except ValueError as exc:
+        raise ReplayError(str(exc)) from None
     channels, threads = _rebuild_layout(kernel, bundle.layout)
     if len(threads) != len(bundle.streams):
         raise ReplayError(

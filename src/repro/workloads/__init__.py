@@ -17,7 +17,6 @@ from .generate import (
     fingerprint_spec,
     generate_corpus,
     generate_spec,
-    program_for_spec,
     run_spec,
     verify_corpus,
     write_corpus,
@@ -74,7 +73,6 @@ __all__ = [
     "measure_shootdown_increment",
     "measure_upgrade_write",
     "measure_write_miss_present_plus",
-    "program_for_spec",
     "run_spec",
     "verify_corpus",
     "write_corpus",

@@ -303,11 +303,6 @@ class GeneratedWorkload(Program):
                 assert fs_val == expected_ops, (tid, fs_val, expected_ops)
 
 
-def program_for_spec(spec: Union[WorkloadSpec, dict]) -> GeneratedWorkload:
-    """Lower a spec (object or dict) into a fresh program instance."""
-    return GeneratedWorkload(spec)
-
-
 # -- running and fingerprinting -----------------------------------------------
 
 
@@ -317,8 +312,8 @@ def bench_spec_for(
     policy_args: Optional[dict] = None,
     machine: Optional[int] = None,
 ) -> dict:
-    """The ``{"kind": "run"}`` bench point spec that simulates ``spec``
-    (also what the recorder consumes)."""
+    """The ``{"kind": "run"}`` point spec that simulates ``spec`` (what
+    ``repro.point``, the bench sweep and the recorder consume)."""
     point = {
         "kind": "run",
         "workload": "generated",
@@ -327,8 +322,8 @@ def bench_spec_for(
     }
     if policy is not None:
         point["policy"] = policy
-        if policy_args:
-            point["policy_args"] = dict(policy_args)
+    if policy_args:
+        point["policy_args"] = dict(policy_args)
     return point
 
 
@@ -347,18 +342,15 @@ def run_spec(
     ``check_invariants`` hooks the global invariant checker after every
     protocol action (the ``repro gen run --check-invariants`` path).
     """
-    from ..policy.registry import make_policy
-    from ..runtime.run import make_kernel, run_program
+    from ..point import point_kernel
+    from ..runtime.run import run_program
 
     if isinstance(spec, dict):
         spec = WorkloadSpec.from_dict(spec)
-    kernel = make_kernel(
-        n_processors=machine if machine is not None else spec.machine,
-        policy=make_policy(policy, policy_args),
-        trace=trace,
-        defrost_enabled=defrost,
-        defrost_period=defrost_period,
-    )
+    point = bench_spec_for(spec, policy, policy_args, machine)
+    point["defrost"] = defrost
+    point["defrost_period"] = defrost_period
+    kernel = point_kernel(point, trace=trace)
     checker = None
     if check_invariants:
         from ..check import install_invariant_checker

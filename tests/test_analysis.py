@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro import make_kernel
 from repro.analysis import (
     MigrationCostModel,
+    SpeedupCurve,
+    SpeedupPoint,
     TABLE1_GS,
     TABLE1_PUBLISHED,
     TABLE1_RHOS,
@@ -189,3 +192,50 @@ def test_compare_to_paper_flags():
     assert "[ok]" in ok
     bad = compare_to_paper("thing", 5.0, 1.0, 2.0)
     assert "OUT-OF-RANGE" in bad
+
+
+def test_speedup_curve_at_unknown_count_raises():
+    curve = SpeedupCurve("x", [SpeedupPoint(1, 100, 1.0)])
+    with pytest.raises(KeyError):
+        curve.at(7)
+
+
+def test_speedup_point_derived_fields():
+    pt = SpeedupPoint(processors=4, sim_time_ns=2_000_000, speedup=3.0)
+    assert pt.sim_time_ms == pytest.approx(2.0)
+    assert pt.efficiency == pytest.approx(0.75)
+
+
+def test_measure_speedup_with_kernel_factory():
+    made = []
+
+    def factory(p):
+        kernel = make_kernel(n_processors=4)
+        made.append(p)
+        return kernel
+
+    curve = measure_speedup(
+        lambda p: PrivateWork(n_threads=p, sweeps=4 // p),
+        processor_counts=(1, 2),
+        kernel_factory=factory,
+    )
+    assert made == [1, 2]
+    assert len(curve.points) == 2
+
+
+def test_measure_speedup_keep_results_exposes_reports():
+    curve = measure_speedup(
+        lambda p: PrivateWork(n_threads=p, sweeps=2),
+        processor_counts=(1,),
+        machine_processors=2,
+        keep_results=True,
+    )
+    assert curve.points[0].result is not None
+    assert curve.points[0].result.report.total_faults > 0
+
+
+def test_ascii_plot_degenerate_inputs():
+    assert ascii_plot([], {}) == "(no data)"
+    # a single point with equal min/max axes must not divide by zero
+    text = ascii_plot([3], {"s": [2.0]}, title="t")
+    assert "t" in text

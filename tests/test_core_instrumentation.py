@@ -3,6 +3,8 @@
 from repro import make_kernel, run_program
 from repro.runtime import Program, Read, Write
 
+from tests.test_runtime_executor import StridedReader
+
 
 class TwoPagePattern(Program):
     name = "two-page"
@@ -72,3 +74,12 @@ def test_frozen_page_listings():
         assert row.frozen
     for row in report.ever_frozen_pages:
         assert row.was_frozen
+
+
+def test_report_only_active_filter():
+    kernel = make_kernel(n_processors=2)
+    run_program(kernel, StridedReader())
+    report = kernel.report()
+    full = report.format(only_active=False, max_rows=100)
+    active = report.format(only_active=True, max_rows=100)
+    assert len(full.splitlines()) >= len(active.splitlines())

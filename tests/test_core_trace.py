@@ -7,6 +7,7 @@ from repro.core import EventKind, ProtocolTracer
 from repro.workloads import GaussianElimination
 
 from tests.conftest import make_harness
+from tests.test_runtime_executor import StridedReader
 
 
 def _traced_harness(policy="always"):
@@ -170,3 +171,15 @@ def test_clear_resets():
     tracer.record(0, EventKind.FAULT, 0, 0)
     tracer.clear()
     assert len(tracer) == 0
+
+
+def test_trace_stops_recording_once_disabled():
+    from repro.core import EventKind
+
+    kernel = make_kernel(n_processors=2, trace=True)
+    run_program(kernel, StridedReader())
+    n_before = len(kernel.tracer)
+    assert n_before > 0
+    kernel.tracer.disable()
+    kernel.tracer.record(0, EventKind.FAULT, 0, 0)
+    assert len(kernel.tracer) == n_before  # disabled: nothing recorded

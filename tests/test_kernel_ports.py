@@ -134,3 +134,17 @@ class ManyToOne(Program):
 def test_many_senders_one_receiver():
     kernel = make_kernel(n_processors=4)
     run_program(kernel, ManyToOne())
+
+
+def test_port_home_module_round_trip_costs_symmetry():
+    """A message landing on the receiver's own module costs less to
+    receive than one homed remotely."""
+    kernel = make_kernel(n_processors=4, defrost_enabled=False)
+    near = kernel.ports.create_port(home_module=0)
+    far = kernel.ports.create_port(home_module=3)
+    payload = np.arange(200, dtype=np.int64)
+    near_end = near.send(payload, 0, 0, now=0)
+    far_end = far.send(payload, 0, 0, now=0)
+    _, near_recv = near.try_receive(0, near_end)
+    _, far_recv = far.try_receive(0, far_end)
+    assert near_recv - near_end <= far_recv - far_end

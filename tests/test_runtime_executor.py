@@ -182,3 +182,34 @@ def test_ipi_penalty_charged_to_next_operation():
 
     elapsed = run_one(body).thread_results[0]
     assert elapsed == pytest.approx(51_000, rel=0.01)
+
+
+class StridedReader(Program):
+    """Reads with gaps across many pages: exercises run splitting on
+    non-contiguous patterns built from single-word ops."""
+
+    name = "strided"
+
+    def setup(self, api):
+        arena = api.arena(4, label="grid")
+        self.base = arena.base_va
+        self.wpp = api.kernel.params.words_per_page
+        api.spawn(0, self.body)
+
+    def body(self, env):
+        # touch one word on each page, then read them back
+        for page in range(4):
+            yield Write(self.base + page * self.wpp + 17, page * 11)
+        total = 0
+        for page in range(4):
+            v = yield Read(self.base + page * self.wpp + 17, 1)
+            total += int(v[0])
+        return total
+
+    def verify(self, results):
+        assert results == [0 + 11 + 22 + 33]
+
+
+def test_strided_access_pattern():
+    kernel = make_kernel(n_processors=2)
+    run_program(kernel, StridedReader())
