@@ -58,7 +58,7 @@ class Machine:
         self.engine = engine if engine is not None else Engine()
         # dataless machines share one word array across every frame: the
         # trace replayer costs accesses without moving data, so it skips
-        # the (real-time dominant) per-frame allocations and zeroing
+        # the per-frame word arrays, zeroing and page copies
         shared = (
             np.zeros(self.params.words_per_page, dtype=WORD_DTYPE)
             if dataless
@@ -96,9 +96,6 @@ class Machine:
     @property
     def now(self) -> int:
         return self.engine.now
-
-    def module_of(self, frame: Frame) -> MemoryModule:
-        return self.modules[frame.module_index]
 
     def ipt_of(self, node: int) -> InvertedPageTable:
         return self.ipts[node]

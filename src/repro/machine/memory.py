@@ -14,6 +14,7 @@ allocated.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,28 +31,33 @@ class OutOfFramesError(MemoryError):
     """A memory module has no free page frames."""
 
 
-class LazyList(list):
-    """A fixed-length list whose elements materialize on first access.
+class LazyList:
+    """A fixed-length sequence whose elements materialize on first use.
 
-    Dataless (replay) kernels create thousands of frame and
-    inverted-page-table entries per module but touch only the few a
-    given trace allocates; building them on demand makes kernel
-    construction O(pages used) instead of O(physical memory).  Only
-    indexed access materializes -- iteration sees ``None`` holes, so
-    this is reserved for structures accessed strictly by index.
+    A machine has thousands of frames and inverted-page-table entries
+    per module but a run touches only the few it allocates, so a kernel
+    costs O(pages used), not O(physical memory).  Not a ``list``: only
+    ``len()``, integer indexing and (through it) iteration exist, and
+    they materialize what they hand out -- nothing can observe a hole.
     """
 
-    __slots__ = ("_factory",)
+    __slots__ = ("_items", "_factory", "materialized")
 
     def __init__(self, n: int, factory) -> None:
-        super().__init__([None] * n)
+        self._items: list = [None] * n
         self._factory = factory
+        self.materialized = 0  #: elements built so far
+
+    def __len__(self) -> int:
+        return len(self._items)
 
     def __getitem__(self, index):
-        value = list.__getitem__(self, index)
+        index = operator.index(index)  # a slice is a TypeError
+        value = self._items[index]
         if value is None:
-            value = self._factory(index)
-            list.__setitem__(self, index, value)
+            value = self._factory(index % len(self._items))
+            self._items[index] = value
+            self.materialized += 1
         return value
 
 
@@ -98,11 +104,11 @@ class Frame:
 class MemoryModule:
     """One node's memory: frames plus a FIFO bus resource for contention.
 
-    ``frame_data`` makes the module *dataless*: every frame shares the one
-    given word array and allocation skips zeroing.  Timing is unaffected
-    (data movement carries no simulated cost), but per-frame array
-    allocation -- the dominant real-time cost of building a kernel -- is
-    elided.  Used by the trace replayer, which never reads frame contents.
+    Frames materialize on first allocation.  ``frame_data`` makes the
+    module *dataless*: every frame shares the one given word array and
+    allocation skips zeroing.  Timing is unaffected (data movement
+    carries no simulated cost).  Used by the trace replayer, which
+    never reads frame contents.
     """
 
     def __init__(
@@ -115,16 +121,11 @@ class MemoryModule:
         self.params = params
         self.dataless = frame_data is not None
         words = params.words_per_page
-        if frame_data is not None:
-            self.frames: list[Frame] = LazyList(
-                params.frames_per_module,
-                lambda i: Frame(index, i, frame_data),
-            )
-        else:
-            self.frames = [
-                Frame(index, i, np.zeros(words, dtype=WORD_DTYPE))
-                for i in range(params.frames_per_module)
-            ]
+        self.frames = LazyList(
+            params.frames_per_module,
+            lambda i: Frame(index, i, np.zeros(words, dtype=WORD_DTYPE)
+                            if frame_data is None else frame_data),
+        )
         self._free: list[int] = list(range(params.frames_per_module - 1, -1, -1))
         self.bus = FifoResource(f"module[{index}].bus")
         self.alloc_count = 0
@@ -139,14 +140,6 @@ class MemoryModule:
             f"<MemoryModule {self.index} free={self.n_free}/"
             f"{len(self.frames)}>"
         )
-
-    @property
-    def words_per_access(self) -> float:
-        """Mean batched-run length served (the batching win: every run
-        costs one accounting update regardless of length)."""
-        if self.accesses_served == 0:
-            return 0.0
-        return self.words_served / self.accesses_served
 
     @property
     def n_free(self) -> int:

@@ -36,8 +36,8 @@ class Rights(enum.IntFlag):
     WRITE = 3  # includes READ
 
     def allows(self, write: bool) -> bool:
-        needed = Rights.WRITE if write else Rights.READ
-        return (self & needed) == needed
+        # ints 0, 1 or 3: IntFlag.__and__ costs a microsecond a call
+        return self == 3 or (self == 1 and not write)
 
 
 @dataclass(eq=False)
@@ -148,13 +148,8 @@ class InvertedPageTable:
     def __init__(self, module: MemoryModule) -> None:
         self.module = module
         frames = module.frames
-        if isinstance(frames, LazyList):
-            # dataless kernels: entries (like frames) appear on demand
-            self._entries: list[IptEntry] = LazyList(
-                len(frames), lambda i: IptEntry(frames[i])
-            )
-        else:
-            self._entries = [IptEntry(frame) for frame in frames]
+        # entries (like the frames they describe) appear on demand
+        self._entries = LazyList(len(frames), lambda i: IptEntry(frames[i]))
         #: direct index from cpage -> frame index, modelling the result of
         #: the hash-probe (the probe *cost* is charged by the fault path)
         self._by_cpage: dict[int, int] = {}

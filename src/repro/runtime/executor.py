@@ -39,7 +39,7 @@ class ExecutionError(RuntimeError):
 class ThreadProcess(Process):
     """Runs one user thread's generator in simulated time."""
 
-    __slots__ = ("kernel", "thread", "cpu", "_wake", "_consts")
+    __slots__ = ("kernel", "thread", "cpu", "_consts", "_wpp")
 
     def __init__(
         self,
@@ -52,44 +52,29 @@ class ThreadProcess(Process):
         self.kernel = kernel
         self.thread = thread
         self.cpu = cpu
-        # one reusable callback instead of a fresh closure per op
-        self._wake = lambda: self._resume(None)
-        # immutable timing constants, hoisted out of the per-op path
+        # immutable machine constants, hoisted out of the per-op path
         p = kernel.params
         self._consts = (
             p.t_module_service, p.t_switch_service, p.t_local,
             p.t_remote_read, p.t_remote_write,
         )
+        self._wpp = p.words_per_page
         self.on_finish(lambda _p: self.kernel.threads.exit(self.thread))
 
     # -- operation dispatch -------------------------------------------------
 
-    def interpret(self, op: Op) -> None:  # noqa: C901 - a dispatcher
+    def interpret(self, op: Op) -> None:
         try:
-            if isinstance(op, ops.Compute):
-                self._do_compute(op)
-            elif isinstance(op, ops.Read):
-                self._do_read(op)
-            elif isinstance(op, ops.Write):
-                self._do_write(op)
-            elif isinstance(op, ops.TestAndSet):
-                self._do_test_and_set(op)
-            elif isinstance(op, ops.FetchAdd):
-                self._do_fetch_add(op)
-            elif isinstance(op, ops.Migrate):
-                self._migrate(op.processor)
-            elif isinstance(op, ops.SendPort):
-                self._do_send(op)
-            elif isinstance(op, ops.RecvPort):
-                self._do_recv(op)
-            elif isinstance(op, ops.WaitNewer):
-                self._do_wait_newer(op)
-            elif isinstance(op, ops.GetTime):
-                self._resume(self.engine.now)
-            elif isinstance(op, (Delay, WaitFor)):
-                super().interpret(op)
-            else:
-                raise ExecutionError(f"unsupported operation {op!r}")
+            handler = _HANDLERS.get(type(op))
+            if handler is None:
+                # an op subclass runs as its nearest known base
+                for base in type(op).__mro__[1:]:
+                    handler = _HANDLERS.get(base)
+                    if handler is not None:
+                        break
+                else:
+                    raise ExecutionError(f"unsupported operation {op!r}")
+            handler(self, op)
         except Exception as exc:  # noqa: BLE001 - becomes a thread crash
             # any executor or kernel error (protection fault, wild access,
             # out of memory) kills the simulated thread, not the engine
@@ -100,25 +85,28 @@ class ThreadProcess(Process):
     def _begin(self) -> int:
         """Start time of the next op: after CPU availability and any
         pending interrupt penalty."""
-        now = self.engine.now
+        now = self.engine._now
         busy = self.cpu.busy_until
+        start = now if now > busy else busy
         penalty = self.kernel.machine.interrupts.collect_penalty(
             self.thread.processor
         )
-        return int(round((now if now > busy else busy) + penalty))
+        # both clocks are exact ints: only a penalty needs rounding
+        return int(round(start + penalty)) if penalty else start
 
     def _commit(self, end: float, value: Any = None) -> None:
-        """Occupy the CPU until ``end`` and resume the thread then."""
+        """Occupy the CPU until ``end`` and resume the thread, with
+        ``value``, then."""
         engine = self.engine
-        now = engine.now
-        end = int(round(end if end > now else now))
+        if type(end) is not int:
+            end = int(round(end))
+        if end < engine._now:
+            end = engine._now
         cpu = self.cpu
         if end > cpu.busy_until:
             cpu.busy_until = end
-        engine.schedule_at(
-            end,
-            self._wake if value is None else (lambda: self._resume(value)),
-        )
+        engine.schedule_at(end, self._wake)
+        self._wake_value = value
 
     # -- compute -----------------------------------------------------------------
 
@@ -249,52 +237,38 @@ class ThreadProcess(Process):
                 probe.note(cpage_index, proc, write, outcome)
         return completion, entry
 
-    def _access_run(
-        self, va: int, n: int, write: bool, t: int
-    ) -> tuple[int, np.ndarray]:
-        """Cost one within-page run starting at time ``t``.
-
-        Returns (completion_time, view-of-frame-data).  The view is live
-        frame data: callers read from or write into it at event time.
-        """
-        wpp = self.kernel.machine.params.words_per_page
-        vpage, offset = divmod(va, wpp)
-        if offset + n > wpp:
-            raise ExecutionError("access run crosses a page boundary")
-        t, entry = self._cost_run(vpage, n, write, t)
-        return t, entry.frame.data[offset: offset + n]
-
-    def _split_runs(self, va: int, n: int) -> list[tuple[int, int]]:
+    def _split_runs(self, va: int, n: int) -> list[tuple[int, int, int]]:
+        """The within-page runs ``(vpage, offset, words)`` of an access."""
         if n <= 0:
             raise ExecutionError(f"access of {n} words at va {va}")
         if va < 0:
             raise ExecutionError(f"negative address {va}")
-        wpp = self.kernel.machine.params.words_per_page
-        if va % wpp + n <= wpp:
-            return [(va, n)]
+        wpp = self._wpp
+        vpage, offset = divmod(va, wpp)
         runs = []
         while n > 0:
-            offset = va % wpp
             take = min(n, wpp - offset)
-            runs.append((va, take))
-            va += take
+            runs.append((vpage, offset, take))
+            vpage += 1
+            offset = 0
             n -= take
         return runs
 
     def _do_read(self, op: ops.Read) -> None:
+        # the common access never leaves its page and goes straight to
+        # _cost_run; anything else takes the checked split
         t = self._begin()
-        runs = self._split_runs(op.va, op.n)
-        if len(runs) == 1:
-            t, data = self._access_run(op.va, op.n, write=False, t=t)
-            self._commit(t, data.copy())
+        va, n = op.va, op.n
+        offset = va % self._wpp
+        if 0 < n <= self._wpp - offset and va >= 0:
+            t, entry = self._cost_run(va // self._wpp, n, False, t)
+            self._commit(t, entry.frame.data[offset: offset + n].copy())
             return
-        out = np.empty(op.n, dtype=WORD_DTYPE)
-        pos = 0
-        for va, take in runs:
-            t, data = self._access_run(va, take, write=False, t=t)
-            out[pos: pos + take] = data
-            pos += take
-        self._commit(t, out)
+        parts = []
+        for vpage, offset, take in self._split_runs(va, n):
+            t, entry = self._cost_run(vpage, take, False, t)
+            parts.append(entry.frame.data[offset: offset + take].copy())
+        self._commit(t, np.concatenate(parts))
 
     def _do_write(self, op: ops.Write) -> None:
         t = self._begin()
@@ -302,28 +276,37 @@ class ThreadProcess(Process):
             values = np.full(1, op.value, dtype=WORD_DTYPE)
         else:
             values = np.asarray(op.value, dtype=WORD_DTYPE)
-        n = len(values)
-        pos = 0
-        for va, take in self._split_runs(op.va, n):
-            t, data = self._access_run(va, take, write=True, t=t)
-            data[:] = values[pos: pos + take]
-            pos += take
+        va, n = op.va, len(values)
+        offset = va % self._wpp
+        if 0 < n <= self._wpp - offset and va >= 0:
+            t, entry = self._cost_run(va // self._wpp, n, True, t)
+            entry.frame.data[offset: offset + n] = values
+        else:
+            for vpage, offset, take in self._split_runs(va, n):
+                t, entry = self._cost_run(vpage, take, True, t)
+                entry.frame.data[offset: offset + take] = values[:take]
+                values = values[take:]
         self._commit(t)
 
     def _do_test_and_set(self, op: ops.TestAndSet) -> None:
         t = self._begin()
-        t, data = self._access_run(op.va, 1, write=True, t=t)
-        old = int(data[0])
-        data[0] = op.value
+        vpage, i = divmod(op.va, self._wpp)
+        t, entry = self._cost_run(vpage, 1, True, t)
+        old = int(entry.frame.data[i])
+        entry.frame.data[i] = op.value
         self._commit(t, old)
 
     def _do_fetch_add(self, op: ops.FetchAdd) -> None:
         t = self._begin()
-        t, data = self._access_run(op.va, 1, write=True, t=t)
-        data[0] += op.delta
-        self._commit(t, int(data[0]))
+        vpage, i = divmod(op.va, self._wpp)
+        t, entry = self._cost_run(vpage, 1, True, t)
+        entry.frame.data[i] += op.delta
+        self._commit(t, int(entry.frame.data[i]))
 
     # -- thread migration --------------------------------------------------------------
+
+    def _do_migrate(self, op: ops.Migrate) -> None:
+        self._migrate(op.processor)
 
     def _migrate(self, processor: int) -> None:
         start = self._begin()
@@ -358,6 +341,27 @@ class ThreadProcess(Process):
             self._resume(None)
             return
         op.channel.event.wait(self._resume)
+
+    def _do_get_time(self, op: ops.GetTime) -> None:
+        self._resume(self.engine.now)
+
+
+#: the one dispatch table of ``ThreadProcess.interpret``, keyed by the
+#: exact op type (subclasses of these resolve through their MRO)
+_HANDLERS = {
+    ops.Compute: ThreadProcess._do_compute,
+    ops.Read: ThreadProcess._do_read,
+    ops.Write: ThreadProcess._do_write,
+    ops.TestAndSet: ThreadProcess._do_test_and_set,
+    ops.FetchAdd: ThreadProcess._do_fetch_add,
+    ops.Migrate: ThreadProcess._do_migrate,
+    ops.SendPort: ThreadProcess._do_send,
+    ops.RecvPort: ThreadProcess._do_recv,
+    ops.WaitNewer: ThreadProcess._do_wait_newer,
+    ops.GetTime: ThreadProcess._do_get_time,
+    Delay: Process.interpret,
+    WaitFor: Process.interpret,
+}
 
 
 def _cpu_resource(kernel: Kernel, processor: int) -> FifoResource:

@@ -118,7 +118,8 @@ class Engine:
 
     def schedule_at(self, when: float, fn: Callable[[], None]) -> None:
         """Run ``fn()`` at absolute simulated time ``when`` nanoseconds."""
-        when = int(round(when))
+        if type(when) is not int:  # the executor passes exact ints
+            when = int(round(when))
         now = self._now
         if when < now:
             raise SimulationError(

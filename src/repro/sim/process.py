@@ -61,6 +61,7 @@ class Process:
         "error",
         "finished_at",
         "_on_finish",
+        "_wake_value",
     )
 
     def __init__(
@@ -78,6 +79,7 @@ class Process:
         self.error: Optional[BaseException] = None
         self.finished_at: Optional[int] = None
         self._on_finish: list[Callable[["Process"], None]] = []
+        self._wake_value: Any = None  # what a pending _wake resumes with
 
     def __repr__(self) -> str:
         state = "finished" if self.finished else (
@@ -95,8 +97,16 @@ class Process:
         if self.started:
             raise SimulationError(f"{self.name} already started")
         self.started = True
-        self.engine.schedule(delay, lambda: self._resume(None))
+        self.engine.schedule(delay, self._wake)
         return self
+
+    def _wake(self) -> None:
+        """The one engine callback of a process; a single value slot
+        serves every op.  It is emptied *before* resuming: the generator
+        may run on synchronously (GetTime) into an op that refills it."""
+        value = self._wake_value
+        self._wake_value = None
+        self._resume(value)
 
     def _resume(self, value: Any) -> None:
         """Advance the generator until it yields again or finishes."""
@@ -140,7 +150,7 @@ class Process:
     def interpret(self, op: Op) -> None:
         """Handle one yielded operation.  Subclasses extend this."""
         if isinstance(op, Delay):
-            self.engine.schedule(op.ns, lambda: self._resume(None))
+            self.engine.schedule(op.ns, self._wake)
         elif isinstance(op, WaitFor):
             op.event.wait(self._resume)
         else:

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import make_kernel
 from repro.machine import MachineParams, MemoryModule, OutOfFramesError
+from repro.machine.memory import LazyList
+from repro.workloads.generate import run_spec
+from repro.workloads.spec import PhaseSpec, WorkloadSpec
 
 
 @pytest.fixture
@@ -29,12 +33,15 @@ def test_allocation_is_exhaustible(module):
 
 def test_release_recycles(module):
     frame = module.allocate()
+    pfn = frame.pfn
     frame.data[:] = 99
     module.release(frame)
     assert not frame.allocated
     assert module.n_free == 8
     again = module.allocate()
     assert np.all(again.data == 0)  # zeroed on reuse
+    # the same frame, not a second one materialized beside it
+    assert again.pfn == pfn and module.frames.materialized == 1
 
 
 def test_double_free_detected(module):
@@ -80,3 +87,57 @@ def test_bus_occupancy(module):
     assert (start, end) == (0, 1000)
     start2, _ = module.occupy_bus(500, 100)
     assert start2 == 1000  # queued behind the first
+
+
+# -- lazy frames: the kernel costs what it touches ------------------------------
+
+
+def test_lazy_list_materializes_on_index_and_iteration():
+    made = []
+    lazy = LazyList(5, lambda i: made.append(i) or f"item{i}")
+    assert len(lazy) == 5 and made == []  # len() builds nothing
+    assert lazy[3] == "item3" and lazy[-1] == "item4"
+    assert made == [3, 4] and lazy.materialized == 2
+    # iteration hands out real elements, never a hole, and builds each once
+    assert list(lazy) == [f"item{i}" for i in range(5)]
+    assert sorted(made) == [0, 1, 2, 3, 4] and lazy.materialized == 5
+    with pytest.raises(IndexError):
+        lazy[5]
+
+
+def test_lazy_list_refuses_slices():
+    lazy = LazyList(4, lambda i: i)
+    with pytest.raises(TypeError):
+        lazy[1:3]
+    assert lazy.materialized == 0
+
+
+def test_fresh_kernel_has_materialized_nothing():
+    machine = make_kernel(16).machine
+    assert [m.frames.materialized for m in machine.modules] == [0] * 16
+    assert len(machine.modules[0].frames) == machine.params.frames_per_module
+
+
+def test_run_materializes_at_most_what_it_allocates():
+    phase = PhaseSpec(ops=30, access="sequential")
+    spec = WorkloadSpec(
+        name="lazy-private", seed=3, threads=4, machine=4, pages=16,
+        sharing="private", phases=(phase,),
+    ).validate()
+    kernel, _result = run_spec(spec)
+    for module in kernel.machine.modules:
+        assert 0 < module.frames.materialized <= module.alloc_count
+        assert module.frames.materialized < len(module.frames) // 10
+
+
+def test_exhaustion_is_decided_by_the_free_list():
+    params = MachineParams(n_processors=2, frames_per_module=2).validated()
+    module = MemoryModule(0, params)
+    first = module.allocate()
+    module.allocate()
+    with pytest.raises(OutOfFramesError):
+        module.allocate()
+    module.release(first)
+    assert module.allocate() is first
+    assert module.frames.materialized == 2
+

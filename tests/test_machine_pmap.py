@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import make_kernel
 from repro.machine import (
     InvertedPageTable,
     MachineParams,
@@ -127,3 +128,20 @@ def test_ipt_tracks_module_capacity(ipt):
 def test_ipt_hash_slot_in_range(ipt):
     for cp in (0, 1, 17, 123456789):
         assert 0 <= ipt.hash_slot(cp) < len(ipt)
+
+
+def test_ipt_entries_appear_with_the_frames_they_describe(ipt, module):
+    assert ipt._entries.materialized == 0 and len(ipt) == 8
+    frame = ipt.allocate_for(42)
+    assert ipt._entries.materialized == module.frames.materialized == 1
+    assert ipt.release(frame) == 42
+    # the recycled frame comes back under the same entry
+    assert ipt.allocate_for(43) is frame
+    assert ipt._entries.materialized == 1
+    # walking the table sees real entries, not holes
+    assert [e.free for e in ipt._entries].count(False) == 1
+
+
+def test_fresh_kernel_has_no_ipt_entries():
+    machine = make_kernel(16).machine
+    assert [t._entries.materialized for t in machine.ipts] == [0] * 16

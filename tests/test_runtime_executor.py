@@ -1,18 +1,26 @@
 """Tests for the thread executor: operation semantics and timing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro import make_kernel, run_program
+from repro.replay import record_spec
 from repro.runtime import (
     Compute,
+    ExecutionError,
     FetchAdd,
     GetTime,
     Program,
     Read,
     TestAndSet,
+    ThreadProcess,
     Write,
 )
+from repro.sim.process import Delay, Op, ProcessCrashed
+from repro.workloads.generate import bench_spec_for
+from repro.workloads.spec import PhaseSpec, WorkloadSpec
 
 
 class OneShot(Program):
@@ -213,3 +221,134 @@ class StridedReader(Program):
 def test_strided_access_pattern():
     kernel = make_kernel(n_processors=2)
     run_program(kernel, StridedReader())
+
+
+# -- the dispatch table and the single-page fast lane ---------------------------
+
+
+class TaggedRead(Read):
+    """A user's own op type: runs as the ``Read`` it derives from."""
+
+
+def test_user_subclass_of_an_op_still_executes():
+    def body(prog, env):
+        yield Write(prog.base, np.arange(4, dtype=np.int64))
+        data = yield TaggedRead(prog.base + 1, 2)
+        yield Delay(100)  # the base Process's ops go through the table too
+        return list(map(int, data))
+
+    assert run_one(body).thread_results[0] == [1, 2]
+
+
+def test_unknown_op_kills_the_thread_not_the_engine():
+    class Bogus(Op):
+        pass
+
+    def dies(prog, env):
+        yield Bogus()
+
+    with pytest.raises(ProcessCrashed) as crash:
+        run_one(dies)
+    assert isinstance(crash.value.__cause__, ExecutionError)
+    assert "unsupported operation" in str(crash.value.__cause__)
+
+    def survives(prog, env):
+        try:
+            yield Bogus()
+        except ExecutionError:
+            pass
+        yield Compute(10)
+        return "survived"
+
+    assert run_one(survives).thread_results[0] == "survived"
+
+
+def test_resume_value_does_not_leak_into_the_next_op():
+    """One value slot serves every op: a read's data must be gone by
+    the time a later, valueless op resumes -- also across a GetTime,
+    which resumes synchronously inside the read's own wake-up."""
+    def body(prog, env):
+        data = yield Read(prog.base, 3)
+        now = yield GetTime()
+        after_compute = yield Compute(10)
+        after_write = yield Write(prog.base, 1)
+        old = yield TestAndSet(prog.base + 1)
+        after_delay = yield Delay(5)
+        return (len(data), now > 0, after_compute, after_write, old,
+                after_delay)
+
+    assert run_one(body).thread_results[0] == (
+        3, True, None, None, 0, None)
+
+
+@pytest.mark.parametrize("make_op, message", [
+    (lambda base, wpp: Read(base, 0), "access of 0 words at va"),
+    (lambda base, wpp: Read(base, -2), "access of -2 words at va"),
+    (lambda base, wpp: Write(base, np.empty(0, dtype=np.int64)),
+     "access of 0 words at va"),
+    (lambda base, wpp: Read(-1, 1), "negative address -1"),
+    (lambda base, wpp: Write(-1024, 7), "negative address -1024"),
+    (lambda base, wpp: Read(-3, 8), "negative address -3"),
+])
+def test_malformed_accesses_keep_their_messages(make_op, message):
+    def body(prog, env):
+        yield make_op(prog.base, env.kernel.params.words_per_page)
+
+    with pytest.raises(ProcessCrashed) as crash:
+        run_one(body)
+    assert isinstance(crash.value.__cause__, ExecutionError)
+    assert message in str(crash.value.__cause__)
+
+
+def test_only_page_crossing_accesses_are_split(monkeypatch):
+    split = []
+    original = ThreadProcess._split_runs
+
+    def spy(self, va, n):
+        runs = original(self, va, n)
+        split.append(runs)
+        return runs
+
+    monkeypatch.setattr(ThreadProcess, "_split_runs", spy)
+
+    def body(prog, env):
+        wpp = env.kernel.params.words_per_page
+        yield Write(prog.base, np.arange(wpp, dtype=np.int64))  # a whole page
+        yield Read(prog.base + wpp - 1, 1)  # its last word
+        assert split == []
+        yield Write(prog.base + wpp - 2, np.array([5, 6, 7]))
+        data = yield Read(prog.base + wpp - 3, 2 * wpp)
+        return [int(data[0]), int(data[3]), len(data)], wpp, prog.base // wpp
+
+    result, wpp, page = run_one(body).thread_results[0]
+    assert result == [wpp - 3, 7, 2 * wpp]
+    # (vpage, offset, words) of every run
+    assert split == [
+        [(page, wpp - 2, 2), (page + 1, 0, 1)],
+        [(page, wpp - 3, 3), (page + 1, 0, wpp), (page + 2, 0, wpp - 3)],
+    ]
+
+
+#: sha256 of ``record_spec(...)[0].to_bytes()`` taken at the commit before
+#: the dispatch table: the recorder, which overrides ``interpret``,
+#: ``_resume`` and ``_throw``, still sees and logs every op
+RECORDED_AT_PARENT = {
+    ("private", 16):
+        "bd623ac8d6399c4863a241fb5a489c16d1563ab44391e88ee653a6426cac22b8",
+    ("uniform", 6):
+        "32bc47a27dcd775fa302e1d6f9ffc0232530d89409e42cbbfe8c7583a0bed331",
+}
+
+
+@pytest.mark.parametrize("sharing, pages", sorted(RECORDED_AT_PARENT))
+def test_recording_is_byte_identical_to_the_parent_commit(sharing, pages):
+    phase = PhaseSpec(
+        ops=40, mix={"read": 0.6, "write": 0.4}, compute_ns=150.5)
+    spec = WorkloadSpec(
+        name=f"pin-{sharing}", seed=14, threads=4, machine=4,
+        words_per_op=8, sharing=sharing, pages=pages, phases=(phase, phase),
+    ).validate()
+    bundle, _result = record_spec(bench_spec_for(spec))
+    assert bundle.n_ops == 680
+    digest = hashlib.sha256(bundle.to_bytes()).hexdigest()
+    assert digest == RECORDED_AT_PARENT[sharing, pages]
