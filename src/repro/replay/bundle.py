@@ -28,7 +28,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -70,6 +70,13 @@ class TraceBundle:
     layout: dict
     expected: dict
     streams: list = field(default_factory=list)
+    #: the replayer's caches (``replayer._decoded_streams``): the decoded
+    #: op streams with the key -- page size, stream identities -- they
+    #: were decoded for, and fast mode's slot tables built from them
+    _decoded: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False)
+    _slots: Optional[list] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def n_threads(self) -> int:

@@ -32,23 +32,25 @@ replays one engine event per op and is bit-identical to the live run
 under the recording configuration.  ``mode="fast"`` asks, before each
 op, whether a fault-free *window* starts there
 (:meth:`FastReplayThreadProcess._window`); a stretch of mapped memory
-references and thinks is then costed in one vectorized pass and
-committed as one engine event, and only protocol events -- faults,
-shootdowns, freezes, defrosts -- and synchronization take the shared
-scalar path.  Fast mode alone owns the window costing, its precomputed
-per-slot arrays and the pmap mirror that classifies a window.  It is
-deterministic, conserves the reference string's word counts exactly,
-and prices every access with the same latency constants, but
-approximates three things: batched accesses do not contend for buses or
-switch ports (no queueing delay), the ATC is treated as unbounded (no
-refill cost), and a concurrent shootdown takes effect for a thread at
-its next batch boundary rather than mid-stretch.  It therefore refuses
-``check_expected``, probes and protocol tracing -- exactness claims
-belong to exact mode.
+references and thinks is then costed in one pass and committed as one
+engine event, and only protocol events -- faults, shootdowns, freezes,
+defrosts -- and synchronization take the shared scalar path.  Fast mode
+alone owns the window costing and its per-slot tables
+(:class:`_SlotTable`); what is mapped it reads off the thread's live
+pmap when a window starts, so it keeps no state the kernel could
+invalidate.  It is deterministic, conserves the reference string's word
+counts exactly, and prices every access with the same latency
+constants, but approximates three things: batched accesses do not
+contend for buses or switch ports (no queueing delay), the ATC is
+treated as unbounded (no refill cost), and a concurrent shootdown takes
+effect for a thread at its next batch boundary rather than mid-stretch.
+It therefore refuses ``check_expected``, probes and protocol tracing --
+exactness claims belong to exact mode.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Optional, Union
@@ -98,9 +100,9 @@ class ReplayResult:
     thread_results: list
     probe: Any = None
     mode: str = "exact"
-    #: ops costed inside vectorized windows (fast mode only)
+    #: ops costed inside windows (fast mode only)
     batched_ops: int = 0
-    #: vectorized windows committed (fast mode only)
+    #: windows committed (fast mode only)
     windows: int = 0
 
     @property
@@ -114,90 +116,131 @@ class ReplayResult:
         )
 
 
-def _decode_stream(arr, wpp: int) -> list[tuple]:
-    """Turn one (n, 4) op array into dispatch-ready tuples, splitting
-    memory ops into per-page runs at the recording page size."""
+def _decode_stream(index: int, arr, wpp: int) -> list[tuple]:
+    """Turn thread ``index``'s (n, 4) op array into dispatch-ready
+    tuples, splitting memory ops into per-page runs at the recording
+    page size.  An op no recording can hold -- unknown kind, operands
+    that are not integers, a reference the live executor refuses
+    (``_split_runs``: negative address, no words) -- is a corrupt trace,
+    reported here so that neither mode ever prices it."""
     decoded: list[tuple] = []
-    for kind, a, b, _c in arr.tolist():
-        k = int(kind)
-        if k in (K_READ, K_WRITE, K_RMW):
-            va = int(a)
-            n = 1 if k == K_RMW else int(b)
-            vpage, offset = divmod(va, wpp)
-            runs = []
-            while n > 0:
-                take = min(n, wpp - offset)
-                runs.append((vpage, take))
-                vpage += 1
-                offset = 0
-                n -= take
-            decoded.append((K_MEM, k != K_READ, tuple(runs)))
-        elif k in (K_THINK, K_DELAY):
-            decoded.append((k, a))
-        elif k == K_WAIT:
-            decoded.append((k, int(a), int(b)))
-        elif k in (K_FIRE, K_MIGRATE):
-            decoded.append((k, int(a)))
-        elif k == K_GETTIME:
-            decoded.append((k,))
-        else:
-            raise ReplayError(f"unknown op kind {k} in trace stream")
+    for j, (kind, a, b, _c) in enumerate(arr.tolist()):
+        try:
+            k = int(kind)
+            if k != kind:
+                raise ValueError(f"unknown op kind {kind!r}")
+            if k in (K_READ, K_WRITE, K_RMW):
+                words = 1 if k == K_RMW else b
+                va, n = int(a), int(words)
+                if va != a or va < 0:
+                    raise ValueError(f"bad address {a!r}")
+                if n != words or n <= 0:
+                    raise ValueError(f"access of {words!r} words")
+                vpage, offset = divmod(va, wpp)
+                runs = []
+                while n > 0:
+                    take = min(n, wpp - offset)
+                    runs.append((vpage, take))
+                    vpage += 1
+                    offset = 0
+                    n -= take
+                decoded.append((K_MEM, k != K_READ, tuple(runs)))
+            elif k in (K_THINK, K_DELAY):
+                decoded.append((k, a))
+            elif k == K_WAIT:
+                decoded.append((k, int(a), int(b)))
+            elif k in (K_FIRE, K_MIGRATE):
+                decoded.append((k, int(a)))
+            elif k == K_GETTIME:
+                decoded.append((k,))
+            else:
+                raise ValueError(f"unknown op kind {k}")
+        except (ValueError, OverflowError) as exc:  # int(nan), int(inf)
+            raise ReplayError(f"stream {index} op {j}: {exc}") from None
     return decoded
 
 
-def _fast_arrays(decoded: list[tuple]) -> dict:
-    """Static per-op arrays for fast-mode windows.
+def _decoded_streams(bundle: TraceBundle, wpp: int) -> list[list[tuple]]:
+    """The bundle's decoded streams, decoded once: decoding depends only
+    on the recording page size (structural params cannot be overridden),
+    so a variant sweep over one bundle shares the read-only result."""
+    key = (wpp, *map(id, bundle.streams))
+    cached = bundle._decoded
+    if cached is None or cached[0] != key:
+        decoded = [
+            _decode_stream(i, arr, wpp)
+            for i, arr in enumerate(bundle.streams)
+        ]
+        # holding the arrays keeps the ids in the key from being reused
+        cached = bundle._decoded = (key, list(bundle.streams), decoded)
+        bundle._slots = None
+    return cached[2]
 
-    ``kind`` classifies each decoded op: 0 = pure delay on the issuing
-    cpu (think, gettime), 1 = single-run memory reference, 2 = scalar
-    only (sync, migrate, delay, page-crossing memory op).  ``nso[i]``
-    is the index of the next scalar-only op at or after ``i``, so a
-    window's stretch end is an O(1) lookup; the ``mcum``/``wcum``
-    cumulative sums make a window's access and word counts O(1) too.
-    Think slots carry vpage -1, which indexes the always-mapped
-    sentinel column of the classification mirror.  Everything here
-    depends only on the decode (recording page size), never on the
-    variant.
+
+def _prefix(values) -> array:
+    """Exclusive prefix sums of a per-slot vector, as plain doubles:
+    ``p[j] - p[i]`` totals slots ``i .. j-1`` and indexing yields a
+    Python float (8 bytes a slot, no numpy on the window path)."""
+    sums = np.zeros(len(values) + 1)
+    np.cumsum(values, out=sums[1:])
+    return array("d", sums.tobytes())
+
+
+#: slot codes of :class:`_SlotTable`
+_S_FREE, _S_READ, _S_WRITE, _S_SCALAR = 0, 1, 2, 3
+
+
+class _SlotTable:
+    """One thread's decoded ops as fast mode sees them, built once per
+    bundle.
+
+    ``code[i]`` classifies op ``i``: ``_S_FREE`` is a pure delay on the
+    issuing cpu (think, gettime), ``_S_READ``/``_S_WRITE`` a single-run
+    memory reference to ``vpage[i]``, ``_S_SCALAR`` anything only the
+    scalar path executes (sync, migrate, delay, page-crossing memory
+    op); one ``_S_SCALAR`` past the end stops every walk.  ``wcum`` is
+    the prefix sum of words referenced.  All of that depends only on
+    the decode; the two prefix sums that depend on the variant's
+    latency constants -- ``dbc`` (slot duration assuming a local hit)
+    and ``rnmc`` (module busy time) -- are kept for the constants they
+    were last built with, so a policy sweep shares them.
     """
-    m = len(decoded)
-    kind = np.full(m, 2, dtype=np.uint8)
-    vpage = np.full(m, -1, dtype=np.int64)
-    nn = np.zeros(m, dtype=np.float64)
-    wr = np.zeros(m, dtype=bool)
-    for i, op in enumerate(decoded):
-        k = op[0]
-        if k == K_MEM:
-            runs = op[2]
-            if len(runs) == 1:
-                kind[i] = 1
-                vpage[i], take = runs[0]
-                nn[i] = take
-                wr[i] = op[1]
-        elif k == K_THINK:
-            kind[i] = 0
-            nn[i] = op[1]
-        elif k == K_GETTIME:
-            kind[i] = 0
-    scalar_idx = np.nonzero(kind == 2)[0]
-    if m == 0 or len(scalar_idx) == 0:
-        nso = np.full(m, m, dtype=np.int64)
-    else:
-        j = np.searchsorted(scalar_idx, np.arange(m))
-        nso = np.where(
-            j < len(scalar_idx),
-            scalar_idx[np.minimum(j, len(scalar_idx) - 1)],
-            m,
-        ).astype(np.int64)
-    mem = kind == 1
-    nnz = np.where(mem, nn, 0.0)
-    zero = np.zeros(1)
-    return {
-        "kind": kind, "vpage": vpage, "nn": nn, "wr": wr,
-        "wri8": wr.astype(np.int8), "mem": mem, "nnz": nnz,
-        "nso": nso,
-        "mcum": np.concatenate([zero, np.cumsum(mem)]),
-        "wcum": np.concatenate([zero, np.cumsum(nnz)]),
-    }
+
+    __slots__ = ("code", "vpage", "wcum", "_words", "_think", "_costs")
+
+    def __init__(self, decoded: list[tuple]) -> None:
+        m = len(decoded)
+        self.code = code = [_S_SCALAR] * (m + 1)
+        # the vpage ints are the decoded tuples' own: 8 bytes a slot
+        self.vpage = vpage = [None] * m
+        self._words = words = np.zeros(m)
+        self._think = think = np.zeros(m)
+        for i, op in enumerate(decoded):
+            k = op[0]
+            if k == K_MEM:
+                runs = op[2]
+                if len(runs) == 1:
+                    code[i] = _S_WRITE if op[1] else _S_READ
+                    vpage[i], words[i] = runs[0]
+            elif k == K_THINK:
+                code[i] = _S_FREE
+                think[i] = op[1]
+            elif k == K_GETTIME:
+                code[i] = _S_FREE
+        self.wcum = _prefix(words)
+        self._costs = None
+
+    def costs(self, consts: tuple) -> tuple[array, array]:
+        """``(dbc, rnmc)`` under the latency constants ``consts``
+        (``ThreadProcess._consts``)."""
+        if self._costs is None or self._costs[0] != consts:
+            t_module, _t_switch, t_local, _t_rr, _t_rw = consts
+            words = self._words
+            rnm = np.rint(words * t_module)
+            local = rnm + np.rint(words * max(t_local - t_module, 0.0))
+            self._costs = (
+                consts, _prefix(local + self._think), _prefix(rnm))
+        return self._costs[1], self._costs[2]
 
 
 class ReplayThreadProcess(ThreadProcess):
@@ -271,253 +314,147 @@ class ReplayThreadProcess(ThreadProcess):
 
 
 class FastReplayThreadProcess(ReplayThreadProcess):
-    """Array-at-a-time replay: one engine event per fault-free stretch.
+    """Window-at-a-time replay: one engine event per fault-free stretch.
 
     A *window* is a run of consecutive think/gettime ops and
     single-run memory references whose pages are mapped with
     sufficient rights in this processor's pmap.  The whole window is
-    costed in one vectorized pass -- per-run latency math identical to
-    the exact path, minus bus/port queueing -- and committed as a
-    single engine event.  Anything else (faults, page-crossing runs,
-    sync, migration) drops to the scalar machinery of the parent
-    class, so the protocol path is still the real kernel code.
+    costed in one pass -- per-run latency math identical to the exact
+    path, minus bus/port queueing -- and committed as a single engine
+    event.  Anything else (faults, page-crossing runs, sync, migration)
+    drops to the scalar machinery of the parent class, so the protocol
+    path is still the real kernel code.
 
-    Classification is a numpy mirror of the pmap (mapped rights and
-    backing module per vpage), kept current by precise dirty-page
-    deltas: every fault dirties the faulted page's cpage siblings
-    (fault-handler mutations never leave the faulted cpage), a defrost
-    action bumps a full-rebuild epoch, and a migration rebuilds the
-    migrating thread's own mirror.  A shootdown therefore takes effect
-    for a *batching* thread at its next window boundary -- the
-    documented staleness of fast mode.
+    Classification is one lookup per memory slot in the thread's live
+    pmap, made when the window starts: the page table is the only
+    authority, so nothing has to be told about faults, defrost actions
+    or migrations.  The window is then committed whole, so a shootdown
+    that lands while it is in flight takes effect for this thread at
+    its next window boundary -- the documented staleness of fast mode.
 
-    Every window is costed in O(1) numpy work -- durations, word
-    counts and module-counter contributions come from precomputed
-    per-slot cumulative sums that assume local service -- and the rare
-    slots referencing a remote-mapped page (words moved remotely are a
-    fraction of a percent of the total) are then adjusted one by one
-    in plain scalar arithmetic.  Module/bus counters accumulate in
-    arrays and flush once at the end of the replay.
+    Costing is O(1): durations, word counts and module busy time come
+    from the slot table's prefix sums, which assume local service, and
+    the slots that reference a remote-mapped page (few, unless the
+    policy never caches) are then adjusted one by one.  Module/bus
+    counters accumulate per process and flush once at the end of the
+    replay.
     """
 
     __slots__ = (
-        "_kind", "_vpage", "_nn", "_wr", "_wri8",
-        "_nso", "_mcum", "_wcum", "_shared", "_sibs", "_epoch",
-        "_seen", "_cls", "_any_remote", "_hops", "_rns", "_rnm",
-        "_rnmc",
-        "_tword", "_dur_base", "_dbc", "_nmod", "_t_module",
-        "_t_switch", "_acc_served", "_acc_count", "_acc_busy",
+        "_code", "_vpage", "_wcum", "_dbc", "_rnmc",
+        "_acc_served", "_acc_count", "_acc_busy",
         "batched_ops", "windows",
     )
 
     def __init__(
-        self, kernel, thread, cpu, decoded, channels, fast, nv, hops,
-        shared, sibs,
+        self, kernel, thread, cpu, decoded, channels, slots
     ) -> None:
         super().__init__(kernel, thread, cpu, decoded, channels)
-        self._kind = fast["kind"]
-        self._vpage = fast["vpage"]
-        self._nn = fast["nn"]
-        self._wr = fast["wr"]
-        self._wri8 = fast["wri8"]
-        self._nso = fast["nso"]
-        self._mcum = fast["mcum"]
-        self._wcum = fast["wcum"]
-        t_module, t_switch, t_local, t_rr, t_rw = self._consts
-        self._t_module = t_module
-        self._t_switch = t_switch
-        rint = np.rint
-        nn = self._nn
-        mem = fast["mem"]
-        # variant-params-dependent slot costs, one vector pass each
-        self._rns = rint(nn * t_switch)
-        self._rnm = np.where(mem, rint(nn * t_module), 0.0)
-        extra_local = t_local - t_module
-        if extra_local < 0.0:
-            extra_local = 0.0
-        dur_local = self._rnm + np.where(
-            mem, rint(nn * extra_local), 0.0)
-        # per-slot duration assuming every reference is a local hit
-        self._dur_base = np.where(
-            mem, dur_local, np.where(self._kind == 0, nn, 0.0))
-        zero = np.zeros(1)
-        self._dbc = np.concatenate([zero, np.cumsum(self._dur_base)])
-        self._rnmc = np.concatenate([zero, np.cumsum(self._rnm)])
-        self._tword = np.where(self._wr, t_rw, t_rr)
-        self._shared = shared
-        self._sibs = sibs
-        self._epoch = -1  # forces the initial full rebuild
-        self._seen = 0
-        # classification mirror, one gather classifies a window:
-        # cls[w, v] = backing module if vpage v is mapped with
-        # (write if w) rights, -2 if a reference must fault; column -1
-        # is the always-ok sentinel (-1) that think slots index
-        self._cls = np.full((2, nv + 1), -2, dtype=np.int64)
-        self._any_remote = False
-        self._hops = hops
-        self._nmod = len(kernel.machine.modules)
-        self._acc_served = np.zeros(self._nmod)
-        self._acc_count = np.zeros(self._nmod)
-        self._acc_busy = np.zeros(self._nmod)
+        self._code = slots.code
+        self._vpage = slots.vpage
+        self._wcum = slots.wcum
+        self._dbc, self._rnmc = slots.costs(self._consts)
+        nmod = len(kernel.machine.modules)
+        self._acc_served = [0.0] * nmod
+        self._acc_count = [0] * nmod
+        self._acc_busy = [0.0] * nmod
         self.batched_ops = 0
         self.windows = 0
 
-    def _fault(self, vpage: int, write: bool, t: int) -> int:
-        t = super()._fault(vpage, write, t)
-        # the fault mutated mappings machine-wide, but only for the
-        # faulted page's cpage: dirty its sibling vpages everywhere
-        self._shared["dirty"].extend(self._sibs.get(vpage, (vpage,)))
-        return t
-
-    def _migrate(self, processor: int) -> None:
-        super()._migrate(processor)
-        self._epoch = -1  # new cpu, new pmap: rebuild mirror
-
-    def _full_rebuild(self) -> None:
-        shared = self._shared
-        cls = self._cls
-        cls.fill(-2)
-        cls[0, -1] = -1
-        cls[1, -1] = -1
-        pmap = self.kernel.machine.mmus[self.thread.processor].pmap_for(
-            self.thread.aspace_id
-        )
-        proc = self.thread.processor
-        any_remote = False
-        if pmap is not None:
-            for vp, entry in pmap._entries.items():
-                mi = entry.frame.module_index
-                cls[0, vp] = mi  # entries never carry Rights.NONE
-                cls[1, vp] = mi if entry.rights == 3 else -2
-                if mi != proc:
-                    any_remote = True
-        self._any_remote = any_remote
-        self._epoch = shared["epoch"]
-        self._seen = len(shared["dirty"])
-
-    def _sync_cls(self) -> None:
-        shared = self._shared
-        if self._epoch != shared["epoch"]:
-            self._full_rebuild()
-            return
-        dirty = shared["dirty"]
-        seen = self._seen
-        if seen == len(dirty):
-            return
-        pmap = self.kernel.machine.mmus[self.thread.processor].pmap_for(
-            self.thread.aspace_id
-        )
-        lookup = pmap.lookup if pmap is not None else None
-        cls = self._cls
-        proc = self.thread.processor
-        for vp in dirty[seen:]:
-            entry = lookup(vp) if lookup is not None else None
-            if entry is None:
-                cls[0, vp] = -2
-                cls[1, vp] = -2
-            else:
-                mi = entry.frame.module_index
-                cls[0, vp] = mi
-                cls[1, vp] = mi if entry.rights == 3 else -2
-                if mi != proc:
-                    self._any_remote = True
-        self._seen = len(dirty)
-
     def _window(self, pos: int) -> bool:
         """Cost ops[pos:stretch-end] in one event; False if ops[pos]
-        itself needs the scalar slow path."""
-        if self._kind[pos] == 2:
+        itself needs the scalar path."""
+        code = self._code
+        # a scalar-only op, or a one-op stretch: the scalar path prices
+        # a lone reference exactly, contention included
+        if code[pos] == _S_SCALAR or code[pos + 1] == _S_SCALAR:
             return False
-        self._sync_cls()
-        cls = self._cls
-        wri8 = self._wri8
-        vp = self._vpage
-        # scalar pre-checks: a faulting first op or a one-op window is
-        # cheaper on the parent's scalar path than as a numpy window
-        if cls[wri8[pos], vp[pos]] == -2:
-            return False
-        stop = int(self._nso[pos])
-        if stop - pos == 1:
-            return False
-        m = cls[wri8[pos:stop], vp[pos:stop]]
-        if int(m.min()) == -2:  # a fault inside the stretch: truncate
-            fb = int(np.argmax(m == -2))
-            if fb == 0:
-                return False
-            stop = pos + fb
-            m = m[:fb]
-        proc = self.thread.processor
+        thread = self.thread
+        proc = thread.processor
         machine = self.kernel.machine
-        n_mem = int(self._mcum[stop] - self._mcum[pos])
-        wtot = self._wcum[stop] - self._wcum[pos]
-        # assume local service for the whole window (the precomputed
-        # cumsums), then correct the rare remote-mapped slots
-        total = self._dbc[stop] - self._dbc[pos]
-        lw = wtot
+        pmap = machine.mmus[proc].pmap_for(thread.aspace_id)
+        lookup = {}.get if pmap is None else pmap._entries.get
+        vpage = self._vpage
+        n_mem = 0
+        remote = None
+        stop = pos
+        while True:
+            c = code[stop]
+            if c:
+                if c == _S_SCALAR:
+                    break
+                entry = lookup(vpage[stop])
+                # entries never carry Rights.NONE: 1 reads, 3 writes too
+                if entry is None or (c == _S_WRITE and entry.rights != 3):
+                    break  # this reference faults: the window ends here
+                n_mem += 1
+                mi = entry.frame.module_index
+                if mi != proc:
+                    if remote is None:
+                        remote = []
+                    remote.append((stop, mi))
+            stop += 1
+        if stop == pos:
+            return False
+        dbc = self._dbc
+        total = dbc[stop] - dbc[pos]
         if n_mem:
+            wcum = self._wcum
+            rnmc = self._rnmc
+            local = wtot = wcum[stop] - wcum[pos]
             served = self._acc_served
             count = self._acc_count
             busy = self._acc_busy
             served[proc] += wtot
             count[proc] += n_mem
-            busy[proc] += self._rnmc[stop] - self._rnmc[pos]
+            busy[proc] += rnmc[stop] - rnmc[pos]
             machine.mmus[proc].atc.hits += n_mem
-            rsel = (
-                np.nonzero((m >= 0) & (m != proc))[0]
-                if self._any_remote else ()
-            )
-            if len(rsel):
-                t_mod = self._t_module
-                t_sw = self._t_switch
-                hrow = self._hops[proc]
-                rw = rww = 0.0
-                for i in rsel.tolist():
-                    s = pos + i
-                    mi = int(m[i])
-                    h = hrow[mi]
-                    w = float(self._nn[s])
-                    rnm_i = float(self._rnm[s])
-                    extra = float(self._tword[s]) - (t_mod + h * t_sw)
+            if remote is not None:
+                t_mod, t_sw, t_local, t_rr, t_rw = self._consts
+                extra_local = max(t_local - t_mod, 0.0)
+                ops = self.ops
+                rw = rww = 0
+                for s, mi in remote:
+                    _mem, write, ((_vp, w),) = ops[s]
+                    h = len(machine.topology.route(proc, mi))
+                    rnm = round(w * t_mod)
+                    extra = (t_rw if write else t_rr) - (t_mod + h * t_sw)
                     if extra < 0.0:
                         extra = 0.0
-                    dur_r = (h * float(self._rns[s]) + rnm_i
-                             + round(w * extra))
-                    total += dur_r - float(self._dur_base[s])
+                    # what the slot costs remotely, less what the
+                    # prefix sums charged for it as a local hit
+                    total += (h * round(w * t_sw) + round(w * extra)
+                              - round(w * extra_local))
                     rw += w
-                    if self._wr[s]:
+                    if write:
                         rww += w
                     served[proc] -= w
                     served[mi] += w
                     count[proc] -= 1
                     count[mi] += 1
-                    busy[proc] -= rnm_i
-                    busy[mi] += rnm_i
-                lw = wtot - rw
-                machine.remote_words[proc] += int(rw)
-                machine.remote_write_words[proc] += int(rww)
-        machine.local_words[proc] += int(lw)
+                    busy[proc] -= rnm
+                    busy[mi] += rnm
+                local = wtot - rw
+                machine.remote_words[proc] += rw
+                machine.remote_write_words[proc] += rww
+            machine.local_words[proc] += int(local)
         self.pos = stop
         self.windows += 1
         self.batched_ops += stop - pos
-        self._commit(self._begin() + int(round(float(total))))
+        self._commit(self._begin() + int(round(total)))
         return True
 
     def _flush_counters(self) -> None:
         """Apply the deferred module/bus counter accumulations."""
-        machine = self.kernel.machine
-        nmod = self._nmod
-        served = self._acc_served
-        count = self._acc_count
-        busy = self._acc_busy
-        for i in range(nmod):
-            c = int(count[i])
+        modules = self.kernel.machine.modules
+        for i, c in enumerate(self._acc_count):
             if not c:
                 continue
-            module = machine.modules[i]
-            module.words_served += int(served[i])
+            module = modules[i]
+            module.words_served += int(self._acc_served[i])
             module.accesses_served += c
             bus = module.bus
-            bus.busy_time += int(busy[i])
+            bus.busy_time += int(self._acc_busy[i])
             bus.requests += c
 
 
@@ -648,7 +585,7 @@ def replay_trace(
     run's completion time, event count and protocol counters exactly.
     ``policy``/``policy_args``/``defrost``/``defrost_period``/``params``
     select a variant; ``None`` means "as recorded".  ``mode="fast"``
-    selects array-at-a-time cost accounting (see module docstring): much
+    selects window-at-a-time cost accounting (see module docstring): much
     faster for policy sweeps, deterministic, but approximate on queueing
     and shootdown latency, so it cannot back exactness claims.
     """
@@ -681,82 +618,26 @@ def replay_trace(
         from ..profile import AccessProbe
 
         probe_obj = AccessProbe.install(kernel.coherent)
-    wpp = kernel.params.words_per_page
-    # decoding depends only on the recording page size (structural
-    # params cannot be overridden), so a variant sweep over one bundle
-    # decodes once and shares the read-only streams
-    decoded_streams = getattr(bundle, "_decoded", None)
-    if decoded_streams is None:
-        decoded_streams = [
-            _decode_stream(arr, wpp) for arr in bundle.streams
-        ]
-        bundle._decoded = decoded_streams
+    decoded_streams = _decoded_streams(
+        bundle, kernel.params.words_per_page)
     start = kernel.engine.now
-    processes = []
     if mode == "fast":
-        fast_streams = getattr(bundle, "_fast", None)
-        if fast_streams is None:
-            fast_streams = [_fast_arrays(d) for d in decoded_streams]
-            bundle._fast = fast_streams
-        # mirror arrays must cover every bindable vpage, not just the
-        # traced ones: the fault handler may map neighbours
-        nv = 1
-        for asp in bundle.layout.get("aspaces", []):
-            for b in asp["bindings"]:
-                nv = max(nv, b["vpage_start"] + b["n_pages"] + 1)
-        for fs in fast_streams:
-            vp = fs["vpage"]
-            if len(vp):
-                nv = max(nv, int(vp.max()) + 1)
-        # vpage -> every vpage backed by the same coherent page: a
-        # fault's pmap mutations never leave the faulted cpage, so
-        # these are exactly the mirror entries it can invalidate
-        sibs = getattr(bundle, "_sibs", None)
-        if sibs is None:
-            obj_start = {
-                o["oid"]: o["cpage_start"]
-                for o in bundle.layout.get("objects", [])
-            }
-            by_cpage: dict[int, list] = {}
-            for asp in bundle.layout.get("aspaces", []):
-                for b in asp["bindings"]:
-                    base = obj_start[b["oid"]] + b["obj_page_start"]
-                    for i in range(b["n_pages"]):
-                        by_cpage.setdefault(base + i, []).append(
-                            b["vpage_start"] + i)
-            sibs = {}
-            for vps in by_cpage.values():
-                group = tuple(sorted(set(vps)))
-                for vp in group:
-                    sibs[vp] = group
-            bundle._sibs = sibs
-        n_mod = len(kernel.machine.modules)
-        topo = kernel.machine.topology
-        hops = np.array(
-            [[float(len(topo.route(s, d))) if s != d else 0.0
-              for d in range(n_mod)] for s in range(n_mod)]
-        )
-        shared = {"dirty": [], "epoch": 0}
-        # a defrost action invalidates an unknown set of mappings:
-        # force full mirror rebuilds
-        kernel.coherent.defrost.post_action_hooks.append(
-            lambda: shared.__setitem__("epoch", shared["epoch"] + 1)
-        )
-        for thread, decoded, fs in zip(
-            threads, decoded_streams, fast_streams
-        ):
-            cpu = _cpu_resource(kernel, thread.processor)
-            processes.append(FastReplayThreadProcess(
-                kernel, thread, cpu, decoded, channels, fs, nv, hops,
-                shared, sibs,
-            ))
+        if bundle._slots is None:
+            bundle._slots = [_SlotTable(d) for d in decoded_streams]
+        processes = [
+            FastReplayThreadProcess(
+                kernel, thread, _cpu_resource(kernel, thread.processor),
+                decoded, channels, slots)
+            for thread, decoded, slots in zip(
+                threads, decoded_streams, bundle._slots)
+        ]
     else:
-        for thread, decoded in zip(threads, decoded_streams):
-            cpu = _cpu_resource(kernel, thread.processor)
-            processes.append(
-                ReplayThreadProcess(kernel, thread, cpu, decoded,
-                                    channels)
-            )
+        processes = [
+            ReplayThreadProcess(
+                kernel, thread, _cpu_resource(kernel, thread.processor),
+                decoded, channels)
+            for thread, decoded in zip(threads, decoded_streams)
+        ]
 
     results = run_threads(
         kernel, processes, bundle.config.get("workload") or "replay",

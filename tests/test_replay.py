@@ -340,7 +340,7 @@ def test_replay_variant_matches_live_protocol_structure(spec, policy):
         <= 0.05 * live.sim_time_ns
 
 
-# -- fast mode (approximate array-at-a-time costing) --------------------------
+# -- fast mode (approximate window-at-a-time costing) -------------------------
 
 
 def test_fast_mode_is_deterministic(gauss_recording):
