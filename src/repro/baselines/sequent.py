@@ -186,7 +186,8 @@ class SequentThreadProcess(Process):
 
     def interpret(self, op: Op) -> None:
         if isinstance(op, ops.Compute):
-            self._commit(self._begin() + op.ns)
+            # a duration from outside: rounded here, as in ThreadProcess
+            self._commit(int(round(self._begin() + op.ns)))
         elif isinstance(op, ops.Read):
             t = self._begin()
             out = np.array(
@@ -233,8 +234,8 @@ class SequentThreadProcess(Process):
     def _begin(self) -> int:
         return max(self.engine.now, self.cpu.busy_until)
 
-    def _commit(self, end: float, value: Any = None) -> None:
-        end = int(round(max(end, self.engine.now)))
+    def _commit(self, end: int, value: Any = None) -> None:
+        end = max(end, self.engine.now)
         if end > self.cpu.busy_until:
             self.cpu.busy_until = end
         self.engine.schedule_at(end, lambda: self._resume(value))
@@ -249,7 +250,7 @@ class SequentThreadProcess(Process):
             take = min(remaining, wpl - addr % wpl)
             end = bus.read_word(self.proc, addr, t)
             # further words on the same line are hits
-            t = end + int(round((take - 1) * bus.params.hit_ns))
+            t = end + (take - 1) * bus.params.hit_ns
             addr += take
             remaining -= take
         return t
@@ -293,13 +294,15 @@ def run_on_sequent(
             FifoResource(f"seq.cpu[{spec.thread.processor}]"),
         )
         processes.append(SequentThreadProcess(machine, spec, cpu))
+
+    def note_finish(p: SequentThreadProcess) -> None:
+        if p.error is not None or all(q.finished for q in processes):
+            machine.engine.stop()
+
     for proc in processes:
+        proc.on_finish(note_finish)
         proc.start()
-    machine.engine.run(
-        max_events=max_events,
-        stop_when=lambda: all(p.finished for p in processes)
-        or any(p.error is not None for p in processes),
-    )
+    machine.engine.run(max_events=max_events)
     results = [p.check() for p in processes]
     program.verify(results)
     return SequentRunResult(

@@ -123,7 +123,7 @@ class CoherentMemorySystem:
 
     # -- activation --------------------------------------------------------------
 
-    def activate(self, aspace_id: int, proc: int) -> float:
+    def activate(self, aspace_id: int, proc: int) -> int:
         """Mark the address space active on ``proc``; apply queued Cmap
         messages.  Returns the kernel time spent applying them."""
         cmap = self.cmap_for(aspace_id, create=True)

@@ -67,7 +67,7 @@ def break_even_words(machine: Machine) -> int:
         + p.page_free
     )
     per_word_saving = p.t_remote_read - p.t_local
-    return max(1, int(round(migrate_cost / per_word_saving)))
+    return max(1, round(migrate_cost / per_word_saving))
 
 
 class MigrationDaemon:
@@ -84,7 +84,6 @@ class MigrationDaemon:
         coherent: CoherentMemorySystem,
         period: float = 100e6,
         threshold_words: Optional[int] = None,
-        per_access_overhead: float = 50.0,
     ) -> None:
         self.coherent = coherent
         self.machine = coherent.machine
@@ -94,9 +93,6 @@ class MigrationDaemon:
             if threshold_words is not None
             else break_even_words(coherent.machine)
         )
-        #: software reference counting is not free: this much is charged
-        #: to the accessing processor per counted remote access batch
-        self.per_access_overhead = per_access_overhead
         self.runs = 0
         self.pages_replaced = 0
         self._scheduled = False

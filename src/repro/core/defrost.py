@@ -91,10 +91,11 @@ class DefrostDaemon:
         self.pages_thawed += thawed
         if self.metrics.enabled:
             self._m_runs.inc()
-        self.tracer.record(
-            now, EventKind.DEFROST_RUN, None, None, eid=run_eid,
-            thawed=thawed
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                now, EventKind.DEFROST_RUN, None, None, eid=run_eid,
+                thawed=thawed
+            )
         for hook in self.post_action_hooks:
             hook()
         return thawed
@@ -127,10 +128,11 @@ class DefrostDaemon:
         self.policy.thaw(cpage, now)
         if self.metrics.enabled:
             self._m_thaws.labels("defrost").inc()
-        self.tracer.record(
-            now, EventKind.THAW, cpage.index, initiator, eid=eid,
-            cause=cause, via="defrost",
-            cost=int(round(self.machine.params.shootdown_per_cpu)),
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                now, EventKind.THAW, cpage.index, initiator, eid=eid,
+                cause=cause, via="defrost",
+                cost=self.machine.params.shootdown_per_cpu,
+            )
         for hook in self.post_action_hooks:
             hook()

@@ -138,7 +138,7 @@ class CoherentFaultHandler:
         t = now + wait
         cpage.stats.handler_wait_ns += wait
         start = t
-        cpage.handler_busy_until = int(round(t + p.t_cpage_lock))
+        cpage.handler_busy_until = t + p.t_cpage_lock
 
         fixed = (
             p.fault_fixed_local
@@ -160,7 +160,6 @@ class CoherentFaultHandler:
                 proc, cmap, entry, cpage, local, t, now, cause=eid
             )
 
-        t = int(round(t))
         cpage.stats.handler_busy_ns += t - start
         if self.metrics.enabled:
             self._m_actions.labels(action).inc()
@@ -174,7 +173,7 @@ class CoherentFaultHandler:
             self.tracer.record(
                 now, EventKind.FAULT, cpage.index, proc, eid=eid,
                 write=write, action=action,
-                dur=t - now, wait=wait, fixed=int(round(fixed)),
+                dur=t - now, wait=wait, fixed=fixed,
                 last_inval=last_inval_before,
                 **{"from": state_before.value, "to": cpage.state.value},
             )
@@ -201,10 +200,10 @@ class CoherentFaultHandler:
         entry: CmapEntry,
         cpage: Cpage,
         local: Frame | None,
-        t: float,
+        t: int,
         now: int,
         cause: int | None = None,
-    ) -> tuple[float, str]:
+    ) -> tuple[int, str]:
         if local is not None:
             self._install(cmap, entry, proc, local, Rights.READ)
             cpage.stats.local_mappings += 1
@@ -238,7 +237,7 @@ class CoherentFaultHandler:
                 if cpage.state is CpageState.MODIFIED:
                     # restrict the write mapping(s) to read-only first
                     res = self.shootdown.shoot_cpage(
-                        cpage, Directive.RESTRICT, proc, int(t),
+                        cpage, Directive.RESTRICT, proc, t,
                         rights=Rights.READ, cause=cause,
                     )
                     t += res.initiator_cost
@@ -269,10 +268,10 @@ class CoherentFaultHandler:
         entry: CmapEntry,
         cpage: Cpage,
         local: Frame | None,
-        t: float,
+        t: int,
         now: int,
         cause: int | None = None,
-    ) -> tuple[float, str]:
+    ) -> tuple[int, str]:
         if cpage.state is CpageState.EMPTY:
             frame = self._allocate_filled(proc, cpage)
             if frame is None:
@@ -333,9 +332,9 @@ class CoherentFaultHandler:
     # -- helpers ----------------------------------------------------------------------
 
     def _collapse(
-        self, cpage: Cpage, modules: set[int], proc: int, t: float,
+        self, cpage: Cpage, modules: set[int], proc: int, t: int,
         cause: int | None = None,
-    ) -> float:
+    ) -> int:
         """Invalidate translations to (and free) the copies on ``modules``.
 
         Records the invalidation timestamp the replication policy keys on.
@@ -343,7 +342,7 @@ class CoherentFaultHandler:
         if not modules:
             return t
         res = self.shootdown.shoot_cpage(
-            cpage, Directive.INVALIDATE, proc, int(t), modules=modules,
+            cpage, Directive.INVALIDATE, proc, t, modules=modules,
             cause=cause,
         )
         t += res.initiator_cost
@@ -352,12 +351,12 @@ class CoherentFaultHandler:
             self.machine.ipt_of(module).release(frame)
             t += self.machine.params.page_free
         cpage.has_write_mapping = False
-        cpage.last_invalidation = int(t)
-        self.policy.note_invalidation(cpage, int(t))
+        cpage.last_invalidation = t
+        self.policy.note_invalidation(cpage, t)
         return t
 
-    def _copy_page(self, cpage: Cpage, dst: Frame, t: float,
-                   cause: int | None = None) -> float:
+    def _copy_page(self, cpage: Cpage, dst: Frame, t: int,
+                   cause: int | None = None) -> int:
         """Block-transfer the page into ``dst`` from the *least busy*
         existing copy.  Source diversification is what lets concurrent
         replication of a hot page (the Gauss pivot row) fan out in a tree
@@ -371,18 +370,17 @@ class CoherentFaultHandler:
                 f.module_index,
             ),
         )
-        expected = t + p.page_copy_time
-        end = self.machine.xfer.transfer_page(src, dst, int(t))
-        cpage.stats.handler_wait_ns += int(max(0, end - expected))
+        end = self.machine.xfer.transfer_page(src, dst, t)
+        cpage.stats.handler_wait_ns += max(0, end - t - p.page_copy_time)
         if self.metrics.enabled:
             self._m_transfers.labels(
                 src.module_index, dst.module_index
             ).inc()
-        self.tracer.record(
-            int(t), EventKind.TRANSFER, cpage.index, None, cause=cause,
-            src=src.module_index, dst=dst.module_index,
-            dur=int(end) - int(t),
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                t, EventKind.TRANSFER, cpage.index, None, cause=cause,
+                src=src.module_index, dst=dst.module_index, dur=end - t,
+            )
         return end
 
     def _try_allocate(self, proc: int, cpage: Cpage) -> Frame | None:

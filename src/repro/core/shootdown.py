@@ -33,7 +33,7 @@ class ShootdownResult:
     """Accounting for one shootdown operation."""
 
     #: time the initiator spent synchronizing with targets (ns)
-    initiator_cost: float
+    initiator_cost: int
     #: processors interrupted (address space active)
     interrupted: list[int] = field(default_factory=list)
     #: processors whose update was deferred to address-space activation
@@ -95,7 +95,7 @@ class ShootdownMechanism:
         "translations for the remote physical copies" are invalidated,
         section 3.3).  ``None`` means all translations.
         """
-        result = ShootdownResult(initiator_cost=0.0)
+        result = ShootdownResult(initiator_cost=0)
         interrupted: set[int] = set()
         deferred: set[int] = set()
         for cmap, vpage in list(cpage.bindings):
@@ -127,14 +127,15 @@ class ShootdownMechanism:
             cpage.stats.invalidations += 1
         else:
             cpage.stats.restrictions += 1
-        self.tracer.record(
-            now, EventKind.SHOOTDOWN, cpage.index, initiator, cause=cause,
-            directive=directive.value,
-            interrupted=len(result.interrupted),
-            deferred=len(result.deferred),
-            cost=int(round(result.initiator_cost)),
-            targets=result.interrupted,
-        )
+        if self.tracer.enabled:
+            self.tracer.record(
+                now, EventKind.SHOOTDOWN, cpage.index, initiator,
+                cause=cause, directive=directive.value,
+                interrupted=len(result.interrupted),
+                deferred=len(result.deferred),
+                cost=result.initiator_cost,
+                targets=result.interrupted,
+            )
         for hook in self.post_action_hooks:
             hook()
         return result
@@ -218,15 +219,15 @@ class ShootdownMechanism:
         else:
             mmu.restrict_page(cmap.aspace_id, vpage, rights)
 
-    def _initiator_cost(self, n_interrupted: int) -> float:
+    def _initiator_cost(self, n_interrupted: int) -> int:
         if n_interrupted == 0:
-            return 0.0
+            return 0
         p = self.machine.params
         return p.shootdown_first + p.shootdown_per_cpu * (n_interrupted - 1)
 
     # -- address-space activation ----------------------------------------------
 
-    def apply_pending(self, cmap: Cmap, proc: int) -> tuple[int, float]:
+    def apply_pending(self, cmap: Cmap, proc: int) -> tuple[int, int]:
         """Apply all queued messages targeting ``proc`` (on activation).
 
         Returns ``(n_applied, cost)``; the caller charges the cost.
@@ -236,9 +237,7 @@ class ShootdownMechanism:
             self._apply(cmap, message.vpage, message.directive,
                         message.rights, proc)
             cmap.acknowledge(message, proc)
-        cost = (
-            self.machine.params.ipi_target_cost if pending else 0.0
-        )
+        cost = self.machine.params.ipi_target_cost if pending else 0
         if pending:
             for hook in self.post_action_hooks:
                 hook()
@@ -257,7 +256,7 @@ class ShootdownMechanism:
     ) -> ShootdownResult:
         """Restrict/invalidate a set of virtual pages in one address space
         (used by the virtual memory layer for unmap and protect)."""
-        result = ShootdownResult(initiator_cost=0.0)
+        result = ShootdownResult(initiator_cost=0)
         interrupted: set[int] = set()
         deferred: set[int] = set()
         for vpage in vpages:

@@ -53,35 +53,28 @@ class Port:
             f"queued={len(self.queue)}>"
         )
 
-    def _transfer_cost(self, src_module: int, n_words: int, now: int) -> int:
-        """Occupy both endpoint buses; return the completion time."""
-        p = self.machine.params
-        duration = p.t_block_word * max(1, n_words)
-        src_bus = self.machine.modules[src_module].bus
-        dst_bus = self.machine.modules[self.home_module].bus
-        if src_module == self.home_module:
-            _, end = src_bus.occupy(now, duration)
-            return end
-        start = max(now, src_bus.busy_until, dst_bus.busy_until)
-        occupancy = duration * p.block_transfer_bus_fraction
-        src_bus.occupy(start, occupancy)
-        dst_bus.occupy(start, occupancy)
-        return int(round(start + duration))
+    def _transfer(self, other_module: int, n_words: int, now: int) -> int:
+        """Move a message body between ``other_module`` and the port's
+        home module; returns the completion time."""
+        machine = self.machine
+        return machine.xfer.occupy_endpoints(
+            other_module, self.home_module, now,
+            machine.params.t_block_word * max(1, n_words),
+        )
 
     def send(
         self, data: np.ndarray, sender_thread: int, sender_node: int,
         now: int,
     ) -> int:
         """Enqueue a message; returns the sender's completion time (ns)."""
-        p = self.machine.params
-        t = now + p.port_send_fixed
-        t = self._transfer_cost(sender_node, len(data), int(t))
-        self.queue.append(
-            Message(np.array(data, copy=True), sender_thread, int(t))
+        t = self._transfer(
+            sender_node, len(data),
+            now + self.machine.params.port_send_fixed,
         )
+        self.queue.append(Message(np.array(data, copy=True), sender_thread, t))
         self.sends += 1
         self.arrival.fire()
-        return int(t)
+        return t
 
     def try_receive(
         self, receiver_node: int, now: int
@@ -94,22 +87,13 @@ class Port:
         if not self.queue:
             return None
         message = self.queue.popleft()
-        p = self.machine.params
-        t = now + p.port_recv_fixed
         # transfer from home module to receiver: same cost structure
-        duration = p.t_block_word * max(1, len(message.data))
-        home_bus = self.machine.modules[self.home_module].bus
-        recv_bus = self.machine.modules[receiver_node].bus
-        if self.home_module == receiver_node:
-            _, end = home_bus.occupy(int(t), duration)
-        else:
-            start = max(int(t), home_bus.busy_until, recv_bus.busy_until)
-            occupancy = duration * p.block_transfer_bus_fraction
-            home_bus.occupy(start, occupancy)
-            recv_bus.occupy(start, occupancy)
-            end = int(round(start + duration))
+        end = self._transfer(
+            receiver_node, len(message.data),
+            now + self.machine.params.port_recv_fixed,
+        )
         self.receives += 1
-        return message, int(end)
+        return message, end
 
 
 class PortNamespace:

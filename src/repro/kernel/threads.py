@@ -78,7 +78,7 @@ class ThreadManager:
         thread.state = ThreadState.RUNNABLE
         return thread
 
-    def migrate(self, thread: Thread, to_processor: int) -> float:
+    def migrate(self, thread: Thread, to_processor: int) -> int:
         """Move a thread to another processor.
 
         Returns the kernel cost: deactivation/activation bookkeeping plus
@@ -91,7 +91,7 @@ class ThreadManager:
         if thread.state is ThreadState.DONE:
             raise RuntimeError(f"{thread!r} has exited")
         if to_processor == thread.processor:
-            return 0.0
+            return 0
         old = thread.processor
         self._deactivate(old, thread.aspace_id)
         thread.processor = to_processor
@@ -110,13 +110,13 @@ class ThreadManager:
 
     # -- activation bookkeeping --------------------------------------------------
 
-    def _activate(self, processor: int, aspace_id: int) -> float:
+    def _activate(self, processor: int, aspace_id: int) -> int:
         key = (processor, aspace_id)
         count = self._active_counts.get(key, 0)
         self._active_counts[key] = count + 1
         if count == 0:
             return self.coherent.activate(aspace_id, processor)
-        return 0.0
+        return 0
 
     def _deactivate(self, processor: int, aspace_id: int) -> None:
         key = (processor, aspace_id)

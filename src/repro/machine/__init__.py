@@ -6,7 +6,7 @@ interprocessor interrupts -- the substrate PLATINUM's coherent memory runs
 on.  Timing defaults come from the paper's measurements (see ``params``).
 """
 
-from .blockxfer import BlockTransferEngine, TransferRecord
+from .blockxfer import BlockTransferEngine
 from .interrupts import InterruptController
 from .machine import AccessOutcome, Machine
 from .memory import Frame, MemoryModule, OutOfFramesError, WORD_DTYPE
@@ -47,7 +47,6 @@ __all__ = [
     "PmapEntry",
     "Rights",
     "Topology",
-    "TransferRecord",
     "TranslationResult",
     "UniformTopology",
     "WORD_DTYPE",

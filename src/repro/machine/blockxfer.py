@@ -18,22 +18,9 @@ We model a transfer of one page as:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..sim.engine import Engine
 from .memory import Frame, MemoryModule
 from .params import MachineParams
-
-
-@dataclass
-class TransferRecord:
-    """Accounting for one block transfer."""
-
-    src_module: int
-    dst_module: int
-    words: int
-    start: int
-    end: int
 
 
 class BlockTransferEngine:
@@ -52,6 +39,27 @@ class BlockTransferEngine:
         self.words_transferred = 0
         self.total_busy_time = 0
 
+    def occupy_endpoints(
+        self, src_module: int, dst_module: int, now: int, duration: int
+    ) -> int:
+        """Reserve the endpoint buses for a ``duration``-ns transfer
+        issued at ``now``; returns when it completes.  Page copies and
+        port messages both come through here."""
+        src_bus = self.modules[src_module].bus
+        if src_module == dst_module:
+            # local copy: single bus, full occupancy
+            return src_bus.occupy(now, duration)[1]
+        # both buses must be available; occupy each at the configured
+        # fraction of the transfer duration starting together
+        dst_bus = self.modules[dst_module].bus
+        start = max(now, src_bus.busy_until, dst_bus.busy_until)
+        # the one product of a time with a non-integer factor
+        occupancy = int(round(
+            duration * self.params.block_transfer_bus_fraction))
+        src_bus.occupy(start, occupancy)
+        dst_bus.occupy(start, occupancy)
+        return start + duration
+
     def transfer_page(self, src: Frame, dst: Frame, now: int) -> int:
         """Copy ``src``'s data into ``dst``.
 
@@ -61,22 +69,12 @@ class BlockTransferEngine:
         words = len(src.data)
         if words != len(dst.data):
             raise ValueError("frame size mismatch in block transfer")
-        duration = self.params.t_block_word * words
-        src_bus = self.modules[src.module_index].bus
-        dst_bus = self.modules[dst.module_index].bus
-        if src.module_index == dst.module_index:
-            # local copy: single bus, full occupancy
-            start, _ = src_bus.occupy(now, duration)
-        else:
-            # both buses must be available; occupy each at the configured
-            # fraction of the transfer duration starting together
-            start = max(now, src_bus.busy_until, dst_bus.busy_until)
-            occupancy = duration * self.params.block_transfer_bus_fraction
-            src_bus.occupy(start, occupancy)
-            dst_bus.occupy(start, occupancy)
+        end = self.occupy_endpoints(
+            src.module_index, dst.module_index, now,
+            self.params.t_block_word * words,
+        )
         if not self.modules[dst.module_index].dataless:
             dst.copy_from(src)
-        end = int(round(start + duration))
         self.transfer_count += 1
         self.words_transferred += words
         self.total_busy_time += end - now

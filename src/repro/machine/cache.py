@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ..sim.resource import FifoResource
+from .params import coerce_int_fields
 
 
 @dataclass(frozen=True)
@@ -35,14 +36,17 @@ class CacheParams:
     line_bytes: int = 16
     word_bytes: int = 4
     #: cache-hit reference time
-    hit_ns: float = 125.0
+    hit_ns: int = 125
     #: memory latency of a line fill beyond the bus occupancy
-    fill_latency_ns: float = 1500.0
+    fill_latency_ns: int = 1500
     #: shared-bus occupancy of a line fill (the model A bus moves a
     #: 16-byte line in several cycles of its ~27 MB/s pipelined bus)
-    bus_line_ns: float = 600.0
+    bus_line_ns: int = 600
     #: shared-bus occupancy of one written-through word
-    bus_write_ns: float = 600.0
+    bus_write_ns: int = 600
+
+    def __post_init__(self) -> None:
+        coerce_int_fields(self)
 
     @property
     def n_lines(self) -> int:
@@ -110,11 +114,11 @@ class SnoopyBus:
         """Cost one word read; returns the completion time."""
         cache = self.caches[proc]
         if cache.lookup(word_addr):
-            return int(round(now + self.params.hit_ns))
+            return now + self.params.hit_ns
         self.reads += 1
         _, end = self.bus.occupy(now, self.params.bus_line_ns)
         cache.fill(word_addr)
-        return int(round(end + self.params.fill_latency_ns))
+        return end + self.params.fill_latency_ns
 
     def write_word(self, proc: int, word_addr: int, now: int) -> int:
         """Cost one written-through word; returns the completion time."""
@@ -127,4 +131,4 @@ class SnoopyBus:
         for other in self.caches:
             if other is not cache:
                 other.invalidate(word_addr)
-        return int(round(end))
+        return end

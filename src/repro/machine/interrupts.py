@@ -23,7 +23,7 @@ from .params import MachineParams
 class ProcessorInterruptState:
     """Per-processor interrupt accounting."""
 
-    pending_penalty: float = 0.0
+    pending_penalty: int = 0
     ipis_received: int = 0
     ipis_sent: int = 0
 
@@ -37,7 +37,7 @@ class InterruptController:
             ProcessorInterruptState() for _ in range(params.n_processors)
         ]
 
-    def send_ipi(self, initiator: int, target: int, target_cost: float) -> None:
+    def send_ipi(self, initiator: int, target: int, target_cost: int) -> None:
         """Record an IPI: the target will pay ``target_cost`` ns soon."""
         if initiator == target:
             raise ValueError("a processor does not IPI itself")
@@ -46,14 +46,14 @@ class InterruptController:
         st.ipis_received += 1
         st.pending_penalty += target_cost
 
-    def charge(self, processor: int, cost: float) -> None:
+    def charge(self, processor: int, cost: int) -> None:
         """Charge arbitrary asynchronous kernel time to a processor."""
         self.state[processor].pending_penalty += cost
 
-    def collect_penalty(self, processor: int) -> float:
+    def collect_penalty(self, processor: int) -> int:
         """Take (and clear) the processor's accumulated pending penalty."""
         st = self.state[processor]
-        penalty, st.pending_penalty = st.pending_penalty, 0.0
+        penalty, st.pending_penalty = st.pending_penalty, 0
         return penalty
 
     def totals(self) -> dict[str, int]:

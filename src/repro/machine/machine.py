@@ -128,11 +128,10 @@ class Machine:
         _, t = module.bus.occupy(t, n_words * p.t_module_service)
         service_per_word = p.t_module_service + n_hops * p.t_switch_service
         extra_per_word = t_word - service_per_word
-        if extra_per_word < 0.0:
-            extra_per_word = 0.0
-        completion = int(round(t + n_words * extra_per_word))
-        service_floor = now + int(round(n_words * service_per_word))
-        queue_delay = t - service_floor
+        if extra_per_word < 0:
+            extra_per_word = 0
+        completion = t + n_words * extra_per_word
+        queue_delay = t - (now + n_words * service_per_word)
         if queue_delay < 0:
             queue_delay = 0
         # batched accounting: the whole contiguous run is one counter

@@ -176,6 +176,6 @@ class MemoryModule:
         self._free.append(frame.frame_index)
         self.free_count += 1
 
-    def occupy_bus(self, now: int, duration: float) -> tuple[int, int]:
+    def occupy_bus(self, now: int, duration: int) -> tuple[int, int]:
         """Reserve this module's bus; see FifoResource.occupy."""
         return self.bus.occupy(now, duration)

@@ -31,7 +31,7 @@ class TranslationResult:
     """Outcome of an MMU translation attempt."""
 
     entry: Optional[PmapEntry]
-    cost: float
+    cost: int
     atc_hit: bool
 
     @property
@@ -134,13 +134,13 @@ class MMU:
                 entry.referenced = True
                 if write:
                     entry.modified = True
-                return TranslationResult(entry, 0.0, atc_hit=True)
+                return TranslationResult(entry, 0, atc_hit=True)
             # rights-restricted ATC entry: protection fault.  Flush the
             # cached descriptor so the post-fault retry reloads the
             # (upgraded) Pmap entry instead of re-faulting forever.
             self.atc.flush_page(aspace_id, vpage)
             self.faults += 1
-            return TranslationResult(None, 0.0, atc_hit=True)
+            return TranslationResult(None, 0, atc_hit=True)
         pmap = self._pmaps.get(aspace_id)
         pmap_entry = pmap.lookup(vpage) if pmap is not None else None
         cost = self.params.atc_miss_cost

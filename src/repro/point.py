@@ -76,6 +76,23 @@ SYSTEMS: dict[str, dict[str, Callable[..., Program]]] = {
 _PARAM_NAMES = frozenset(f.name for f in dataclasses.fields(MachineParams))
 
 
+def _period_ns(spec: dict, key: str, default=None):
+    """A daemon period of a spec, to the nearest ns as ``Engine.schedule``
+    takes it; one that is not finite or rounds below 1 ns (the daemon
+    would reschedule itself at the same instant forever) is refused."""
+    value = spec.get(key, default)
+    if value is None:
+        return None
+    try:
+        period = int(round(value))
+    except (TypeError, ValueError, OverflowError):  # text, nan, inf
+        period = 0
+    if period < 1:
+        raise ValueError(
+            f"{key} must be a finite time >= 1 ns, got {value!r}")
+    return period
+
+
 def _system_of(spec: dict) -> str:
     system = spec.get("system", "platinum")
     if system not in SYSTEMS:
@@ -134,7 +151,7 @@ def point_kernel(
         return smp_kernel(params=params, trace=trace, metrics=metrics)
     if spec.get("competitive"):
         kernel, _daemon = competitive_kernel(
-            period=spec.get("competitive_period", 100e6),
+            period=_period_ns(spec, "competitive_period", 100_000_000),
             params=params, trace=trace, metrics=metrics,
         )
         return kernel
@@ -146,7 +163,7 @@ def point_kernel(
         machine=Machine(params, dataless=dataless),
         policy=make_policy(spec.get("policy"), spec.get("policy_args")),
         defrost_enabled=bool(spec.get("defrost", True)),
-        defrost_period=spec.get("defrost_period"),
+        defrost_period=_period_ns(spec, "defrost_period"),
         trace=trace,
         metrics=metrics,
     )

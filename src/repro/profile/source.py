@@ -74,7 +74,8 @@ class ProfileSource:
                  workload: str = "") -> "ProfileSource":
         """Build a source from a finished traced run."""
         p = kernel.machine.params
-        params = {name: getattr(p, name) for name in PARAM_FIELDS}
+        exported = p.to_dict()
+        params = {name: exported[name] for name in PARAM_FIELDS}
         params["words_per_page"] = p.words_per_page
         events = [_event_dict(e) for e in kernel.tracer.ordered()]
         labels = {

@@ -28,7 +28,6 @@ Two things need care beyond logging yielded ops:
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Optional
 
 import numpy as np
@@ -328,7 +327,7 @@ def record_program(
     }
     if config:
         full_config.update(config)
-    full_config["params"] = dataclasses.asdict(kernel.params)
+    full_config["params"] = kernel.params.to_dict()
     expected = {
         "sim_time_ns": int(result.sim_time_ns),
         "events_executed": int(kernel.engine.events_executed),

@@ -236,8 +236,8 @@ class _SlotTable:
         if self._costs is None or self._costs[0] != consts:
             t_module, _t_switch, t_local, _t_rr, _t_rw = consts
             words = self._words
-            rnm = np.rint(words * t_module)
-            local = rnm + np.rint(words * max(t_local - t_module, 0.0))
+            rnm = words * t_module
+            local = rnm + words * max(t_local - t_module, 0)
             self._costs = (
                 consts, _prefix(local + self._think), _prefix(rnm))
         return self._costs[1], self._costs[2]
@@ -289,7 +289,8 @@ class ReplayThreadProcess(ThreadProcess):
                     self._commit(t)
                     return
                 if k == K_THINK:
-                    self._commit(self._begin() + op[1])
+                    # the recorded twin of _do_compute, rounded as there
+                    self._commit(int(round(self._begin() + op[1])))
                     return
                 if k == K_FIRE:
                     self.channels[op[1]].fire()
@@ -411,20 +412,19 @@ class FastReplayThreadProcess(ReplayThreadProcess):
             machine.mmus[proc].atc.hits += n_mem
             if remote is not None:
                 t_mod, t_sw, t_local, t_rr, t_rw = self._consts
-                extra_local = max(t_local - t_mod, 0.0)
+                extra_local = max(t_local - t_mod, 0)
                 ops = self.ops
                 rw = rww = 0
                 for s, mi in remote:
                     _mem, write, ((_vp, w),) = ops[s]
                     h = len(machine.topology.route(proc, mi))
-                    rnm = round(w * t_mod)
+                    rnm = w * t_mod
                     extra = (t_rw if write else t_rr) - (t_mod + h * t_sw)
-                    if extra < 0.0:
-                        extra = 0.0
+                    if extra < 0:
+                        extra = 0
                     # what the slot costs remotely, less what the
                     # prefix sums charged for it as a local hit
-                    total += (h * round(w * t_sw) + round(w * extra)
-                              - round(w * extra_local))
+                    total += w * (h * t_sw + extra - extra_local)
                     rw += w
                     if write:
                         rww += w
@@ -441,6 +441,7 @@ class FastReplayThreadProcess(ReplayThreadProcess):
         self.pos = stop
         self.windows += 1
         self.batched_ops += stop - pos
+        # fractional think slots, approximate by design: rounded once
         self._commit(self._begin() + int(round(total)))
         return True
 

@@ -88,18 +88,14 @@ class ThreadProcess(Process):
         now = self.engine._now
         busy = self.cpu.busy_until
         start = now if now > busy else busy
-        penalty = self.kernel.machine.interrupts.collect_penalty(
+        return start + self.kernel.machine.interrupts.collect_penalty(
             self.thread.processor
         )
-        # both clocks are exact ints: only a penalty needs rounding
-        return int(round(start + penalty)) if penalty else start
 
-    def _commit(self, end: float, value: Any = None) -> None:
+    def _commit(self, end: int, value: Any = None) -> None:
         """Occupy the CPU until ``end`` and resume the thread, with
         ``value``, then."""
         engine = self.engine
-        if type(end) is not int:
-            end = int(round(end))
         if end < engine._now:
             end = engine._now
         cpu = self.cpu
@@ -113,18 +109,10 @@ class ThreadProcess(Process):
     def _do_compute(self, op: ops.Compute) -> None:
         if op.ns < 0:
             raise ExecutionError(f"negative compute time {op.ns}")
-        start = self._begin()
-        self._commit(start + op.ns)
+        # a program may compute its think time: rounded onto the clock
+        self._commit(int(round(self._begin() + op.ns)))
 
     # -- memory access -------------------------------------------------------------
-
-    def _fault(self, vpage: int, write: bool, t: int) -> int:
-        """Trap into the Cpage fault handler at time ``t``; returns the
-        time the handler completes."""
-        thread = self.thread
-        return self.kernel.fault(
-            thread.processor, thread.aspace_id, vpage, write, t
-        ).completion
 
     def _cost_run(
         self, vpage: int, n: int, write: bool, t: int
@@ -178,7 +166,7 @@ class ThreadProcess(Process):
                 service_per_word = t_module
             # FifoResource.occupy(tt, n * t_module) inlined
             bus = module.bus
-            duration = int(round(n * t_module))
+            duration = n * t_module
             busy = bus.busy_until
             start = tt if tt > busy else busy
             bus.wait_time += start - tt
@@ -187,10 +175,10 @@ class ThreadProcess(Process):
             bus.busy_time += duration
             bus.requests += 1
             extra = t_word - service_per_word
-            if extra < 0.0:
-                extra = 0.0
-            completion = int(round(tt + n * extra))
-            queue_delay = tt - (t + int(round(n * service_per_word)))
+            if extra < 0:
+                extra = 0
+            completion = tt + n * extra
+            queue_delay = tt - (t + n * service_per_word)
             if queue_delay < 0:
                 queue_delay = 0
             if remote:
@@ -206,11 +194,11 @@ class ThreadProcess(Process):
         else:
             for _attempt in range(3):
                 result = mmu.translate(aspace_id, vpage, write)
-                t += int(round(result.cost))
+                t += result.cost
                 entry = result.entry
                 if entry is not None:
                     break
-                t = self._fault(vpage, write, t)
+                t = kernel.fault(proc, aspace_id, vpage, write, t).completion
             else:
                 raise ExecutionError(
                     f"cpu{proc} could not obtain a translation for vpage "

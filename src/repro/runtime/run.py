@@ -63,37 +63,36 @@ def run_threads(
     activity in the event queue -- a deadlocked program is reported
     instead of spinning on defrost ticks forever.
     """
-    # O(1) per-event completion tracking: counting finish callbacks beats
-    # scanning every process after every event (the scan was ~20% of a
-    # whole run's wall clock)
-    n_threads = len(processes)
-    state = {"finished": 0, "crashed": False}
+    engine = kernel.engine
+    done = not processes
 
     def _note_finish(p: ThreadProcess) -> None:
-        state["finished"] += 1
-        if p.error is not None:
-            state["crashed"] = True
+        # the last thread to finish, or the first to crash, ends the run
+        # through the flag Engine.run checks: nothing is called per event
+        nonlocal done
+        if p.error is not None or all(q.finished for q in processes):
+            done = True
+            engine.stop()
 
     for proc in processes:
         proc.on_finish(_note_finish)
         proc.start()
 
-    last_activity = [kernel.engine.now]
-    events_since_check = [0]
-
-    def stop_when() -> bool:
-        if state["crashed"] or state["finished"] == n_threads:
-            return True
-        # the stall check scans every thread's cpu; amortize it -- the
-        # stall limit is simulated seconds, so a 64-event granularity
-        # changes only how promptly the diagnostic fires
-        events_since_check[0] += 1
-        if events_since_check[0] & 63:
-            return False
+    # The stall scan runs between slices of Engine.run, not as an event:
+    # events_executed is part of every recorded result and must not
+    # depend on how a run is watched.  A slice ends one stall limit after
+    # the latest time a cpu is committed to be busy; finding no later
+    # commitment then, a whole limit passed with only daemon activity.
+    last_activity = engine.now
+    while not done:
+        executed = engine.run(
+            until=last_activity + stall_limit_ns, max_events=max_events)
+        if done or not engine.pending_events:
+            break
+        if max_events is not None:
+            max_events -= executed
         busy = max(p.cpu.busy_until for p in processes)
-        if busy > last_activity[0]:
-            last_activity[0] = busy
-        if kernel.engine.now - last_activity[0] > stall_limit_ns:
+        if busy <= last_activity:
             raise error(
                 f"{name}: no thread progress for "
                 f"{stall_limit_ns / 1e9:.1f} simulated seconds; "
@@ -101,9 +100,7 @@ def run_threads(
                 f"{[p.name for p in processes if not p.finished]} "
                 "(deadlock in the simulated program?)"
             )
-        return False
-
-    kernel.engine.run(max_events=max_events, stop_when=stop_when)
+        last_activity = busy
     results = [p.check() for p in processes]
     unfinished = [p.name for p in processes if not p.finished]
     if unfinished:

@@ -39,9 +39,11 @@ class SimulationError(RuntimeError):
 class Engine:
     """A deterministic discrete-event simulation engine.
 
-    Time is measured in integer nanoseconds.  Fractional delays are allowed
-    as inputs and rounded to the nearest nanosecond so that timestamps stay
-    exact and comparisons deterministic.
+    Time is measured in integer nanoseconds: :meth:`schedule_at` takes
+    an ``int`` as it is.  The two inputs that come from outside the
+    simulated-time path -- a :meth:`schedule` delay (daemon periods,
+    ``Delay`` ops, event fires) and :meth:`run`'s ``until`` -- may be
+    fractional and are rounded to the nearest nanosecond.
 
     Ordering among events that share a timestamp is normally insertion
     order.  The schedule fuzzer (``repro.check.fuzz``) calls
@@ -116,10 +118,8 @@ class Engine:
             raise SimulationError(f"cannot schedule {delay} ns in the past")
         self.schedule_at(self._now + int(round(delay)), fn)
 
-    def schedule_at(self, when: float, fn: Callable[[], None]) -> None:
+    def schedule_at(self, when: int, fn: Callable[[], None]) -> None:
         """Run ``fn()`` at absolute simulated time ``when`` nanoseconds."""
-        if type(when) is not int:  # the executor passes exact ints
-            when = int(round(when))
         now = self._now
         if when < now:
             raise SimulationError(
@@ -152,12 +152,6 @@ class Engine:
     @property
     def pending_events(self) -> int:
         return len(self._queue) + len(self._ready)
-
-    @property
-    def events_scheduled(self) -> int:
-        """Total events ever scheduled (the telemetry sampler reads this;
-        it is the existing seq counter, so tracking costs nothing)."""
-        return self._seq
 
     @property
     def events_executed(self) -> int:
@@ -193,7 +187,6 @@ class Engine:
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
-        stop_when: Optional[Callable[[], bool]] = None,
     ) -> int:
         """Run events until the queue drains (or a limit is reached).
 
@@ -205,9 +198,8 @@ class Engine:
         max_events:
             Safety valve: raise :class:`SimulationError` after this many
             events, to catch accidental infinite event loops.
-        stop_when:
-            Checked after every event; the run ends when it returns True.
 
+        An event that calls :meth:`stop` ends the run once it returns.
         Returns the number of events executed.
         """
         if self._running:
@@ -215,6 +207,7 @@ class Engine:
         self._running = True
         self._stopped = False
         executed = 0
+        limit = None if until is None else int(round(until))
         queue = self._queue
         ready = self._ready
         step = self.step
@@ -222,7 +215,6 @@ class Engine:
             while (queue or ready) and not self._stopped:
                 when = self._now if ready else queue[0][0]
                 if until is not None and when > until:
-                    self._now = int(round(until))
                     break
                 if max_events is not None and executed >= max_events:
                     # checked with events still pending, so exactly
@@ -234,11 +226,8 @@ class Engine:
                     )
                 step()
                 executed += 1
-                if stop_when is not None and stop_when():
-                    break
-            else:
-                if until is not None and not self._stopped:
-                    self._now = max(self._now, int(round(until)))
+            if until is not None and not self._stopped and limit > self._now:
+                self._now = limit
         finally:
             self._running = False
         return executed

@@ -176,13 +176,15 @@ def run_all(
     until: Optional[float] = None,
 ) -> None:
     """Start the given processes, run the engine, and re-raise any crash."""
+
+    def stop_on_crash(proc: Process) -> None:
+        if proc.error is not None:
+            engine.stop()
+
     for proc in processes:
+        proc.on_finish(stop_on_crash)
         if not proc.started:
             proc.start()
-    engine.run(
-        until=until,
-        max_events=max_events,
-        stop_when=lambda: any(p.error is not None for p in processes),
-    )
+    engine.run(until=until, max_events=max_events)
     for proc in processes:
         proc.check()

@@ -42,14 +42,13 @@ class FifoResource:
     wait_time: int = 0
     requests: int = 0
 
-    def occupy(self, now: int, duration: float) -> tuple[int, int]:
+    def occupy(self, now: int, duration: int) -> tuple[int, int]:
         """Reserve the resource for ``duration`` ns starting no earlier than
         ``now``.
 
         Returns ``(start, end)``: the service interval.  The caller should
         treat ``end`` (plus any transit latency) as its completion time.
         """
-        duration = int(round(duration))
         if duration < 0:
             raise ValueError(f"negative duration {duration}")
         start = max(now, self.busy_until)

@@ -585,3 +585,56 @@ def test_cli_replay_error_paths(capsys, tmp_path):
     assert code == 2
     code, out = run_cli(capsys, "replay", str(tmp_path / "missing"))
     assert code == 2
+
+
+@pytest.fixture(scope="module")
+def gauss_trace(tmp_path_factory):
+    trace = tmp_path_factory.mktemp("bad-options") / "gauss.trace"
+    bundle, _result = record_spec({
+        "kind": "run", "workload": "gauss", "machine": 4,
+        "args": {"n": 12, "n_threads": 2, "verify_result": False},
+    })
+    save_trace(bundle, trace)
+    return trace
+
+
+#: a time or size from the command line is checked once, where it
+#: becomes a period or a MachineParams field; each of these used to hang
+#: (a daemon rescheduling itself at delay 0), end in a traceback or be
+#: silently accepted
+BAD_OPTIONS = [
+    (("--defrost-period-ms", "0"), "defrost_period"),
+    (("--defrost-period-ms", "0.0000001"), "defrost_period"),
+    (("--defrost-period-ms", "-5"), "defrost_period"),
+    (("--defrost-period-ms", "inf"), "defrost_period"),
+    (("--defrost-period-ms", "nan"), "defrost_period"),
+    (("--param", "t_local=nan"), "t_local"),
+    (("--param", "atc_entries=2.5"), "atc_entries"),
+    (("--param", "frames_per_module=100.5"), "frames_per_module"),
+]
+
+
+@pytest.mark.parametrize("options, field", BAD_OPTIONS,
+                         ids=[" ".join(o) for o, _f in BAD_OPTIONS])
+def test_cli_replay_refuses_a_bad_time_or_size(gauss_trace, options, field):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    # a child process, so that a hang is a failure here and not a stuck
+    # suite
+    src = str(Path(repro.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "replay", str(gauss_trace),
+         *options],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))},
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr == ""
+    (line,) = done.stdout.splitlines()
+    assert line.startswith(f"repro replay: {field} must be ")

@@ -184,6 +184,25 @@ def test_stall_detector_sees_cpus_the_kernel_does_not_own():
     assert kernel.engine.now == 200e6
 
 
+def test_how_often_a_run_is_watched_changes_nothing_in_it():
+    """The stall scan runs between slices of Engine.run and schedules
+    nothing: a run cut into many slices executes the same events and
+    ends at the same time as one watched in a single slice."""
+    class Long(Trivial):
+        def body(self, env):
+            for _ in range(60):
+                yield Compute(2e8)  # 12 simulated seconds, 12 defrosts
+
+    seen = []
+    for limit in (2e9, 30e9):
+        kernel = make_kernel(n_processors=2)
+        result = run_program(kernel, Long(), stall_limit_ns=limit)
+        seen.append((kernel.engine.events_executed, result.sim_time_ns,
+                     kernel.engine.now, kernel.coherent.defrost.runs))
+    assert seen[0] == seen[1]
+    assert seen[0][1:] == (12 * 10**9, 12 * 10**9, 12)
+
+
 def test_make_kernel_overrides():
     kernel = make_kernel(n_processors=3, page_bytes=8192)
     assert kernel.params.n_processors == 3

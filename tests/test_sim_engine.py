@@ -115,13 +115,26 @@ def test_max_events_not_raised_when_queue_drains_at_budget():
     assert seen == [0, 1, 2, 3, 4]
 
 
-def test_stop_when_predicate():
+def test_stop_from_inside_an_event():
+    """What run_threads relies on: the event that notices the end stops
+    the run itself, the clock stays at that event even under ``until``,
+    and the flag is per run -- the next slice carries on."""
     engine = Engine()
     seen = []
+
+    def note(i):
+        seen.append(i)
+        if len(seen) == 3:
+            engine.stop()
+
     for i in range(10):
-        engine.schedule(i + 1, lambda i=i: seen.append(i))
-    engine.run(stop_when=lambda: len(seen) >= 3)
+        engine.schedule(i + 1, lambda i=i: note(i))
+    assert engine.run(until=100) == 3
     assert seen == [0, 1, 2]
+    assert engine.now == 3
+    assert engine.run(until=100) == 7
+    assert len(seen) == 10
+    assert engine.now == 100
 
 
 def test_stop_method_halts_run():

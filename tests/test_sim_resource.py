@@ -63,12 +63,6 @@ def test_utilization():
     assert res.utilization(0) == 1.0
 
 
-def test_fractional_durations_rounded():
-    res = FifoResource("r")
-    _, end = res.occupy(0, 10.6)
-    assert end == 11
-
-
 def test_pool_creates_and_reuses():
     pool = ResourcePool()
     a = pool.get("a")
