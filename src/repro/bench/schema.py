@@ -31,15 +31,17 @@ fields allowed to differ between a serial and a parallel run of the same
 sweep; everything else is deterministic (see WALL_CLOCK_FIELDS and
 :func:`strip_wall_clock`).
 
-No external JSON-schema package is required: :func:`validate_bench` is a
-small structural checker returning a list of problems (empty == valid).
+No external JSON-schema package is required: :data:`SHAPE` is checked by
+:func:`repro.doc.check`, and :func:`validate_bench` adds the few rules a
+shape cannot say.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Optional
+
+from .. import doc as _doc
 
 #: current schema identifier; bump on incompatible changes
 SCHEMA = "repro-bench/1"
@@ -52,88 +54,66 @@ SCALES = ("smoke", "quick", "full")
 WALL_CLOCK_FIELDS = ("wall_clock_s", "jobs", "wall_profile")
 POINT_WALL_CLOCK_FIELDS = ("wall_s",)
 
+#: the document's shape; "telemetry" is the optional doc-level metrics
+#: summary, "wall_profile" the optional slowest-point cProfile tables
+SHAPE = {
+    "schema": str,
+    "target": str,
+    "title": str,
+    "scale": str,
+    "config": dict,
+    "derived": dict,
+    "counters": dict,
+    "wall_clock_s": (int, float),
+    "jobs": int,
+    "telemetry?": {"points_with_telemetry": object, "counters": object},
+    "wall_profile?": {"points": object},
+    "points": [{
+        "name": str,
+        "config": dict,
+        "wall_s": (int, float),
+        "seed": int,
+        "ok": bool,
+        "metrics?": (dict, None),
+        "error?": (str, None),
+    }],
+}
+
+#: the shape of a wall-stripped document (what a snapshot embeds and
+#: what the trend gate compares); a full document conforms to it too
+STRIPPED_SHAPE = {
+    **{key: sub for key, sub in SHAPE.items()
+       if key.rstrip("?") not in WALL_CLOCK_FIELDS},
+    "points": [{key: sub for key, sub in SHAPE["points"][0].items()
+                if key not in POINT_WALL_CLOCK_FIELDS}],
+}
+
 
 def validate_bench(doc: Any) -> list[str]:
-    """Structurally validate one BENCH document.
-
-    Returns a list of human-readable problems; an empty list means the
-    document is valid.
-    """
-    problems: list[str] = []
-
-    def need(obj: dict, key: str, types, where: str) -> bool:
-        if key not in obj:
-            problems.append(f"{where}: missing required field {key!r}")
-            return False
-        if not isinstance(obj[key], types):
-            problems.append(
-                f"{where}.{key}: expected {types}, got "
-                f"{type(obj[key]).__name__}"
-            )
-            return False
-        return True
-
-    if not isinstance(doc, dict):
-        return [f"document must be an object, got {type(doc).__name__}"]
-    if need(doc, "schema", str, "doc") and doc["schema"] != SCHEMA:
+    """Validate one BENCH document: its shape, then what a shape cannot
+    say (the tag and scale values, a passed point's metrics, a failed
+    point's error).  Returns a list of human-readable problems; an
+    empty list means the document is valid."""
+    problems = _doc.check(doc, SHAPE, "doc")
+    if problems:
+        return problems
+    if doc["schema"] != SCHEMA:
         problems.append(
-            f"doc.schema: expected {SCHEMA!r}, got {doc['schema']!r}"
-        )
-    need(doc, "target", str, "doc")
-    need(doc, "title", str, "doc")
-    if need(doc, "scale", str, "doc") and doc["scale"] not in SCALES:
+            f"doc.schema: expected {SCHEMA!r}, got {doc['schema']!r}")
+    if doc["scale"] not in SCALES:
         problems.append(
-            f"doc.scale: expected one of {SCALES}, got {doc['scale']!r}"
-        )
-    need(doc, "config", dict, "doc")
-    need(doc, "derived", dict, "doc")
-    need(doc, "counters", dict, "doc")
-    need(doc, "wall_clock_s", (int, float), "doc")
-    need(doc, "jobs", int, "doc")
-    if "telemetry" in doc:
-        # optional, additive: a doc-level metrics summary block
-        if not isinstance(doc["telemetry"], dict):
+            f"doc.scale: expected one of {SCALES}, got {doc['scale']!r}")
+    for i, point in enumerate(doc["points"]):
+        if point["ok"] and not isinstance(point.get("metrics"), dict):
             problems.append(
-                "doc.telemetry: expected object, got "
-                f"{type(doc['telemetry']).__name__}"
-            )
-        else:
-            for key in ("points_with_telemetry", "counters"):
-                if key not in doc["telemetry"]:
-                    problems.append(
-                        f"doc.telemetry: missing required field {key!r}"
-                    )
-    if "wall_profile" in doc:
-        # optional, wall-clock-only: slowest-point cProfile tables
-        if not isinstance(doc["wall_profile"], dict):
+                f"doc.points[{i}]: passed point must carry a "
+                "'metrics' object")
+        elif not point["ok"] and not isinstance(point.get("error"), str):
             problems.append(
-                "doc.wall_profile: expected object, got "
-                f"{type(doc['wall_profile']).__name__}"
-            )
-        elif "points" not in doc["wall_profile"]:
-            problems.append(
-                "doc.wall_profile: missing required field 'points'"
-            )
-    if need(doc, "points", list, "doc"):
-        for i, point in enumerate(doc["points"]):
-            where = f"doc.points[{i}]"
-            if not isinstance(point, dict):
-                problems.append(f"{where}: expected object")
-                continue
-            need(point, "name", str, where)
-            need(point, "config", dict, where)
-            need(point, "wall_s", (int, float), where)
-            need(point, "seed", int, where)
-            if need(point, "ok", bool, where):
-                if point["ok"]:
-                    need(point, "metrics", dict, where)
-                elif not isinstance(point.get("error"), str):
-                    problems.append(
-                        f"{where}: failed point must carry an "
-                        "'error' string"
-                    )
+                f"doc.points[{i}]: failed point must carry an "
+                "'error' string")
     try:
-        json.dumps(doc)
+        _doc.compact(doc)
     except (TypeError, ValueError) as exc:
         problems.append(f"doc is not JSON-serializable: {exc}")
     return problems
@@ -143,14 +123,8 @@ def strip_wall_clock(doc: dict) -> dict:
     """A deep copy of the document with every wall-clock-dependent field
     removed -- two runs of the same deterministic sweep must compare equal
     after this, whatever the parallelism."""
-    out = json.loads(json.dumps(doc))
-    for field in WALL_CLOCK_FIELDS:
-        out.pop(field, None)
-    for point in out.get("points", []):
-        if isinstance(point, dict):
-            for field in POINT_WALL_CLOCK_FIELDS:
-                point.pop(field, None)
-    return out
+    return _doc.strip_named(doc, WALL_CLOCK_FIELDS,
+                            "points", POINT_WALL_CLOCK_FIELDS)
 
 
 def bench_path(results_dir: Path, target: str) -> Path:
@@ -165,19 +139,16 @@ def write_bench(results_dir: Path, doc: dict) -> Path:
             f"refusing to write invalid BENCH document for "
             f"{doc.get('target')!r}: " + "; ".join(problems)
         )
-    results_dir = Path(results_dir)
-    results_dir.mkdir(parents=True, exist_ok=True)
-    path = bench_path(results_dir, doc["target"])
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    return path
+    return _doc.write(bench_path(results_dir, doc["target"]),
+                      _doc.pretty(doc))
 
 
 def load_bench(path: Path) -> dict:
     """Load and validate a BENCH document from disk."""
-    doc = json.loads(Path(path).read_text())
+    doc = _doc.read(path, SCHEMA)
     problems = validate_bench(doc)
     if problems:
-        raise ValueError(f"{path}: " + "; ".join(problems))
+        raise _doc.DocError(f"{path}: " + "; ".join(problems))
     return doc
 
 

@@ -12,14 +12,20 @@ documents are uploaded as a build artifact alongside.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Union
 
-from .schema import SCHEMA, strip_wall_clock
+from .. import doc as _doc
+from .schema import SCHEMA, STRIPPED_SHAPE, strip_wall_clock
 
 #: schema tag of the combined snapshot document
 SNAPSHOT_SCHEMA = "repro-bench-snapshot/1"
+
+SHAPE = {
+    "schema": str,
+    "scale?": (str, None),
+    "targets": {"*": STRIPPED_SHAPE},
+}
 
 
 def snapshot_doc(docs: dict[str, dict], scale: str) -> dict:
@@ -37,21 +43,9 @@ def snapshot_doc(docs: dict[str, dict], scale: str) -> dict:
 def write_snapshot(docs: dict[str, dict], scale: str,
                    destination: Union[str, Path]) -> Path:
     """Write the combined snapshot as canonical JSON; returns the path."""
-    path = Path(destination)
-    if path.parent and not path.parent.exists():
-        path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(snapshot_doc(docs, scale), indent=2, sort_keys=True)
-        + "\n"
-    )
-    return path
+    return _doc.write(destination, _doc.pretty(snapshot_doc(docs, scale)))
 
 
 def load_snapshot(path: Union[str, Path]) -> dict:
-    """Load a snapshot document, checking its schema tag."""
-    doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict) or doc.get("schema") != SNAPSHOT_SCHEMA:
-        raise ValueError(
-            f"{path}: not a {SNAPSHOT_SCHEMA!r} snapshot document"
-        )
-    return doc
+    """Load a snapshot document, checking its schema tag and shape."""
+    return _doc.read(path, SNAPSHOT_SCHEMA, SHAPE)

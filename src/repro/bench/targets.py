@@ -91,11 +91,10 @@ _RECORD_MEMO: dict[str, object] = {}
 
 
 def _recorded_bundle(record_spec_dict: dict):
-    import json
-
+    from ..doc import compact
     from ..replay import record_spec
 
-    key = json.dumps(record_spec_dict, sort_keys=True)
+    key = compact(record_spec_dict)
     bundle = _RECORD_MEMO.get(key)
     if bundle is None:
         bundle, _result = record_spec(record_spec_dict)

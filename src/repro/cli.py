@@ -31,6 +31,7 @@ from .analysis import (
     format_table,
     measure_speedup,
 )
+from . import doc as _doc
 from .core import format_table as format_transitions
 from .point import point_kernel, point_program, sec42_spec
 from .policy.registry import policy_names
@@ -78,12 +79,9 @@ def _policy_spec(args: argparse.Namespace) -> dict:
         except json.JSONDecodeError as exc:
             raise _BadPoint(f"--policy-args is not JSON: {exc}") from None
     if getattr(args, "tuned", None):
-        from .policy import TuneError, load_tuned
+        from .policy import load_tuned
 
-        try:
-            spec["policy"], spec["policy_args"] = load_tuned(args.tuned)
-        except TuneError as exc:
-            raise _BadPoint(str(exc)) from None
+        spec["policy"], spec["policy_args"] = load_tuned(args.tuned)
     if getattr(args, "defrost", None) is not None:
         spec["defrost"] = args.defrost
     if getattr(args, "defrost_period_ms", None) is not None:
@@ -186,13 +184,8 @@ def _start_sampler(kernel, sample_ms: float):
 def _write_metrics_jsonl(kernel, sampler, destination: str) -> int:
     """Write metric records then sampler records as one JSONL file;
     returns how many lines were written."""
-    from pathlib import Path
-
-    path = Path(destination)
-    if path.parent != Path("."):
-        path.parent.mkdir(parents=True, exist_ok=True)
     text = kernel.metrics.to_jsonl() + sampler.to_jsonl()
-    path.write_text(text)
+    _doc.write(destination, text)
     return text.count("\n")
 
 
@@ -258,47 +251,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _metrics_from_file(destination: str, fmt: str = "text") -> int:
     """Summarize a previously written metrics JSONL file."""
-    import json
-    from pathlib import Path
+    from .telemetry import read_metric_records, records_to_prometheus
 
-    path = Path(destination)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        print(f"repro metrics: cannot read {path}: "
-              f"{exc.strerror or exc}")
-        return 2
-    metrics: list[dict] = []
-    samples = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            print(f"repro metrics: {path}:{lineno}: not JSON "
-                  f"({exc.msg})")
-            return 2
-        kind = record.get("record") if isinstance(record, dict) else None
-        if kind == "metric":
-            metrics.append(record)
-        elif kind == "sample":
-            samples += 1
-        else:
-            print(f"repro metrics: {path}:{lineno}: not a "
-                  "metric/sample record; is this a metrics JSONL file "
-                  "from --metrics-out or repro metrics --out?")
-            return 2
-    if not metrics and not samples:
-        print(f"repro metrics: {path}: no metric or sample records")
-        return 2
+    metrics, samples = read_metric_records(destination)
     if fmt == "prom":
-        from .telemetry import records_to_prometheus
-
         sys.stdout.write(records_to_prometheus(metrics))
         return 0
-    print(f"{path}: {len(metrics)} metric record(s), "
+    print(f"{destination}: {len(metrics)} metric record(s), "
           f"{samples} sample record(s)")
     for record in metrics:
         labels = record.get("labels") or {}
@@ -307,7 +266,7 @@ def _metrics_from_file(destination: str, fmt: str = "text") -> int:
                            for k, v in sorted(labels.items())) + "}"
             if labels else ""
         )
-        print(f"  {record.get('name')}{suffix} = {record.get('value')}")
+        print(f"  {record['name']}{suffix} = {record.get('value')}")
     return 0
 
 
@@ -353,21 +312,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _is_workload_spec(target: str) -> bool:
-    """True when ``target`` is a ``repro-workload/1`` spec file."""
-    import json
-    from pathlib import Path
-
-    path = Path(target)
-    if not (path.is_file() and path.suffix == ".json"):
-        return False
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return False
-    return isinstance(doc, dict) and doc.get("schema") == "repro-workload/1"
-
-
 def _live_profile(args: argparse.Namespace, target: str):
     """Run ``target`` live with the tracer and access probe on and
     return its :class:`~repro.profile.ProfileSource`; ``None`` when
@@ -386,7 +330,7 @@ def _live_profile(args: argparse.Namespace, target: str):
     elif target == "sec42":
         spec = sec42_spec(24 if args.n is None else args.n,
                           args.machine, args.p)
-    elif _is_workload_spec(target):
+    elif _doc.tag(target) == "repro-workload/1":
         from .workloads import WorkloadSpec, bench_spec_for
 
         generated = WorkloadSpec.load(target)
@@ -401,17 +345,11 @@ def _live_profile(args: argparse.Namespace, target: str):
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from .profile import ProfileError, ProfileSource, build_explain
-    from .workloads import SpecError
+    from .profile import ProfileSource, build_explain
 
-    target = args.target
-    try:
-        source = _live_profile(args, target)
-        if source is None:
-            source = ProfileSource.load(target)
-    except (ProfileError, SpecError) as exc:
-        print(f"repro explain: {exc}")
-        return 2
+    source = _live_profile(args, args.target)
+    if source is None:
+        source = ProfileSource.load(args.target)
     if args.save:
         path = source.save(args.save)
         # stderr so --format json stdout stays a clean document
@@ -429,67 +367,35 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _is_events_ledger(target: str) -> bool:
-    """True when ``target`` is a ``repro-events/1`` ledger file."""
-    import json
-    from pathlib import Path
-
-    path = Path(target)
-    if not path.is_file():
-        return False
-    try:
-        with open(path) as handle:
-            first = handle.readline()
-        record = json.loads(first)
-    except (OSError, json.JSONDecodeError):
-        return False
-    return isinstance(record, dict) \
-        and record.get("record") == "meta" \
-        and record.get("schema") == "repro-events/1"
-
-
 def _cmd_doctor(args: argparse.Namespace) -> int:
     """Run the anomaly-detector catalog over a run (see obs.doctor)."""
-    import json
-
-    from .obs import DoctorError, LedgerError, diagnose, render_findings
+    from .obs import diagnose, render_findings
     from .obs.doctor import validate_detectors
-    from .profile import ProfileError, ProfileSource
-    from .workloads import SpecError
+    from .profile import ProfileSource
 
     detectors = args.detector or None
-    try:
-        if detectors is not None:
-            # reject an unknown detector *before* the expensive run
-            validate_detectors(detectors)
-        target = args.target
-        ledger_records = None
-        source = _live_profile(args, target)
-        if source is None and _is_events_ledger(target):
-            from .obs import read_ledger
+    if detectors is not None:
+        # reject an unknown detector *before* the expensive run
+        validate_detectors(detectors)
+    target = args.target
+    ledger_records = None
+    source = _live_profile(args, target)
+    if source is None and _doc.tag(target) == "repro-events/1":
+        from .obs import read_ledger
 
-            ledger_records = read_ledger(target)
-            if detectors is None:
-                detectors = ["pool_wall"]
-        elif source is None:
-            source = ProfileSource.load(target)
-        report = diagnose(
-            source,
-            ledger_records=ledger_records,
-            detectors=detectors,
-        )
-    except (DoctorError, ProfileError, SpecError, LedgerError) as exc:
-        print(f"repro doctor: {exc}")
-        return 2
-    except OSError as exc:
-        print(f"repro doctor: cannot read {args.target}: "
-              f"{exc.strerror or exc}")
-        return 2
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        ledger_records = read_ledger(target)
+        if detectors is None:
+            detectors = ["pool_wall"]
+    elif source is None:
+        source = ProfileSource.load(target)
+    report = diagnose(
+        source,
+        ledger_records=ledger_records,
+        detectors=detectors,
+    )
+    text = _doc.pretty(report)
     if args.out:
-        from pathlib import Path
-
-        Path(args.out).write_text(text)
+        _doc.write(args.out, text)
         print(f"wrote findings to {args.out}", file=sys.stderr)
     if args.format == "json":
         sys.stdout.write(text)
@@ -512,7 +418,7 @@ def _version() -> str:
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
-    from .replay import TraceError, record_spec, save_trace
+    from .replay import record_spec, save_trace
 
     spec = _point_spec(args)
     from .obs import span as obs_span
@@ -523,7 +429,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
             bundle, result = record_spec(spec)
             sp.attrs["ops"] = bundle.n_ops
             sp.attrs["sim_time_ms"] = round(result.sim_time_ms, 6)
-    except (TraceError, ValueError) as exc:
+    except ValueError as exc:  # the point cannot be built or recorded
         print(f"repro record: {exc}")
         return 2
     with obs_span("record.save"):
@@ -536,7 +442,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from .replay import TraceError, replay_trace
+    from .replay import replay_trace
 
     params = {}
     for kv in args.param:
@@ -557,22 +463,18 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         return 2
     from .obs import span as obs_span
 
-    try:
-        with obs_span("replay.run", trace=args.trace,
-                      mode="fast" if args.fast else "exact",
-                      policy=variant.get("policy")) as sp:
-            result = replay_trace(
-                args.trace,
-                **variant,
-                params=params or None,
-                check_expected=args.check,
-                mode="fast" if args.fast else "exact",
-            )
-            sp.attrs["events_executed"] = result.events_executed
-            sp.attrs["sim_time_ms"] = round(result.sim_time_ms, 6)
-    except TraceError as exc:
-        print(f"repro replay: {exc}")
-        return 2
+    with obs_span("replay.run", trace=args.trace,
+                  mode="fast" if args.fast else "exact",
+                  policy=variant.get("policy")) as sp:
+        result = replay_trace(
+            args.trace,
+            **variant,
+            params=params or None,
+            check_expected=args.check,
+            mode="fast" if args.fast else "exact",
+        )
+        sp.attrs["events_executed"] = result.events_executed
+        sp.attrs["sim_time_ms"] = round(result.sim_time_ms, 6)
     print(f"replay: {result.sim_time_ms:.2f} ms simulated, "
           f"{result.events_executed} events executed")
     if args.fast:
@@ -586,27 +488,18 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .policy import TuneError, dumps_tuned, tune
-    from .replay import TraceError
-
     from .obs import span as obs_span
+    from .policy import tune
 
-    try:
-        with obs_span("tune.run", trace=args.trace,
-                      policy=args.policy) as sp:
-            doc = tune(args.trace, policy=args.policy,
-                       max_pages=args.max_pages)
-            sp.attrs["trials"] = len(doc["trials"])
-            sp.attrs["improvement_pct"] = doc["improvement_pct"]
-    except (TuneError, TraceError) as exc:
-        print(f"repro tune: {exc}")
-        return 2
-    text = dumps_tuned(doc)
+    with obs_span("tune.run", trace=args.trace,
+                  policy=args.policy) as sp:
+        doc = tune(args.trace, policy=args.policy,
+                   max_pages=args.max_pages)
+        sp.attrs["trials"] = len(doc["trials"])
+        sp.attrs["improvement_pct"] = doc["improvement_pct"]
+    text = _doc.pretty(doc)
     if args.out and args.out != "-":
-        path = Path(args.out)
-        path.write_text(text)
+        path = _doc.write(args.out, text)
         base = doc["baseline"]
         print(f"baseline {base['policy']}: "
               f"{base['sim_time_ns'] / 1e6:.3f} ms")
@@ -738,6 +631,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     scale = args.scale or (
         "full" if args.full else ("smoke" if args.smoke else "quick")
     )
+    baseline = None
+    if args.compare:
+        # an unreadable baseline is refused before the sweep, not after
+        from .obs import load_perf_doc
+
+        baseline = load_perf_doc(args.compare)
 
     def progress(result):
         status = "ok" if result.ok else (
@@ -809,20 +708,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for problem in problems:
             print(f"  {problem}")
         return 1
-    if args.compare:
-        from .obs import TrendError, compare_targets, load_perf_doc, \
-            render_trend
+    if baseline is not None:
+        from .obs import compare_targets, render_trend
 
-        try:
-            baseline = load_perf_doc(args.compare)
-            verdict = compare_targets(
-                baseline,
-                {"source": "<this run>", "scale": scale,
-                 "targets": docs},
-            )
-        except TrendError as exc:
-            print(f"repro bench: --compare: {exc}")
-            return 2
+        verdict = compare_targets(
+            baseline,
+            {"source": "<this run>", "scale": scale, "targets": docs},
+        )
         print()
         print(render_trend(verdict))
         if not verdict["ok"]:
@@ -831,14 +723,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_trend(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
-
     from .obs import (
         DEFAULT_MIN_WALL_S,
         DEFAULT_WALL_TOLERANCE,
-        HistoryError,
-        TrendError,
         history_root,
         load_history,
         render_trend,
@@ -850,31 +737,27 @@ def _cmd_obs_trend(args: argparse.Namespace) -> int:
         else DEFAULT_WALL_TOLERANCE
     min_wall = args.min_wall_s if args.min_wall_s is not None \
         else DEFAULT_MIN_WALL_S
-    try:
-        if args.history_n is not None:
-            if args.files:
-                print("repro obs trend: give bench files or "
-                      "--history N, not both")
-                return 2
-            summaries = load_history(
-                history_root(args.history_dir), last=args.history_n)
-            doc = trend_history(
-                summaries,
-                wall_tolerance=tolerance,
-                min_wall_s=min_wall,
-            )
-        else:
-            doc = trend_series(
-                args.files,
-                wall_tolerance=tolerance,
-                min_wall_s=min_wall,
-            )
-    except (TrendError, HistoryError) as exc:
-        print(f"repro obs trend: {exc}")
-        return 2
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if args.history_n is not None:
+        if args.files:
+            print("repro obs trend: give bench files or "
+                  "--history N, not both")
+            return 2
+        summaries = load_history(
+            history_root(args.history_dir), last=args.history_n)
+        doc = trend_history(
+            summaries,
+            wall_tolerance=tolerance,
+            min_wall_s=min_wall,
+        )
+    else:
+        doc = trend_series(
+            args.files,
+            wall_tolerance=tolerance,
+            min_wall_s=min_wall,
+        )
+    text = _doc.pretty(doc)
     if args.out:
-        Path(args.out).write_text(text)
+        _doc.write(args.out, text)
     if args.format == "json":
         sys.stdout.write(text)
     else:
@@ -883,10 +766,7 @@ def _cmd_obs_trend(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_ledger(args: argparse.Namespace) -> int:
-    import json
-
     from .obs import (
-        LedgerError,
         read_ledger,
         strip_wall_ledger,
         summarize_ledger,
@@ -903,28 +783,15 @@ def _cmd_obs_ledger(args: argparse.Namespace) -> int:
                 line = render_follow_record(record)
                 if line:
                     print(line, flush=True)
-        except LedgerError as exc:
-            print(f"repro obs ledger: {exc}")
-            return 2
         except KeyboardInterrupt:
             return 130
         return 0
-    try:
-        records = read_ledger(args.path)
-    except OSError as exc:
-        print(f"repro obs ledger: cannot read {args.path}: "
-              f"{exc.strerror or exc}")
-        return 2
-    except LedgerError as exc:
-        print(f"repro obs ledger: {exc}")
-        return 2
+    records = read_ledger(args.path)
     problems = validate_ledger(records)
     if args.strip_wall:
         # the rerun-comparable view: wall-clock fields dropped, spans in
         # sid order -- byte-identical across runs of the same command
-        for record in strip_wall_ledger(records):
-            sys.stdout.write(json.dumps(
-                record, sort_keys=True, separators=(",", ":")) + "\n")
+        sys.stdout.write(_doc.jsonl(strip_wall_ledger(records)))
     else:
         print(summarize_ledger(records))
     if problems:
@@ -936,15 +803,11 @@ def _cmd_obs_ledger(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_history_list(args: argparse.Namespace) -> int:
-    from .obs import HistoryError, history_root, load_history
+    from .obs import history_root, load_history
     from .obs.history import summary_line
 
     root = history_root(args.history_dir)
-    try:
-        summaries = load_history(root, last=args.last)
-    except HistoryError as exc:
-        print(f"repro obs history: {exc}")
-        return 2
+    summaries = load_history(root, last=args.last)
     if not summaries:
         print(f"repro obs history: {root} is empty")
         return 2
@@ -955,10 +818,7 @@ def _cmd_obs_history_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_obs_history_show(args: argparse.Namespace) -> int:
-    import json
-
     from .obs import (
-        HistoryError,
         history_root,
         list_runs,
         load_summary,
@@ -966,27 +826,20 @@ def _cmd_obs_history_show(args: argparse.Namespace) -> int:
     )
 
     root = history_root(args.history_dir)
-    try:
-        run = args.run
-        if run is None:
-            runs = list_runs(root)
-            if not runs:
-                print(f"repro obs history: {root} is empty")
-                return 2
-            run = runs[-1]
-        summary = load_summary(root, run)
-    except HistoryError as exc:
-        print(f"repro obs history: {exc}")
-        return 2
+    run = args.run
+    if run is None:
+        runs = list_runs(root)
+        if not runs:
+            print(f"repro obs history: {root} is empty")
+            return 2
+        run = runs[-1]
+    summary = load_summary(root, run)
     if args.strip_wall:
         # the rerun-comparable view, one compact line -- byte-identical
         # across same-args same-seed runs (the round-trip CI check)
-        sys.stdout.write(json.dumps(
-            strip_wall_summary(summary), sort_keys=True,
-            separators=(",", ":")) + "\n")
+        sys.stdout.write(_doc.compact(strip_wall_summary(summary)) + "\n")
     else:
-        sys.stdout.write(json.dumps(
-            summary, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_doc.pretty(summary))
     return 0
 
 
@@ -1055,15 +908,10 @@ def _cmd_check_fuzz(args: argparse.Namespace) -> int:
 
     if args.corpus:
         from .check import fuzz_corpus
-        from .workloads import SpecError, WorkloadSpec
+        from .workloads import WorkloadSpec
         from .workloads.generate import corpus_paths
 
-        try:
-            specs = [WorkloadSpec.load(p)
-                     for p in corpus_paths(args.corpus)]
-        except SpecError as exc:
-            print(f"repro check fuzz: {exc}")
-            return 2
+        specs = [WorkloadSpec.load(p) for p in corpus_paths(args.corpus)]
         if not specs:
             print(f"repro check fuzz: no spec files in {args.corpus}")
             return 2
@@ -1803,13 +1651,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_verb(args: argparse.Namespace) -> int:
-    """Run the verb; the one place a point that cannot be built
-    becomes ``repro <verb>: <reason>`` and exit 2."""
+    """Run the verb; the one place a point that cannot be built or a
+    document that cannot be read becomes ``repro <verb>: <reason>`` and
+    exit 2."""
     try:
         return args.fn(args)
     except _BadPoint as exc:
-        print(f"repro {args.command}: {exc}")
-        return 2
+        reason = exc
+    except _doc.DocError as exc:
+        reason = exc
+    verb = " ".join(filter(None, (
+        args.command, getattr(args, "obs_mode", None))))
+    print(f"repro {verb}: {reason}")
+    return 2
 
 
 def _dispatch(args: argparse.Namespace,
@@ -1869,7 +1723,7 @@ def _dispatch(args: argparse.Namespace,
 
                 try:
                     recorder.note_ledger(read_ledger(ledger_dest))
-                except (OSError, ValueError):
+                except _doc.DocError:
                     pass  # a torn ledger must not mask the verb's exit
             recorder.finish(status=status, exit_code=code)
             set_recorder(None)

@@ -64,6 +64,23 @@ class TraceEvent:
     eid: Optional[int] = None
     cause: Optional[int] = None
 
+    def record(self) -> dict:
+        """The event as its JSONL record (trace exports, profile
+        bundles).  The causal ids are additive: absent keys keep
+        pre-profiler traces and hand-recorded events byte-identical."""
+        record = {
+            "time": self.time,
+            "kind": self.kind.value,
+            "cpage": self.cpage_index,
+            "proc": self.processor,
+            "detail": self.detail,
+        }
+        if self.eid is not None:
+            record["eid"] = self.eid
+        if self.cause is not None:
+            record["cause"] = self.cause
+        return record
+
     def describe(self) -> str:
         where = (
             f"cpage {self.cpage_index}" if self.cpage_index is not None

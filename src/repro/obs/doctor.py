@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from .. import doc as _doc
 from . import ledger as _ledger
 
 #: schema tag of the doctor's report document
@@ -82,7 +83,7 @@ DEFAULT_CONFIG = {
 }
 
 
-class DoctorError(ValueError):
+class DoctorError(_doc.DocError):
     """Unusable doctor input (unknown detector, nothing to examine)."""
 
 
@@ -513,10 +514,9 @@ def diagnose(
     return report
 
 
-def strip_wall_findings(report: dict) -> dict:
-    """The rerun-comparable view: the wall-quarantined pool findings
-    dropped, everything else untouched (and already deterministic)."""
-    return {k: v for k, v in report.items() if k != "wall"}
+#: the rerun-comparable view: the wall-quarantined pool findings
+#: dropped, everything else untouched (and already deterministic)
+strip_wall_findings = _doc.strip_wall
 
 
 def render_findings(report: dict) -> str:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import time
 from typing import Optional
 
+from ..doc import jsonl
 from ..telemetry.metrics import MetricsRegistry
 from . import ledger as _ledger
 
@@ -205,9 +206,4 @@ class PoolHealth:
 
     def to_jsonl(self) -> str:
         """Snapshot rows as JSON Lines (mirrors ``SimTimeSampler``)."""
-        import json
-
-        return "".join(
-            json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
-            for row in self.snapshots
-        )
+        return jsonl(self.snapshots)

@@ -44,12 +44,13 @@ omitted, keeping the fingerprint honest about what the run produced.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import re
 import time
 from typing import Any, Optional
+
+from .. import doc as _doc
+from ..doc import WALL_KEY
 
 #: schema tag of one run summary
 HISTORY_SCHEMA = "repro-run/1"
@@ -62,23 +63,25 @@ HISTORY_ENV = "REPRO_HISTORY"
 
 _RUN_FILE_RE = re.compile(r"^run-(\d{6})\.json$")
 
-#: the wall-quarantine key (mirrors ledger.WALL_KEY)
-WALL_KEY = "wall"
+#: what the store's readers (``summary_line``, ``trend_history``)
+#: touch; absent sections stay absent
+SHAPE = {
+    "schema": str,
+    "run": int,
+    "verb": str,
+    "status": str,
+    "sim?": {"sim_time_ns?": (int, float)},
+    "extras?": dict,
+    "bench?": {"targets": {"*": dict}},
+    "wall?": {
+        "dur_s?": (int, float),
+        "bench?": {"*": {"points?": {"*": dict}}},
+    },
+}
 
 
-class HistoryError(ValueError):
+class HistoryError(_doc.DocError):
     """An unusable history store or summary."""
-
-
-def _dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-def sha256_doc(doc: Any) -> str:
-    """Content hash of a JSON-serializable document (canonical form)."""
-    return hashlib.sha256(
-        json.dumps(doc, sort_keys=True,
-                   separators=(",", ":")).encode()).hexdigest()
 
 
 def history_root(path: Optional[str] = None) -> str:
@@ -111,7 +114,6 @@ def append_summary(root: str, summary: dict) -> str:
     The ``run`` field is stamped here (next free index) so callers
     build summaries without knowing the store state.
     """
-    os.makedirs(root, exist_ok=True)
     try:
         runs = list_runs(root)
     except HistoryError:
@@ -119,27 +121,16 @@ def append_summary(root: str, summary: dict) -> str:
     index = (runs[-1] + 1) if runs else 1
     doc = dict(summary)
     doc["run"] = index
-    path = run_path(root, index)
-    with open(path, "w") as handle:
-        handle.write(_dumps(doc) + "\n")
-    return path
+    return str(_doc.write(run_path(root, index),
+                          _doc.compact(doc) + "\n"))
 
 
 def load_summary(root: str, run: int) -> dict:
     """One summary by index; structural problems raise HistoryError."""
     path = run_path(root, run)
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except FileNotFoundError:
-        raise HistoryError(f"no run {run} in {root}")
-    except (OSError, json.JSONDecodeError) as exc:
-        raise HistoryError(f"unreadable summary {path}: {exc}")
-    if not isinstance(doc, dict) or doc.get("schema") != HISTORY_SCHEMA:
-        raise HistoryError(
-            f"{path} is not a {HISTORY_SCHEMA} summary"
-        )
-    return doc
+    if not os.path.exists(path):
+        raise HistoryError(f"{path}: no run {run} in {root}")
+    return _doc.read(path, HISTORY_SCHEMA, SHAPE, HistoryError)
 
 
 def load_history(root: str, last: Optional[int] = None) -> list[dict]:
@@ -151,9 +142,8 @@ def load_history(root: str, last: Optional[int] = None) -> list[dict]:
     return [load_summary(root, run) for run in runs]
 
 
-def strip_wall_summary(summary: dict) -> dict:
-    """The rerun-comparable view: the ``wall`` key dropped."""
-    return {k: v for k, v in summary.items() if k != WALL_KEY}
+#: the rerun-comparable view: the ``wall`` key dropped
+strip_wall_summary = _doc.strip_wall
 
 
 def summary_line(summary: dict) -> str:
@@ -223,7 +213,7 @@ class RunRecorder:
 
         stripped = strip_wall_clock(doc)
         self._bench[name] = {
-            "sha256": sha256_doc(stripped),
+            "sha256": _doc.sha256(stripped),
             "points": len(doc.get("points", [])),
         }
         wall_points = {}
@@ -250,14 +240,14 @@ class RunRecorder:
         """Hash the run's wall-stripped ledger into the summary."""
         from .ledger import strip_wall_ledger
 
-        self._ledger_sha = sha256_doc(strip_wall_ledger(records))
+        self._ledger_sha = _doc.sha256(strip_wall_ledger(records))
 
     def summary(self, status: str, exit_code: int) -> dict:
         doc: dict[str, Any] = {
             "schema": HISTORY_SCHEMA,
             "verb": self.verb,
             "argv": self.argv,
-            "args_sha256": sha256_doc(
+            "args_sha256": _doc.sha256(
                 {"argv": self.argv, "verb": self.verb}),
             "status": status,
             "exit_code": exit_code,

@@ -52,14 +52,14 @@ import time
 from pathlib import Path
 from typing import IO, Any, Iterator, Optional, Union
 
+from .. import doc as _doc
+from ..doc import WALL_KEY, strip_wall  # noqa: F401 - re-exported
+
 #: schema tag of the run ledger
 LEDGER_SCHEMA = "repro-events/1"
 
-#: the per-record key holding every wall-clock-dependent field
-WALL_KEY = "wall"
 
-
-class LedgerError(ValueError):
+class LedgerError(_doc.DocError):
     """A malformed ledger file or misuse of the ledger API."""
 
 
@@ -187,9 +187,7 @@ class RunLedger:
     # -- record output ------------------------------------------------------
 
     def _write(self, record: dict) -> None:
-        self.stream.write(json.dumps(
-            record, sort_keys=True, separators=(",", ":"),
-        ))
+        self.stream.write(_doc.compact(record))
         self.stream.write("\n")
         # line-at-a-time flush: a crash mid-run still leaves a valid,
         # truncated-but-parseable ledger (spans are coarse, so this is
@@ -359,24 +357,24 @@ def read_ledger(path: Union[str, Path]) -> list[dict]:
     """Parse a ledger file into its records.
 
     A torn final line (the process died mid-write) is tolerated and
-    dropped; a malformed line anywhere else raises :class:`LedgerError`.
+    dropped; a line anywhere else that is not a JSON object raises
+    :class:`LedgerError`.
     """
-    text = Path(path).read_text()
-    records: list[dict] = []
-    lines = text.split("\n")
-    # drop the trailing empty string a well-formed file ends with
-    if lines and lines[-1] == "":
-        lines.pop()
-    for lineno, line in enumerate(lines, start=1):
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError:
-            if lineno == len(lines):
-                break  # torn final line: a truncated-but-valid ledger
-            raise LedgerError(
-                f"{path}:{lineno}: not a JSON record"
-            ) from None
-    return records
+    return [record for _lineno, record in _doc.read_jsonl(
+        path, torn_tail=True, error=LedgerError)]
+
+
+_SPAN_SHAPE = {"sid": int, "name": str, WALL_KEY: dict,
+               "parent?": (int, None)}
+
+#: record kind -> shape (ticks are wall-only: no sid, checked below)
+RECORD_SHAPES = {
+    "meta": {},
+    "span": _SPAN_SHAPE,
+    "event": _SPAN_SHAPE,
+    "tick": {"name": str, WALL_KEY: dict},
+    "close": {},
+}
 
 
 def validate_ledger(records: list[dict]) -> list[str]:
@@ -395,48 +393,20 @@ def validate_ledger(records: list[dict]) -> list[str]:
     sids: set = set()
     for i, record in enumerate(records):
         where = f"records[{i}]"
-        if not isinstance(record, dict):
-            problems.append(f"{where}: expected object")
-            continue
-        kind = record.get("record")
-        if kind not in ("meta", "span", "event", "tick", "close"):
+        kind = record.get("record") if isinstance(record, dict) else None
+        if kind not in RECORD_SHAPES:
             problems.append(f"{where}: unknown record kind {kind!r}")
             continue
-        if kind == "tick":
-            if not isinstance(record.get("name"), str):
-                problems.append(f"{where}: missing 'name'")
-            if not isinstance(record.get(WALL_KEY), dict):
-                problems.append(f"{where}: missing '{WALL_KEY}' object")
-            if "sid" in record:
-                problems.append(
-                    f"{where}: ticks are wall-only, must not carry "
-                    "'sid'"
-                )
-            continue
-        if kind in ("span", "event"):
-            if not isinstance(record.get("sid"), int):
-                problems.append(f"{where}: missing integer 'sid'")
-            else:
-                if record["sid"] in sids:
-                    problems.append(
-                        f"{where}: duplicate sid {record['sid']}"
-                    )
-                sids.add(record["sid"])
-            if not isinstance(record.get("name"), str):
-                problems.append(f"{where}: missing 'name'")
-            if not isinstance(record.get(WALL_KEY), dict):
-                problems.append(f"{where}: missing '{WALL_KEY}' object")
-        parent = record.get("parent")
-        if parent is not None and not isinstance(parent, int):
-            problems.append(f"{where}: 'parent' must be an int or null")
+        problems += _doc.check(record, RECORD_SHAPES[kind], where)
+        sid = record.get("sid")
+        if kind == "tick" and "sid" in record:
+            problems.append(
+                f"{where}: ticks are wall-only, must not carry 'sid'")
+        elif isinstance(sid, int):
+            if sid in sids:
+                problems.append(f"{where}: duplicate sid {sid}")
+            sids.add(sid)
     return problems
-
-
-def strip_wall(record: dict) -> dict:
-    """A copy of one record with every wall-clock-dependent field
-    removed; what remains must be byte-stable across reruns of the same
-    deterministic command."""
-    return {k: v for k, v in record.items() if k != WALL_KEY}
 
 
 def strip_wall_ledger(records: list[dict]) -> list[dict]:

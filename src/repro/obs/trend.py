@@ -24,12 +24,13 @@ The gate passes (exit 0) when no pair drifted or regressed.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Optional, Union
 
+from .. import doc as _doc
 from ..bench.schema import SCHEMA as BENCH_SCHEMA
-from ..bench.schema import strip_wall_clock
+from ..bench.schema import STRIPPED_SHAPE, strip_wall_clock
+from ..bench.snapshot import SHAPE as SNAPSHOT_SHAPE
 from ..bench.snapshot import SNAPSHOT_SCHEMA
 
 #: schema tag of the trend verdict document
@@ -47,7 +48,7 @@ DEFAULT_MIN_WALL_S = 0.05
 _MAX_DIFFS = 8
 
 
-class TrendError(ValueError):
+class TrendError(_doc.DocError):
     """Unreadable or non-comparable trend inputs."""
 
 
@@ -64,47 +65,24 @@ def load_perf_doc(path: Union[str, Path]) -> dict:
         targets: dict = {}
         scale = None
         for file in sorted(path.glob("BENCH_*.json")):
-            doc = _load_json(file)
+            doc = _doc.read(file, error=TrendError)
             if doc.get("schema") != BENCH_SCHEMA:
                 continue
+            _doc.expect(doc, file, shape=STRIPPED_SHAPE, error=TrendError)
             targets[doc["target"]] = doc
-            scale = doc.get("scale", scale)
+            scale = doc["scale"]
         if not targets:
             raise TrendError(f"{path}: no BENCH_*.json documents inside")
         return {"source": str(path), "scale": scale, "targets": targets}
-    doc = _load_json(path)
-    if not isinstance(doc, dict):
-        raise TrendError(f"{path}: expected a JSON object")
-    schema = doc.get("schema")
-    if schema == SNAPSHOT_SCHEMA:
-        return {
-            "source": str(path),
-            "scale": doc.get("scale"),
-            "targets": dict(doc.get("targets", {})),
-        }
-    if schema == BENCH_SCHEMA:
-        return {
-            "source": str(path),
-            "scale": doc.get("scale"),
-            "targets": {doc["target"]: doc},
-        }
-    raise TrendError(
-        f"{path}: expected schema {SNAPSHOT_SCHEMA!r} or "
-        f"{BENCH_SCHEMA!r}, got {schema!r}"
-    )
-
-
-def _load_json(path: Path):
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise TrendError(
-            f"cannot read {path}: {exc.strerror or exc}"
-        ) from None
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise TrendError(f"{path}: not JSON ({exc.msg})") from None
+    doc = _doc.read(path, error=TrendError)
+    if doc.get("schema") == SNAPSHOT_SCHEMA:
+        _doc.expect(doc, path, shape=SNAPSHOT_SHAPE, error=TrendError)
+        targets = doc["targets"]
+    else:
+        _doc.expect(doc, path, BENCH_SCHEMA, STRIPPED_SHAPE, TrendError)
+        targets = {doc["target"]: doc}
+    return {"source": str(path), "scale": doc.get("scale"),
+            "targets": targets}
 
 
 # -- deep equality with paths --------------------------------------------------
@@ -167,6 +145,80 @@ def _events_per_sec(point: dict) -> Optional[float]:
     return events / wall
 
 
+def _step(base_label, cur_label, scale, base_views: dict,
+          cur_views: dict, drift, wall_tolerance: float,
+          min_wall_s: float) -> dict:
+    """One ``repro-trend/1`` comparison.  A view is a target's
+    ``(wall_clock_s, {point name: (wall_s, events/s)})``; ``drift(name)``
+    lists the deterministic differences of a target both sides have."""
+    targets: dict = {}
+    drifted: list[str] = []
+    regressions: list[str] = []
+    for name in sorted(set(base_views) & set(cur_views)):
+        diffs = drift(name)
+        if diffs:
+            drifted.append(name)
+        base_wall, base_points = base_views[name]
+        cur_wall, cur_points = cur_views[name]
+        wall = _wall_verdict(base_wall, cur_wall,
+                             wall_tolerance, min_wall_s)
+        if wall["verdict"] == "regression":
+            regressions.append(f"{name}.wall_clock_s")
+        points: dict = {}
+        for pname, (cur_s, cur_eps) in cur_points.items():
+            if pname not in base_points:
+                continue
+            base_s, base_eps = base_points[pname]
+            p_wall = _wall_verdict(base_s, cur_s,
+                                   wall_tolerance, min_wall_s)
+            entry: dict = {"wall": p_wall}
+            if p_wall["verdict"] == "regression":
+                regressions.append(f"{name}::{pname}.wall_s")
+            if isinstance(base_eps, (int, float)) \
+                    and isinstance(cur_eps, (int, float)) \
+                    and isinstance(base_s, (int, float)) \
+                    and base_s >= min_wall_s:
+                ratio = base_eps / cur_eps if cur_eps else float("inf")
+                eps_verdict = "ok"
+                if ratio > wall_tolerance:
+                    eps_verdict = "regression"
+                    regressions.append(f"{name}::{pname}.events_per_s")
+                elif ratio < 1.0 / wall_tolerance:
+                    eps_verdict = "improvement"
+                entry["events_per_s"] = {
+                    "baseline": round(base_eps, 1),
+                    "current": round(cur_eps, 1),
+                    "slowdown": round(ratio, 4),
+                    "verdict": eps_verdict,
+                }
+            points[pname] = entry
+        targets[name] = {"drift": diffs, "wall": wall, "points": points}
+    missing = sorted(set(base_views) - set(cur_views))
+    return {
+        "schema": TREND_SCHEMA,
+        "baseline": base_label,
+        "current": cur_label,
+        "scale": scale,
+        "wall_tolerance": wall_tolerance,
+        "min_wall_s": min_wall_s,
+        "targets": targets,
+        "missing_targets": missing,
+        "added_targets": sorted(set(cur_views) - set(base_views)),
+        "drifted": drifted,
+        "regressions": regressions,
+        "ok": not drifted and not regressions and not missing,
+    }
+
+
+def _bench_views(targets: dict) -> dict:
+    return {
+        name: (doc.get("wall_clock_s"),
+               {p.get("name"): (p.get("wall_s"), _events_per_sec(p))
+                for p in doc.get("points", []) if isinstance(p, dict)})
+        for name, doc in targets.items()
+    }
+
+
 def compare_targets(
     baseline: dict,
     current: dict,
@@ -182,82 +234,18 @@ def compare_targets(
         )
     base_targets = baseline["targets"]
     cur_targets = current["targets"]
-    shared = sorted(set(base_targets) & set(cur_targets))
-    missing = sorted(set(base_targets) - set(cur_targets))
-    added = sorted(set(cur_targets) - set(base_targets))
-    targets: dict = {}
-    drifted: list[str] = []
-    regressions: list[str] = []
-    for name in shared:
-        base_doc = base_targets[name]
-        cur_doc = cur_targets[name]
+
+    def drift(name: str) -> list[str]:
         diffs: list[str] = []
-        _diff_paths(strip_wall_clock(base_doc),
-                    strip_wall_clock(cur_doc), name, diffs)
-        if diffs:
-            drifted.append(name)
-        wall = _wall_verdict(base_doc.get("wall_clock_s"),
-                             cur_doc.get("wall_clock_s"),
-                             wall_tolerance, min_wall_s)
-        if wall["verdict"] == "regression":
-            regressions.append(f"{name}.wall_clock_s")
-        base_points = {p.get("name"): p
-                       for p in base_doc.get("points", [])
-                       if isinstance(p, dict)}
-        points: dict = {}
-        for point in cur_doc.get("points", []):
-            if not isinstance(point, dict):
-                continue
-            pname = point.get("name")
-            base_point = base_points.get(pname)
-            if base_point is None:
-                continue
-            p_wall = _wall_verdict(base_point.get("wall_s"),
-                                   point.get("wall_s"),
-                                   wall_tolerance, min_wall_s)
-            entry: dict = {"wall": p_wall}
-            if p_wall["verdict"] == "regression":
-                regressions.append(f"{name}::{pname}.wall_s")
-            base_eps = _events_per_sec(base_point)
-            cur_eps = _events_per_sec(point)
-            if base_eps is not None and cur_eps is not None \
-                    and isinstance(base_point.get("wall_s"),
-                                   (int, float)) \
-                    and base_point["wall_s"] >= min_wall_s:
-                ratio = base_eps / cur_eps if cur_eps else float("inf")
-                eps_verdict = "ok"
-                if ratio > wall_tolerance:
-                    eps_verdict = "regression"
-                    regressions.append(f"{name}::{pname}.events_per_s")
-                elif ratio < 1.0 / wall_tolerance:
-                    eps_verdict = "improvement"
-                entry["events_per_s"] = {
-                    "baseline": round(base_eps, 1),
-                    "current": round(cur_eps, 1),
-                    "slowdown": round(ratio, 4),
-                    "verdict": eps_verdict,
-                }
-            points[pname] = entry
-        targets[name] = {
-            "drift": diffs,
-            "wall": wall,
-            "points": points,
-        }
-    ok = not drifted and not regressions and not missing
-    return {
-        "schema": TREND_SCHEMA,
-        "baseline": baseline.get("source"),
-        "current": current.get("source"),
-        "scale": current.get("scale") or baseline.get("scale"),
-        "wall_tolerance": wall_tolerance,
-        "min_wall_s": min_wall_s,
-        "targets": targets,
-        "missing_targets": missing,
-        "added_targets": added,
-        "drifted": drifted,
-        "regressions": regressions,
-        "ok": ok,
-    }
+        _diff_paths(strip_wall_clock(base_targets[name]),
+                    strip_wall_clock(cur_targets[name]), name, diffs)
+        return diffs
+
+    return _step(
+        baseline.get("source"), current.get("source"),
+        current.get("scale") or baseline.get("scale"),
+        _bench_views(base_targets), _bench_views(cur_targets), drift,
+        wall_tolerance, min_wall_s)
 
 
 def trend_series(
@@ -283,6 +271,17 @@ def trend_series(
     }
 
 
+def _history_views(summary: dict) -> dict:
+    walls = summary.get("wall", {}).get("bench", {})
+    return {
+        name: (walls.get(name, {}).get("wall_clock_s"),
+               {pname: (row.get("wall_s"), row.get("events_per_s"))
+                for pname, row in walls.get(name, {}).get(
+                    "points", {}).items()})
+        for name in summary.get("bench", {}).get("targets", {})
+    }
+
+
 def _history_step(
     base: dict,
     cur: dict,
@@ -299,81 +298,19 @@ def _history_step(
     """
     base_targets = base.get("bench", {}).get("targets", {})
     cur_targets = cur.get("bench", {}).get("targets", {})
-    base_wall = base.get("wall", {}).get("bench", {})
-    cur_wall = cur.get("wall", {}).get("bench", {})
-    shared = sorted(set(base_targets) & set(cur_targets))
-    missing = sorted(set(base_targets) - set(cur_targets))
-    added = sorted(set(cur_targets) - set(base_targets))
-    targets: dict = {}
-    drifted: list[str] = []
-    regressions: list[str] = []
-    for name in shared:
-        diffs: list[str] = []
-        if base_targets[name].get("sha256") \
-                != cur_targets[name].get("sha256"):
-            diffs.append(
-                f"{name}.sha256: {base_targets[name].get('sha256')!r} "
-                f"-> {cur_targets[name].get('sha256')!r}"
-            )
-            drifted.append(name)
-        wall = _wall_verdict(
-            base_wall.get(name, {}).get("wall_clock_s"),
-            cur_wall.get(name, {}).get("wall_clock_s"),
-            wall_tolerance, min_wall_s)
-        if wall["verdict"] == "regression":
-            regressions.append(f"{name}.wall_clock_s")
-        base_points = base_wall.get(name, {}).get("points", {})
-        points: dict = {}
-        for pname, row in cur_wall.get(name, {}).get(
-                "points", {}).items():
-            base_row = base_points.get(pname)
-            if not isinstance(base_row, dict):
-                continue
-            p_wall = _wall_verdict(base_row.get("wall_s"),
-                                   row.get("wall_s"),
-                                   wall_tolerance, min_wall_s)
-            entry: dict = {"wall": p_wall}
-            if p_wall["verdict"] == "regression":
-                regressions.append(f"{name}::{pname}.wall_s")
-            base_eps = base_row.get("events_per_s")
-            cur_eps = row.get("events_per_s")
-            if isinstance(base_eps, (int, float)) \
-                    and isinstance(cur_eps, (int, float)) \
-                    and isinstance(base_row.get("wall_s"),
-                                   (int, float)) \
-                    and base_row["wall_s"] >= min_wall_s:
-                ratio = base_eps / cur_eps if cur_eps else float("inf")
-                eps_verdict = "ok"
-                if ratio > wall_tolerance:
-                    eps_verdict = "regression"
-                    regressions.append(f"{name}::{pname}.events_per_s")
-                elif ratio < 1.0 / wall_tolerance:
-                    eps_verdict = "improvement"
-                entry["events_per_s"] = {
-                    "baseline": round(base_eps, 1),
-                    "current": round(cur_eps, 1),
-                    "slowdown": round(ratio, 4),
-                    "verdict": eps_verdict,
-                }
-            points[pname] = entry
-        targets[name] = {"drift": diffs, "wall": wall,
-                         "points": points}
-    ok = not drifted and not regressions and not missing
-    return {
-        "schema": TREND_SCHEMA,
-        "baseline": f"run {base.get('run')}",
-        "current": f"run {cur.get('run')}",
-        "scale": cur.get("extras", {}).get("scale")
+
+    def drift(name: str) -> list[str]:
+        before = base_targets[name].get("sha256")
+        after = cur_targets[name].get("sha256")
+        return [] if before == after else [
+            f"{name}.sha256: {before!r} -> {after!r}"]
+
+    return _step(
+        f"run {base.get('run')}", f"run {cur.get('run')}",
+        cur.get("extras", {}).get("scale")
         or base.get("extras", {}).get("scale"),
-        "wall_tolerance": wall_tolerance,
-        "min_wall_s": min_wall_s,
-        "targets": targets,
-        "missing_targets": missing,
-        "added_targets": added,
-        "drifted": drifted,
-        "regressions": regressions,
-        "ok": ok,
-    }
+        _history_views(base), _history_views(cur), drift,
+        wall_tolerance, min_wall_s)
 
 
 def trend_history(

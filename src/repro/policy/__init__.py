@@ -23,7 +23,6 @@ from .registry import POLICIES, make_policy, policy_names  # noqa: F401
 from .tune import (  # noqa: F401
     TUNE_SCHEMA,
     TuneError,
-    dumps_tuned,
     load_tuned,
     tune,
 )

@@ -28,15 +28,19 @@ diffs across re-runs.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Union
+
+from .. import doc as _doc
 
 #: schema tag of tuned-parameter documents
 TUNE_SCHEMA = "repro-tune/1"
 
 #: policies `repro tune` knows how to tune
 TUNABLE = ("adaptive", "competitive", "tuned")
+
+#: what ``load_tuned`` reads of a tuned-parameter document
+SHAPE = {"schema": str, "policy": str, "policy_args": dict}
 
 #: default grid for ``--policy adaptive``
 ADAPTIVE_CANDIDATES = (
@@ -57,7 +61,7 @@ COMPETITIVE_CANDIDATES = (
 DEFAULT_MAX_PAGES = 64
 
 
-class TuneError(Exception):
+class TuneError(_doc.DocError):
     """The tuning request is malformed or cannot be carried out."""
 
 
@@ -104,13 +108,10 @@ def tune(
     # lazy: repro.policy must stay importable from repro.core (the
     # compat shim) without dragging the replay/analysis stack in
     from ..replay import replay_trace
-    from ..replay.bundle import TraceBundle, TraceError, load_trace
+    from ..replay.bundle import TraceBundle, load_trace
 
-    try:
-        if not isinstance(bundle, TraceBundle):
-            bundle = load_trace(bundle)
-    except (OSError, TraceError, ValueError) as exc:
-        raise TuneError(str(exc))
+    if not isinstance(bundle, TraceBundle):
+        bundle = load_trace(bundle)
 
     baseline = replay_trace(bundle)
     base_ns = baseline.sim_time_ns
@@ -162,26 +163,11 @@ def tune(
     }
 
 
-def dumps_tuned(doc: dict) -> str:
-    """Render a tuned-parameter document byte-stably."""
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def load_tuned(path: Union[str, Path]) -> tuple[str, dict]:
     """Read a ``repro-tune/1`` document; return ``(policy, policy_args)``."""
-    try:
-        doc = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise TuneError(str(exc))
-    except json.JSONDecodeError as exc:
-        raise TuneError(f"{path}: not JSON: {exc}")
-    if not isinstance(doc, dict) or doc.get("schema") != TUNE_SCHEMA:
+    doc = _doc.read(path, TUNE_SCHEMA, SHAPE, TuneError)
+    if doc["policy"] not in TUNABLE:
         raise TuneError(
-            f"{path}: not a {TUNE_SCHEMA} document "
-            f"(schema={doc.get('schema') if isinstance(doc, dict) else '?'!r})"
-        )
-    policy = doc.get("policy")
-    args = doc.get("policy_args")
-    if policy not in TUNABLE or not isinstance(args, dict):
-        raise TuneError(f"{path}: malformed tuned document")
-    return policy, args
+            f"{path}: policy {doc['policy']!r} is not tunable "
+            f"(want one of {', '.join(TUNABLE)})")
+    return doc["policy"], doc["policy_args"]

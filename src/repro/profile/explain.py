@@ -17,10 +17,10 @@ live tracer or a saved bundle.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional
 
+from .. import doc as _doc
 from .attribution import Attribution, compute_attribution
 from .counterfactual import page_verdict
 from .critical_path import CriticalPath, compute_critical_path
@@ -73,7 +73,7 @@ class ExplainReport:
         return doc
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _doc.pretty(self.to_dict())
 
     def format_text(self) -> str:
         a = self.attribution

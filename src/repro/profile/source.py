@@ -22,11 +22,11 @@ paths, so live-hook and exported-JSONL analyses agree exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
+from .. import doc as _doc
 from ..core.trace import EventKind
 
 #: schema tag of the profile_meta footer record
@@ -41,10 +41,32 @@ PARAM_FIELDS = (
 )
 
 _EVENT_KINDS = {kind.value for kind in EventKind}
-_EVENT_KEYS = {"time", "kind", "cpage", "proc", "detail"}
+
+#: one JSONL protocol event (``JsonlTraceSink.emit`` writes these)
+EVENT_SHAPE = {
+    "time": int,
+    "kind": str,
+    "cpage": (int, None),
+    "proc": (int, None),
+    "detail": dict,
+    "eid?": int,
+    "cause?": (int, None),
+}
+
+#: the profile_meta footer record
+META_SHAPE = {
+    "schema": str,
+    "sim_time_ns": int,
+    "n_processors": int,
+    "params": dict,
+    "access": [dict],
+    "page_labels?": {"*": str},
+    "complete?": bool,
+    "workload?": str,
+}
 
 
-class ProfileError(Exception):
+class ProfileError(_doc.DocError):
     """Unusable profiler input (missing file, malformed records)."""
 
 
@@ -77,7 +99,7 @@ class ProfileSource:
         exported = p.to_dict()
         params = {name: exported[name] for name in PARAM_FIELDS}
         params["words_per_page"] = p.words_per_page
-        events = [_event_dict(e) for e in kernel.tracer.ordered()]
+        events = [e.record() for e in kernel.tracer.ordered()]
         labels = {
             cpage.index: cpage.label
             for cpage in kernel.coherent.cpages
@@ -102,14 +124,8 @@ class ProfileSource:
         if path.parent and not path.parent.exists():
             path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w") as stream:
-            for event in self.events:
-                stream.write(json.dumps(
-                    event, sort_keys=True, separators=(",", ":")))
-                stream.write("\n")
-            stream.write(json.dumps(self._meta(),
-                                    sort_keys=True,
-                                    separators=(",", ":")))
-            stream.write("\n")
+            stream.writelines(_doc.compact(record) + "\n"
+                              for record in (*self.events, self._meta()))
         return path
 
     def _meta(self) -> dict:
@@ -131,43 +147,20 @@ class ProfileSource:
     def load(cls, path: Union[str, Path]) -> "ProfileSource":
         """Load a profile bundle or a bare exported JSONL trace."""
         path = Path(path)
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise ProfileError(f"cannot read {path}: {exc}") from exc
         events: list[dict] = []
         meta: Optional[dict] = None
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ProfileError(
-                    f"{path}:{lineno}: not JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise ProfileError(
-                    f"{path}:{lineno}: expected an object, got "
-                    f"{type(record).__name__}")
+        for lineno, record in _doc.read_jsonl(path, error=ProfileError):
+            where = f"{path}:{lineno}"
             if "record" in record:
                 if record["record"] == "profile_meta":
-                    if record.get("schema") != PROFILE_SCHEMA:
-                        raise ProfileError(
-                            f"{path}:{lineno}: profile_meta schema "
-                            f"{record.get('schema')!r} is not "
-                            f"{PROFILE_SCHEMA!r}")
-                    meta = record
+                    meta = _doc.expect(record, where, PROFILE_SCHEMA,
+                                       META_SHAPE, ProfileError)
                 continue  # foreign records (metric/sample) are skipped
-            missing = _EVENT_KEYS - record.keys()
-            if missing:
-                raise ProfileError(
-                    f"{path}:{lineno}: event record is missing "
-                    f"{sorted(missing)}; is this a protocol trace?")
+            _doc.expect(record, where, shape=EVENT_SHAPE,
+                        error=ProfileError)
             if record["kind"] not in _EVENT_KINDS:
                 raise ProfileError(
-                    f"{path}:{lineno}: unknown event kind "
-                    f"{record['kind']!r}")
+                    f"{where}: unknown event kind {record['kind']!r}")
             events.append(record)
         if not events:
             raise ProfileError(
@@ -182,10 +175,8 @@ class ProfileSource:
                 n_processors=meta["n_processors"],
                 params=meta["params"],
                 access=meta["access"],
-                page_labels={
-                    int(k): v
-                    for k, v in meta.get("page_labels", {}).items()
-                },
+                page_labels=_int_keys(
+                    meta.get("page_labels", {}), f"{path}: page_labels"),
                 complete=bool(meta.get("complete", True)),
                 workload=meta.get("workload", ""),
             )
@@ -203,16 +194,9 @@ class ProfileSource:
         )
 
 
-def _event_dict(event) -> dict:
-    record = {
-        "time": event.time,
-        "kind": event.kind.value,
-        "cpage": event.cpage_index,
-        "proc": event.processor,
-        "detail": event.detail,
-    }
-    if event.eid is not None:
-        record["eid"] = event.eid
-    if event.cause is not None:
-        record["cause"] = event.cause
-    return record
+def _int_keys(table: dict, where: str) -> dict:
+    try:
+        return {int(k): v for k, v in table.items()}
+    except ValueError:
+        raise ProfileError(
+            f"{where}: keys must be cpage indices") from None

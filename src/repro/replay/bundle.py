@@ -24,7 +24,6 @@ identical files, which is what lets CI ``cmp`` trace artifacts.
 
 from __future__ import annotations
 
-import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -32,10 +31,27 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .. import doc as _doc
+
 TRACE_SCHEMA = "repro-trace/1"
 _MAGIC = b"REPROTRC1\n"
 _STREAM_DTYPE = "<f8"
 _STREAM_COLS = 4
+
+#: the JSON header; the binary payload's own bounds are ``from_bytes``'s
+HEADER_SHAPE = {
+    "schema": str,
+    "config?": dict,
+    "layout?": dict,
+    "expected?": dict,
+    "streams?": [{
+        "thread?": int,
+        "n_ops": int,
+        "offset": int,
+        "nbytes": int,
+        "dtype?": str,
+    }],
+}
 
 # -- op kinds (column 0 of a stream row) --------------------------------------
 # [kind, a, b, c] with unused operands zero:
@@ -50,7 +66,7 @@ K_DELAY = 7    # engine-level Delay: a = ns
 K_GETTIME = 8  # GetTime (synchronous, zero cost)
 
 
-class TraceError(RuntimeError):
+class TraceError(_doc.DocError):
     """A malformed or unreadable trace bundle."""
 
 
@@ -122,9 +138,7 @@ class TraceBundle:
             "expected": self.expected,
             "streams": streams_meta,
         }
-        header_bytes = json.dumps(
-            header, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
+        header_bytes = _doc.compact(header).encode("utf-8")
         return b"".join([
             _MAGIC,
             struct.pack("<Q", len(header_bytes)),
@@ -143,27 +157,24 @@ class TraceBundle:
         pos += 8
         if len(raw) < pos + header_len:
             raise TraceError("truncated bundle header")
-        try:
-            header = json.loads(raw[pos: pos + header_len].decode("utf-8"))
-        except ValueError as exc:
-            raise TraceError(f"bad bundle header: {exc}") from exc
-        if header.get("schema") != TRACE_SCHEMA:
-            raise TraceError(
-                f"unsupported trace schema {header.get('schema')!r} "
-                f"(want {TRACE_SCHEMA!r})"
-            )
+        header = _doc.expect(
+            _doc.parse(raw[pos: pos + header_len], "bundle header",
+                       TraceError),
+            "bundle header", TRACE_SCHEMA, HEADER_SHAPE, TraceError)
         payload_start = pos + header_len
         streams = []
-        for meta in header.get("streams", []):
+        for i, meta in enumerate(header.get("streams", [])):
             start = payload_start + meta["offset"]
             end = start + meta["nbytes"]
-            if end > len(raw):
+            if meta["offset"] < 0 or end > len(raw):
                 raise TraceError(
-                    f"truncated stream for thread {meta.get('thread')}"
-                )
-            arr = np.frombuffer(
-                raw[start:end], dtype=meta.get("dtype", _STREAM_DTYPE)
-            ).reshape(meta["n_ops"], _STREAM_COLS)
+                    f"stream {i}: runs past the end of the bundle")
+            try:
+                arr = np.frombuffer(
+                    raw[start:end], dtype=meta.get("dtype", _STREAM_DTYPE)
+                ).reshape(meta["n_ops"], _STREAM_COLS)
+            except (TypeError, ValueError) as exc:  # bad dtype or size
+                raise TraceError(f"stream {i}: {exc}") from None
             streams.append(arr)
         return cls(
             config=header.get("config", {}),
@@ -180,12 +191,11 @@ class TraceBundle:
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "TraceBundle":
-        path = Path(path)
+        raw = _doc.read_bytes(path, TraceError)
         try:
-            raw = path.read_bytes()
-        except OSError as exc:
-            raise TraceError(f"cannot read trace {path}: {exc}") from exc
-        return cls.from_bytes(raw)
+            return cls.from_bytes(raw)
+        except TraceError as exc:
+            raise TraceError(f"{path}: {exc}") from None
 
 
 def save_trace(bundle: TraceBundle, path: Union[str, Path]) -> Path:

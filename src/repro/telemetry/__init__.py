@@ -18,6 +18,7 @@ from .metrics import (
     Metric,
     MetricError,
     MetricsRegistry,
+    read_metric_records,
 )
 from .sampler import SimTimeSampler
 
@@ -33,6 +34,7 @@ __all__ = [
     "export_chrome_trace",
     "export_jsonl_trace",
     "lint_prometheus",
+    "read_metric_records",
     "records_to_prometheus",
     "to_prometheus",
 ]

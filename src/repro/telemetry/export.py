@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import IO, Optional, Union
 
 from ..core.trace import EventKind, TraceEvent
+from ..doc import compact
 
 
 class TraceSink:
@@ -85,39 +86,11 @@ class JsonlTraceSink(TraceSink):
         self.flush_every = flush_every
 
     def emit(self, event: TraceEvent) -> None:
-        record = {
-            "time": event.time,
-            "kind": event.kind.value,
-            "cpage": event.cpage_index,
-            "proc": event.processor,
-            "detail": event.detail,
-        }
-        # causal ids are additive: absent keys keep pre-profiler traces
-        # (and hand-recorded events) byte-identical
-        if event.eid is not None:
-            record["eid"] = event.eid
-        if event.cause is not None:
-            record["cause"] = event.cause
-        self.stream.write(json.dumps(
-            record, sort_keys=True, separators=(",", ":"),
-        ))
+        self.stream.write(compact(event.record()))
         self.stream.write("\n")
         self.emitted += 1
         if self.flush_every and self.emitted % self.flush_every == 0:
             self.stream.flush()
-
-    def write_meta(self, meta: dict) -> None:
-        """Append a non-event metadata record (``"record"`` keyed).
-
-        The profiler uses this to store the run context a bare event
-        stream lacks -- simulated time, machine parameters, access-word
-        counters -- so an exported trace can be profiled exactly like a
-        live run (see ``repro.profile.source``).
-        """
-        self.stream.write(json.dumps(
-            meta, sort_keys=True, separators=(",", ":"),
-        ))
-        self.stream.write("\n")
 
     def close(self) -> None:
         if self.closed:

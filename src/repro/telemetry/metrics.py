@@ -26,8 +26,9 @@ Design constraints, in order:
 
 from __future__ import annotations
 
-import json
 from typing import Iterator, Optional, Sequence
+
+from ..doc import DocError, expect, jsonl, read_jsonl
 
 #: default histogram bucket upper bounds for nanosecond durations
 #: (1 us .. 100 ms, roughly logarithmic; +Inf is implicit)
@@ -307,11 +308,7 @@ class MetricsRegistry:
     def to_jsonl(self) -> str:
         """One sorted-key JSON object per line; byte-deterministic for a
         given simulated run."""
-        return "".join(
-            json.dumps(record, sort_keys=True, separators=(",", ":"))
-            + "\n"
-            for record in self.collect()
-        )
+        return jsonl(self.collect())
 
     def format(self, max_series: int = 12) -> str:
         """A human-readable metrics table."""
@@ -343,3 +340,39 @@ class MetricsRegistry:
                         "series"
                     )
         return "\n".join(lines)
+
+
+# -- reading a metrics JSONL file back -----------------------------------------
+
+_NUMBER = (int, float)
+_SERIES = {"record": str, "name": str, "type?": str, "labels?": dict,
+           "unit?": str}
+
+#: what the readers touch of one ``collect()`` record, by metric type
+SCALAR_SHAPE = {**_SERIES, "value": _NUMBER}
+HISTOGRAM_SHAPE = {**_SERIES, "buckets": [_NUMBER], "counts": [int],
+                   "sum": _NUMBER, "count": int}
+
+
+def read_metric_records(path) -> tuple[list[dict], int]:
+    """The metric records of a ``--metrics-out`` / ``repro metrics
+    --out`` file and the number of sampler records beside them."""
+    metrics: list[dict] = []
+    samples = 0
+    for lineno, record in read_jsonl(path):
+        kind = record.get("record")
+        if kind == "sample":
+            samples += 1
+        elif kind == "metric":
+            histogram = record.get("type") == "histogram"
+            metrics.append(expect(
+                record, f"{path}:{lineno}",
+                shape=HISTOGRAM_SHAPE if histogram else SCALAR_SHAPE))
+        else:
+            raise DocError(
+                f"{path}:{lineno}: not a metric/sample record; is this "
+                "a metrics JSONL file from --metrics-out or repro "
+                "metrics --out?")
+    if not metrics and not samples:
+        raise DocError(f"{path}: no metric or sample records")
+    return metrics, samples

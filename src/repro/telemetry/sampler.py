@@ -23,8 +23,9 @@ changes simulated results (pinned by ``tests/test_determinism.py``).
 
 from __future__ import annotations
 
-import json
 from typing import IO, Optional
+
+from ..doc import jsonl
 
 SAMPLE_RECORD = "sample"
 
@@ -158,10 +159,7 @@ class SimTimeSampler:
 
     def to_jsonl(self, stream: Optional[IO[str]] = None) -> str:
         """Samples as JSON Lines (sorted keys, byte-deterministic)."""
-        text = "".join(
-            json.dumps(s, sort_keys=True, separators=(",", ":")) + "\n"
-            for s in self.samples
-        )
+        text = jsonl(self.samples)
         if stream is not None:
             stream.write(text)
         return text

@@ -26,7 +26,6 @@ the same simulation -- the strongest cheap equality we can assert.
 
 from __future__ import annotations
 
-import json
 import random
 from bisect import bisect_left
 from pathlib import Path
@@ -34,6 +33,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .. import doc as _doc
 from ..machine.memory import WORD_DTYPE
 from ..runtime.ops import Compute, FetchAdd, Read, Write
 from ..runtime.program import Program, ProgramAPI, ThreadEnv
@@ -47,6 +47,17 @@ from .spec import (
 
 FINGERPRINT_SCHEMA = "repro-genfp/1"
 FINGERPRINTS_FILE = "FINGERPRINTS.json"
+
+#: ``FINGERPRINTS.json``: spec name -> ``fingerprint_spec`` result
+FINGERPRINTS_SHAPE = {"*": {
+    "schema": str,
+    "spec_sha256": str,
+    "trace_sha256": str,
+    "n_ops": int,
+    "n_threads": int,
+    "events_executed": int,
+    "counters": dict,
+}}
 
 #: constrained-random ranges per generation profile.  Smoke stays tiny
 #: on purpose: corpus fingerprinting records a full trace per spec, and
@@ -416,10 +427,8 @@ def write_corpus(
     written = [spec.save(directory / f"{spec.name}.json")
                for spec in specs]
     fingerprints = {spec.name: fingerprint_spec(spec) for spec in specs}
-    fp_path = directory / FINGERPRINTS_FILE
-    fp_path.write_text(
-        json.dumps(fingerprints, sort_keys=True, indent=2) + "\n")
-    written.append(fp_path)
+    written.append(_doc.write(directory / FINGERPRINTS_FILE,
+                              _doc.pretty(fingerprints)))
     return written
 
 
@@ -443,7 +452,8 @@ def verify_corpus(
     fp_path = directory / FINGERPRINTS_FILE
     if fingerprints:
         if fp_path.exists():
-            committed = json.loads(fp_path.read_text())
+            committed = _doc.read(fp_path, shape=FINGERPRINTS_SHAPE,
+                                  error=SpecError)
         else:
             problems.append(f"{fp_path.name}: missing")
     seen_names = set()

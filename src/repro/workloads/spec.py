@@ -22,10 +22,11 @@ Serialization is strict and canonical on purpose:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
+
+from .. import doc as _doc
 
 SPEC_SCHEMA = "repro-workload/1"
 
@@ -46,13 +47,44 @@ ACCESS_DISTRIBUTIONS = ("uniform", "sequential", "zipf")
 PROFILES = ("smoke", "quick", "custom")
 
 
-class SpecError(ValueError):
+#: the document's keys and their types; unknown keys are refused, and
+#: the ranges, enumerations and phase arithmetic are ``validate()``'s
+SHAPE = {
+    "schema?": str,
+    "name": str,
+    "seed": int,
+    "profile?": str,
+    "threads": int,
+    "machine": int,
+    "pages": int,
+    "sharing?": str,
+    "words_per_op?": int,
+    "false_sharing?": int,
+    "placement?": (None, str, int),
+    "zipf_s?": (int, float),
+    "phases?": [{
+        "ops": int,
+        "mix?": dict,
+        "access?": str,
+        "working_pages?": (int, None),
+        "compute_ns?": (int, float),
+        "barrier?": bool,
+    }],
+}
+
+
+class SpecError(_doc.DocError):
     """A malformed workload spec (one-line message, CLI exits 2)."""
 
 
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise SpecError(message)
+
+
+def _only_known_keys(d: dict, shape: dict, context: str) -> None:
+    unknown = set(d) - {key.rstrip("?") for key in shape}
+    _require(not unknown, f"{context}: unknown key(s) {sorted(unknown)}")
 
 
 @dataclass(frozen=True)
@@ -115,13 +147,8 @@ class PhaseSpec:
 
     @classmethod
     def from_dict(cls, d: dict, context: str = "phase") -> "PhaseSpec":
-        _require(isinstance(d, dict),
-                 f"{context}: expected an object, got {type(d).__name__}")
-        unknown = set(d) - {"ops", "mix", "access", "working_pages",
-                            "compute_ns", "barrier"}
-        _require(not unknown,
-                 f"{context}: unknown key(s) {sorted(unknown)}")
-        _require("ops" in d, f"{context}: missing required key 'ops'")
+        """A phase object of a shape-checked spec document."""
+        _only_known_keys(d, SHAPE["phases?"][0], context)
         phase = cls(
             ops=d["ops"],
             mix=dict(d.get("mix", {"read": 0.5, "write": 0.5})),
@@ -243,26 +270,15 @@ class WorkloadSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WorkloadSpec":
-        _require(isinstance(d, dict),
-                 f"spec: expected an object, got {type(d).__name__}")
+        _doc.expect(d, "spec", shape=SHAPE, error=SpecError)
         schema = d.get("schema", SPEC_SCHEMA)
         _require(schema == SPEC_SCHEMA,
                  f"spec: schema {schema!r} is not {SPEC_SCHEMA!r}")
-        known = {"schema", "name", "seed", "profile", "threads",
-                 "machine", "pages", "sharing", "words_per_op",
-                 "false_sharing", "placement", "zipf_s", "phases"}
-        unknown = set(d) - known
-        _require(not unknown, f"spec: unknown key(s) {sorted(unknown)}")
-        for key in ("name", "seed", "threads", "machine", "pages"):
-            _require(key in d, f"spec: missing required key {key!r}")
-        phases_raw = d.get("phases", [{"ops": 16}])
-        _require(isinstance(phases_raw, (list, tuple)) and phases_raw,
-                 "spec: phases must be a non-empty list")
-        name = d["name"] if isinstance(d["name"], str) else ""
-        ctx = f"spec {name!r}" if name else "spec"
+        _only_known_keys(d, SHAPE, "spec")
+        ctx = f"spec {d['name']!r}" if d["name"] else "spec"
         phases = tuple(
             PhaseSpec.from_dict(ph, f"{ctx}: phases[{i}]")
-            for i, ph in enumerate(phases_raw)
+            for i, ph in enumerate(d.get("phases", [{"ops": 16}]))
         )
         spec = cls(
             name=d["name"],
@@ -283,36 +299,22 @@ class WorkloadSpec:
     def to_json(self) -> str:
         """Canonical JSON: sorted keys, two-space indent, trailing
         newline -- writing the same spec twice yields identical bytes."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        return _doc.pretty(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "WorkloadSpec":
-        try:
-            d = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"spec: not JSON ({exc.msg} at line "
-                            f"{exc.lineno})") from exc
-        return cls.from_dict(d)
+        return cls.from_dict(_doc.parse(text, "spec", SpecError))
 
     def save(self, path: Union[str, Path]) -> Path:
-        path = Path(path)
-        if path.parent != Path("."):
-            path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_json())
-        return path
+        return _doc.write(path, self.to_json())
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "WorkloadSpec":
-        path = Path(path)
+        d = _doc.read(path, error=SpecError)
         try:
-            text = path.read_text()
-        except OSError as exc:
-            raise SpecError(
-                f"cannot read {path}: {exc.strerror or exc}") from exc
-        try:
-            return cls.from_json(text)
+            return cls.from_dict(d)
         except SpecError as exc:
-            raise SpecError(f"{path}: {exc}") from exc
+            raise SpecError(f"{path}: {exc}") from None
 
     def __repr__(self) -> str:
         return (

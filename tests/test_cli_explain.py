@@ -72,7 +72,7 @@ def test_explain_page_flag_adds_timeline(capsys):
 def test_explain_missing_file_is_one_line_error(capsys):
     code, out = run_cli(capsys, "explain", "/no/such/trace.jsonl")
     assert code == 2
-    assert out.startswith("repro explain: cannot read")
+    assert out.startswith("repro explain: /no/such/trace.jsonl: cannot read")
     assert len(out.strip().splitlines()) == 1
     assert "Traceback" not in out
 
@@ -114,7 +114,7 @@ def test_metrics_from_file_summarizes(capsys, tmp_path):
 def test_metrics_from_missing_file_exits_2(capsys):
     code, out = run_cli(capsys, "metrics", "--from", "/no/such.jsonl")
     assert code == 2
-    assert out.startswith("repro metrics: cannot read")
+    assert out.startswith("repro metrics: /no/such.jsonl: cannot read")
     assert len(out.strip().splitlines()) == 1
 
 

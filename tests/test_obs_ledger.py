@@ -141,9 +141,9 @@ def test_validate_ledger_flags_problems():
     text = "\n".join(problems)
     assert "wrong/9" in text
     assert "duplicate sid 1" in text
-    assert "missing integer 'sid'" in text
+    assert "records[3]: missing required key 'sid'" in text
     assert "unknown record kind" in text
-    assert "'parent' must be an int or null" in text
+    assert "records[5].parent: expected an integer or null" in text
 
 
 def test_strip_wall_ledger_is_stable_across_completion_order():

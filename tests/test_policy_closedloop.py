@@ -16,16 +16,16 @@ Two halves:
 
 import pytest
 
+from repro import doc
 from repro.bench import TARGETS
 from repro.bench.targets import execute_point
 from repro.policy.registry import make_policy
 from repro.policy.tune import (
     TUNE_SCHEMA,
     TuneError,
-    dumps_tuned,
     tune,
 )
-from repro.replay import record_spec, replay_trace
+from repro.replay import TraceError, record_spec, replay_trace
 from repro.workloads import generate_spec
 from repro.workloads.generate import bench_spec_for, run_spec
 
@@ -109,8 +109,7 @@ def test_tune_is_deterministic_and_byte_stable(fs_recording):
     a = tune(fs_recording, policy="adaptive")
     b = tune(fs_recording, policy="adaptive")
     assert a == b
-    assert dumps_tuned(a) == dumps_tuned(b)
-    assert dumps_tuned(a).endswith("\n")
+    assert doc.pretty(a) == doc.pretty(b)
 
 
 def test_tune_winner_replays_to_reported_time(fs_recording):
@@ -154,9 +153,9 @@ def test_tune_rejects_untunable_policy(fs_recording):
 
 
 def test_tune_rejects_unreadable_bundle(tmp_path):
-    with pytest.raises(TuneError):
+    with pytest.raises(TraceError, match="cannot read"):
         tune(tmp_path / "missing.trace")
     garbage = tmp_path / "garbage.trace"
     garbage.write_bytes(b"not a bundle")
-    with pytest.raises(TuneError):
+    with pytest.raises(TraceError, match="bad magic"):
         tune(garbage)
