@@ -34,7 +34,7 @@ class Directive(enum.Enum):
     RESTRICT = "restrict"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class CmapMessage:
     """A posted change to an address space's mappings.
 
@@ -61,7 +61,7 @@ class CmapMessage:
         return out
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class CmapEntry:
     """Analogous to a page table entry (paper section 2.3)."""
 

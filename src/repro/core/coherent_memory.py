@@ -17,7 +17,7 @@ from ..telemetry.metrics import MetricsRegistry
 from .cmap import Cmap, CmapEntry
 from .cpage import Cpage, CpageTable
 from .defrost import DefrostDaemon
-from .fault import CoherentFaultHandler, FaultResult
+from .fault import CoherentFaultHandler
 from .instrumentation import MemoryReport, build_report
 from ..policy.base import ReplicationPolicy
 from ..policy.fixed import TimestampFreezePolicy
@@ -141,15 +141,7 @@ class CoherentMemorySystem:
         if cmap is not None:
             cmap.deactivate(proc)
 
-    # -- faults --------------------------------------------------------------------
-
-    def fault(
-        self, proc: int, aspace_id: int, vpage: int, write: bool, now: int
-    ) -> FaultResult:
-        cmap = self.cmaps.get(aspace_id)
-        if cmap is None:
-            raise KeyError(f"unknown address space {aspace_id}")
-        return self.fault_handler.handle(proc, cmap, vpage, write, now)
+    # -- reference counting -----------------------------------------------------------
 
     def note_remote_access(
         self, cpage_index: int, proc: int, n_words: int

@@ -25,7 +25,7 @@ from typing import Callable
 
 from ..machine.machine import Machine
 from ..machine.memory import Frame, OutOfFramesError
-from ..machine.pmap import Rights
+from ..machine.pmap import PmapEntry, Rights
 from ..telemetry.metrics import MetricsRegistry
 from .cmap import Cmap, CmapEntry, Directive
 from .cpage import CoherencyError, Cpage, CpageState
@@ -34,11 +34,14 @@ from .shootdown import ShootdownMechanism
 from .trace import EventKind, ProtocolTracer
 
 
+_READ, _WRITE = Rights.READ, Rights.WRITE
+
+
 class ProtectionError(RuntimeError):
     """An access exceeded the rights the virtual memory system granted."""
 
 
-@dataclass
+@dataclass(slots=True)
 class FaultResult:
     """Outcome of one coherent-memory fault."""
 
@@ -67,6 +70,8 @@ class CoherentFaultHandler:
         self.policy = policy
         self.tracer = tracer if tracer is not None else ProtocolTracer()
         self.fault_count = 0
+        # a property of a property; MachineParams is frozen
+        self._page_copy_time = machine.params.page_copy_time
         #: called after every completed fault, with the directory in a
         #: consistent state (the repro.check invariant checker hooks here)
         self.post_action_hooks: list[Callable[[], None]] = []
@@ -102,26 +107,31 @@ class CoherentFaultHandler:
     def handle(
         self, proc: int, cmap: Cmap, vpage: int, write: bool, now: int
     ) -> FaultResult:
-        entry = cmap.lookup(vpage)
+        entry = cmap.entries.get(vpage)
         if entry is None:
             raise CoherencyError(
                 f"no Cmap entry for aspace {cmap.aspace_id} vpage {vpage}; "
                 "the virtual memory layer should have resolved this fault"
             )
-        if not entry.vm_rights.allows(write):
+        # Rights are the ints 0 < 1 < 3: compared, never and-ed (an
+        # IntFlag operator costs a microsecond)
+        if entry.vm_rights < (3 if write else 1):
             raise ProtectionError(
                 f"cpu{proc} {'write' if write else 'read'} to vpage {vpage} "
                 f"of aspace {cmap.aspace_id} exceeds rights "
                 f"{entry.vm_rights.name}"
             )
         cpage = entry.cpage
+        stats = cpage.stats
+        metrics_on = self.metrics.enabled
+        tracer = self.tracer
         self.fault_count += 1
-        cpage.stats.faults += 1
+        stats.faults += 1
         if write:
-            cpage.stats.write_faults += 1
+            stats.write_faults += 1
         else:
-            cpage.stats.read_faults += 1
-        if self.metrics.enabled:
+            stats.read_faults += 1
+        if metrics_on:
             self._m_faults.labels(
                 proc, "write" if write else "read"
             ).inc()
@@ -133,35 +143,29 @@ class CoherentFaultHandler:
         # replication of the same page is the source memory bus, the
         # "serialization in hardware" section 5.1 observes on pivot pages.
         p = self.machine.params
-        eid = self.tracer.reserve()
-        wait = max(0, cpage.handler_busy_until - now)
-        t = now + wait
-        cpage.stats.handler_wait_ns += wait
-        start = t
-        cpage.handler_busy_until = t + p.t_cpage_lock
+        eid = tracer.reserve() if tracer.enabled else None
+        wait = cpage.handler_busy_until - now
+        if wait < 0:
+            wait = 0
+        start = now + wait
+        stats.handler_wait_ns += wait
+        cpage.handler_busy_until = start + p.t_cpage_lock
 
         fixed = (
             p.fault_fixed_local
             if cpage.home_module == proc
             else p.fault_fixed_remote
         )
-        t += fixed
-
-        local = self.machine.ipt_of(proc).find_local_copy(cpage.index)
+        local = self.machine.ipts[proc].find_local_copy(cpage.index)
         state_before = cpage.state
         frozen_before = cpage.frozen
         last_inval_before = cpage.last_invalidation
-        if write:
-            t, action = self._handle_write(
-                proc, cmap, entry, cpage, local, t, now, cause=eid
-            )
-        else:
-            t, action = self._handle_read(
-                proc, cmap, entry, cpage, local, t, now, cause=eid
-            )
+        t, action = (self._handle_write if write else self._handle_read)(
+            proc, cmap, entry, cpage, local, start + fixed, now, eid
+        )
 
-        cpage.stats.handler_busy_ns += t - start
-        if self.metrics.enabled:
+        stats.handler_busy_ns += t - start
+        if metrics_on:
             self._m_actions.labels(action).inc()
             self._m_handler_ns.observe(t - now)
             self._m_wait_ns.observe(wait)
@@ -169,8 +173,8 @@ class CoherentFaultHandler:
                 self._m_freezes.labels(cpage.index).inc()
             elif frozen_before and not cpage.frozen:
                 self._m_thaws.labels("fault").inc()
-        if self.tracer.enabled:
-            self.tracer.record(
+        if tracer.enabled:
+            tracer.record(
                 now, EventKind.FAULT, cpage.index, proc, eid=eid,
                 write=write, action=action,
                 dur=t - now, wait=wait, fixed=fixed,
@@ -178,18 +182,18 @@ class CoherentFaultHandler:
                 **{"from": state_before.value, "to": cpage.state.value},
             )
             if cpage.frozen and not frozen_before:
-                self.tracer.record(
+                tracer.record(
                     now, EventKind.FREEZE, cpage.index, proc, cause=eid,
                     last_inval=last_inval_before,
                 )
             elif frozen_before and not cpage.frozen:
-                self.tracer.record(
+                tracer.record(
                     now, EventKind.THAW, cpage.index, proc, cause=eid,
                     via="fault"
                 )
         for hook in self.post_action_hooks:
             hook()
-        return FaultResult(completion=t, action=action, contention_wait=wait)
+        return FaultResult(t, action, wait)
 
     # -- read faults -------------------------------------------------------------
 
@@ -205,30 +209,18 @@ class CoherentFaultHandler:
         cause: int | None = None,
     ) -> tuple[int, str]:
         if local is not None:
-            self._install(cmap, entry, proc, local, Rights.READ)
+            self._install(cmap, entry, proc, local, _READ)
             cpage.stats.local_mappings += 1
             return t, "map_local"
         if cpage.state is CpageState.EMPTY:
-            frame = self._allocate_filled(proc, cpage)
-            if frame is not None:
-                cpage.add_frame(frame)
-                cpage.recompute_state()
-                self._install(cmap, entry, proc, frame, Rights.READ)
-                return t, "fill"
-            # local module full: fill a frame at the Cpage's home instead
-            frame = self._allocate_filled(cpage.home_module, cpage)
-            if frame is None:
-                raise OutOfFramesError(
-                    f"no frames for initial fill of {cpage!r}"
-                )
-            cpage.add_frame(frame)
+            frame, at_home = self._first_touch(proc, cpage)
             cpage.recompute_state()
-            self._install(cmap, entry, proc, frame, Rights.READ)
-            cpage.stats.remote_mappings += 1
+            self._install(cmap, entry, proc, frame, _READ)
+            if at_home:
+                cpage.stats.remote_mappings += 1
             return t, "fill"
 
-        ctx = FaultContext(cpage=cpage, processor=proc, now=now, write=False)
-        action = self.policy.decide(ctx)
+        action = self.policy.decide(FaultContext(cpage, proc, now, False))
         if self.metrics.enabled:
             self._m_decisions.labels(self.policy.name, action.value).inc()
         if action is Action.CACHE:
@@ -238,23 +230,22 @@ class CoherentFaultHandler:
                     # restrict the write mapping(s) to read-only first
                     res = self.shootdown.shoot_cpage(
                         cpage, Directive.RESTRICT, proc, t,
-                        rights=Rights.READ, cause=cause,
+                        rights=_READ, cause=cause,
                     )
                     t += res.initiator_cost
                     cpage.has_write_mapping = False
                     cpage.recompute_state()
-                t = self._copy_page(cpage, new_frame, t, cause=cause)
+                t = self._copy_page(cpage, new_frame, t, cause)
                 cpage.add_frame(new_frame)
                 cpage.recompute_state()
-                self._install(cmap, entry, proc, new_frame, Rights.READ)
+                self._install(cmap, entry, proc, new_frame, _READ)
                 cpage.stats.replications += 1
                 return t, "replicate"
             # fall through to a remote mapping when local memory is full
-        target = cpage.any_frame()
-        rights = entry.vm_rights if cpage.frozen else Rights.READ
-        self._install(cmap, entry, proc, target, rights)
+        rights = entry.vm_rights if cpage.frozen else _READ
+        self._install(cmap, entry, proc, cpage.any_frame(), rights)
         cpage.stats.remote_mappings += 1
-        if rights.allows(True):
+        if rights == 3:
             cpage.has_write_mapping = True
             cpage.recompute_state()
         return t, "remote_map"
@@ -273,59 +264,51 @@ class CoherentFaultHandler:
         cause: int | None = None,
     ) -> tuple[int, str]:
         if cpage.state is CpageState.EMPTY:
-            frame = self._allocate_filled(proc, cpage)
-            if frame is None:
-                frame = self._allocate_filled(cpage.home_module, cpage)
-            if frame is None:
-                raise OutOfFramesError(
-                    f"no frames for initial fill of {cpage!r}"
-                )
-            cpage.add_frame(frame)
+            frame, _at_home = self._first_touch(proc, cpage)
             cpage.has_write_mapping = True
             cpage.recompute_state()
-            self._install(cmap, entry, proc, frame, Rights.WRITE)
+            self._install(cmap, entry, proc, frame, _WRITE)
             return t, "fill"
 
         if local is not None:
             was_replicated = cpage.state is CpageState.PRESENT_PLUS
             if was_replicated:
                 # invalidate translations to the other replicas, free them
-                others = set(cpage.frames) - {proc}
-                t = self._collapse(cpage, others, proc, t, cause=cause)
+                others = set(cpage.frames)
+                others.discard(proc)
+                t = self._collapse(cpage, others, proc, t, cause)
             # single copy is local: upgrade needs neither invalidation nor
             # reclamation (the reason present1 exists, section 3.2)
             cpage.has_write_mapping = True
             cpage.recompute_state()
-            self._install(cmap, entry, proc, local, Rights.WRITE)
+            self._install(cmap, entry, proc, local, _WRITE)
             cpage.stats.upgrades += 1
             return t, ("collapse" if was_replicated else "upgrade")
 
-        ctx = FaultContext(cpage=cpage, processor=proc, now=now, write=True)
-        action = self.policy.decide(ctx)
+        action = self.policy.decide(FaultContext(cpage, proc, now, True))
         if self.metrics.enabled:
             self._m_decisions.labels(self.policy.name, action.value).inc()
         if action is Action.CACHE:
             new_frame = self._try_allocate(proc, cpage)
             if new_frame is not None:
-                t = self._copy_page(cpage, new_frame, t, cause=cause)
-                old_modules = set(cpage.frames)
-                t = self._collapse(cpage, old_modules, proc, t, cause=cause)
+                t = self._copy_page(cpage, new_frame, t, cause)
+                t = self._collapse(cpage, set(cpage.frames), proc, t, cause)
                 cpage.add_frame(new_frame)
                 cpage.has_write_mapping = True
                 cpage.recompute_state()
-                self._install(cmap, entry, proc, new_frame, Rights.WRITE)
+                self._install(cmap, entry, proc, new_frame, _WRITE)
                 cpage.stats.migrations += 1
                 return t, "migrate"
             # local memory full: degrade to a remote write mapping
         # remote write mapping: reduce to a single copy first if needed
         if cpage.state is CpageState.PRESENT_PLUS:
-            keep = cpage.any_frame()
-            others = set(cpage.frames) - {keep.module_index}
-            t = self._collapse(cpage, others, proc, t, cause=cause)
+            others = set(cpage.frames)
+            others.discard(cpage.any_frame().module_index)
+            t = self._collapse(cpage, others, proc, t, cause)
         target = cpage.sole_frame()
         cpage.has_write_mapping = True
         cpage.recompute_state()
-        self._install(cmap, entry, proc, target, Rights.WRITE)
+        self._install(cmap, entry, proc, target, _WRITE)
         cpage.stats.remote_mappings += 1
         return t, "remote_map"
 
@@ -346,10 +329,11 @@ class CoherentFaultHandler:
             cause=cause,
         )
         t += res.initiator_cost
+        ipts = self.machine.ipts
+        page_free = self.machine.params.page_free
         for module in sorted(modules):
-            frame = cpage.drop_frame(module)
-            self.machine.ipt_of(module).release(frame)
-            t += self.machine.params.page_free
+            ipts[module].release(cpage.drop_frame(module))
+            t += page_free
         cpage.has_write_mapping = False
         cpage.last_invalidation = t
         self.policy.note_invalidation(cpage, t)
@@ -358,20 +342,24 @@ class CoherentFaultHandler:
     def _copy_page(self, cpage: Cpage, dst: Frame, t: int,
                    cause: int | None = None) -> int:
         """Block-transfer the page into ``dst`` from the *least busy*
-        existing copy.  Source diversification is what lets concurrent
-        replication of a hot page (the Gauss pivot row) fan out in a tree
-        instead of serializing on one source module; the residual bus
-        queueing is attributed to the page as handler contention."""
-        p = self.machine.params
-        src = min(
-            cpage.frames.values(),
-            key=lambda f: (
-                self.machine.modules[f.module_index].bus.busy_until,
-                f.module_index,
-            ),
-        )
-        end = self.machine.xfer.transfer_page(src, dst, t)
-        cpage.stats.handler_wait_ns += max(0, end - t - p.page_copy_time)
+        existing copy (lowest module on a tie).  Source diversification
+        is what lets concurrent replication of a hot page (the Gauss
+        pivot row) fan out in a tree instead of serializing on one
+        source module; the residual bus queueing is attributed to the
+        page as handler contention."""
+        machine = self.machine
+        modules = machine.modules
+        src = None
+        for frame in cpage.frames.values():
+            busy = modules[frame.module_index].bus.busy_until
+            if src is None or busy < least or (
+                busy == least and frame.module_index < src.module_index
+            ):
+                src, least = frame, busy
+        end = machine.xfer.transfer_page(src, dst, t)
+        queued = end - t - self._page_copy_time
+        if queued > 0:
+            cpage.stats.handler_wait_ns += queued
         if self.metrics.enabled:
             self._m_transfers.labels(
                 src.module_index, dst.module_index
@@ -385,24 +373,30 @@ class CoherentFaultHandler:
 
     def _try_allocate(self, proc: int, cpage: Cpage) -> Frame | None:
         try:
-            return self.machine.ipt_of(proc).allocate_for(cpage.index)
+            return self.machine.ipts[proc].allocate_for(cpage.index)
         except OutOfFramesError:
             return None
 
-    def _allocate_filled(self, node: int, cpage: Cpage) -> Frame | None:
-        """First-touch allocation of an empty Cpage, with initial data.
-
-        A ``placement_module`` on the Cpage overrides the faulting node
-        (static-placement baselines).
+    def _first_touch(self, proc: int, cpage: Cpage) -> tuple[Frame, bool]:
+        """The first copy of an empty Cpage, holding its initial data and
+        entered in the directory: on the faulting node, or -- that module
+        being full -- at the Cpage's home.  Returns the frame and whether
+        it is the home one.  A ``placement_module`` on the Cpage overrides
+        both nodes (static-placement baselines).
         """
-        if cpage.placement_module is not None:
-            node = cpage.placement_module
-        frame = self._try_allocate(node, cpage)
-        if frame is None:
-            return None
+        placed = cpage.placement_module
+        frame = self._try_allocate(proc if placed is None else placed, cpage)
+        at_home = frame is None
+        if at_home:
+            frame = self._try_allocate(
+                cpage.home_module if placed is None else placed, cpage)
+            if frame is None:
+                raise OutOfFramesError(
+                    f"no frames for initial fill of {cpage!r}")
         if cpage.backing is not None:
             frame.data[: len(cpage.backing)] = cpage.backing
-        return frame
+        cpage.add_frame(frame)
+        return frame, at_home
 
     def _install(
         self,
@@ -412,18 +406,30 @@ class CoherentFaultHandler:
         frame: Frame,
         rights: Rights,
     ) -> None:
-        rights = rights & entry.vm_rights
-        if rights == Rights.NONE:
+        """Enter ``frame`` in ``proc``'s private Pmap with ``rights``
+        capped by what the VM layer granted, and set its reference bit."""
+        # rights & vm_rights: the values nest (0 in 1 in 3)
+        if entry.vm_rights < rights:
+            rights = entry.vm_rights
+        if rights == 0:
             raise ProtectionError(
                 f"installing empty rights for vpage {entry.vpage}"
             )
-        pmap = cmap.pmap_for(proc, create=True)
+        vpage = entry.vpage
+        aspace_id = cmap.aspace_id
+        pmap = cmap._pmaps.get(proc)
+        if pmap is None:
+            pmap = cmap.pmap_for(proc, create=True)
         mmu = self.machine.mmus[proc]
-        if mmu.pmap_for(cmap.aspace_id) is None:
+        if aspace_id not in mmu._pmaps:
             mmu.attach_pmap(pmap)
         # replacing the Pmap entry orphans any cached ATC descriptor
-        mmu.atc.flush_page(cmap.aspace_id, entry.vpage)
-        remote = frame.module_index != proc
-        pmap.enter(entry.vpage, frame, rights, remote=remote,
-                   cpage_index=entry.cpage.index)
-        entry.set_ref(proc)
+        # (ATC.flush_page, Pmap.enter and CmapEntry.set_ref, in place)
+        atc = mmu.atc
+        if atc._entries.pop((aspace_id, vpage), None) is not None:
+            atc.flushes += 1
+        pmap._entries[vpage] = PmapEntry(
+            vpage, frame, rights, frame.module_index != proc,
+            False, False, entry.cpage.index,
+        )
+        entry.ref_mask |= 1 << proc

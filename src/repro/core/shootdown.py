@@ -17,29 +17,29 @@ to it as a pending penalty (see ``repro.machine.interrupts``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from ..machine.machine import Machine
 from ..machine.pmap import Rights
 from ..telemetry.metrics import MetricsRegistry
-from .cmap import Cmap, CmapMessage, Directive
+from .cmap import Cmap, CmapEntry, CmapMessage, Directive
 from .cpage import Cpage
 from .trace import EventKind, ProtocolTracer
 
 
-@dataclass
+@dataclass(slots=True)
 class ShootdownResult:
     """Accounting for one shootdown operation."""
 
     #: time the initiator spent synchronizing with targets (ns)
     initiator_cost: int
     #: processors interrupted (address space active)
-    interrupted: list[int] = field(default_factory=list)
+    interrupted: list[int]
     #: processors whose update was deferred to address-space activation
-    deferred: list[int] = field(default_factory=list)
+    deferred: list[int]
     #: messages posted to Cmap queues
-    messages_posted: int = 0
+    messages_posted: int
 
     @property
     def n_targets(self) -> int:
@@ -95,34 +95,16 @@ class ShootdownMechanism:
         "translations for the remote physical copies" are invalidated,
         section 3.3).  ``None`` means all translations.
         """
-        result = ShootdownResult(initiator_cost=0)
-        interrupted: set[int] = set()
-        deferred: set[int] = set()
-        for cmap, vpage in list(cpage.bindings):
+        interrupted = deferred = posted = 0
+        for cmap, vpage in cpage.bindings:
             entry = cmap.entries.get(vpage)
-            if entry is None or entry.ref_mask == 0:
-                continue
-            self._shoot_one(
-                cmap,
-                vpage,
-                directive,
-                rights,
-                initiator,
-                now,
-                modules,
-                result,
-                interrupted,
-                deferred,
-            )
-        result.interrupted = sorted(interrupted)
-        result.deferred = sorted(deferred)
-        result.initiator_cost = self._initiator_cost(len(interrupted))
-        self.shootdowns += 1
-        self.total_interrupted += len(interrupted)
-        self.total_deferred += len(deferred)
-        if self.metrics.enabled:
-            self._m_shootdowns.labels(directive.value).inc()
-            self._m_deferred.inc(len(deferred))
+            if entry is not None and entry.ref_mask:
+                hit, missed, message = self._shoot_one(
+                    cmap, entry, directive, rights, initiator, now, modules)
+                interrupted |= hit
+                deferred |= missed
+                posted += message
+        result = self._account(directive, interrupted, deferred, posted)
         if directive is Directive.INVALIDATE:
             cpage.stats.invalidations += 1
         else:
@@ -143,87 +125,107 @@ class ShootdownMechanism:
     def _shoot_one(
         self,
         cmap: Cmap,
-        vpage: int,
+        entry: CmapEntry,
         directive: Directive,
         rights: Rights,
         initiator: int,
         now: int,
         modules: Optional[set[int]],
-        result: ShootdownResult,
-        interrupted: set[int],
-        deferred: set[int],
-    ) -> None:
-        entry = cmap.entries[vpage]
-        targets: list[int] = []
-        for proc in _bits(entry.ref_mask):
-            pmap = cmap.pmap_for(proc)
-            pentry = pmap.lookup(vpage) if pmap is not None else None
-            if pentry is None:
-                # the reference mask is conservative: the processor may have
-                # dropped the translation already; just clear the bit
-                if directive is Directive.INVALIDATE and modules is None:
-                    entry.clear_ref(proc)
-                continue
-            if modules is not None and (
-                pentry.frame.module_index not in modules
-            ):
-                continue
-            targets.append(proc)
-        if not targets:
-            return
-        target_mask = 0
-        for proc in targets:
-            if proc != initiator:
-                target_mask |= 1 << proc
-        message = CmapMessage(
-            vpage=vpage,
-            directive=directive,
-            rights=rights,
-            target_mask=target_mask,
-            posted_at=now,
-        )
-        cmap.post_message(message)
-        result.messages_posted += 1
-        for proc in targets:
-            if proc == initiator:
-                # the initiator updates its own structures directly
-                self._apply(cmap, vpage, directive, rights, proc)
-                if directive is Directive.INVALIDATE:
-                    entry.clear_ref(proc)
-                continue
-            if cmap.is_active(proc):
-                self.machine.interrupts.send_ipi(
-                    initiator, proc, self.machine.params.ipi_target_cost
-                )
-                if self.metrics.enabled:
-                    self._m_ipis.labels(proc).inc()
-                self._apply(cmap, vpage, directive, rights, proc)
-                cmap.acknowledge(message, proc)
-                interrupted.add(proc)
-            else:
-                deferred.add(proc)
-            if directive is Directive.INVALIDATE:
-                entry.clear_ref(proc)
+    ) -> tuple[int, int, int]:
+        """Change one page's translations in one address space: one walk
+        of the reference mask.  Returns the masks of the processors
+        interrupted and deferred, and whether a message was posted.
 
-    def _apply(
-        self,
-        cmap: Cmap,
-        vpage: int,
-        directive: Directive,
-        rights: Rights,
-        proc: int,
-    ) -> None:
-        mmu = self.machine.mmus[proc]
-        if directive is Directive.INVALIDATE:
-            mmu.invalidate_page(cmap.aspace_id, vpage)
-        else:
-            mmu.restrict_page(cmap.aspace_id, vpage, rights)
+        A target with the address space active is interrupted and has
+        applied (and acknowledged) the change by the time this returns;
+        only the targets left over are deferred, so only their message
+        reaches the Cmap queue.
+        """
+        vpage = entry.vpage
+        invalidate = directive is Directive.INVALIDATE
+        key = (cmap.aspace_id, vpage)
+        pmaps = cmap._pmaps
+        active = cmap.active_mask
+        mmus = self.machine.mmus
+        send_ipi = self.machine.interrupts.send_ipi
+        ipi_cost = self.machine.params.ipi_target_cost
+        count_ipis = self.metrics.enabled
+        found = False
+        interrupted = deferred = 0
+        mask = entry.ref_mask
+        proc = 0
+        while mask:
+            if mask & 1:
+                bit = 1 << proc
+                pmap = pmaps.get(proc)
+                pentry = pmap._entries.get(vpage) if pmap is not None \
+                    else None
+                if pentry is None:
+                    # the reference mask is conservative: the processor
+                    # may have dropped the translation already; just
+                    # clear the bit
+                    if invalidate and modules is None:
+                        entry.ref_mask &= ~bit
+                elif modules is None or pentry.frame.module_index in modules:
+                    found = True
+                    if proc != initiator and not active & bit:
+                        deferred |= bit  # applied on activation
+                    else:
+                        # the initiator updates its own structures
+                        # directly; anyone else is interrupted to
+                        if proc != initiator:
+                            send_ipi(initiator, proc, ipi_cost)
+                            if count_ipis:
+                                self._m_ipis.labels(proc).inc()
+                            interrupted |= bit
+                        # MMU.invalidate_page / restrict_page, in place
+                        atc = mmus[proc].atc
+                        if atc._entries.pop(key, None) is not None:
+                            atc.flushes += 1
+                        if invalidate:
+                            del pmap._entries[vpage]
+                        else:
+                            pmap.restrict(vpage, rights)
+                    if invalidate:
+                        entry.ref_mask &= ~bit
+            mask >>= 1
+            proc += 1
+        if deferred:
+            cmap.post_message(
+                CmapMessage(vpage, directive, rights, deferred, now))
+        elif interrupted:
+            cmap.messages_posted += 1  # and retired, inside this call
+        cmap.messages_applied += interrupted.bit_count()
+        return interrupted, deferred, found
 
-    def _initiator_cost(self, n_interrupted: int) -> int:
-        if n_interrupted == 0:
-            return 0
-        p = self.machine.params
-        return p.shootdown_first + p.shootdown_per_cpu * (n_interrupted - 1)
+    def _account(
+        self, directive: Directive, interrupted: int, deferred: int,
+        posted: int,
+    ) -> ShootdownResult:
+        """What every shootdown ends with: the target masks as sorted
+        lists, the initiator's cost, the totals and the metrics."""
+        hit: list[int] = []
+        missed: list[int] = []
+        mask = interrupted | deferred
+        proc = 0
+        while mask:
+            if interrupted >> proc & 1:
+                hit.append(proc)
+            if deferred >> proc & 1:
+                missed.append(proc)
+            mask >>= 1
+            proc += 1
+        cost = 0
+        if hit:
+            p = self.machine.params
+            cost = p.shootdown_first + p.shootdown_per_cpu * (len(hit) - 1)
+        self.shootdowns += 1
+        self.total_interrupted += len(hit)
+        self.total_deferred += len(missed)
+        if self.metrics.enabled:
+            self._m_shootdowns.labels(directive.value).inc()
+            self._m_deferred.inc(len(missed))
+        return ShootdownResult(cost, hit, missed, posted)
 
     # -- address-space activation ----------------------------------------------
 
@@ -233,9 +235,13 @@ class ShootdownMechanism:
         Returns ``(n_applied, cost)``; the caller charges the cost.
         """
         pending = cmap.pending_for(proc)
+        mmu = self.machine.mmus[proc]
         for message in pending:
-            self._apply(cmap, message.vpage, message.directive,
-                        message.rights, proc)
+            if message.directive is Directive.INVALIDATE:
+                mmu.invalidate_page(cmap.aspace_id, message.vpage)
+            else:
+                mmu.restrict_page(
+                    cmap.aspace_id, message.vpage, message.rights)
             cmap.acknowledge(message, proc)
         cost = self.machine.params.ipi_target_cost if pending else 0
         if pending:
@@ -256,42 +262,16 @@ class ShootdownMechanism:
     ) -> ShootdownResult:
         """Restrict/invalidate a set of virtual pages in one address space
         (used by the virtual memory layer for unmap and protect)."""
-        result = ShootdownResult(initiator_cost=0)
-        interrupted: set[int] = set()
-        deferred: set[int] = set()
+        interrupted = deferred = posted = 0
         for vpage in vpages:
-            if vpage not in cmap.entries:
-                continue
-            self._shoot_one(
-                cmap,
-                vpage,
-                directive,
-                rights,
-                initiator,
-                now,
-                None,
-                result,
-                interrupted,
-                deferred,
-            )
-        result.interrupted = sorted(interrupted)
-        result.deferred = sorted(deferred)
-        result.initiator_cost = self._initiator_cost(len(interrupted))
-        self.shootdowns += 1
-        self.total_interrupted += len(interrupted)
-        self.total_deferred += len(deferred)
-        if self.metrics.enabled:
-            self._m_shootdowns.labels(directive.value).inc()
-            self._m_deferred.inc(len(deferred))
+            entry = cmap.entries.get(vpage)
+            if entry is not None:
+                hit, missed, message = self._shoot_one(
+                    cmap, entry, directive, rights, initiator, now, None)
+                interrupted |= hit
+                deferred |= missed
+                posted += message
+        result = self._account(directive, interrupted, deferred, posted)
         for hook in self.post_action_hooks:
             hook()
         return result
-
-
-def _bits(mask: int) -> Iterable[int]:
-    i = 0
-    while mask:
-        if mask & 1:
-            yield i
-        mask >>= 1
-        i += 1

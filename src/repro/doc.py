@@ -141,6 +141,12 @@ def _check(value: Any, shape, where: str, out: list[str]) -> None:
 
 
 def _join(where: str, key: str) -> str:
+    # the key is the checked document's: one that is not a plain token
+    # is spelled as JSON, so no problem string carries a control
+    # character (or a forged second line) out of a hostile file
+    if not key.isascii() or not key.replace("_", "a").replace(
+            "-", "a").isalnum():
+        key = compact(key)
     return f"{where}.{key}" if where else key
 
 

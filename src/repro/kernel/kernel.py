@@ -97,11 +97,13 @@ class Kernel:
         which resolves the binding; then the coherent page fault handler
         runs (paper section 3.3).
         """
-        cmap = self.coherent.cmap_for(aspace_id, create=True)
-        assert cmap is not None
-        if cmap.lookup(vpage) is None:
+        coherent = self.coherent
+        cmap = coherent.cmaps.get(aspace_id)
+        if cmap is None or vpage not in cmap.entries:
+            # resolve first: a wild reference must leave no Cmap behind
             self.vm.resolve_fault(aspace_id, vpage)
-        return self.coherent.fault(proc, aspace_id, vpage, write, now)
+            cmap = coherent.cmaps[aspace_id]
+        return coherent.fault_handler.handle(proc, cmap, vpage, write, now)
 
     # -- kernel memory regions (paper section 2.2) --------------------------------
 

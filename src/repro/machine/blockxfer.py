@@ -56,8 +56,14 @@ class BlockTransferEngine:
         # the one product of a time with a non-integer factor
         occupancy = int(round(
             duration * self.params.block_transfer_bus_fraction))
-        src_bus.occupy(start, occupancy)
-        dst_bus.occupy(start, occupancy)
+        if occupancy < 0:
+            raise ValueError(f"negative duration {occupancy}")
+        # FifoResource.occupy(start, occupancy) on a bus that is free at
+        # ``start``: nothing waits
+        for bus in (src_bus, dst_bus):
+            bus.busy_until = start + occupancy
+            bus.busy_time += occupancy
+            bus.requests += 1
         return start + duration
 
     def transfer_page(self, src: Frame, dst: Frame, now: int) -> int:

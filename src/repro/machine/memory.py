@@ -52,7 +52,8 @@ class LazyList:
         return len(self._items)
 
     def __getitem__(self, index):
-        index = operator.index(index)  # a slice is a TypeError
+        if type(index) is not int:
+            index = operator.index(index)  # a slice is a TypeError
         value = self._items[index]
         if value is None:
             value = self._factory(index % len(self._items))
@@ -61,7 +62,7 @@ class LazyList:
         return value
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Frame:
     """One physical page frame.
 

@@ -26,7 +26,7 @@ from .params import MachineParams
 from .pmap import Pmap, PmapEntry, Rights
 
 
-@dataclass
+@dataclass(slots=True)
 class TranslationResult:
     """Outcome of an MMU translation attempt."""
 
@@ -128,30 +128,42 @@ class MMU:
         miss; the trap overhead itself is part of the fault-handler fixed
         cost.
         """
-        entry = self.atc.lookup(aspace_id, vpage)
+        # ATC.lookup, flush_page and insert, in place; rights are the
+        # ints 0 < 1 < 3, so "allows" is one comparison
+        need = 3 if write else 1
+        atc = self.atc
+        cached = atc._entries
+        key = (aspace_id, vpage)
+        entry = cached.get(key)
         if entry is not None:
-            if entry.rights.allows(write):
+            cached.move_to_end(key)
+            atc.hits += 1
+            if entry.rights >= need:
                 entry.referenced = True
                 if write:
                     entry.modified = True
-                return TranslationResult(entry, 0, atc_hit=True)
+                return TranslationResult(entry, 0, True)
             # rights-restricted ATC entry: protection fault.  Flush the
             # cached descriptor so the post-fault retry reloads the
             # (upgraded) Pmap entry instead of re-faulting forever.
-            self.atc.flush_page(aspace_id, vpage)
+            del cached[key]
+            atc.flushes += 1
             self.faults += 1
-            return TranslationResult(None, 0, atc_hit=True)
+            return TranslationResult(None, 0, True)
+        atc.misses += 1
         pmap = self._pmaps.get(aspace_id)
-        pmap_entry = pmap.lookup(vpage) if pmap is not None else None
+        entry = pmap._entries.get(vpage) if pmap is not None else None
         cost = self.params.atc_miss_cost
-        if pmap_entry is None or not pmap_entry.rights.allows(write):
+        if entry is None or entry.rights < need:
             self.faults += 1
-            return TranslationResult(None, cost, atc_hit=False)
-        pmap_entry.referenced = True
+            return TranslationResult(None, cost, False)
+        entry.referenced = True
         if write:
-            pmap_entry.modified = True
-        self.atc.insert(aspace_id, vpage, pmap_entry)
-        return TranslationResult(pmap_entry, cost, atc_hit=False)
+            entry.modified = True
+        cached[key] = entry
+        while len(cached) > atc.capacity:
+            cached.popitem(last=False)
+        return TranslationResult(entry, cost, False)
 
     # -- shootdown support --------------------------------------------------
 

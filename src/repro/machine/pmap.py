@@ -40,7 +40,7 @@ class Rights(enum.IntFlag):
         return self == 3 or (self == 1 and not write)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class PmapEntry:
     """One cached virtual-to-physical translation on one processor."""
 
@@ -101,13 +101,14 @@ class Pmap:
         entry = self._entries.get(vpage)
         if entry is None:
             return False
-        new_rights = entry.rights & rights
-        if new_rights == Rights.NONE:
+        # entry.rights & rights: the values nest (0 in 1 in 3)
+        if rights == 0:
             del self._entries[vpage]
             return True
-        changed = new_rights != entry.rights
-        entry.rights = new_rights
-        return changed
+        if rights >= entry.rights:
+            return False
+        entry.rights = rights
+        return True
 
     def remove(self, vpage: int) -> Optional[PmapEntry]:
         """Invalidate the translation for ``vpage`` if present."""
@@ -122,7 +123,7 @@ class Pmap:
         return n
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class IptEntry:
     """Inverted-page-table entry: what one physical frame is backing."""
 
@@ -172,7 +173,8 @@ class InvertedPageTable:
         idx = self._by_cpage.get(cpage_index)
         if idx is None:
             return None
-        entry = self._entries[idx]
+        # indexed means allocated, so the entry exists: no LazyList call
+        entry = self._entries._items[idx]
         if entry.cpage_index != cpage_index:
             raise RuntimeError("inverted page table index out of sync")
         return entry.frame
@@ -193,10 +195,9 @@ class InvertedPageTable:
     def release(self, frame: Frame) -> int:
         """Free a frame; returns the coherent page it was backing."""
         entry = self._entries[frame.frame_index]
-        if entry.free:
-            raise RuntimeError(f"releasing free frame {frame!r}")
         cpage_index = entry.cpage_index
-        assert cpage_index is not None
+        if cpage_index is None:
+            raise RuntimeError(f"releasing free frame {frame!r}")
         entry.cpage_index = None
         del self._by_cpage[cpage_index]
         self.module.release(frame)

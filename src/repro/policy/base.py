@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..core.cpage import Cpage
 
@@ -40,9 +40,9 @@ class Action(enum.Enum):
     REMOTE_MAP = "remote_map"
 
 
-@dataclass(frozen=True)
-class FaultContext:
-    """Inputs to a policy decision."""
+class FaultContext(NamedTuple):
+    """Inputs to a policy decision (immutable; one is built per
+    policy-consulted fault, so it is a tuple, not a frozen dataclass)."""
 
     cpage: Cpage
     processor: int

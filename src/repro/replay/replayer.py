@@ -373,7 +373,7 @@ class FastReplayThreadProcess(ReplayThreadProcess):
         thread = self.thread
         proc = thread.processor
         machine = self.kernel.machine
-        pmap = machine.mmus[proc].pmap_for(thread.aspace_id)
+        pmap = machine.mmus[proc]._pmaps.get(thread.aspace_id)
         lookup = {}.get if pmap is None else pmap._entries.get
         vpage = self._vpage
         n_mem = 0

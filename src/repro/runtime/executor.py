@@ -120,15 +120,16 @@ class ThreadProcess(Process):
         """Translate and cost one ``n``-word within-page run starting at
         time ``t``: the one definition of what a reference costs.
 
-        Returns (completion_time, translation entry).  An ATC hit with
-        sufficient rights is costed inline -- ``MMU.translate`` +
-        ``Machine.access`` + ``FifoResource.occupy`` with the same
-        arithmetic and the same counter updates (the differential test
-        in tests/test_cost_run.py holds the two together).  Counter
-        equivalence holds because the inline path touches the ATC only
-        on a sufficient-rights hit; any other case falls through to
-        ``translate``'s single authoritative lookup, faulting into the
-        kernel until a translation is obtained.
+        Returns (completion_time, translation entry).  The translation:
+        an ATC hit with sufficient rights is taken inline (the ATC is
+        touched here only on such a hit, with ``MMU.translate``'s counter
+        updates); anything else goes through ``translate``'s single
+        authoritative lookup, faulting into the kernel until there is a
+        translation.  The costing: one block for every reference,
+        ``Machine.access`` + ``FifoResource.occupy`` spelled inline.
+        ``MMU.translate`` and ``Machine.access`` stay the reference
+        spelling; the differential test in tests/test_cost_run.py holds
+        this one to the same arithmetic and the same counters.
         """
         kernel = self.kernel
         machine = kernel.machine
@@ -150,47 +151,6 @@ class ThreadProcess(Process):
             entry.referenced = True
             if write:
                 entry.modified = True
-            t_module, t_switch, t_local, t_rread, t_rwrite = self._consts
-            dst = entry.frame.module_index
-            module = machine.modules[dst]
-            remote = proc != dst
-            tt = t
-            if remote:
-                route = machine.topology.route(proc, dst)
-                for port in route:
-                    _, tt = port.occupy(tt, n * t_switch)
-                t_word = t_rwrite if write else t_rread
-                service_per_word = t_module + len(route) * t_switch
-            else:
-                t_word = t_local
-                service_per_word = t_module
-            # FifoResource.occupy(tt, n * t_module) inlined
-            bus = module.bus
-            duration = n * t_module
-            busy = bus.busy_until
-            start = tt if tt > busy else busy
-            bus.wait_time += start - tt
-            tt = start + duration
-            bus.busy_until = tt
-            bus.busy_time += duration
-            bus.requests += 1
-            extra = t_word - service_per_word
-            if extra < 0:
-                extra = 0
-            completion = tt + n * extra
-            queue_delay = tt - (t + n * service_per_word)
-            if queue_delay < 0:
-                queue_delay = 0
-            if remote:
-                machine.remote_words[proc] += n
-                if write:
-                    machine.remote_write_words[proc] += n
-            else:
-                machine.local_words[proc] += n
-            machine.queue_delay_ns[proc] += queue_delay
-            module.words_served += n
-            module.accesses_served += 1
-            outcome = None
         else:
             for _attempt in range(3):
                 result = mmu.translate(aspace_id, vpage, write)
@@ -205,9 +165,48 @@ class ThreadProcess(Process):
                     f"{vpage} (aspace {aspace_id}, write={write}) after "
                     "repeated faults"
                 )
-            outcome = machine.access(proc, entry.frame, n, write, t)
-            completion = outcome.completion
-            remote = outcome.remote
+        if n <= 0:
+            raise ValueError(f"access of {n} words")
+        t_module, t_switch, t_local, t_rread, t_rwrite = self._consts
+        dst = entry.frame.module_index
+        module = machine.modules[dst]
+        remote = proc != dst
+        tt = t
+        if remote:
+            route = machine.topology.route(proc, dst)
+            for port in route:
+                _, tt = port.occupy(tt, n * t_switch)
+            t_word = t_rwrite if write else t_rread
+            service_per_word = t_module + len(route) * t_switch
+        else:
+            t_word = t_local
+            service_per_word = t_module
+        # FifoResource.occupy(tt, n * t_module) inlined
+        bus = module.bus
+        duration = n * t_module
+        busy = bus.busy_until
+        start = tt if tt > busy else busy
+        bus.wait_time += start - tt
+        tt = start + duration
+        bus.busy_until = tt
+        bus.busy_time += duration
+        bus.requests += 1
+        extra = t_word - service_per_word
+        if extra < 0:
+            extra = 0
+        completion = tt + n * extra
+        queue_delay = tt - (t + n * service_per_word)
+        if queue_delay < 0:
+            queue_delay = 0
+        if remote:
+            machine.remote_words[proc] += n
+            if write:
+                machine.remote_write_words[proc] += n
+        else:
+            machine.local_words[proc] += n
+        machine.queue_delay_ns[proc] += queue_delay
+        module.words_served += n
+        module.accesses_served += 1
         cpage_index = entry.cpage_index
         if cpage_index is not None:
             coherent = kernel.coherent
@@ -215,14 +214,8 @@ class ThreadProcess(Process):
                 coherent.note_remote_access(cpage_index, proc, n)
             probe = coherent.access_probe
             if probe is not None:
-                if outcome is None:
-                    outcome = AccessOutcome(
-                        completion=completion,
-                        queue_delay=queue_delay,
-                        remote=remote,
-                        words=n,
-                    )
-                probe.note(cpage_index, proc, write, outcome)
+                probe.note(cpage_index, proc, write, AccessOutcome(
+                    completion, queue_delay, remote, n))
         return completion, entry
 
     def _split_runs(self, va: int, n: int) -> list[tuple[int, int, int]]:

@@ -130,3 +130,21 @@ def test_table_explicit_home_and_backing():
     assert page.home_module == 2
     assert page.label == "x"
     assert np.array_equal(page.backing, backing)
+
+
+def test_stats_as_dict_lists_every_counter_in_declared_order():
+    """Reports, the invariant checker and the golden fault table read
+    the counters through ``as_dict()``; its keys are a contract."""
+    import dataclasses
+
+    from repro.core.cpage import CpageStats
+
+    stats = CpageStats(faults=3, handler_wait_ns=7)
+    assert list(stats.as_dict()) == [
+        "faults", "read_faults", "write_faults", "replications",
+        "migrations", "invalidations", "restrictions", "remote_mappings",
+        "local_mappings", "upgrades", "freezes", "thaws",
+        "handler_wait_ns", "handler_busy_ns", "remote_access_words",
+    ] == [f.name for f in dataclasses.fields(CpageStats)]
+    assert stats.as_dict()["faults"] == 3
+    assert stats.as_dict() is not stats.as_dict()  # a copy each time

@@ -237,6 +237,21 @@ def test_fault_on_unmapped_vpage_raises(harness):
         harness.kernel.fault(0, harness.aspace_id, 99, False, 0)
 
 
+def test_failed_fault_leaves_no_cmap_behind(harness):
+    """A wild reference used to create an empty Cmap for an address
+    space that does not exist, which every Cmap walk then visited."""
+    from repro.kernel.vm import AddressError
+
+    coherent = harness.kernel.coherent
+    before = list(coherent.cmaps)
+    with pytest.raises(AddressError):
+        harness.kernel.fault(0, 999, 0, False, 0)
+    with pytest.raises(AddressError):
+        harness.kernel.fault(0, harness.aspace_id, 99, False, 0)
+    assert list(coherent.cmaps) == before
+    harness.kernel.check_invariants()
+
+
 # -- reference masks and invariants ------------------------------------------------------
 
 

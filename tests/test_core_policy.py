@@ -164,3 +164,13 @@ def test_policy_names_informative():
     assert "10" in TimestampFreezePolicy(t1=10e6).name
     assert "thaw" in TimestampFreezePolicy(thaw_on_fault=True).name
     assert AceStylePolicy(3).name == "ace(max_migrations=3)"
+
+
+def test_fault_context_is_immutable():
+    """One is built per policy-consulted fault (a tuple now, not a
+    frozen dataclass); a policy must still be unable to edit it."""
+    context = ctx(Cpage(0, home_module=0), proc=2, now=5, write=True)
+    assert (context.processor, context.now, context.write) == (2, 5, True)
+    for name in ("cpage", "processor", "now", "write", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(context, name, None)

@@ -1,11 +1,13 @@
 """Differential test: ``ThreadProcess._cost_run`` vs the reference path.
 
-``_cost_run`` inlines ``MMU.translate`` + ``Machine.access`` +
-``FifoResource.occupy`` for an ATC hit with sufficient rights.  Live
-runs and replays both go through it, so live == replay no longer says
+``_cost_run`` takes an ATC hit with sufficient rights inline and costs
+*every* reference -- hit, refill or post-fault retry -- in one inline
+spelling of ``Machine.access`` + ``FifoResource.occupy``.  Live runs
+and replays both go through it, so live == replay no longer says
 anything about that arithmetic; this test does.  Twin kernels receive
 the same random string of references and bus/port reservations, one
-through ``_cost_run`` and one through the reference methods, and must
+through ``_cost_run`` and one through the reference methods
+(``MMU.translate``, ``Kernel.fault``, ``Machine.access``), and must
 stay in the same state after every step.
 """
 
@@ -186,6 +188,7 @@ def run_string(policy, steps) -> Counter:
             (process.thread.aspace_id, vpage)
         )
         waited = sum(kernel_a.machine.queue_delay_ns)
+        faults = kernel_a.coherent.fault_handler.fault_count
         done_a, entry_a = process._cost_run(vpage, n, write, t)
         done_b, entry_b = reference_cost_run(
             threads_b[proc], vpage, n, write, t
@@ -193,6 +196,9 @@ def run_string(policy, steps) -> Counter:
         assert done_a == done_b
         assert describe(entry_a) == describe(entry_b)
         assert snapshot(kernel_a, probe_a) == snapshot(kernel_b, probe_b)
+        if kernel_a.coherent.fault_handler.fault_count > faults:
+            # the retry after the fault goes through the costing block
+            met["fault, remote" if entry_a.remote else "fault, local"] += 1
         if cached is None:
             met["atc miss"] += 1
         elif cached.rights.allows(write):
@@ -236,7 +242,8 @@ def test_seeded_string_meets_every_kind_of_reference(policy):
                 rng.randrange(0, 100_000),
             ))
     met = run_string(policy, steps)
-    wanted = {"atc miss", "atc hit", "hit, remote", "hit, queued"}
+    wanted = {"atc miss", "atc hit", "hit, remote", "hit, queued",
+              "fault, remote", "fault, local"}
     if policy == "freeze":
         wanted |= {"hit, local", "rights-restricted entry"}
     assert wanted <= set(met), met

@@ -1,0 +1,107 @@
+"""A deterministic budget on the fault path: Python calls per fault.
+
+``Kernel.fault`` -> ``CoherentFaultHandler.handle`` -> shootdown ->
+block transfer is the floor under four of the five benchmark workloads,
+and its host cost is, to a first approximation, the number of Python
+function calls it makes.  That number is exact and repeatable, so it
+can be gated where a timing cannot: this test replays the benchmark's
+sharing bundle (quick size, seed 1989) under the three replay policies
+and counts, with ``sys.setprofile``, the ``call`` events inside
+``Kernel.fault``, by the action the fault ended in.  Only Python-level
+``call`` events are counted (not ``c_call``), so interpreter versions
+agree up to comprehension inlining, which only lowers the count.
+
+Before PR 23 a fault made 45.5 calls on this bundle (collapse 78.5,
+migrate 75.0, replicate 50.2, fill 43.0, remote_map 26.2, upgrade 23.0,
+map_local 22.0; mean 48.0 at the benchmark's full size).  The budgets
+are what that PR ended with plus 10 %: a change that pushes an action
+over its budget has put a layer, a lookup or a throw-away object back
+on the path -- take it out again, or raise the budget in the same
+change and say why.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+
+from repro.kernel.kernel import Kernel
+from repro.replay import record_spec, replay_trace
+from repro.workloads.generate import bench_spec_for
+from repro.workloads.spec import PhaseSpec, WorkloadSpec
+
+#: mean Python calls inside one ``Kernel.fault``, by action
+BUDGET = {
+    "migrate": 36.4,     # 33.1 at PR 23
+    "fill": 29.7,        # 27.0, eight of them the VM layer's resolve
+    "collapse": 28.6,    # 26.0
+    "replicate": 24.7,   # 22.5
+    "remote_map": 11.8,  # 10.7
+    "upgrade": 7.7,      # 7.0
+    "map_local": 6.6,    # 6.0
+}
+#: ... and over every fault of the three replays (20.1 at PR 23)
+BUDGET_MEAN = 22.2
+
+POLICIES = (None, "always", "never")
+
+
+def sharing_bundle():
+    """``perf/workloads.py``'s sharing spec at its quick size: eight
+    threads draw any of 16 pages, half the ops write, and the defrost
+    period is short enough that pages freeze and thaw inside the run."""
+    phase = PhaseSpec(ops=12, mix={"read": 0.5, "write": 0.5},
+                      access="uniform", compute_ns=200.0)
+    spec = WorkloadSpec(
+        name="perf-sharing", seed=1989, threads=8, machine=8,
+        words_per_op=16, phases=(phase, phase), sharing="uniform",
+        pages=16,
+    ).validate()
+    point = bench_spec_for(spec)
+    point["defrost_period"] = 5e6
+    return record_spec(point)[0]
+
+
+def count_calls(bundle) -> tuple[Counter, Counter]:
+    """``(calls, faults)`` by action over the three replays."""
+    fault_code = Kernel.fault.__code__
+    calls, faults = Counter(), Counter()
+    inside = [0, 0]  # depth in Kernel.fault, calls made in this fault
+
+    def profile(frame, event, arg):
+        if event == "call":
+            if frame.f_code is fault_code:
+                inside[0] += 1
+                inside[1] = 0
+            elif inside[0]:
+                inside[1] += 1
+        elif event == "return" and frame.f_code is fault_code:
+            inside[0] -= 1
+            action = arg.action if arg is not None else "raised"
+            calls[action] += inside[1]
+            faults[action] += 1
+
+    for policy in POLICIES:
+        sys.setprofile(profile)
+        try:
+            replay_trace(bundle, mode="exact", policy=policy)
+        finally:
+            sys.setprofile(None)
+    return calls, faults
+
+
+def test_calls_per_fault_stay_within_budget():
+    calls, faults = count_calls(sharing_bundle())
+    # the replay reaches every action the budget names, and only those
+    assert set(faults) == set(BUDGET), faults
+    means = {a: calls[a] / faults[a] for a in faults}
+    over = {a: (round(means[a], 1), BUDGET[a])
+            for a in means if means[a] > BUDGET[a]}
+    assert not over, f"calls per fault over budget (got, budget): {over}"
+    mean = sum(calls.values()) / sum(faults.values())
+    assert mean <= BUDGET_MEAN, mean
+    # a budget nobody can miss gates nothing: each stays within 25 % of
+    # what is measured, so it is lowered when the path gets leaner
+    slack = {a: (round(means[a], 1), BUDGET[a])
+             for a in means if BUDGET[a] > 1.25 * means[a]}
+    assert not slack, f"budget far above the count (got, budget): {slack}"

@@ -145,3 +145,24 @@ def test_ipt_entries_appear_with_the_frames_they_describe(ipt, module):
 def test_fresh_kernel_has_no_ipt_entries():
     machine = make_kernel(16).machine
     assert [t._entries.materialized for t in machine.ipts] == [0] * 16
+
+
+def test_pmap_entry_copies_like_a_dataclass(module):
+    """``PmapEntry`` has ``__slots__`` (one is allocated per fault); the
+    dataclass conveniences the tools rely on must survive that."""
+    import copy
+    import dataclasses
+
+    from repro.machine.pmap import PmapEntry
+
+    entry = PmapEntry(4, module.allocate(), Rights.READ, remote=True,
+                      cpage_index=9)
+    twin = copy.copy(entry)
+    assert twin is not entry and twin.frame is entry.frame
+    assert dataclasses.astuple(twin)[0] == 4 and twin.cpage_index == 9
+    upgraded = dataclasses.replace(entry, rights=Rights.WRITE, modified=True)
+    assert (upgraded.rights, upgraded.modified, upgraded.remote) == (
+        Rights.WRITE, True, True)
+    assert entry.rights == Rights.READ and not entry.modified
+    with pytest.raises(AttributeError):
+        entry.scratch = 1  # no __dict__ to grow
