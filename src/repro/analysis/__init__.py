@@ -11,7 +11,7 @@ from .costmodel import (
     g_round_robin,
     run_counters,
 )
-from .report import ascii_plot, compare_to_paper, format_table
+from .report import ascii_plot, format_table
 from .speedup import SpeedupCurve, SpeedupPoint, measure_speedup
 from .visualize import (
     event_rate,
@@ -31,7 +31,6 @@ __all__ = [
     "TABLE1_RHOS",
     "aggregate_counters",
     "ascii_plot",
-    "compare_to_paper",
     "crossover_validation",
     "run_counters",
     "event_rate",

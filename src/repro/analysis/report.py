@@ -1,13 +1,9 @@
-"""Text-report helpers shared by the benchmark harness.
-
-Aligned tables and a small ASCII plotter so every ``benchmarks/bench_*``
-target can print its figure/table in a form directly comparable with the
-paper (see EXPERIMENTS.md).
-"""
+"""Text-report helpers: aligned tables and a small ASCII plotter for
+the CLI verbs that print a figure or table of the paper."""
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 def format_table(
@@ -88,33 +84,3 @@ def ascii_plot(
     if y_label:
         lines.append(f"  (y: {y_label})")
     return "\n".join(lines)
-
-
-def compare_to_paper(
-    name: str,
-    measured: float,
-    paper_low: float,
-    paper_high: Optional[float] = None,
-    unit: str = "",
-    tolerance: float = 0.005,
-) -> str:
-    """One line of paper-vs-measured comparison with an in-range flag.
-
-    ``tolerance`` widens the published interval fractionally, since paper
-    values are printed to two or three significant digits.
-    """
-    if paper_high is None:
-        paper_high = paper_low
-    low = paper_low * (1 - tolerance)
-    high = paper_high * (1 + tolerance)
-    in_range = low <= measured <= high
-    rng = (
-        f"{paper_low:g}"
-        if paper_low == paper_high
-        else f"{paper_low:g}-{paper_high:g}"
-    )
-    flag = "ok" if in_range else "OUT-OF-RANGE"
-    return (
-        f"  {name:<44} paper {rng:>12}{unit}  "
-        f"measured {measured:>10.3f}{unit}  [{flag}]"
-    )

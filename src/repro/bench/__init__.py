@@ -4,7 +4,8 @@
 one per paper figure/table plus the repo's ablations -- into a flat list
 of independent, deterministic simulation points, shards them across
 worker processes, and writes one machine-readable ``BENCH_<target>.json``
-per target (plus a text report) to ``benchmarks/results/``.
+per target (plus a paper-vs-measured report) to the git-ignored
+``benchmarks/results/``.
 
 Submodules
 ----------
@@ -22,10 +23,10 @@ Submodules
 """
 
 from .runner import (
-    DEFAULT_RESULTS_DIR,
+    false_checks,
+    render_checks,
     render_text,
     run_bench,
-    run_target,
     select_targets,
     summarize,
     write_results,
@@ -53,34 +54,4 @@ from .sweep import (
     run_sweep,
     task_seed,
 )
-from .targets import TARGETS, execute_point, target_names
-
-__all__ = [
-    "DEFAULT_RESULTS_DIR",
-    "SCHEMA",
-    "SweepRunner",
-    "TARGETS",
-    "SNAPSHOT_SCHEMA",
-    "Task",
-    "TaskResult",
-    "bench_path",
-    "execute_point",
-    "load_bench",
-    "load_snapshot",
-    "make_doc",
-    "snapshot_doc",
-    "write_snapshot",
-    "make_tasks",
-    "render_text",
-    "run_bench",
-    "run_sweep",
-    "run_target",
-    "select_targets",
-    "strip_wall_clock",
-    "summarize",
-    "target_names",
-    "task_seed",
-    "validate_bench",
-    "write_bench",
-    "write_results",
-]
+from .targets import TARGETS, execute_point

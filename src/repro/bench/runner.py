@@ -10,13 +10,12 @@ directory as JSON plus a small text report.
 
 Per-task seeds are derived from the fully qualified ``target::point``
 name, so a point's seed is identical whether it runs through
-:func:`run_bench`, :func:`run_target`, serially or in parallel.
+:func:`run_bench` serially or in parallel.
 """
 
 from __future__ import annotations
 
 import fnmatch
-import time
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -26,14 +25,12 @@ from ..obs import span as obs_span
 from ..obs import tick as obs_tick
 from .schema import make_doc, validate_bench, write_bench
 from .sweep import SweepRunner, Task, TaskResult, task_seed
-from . import targets as _targets  # noqa: F401  (warm import: fork
-# children inherit the loaded simulator instead of re-importing it)
+# importing the targets also loads the simulator, which fork children
+# then inherit instead of re-importing
 from .targets import TARGETS, BenchTarget
 
 #: default per-point wall-clock timeout by scale (seconds)
 DEFAULT_TIMEOUT_S = {"smoke": 120.0, "quick": 600.0, "full": 3600.0}
-
-DEFAULT_RESULTS_DIR = Path("benchmarks") / "results"
 
 
 def validate_scale(scale: str) -> str:
@@ -303,28 +300,40 @@ def run_bench(
     return docs, runner
 
 
-def run_target(
-    name: str,
-    scale: str = "quick",
-    jobs: int = 1,
-    base_seed: int = 0,
-    timeout_s: Optional[float] = None,
-    progress: Optional[Callable[[TaskResult], None]] = None,
-) -> dict:
-    """Run one target and return its BENCH document."""
-    docs, _runner = run_bench(
-        scale=scale,
-        jobs=jobs,
-        filter_pattern=name,
-        base_seed=base_seed,
-        timeout_s=timeout_s,
-        progress=progress,
-    )
-    return docs[name]
+def evaluate_checks(doc: dict) -> list[tuple]:
+    """``(check, holds, measured, claimed)`` for each reproduction check
+    of a document's target, read off the document alone.  A check the
+    run did not measure (a failed point, a scale that omits its data)
+    does not hold."""
+    target = TARGETS.get(doc["target"])
+    ok = {p["name"]: p["metrics"] for p in doc["points"] if p["ok"]}
+    rows = []
+    for check in target.checks if target else ():
+        try:
+            holds, measured = check.test(doc["derived"], ok)
+        except LookupError as exc:
+            holds, measured = False, f"not measured ({exc})"
+        rows.append((check, holds, measured, doc["scale"] in check.scales))
+    return rows
+
+
+def render_checks(doc: dict) -> str:
+    """Paper figure, measured figure and verdict, check by check."""
+    lines = []
+    for check, holds, measured, claimed in evaluate_checks(doc):
+        verdict = "ok" if holds else "FALSE" if claimed else "false"
+        lines += [
+            f"  [{verdict}] {check.name}  "
+            f"(claimed at {', '.join(check.scales)})",
+            f"    paper:    {check.paper}",
+            f"    measured: {measured}",
+            "",
+        ]
+    return "\n".join(lines)
 
 
 def render_text(doc: dict) -> str:
-    """A small human-readable report for one BENCH document."""
+    """The paper-vs-measured report for one BENCH document."""
     lines = [
         f"{doc['target']} -- {doc['title']}",
         f"scale={doc['scale']}  points={len(doc['points'])}  "
@@ -345,12 +354,18 @@ def render_text(doc: dict) -> str:
         lines.append(
             f"  {point['name']:<28} {detail}  ({point['wall_s']:.2f}s)"
         )
-    if doc["derived"]:
-        lines.append("")
-        lines.append("derived:")
-        for key, value in doc["derived"].items():
-            lines.append(f"  {key}: {value}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n\n" + render_checks(doc)
+
+
+def false_checks(docs: dict[str, dict]) -> list[str]:
+    """One line per check that is claimed at its run's scale and false."""
+    return [
+        f"{name}: check {check.name} is false at scale {doc['scale']} "
+        f"(paper: {check.paper}; measured: {measured})"
+        for name, doc in docs.items()
+        for check, holds, measured, claimed in evaluate_checks(doc)
+        if claimed and not holds
+    ]
 
 
 def write_results(

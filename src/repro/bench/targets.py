@@ -1,11 +1,16 @@
-"""The benchmark target registry: every figure, table and ablation as a
-sweep of picklable point specs.
+"""The benchmark target registry: every figure, table and ablation of
+the paper written once, as a sweep of picklable point specs.
 
-Each target mirrors one ``benchmarks/bench_*.py`` file.  A target knows
-how to expand itself into a list of ``(name, spec)`` points at a given
-*scale* (``smoke`` for tests, ``quick`` for CI, ``full`` for the paper's
-problem sizes) and how to reduce the finished points' metrics into the
-``derived`` section of its ``BENCH_<target>.json`` document.
+A :class:`BenchTarget` is the single definition of one experiment: how
+it expands into ``(name, spec)`` points at a given *scale* (``smoke``
+for tests, ``quick`` for CI, ``full`` for the paper's problem sizes),
+how the finished points' metrics reduce to the ``derived`` section of
+its ``BENCH_<target>.json`` document, and its reproduction *checks* --
+the paper's figure, the measured one and a verdict, each claimed at the
+scales where the shape is expected to show.  ``repro bench`` reports
+every check and fails on a false one claimed at the run's scale; the
+CLI's ``micro`` and ``compare`` verbs read the same definitions, so a
+published number is a literal in this module and nowhere else.
 
 Point specs are plain dicts with a ``"kind"`` key so they can cross a
 ``multiprocessing`` boundary; :func:`execute_point` is the single
@@ -21,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..analysis.costmodel import (
+    COUNTER_FIELDS,
     MigrationCostModel,
     TABLE1_GS,
     TABLE1_PUBLISHED,
@@ -31,6 +37,7 @@ from ..analysis.speedup import SpeedupCurve
 from ..baselines import run_on_sequent
 from ..point import point_kernel, point_program, sec42_spec
 from ..runtime import run_program
+from .schema import SCALES
 
 
 # -- point execution ----------------------------------------------------------
@@ -145,26 +152,24 @@ def _exec_table1(spec: dict, seed: int) -> dict:
     the published table."""
     model = MigrationCostModel.paper_constants()
     table = model.table1()
-    cells = 0
-    mismatches = 0
-    rendered: dict[str, list] = {}
-    for rho in TABLE1_RHOS:
-        rendered[str(rho)] = list(table[rho])
-        for got, want in zip(table[rho], TABLE1_PUBLISHED[rho]):
-            cells += 1
-            # 3% tolerance, as in bench_tab1_costmodel: the published
-            # rho=0.48, g=1 cell is ~2.5% off the paper's own formula
-            if want is None or got is None:
-                mismatches += got is not want and got != want
-            elif abs(got - want) > max(1, 0.03 * want):
-                mismatches += 1
+    pairs = [
+        pair for rho in TABLE1_RHOS
+        for pair in zip(table[rho], TABLE1_PUBLISHED[rho])
+    ]
+    # 3% tolerance: the published rho=0.48, g=1 cell is ~2.5% off the
+    # paper's own formula; a "never" cell must match exactly
+    mismatches = sum(
+        got is not want if got is None or want is None
+        else abs(got - want) > max(1, 0.03 * want)
+        for got, want in pairs
+    )
     return {
-        "cells": cells,
+        "cells": len(pairs),
         "mismatches": mismatches,
         "gs": list(TABLE1_GS),
         "density_coefficient": model.density_coefficient,
         "numerator_coefficient": model.numerator_coefficient,
-        "table": rendered,
+        "table": {str(rho): list(table[rho]) for rho in TABLE1_RHOS},
     }
 
 
@@ -184,30 +189,29 @@ def _exec_transitions(spec: dict, seed: int) -> dict:
 
 
 def _exec_micro(spec: dict, seed: int) -> dict:
-    """The section 4 microbenchmark battery, in milliseconds."""
-    from ..workloads import (
-        measure_page_copy,
-        measure_read_miss_clean,
-        measure_read_miss_modified,
-        measure_remote_map_write,
-        measure_shootdown_increment,
-        measure_upgrade_write,
-        measure_write_miss_present_plus,
-    )
+    """The section 4 microbenchmark battery, in milliseconds; the full
+    scale adds the remote-metadata rows and all 15 shootdown targets."""
+    from .. import workloads as w
 
     ms = 1e6
-    costs = measure_shootdown_increment(8)
-    return {
-        "page_copy_ms": measure_page_copy() / ms,
-        "read_miss_clean_ms": measure_read_miss_clean(True) / ms,
-        "read_miss_modified_ms": measure_read_miss_modified(True) / ms,
+    costs = w.measure_shootdown_increment(spec.get("targets", 8))
+    metrics = {
+        "page_copy_ms": w.measure_page_copy() / ms,
+        "read_miss_clean_ms": w.measure_read_miss_clean(True) / ms,
+        "read_miss_modified_ms": w.measure_read_miss_modified(True) / ms,
         "write_miss_present_plus_ms":
-            measure_write_miss_present_plus() / ms,
-        "upgrade_write_ms": measure_upgrade_write() / ms,
-        "remote_map_write_ms": measure_remote_map_write() / ms,
+            w.measure_write_miss_present_plus() / ms,
+        "upgrade_write_ms": w.measure_upgrade_write() / ms,
+        "remote_map_write_ms": w.measure_remote_map_write() / ms,
         "shootdown_increment_us":
             max(b - a for a, b in zip(costs, costs[1:])) / 1e3,
     }
+    if spec.get("remote_metadata"):
+        metrics["read_miss_clean_remote_ms"] = \
+            w.measure_read_miss_clean(False) / ms
+        metrics["read_miss_modified_remote_ms"] = \
+            w.measure_read_miss_modified(False) / ms
+    return metrics
 
 
 def _exec_sleep(spec: dict, seed: int) -> dict:
@@ -255,8 +259,23 @@ def execute_point(spec: dict, seed: int) -> dict:
 
 
 @dataclass(frozen=True)
+class Check:
+    """One reproduction claim: the paper's figure beside the measured
+    one, true or false, claimed only at ``scales``."""
+
+    name: str
+    #: the paper's figure or statement, as the report prints it
+    paper: str
+    #: the scales at which a false verdict fails ``repro bench``
+    scales: tuple[str, ...]
+    #: (derived, {point name: metrics}) -> (holds, the measured figure);
+    #: a ``LookupError`` means the run did not measure it
+    test: Callable[[dict, dict], tuple[bool, str]]
+
+
+@dataclass(frozen=True)
 class BenchTarget:
-    """One benchmark target: a named sweep plus its reduction."""
+    """One experiment: a named sweep, its reduction and its checks."""
 
     name: str
     title: str
@@ -264,18 +283,64 @@ class BenchTarget:
     points: Callable[[str], tuple[dict, list[tuple[str, dict]]]]
     #: {point name: metrics} for successful points -> derived dict
     derive: Callable[[dict], dict]
+    checks: tuple[Check, ...] = ()
 
 
 TARGETS: dict[str, BenchTarget] = {}
 
 
-def _register(target: BenchTarget) -> BenchTarget:
-    TARGETS[target.name] = target
-    return target
+def _target(name: str, title: str, derive, *checks: Check):
+    """Register the decorated ``points(scale)`` function as a target."""
+    def register(points):
+        TARGETS[name] = BenchTarget(name, title, points, derive, checks)
+        return points
+    return register
 
 
 def _scaled(scale: str, smoke, quick, full):
     return {"smoke": smoke, "quick": quick, "full": full}[scale]
+
+
+#: the 16-node Butterfly Plus of sections 4-5 (4 nodes at smoke) and the
+#: processor counts of Figures 1 and 5
+_MACHINE = {"smoke": 4, "quick": 16, "full": 16}
+_COUNTS = {"smoke": (1, 2), "quick": (1, 2, 4, 8, 16),
+           "full": (1, 2, 4, 8, 12, 16)}
+FULL, BEYOND_SMOKE = ("full",), ("quick", "full")
+
+
+def _point(workload: str, machine: int, kind: str = "run", **keys) -> dict:
+    return {"kind": kind, "workload": workload, "machine": machine, **keys}
+
+
+def _sized(n: int, threads: int) -> dict:
+    """Constructor args of a size-``n`` application, unverified: tier-1
+    checks the numerical results, a sweep only times them."""
+    return {"n": n, "n_threads": threads, "verify_result": False}
+
+
+def _sharing(ops: int) -> dict[str, dict]:
+    """workload -> args of the ablations' two small sharing programs:
+    fine-grain write sharing and a read-shared table."""
+    return {"roundrobin": {"n_threads": 4, "operations": ops},
+            "readonly": {"n_threads": 4}}
+
+
+def _ms(ok: dict, prefix: str = "", having: str = "") -> dict:
+    """``sim_time_ms`` of the points named ``<prefix>...<having>...``,
+    keyed by what follows the prefix."""
+    return {name[len(prefix):]: m["sim_time_ms"] for name, m in ok.items()
+            if name.startswith(prefix) and having in name}
+
+
+def _ms_by(ok: dict, split: Callable[[str], list]) -> dict[str, dict]:
+    """``sim_time_ms`` keyed twice: by the two parts ``split(name)``
+    makes of each point name."""
+    out: dict[str, dict] = {}
+    for name, m in ok.items():
+        outer, inner = split(name)
+        out.setdefault(outer, {})[inner] = m["sim_time_ms"]
+    return out
 
 
 def _speedup_from_points(label: str, ok: dict, prefix: str = "p=") -> dict:
@@ -293,81 +358,49 @@ def _speedup_from_points(label: str, ok: dict, prefix: str = "p=") -> dict:
     return out
 
 
+def _speedups(curve: dict) -> dict[int, float]:
+    return {pt["processors"]: pt["speedup"] for pt in curve["points"]}
+
+
+def _spelled(values, digits: int = 2) -> str:
+    return " ".join(f"{v:.{digits}f}" for v in values)
+
+
+def _flag(key: str, paper: str) -> Check:
+    """A check whose verdict ``derive`` already computed as a boolean."""
+    return Check(key, paper, SCALES,
+                 lambda d, ok: (d[key] is True, f"{key}: {d[key]}"))
+
+
 # fig1: Gaussian elimination speedup ------------------------------------------
 
 
+def _check_rising(d: dict, ok: dict):
+    s = list(_speedups(d["curve"]).values())
+    return all(b >= 0.95 * a for a, b in zip(s, s[1:])), _spelled(s)
+
+
+@_target(
+    "fig1_gauss", "Figure 1: Gaussian elimination speedup on PLATINUM",
+    lambda ok: {"curve": _speedup_from_points("gauss", ok)},
+    Check("monotone", "speedup rises with every added processor",
+          FULL, _check_rising),
+    Check("speedup_at_16", "13.5 at p=16 on 800x800 (held when > 10)",
+          FULL, lambda d, ok: ((at16 := _speedups(d["curve"])[16]) > 10.0,
+                               f"{at16:.2f} at p=16")),
+)
 def _points_fig1(scale: str):
-    n = _scaled(scale, 16, 96, 400)
-    machine = _scaled(scale, 4, 16, 16)
-    counts = _scaled(scale, (1, 2), (1, 2, 4, 8, 16), (1, 2, 4, 8, 12, 16))
+    n = _scaled(scale, 16, 96, 800)
+    machine, counts = _MACHINE[scale], _COUNTS[scale]
     config = {"workload": "gauss", "n": n, "machine": machine,
               "counts": list(counts)}
-    points = [
-        (
-            f"p={p}",
-            {
-                "kind": "run",
-                "workload": "gauss",
-                "machine": machine,
-                "args": {"n": n, "n_threads": p, "verify_result": False},
-            },
-        )
+    return config, [
+        (f"p={p}", _point("gauss", machine, args=_sized(n, p)))
         for p in counts
     ]
-    return config, points
-
-
-def _derive_fig1(ok: dict) -> dict:
-    return {"curve": _speedup_from_points("gauss", ok)}
-
-
-_register(BenchTarget(
-    name="fig1_gauss",
-    title="Figure 1: Gaussian elimination speedup on PLATINUM",
-    points=_points_fig1,
-    derive=_derive_fig1,
-))
 
 
 # fig4: protocol conformance ---------------------------------------------------
-
-
-def _points_fig4(scale: str):
-    machine = _scaled(scale, 4, 8, 8)
-    gauss_n = _scaled(scale, 12, 24, 48)
-    ops = _scaled(scale, 8, 24, 48)
-    config = {"machine": machine}
-    points = [
-        (
-            "roundrobin",
-            {
-                "kind": "transitions",
-                "workload": "roundrobin",
-                "machine": machine,
-                "args": {"n_threads": 4, "operations": ops},
-            },
-        ),
-        (
-            "gauss",
-            {
-                "kind": "transitions",
-                "workload": "gauss",
-                "machine": machine,
-                "args": {"n": gauss_n, "n_threads": 4},
-            },
-        ),
-        (
-            "phasechange",
-            {
-                "kind": "transitions",
-                "workload": "phasechange",
-                "machine": machine,
-                "defrost_period": 30e6,
-                "args": {"n_threads": 4},
-            },
-        ),
-    ]
-    return config, points
 
 
 def _derive_fig4(ok: dict) -> dict:
@@ -378,149 +411,174 @@ def _derive_fig4(ok: dict) -> dict:
     }
 
 
-_register(BenchTarget(
-    name="fig4_transitions",
-    title="Figure 4: traced runs replayed against the transition table",
-    points=_points_fig4,
-    derive=_derive_fig4,
-))
+@_target(
+    "fig4_transitions",
+    "Figure 4: traced runs replayed against the transition table",
+    _derive_fig4,
+    _flag("all_ok", "every traced action is an edge of Figure 4"),
+)
+def _points_fig4(scale: str):
+    machine = _scaled(scale, 4, 8, 8)
+    gauss_n = _scaled(scale, 12, 24, 48)
+    ops = _scaled(scale, 8, 24, 48)
+
+    def traced(workload, **keys):
+        return workload, _point(workload, machine, "transitions", **keys)
+
+    return {"machine": machine}, [
+        traced("roundrobin", args={"n_threads": 4, "operations": ops}),
+        traced("gauss", args={"n": gauss_n, "n_threads": 4}),
+        traced("phasechange", defrost_period=30e6, args={"n_threads": 4}),
+    ]
 
 
 # fig5: mergesort vs the Sequent baseline -------------------------------------
 
 
-def _points_fig5(scale: str):
-    n = _scaled(scale, 256, 8192, 65536)
-    machine = _scaled(scale, 4, 16, 16)
-    counts = _scaled(scale, (1, 2), (1, 2, 4, 8, 16), (1, 2, 4, 8, 12, 16))
-    config = {"workload": "mergesort", "n": n, "machine": machine,
-              "counts": list(counts)}
-    points = []
-    for p in counts:
-        args = {"n": n, "n_threads": p, "verify_result": False}
-        points.append((
-            f"platinum p={p}",
-            {"kind": "run", "workload": "mergesort", "machine": machine,
-             "args": args},
-        ))
-        points.append((
-            f"sequent p={p}",
-            {"kind": "sequent", "workload": "mergesort",
-             "machine": machine, "args": args},
-        ))
-    return config, points
-
-
 def _derive_fig5(ok: dict) -> dict:
     return {
-        "platinum": _speedup_from_points("mergesort-platinum", ok,
-                                         prefix="platinum p="),
-        "sequent": _speedup_from_points("mergesort-sequent", ok,
-                                        prefix="sequent p="),
+        system: _speedup_from_points(f"mergesort-{system}", ok,
+                                     prefix=f"{system} p=")
+        for system in ("platinum", "sequent")
     }
 
 
-_register(BenchTarget(
-    name="fig5_mergesort",
-    title="Figure 5: mergesort speedup, PLATINUM vs the UMA baseline",
-    points=_points_fig5,
-    derive=_derive_fig5,
-))
+def _check_above_sequent(d: dict, ok: dict):
+    platinum, sequent = _speedups(d["platinum"]), _speedups(d["sequent"])
+    beyond_1 = sorted(platinum)[1:]
+    return (
+        all(platinum[p] > sequent[p] for p in beyond_1),
+        "; ".join(f"p={p}: {platinum[p]:.2f} vs {sequent[p]:.2f}"
+                  for p in beyond_1),
+    )
+
+
+@_target(
+    "fig5_mergesort",
+    "Figure 5: mergesort speedup, PLATINUM vs the UMA baseline",
+    _derive_fig5,
+    Check("platinum_above_sequent",
+          "PLATINUM's curve above the Sequent's at every p > 1 (no "
+          "numbers published)", FULL, _check_above_sequent),
+)
+def _points_fig5(scale: str):
+    n = _scaled(scale, 256, 8192, 262144)
+    machine, counts = _MACHINE[scale], _COUNTS[scale]
+    config = {"workload": "mergesort", "n": n, "machine": machine,
+              "counts": list(counts)}
+    return config, [
+        (f"{system} p={p}",
+         _point("mergesort", machine, kind, args=_sized(n, p)))
+        for p in counts
+        for system, kind in (("platinum", "run"), ("sequent", "sequent"))
+    ]
 
 
 # fig6: neural-network simulator speedup --------------------------------------
 
+_NEURAL_DATA = ("act", "weights")
 
+
+def _check_half_slope(d: dict, ok: dict):
+    slopes = [s / p for p, s in _speedups(d["curve"]).items() if p >= 2]
+    return all(0.3 <= s <= 0.75 for s in slopes), _spelled(slopes)
+
+
+def _check_data_frozen(d: dict, ok: dict):
+    widest = ok[max(ok, key=lambda name: int(name[2:]))]
+    frozen = {p: widest[f"pages[{p}]"]["was_frozen"] for p in _NEURAL_DATA}
+    return any(frozen.values()), f"pages frozen at the largest p: {frozen}"
+
+
+@_target(
+    "fig6_neural", "Figure 6: neural-network simulator speedup",
+    lambda ok: {"curve": _speedup_from_points("neural", ok)},
+    Check("half_slope", "linear; each added processor contributes ~1/2 "
+          "(speedup/p in 0.3-0.75 for p >= 2)",
+          BEYOND_SMOKE, _check_half_slope),
+    Check("data_pages_frozen", "the application's data pages are frozen "
+          "in place", FULL, _check_data_frozen),
+)
 def _points_fig6(scale: str):
     epochs = _scaled(scale, 2, 10, 30)
-    machine = _scaled(scale, 4, 16, 16)
+    machine = _MACHINE[scale]
     counts = _scaled(scale, (1, 2), (1, 2, 4, 8), (1, 2, 4, 6, 8, 10))
     config = {"workload": "neural", "epochs": epochs, "machine": machine,
               "counts": list(counts)}
-    points = [
-        (
-            f"p={p}",
-            {
-                "kind": "run",
-                "workload": "neural",
-                "machine": machine,
-                "args": {"epochs": epochs, "n_threads": p},
-            },
-        )
+    # only the paper-scale run pays a report pass per point to see which
+    # pages froze
+    detail = {"page_detail": list(_NEURAL_DATA)} if scale == "full" else {}
+    return config, [
+        (f"p={p}", _point("neural", machine, **detail,
+                          args={"epochs": epochs, "n_threads": p}))
         for p in counts
     ]
-    return config, points
-
-
-def _derive_fig6(ok: dict) -> dict:
-    return {"curve": _speedup_from_points("neural", ok)}
-
-
-_register(BenchTarget(
-    name="fig6_neural",
-    title="Figure 6: neural-network simulator speedup",
-    points=_points_fig6,
-    derive=_derive_fig6,
-))
 
 
 # sec4: microbenchmarks -------------------------------------------------------
 
-
-def _points_sec4(scale: str):
-    return {}, [("micro", {"kind": "micro"})]
+#: section 4's published timings in ms: metric -> (label, low, high)
+SEC4_PAPER = {
+    "page_copy_ms": ("block transfer, one 4KB page", 1.11, 1.11),
+    "read_miss_clean_ms":
+        ("read miss, replicate non-modified", 1.34, 1.38),
+    "read_miss_modified_ms": ("read miss, replicate modified", 1.38, 1.59),
+    "write_miss_present_plus_ms": ("write miss on present+", 0.25, 0.45),
+}
+#: the paper prints two or three digits: widen its intervals by 0.5 %
+_SEC4_SLACK = 1.005
 
 
 def _derive_sec4(ok: dict) -> dict:
     m = ok.get("micro", {})
-    paper = {
-        "page_copy_ms": (1.11, 1.11),
-        "read_miss_clean_ms": (1.34, 1.38),
-        "read_miss_modified_ms": (1.38, 1.59),
-        "write_miss_present_plus_ms": (0.25, 0.45),
-    }
     in_range = {
         key: bool(m and lo * 0.5 <= m.get(key, -1.0) <= hi * 1.5)
-        for key, (lo, hi) in paper.items()
+        for key, (_label, lo, hi) in SEC4_PAPER.items()
     }
-    return {"paper_range": {k: list(v) for k, v in paper.items()},
+    return {"paper_range": {k: list(v[1:]) for k, v in SEC4_PAPER.items()},
             "in_range": in_range}
 
 
-_register(BenchTarget(
-    name="sec4_micro",
-    title="Section 4: fault-path microbenchmarks vs the paper's numbers",
-    points=_points_sec4,
-    derive=_derive_sec4,
-))
+def _sec4_row(key: str) -> Check:
+    label, lo, hi = SEC4_PAPER[key]
+
+    def test(d: dict, ok: dict):
+        # the full scale also measures the row with remote kernel data
+        twin = key.replace("_ms", "_remote_ms")
+        values = [ok["micro"][k] for k in (key, twin) if k in ok["micro"]]
+        return (all(lo / _SEC4_SLACK <= v <= hi * _SEC4_SLACK
+                    for v in values), _spelled(values, 3) + " ms")
+
+    paper = f"{lo:g}" if lo == hi else f"{lo:g}-{hi:g}"
+    return Check(key[:-3], f"{label}: {paper} ms", SCALES, test)
+
+
+@_target(
+    "sec4_micro",
+    "Section 4: fault-path microbenchmarks vs the paper's numbers",
+    _derive_sec4,
+    *map(_sec4_row, SEC4_PAPER),
+    Check("shootdown_increment", "incremental cost per extra interrupted "
+          "cpu: <= 17 us (Mach: 55 us)", SCALES,
+          lambda d, ok: ((us := ok["micro"]["shootdown_increment_us"])
+                         <= 17.0 * _SEC4_SLACK, f"{us:.1f} us")),
+)
+def _points_sec4(scale: str):
+    full = {"targets": 15, "remote_metadata": True}
+    return {}, [("micro", {"kind": "micro",
+                           **(full if scale == "full" else {})})]
 
 
 # sec4.2: the frozen-lock anecdote --------------------------------------------
 
+#: the page holding the matrix-size word (and, colocated, the lock)
+_SIZE_PAGE = "misc[0]"
 
-def _points_sec42(scale: str):
-    n = _scaled(scale, 24, 96, 200)
-    machine = _scaled(scale, 4, 8, 16)
-    threads = _scaled(scale, 4, 8, 16)
-    config = {"workload": "gauss", "n": n, "machine": machine,
-              "defrost_period_ms": 20.0}
-    points = []
-    for colocate in (True, False):
-        for defrost in (True, False):
-            name = (
-                ("colocated" if colocate else "separate")
-                + "+" + ("defrost" if defrost else "nodefrost")
-            )
-            points.append((
-                name,
-                {
-                    **sec42_spec(n, machine, threads,
-                                 colocate=colocate, defrost=defrost),
-                    "page_detail": ["misc"],
-                    "profile": 5,
-                },
-            ))
-    return config, points
+
+def _sec42_sizes(scale: str) -> tuple[int, int, int]:
+    """(n, machine, threads) of the section 4.2 Gauss runs."""
+    return (_scaled(scale, 24, 96, 200), _scaled(scale, 4, 8, 16),
+            _scaled(scale, 4, 8, 16))
 
 
 def _derive_sec42(ok: dict) -> dict:
@@ -541,73 +599,112 @@ def _derive_sec42(ok: dict) -> dict:
     return {"configs": out}
 
 
-_register(BenchTarget(
-    name="sec42_anecdote",
-    title="Section 4.2: the colocated-lock freeze anecdote",
-    points=_points_sec42,
-    derive=_derive_sec42,
-))
+def _sec42_size_page(layout: str, want_frozen: bool) -> Callable:
+    def test(d: dict, ok: dict):
+        froze = ok[layout + "+nodefrost"][f"pages[{_SIZE_PAGE}]"][
+            "was_frozen"] > 0
+        return froze is want_frozen, f"{_SIZE_PAGE} froze: {froze}"
+    return test
+
+
+def _sec42_fewer_remote(fewer: str, more: str) -> Callable:
+    def test(d: dict, ok: dict):
+        a, b = ok[fewer]["remote_words"], ok[more]["remote_words"]
+        return a < b, f"remote words: {fewer} {a}, {more} {b}"
+    return test
+
+
+@_target(
+    "sec42_anecdote", "Section 4.2: the colocated-lock freeze anecdote",
+    _derive_sec42,
+    Check("colocated_page_freezes", "the spin lock freezes the page it "
+          "shares with the size word", FULL,
+          _sec42_size_page("colocated", True)),
+    Check("separate_page_stays", "with the lock on its own page the size "
+          "page never freezes", FULL, _sec42_size_page("separate", False)),
+    Check("frozen_page_reads_remotely", "the frozen page turns inner-loop "
+          "reads into remote ones", SCALES,
+          _sec42_fewer_remote("separate+nodefrost", "colocated+nodefrost")),
+    Check("defrost_rescues", "thawing salvages the bad layout (under 2 s "
+          "extra at 800x800): fewer remote reads than frozen", SCALES,
+          _sec42_fewer_remote("colocated+defrost", "colocated+nodefrost")),
+)
+def _points_sec42(scale: str):
+    n, machine, threads = _sec42_sizes(scale)
+    config = {"workload": "gauss", "n": n, "machine": machine,
+              "defrost_period_ms": 20.0}
+    # "misc" also covers the separated lock page, which always freezes;
+    # the paper-scale run singles out the size page the checks are about
+    detail = ["misc"] + ([_SIZE_PAGE] if scale == "full" else [])
+    return config, [
+        (("colocated" if colocate else "separate")
+         + "+" + ("defrost" if defrost else "nodefrost"),
+         {**sec42_spec(n, machine, threads,
+                       colocate=colocate, defrost=defrost),
+          "page_detail": detail, "profile": 5})
+        for colocate in (True, False)
+        for defrost in (True, False)
+    ]
 
 
 # sec5.1: three programming systems -------------------------------------------
 
-
-def _points_sec51(scale: str):
-    n = _scaled(scale, 16, 64, 400)
-    machine = _scaled(scale, 4, 16, 16)
-    counts = (1, machine)
-    config = {"workload": "gauss", "n": n, "machine": machine,
-              "counts": list(counts)}
-    points = []
-    for system in ("platinum", "uniform", "smp"):
-        for p in counts:
-            points.append((
-                f"{system} p={p}",
-                {
-                    "kind": "run",
-                    "system": system,
-                    "workload": "gauss",
-                    "machine": machine,
-                    "args": {"n": n, "n_threads": p,
-                             "verify_result": False},
-                },
-            ))
-    return config, points
+#: section 5.1's 16-processor speedups on 800x800: system -> (label, paper)
+SEC51_PAPER = {
+    "platinum": ("PLATINUM", 13.5),
+    "uniform": ("Uniform System", 10.6),
+    "smp": ("SMP", 15.3),
+}
 
 
-def _derive_sec51(ok: dict) -> dict:
-    speedups = {}
-    for system in ("platinum", "uniform", "smp"):
-        times = {
-            int(name.split("p=")[1]): m["sim_time_ns"]
-            for name, m in ok.items()
-            if name.startswith(f"{system} p=")
-        }
-        if len(times) >= 2:
-            pmax = max(times)
-            if times[pmax]:
-                speedups[system] = times[1] / times[pmax]
-    ordering_ok = (
-        {"uniform", "platinum", "smp"} <= set(speedups)
-        and speedups["uniform"] <= speedups["platinum"]
-        <= speedups["smp"]
+def sec51_points(n: int, machine: int) -> list[tuple[str, dict]]:
+    """Gauss on one and on every processor under each system (also what
+    ``repro compare`` runs)."""
+    return [
+        (f"{system} p={p}",
+         _point("gauss", machine, system=system, args=_sized(n, p)))
+        for system in SEC51_PAPER
+        for p in (1, machine)
+    ]
+
+
+def derive_sec51(ok: dict) -> dict:
+    curves = {system: _speedup_from_points(system, ok, f"{system} p=")
+              for system in SEC51_PAPER}
+    speedups = {system: curve["points"][-1]["speedup"]
+                for system, curve in curves.items()
+                if len(curve.get("points", ())) >= 2}
+    return {"speedups": speedups,
+            "ordering_ok": len(speedups) == len(SEC51_PAPER) and
+            speedups["uniform"] <= speedups["platinum"] <= speedups["smp"]}
+
+
+def _check_sec51_order(d: dict, ok: dict):
+    s = d["speedups"]
+    return (
+        s["uniform"] < s["platinum"] < s["smp"],
+        " < ".join(f"{SEC51_PAPER[k][0]} {s[k]:.2f}"
+                   for k in sorted(s, key=s.get)),
     )
-    return {"speedups": speedups, "ordering_ok": ordering_ok}
 
 
-_register(BenchTarget(
-    name="sec51_comparison",
-    title="Section 5.1: Gauss under three programming systems",
-    points=_points_sec51,
-    derive=_derive_sec51,
-))
+@_target(
+    "sec51_comparison", "Section 5.1: Gauss under three programming systems",
+    derive_sec51,
+    Check("ordering",
+          " < ".join(f"{label} {paper}" for label, paper in sorted(
+              SEC51_PAPER.values(), key=lambda row: row[1])),
+          FULL, _check_sec51_order),
+)
+def _points_sec51(scale: str):
+    n = _scaled(scale, 16, 64, 800)
+    machine = _MACHINE[scale]
+    config = {"workload": "gauss", "n": n, "machine": machine,
+              "counts": [1, machine]}
+    return config, sec51_points(n, machine)
 
 
 # tab1: the migration cost model ----------------------------------------------
-
-
-def _points_tab1(scale: str):
-    return {}, [("paper-constants", {"kind": "table1"})]
 
 
 def _derive_tab1(ok: dict) -> dict:
@@ -618,153 +715,97 @@ def _derive_tab1(ok: dict) -> dict:
     }
 
 
-_register(BenchTarget(
-    name="tab1_costmodel",
-    title="Table 1: minimum economical page size from the cost model",
-    points=_points_tab1,
-    derive=_derive_tab1,
-))
+@_target(
+    "tab1_costmodel",
+    "Table 1: minimum economical page size from the cost model",
+    _derive_tab1,
+    _flag("matches_published", "all 27 cells of Table 1, each within 3 %"),
+)
+def _points_tab1(scale: str):
+    return {}, [("paper-constants", {"kind": "table1"})]
 
 
 # ablation: freeze-window policy ----------------------------------------------
 
 
+def _derive_ablation_policy(ok: dict) -> dict:
+    sweep = {name[:-2]: ms for name, ms in _ms(ok, "t1=").items()}
+    base = sweep.get("10")
+    max_dev = max(abs(t / base - 1.0) for t in sweep.values()) \
+        if base else None
+    return {"t1_sweep_ms": sweep, "t1_max_rel_deviation": max_dev,
+            "policy_matrix_ms": _ms(ok, having=":")}
+
+
+def _check_t1_insensitive(d: dict, ok: dict):
+    sweep = d["t1_sweep_ms"]
+    dev = max(abs(t / sweep["10"] - 1) for ms, t in sweep.items()
+              if 10 <= int(ms) <= 100)
+    return dev < 0.10, f"{dev:.1%} over t1 in {sorted(sweep, key=int)} ms"
+
+
+def _check_variants_agree(d: dict, ok: dict):
+    dev = abs(ok["variant=thaw-on-fault"]["sim_time_ms"]
+              / ok["t1=10ms"]["sim_time_ms"] - 1)
+    return dev < 0.10, f"{dev:.1%} apart"
+
+
+def _check_freeze_beats_always(d: dict, ok: dict):
+    m = d["policy_matrix_ms"]
+    freeze, always = m["freeze:neural"], m["always:neural"]
+    return freeze < always, f"freeze {freeze:.1f} ms, always {always:.1f} ms"
+
+
+@_target(
+    "ablation_policy",
+    "Ablation: freeze window t1, thaw variants and policy matrix",
+    _derive_ablation_policy,
+    Check("t1_insensitive", "run time insensitive to t1 from 10 to 100 ms "
+          "(within 10 %)", BEYOND_SMOKE, _check_t1_insensitive),
+    Check("variants_agree", "stay-frozen vs thaw-on-fault: no significant "
+          "difference (within 10 %)", SCALES, _check_variants_agree),
+    Check("freeze_beats_always_replicate", "remote mapping wins on "
+          "fine-grain sharing (neural)", FULL, _check_freeze_beats_always),
+)
 def _points_ablation_policy(scale: str):
     n = _scaled(scale, 16, 64, 96)
-    machine = _scaled(scale, 4, 16, 16)
+    machine = _MACHINE[scale]
     threads = _scaled(scale, 2, 8, 8)
     t1_ms = _scaled(scale, (10,), (5, 10, 30, 100, 300),
                     (5, 10, 30, 100, 300))
-    ops = _scaled(scale, 8, 32, 64)
+    programs = _sharing(_scaled(scale, 8, 32, 64))
+    if scale == "full":
+        # the paper's fine-grain application, for the remote-mapping claim
+        programs["neural"] = {"epochs": 10, "n_threads": 8}
     config = {"workload": "gauss", "n": n, "machine": machine,
               "t1_ms": list(t1_ms)}
-    gauss_args = {"n": n, "n_threads": threads, "verify_result": False}
-    points = [
-        (
-            f"t1={ms}ms",
-            {
-                "kind": "run",
-                "workload": "gauss",
-                "machine": machine,
-                "policy": "freeze",
-                "policy_args": {"t1": ms * 1e6},
-                "args": gauss_args,
-            },
-        )
-        for ms in t1_ms
-    ]
-    points.append((
-        "variant=thaw-on-fault",
-        {
-            "kind": "run",
-            "workload": "gauss",
-            "machine": machine,
-            "policy": "freeze",
-            "policy_args": {"thaw_on_fault": True},
-            "args": gauss_args,
-        },
-    ))
+
+    def gauss(**policy_args):
+        return _point("gauss", machine, policy="freeze",
+                      policy_args=policy_args, args=_sized(n, threads))
+
+    points = [(f"t1={ms}ms", gauss(t1=ms * 1e6)) for ms in t1_ms]
+    points.append(("variant=thaw-on-fault", gauss(thaw_on_fault=True)))
     if scale != "smoke":
-        for policy in ("freeze", "always", "never", "ace"):
-            for workload in ("roundrobin", "readonly"):
-                points.append((
-                    f"{policy}:{workload}",
-                    {
-                        "kind": "run",
-                        "workload": workload,
-                        "machine": machine,
-                        "policy": policy,
-                        "defrost": policy == "freeze",
-                        "args": {"n_threads": 4, "operations": ops}
-                        if workload == "roundrobin"
-                        else {"n_threads": 4},
-                    },
-                ))
+        points += [
+            (f"{policy}:{workload}",
+             _point(workload, machine, policy=policy,
+                    defrost=policy == "freeze", args=args))
+            for policy in ("freeze", "always", "never", "ace")
+            for workload, args in programs.items()
+        ]
     return config, points
 
 
-def _derive_ablation_policy(ok: dict) -> dict:
-    sweep = {
-        name[3:-2]: m["sim_time_ms"]
-        for name, m in ok.items()
-        if name.startswith("t1=")
-    }
-    base = sweep.get("10")
-    max_dev = (
-        max(abs(t / base - 1.0) for t in sweep.values()) if base else None
-    )
-    matrix = {
-        name: m["sim_time_ms"]
-        for name, m in ok.items()
-        if ":" in name
-    }
-    return {"t1_sweep_ms": sweep, "t1_max_rel_deviation": max_dev,
-            "policy_matrix_ms": matrix}
-
-
-_register(BenchTarget(
-    name="ablation_policy",
-    title="Ablation: freeze window t1, thaw variants and policy matrix",
-    points=_points_ablation_policy,
-    derive=_derive_ablation_policy,
-))
-
-
 # ablation: adaptive policy vs the paper's fixed policy -----------------------
-
 
 #: golden-corpus seeds (smoke profile) whose generated programs falsely
 #: share pages and see defrost-period ping-pong under the fixed policy
 _ADAPTIVE_FS_SEEDS = (102, 112, 116)
 
 
-def _points_ablation_adaptive(scale: str):
-    from ..workloads import generate_spec
-
-    n = _scaled(scale, 24, 96, 200)
-    machine = _scaled(scale, 4, 8, 16)
-    threads = _scaled(scale, 4, 8, 16)
-    config = {
-        "workload": "gauss+generated",
-        "n": n,
-        "machine": machine,
-        "gauss_defrost_period_ms": 20.0,
-        "gen_defrost_period_ms": 1.0,
-        "gen_seeds": list(_ADAPTIVE_FS_SEEDS),
-        "policies": ["freeze", "adaptive"],
-    }
-    points = []
-    for policy in ("freeze", "adaptive"):
-        points.append((
-            f"gauss-colocated:{policy}",
-            {**sec42_spec(n, machine, threads), "policy": policy},
-        ))
-    # the generated cases are pinned to the smoke-profile golden-corpus
-    # specs at every scale: the seeds were chosen for their measured
-    # false-sharing ping-pong, which is a property of those exact specs
-    for seed in _ADAPTIVE_FS_SEEDS:
-        spec = generate_spec(seed, "smoke")
-        for policy in ("freeze", "adaptive"):
-            points.append((
-                f"{spec.name}:{policy}",
-                {
-                    "kind": "run",
-                    "workload": "generated",
-                    "machine": spec.machine,
-                    "policy": policy,
-                    "defrost": True,
-                    "defrost_period": 1e6,
-                    "args": {"spec": spec.to_dict()},
-                },
-            ))
-    return config, points
-
-
 def _derive_ablation_adaptive(ok: dict) -> dict:
-    cases: dict[str, dict] = {}
-    for name, m in ok.items():
-        case, _, policy = name.rpartition(":")
-        cases.setdefault(case, {})[policy] = m["sim_time_ms"]
+    cases = _ms_by(ok, lambda name: name.rsplit(":", 1))
     out = {}
     for case, times in sorted(cases.items()):
         fixed = times.get("freeze")
@@ -777,91 +818,142 @@ def _derive_ablation_adaptive(ok: dict) -> dict:
             "win_pct": round(100.0 * (fixed - adaptive) / fixed, 2),
             "adaptive_wins": adaptive < fixed,
         }
-    return {
-        "cases": out,
-        "all_wins": bool(out) and all(
-            c["adaptive_wins"] for c in out.values()
-        ),
+    wins = [case["adaptive_wins"] for case in out.values()]
+    return {"cases": out, "all_wins": bool(wins) and all(wins)}
+
+
+@_target(
+    "ablation_adaptive",
+    "Ablation: adaptive per-page freeze policy vs the fixed policy",
+    _derive_ablation_adaptive,
+    _flag("all_wins", "beyond the paper: the learned thresholds beat the "
+          "fixed policy on every false-sharing case"),
+)
+def _points_ablation_adaptive(scale: str):
+    from ..workloads import generate_spec
+
+    n, machine, threads = _sec42_sizes(scale)
+    policies = ("freeze", "adaptive")
+    config = {
+        "workload": "gauss+generated", "n": n, "machine": machine,
+        "gauss_defrost_period_ms": 20.0, "gen_defrost_period_ms": 1.0,
+        "gen_seeds": list(_ADAPTIVE_FS_SEEDS), "policies": list(policies),
     }
-
-
-_register(BenchTarget(
-    name="ablation_adaptive",
-    title="Ablation: adaptive per-page freeze policy vs the fixed policy",
-    points=_points_ablation_adaptive,
-    derive=_derive_ablation_adaptive,
-))
+    points = [
+        (f"gauss-colocated:{policy}",
+         {**sec42_spec(n, machine, threads), "policy": policy})
+        for policy in policies
+    ]
+    # the generated cases are pinned to the smoke-profile golden-corpus
+    # specs at every scale: the seeds were chosen for their measured
+    # false-sharing ping-pong, which is a property of those exact specs
+    for spec in (generate_spec(s, "smoke") for s in _ADAPTIVE_FS_SEEDS):
+        points += [
+            (f"{spec.name}:{policy}",
+             _point("generated", spec.machine, policy=policy, defrost=True,
+                    defrost_period=1e6, args={"spec": spec.to_dict()}))
+            for policy in policies
+        ]
+    return config, points
 
 
 # ablation: related-work comparators ------------------------------------------
 
 
+def _vs_competitive(workloads: tuple[str, ...], bound: float) -> Callable:
+    def test(d: dict, ok: dict):
+        ms = d["flavour_ms"]
+        ratios = {w: ms[f"platinum:{w}"] / ms[f"competitive:{w}"]
+                  for w in workloads}
+        return (all(r <= bound for r in ratios.values()),
+                ", ".join(f"{w} {r:.2f}x" for w, r in ratios.items()))
+    return test
+
+
+@_target(
+    "ablation_related_work",
+    "Ablation: competitive migration daemon and page-size sweep",
+    lambda ok: {"flavour_ms": _ms(ok, having=":"),
+                "page_size_ms": _ms(ok, "page=")},
+    Check("comparable_without_counters", "the history-free policy is "
+          "comparable to reference-count placement (<= 1.15x its time) on "
+          "migratory and fine-grain sharing", FULL,
+          _vs_competitive(("gauss", "neural"), 1.15)),
+    Check("replication_wins", "single-copy migration cannot replicate: "
+          "PLATINUM < 0.7x its time on read-shared data", SCALES,
+          _vs_competitive(("readonly",), 0.7)),
+)
 def _points_ablation_related(scale: str):
     machine = _scaled(scale, 4, 8, 16)
-    ops = _scaled(scale, 8, 32, 64)
     page_sizes = _scaled(scale, (1024,), (256, 1024, 4096),
                          (256, 512, 1024, 2048, 4096))
-    config = {"machine": machine,
-              "competitive_period_ms": 20.0,
+    config = {"machine": machine, "competitive_period_ms": 20.0,
               "page_bytes": list(page_sizes)}
-    points = []
-    for flavour, extra in (
-        ("platinum", {}),
-        ("competitive", {"competitive": True,
-                         "competitive_period": 20e6}),
-    ):
-        for workload in ("roundrobin", "readonly"):
-            points.append((
-                f"{flavour}:{workload}",
-                {
-                    "kind": "run",
-                    "workload": workload,
-                    "machine": machine,
-                    "args": {"n_threads": 4, "operations": ops}
-                    if workload == "roundrobin"
-                    else {"n_threads": 4},
-                    **extra,
-                },
-            ))
-    for page_bytes in page_sizes:
-        points.append((
-            f"page={page_bytes}",
-            {
-                "kind": "run",
-                "workload": "readonly",
-                "machine": machine,
-                "params": {"page_bytes": page_bytes},
-                "args": {"n_threads": 4},
-            },
-        ))
+    programs = {workload: {"args": args} for workload, args
+                in _sharing(_scaled(scale, 8, 32, 64)).items()}
+    if scale == "full":
+        # section 8's migratory and fine-grain cases: Gauss on 512-byte
+        # pages (a 96-word row fills its page, rho ~ 0.75) and neural
+        programs["gauss"] = {"params": {"page_bytes": 512},
+                             "args": _sized(96, 8)}
+        programs["neural"] = {"args": {"epochs": 10, "n_threads": 8}}
+    daemon = {"competitive": True, "competitive_period": 20e6}
+    points = [
+        (f"{flavour}:{workload}", _point(workload, machine, **keys, **extra))
+        for flavour, extra in (("platinum", {}), ("competitive", daemon))
+        for workload, keys in programs.items()
+    ]
+    points += [
+        (f"page={page_bytes}",
+         _point("readonly", machine, params={"page_bytes": page_bytes},
+                args={"n_threads": 4}))
+        for page_bytes in page_sizes
+    ]
     return config, points
-
-
-def _derive_ablation_related(ok: dict) -> dict:
-    flavours = {
-        name: m["sim_time_ms"]
-        for name, m in ok.items()
-        if ":" in name
-    }
-    pages = {
-        name[5:]: m["sim_time_ms"]
-        for name, m in ok.items()
-        if name.startswith("page=")
-    }
-    return {"flavour_ms": flavours, "page_size_ms": pages}
-
-
-_register(BenchTarget(
-    name="ablation_related_work",
-    title="Ablation: competitive migration daemon and page-size sweep",
-    points=_points_ablation_related,
-    derive=_derive_ablation_related,
-))
 
 
 # ablation: RPC vs shared-data options ----------------------------------------
 
 
+def _derive_ablation_rpc(ok: dict) -> dict:
+    by_rho = _ms_by(ok, lambda name: name.split(":rho=")[::-1])
+    best = {rho: min(options, key=options.get)
+            for rho, options in by_rho.items()}
+    return {"time_ms_by_rho": by_rho, "best_option_by_rho": best}
+
+
+def _check_low_density(d: dict, ok: dict):
+    best = d["best_option_by_rho"]
+    winner = best[min(best, key=float)]
+    return winner != "replicate", f"{winner} wins at the lowest density"
+
+
+def _check_density_gain(d: dict, ok: dict):
+    by_rho = d["time_ms_by_rho"]
+    low, high = (by_rho[rho]["replicate"] / by_rho[rho]["remote"]
+                 for rho in (min(by_rho, key=float), max(by_rho, key=float)))
+    return high < low, f"move/remote time {low:.2f} -> {high:.2f}"
+
+
+def _check_tracks_better(d: dict, ok: dict):
+    worst = max(t["platinum"] / min(t["remote"], t["replicate"])
+                for t in d["time_ms_by_rho"].values())
+    return worst <= 1.35, f"at worst {worst:.2f}x the better option"
+
+
+@_target(
+    "ablation_rpc",
+    "Ablation: remote access vs replication vs PLATINUM by density",
+    _derive_ablation_rpc,
+    Check("low_density_stays_remote", "at low density moving the data "
+          "never pays (Table 1's 'never' region)", BEYOND_SMOKE,
+          _check_low_density),
+    Check("moving_gains_with_density", "moving the data gains on remote "
+          "access as density rises", BEYOND_SMOKE, _check_density_gain),
+    Check("platinum_tracks_better_option", "the freeze policy stays within "
+          "1.35x of the better of the two options it chooses between",
+          BEYOND_SMOKE, _check_tracks_better),
+)
 def _points_ablation_rpc(scale: str):
     rhos = _scaled(scale, (0.25,), (0.05, 0.25, 1.0, 2.0),
                    (0.05, 0.25, 0.5, 1.0, 2.0))
@@ -870,101 +962,27 @@ def _points_ablation_rpc(scale: str):
     n_threads = 4
     machine = n_threads + 1
     config = {"workload": "roundrobin", "rhos": list(rhos),
-              "operations": ops, "s_words": s_words,
-              "machine": machine}
-    options = (
+              "operations": ops, "s_words": s_words, "machine": machine}
+    options = [
         ("remote", {"policy": "never", "defrost": False}),
         ("replicate", {"policy": "always", "defrost": False}),
         ("platinum", {}),
-    )
-    points = []
-    for rho in rhos:
-        for option, extra in options:
-            points.append((
-                f"{option}:rho={rho}",
-                {
-                    "kind": "run",
-                    "workload": "roundrobin",
-                    "machine": machine,
-                    "args": {
-                        "n_threads": n_threads,
-                        "operations": ops,
-                        "s_words": s_words,
-                        "rho": rho,
-                        "memory_sync": False,
-                    },
-                    **extra,
-                },
-            ))
-    return config, points
-
-
-def _derive_ablation_rpc(ok: dict) -> dict:
-    by_rho: dict[str, dict] = {}
-    for name, m in ok.items():
-        option, _, rho = name.partition(":rho=")
-        by_rho.setdefault(rho, {})[option] = m["sim_time_ms"]
-    best = {
-        rho: min(options, key=options.get)
-        for rho, options in by_rho.items()
-        if options
-    }
-    return {"time_ms_by_rho": by_rho, "best_option_by_rho": best}
-
-
-_register(BenchTarget(
-    name="ablation_rpc",
-    title="Ablation: remote access vs replication vs PLATINUM by density",
-    points=_points_ablation_rpc,
-    derive=_derive_ablation_rpc,
-))
+    ]
+    if scale == "full":
+        # section 4.1's third option: ship the operation to X's home
+        options.append(("rpc", {"workload": "roundrobin_rpc"}))
+    return config, [
+        (f"{option}:rho={rho}",
+         {**_point("roundrobin", machine, args={
+             "n_threads": n_threads, "operations": ops,
+             "s_words": s_words, "rho": rho, "memory_sync": False,
+         }), **extra})
+        for rho in rhos
+        for option, extra in options
+    ]
 
 
 # ablation: trace-driven replay ------------------------------------------------
-
-
-def _points_ablation_replay(scale: str):
-    n = _scaled(scale, 16, 64, 96)
-    machine = _scaled(scale, 4, 16, 16)
-    threads = _scaled(scale, 2, 8, 8)
-    record = {
-        "kind": "run",
-        "workload": "gauss",
-        "machine": machine,
-        "args": {"n": n, "n_threads": threads, "verify_result": False},
-    }
-    config = {"workload": "gauss", "n": n, "machine": machine,
-              "n_threads": threads}
-    points = [
-        ("live", dict(record)),
-        # same configuration as the recording: the replayer itself
-        # asserts the A/B invariants (sim time, event count, every
-        # protocol counter) and fails the point on any divergence
-        ("replay:recorded",
-         {"kind": "replay", "record": record, "check_expected": True}),
-    ]
-    for policy in ("always", "never", "ace"):
-        points.append((
-            f"replay:{policy}",
-            {"kind": "replay", "record": record, "policy": policy},
-        ))
-    points.append((
-        "replay:freeze-t1=100ms",
-        {"kind": "replay", "record": record, "policy": "freeze",
-         "policy_args": {"t1": 100e6}},
-    ))
-    points.append((
-        "replay:slow-remote",
-        {"kind": "replay", "record": record,
-         "params": {"t_remote_read": 10000.0, "t_remote_write": 5000.0}},
-    ))
-    points.append((
-        # approximate array-at-a-time costing of the recorded config;
-        # derive() checks it conserves the reference string exactly
-        "replay:fast",
-        {"kind": "replay", "record": record, "mode": "fast"},
-    ))
-    return config, points
 
 
 def _derive_ablation_replay(ok: dict) -> dict:
@@ -972,19 +990,10 @@ def _derive_ablation_replay(ok: dict) -> dict:
     recorded = ok.get("replay:recorded")
     matches = None
     if live and recorded:
-        keys = (
-            "sim_time_ns", "faults", "read_faults", "write_faults",
-            "replications", "migrations", "invalidations",
-            "remote_mappings", "freezes", "local_words", "remote_words",
-            "queue_delay_ms", "transfers", "shootdowns", "ipis",
-        )
+        keys = ("sim_time_ns", "queue_delay_ms", *COUNTER_FIELDS)
         matches = all(live.get(k) == recorded.get(k) for k in keys)
-    variants = {
-        name.split("replay:", 1)[1]: m["sim_time_ms"]
-        for name, m in ok.items()
-        if name.startswith("replay:")
-    }
-    derived = {"replay_matches_live": matches, "variant_ms": variants}
+    derived = {"replay_matches_live": matches,
+               "variant_ms": _ms(ok, "replay:")}
     fast = ok.get("replay:fast")
     if live and fast:
         live_words = live["local_words"] + live["remote_words"]
@@ -997,69 +1006,81 @@ def _derive_ablation_replay(ok: dict) -> dict:
     return derived
 
 
-_register(BenchTarget(
-    name="ablation_replay",
-    title="Ablation: policy/machine variants re-simulated from one trace",
-    points=_points_ablation_replay,
-    derive=_derive_ablation_replay,
-))
+@_target(
+    "ablation_replay",
+    "Ablation: policy/machine variants re-simulated from one trace",
+    _derive_ablation_replay,
+    _flag("replay_matches_live", "beyond the paper: replaying the "
+          "recording reproduces the live run counter for counter"),
+    _flag("fast_words_conserved", "beyond the paper: fast replay conserves "
+          "the reference string"),
+)
+def _points_ablation_replay(scale: str):
+    n = _scaled(scale, 16, 64, 96)
+    machine = _MACHINE[scale]
+    threads = _scaled(scale, 2, 8, 8)
+    record = _point("gauss", machine, args=_sized(n, threads))
+    config = {"workload": "gauss", "n": n, "machine": machine,
+              "n_threads": threads}
+
+    def replay(**variant):
+        return {"kind": "replay", "record": record, **variant}
+
+    return config, [
+        ("live", dict(record)),
+        # same configuration as the recording: the replayer itself
+        # asserts the A/B invariants (sim time, event count, every
+        # protocol counter) and fails the point on any divergence
+        ("replay:recorded", replay(check_expected=True)),
+        *((f"replay:{policy}", replay(policy=policy))
+          for policy in ("always", "never", "ace")),
+        ("replay:freeze-t1=100ms",
+         replay(policy="freeze", policy_args={"t1": 100e6})),
+        ("replay:slow-remote",
+         replay(params={"t_remote_read": 10000.0,
+                        "t_remote_write": 5000.0})),
+        # approximate array-at-a-time costing of the recorded config;
+        # derive() checks it conserves the reference string exactly
+        ("replay:fast", replay(mode="fast")),
+    ]
 
 
 # generated: constrained-random spec x policy x machine matrix ----------------
 
 
-def _points_generated(scale: str):
-    from ..workloads import bench_spec_for, generate_spec
-
-    base_seed = 100
-    n_specs = _scaled(scale, 2, 4, 8)
-    policies = _scaled(
-        scale, (None,), (None, "always", "never"),
-        (None, "always", "never", "ace"),
-    )
-    machines = _scaled(scale, (None,), (None, 16), (None, 12, 16))
-    profile = "smoke" if scale == "smoke" else "quick"
-    specs = [generate_spec(base_seed + i, profile)
-             for i in range(n_specs)]
-    config = {
-        "profile": profile,
-        "base_seed": base_seed,
-        "specs": [s.name for s in specs],
-        "policies": [p or "default" for p in policies],
-        "machines": [m or "spec" for m in machines],
-    }
-    points = []
-    for spec in specs:
-        for policy in policies:
-            for machine in machines:
-                name = (f"{spec.name}:{policy or 'default'}"
-                        f":m={machine or spec.machine}")
-                points.append((
-                    name,
-                    bench_spec_for(spec, policy=policy, machine=machine),
-                ))
-    return config, points
-
-
 def _derive_generated(ok: dict) -> dict:
-    matrix: dict[str, dict] = {}
-    for name, m in ok.items():
-        spec_name, _, rest = name.partition(":")
-        matrix.setdefault(spec_name, {})[rest] = m["sim_time_ms"]
     return {
-        "matrix_ms": matrix,
+        "matrix_ms": _ms_by(ok, lambda name: name.split(":", 1)),
         "total_faults": sum(m.get("faults", 0) for m in ok.values()),
         "total_freezes": sum(m.get("freezes", 0) for m in ok.values()),
     }
 
 
-_register(BenchTarget(
-    name="generated_matrix",
-    title="Generated: constrained-random specs x policy x machine",
-    points=_points_generated,
-    derive=_derive_generated,
-))
+@_target(
+    "generated_matrix",
+    "Generated: constrained-random specs x policy x machine",
+    _derive_generated,
+)
+def _points_generated(scale: str):
+    from ..workloads import bench_spec_for, generate_spec
 
-
-def target_names() -> list[str]:
-    return list(TARGETS)
+    base_seed = 100
+    n_specs = _scaled(scale, 2, 4, 8)
+    policies = _scaled(scale, (None,), (None, "always", "never"),
+                       (None, "always", "never", "ace"))
+    machines = _scaled(scale, (None,), (None, 16), (None, 12, 16))
+    profile = "smoke" if scale == "smoke" else "quick"
+    specs = [generate_spec(base_seed + i, profile) for i in range(n_specs)]
+    config = {
+        "profile": profile, "base_seed": base_seed,
+        "specs": [s.name for s in specs],
+        "policies": [p or "default" for p in policies],
+        "machines": [m or "spec" for m in machines],
+    }
+    return config, [
+        (f"{spec.name}:{policy or 'default'}:m={machine or spec.machine}",
+         bench_spec_for(spec, policy=policy, machine=machine))
+        for spec in specs
+        for policy in policies
+        for machine in machines
+    ]

@@ -126,32 +126,11 @@ def _cmd_transitions(args: argparse.Namespace) -> int:
 
 
 def _cmd_micro(args: argparse.Namespace) -> int:
-    from .analysis import compare_to_paper
-    from .workloads import (
-        measure_page_copy,
-        measure_read_miss_clean,
-        measure_read_miss_modified,
-        measure_shootdown_increment,
-        measure_write_miss_present_plus,
-    )
+    from .bench import render_checks, run_bench
 
-    ms = 1e6
-    print("section 4 microbenchmarks (paper range vs measured)")
-    print(compare_to_paper("block transfer, one 4KB page",
-                           measure_page_copy() / ms, 1.11, unit=" ms"))
-    print(compare_to_paper("read miss, replicate non-modified",
-                           measure_read_miss_clean(True) / ms,
-                           1.34, 1.38, unit=" ms"))
-    print(compare_to_paper("read miss, replicate modified",
-                           measure_read_miss_modified(True) / ms,
-                           1.38, 1.59, unit=" ms"))
-    print(compare_to_paper("write miss on present+",
-                           measure_write_miss_present_plus() / ms,
-                           0.25, 0.45, unit=" ms"))
-    costs = measure_shootdown_increment(8)
-    inc = max(b - a for a, b in zip(costs, costs[1:])) / 1e3
-    print(compare_to_paper("incremental cost per extra cpu", inc,
-                           0.0, 17.0, unit=" us"))
+    docs, _runner = run_bench("quick", filter_pattern="sec4_micro")
+    print(docs["sec4_micro"]["title"])
+    print(render_checks(docs["sec4_micro"]), end="")
     return 0
 
 
@@ -552,28 +531,22 @@ def _cmd_speedup(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    rows = []
-    for name, system in (("PLATINUM", "platinum"),
-                         ("Uniform System", "uniform"), ("SMP", "smp")):
-        times = {}
-        for p in (1, args.machine):
-            kernel, program = _build_point({
-                "system": system, "workload": "gauss",
-                "machine": args.machine,
-                "args": {"n": args.n, "n_threads": p,
-                         "verify_result": False},
-            })
-            times[p] = run_program(kernel, program).sim_time_ns
-        rows.append([
-            name,
-            f"{times[1] / times[args.machine]:.2f}",
-            f"{times[1] / 1e9:.2f}",
-            f"{times[args.machine] / 1e9:.3f}",
-        ])
+    from .bench.targets import SEC51_PAPER, derive_sec51, sec51_points
+
+    if args.machine < 2:
+        raise _BadPoint("--machine must be at least 2: a speedup "
+                        "compares two processor counts")
+    ok = {name: {"sim_time_ns":
+                 run_program(*_build_point(spec)).sim_time_ns}
+          for name, spec in sec51_points(args.n, args.machine)}
+    speedups = derive_sec51(ok)["speedups"]
     print(format_table(
-        ["system", f"speedup@{args.machine}", "T1 (s)",
-         f"T{args.machine} (s)"],
-        rows,
+        ["system", "paper speedup@16 (800x800)",
+         f"speedup@{args.machine}", "T1 (s)", f"T{args.machine} (s)"],
+        [[label, paper, f"{speedups[system]:.2f}",
+          f"{ok[f'{system} p=1']['sim_time_ns'] / 1e9:.2f}",
+          f"{ok[f'{system} p={args.machine}']['sim_time_ns'] / 1e9:.3f}"]
+         for system, (label, paper) in SEC51_PAPER.items()],
         title=f"Gauss {args.n}x{args.n} by programming system "
         "(paper section 5.1)",
     ))
@@ -611,7 +584,7 @@ def _check_points(machine: int):
 def _cmd_bench(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from .bench import run_bench, summarize, write_results
+    from .bench import false_checks, run_bench, summarize, write_results
 
     if args.update:
         # the one-verb snapshot-regeneration path: the committed
@@ -708,6 +681,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for problem in problems:
             print(f"  {problem}")
         return 1
+    false = false_checks(docs)
+    for line in false:
+        print(f"repro bench: {line}")
     if baseline is not None:
         from .obs import compare_targets, render_trend
 
@@ -719,7 +695,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(render_trend(verdict))
         if not verdict["ok"]:
             return 1
-    return 1 if failed else 0
+    return 1 if failed or false else 0
 
 
 def _cmd_obs_trend(args: argparse.Namespace) -> int:

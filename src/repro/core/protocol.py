@@ -3,9 +3,9 @@
 This table is the specification the fault handler (``core.fault``) is
 tested against: for every (state, access kind, local-copy?, policy action)
 combination it names the successor state and the protocol work performed.
-``benchmarks/bench_fig4_transitions.py`` prints it as the reproduction of
-Figure 4, and the property tests cross-check the live handler's behaviour
-against it.
+``repro transitions`` prints it as the reproduction of Figure 4,
+``repro bench --filter fig4_transitions`` replays traced runs against it
+and the tests cross-check the live handler's behaviour row by row.
 """
 
 from __future__ import annotations

@@ -49,6 +49,7 @@ from .workloads import (
     NeuralNetSimulator,
     PhaseChangeSharing,
     ReadOnlySharing,
+    RoundRobinRPC,
     RoundRobinSharing,
 )
 
@@ -59,6 +60,7 @@ WORKLOADS: dict[str, Callable[..., Program]] = {
     "jacobi": JacobiSOR,
     "matmul": MatrixMultiply,
     "roundrobin": RoundRobinSharing,
+    "roundrobin_rpc": RoundRobinRPC,
     "phasechange": PhaseChangeSharing,
     "readonly": ReadOnlySharing,
     # constrained-random programs; args = {"spec": WorkloadSpec.to_dict()}

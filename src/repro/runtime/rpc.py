@@ -12,7 +12,7 @@ server thread there; clients ship operations (opcode + word arguments)
 through the service's request port and block on a private reply port.
 All of the server's memory references are local by construction, and all
 of the cost is in the messages -- which makes the three-way §4.1
-comparison directly measurable (``bench_ablation_rpc``).
+comparison directly measurable (``repro bench --filter ablation_rpc``).
 """
 
 from __future__ import annotations

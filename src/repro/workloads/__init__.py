@@ -39,6 +39,7 @@ from .synthetic import (
     PhaseChangeSharing,
     PrivateWork,
     ReadOnlySharing,
+    RoundRobinRPC,
     RoundRobinSharing,
 )
 
@@ -53,6 +54,7 @@ __all__ = [
     "PhaseSpec",
     "PrivateWork",
     "ReadOnlySharing",
+    "RoundRobinRPC",
     "RoundRobinSharing",
     "SpecError",
     "WorkloadSpec",

@@ -1,22 +1,17 @@
 """Section 4 microbenchmarks: the cost of basic coherent-memory operations.
 
-The paper reports, on the 16-processor Butterfly Plus:
-
-* page-aligned block transfer of a 4 KB page: 1.11 ms;
-* read miss replicating a non-modified page: 1.34--1.38 ms
-  (fixed overhead 0.23 ms with local kernel data, 0.27 ms with remote);
-* read miss replicating a modified page, one processor interrupted:
-  1.38--1.59 ms;
-* write miss on a present+ page, one processor interrupted and one page
-  freed: 0.25--0.45 ms;
-* incremental initiator delay per additional interrupted processor:
-  at most ~17 us (~7 us interrupt + ~10 us page free) -- versus 55 us
-  per processor for Mach's shootdown on an Encore Multimax.
+The paper times, on the 16-processor Butterfly Plus, a page-aligned
+block transfer, a read miss replicating a non-modified page (cheaper
+with local kernel data than with remote), one replicating a modified
+page, a write miss collapsing a present+ page, and the initiator's
+delay per additional interrupted processor (~7 us interrupt + ~10 us
+page free, against 55 us for Mach's shootdown on an Encore Multimax).
+The published figures are ``repro.bench.targets.SEC4_PAPER``.
 
 These functions drive the live fault handler on purpose-built Cpage
-states and report the initiator-observed latency of each operation.  They
-are both the regression tests for the cost model and the generators for
-``benchmarks/bench_sec4_micro.py``.
+states and report the initiator-observed latency of each operation.
+They are the regression tests for the cost model and what
+``repro bench --filter sec4_micro`` (and ``repro micro``) measure.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ from ..machine.memory import WORD_DTYPE
 from ..runtime.data import WordArray
 from ..runtime.ops import Compute, WaitNewer
 from ..runtime.program import Program, ProgramAPI, ThreadEnv
+from ..runtime.rpc import RemoteService
 from ..runtime.sync import Broadcast
 
 
@@ -62,6 +63,11 @@ class RoundRobinSharing(Program):
         )
         self.x = WordArray.alloc(arena, self.s_words, name="X")
         self.p = min(self.n_threads, api.n_processors)
+        self._make_turn(api)
+        for tid in range(self.p):
+            api.spawn(tid % api.n_processors, self._body, name=f"rr{tid}")
+
+    def _make_turn(self, api: ProgramAPI) -> None:
         if self.memory_sync:
             sync_arena = api.arena(1, label="turn")
             self.turn = api.event_count(sync_arena, name="turn")
@@ -69,8 +75,6 @@ class RoundRobinSharing(Program):
             self.turn = None
             self._turn_number = 0
             self._turn_wake = Broadcast(api.engine, "turn")
-        for tid in range(self.p):
-            api.spawn(tid % api.n_processors, self._body, name=f"rr{tid}")
 
     def _await_turn(self, k):
         if self.turn is not None:
@@ -91,25 +95,68 @@ class RoundRobinSharing(Program):
         return
         yield  # pragma: no cover - makes this a generator
 
-    def _body(self, env: ThreadEnv):
+    def _operate(self):
+        """One operation on X: ``r = rho * s`` references, half reads."""
         refs = max(1, int(round(self.rho * self.s_words)))
         reads = max(1, refs // 2)
         writes = max(1, refs - reads)
-        my_ops = [
-            k for k in range(self.operations) if k % self.p == env.tid
-        ]
-        for k in my_ops:
+        data = yield self.x.read(0, min(reads, self.s_words))
+        yield Compute(self.compute_per_ref * refs)
+        yield self.x.write(0, (data[: min(writes, self.s_words)] + 1))
+
+    def _body(self, env: ThreadEnv):
+        for k in range(env.tid, self.operations, self.p):
             yield from self._await_turn(k)
-            data = yield self.x.read(0, min(reads, self.s_words))
-            yield Compute(self.compute_per_ref * refs)
-            yield self.x.write(
-                0, (data[: min(writes, self.s_words)] + 1)
-            )
+            yield from self._operate()
             yield from self._advance_turn()
         return env.tid
 
     def verify(self, results) -> None:
         assert sorted(results) == list(range(self.p))
+
+
+class RoundRobinRPC(RoundRobinSharing):
+    """The same operation stream shipped to X's home node: section 4.1's
+    third option, moving the computation (see :mod:`repro.runtime.rpc`).
+
+    Processor 0 holds X and runs the server; the ``p`` clients take
+    their turns from the other processors, paying two small messages per
+    operation while every reference to X stays local.
+    """
+
+    name = "round-robin-rpc"
+
+    OP_WORK = 1
+
+    def setup(self, api: ProgramAPI) -> None:
+        self.p = min(self.n_threads, api.n_processors - 1)
+        self.svc = RemoteService(
+            api, home_processor=0, state_words=self.s_words,
+            handler=self._handler, n_clients=self.p, label="X",
+        )
+        self.x = WordArray(self.svc.state_va, self.s_words, name="X")
+        self._make_turn(api)
+        for tid in range(self.p):
+            api.spawn(1 + tid % (api.n_processors - 1), self._client,
+                      name=f"rpc{tid}")
+
+    def _handler(self, svc, opcode, args):
+        yield from self._operate()
+        return np.array([1], dtype=WORD_DTYPE)
+
+    def _client(self, env: ThreadEnv):
+        me = env.tid - 1  # thread 0 is the server
+        for k in range(me, self.operations, self.p):
+            yield from self._await_turn(k)
+            yield from self.svc.call(me, self.OP_WORK)
+            yield from self._advance_turn()
+        yield from self.svc.stop(me)
+        return me
+
+    def verify(self, results) -> None:
+        # the server returns its call count first, then the client ids
+        assert results[0] == self.operations
+        assert sorted(results[1:]) == list(range(self.p))
 
 
 class ReadOnlySharing(Program):

@@ -11,7 +11,6 @@ from repro.analysis import (
     TABLE1_PUBLISHED,
     TABLE1_RHOS,
     ascii_plot,
-    compare_to_paper,
     crossover_validation,
     format_table,
     g_round_robin,
@@ -185,13 +184,6 @@ def test_ascii_plot_renders():
     )
     assert "plot" in text
     assert "*" in text and "o" in text
-
-
-def test_compare_to_paper_flags():
-    ok = compare_to_paper("thing", 1.5, 1.0, 2.0, unit=" ms")
-    assert "[ok]" in ok
-    bad = compare_to_paper("thing", 5.0, 1.0, 2.0)
-    assert "OUT-OF-RANGE" in bad
 
 
 def test_speedup_curve_at_unknown_count_raises():

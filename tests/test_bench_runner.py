@@ -319,3 +319,138 @@ def test_pool_health_is_attached_and_counts_tasks():
     summary = runner.health.summary()
     assert summary["tasks"] == len(docs["fig1_gauss"]["points"])
     assert summary["failures"] == 0
+
+
+# -- reproduction checks --------------------------------------------------------
+
+#: a two-point target whose one check is false, claimed at ``full`` only
+_FAKE_TARGET = '''
+import sys
+from repro.bench.targets import TARGETS, BenchTarget, Check
+from repro.cli import main
+
+TARGETS["fake"] = BenchTarget(
+    name="fake", title="two echo points",
+    points=lambda scale: ({}, [
+        (name, {"kind": "echo", "value": value})
+        for name, value in (("a", 1), ("b", 2))]),
+    derive=lambda ok: {},
+    checks=(Check(
+        "a_above_b", "a above b", ("full",),
+        lambda d, ok: (ok["a"]["value"] > ok["b"]["value"],
+                       f"a={ok['a']['value']} b={ok['b']['value']}")),),
+)
+sys.exit(main(["bench", "--scale", sys.argv[1], "--filter", "fake",
+               "--out", sys.argv[2], "-q"]))
+'''
+
+
+@pytest.mark.parametrize("scale,code", [("smoke", 0), ("full", 1)])
+def test_a_false_check_fails_the_run_only_where_it_is_claimed(
+        scale, code, tmp_path):
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAKE_TARGET, scale, str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == code, proc.stdout + proc.stderr
+    named = [line for line in proc.stdout.splitlines()
+             if line.startswith("repro bench:")]
+    report = (tmp_path / "fake.txt").read_text()
+    assert "paper:    a above b" in report
+    assert "measured: a=1 b=2" in report
+    if code:
+        assert len(named) == 1
+        assert "fake: check a_above_b is false at scale full" in named[0]
+        assert "[FALSE] a_above_b" in report
+    else:
+        assert named == []
+        assert "[false] a_above_b  (claimed at full)" in report
+
+
+def test_an_unmeasured_check_does_not_hold(smoke_docs):
+    from repro.bench.runner import evaluate_checks
+
+    rows = {check.name: (holds, measured, claimed) for
+            check, holds, measured, claimed
+            in evaluate_checks(smoke_docs["fig1_gauss"])}
+    # the smoke sweep stops at p=2, and claims nothing about p=16
+    holds, measured, claimed = rows["speedup_at_16"]
+    assert (holds, claimed) == (False, False)
+    assert measured.startswith("not measured")
+
+
+def test_every_check_claimed_at_smoke_holds(smoke_docs):
+    from repro.bench import false_checks
+
+    assert false_checks(smoke_docs) == []
+    # ... while the section 5.1 ordering is expectedly false down here
+    assert smoke_docs["sec51_comparison"]["derived"]["ordering_ok"] is False
+
+
+# -- the point lists ------------------------------------------------------------
+
+
+def test_smoke_and_quick_point_lists_match_the_pinned_snapshot():
+    """``tests/snapshots/bench_points.json`` was taken at PR 23: CI,
+    ``BENCH_smoke.json`` and ``perf/`` read these lists, so a refactor
+    of ``targets.py`` must not move one spec."""
+    from pathlib import Path
+
+    from repro.doc import compact
+
+    pinned = json.loads(
+        (Path(__file__).parent / "snapshots" / "bench_points.json")
+        .read_text())
+    for scale, targets in pinned.items():
+        assert set(targets) == set(TARGETS)
+        for name, points in targets.items():
+            assert compact(list(TARGETS[name].points(scale))) == \
+                compact(points), f"{name}@{scale} moved"
+
+
+def test_full_scale_is_the_papers_problem_sizes():
+    """Expanded, never run: Gauss 800x800, 262,144 keys, counts
+    through 12 and 16."""
+    full = {name: TARGETS[name].points("full")
+            for name in ("fig1_gauss", "sec51_comparison",
+                         "fig5_mergesort")}
+    for name, n in (("fig1_gauss", 800), ("sec51_comparison", 800),
+                    ("fig5_mergesort", 262144)):
+        config, points = full[name]
+        assert config["n"] == n and config["machine"] == 16
+        assert {spec["args"]["n"] for _name, spec in points} == {n}
+    for name in ("fig1_gauss", "fig5_mergesort"):
+        assert full[name][0]["counts"] == [1, 2, 4, 8, 12, 16]
+    threads = {spec["args"]["n_threads"]
+               for _name, spec in full["sec51_comparison"][1]}
+    assert threads == {1, 16}
+    # what only the paper-scale run carries: section 4.1's RPC option,
+    # the remote-metadata and 15-target rows of section 4
+    rpc = [spec for name, spec in TARGETS["ablation_rpc"].points("full")[1]
+           if name.startswith("rpc:")]
+    assert rpc and {s["workload"] for s in rpc} == {"roundrobin_rpc"}
+    (_name, micro), = TARGETS["sec4_micro"].points("full")[1]
+    assert micro == {"kind": "micro", "targets": 15,
+                     "remote_metadata": True}
+
+
+def test_full_scale_micro_rows_hold_the_papers_ranges():
+    from repro.bench.targets import execute_point
+
+    target = TARGETS["sec4_micro"]
+    (name, spec), = target.points("full")[1]
+    ok = {name: execute_point(spec, seed=0)}
+    assert ok[name]["read_miss_clean_remote_ms"] == \
+        pytest.approx(1.38, abs=1e-3)
+    rows = {check.name: check.test({}, ok) for check in target.checks}
+    assert all(holds for holds, _measured in rows.values()), rows
+    # the remote-metadata twin is held to the same published range
+    assert rows["read_miss_modified"] == (True, "1.460 1.500 ms")
+    # out of range by more than the printed digits allow: false
+    ok[name]["page_copy_ms"] *= 1.01
+    page_copy = target.checks[0]
+    assert page_copy.paper == "block transfer, one 4KB page: 1.11 ms"
+    assert page_copy.test({}, ok) == (False, "1.121 ms")

@@ -8,7 +8,7 @@ import pytest
 from repro.bench import (
     SNAPSHOT_SCHEMA,
     load_snapshot,
-    run_target,
+    run_bench,
     snapshot_doc,
     write_snapshot,
 )
@@ -17,7 +17,8 @@ from repro.bench.targets import execute_point
 
 @pytest.fixture(scope="module")
 def sec42_doc():
-    return run_target("sec42_anecdote", scale="smoke")
+    docs, _runner = run_bench("smoke", filter_pattern="sec42_anecdote")
+    return docs["sec42_anecdote"]
 
 
 def test_snapshot_strips_wall_clock_fields(sec42_doc):

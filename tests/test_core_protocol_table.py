@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import CpageState, TRANSITIONS, format_table, lookup
 from repro.policy.base import Action
+from repro.policy.fixed import AlwaysReplicatePolicy
 
 from tests.conftest import make_harness
 
@@ -99,5 +100,24 @@ def test_handler_follows_table_from_modified(write, policy, action):
     harness.fault(0, write=True)  # -> modified on node 0
     state_before = harness.cpage.state
     harness.fault(1, write=write)
+    expected = lookup(state_before, write, False, action)
+    assert harness.cpage.state is expected.next_state
+
+
+@pytest.mark.parametrize("write", [False, True])
+@pytest.mark.parametrize("policy,action", [
+    ("always", Action.CACHE), ("never", Action.REMOTE_MAP),
+])
+def test_handler_follows_table_from_present_plus(write, policy, action):
+    harness = make_harness(policy=policy)
+    handler = harness.kernel.coherent.fault_handler
+    # only a replicating policy can build the two copies to start from
+    policy_under_test, handler.policy = handler.policy, AlwaysReplicatePolicy()
+    harness.fault(0, write=False)
+    harness.fault(1, write=False)  # -> present+ on nodes 0 and 1
+    handler.policy = policy_under_test
+    state_before = harness.cpage.state
+    assert state_before is CpageState.PRESENT_PLUS
+    harness.fault(2, write=write)
     expected = lookup(state_before, write, False, action)
     assert harness.cpage.state is expected.next_state

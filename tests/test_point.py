@@ -225,6 +225,7 @@ def test_policy_args_without_policy_are_applied(
     ["speedup", "gauss", "-n", "16", "--counts", "1,x"],
     ["doctor", "sec42", "-n", "1"],
     ["compare", "-n", "1"],
+    ["compare", "--machine", "1"],
     ["check", "invariants", "--machine", "0"],
     ["check", "conformance", "--machine", "0"],
     ["record", "gauss", "--machine", "0"],

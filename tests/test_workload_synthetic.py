@@ -8,6 +8,7 @@ from repro.workloads.synthetic import (
     PhaseChangeSharing,
     PrivateWork,
     ReadOnlySharing,
+    RoundRobinRPC,
     RoundRobinSharing,
 )
 
@@ -17,6 +18,30 @@ def test_round_robin_runs_and_verifies():
     result = run_program(kernel, RoundRobinSharing(n_threads=4,
                                                    operations=16))
     assert result.sim_time_ns > 0
+
+
+def test_round_robin_rpc_keeps_every_reference_to_x_local():
+    """Section 4.1's third option at 8 operations: the server on X's
+    home node does all the references, the clients only send messages."""
+    kernel = make_kernel(n_processors=5)
+    program = RoundRobinRPC(n_threads=4, operations=8, s_words=128,
+                            memory_sync=False)
+    result = run_program(kernel, program)  # verify(): 8 calls served
+    assert program.svc.calls_served == 8
+    x_rows = [r for r in result.report.rows
+              if r.label.startswith("X-state")]
+    # X faults twice ever: the server's first read and its first write
+    assert x_rows and sum(r.faults for r in x_rows) == 2
+    assert not any(r.replications or r.migrations or r.remote_mappings
+                   for r in x_rows)
+    # as a registered workload it costs the same through a point spec
+    from repro.bench.targets import execute_point
+
+    metrics = execute_point(
+        {"kind": "run", "workload": "roundrobin_rpc", "machine": 5,
+         "args": {"n_threads": 4, "operations": 8, "s_words": 128,
+                  "memory_sync": False}}, seed=0)
+    assert metrics["sim_time_ns"] == result.sim_time_ns
 
 
 def test_round_robin_rho_validation():
