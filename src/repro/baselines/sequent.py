@@ -23,6 +23,7 @@ import numpy as np
 from ..machine.cache import CacheParams, SnoopyBus
 from ..machine.memory import WORD_DTYPE
 from ..runtime import ops
+from ..runtime.executor import commit, write_words
 from ..runtime.program import Program
 from ..runtime.sync import Barrier, EventCount, SpinLock
 from ..sim.engine import Engine
@@ -197,11 +198,7 @@ class SequentThreadProcess(Process):
             self._commit(t, out)
         elif isinstance(op, ops.Write):
             t = self._begin()
-            if np.isscalar(op.value) or isinstance(op.value, (int,
-                                                              np.integer)):
-                values = np.full(1, op.value, dtype=WORD_DTYPE)
-            else:
-                values = np.asarray(op.value, dtype=WORD_DTYPE)
+            values = write_words(op.value)
             self.machine.memory[op.va: op.va + len(values)] = values
             t = self._cost_write(op.va, len(values), t)
             self._commit(t)
@@ -234,11 +231,7 @@ class SequentThreadProcess(Process):
     def _begin(self) -> int:
         return max(self.engine.now, self.cpu.busy_until)
 
-    def _commit(self, end: int, value: Any = None) -> None:
-        end = max(end, self.engine.now)
-        if end > self.cpu.busy_until:
-            self.cpu.busy_until = end
-        self.engine.schedule_at(end, lambda: self._resume(value))
+    _commit = commit  # the executor's: occupy the cpu, then resume
 
     def _cost_read(self, va: int, n: int, t: int) -> int:
         bus = self.machine.bus

@@ -47,14 +47,9 @@ class InterruptController:
         st.pending_penalty += target_cost
 
     def charge(self, processor: int, cost: int) -> None:
-        """Charge arbitrary asynchronous kernel time to a processor."""
+        """Charge arbitrary asynchronous kernel time to a processor; the
+        thread executor's ``_begin`` takes it before the next op."""
         self.state[processor].pending_penalty += cost
-
-    def collect_penalty(self, processor: int) -> int:
-        """Take (and clear) the processor's accumulated pending penalty."""
-        st = self.state[processor]
-        penalty, st.pending_penalty = st.pending_penalty, 0
-        return penalty
 
     def totals(self) -> dict[str, int]:
         return {

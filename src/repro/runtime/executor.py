@@ -18,6 +18,7 @@ operations of ``runtime.ops`` into machine and kernel activity:
 
 from __future__ import annotations
 
+import math
 from typing import Any, Generator
 
 import numpy as np
@@ -34,6 +35,29 @@ from . import ops
 
 class ExecutionError(RuntimeError):
     """A user thread issued an operation the executor cannot perform."""
+
+
+def commit(proc: Process, end: int, value: Any = None) -> None:
+    """Occupy ``proc.cpu`` until ``end`` and resume ``proc``, with
+    ``value``, then (one ``_wake`` event).  Both executors' ``_commit``:
+    any :class:`Process` with a ``cpu`` :class:`FifoResource`."""
+    engine = proc.engine
+    if end < engine._now:
+        end = engine._now
+    cpu = proc.cpu
+    if end > cpu.busy_until:
+        cpu.busy_until = end
+    engine.schedule_at(end, proc._wake)
+    proc._wake_value = value
+
+
+def write_words(value: Any) -> np.ndarray:
+    """What a ``Write`` of ``value`` stores, on either machine."""
+    if isinstance(value, np.ndarray):  # first: np.isscalar is slow
+        return np.asarray(value, dtype=WORD_DTYPE)
+    if np.isscalar(value) or isinstance(value, (int, np.integer)):
+        return np.full(1, value, dtype=WORD_DTYPE)
+    return np.asarray(value, dtype=WORD_DTYPE)
 
 
 class ThreadProcess(Process):
@@ -84,31 +108,23 @@ class ThreadProcess(Process):
 
     def _begin(self) -> int:
         """Start time of the next op: after CPU availability and any
-        pending interrupt penalty."""
+        pending interrupt penalty, which this takes (and clears)."""
         now = self.engine._now
         busy = self.cpu.busy_until
         start = now if now > busy else busy
-        return start + self.kernel.machine.interrupts.collect_penalty(
-            self.thread.processor
-        )
+        st = self.kernel.machine.interrupts.state[self.thread.processor]
+        penalty = st.pending_penalty
+        if penalty:
+            st.pending_penalty = 0
+        return start + penalty
 
-    def _commit(self, end: int, value: Any = None) -> None:
-        """Occupy the CPU until ``end`` and resume the thread, with
-        ``value``, then."""
-        engine = self.engine
-        if end < engine._now:
-            end = engine._now
-        cpu = self.cpu
-        if end > cpu.busy_until:
-            cpu.busy_until = end
-        engine.schedule_at(end, self._wake)
-        self._wake_value = value
+    _commit = commit  # shared with the Sequent baseline
 
     # -- compute -----------------------------------------------------------------
 
     def _do_compute(self, op: ops.Compute) -> None:
-        if op.ns < 0:
-            raise ExecutionError(f"negative compute time {op.ns}")
+        if not 0 <= op.ns < math.inf:  # NaN compares false
+            raise ExecutionError(f"compute time {op.ns} is not in [0, inf)")
         # a program may compute its think time: rounded onto the clock
         self._commit(int(round(self._begin() + op.ns)))
 
@@ -253,10 +269,7 @@ class ThreadProcess(Process):
 
     def _do_write(self, op: ops.Write) -> None:
         t = self._begin()
-        if np.isscalar(op.value) or isinstance(op.value, (int, np.integer)):
-            values = np.full(1, op.value, dtype=WORD_DTYPE)
-        else:
-            values = np.asarray(op.value, dtype=WORD_DTYPE)
+        values = write_words(op.value)
         va, n = op.va, len(values)
         offset = va % self._wpp
         if 0 < n <= self._wpp - offset and va >= 0:

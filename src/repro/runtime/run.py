@@ -33,10 +33,6 @@ class RunResult:
     def sim_time_ms(self) -> float:
         return self.sim_time_ns / 1e6
 
-    @property
-    def sim_time_s(self) -> float:
-        return self.sim_time_ns / 1e9
-
     def __repr__(self) -> str:
         return (
             f"<RunResult {self.program.name} {self.sim_time_ms:.3f} ms "

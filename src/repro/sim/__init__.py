@@ -7,7 +7,7 @@ channels on which the NUMA machine model (``repro.machine``) is built.
 
 from .engine import Engine, SimulationError
 from .process import Delay, Op, Process, ProcessCrashed, WaitFor, run_all
-from .resource import FifoResource, ResourcePool, ResourceStats
+from .resource import FifoResource
 from .sync import CountdownLatch, SimEvent
 
 __all__ = [
@@ -18,8 +18,6 @@ __all__ = [
     "Op",
     "Process",
     "ProcessCrashed",
-    "ResourcePool",
-    "ResourceStats",
     "SimEvent",
     "SimulationError",
     "WaitFor",

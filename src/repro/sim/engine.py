@@ -158,14 +158,6 @@ class Engine:
         """Events executed so far: scheduled minus still pending."""
         return self._seq - len(self._queue) - len(self._ready)
 
-    def peek_time(self) -> Optional[int]:
-        """Time of the next pending event, or None if the queue is empty."""
-        if self._ready:
-            return self._now
-        if not self._queue:
-            return None
-        return self._queue[0][0]
-
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if none remain."""
         queue = self._queue

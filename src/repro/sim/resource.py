@@ -15,7 +15,7 @@ is the contention effect the PLATINUM paper cares about (Sections 1 and 7).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(eq=False)
@@ -68,39 +68,3 @@ class FifoResource:
         if now <= 0:
             return 1.0 if self.busy_time > 0 else 0.0
         return min(1.0, self.busy_time / now)
-
-
-@dataclass
-class ResourceStats:
-    """Snapshot of a resource's counters, for post-mortem reports."""
-
-    name: str
-    busy_time: int
-    wait_time: int
-    requests: int
-
-    @classmethod
-    def of(cls, res: FifoResource) -> "ResourceStats":
-        return cls(
-            name=res.name,
-            busy_time=res.busy_time,
-            wait_time=res.wait_time,
-            requests=res.requests,
-        )
-
-
-@dataclass
-class ResourcePool:
-    """A named collection of resources (e.g. all memory modules)."""
-
-    resources: dict[str, FifoResource] = field(default_factory=dict)
-
-    def get(self, name: str) -> FifoResource:
-        res = self.resources.get(name)
-        if res is None:
-            res = FifoResource(name)
-            self.resources[name] = res
-        return res
-
-    def stats(self) -> list[ResourceStats]:
-        return [ResourceStats.of(r) for r in self.resources.values()]

@@ -32,21 +32,9 @@ class SimEvent:
     def __repr__(self) -> str:
         return f"<SimEvent {self.name} waiters={len(self._waiters)}>"
 
-    @property
-    def n_waiters(self) -> int:
-        return len(self._waiters)
-
     def wait(self, callback: Callable[[Any], None]) -> None:
         """Register ``callback(value)`` to run when the event next fires."""
         self._waiters.append(callback)
-
-    def cancel(self, callback: Callable[[Any], None]) -> bool:
-        """Remove a registered waiter; returns True if it was present."""
-        try:
-            self._waiters.remove(callback)
-            return True
-        except ValueError:
-            return False
 
     def fire(self, value: Any = None, delay: float = 0) -> int:
         """Wake all current waiters.  Returns the number woken."""
@@ -56,15 +44,6 @@ class SimEvent:
         for cb in waiters:
             self.engine.schedule(delay, lambda cb=cb: cb(value))
         return len(waiters)
-
-    def fire_one(self, value: Any = None, delay: float = 0) -> bool:
-        """Wake only the oldest waiter (FIFO).  Returns True if one woke."""
-        if not self._waiters:
-            return False
-        cb = self._waiters.pop(0)
-        self.fire_count += 1
-        self.engine.schedule(delay, lambda: cb(value))
-        return True
 
 
 class CountdownLatch:

@@ -271,6 +271,8 @@ class GeneratedWorkload(Program):
             working = min(phase.working_pages or spec.pages, spec.pages)
             pool = self._pool(tid, working)
             read_frac = phase.mix["read"]
+            # ops are frozen: one think op serves the whole phase
+            think = Compute(phase.compute_ns) if phase.compute_ns else None
             for k in range(phase.ops):
                 page = self._pick_page(rng, tid, k, phase, pool, working)
                 offset = self._pick_offset(rng, k, phase)
@@ -288,8 +290,8 @@ class GeneratedWorkload(Program):
                     yield Write(va, np.full(
                         words, (k + tid + 1) % 100_000,
                         dtype=WORD_DTYPE))
-                if phase.compute_ns:
-                    yield Compute(phase.compute_ns)
+                if think is not None:
+                    yield think
                 if fs_va is not None:
                     yield FetchAdd(fs_va, 1)
                 ops_done += 1

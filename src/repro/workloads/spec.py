@@ -46,6 +46,10 @@ ACCESS_DISTRIBUTIONS = ("uniform", "sequential", "zipf")
 #: spec generation size profiles (see ``generate.PROFILES``)
 PROFILES = ("smoke", "quick", "custom")
 
+#: the largest per-op think time of a phase: one default defrost period,
+#: so daemon ticks per op stay bounded (the profiles draw <= 800 ns)
+MAX_COMPUTE_NS = 1e9
+
 
 #: the document's keys and their types; unknown keys are refused, and
 #: the ranges, enumerations and phase arithmetic are ``validate()``'s
@@ -128,9 +132,9 @@ class PhaseSpec:
                      f"{context}: working_pages must be at least 1, "
                      f"got {self.working_pages!r}")
         _require(isinstance(self.compute_ns, (int, float))
-                 and self.compute_ns >= 0,
-                 f"{context}: compute_ns must be non-negative, "
-                 f"got {self.compute_ns!r}")
+                 and 0 <= self.compute_ns <= MAX_COMPUTE_NS,
+                 f"{context}: compute_ns must be non-negative and at "
+                 f"most {MAX_COMPUTE_NS:g}, got {self.compute_ns!r}")
         _require(isinstance(self.barrier, bool),
                  f"{context}: barrier must be true or false, "
                  f"got {self.barrier!r}")

@@ -5,10 +5,14 @@ generated false-sharing spec through ``repro explain``.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 
 CORPUS = Path(__file__).parent / "corpus"
@@ -77,6 +81,40 @@ def test_gen_validate_malformed_specs_exit_2(tmp_path, capsys, doc,
     assert out.startswith("repro gen: ")
     assert fragment in out
     assert out.count("\n") == 1  # one-line, like `repro explain`
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
+@pytest.mark.parametrize("compute_ns", ["Infinity", "NaN", "1e300"])
+def test_absurd_compute_ns_is_one_line_and_exit_2(tmp_path, verb,
+                                                 compute_ns):
+    # a child process under a timeout: `gen run` used to end in a
+    # traceback (infinity, NaN) or to tick the defrost daemon toward
+    # 1e300 ns forever
+    path = tmp_path / "absurd.json"
+    path.write_text(
+        '{"schema": "repro-workload/1", "name": "absurd", "seed": 1,'
+        ' "threads": 2, "machine": 2, "pages": 2,'
+        f' "phases": [{{"ops": 2, "compute_ns": {compute_ns}}}]}}')
+    src = str(Path(repro.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "repro", "gen", verb, str(path)],
+        capture_output=True, text=True, timeout=10,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))},
+    )
+    assert done.returncode == 2, done.stdout + done.stderr
+    assert done.stderr == ""
+    (line,) = done.stdout.splitlines()
+    assert line.startswith("repro gen: "), line
+    assert "compute_ns must be non-negative and at most 1e+09" in line
+
+
+def test_every_generation_profile_stays_under_the_compute_cap():
+    from repro.workloads.generate import _PROFILE_RANGES
+    from repro.workloads.spec import MAX_COMPUTE_NS
+
+    for ranges in _PROFILE_RANGES.values():
+        assert max(ranges["compute"]) <= MAX_COMPUTE_NS
 
 
 # -- run ----------------------------------------------------------------------

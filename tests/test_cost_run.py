@@ -298,7 +298,7 @@ def test_commit_is_the_reference_formula(now, busy, end, value):
     engine = process.engine
     process._commit(end, value)
     expected = max(end, now)
-    assert engine.peek_time() == expected
+    assert engine.pending_events == 1  # one wake-up, at `expected` below
     assert process.cpu.busy_until == max(busy, expected)
     engine.run()
     assert process.resumed == [(expected, value)]
@@ -321,6 +321,7 @@ def test_compute_op_lands_where_the_formulas_say(compute_ns, penalty):
     process = timing_process(1_000, 0)
     process.kernel.machine.interrupts.charge(1, penalty)
     process.interpret(ops.Compute(compute_ns))
-    landed = process.engine.peek_time()
+    process.engine.run()
+    ((landed, _value),) = process.resumed
     assert landed == int(round(1_000 + penalty + compute_ns))
     assert type(landed) is int

@@ -125,10 +125,12 @@ def test_transfer_counters(machine):
 
 
 def test_ipi_charges_target_penalty(machine):
+    # taken (and cleared) by ThreadProcess._begin: tests/test_cost_run.py
     machine.interrupts.send_ipi(0, 2, 7000)
-    assert machine.interrupts.state[2].ipis_received == 1
-    assert machine.interrupts.collect_penalty(2) == 7000
-    assert machine.interrupts.collect_penalty(2) == 0.0
+    machine.interrupts.send_ipi(1, 2, 500)
+    assert machine.interrupts.state[2].ipis_received == 2
+    assert machine.interrupts.state[2].pending_penalty == 7500
+    assert machine.interrupts.state[0].pending_penalty == 0
 
 
 def test_self_ipi_rejected(machine):

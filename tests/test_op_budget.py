@@ -1,0 +1,113 @@
+"""A deterministic budget on the op path: calls and heap pushes per op.
+
+Every op of every simulated thread is one engine event, so the host
+cost of an op is, to a first approximation, the Python calls the
+engine, the process and the executor make for it -- and the heap push
+and pop its event takes when it is queued.  Both are exact and
+repeatable where a timing is not: this test runs the benchmark's
+private and sharing specs (``perf/workloads.py``, quick size, seed
+1989) live and as an exact replay of their recording, and counts, with
+``sys.setprofile`` active only inside ``Engine.run``, the Python
+``call`` events (function and generator frames; C calls are not
+counted) and the ``heapq.heappush`` calls, per op.
+
+At the parent of the change that added this test the four runs made
+15.63 / 10.97 / 27.08 / 20.14 calls and 0.988 / 0.988 / 0.993 / 0.993
+pushes per op (in the order of ``BUDGET``); taking the interrupt
+penalty inline in ``_begin`` and one ``Compute`` per generated phase
+took one to one and a half calls per op off.  The budgets are what that
+change ended with plus 10 %: a change that pushes a run over its budget
+has put a call or a queued event back on the path -- take it out
+again, or raise the budget in the same change and say why.
+"""
+
+from __future__ import annotations
+
+import heapq
+import sys
+
+import pytest
+
+from repro.replay import record_spec, replay_trace
+from repro.sim.engine import Engine
+from repro.workloads.generate import bench_spec_for, run_spec
+from repro.workloads.spec import PhaseSpec, WorkloadSpec
+
+#: (spec, how it runs) -> (Python calls per op, heap pushes per op)
+BUDGET = {
+    ("private", "live"): (15.46, 1.087),    # 14.05, 0.988
+    ("private", "replay"): (10.98, 1.087),  # 9.98, 0.988
+    ("sharing", "live"): (28.01, 1.092),    # 25.46, 0.993
+    ("sharing", "replay"): (21.07, 1.092),  # 19.16, 0.993
+}
+
+#: defrost period of the sharing spec: pages freeze and thaw in the run
+SHARING_DEFROST_NS = 5e6
+
+
+def spec(which: str) -> WorkloadSpec:
+    """``perf/workloads.py``'s two specs at their quick live size."""
+    if which == "private":
+        phase = PhaseSpec(ops=40, mix={"read": 0.7, "write": 0.3},
+                          access="sequential", compute_ns=200.0)
+        sharing, pages = "private", 64
+    else:
+        phase = PhaseSpec(ops=24, mix={"read": 0.5, "write": 0.5},
+                          access="uniform", compute_ns=200.0)
+        sharing, pages = "uniform", 16
+    return WorkloadSpec(
+        name=f"perf-{which}", seed=1989, threads=8, machine=8,
+        words_per_op=16, phases=(phase, phase), sharing=sharing,
+        pages=pages,
+    ).validate()
+
+
+def count(run, monkeypatch) -> tuple[int, int]:
+    """``(calls, pushes)`` made inside ``Engine.run`` while ``run()``."""
+    calls = pushes = 0
+    push = heapq.heappush
+
+    def profile(frame, event, arg):
+        nonlocal calls, pushes
+        if event == "call":
+            calls += 1
+        elif event == "c_call" and arg is push:
+            pushes += 1
+
+    engine_run = Engine.run
+
+    def profiled(engine, *args, **kwargs):
+        sys.setprofile(profile)
+        try:
+            return engine_run(engine, *args, **kwargs)
+        finally:
+            sys.setprofile(None)
+
+    monkeypatch.setattr(Engine, "run", profiled)
+    run()
+    monkeypatch.undo()
+    return calls, pushes
+
+
+@pytest.mark.parametrize("which, how", list(BUDGET),
+                         ids=[f"{w}-{h}" for w, h in BUDGET])
+def test_calls_and_pushes_per_op_stay_within_budget(
+        monkeypatch, which, how):
+    the_spec = spec(which)
+    period = SHARING_DEFROST_NS if which == "sharing" else None
+    point = bench_spec_for(the_spec)
+    point["defrost_period"] = period
+    bundle = record_spec(point)[0]
+    if how == "live":
+        calls, pushes = count(
+            lambda: run_spec(the_spec, defrost_period=period), monkeypatch)
+    else:
+        calls, pushes = count(
+            lambda: replay_trace(bundle, mode="exact"), monkeypatch)
+    got = (calls / bundle.n_ops, pushes / bundle.n_ops)
+    budget = BUDGET[which, how]
+    assert got[0] <= budget[0] and got[1] <= budget[1], (got, budget)
+    # a budget nobody can miss gates nothing: each stays within 25 % of
+    # what is measured, so it is lowered when the path gets leaner
+    assert budget[0] <= 1.25 * got[0] and budget[1] <= 1.25 * got[1], \
+        (got, budget)

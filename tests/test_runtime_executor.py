@@ -111,6 +111,28 @@ def test_negative_compute_crashes_thread():
         run_one(body)
 
 
+@pytest.mark.parametrize("ns", [float("inf"), float("nan"), -5])
+def test_absurd_compute_is_a_thread_crash_naming_the_value(ns):
+    # infinity and NaN used to escape as the OverflowError / ValueError
+    # of rounding them onto the clock
+    def body(prog, env):
+        yield Compute(ns)
+
+    with pytest.raises(ProcessCrashed) as crash:
+        run_one(body)
+    assert isinstance(crash.value.__cause__, ExecutionError)
+    assert str(crash.value.__cause__) == \
+        f"compute time {ns} is not in [0, inf)"
+
+
+def test_a_huge_finite_compute_is_just_late():
+    # a hand-written program is not capped (a spec is: MAX_COMPUTE_NS)
+    def body(prog, env):
+        yield Compute(1e300)
+
+    assert run_one(body).sim_time_ns >= 1e300
+
+
 def test_test_and_set_semantics():
     def body(prog, env):
         old1 = yield TestAndSet(prog.base)

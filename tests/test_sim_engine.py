@@ -170,13 +170,6 @@ def test_fractional_delays_round_to_ns():
     assert times == [10, 11]
 
 
-def test_peek_time():
-    engine = Engine()
-    assert engine.peek_time() is None
-    engine.schedule(42, lambda: None)
-    assert engine.peek_time() == 42
-
-
 def test_reentrant_run_rejected():
     engine = Engine()
 
@@ -275,7 +268,6 @@ def test_pending_events_counts_ready_deque():
     engine.run()
     # the zero-delay wakeup is still pending (on the ready deque)
     assert engine.pending_events == 1
-    assert engine.peek_time() == engine.now
     engine.run()
     assert seen == ["x"]
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import FifoResource, ResourcePool, ResourceStats
+from repro.sim import FifoResource
 
 
 def test_idle_resource_serves_immediately():
@@ -61,24 +61,3 @@ def test_utilization():
     assert res.utilization(100) == pytest.approx(0.5)
     # at t=0 any accumulated busy work counts as fully utilized
     assert res.utilization(0) == 1.0
-
-
-def test_pool_creates_and_reuses():
-    pool = ResourcePool()
-    a = pool.get("a")
-    assert pool.get("a") is a
-    b = pool.get("b")
-    assert b is not a
-    a.occupy(0, 5)
-    stats = {s.name: s for s in pool.stats()}
-    assert stats["a"].busy_time == 5
-    assert stats["b"].busy_time == 0
-
-
-def test_stats_snapshot():
-    res = FifoResource("x")
-    res.occupy(0, 7)
-    snap = ResourceStats.of(res)
-    assert snap.name == "x"
-    assert snap.busy_time == 7
-    assert snap.requests == 1

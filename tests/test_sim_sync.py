@@ -11,28 +11,10 @@ def test_fire_wakes_all_waiters_with_value():
     got = []
     event.wait(got.append)
     event.wait(got.append)
-    assert event.n_waiters == 2
-    event.fire("v")
+    assert event.fire("v") == 2
     engine.run()
     assert got == ["v", "v"]
-    assert event.n_waiters == 0
-
-
-def test_fire_one_wakes_fifo():
-    engine = Engine()
-    event = SimEvent(engine, "e")
-    got = []
-    event.wait(lambda v: got.append("first"))
-    event.wait(lambda v: got.append("second"))
-    assert event.fire_one() is True
-    engine.run()
-    assert got == ["first"]
-    assert event.n_waiters == 1
-
-
-def test_fire_one_on_empty_returns_false():
-    engine = Engine()
-    assert SimEvent(engine).fire_one() is False
+    assert event.fire("w") == 0  # the waiters were cleared
 
 
 def test_event_is_reusable():
@@ -47,19 +29,6 @@ def test_event_is_reusable():
     engine.run()
     assert got == [1, 2]
     assert event.fire_count == 2
-
-
-def test_cancel_removes_waiter():
-    engine = Engine()
-    event = SimEvent(engine)
-    got = []
-    cb = got.append
-    event.wait(cb)
-    assert event.cancel(cb) is True
-    assert event.cancel(cb) is False
-    event.fire("x")
-    engine.run()
-    assert got == []
 
 
 def test_latch_fires_after_n_arrivals():
