@@ -19,6 +19,7 @@ operations of ``runtime.ops`` into machine and kernel activity:
 from __future__ import annotations
 
 import math
+from heapq import heappush
 from typing import Any, Generator
 
 import numpy as np
@@ -28,6 +29,7 @@ from ..kernel.threads import Thread
 from ..machine.machine import AccessOutcome
 from ..machine.memory import WORD_DTYPE
 from ..machine.pmap import PmapEntry
+from ..sim.engine import SimulationError
 from ..sim.process import Delay, Op, Process, WaitFor
 from ..sim.resource import FifoResource
 from . import ops
@@ -40,14 +42,28 @@ class ExecutionError(RuntimeError):
 def commit(proc: Process, end: int, value: Any = None) -> None:
     """Occupy ``proc.cpu`` until ``end`` and resume ``proc``, with
     ``value``, then (one ``_wake`` event).  Both executors' ``_commit``:
-    any :class:`Process` with a ``cpu`` :class:`FifoResource`."""
+    any :class:`Process` with a ``cpu`` :class:`FifoResource`.
+
+    A wake-up in the future with ties unperturbed is pushed here, as
+    ``Engine.schedule_at`` would push it; every other case goes through
+    ``schedule_at``, the reference (tests/test_engine_loop.py)."""
     engine = proc.engine
-    if end < engine._now:
-        end = engine._now
+    now = engine._now
+    if end < now:
+        end = now
     cpu = proc.cpu
     if end > cpu.busy_until:
         cpu.busy_until = end
-    engine.schedule_at(end, proc._wake)
+    if (
+        end > now
+        and engine._tie_rng is None
+        and end >= engine._no_fast_before
+    ):
+        seq = engine._seq
+        engine._seq = seq + 1
+        heappush(engine._queue, (end, 0.0, seq, proc._wake))
+    else:
+        engine.schedule_at(end, proc._wake)
     proc._wake_value = value
 
 
@@ -86,6 +102,42 @@ class ThreadProcess(Process):
         self.on_finish(lambda _p: self.kernel.threads.exit(self.thread))
 
     # -- operation dispatch -------------------------------------------------
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        # the fused _wake below spells Process._resume and interpret
+        # inline; a class that redefines either (or _throw) must have
+        # every wake-up go through its own version
+        super().__init_subclass__(**kwargs)
+        if "_wake" not in vars(cls) and any(
+            name in vars(cls) for name in ("_resume", "_throw", "interpret")
+        ):
+            cls._wake = Process._wake
+
+    def _wake(self) -> None:
+        """``Process._wake`` -> ``_resume`` -> ``interpret`` in one frame:
+        the generator is resumed and its op dispatched here.  Those three
+        stay the reference (tests/test_engine_loop.py); an op subclass
+        and every handler error still go through ``interpret``."""
+        value = self._wake_value
+        self._wake_value = None
+        if self.finished:
+            raise SimulationError(f"{self.name} resumed after finishing")
+        try:
+            op = self.gen.send(value)
+        except StopIteration as stop:
+            self._finish(result=stop.value)
+            return
+        except BaseException as exc:  # noqa: BLE001 - recorded, not hidden
+            self._finish(error=exc)
+            return
+        handler = _HANDLERS.get(type(op))
+        if handler is None:
+            self.interpret(op)
+            return
+        try:
+            handler(self, op)
+        except Exception as exc:  # noqa: BLE001 - as interpret does
+            self._throw(exc)
 
     def interpret(self, op: Op) -> None:
         try:

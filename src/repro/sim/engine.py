@@ -159,7 +159,10 @@ class Engine:
         return self._seq - len(self._queue) - len(self._ready)
 
     def step(self) -> bool:
-        """Execute the next pending event.  Returns False if none remain."""
+        """Execute the next pending event.  Returns False if none remain.
+
+        The reference for :meth:`run`'s inline pop; the differential
+        test in tests/test_engine_loop.py holds the two to one order."""
         queue = self._queue
         ready = self._ready
         # a heap entry at the current time always has a smaller seq than
@@ -185,14 +188,17 @@ class Engine:
         Parameters
         ----------
         until:
-            If given, stop once the next event would be strictly after this
-            time; the clock is advanced to ``until``.
+            If given, rounded to a whole ns: stop once the next event
+            would be strictly after that time; the clock is advanced to it.
         max_events:
             Safety valve: raise :class:`SimulationError` after this many
             events, to catch accidental infinite event loops.
 
         An event that calls :meth:`stop` ends the run once it returns.
         Returns the number of events executed.
+
+        Each event is popped inline, by :meth:`step`'s rule: a frame less
+        per event.
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run)")
@@ -202,11 +208,21 @@ class Engine:
         limit = None if until is None else int(round(until))
         queue = self._queue
         ready = self._ready
-        step = self.step
+        heappop = heapq.heappop
+        popleft = ready.popleft
         try:
-            while (queue or ready) and not self._stopped:
-                when = self._now if ready else queue[0][0]
-                if until is not None and when > until:
+            while not self._stopped:
+                if ready:
+                    when = self._now
+                    # step's rule: a heap entry at the current time has a
+                    # smaller seq than anything in the ready deque
+                    from_heap = queue and queue[0][0] == when
+                elif queue:
+                    when = queue[0][0]
+                    from_heap = True
+                else:
+                    break
+                if limit is not None and when > limit:
                     break
                 if max_events is not None and executed >= max_events:
                     # checked with events still pending, so exactly
@@ -216,9 +232,14 @@ class Engine:
                         f"exceeded max_events={max_events}; "
                         "possible runaway event loop"
                     )
-                step()
+                if from_heap:
+                    fn = heappop(queue)[3]
+                    self._now = when
+                else:
+                    fn = popleft()[1]
+                fn()
                 executed += 1
-            if until is not None and not self._stopped and limit > self._now:
+            if limit is not None and not self._stopped and limit > self._now:
                 self._now = limit
         finally:
             self._running = False

@@ -252,26 +252,29 @@ def test_seeded_string_meets_every_kind_of_reference(policy):
 # -- the timing helpers: whole ns in, whole ns out --------------------------------
 
 
-class ResumeLog(ThreadProcess):
-    """A thread process that only notes when, and with what, it resumes."""
-
-    __slots__ = ("resumed",)
-
-    def _resume(self, value) -> None:
-        self.resumed.append((self.engine.now, value))
-
-
-def timing_process(now: int, busy: int) -> ResumeLog:
+def timing_process(now: int, busy: int, op=None) -> tuple[ThreadProcess, list]:
+    """A thread process whose body, once woken, yields ``op`` (if given)
+    and notes when, and with what, it is resumed next -- every wake-up
+    through the fused ``ThreadProcess._wake``; and that note."""
     kernel = make_kernel(n_processors=2, defrost_enabled=False)
     aspace = kernel.vm.create_address_space()
-    process = ResumeLog(
-        kernel, kernel.threads.spawn(aspace.asid, 1), None,
+    resumed = []
+
+    def body():
+        value = yield  # primed below: suspended as after an op
+        if op is not None:
+            value = yield op
+        resumed.append((kernel.engine.now, value))
+
+    gen = body()
+    next(gen)
+    process = ThreadProcess(
+        kernel, kernel.threads.spawn(aspace.asid, 1), gen,
         _cpu_resource(kernel, 1),
     )
-    process.resumed = []
     kernel.engine.run(until=now)  # empty queue: only moves the clock
     process.cpu.busy_until = busy
-    return process
+    return process, resumed
 
 
 CLOCK = st.integers(0, 10**9)
@@ -280,7 +283,7 @@ CLOCK = st.integers(0, 10**9)
 @settings(max_examples=150, deadline=None)
 @given(now=CLOCK, busy=CLOCK, penalty=st.integers(0, 10**7))
 def test_begin_is_the_reference_formula(now, busy, penalty):
-    process = timing_process(now, busy)
+    process, _resumed = timing_process(now, busy)
     interrupts = process.kernel.machine.interrupts
     interrupts.charge(1, penalty)
     start = process._begin()
@@ -294,14 +297,14 @@ def test_begin_is_the_reference_formula(now, busy, penalty):
 @given(now=CLOCK, busy=CLOCK, end=st.integers(0, 2 * 10**9),
        value=st.sampled_from([None, 0, "payload"]))
 def test_commit_is_the_reference_formula(now, busy, end, value):
-    process = timing_process(now, busy)
+    process, resumed = timing_process(now, busy)
     engine = process.engine
     process._commit(end, value)
     expected = max(end, now)
     assert engine.pending_events == 1  # one wake-up, at `expected` below
     assert process.cpu.busy_until == max(busy, expected)
     engine.run()
-    assert process.resumed == [(expected, value)]
+    assert resumed == [(expected, value)]
     assert process._wake_value is None  # the slot is emptied on wake-up
 
 
@@ -318,10 +321,10 @@ NS = st.one_of(
 def test_compute_op_lands_where_the_formulas_say(compute_ns, penalty):
     """`_do_compute` end to end: a fractional ``Compute.ns`` is added to
     the (whole) start time and the sum rounded once."""
-    process = timing_process(1_000, 0)
+    process, resumed = timing_process(1_000, 0, ops.Compute(compute_ns))
     process.kernel.machine.interrupts.charge(1, penalty)
-    process.interpret(ops.Compute(compute_ns))
+    process._wake()  # resumes the body, which yields the Compute
     process.engine.run()
-    ((landed, _value),) = process.resumed
+    ((landed, _value),) = resumed
     assert landed == int(round(1_000 + penalty + compute_ns))
     assert type(landed) is int
