@@ -116,25 +116,6 @@ def _aggregate_telemetry(ok_metrics: dict[str, dict]) -> Optional[dict]:
     }
 
 
-def _wall_profiles(
-    target_results: list[TaskResult],
-    top: int,
-) -> Optional[dict]:
-    """Slowest-``top`` cProfile tables for one target's points."""
-    profiled = [
-        r for r in target_results
-        if r.span and isinstance(r.span.get("wall_profile"), dict)
-    ]
-    if not profiled:
-        return None
-    profiled.sort(key=lambda r: (-r.wall_s, r.name))
-    tables = {}
-    for result in profiled[:top]:
-        _, _, point_name = result.name.partition("::")
-        tables[point_name] = result.span["wall_profile"]
-    return {"slowest": top, "points": tables}
-
-
 def _group_results(
     names: list[str],
     results: list[TaskResult],
@@ -142,7 +123,6 @@ def _group_results(
     specs: dict[str, dict],
     scale: str,
     jobs: int,
-    profile_top: int = 0,
 ) -> dict[str, dict]:
     """Reduce flat sweep results into one BENCH document per target."""
     by_target: dict[str, list[TaskResult]] = {name: [] for name in names}
@@ -163,13 +143,6 @@ def _group_results(
             if result.ok:
                 ok_metrics[point_name] = result.value
         telemetry = _aggregate_telemetry(ok_metrics)
-        extra: dict = {}
-        if telemetry:
-            extra["telemetry"] = telemetry
-        if profile_top:
-            profiles = _wall_profiles(target_results, profile_top)
-            if profiles:
-                extra["wall_profile"] = profiles
         docs[name] = make_doc(
             target=name,
             title=target.title,
@@ -182,7 +155,7 @@ def _group_results(
                 sum(r.wall_s for r in target_results), 4
             ),
             jobs=jobs,
-            extra=extra or None,
+            extra={"telemetry": telemetry} if telemetry else None,
         )
     return docs
 
@@ -229,7 +202,6 @@ def run_bench(
     base_seed: int = 0,
     timeout_s: Optional[float] = None,
     progress: Optional[Callable[[TaskResult], None]] = None,
-    profile_wall: int = 0,
     health: Optional[PoolHealth] = None,
 ) -> tuple[dict[str, dict], "SweepRunner"]:
     """Run every selected target as one combined sweep.
@@ -238,8 +210,6 @@ def run_bench(
     the ``degraded`` flag for callers that report on it.  When a run
     ledger is active (``repro --ledger``), the sweep runs inside a
     ``bench.sweep`` span and each point gets a ``bench.point`` span.
-    ``profile_wall=N`` captures cProfile tables and embeds the slowest
-    ``N`` per target under the document's ``wall_profile`` extra.
     """
     validate_scale(scale)
     names = select_targets(filter_pattern)
@@ -281,8 +251,6 @@ def run_bench(
             progress=progress,
             health=health,
             span_parent=sweep_span.sid,
-            profile_wall=bool(profile_wall),
-            profile_top=profile_wall or 10,
         )
         results = runner.run(tasks)
         _ledger_points(results, parent=sweep_span.sid)
@@ -293,10 +261,7 @@ def run_bench(
         sweep_span.attrs["failed"] = sum(
             1 for r in results if not r.ok
         )
-    docs = _group_results(
-        names, results, configs, specs, scale, jobs,
-        profile_top=profile_wall,
-    )
+    docs = _group_results(names, results, configs, specs, scale, jobs)
     return docs, runner
 
 

@@ -50,12 +50,10 @@ SCHEMA = "repro-bench/1"
 SCALES = ("smoke", "quick", "full")
 
 #: fields that may legitimately differ between runs of the same sweep
-#: ("wall_profile" is the opt-in cProfile embedding -- pure wall data)
-WALL_CLOCK_FIELDS = ("wall_clock_s", "jobs", "wall_profile")
+WALL_CLOCK_FIELDS = ("wall_clock_s", "jobs")
 POINT_WALL_CLOCK_FIELDS = ("wall_s",)
 
-#: the document's shape; "telemetry" is the optional doc-level metrics
-#: summary, "wall_profile" the optional slowest-point cProfile tables
+#: the document's shape; "telemetry" is the optional metrics summary
 SHAPE = {
     "schema": str,
     "target": str,
@@ -67,7 +65,6 @@ SHAPE = {
     "wall_clock_s": (int, float),
     "jobs": int,
     "telemetry?": {"points_with_telemetry": object, "counters": object},
-    "wall_profile?": {"points": object},
     "points": [{
         "name": str,
         "config": dict,
@@ -79,8 +76,8 @@ SHAPE = {
     }],
 }
 
-#: the shape of a wall-stripped document (what a snapshot embeds and
-#: what the trend gate compares); a full document conforms to it too
+#: the shape of a wall-stripped document (what a snapshot embeds); a
+#: full document conforms to it too
 STRIPPED_SHAPE = {
     **{key: sub for key, sub in SHAPE.items()
        if key.rstrip("?") not in WALL_CLOCK_FIELDS},

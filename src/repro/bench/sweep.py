@@ -64,7 +64,7 @@ class TaskResult:
     #: wall seconds the task sat unassigned before a worker took it
     queue_wait_s: float = 0.0
     #: the span segment measured inside the worker process (pid, wall
-    #: t0/duration, propagated parent sid, optional wall_profile table);
+    #: t0/duration, propagated parent sid);
     #: observability data only -- never part of the BENCH point
     span: Optional[dict] = field(default=None, repr=False)
 
@@ -118,9 +118,8 @@ def _run_task_segment(spec: dict, seed: int,
 
     Returns ``(value, span)`` where ``span`` carries the propagated
     ledger parent from ``ctx`` plus the wall-clock facts only the
-    executing process knows (its pid, the in-process run duration, and
-    the optional cProfile table) -- the cross-process half of a
-    ``bench.point`` span.
+    executing process knows (its pid and the in-process run duration)
+    -- the cross-process half of a ``bench.point`` span.
     """
     span: dict = {
         "pid": os.getpid(),
@@ -129,16 +128,7 @@ def _run_task_segment(spec: dict, seed: int,
     }
     t0 = time.perf_counter()
     try:
-        if ctx and ctx.get("profile_wall"):
-            from ..obs.wallprof import profile_call
-
-            value, table = profile_call(
-                _execute, spec, seed,
-                top=int(ctx.get("profile_top", 10)),
-            )
-            span["wall_profile"] = table
-        else:
-            value = _execute(spec, seed)
+        value = _execute(spec, seed)
     finally:
         span["exec_dur_s"] = round(time.perf_counter() - t0, 6)
     return value, span
@@ -196,8 +186,6 @@ class SweepRunner:
         poll_interval_s: float = 0.05,
         health=None,
         span_parent: Optional[int] = None,
-        profile_wall: bool = False,
-        profile_top: int = 10,
     ) -> None:
         self.jobs = max(1, int(jobs))
         self.progress = progress
@@ -206,19 +194,12 @@ class SweepRunner:
         self.health = health
         #: ledger span id propagated to workers as their span parent
         self.span_parent = span_parent
-        #: capture a cProfile top-function table per executed point
-        self.profile_wall = profile_wall
-        self.profile_top = profile_top
         #: True once the runner has degraded to serial execution
         self.degraded = False
 
     def _ctx(self) -> dict:
         """The context dict propagated across the process boundary."""
-        return {
-            "parent": self.span_parent,
-            "profile_wall": self.profile_wall,
-            "profile_top": self.profile_top,
-        }
+        return {"parent": self.span_parent}
 
     # -- serial ------------------------------------------------------------
 

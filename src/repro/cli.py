@@ -168,21 +168,6 @@ def _write_metrics_jsonl(kernel, sampler, destination: str) -> int:
     return text.count("\n")
 
 
-def _note_history_run(workload: str, args: argparse.Namespace,
-                      result) -> None:
-    """Drop one simulated run's facts into the ambient history
-    recorder (no-op when ``--history`` is off)."""
-    from .obs import get_recorder
-
-    recorder = get_recorder()
-    if recorder is None:
-        return
-    from .analysis.costmodel import run_counters
-
-    recorder.note(workload=workload, machine=args.machine, p=args.p)
-    recorder.note_sim(**run_counters(result))
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
     want_metrics = args.metrics_out is not None
     if want_metrics and args.sample_ms <= 0:
@@ -208,7 +193,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # a crashing run must still flush its trace sinks: a valid,
         # truncated trace beats a silently-buffered empty one
         kernel.tracer.close_sinks()
-    _note_history_run(args.workload, args, result)
     print(f"{program.name}: {result.sim_time_ms:.2f} ms simulated "
           f"on {args.p} of {args.machine} processors")
     print()
@@ -263,7 +247,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     kernel, program = _build_point(_point_spec(args), metrics=True)
     sampler = _start_sampler(kernel, args.sample_ms)
     result = run_program(kernel, program)
-    _note_history_run(args.workload, args, result)
     if args.format == "prom":
         # stdout is the exposition document; human context to stderr
         print(f"{program.name}: {result.sim_time_ms:.2f} ms simulated "
@@ -604,12 +587,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     scale = args.scale or (
         "full" if args.full else ("smoke" if args.smoke else "quick")
     )
-    baseline = None
-    if args.compare:
-        # an unreadable baseline is refused before the sweep, not after
-        from .obs import load_perf_doc
-
-        baseline = load_perf_doc(args.compare)
 
     def progress(result):
         status = "ok" if result.ok else (
@@ -629,21 +606,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             base_seed=args.base_seed,
             timeout_s=args.timeout,
             progress=progress if not args.quiet else None,
-            profile_wall=args.profile_wall,
         )
     except ValueError as exc:
         print(f"repro bench: {exc}")
         return 2
     wall = _time.perf_counter() - t0
-    from .obs import get_recorder
-
-    recorder = get_recorder()
-    if recorder is not None:
-        recorder.note(scale=scale, seed=args.base_seed,
-                      targets=sorted(docs))
-        recorder.note_wall(jobs=args.jobs, sweep_s=round(wall, 6))
-        for name, doc in sorted(docs.items()):
-            recorder.note_bench(name, doc)
     out_dir = Path(args.out)
     written = write_results(docs, out_dir)
     if args.snapshot:
@@ -666,16 +633,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for path in written:
         if path.suffix == ".json":
             print(f"  wrote {path}")
-    if args.profile_wall:
-        from .obs import format_wall_profile
-
-        for name, doc in sorted(docs.items()):
-            profiles = doc.get("wall_profile")
-            if not profiles:
-                continue
-            print()
-            for pname, table in profiles["points"].items():
-                print(format_wall_profile(f"{name}::{pname}", table))
     if problems:
         print("\nschema problems:")
         for problem in problems:
@@ -684,61 +641,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     false = false_checks(docs)
     for line in false:
         print(f"repro bench: {line}")
-    if baseline is not None:
-        from .obs import compare_targets, render_trend
-
-        verdict = compare_targets(
-            baseline,
-            {"source": "<this run>", "scale": scale, "targets": docs},
-        )
-        print()
-        print(render_trend(verdict))
-        if not verdict["ok"]:
-            return 1
     return 1 if failed or false else 0
-
-
-def _cmd_obs_trend(args: argparse.Namespace) -> int:
-    from .obs import (
-        DEFAULT_MIN_WALL_S,
-        DEFAULT_WALL_TOLERANCE,
-        history_root,
-        load_history,
-        render_trend,
-        trend_history,
-        trend_series,
-    )
-
-    tolerance = args.wall_tolerance if args.wall_tolerance is not None \
-        else DEFAULT_WALL_TOLERANCE
-    min_wall = args.min_wall_s if args.min_wall_s is not None \
-        else DEFAULT_MIN_WALL_S
-    if args.history_n is not None:
-        if args.files:
-            print("repro obs trend: give bench files or "
-                  "--history N, not both")
-            return 2
-        summaries = load_history(
-            history_root(args.history_dir), last=args.history_n)
-        doc = trend_history(
-            summaries,
-            wall_tolerance=tolerance,
-            min_wall_s=min_wall,
-        )
-    else:
-        doc = trend_series(
-            args.files,
-            wall_tolerance=tolerance,
-            min_wall_s=min_wall,
-        )
-    text = _doc.pretty(doc)
-    if args.out:
-        _doc.write(args.out, text)
-    if args.format == "json":
-        sys.stdout.write(text)
-    else:
-        print(render_trend(doc))
-    return 0 if doc["ok"] else 1
 
 
 def _cmd_obs_ledger(args: argparse.Namespace) -> int:
@@ -776,54 +679,6 @@ def _cmd_obs_ledger(args: argparse.Namespace) -> int:
             print(f"  {problem}")
         return 1
     return 0
-
-
-def _cmd_obs_history_list(args: argparse.Namespace) -> int:
-    from .obs import history_root, load_history
-    from .obs.history import summary_line
-
-    root = history_root(args.history_dir)
-    summaries = load_history(root, last=args.last)
-    if not summaries:
-        print(f"repro obs history: {root} is empty")
-        return 2
-    print(f"{root}: {len(summaries)} run(s)")
-    for summary in summaries:
-        print(f"  {summary_line(summary)}")
-    return 0
-
-
-def _cmd_obs_history_show(args: argparse.Namespace) -> int:
-    from .obs import (
-        history_root,
-        list_runs,
-        load_summary,
-        strip_wall_summary,
-    )
-
-    root = history_root(args.history_dir)
-    run = args.run
-    if run is None:
-        runs = list_runs(root)
-        if not runs:
-            print(f"repro obs history: {root} is empty")
-            return 2
-        run = runs[-1]
-    summary = load_summary(root, run)
-    if args.strip_wall:
-        # the rerun-comparable view, one compact line -- byte-identical
-        # across same-args same-seed runs (the round-trip CI check)
-        sys.stdout.write(_doc.compact(strip_wall_summary(summary)) + "\n")
-    else:
-        sys.stdout.write(_doc.pretty(summary))
-    return 0
-
-
-def _cmd_obs_history_trend(args: argparse.Namespace) -> int:
-    # delegate to `repro obs trend --history N` (0 = every run)
-    args.history_n = args.last if args.last is not None else 0
-    args.files = []
-    return _cmd_obs_trend(args)
 
 
 def _cmd_check_invariants(args: argparse.Namespace) -> int:
@@ -1038,12 +893,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a repro-events/1 run ledger (span/event JSONL) of "
         "this invocation to PATH; the REPRO_LEDGER environment "
         "variable does the same (inspect with `repro obs ledger`)")
-    parser.add_argument(
-        "--history", nargs="?", const="", default=None, metavar="DIR",
-        help="append one repro-run/1 summary of this invocation to "
-        "the cross-run history store (default .repro/history, or "
-        "DIR); the REPRO_HISTORY environment variable does the same "
-        "(query with `repro obs history`)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     t1 = sub.add_parser("table1", help="the section 4.1 cost-model table")
@@ -1376,53 +1225,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "(default depends on scale)")
     be.add_argument("-q", "--quiet", action="store_true",
                     help="suppress the per-point progress lines")
-    be.add_argument("--compare", default=None, metavar="BASELINE",
-                    help="after the sweep, compare against a baseline "
-                    "(snapshot file, BENCH_*.json or results dir) and "
-                    "exit 1 on drift or wall regression")
-    be.add_argument("--profile-wall", type=int, default=0, metavar="N",
-                    help="cProfile every point and embed the slowest N "
-                    "per target in the BENCH document (wall-clock "
-                    "data: stripped from snapshots)")
     be.set_defaults(fn=_cmd_bench)
 
     ob = sub.add_parser(
-        "obs",
-        help="fleet observability: inspect run ledgers and gate on "
-        "the perf trajectory",
-    )
+        "obs", help="fleet observability: inspect run ledgers")
     obsub = ob.add_subparsers(dest="obs_mode", required=True)
-
-    obt = obsub.add_parser(
-        "trend",
-        help="compare a series of bench outputs (snapshots, "
-        "BENCH_*.json or results dirs) and emit repro-trend/1 "
-        "verdicts; exit 1 on drift or wall regression",
-    )
-    obt.add_argument("files", nargs="*",
-                     help="two or more bench outputs, oldest first "
-                     "(or none with --history)")
-    obt.add_argument("--history", type=int, dest="history_n",
-                     default=None, metavar="N",
-                     help="gate the last N bench-carrying runs from "
-                     "the history store instead of explicit files "
-                     "(0 = every run)")
-    obt.add_argument("--history-dir", default=None, metavar="DIR",
-                     help="history store location (default: "
-                     "REPRO_HISTORY or .repro/history)")
-    obt.add_argument("--wall-tolerance", type=float,
-                     default=None, metavar="R",
-                     help="wall ratio above R is a regression "
-                     "(default 1.5)")
-    obt.add_argument("--min-wall-s", type=float, default=None,
-                     metavar="S",
-                     help="baseline walls under S seconds are noise, "
-                     "never judged (default 0.05)")
-    obt.add_argument("--format", choices=("text", "json"),
-                     default="text", help="report format")
-    obt.add_argument("-o", "--out", default=None, metavar="PATH",
-                     help="also write the verdict document to PATH")
-    obt.set_defaults(fn=_cmd_obs_trend)
 
     obl = obsub.add_parser(
         "ledger",
@@ -1445,60 +1252,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="--follow gives up after S seconds without "
                      "a close record")
     obl.set_defaults(fn=_cmd_obs_ledger)
-
-    obh = obsub.add_parser(
-        "history",
-        help="query the cross-run history store "
-        "(repro --history <verb> appends to it)",
-    )
-    obhsub = obh.add_subparsers(dest="history_mode", required=True)
-
-    obhl = obhsub.add_parser(
-        "list", help="one line per recorded run")
-    obhl.add_argument("-n", "--last", type=int, default=None,
-                      help="only the last N runs")
-    obhl.add_argument("--dir", dest="history_dir", default=None,
-                      metavar="DIR",
-                      help="history store location (default: "
-                      "REPRO_HISTORY or .repro/history)")
-    obhl.set_defaults(fn=_cmd_obs_history_list)
-
-    obhs = obhsub.add_parser(
-        "show", help="print one run's repro-run/1 summary")
-    obhs.add_argument("run", nargs="?", type=int, default=None,
-                      help="run index (default: the latest)")
-    obhs.add_argument("--strip-wall", action="store_true",
-                      help="print the rerun-comparable summary (wall "
-                      "key dropped) as one compact JSON line")
-    obhs.add_argument("--dir", dest="history_dir", default=None,
-                      metavar="DIR",
-                      help="history store location (default: "
-                      "REPRO_HISTORY or .repro/history)")
-    obhs.set_defaults(fn=_cmd_obs_history_show)
-
-    obht = obhsub.add_parser(
-        "trend",
-        help="series perf gate over the store's bench-carrying runs "
-        "(same verdicts as `repro obs trend --history`)")
-    obht.add_argument("-n", "--last", type=int, default=None,
-                      help="only the last N runs (default: all)")
-    obht.add_argument("--dir", dest="history_dir", default=None,
-                      metavar="DIR",
-                      help="history store location (default: "
-                      "REPRO_HISTORY or .repro/history)")
-    obht.add_argument("--wall-tolerance", type=float, default=None,
-                      metavar="R",
-                      help="wall ratio above R is a regression "
-                      "(default 1.5)")
-    obht.add_argument("--min-wall-s", type=float, default=None,
-                      metavar="S",
-                      help="baseline walls under S seconds are noise "
-                      "(default 0.05)")
-    obht.add_argument("--format", choices=("text", "json"),
-                      default="text", help="report format")
-    obht.add_argument("-o", "--out", default=None, metavar="PATH",
-                      help="also write the verdict document to PATH")
-    obht.set_defaults(fn=_cmd_obs_history_trend)
 
     ck = sub.add_parser(
         "check",
@@ -1644,65 +1397,31 @@ def _run_verb(args: argparse.Namespace) -> int:
 
 def _dispatch(args: argparse.Namespace,
               argv: Optional[Sequence[str]]) -> int:
-    """Run the verb, under a run-ledger root span and/or a history
-    recorder when asked for (``--ledger PATH`` / ``REPRO_LEDGER``,
-    ``--history [DIR]`` / ``REPRO_HISTORY``).  Both finalize in a
+    """Run the verb, under a run-ledger root span when asked for
+    (``--ledger PATH`` / ``REPRO_LEDGER``).  The ledger finalizes in a
     ``finally`` so a crashing verb still leaves a valid, truncated
-    ledger and an error-status history summary.  ``repro obs`` itself
-    is never recorded: querying the store must not grow it."""
+    ledger."""
     import os
 
-    argv_list = [str(a) for a in
-                 (argv if argv is not None else sys.argv[1:])]
     ledger_dest = args.ledger or os.environ.get("REPRO_LEDGER")
-    want_history = args.command != "obs" and (
-        args.history is not None
-        or bool(os.environ.get("REPRO_HISTORY"))
-    )
-    if not ledger_dest and not want_history:
+    if not ledger_dest:
         return _run_verb(args)
-    from .obs import set_ledger, set_recorder
+    from .obs import RunLedger, set_ledger
 
-    recorder = None
-    if want_history:
-        from .obs import RunRecorder, history_root
-
-        recorder = RunRecorder(history_root(args.history or None),
-                               args.command, argv_list)
-        set_recorder(recorder)
-    ledger = None
-    root = None
-    if ledger_dest:
-        from .obs import RunLedger
-
-        ledger = RunLedger(ledger_dest, verb=args.command,
-                           argv=argv_list)
-        set_ledger(ledger)
-        root = ledger.span(f"cli.{args.command}")
+    ledger = RunLedger(ledger_dest, verb=args.command, argv=[
+        str(a) for a in (argv if argv is not None else sys.argv[1:])])
+    set_ledger(ledger)
+    root = ledger.span(f"cli.{args.command}")
     status = "error"
-    code = 1
     try:
         code = _run_verb(args)
         status = "ok" if code == 0 else "error"
-        if root is not None:
-            root.attrs["exit_code"] = code
+        root.attrs["exit_code"] = code
         return code
     finally:
-        if root is not None:
-            root.end(status=status)
-        if ledger is not None:
-            ledger.close(status=status)
-            set_ledger(None)
-        if recorder is not None:
-            if ledger is not None:
-                from .obs import read_ledger
-
-                try:
-                    recorder.note_ledger(read_ledger(ledger_dest))
-                except _doc.DocError:
-                    pass  # a torn ledger must not mask the verb's exit
-            recorder.finish(status=status, exit_code=code)
-            set_recorder(None)
+        root.end(status=status)
+        ledger.close(status=status)
+        set_ledger(None)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

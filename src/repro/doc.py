@@ -1,21 +1,20 @@
 """The one document boundary: every ``repro-*/1`` file passes through here.
 
-Twelve schemas leave and enter the program (DESIGN.md "Documents" has
+Ten schemas leave and enter the program (DESIGN.md "Documents" has
 the table).  This module is the only one that knows
 
 1. the two on-disk **spellings** -- :func:`compact` (sorted keys, no
-   spaces: JSONL records, hashes, bundle headers) and :func:`pretty`
+   spaces: JSONL records, bundle headers) and :func:`pretty`
    (sorted keys, two-space indent, trailing newline: whole documents);
-2. the **hash** of a document: :func:`sha256` of its compact spelling;
-3. **reading** -- path -> text -> JSON -> object -> ``schema`` tag, for
+2. **reading** -- path -> text -> JSON -> object -> ``schema`` tag, for
    whole files (:func:`read`) and JSON Lines (:func:`read_jsonl`),
    failing with one :class:`DocError` whose message is
    ``<path>[:<line>]: <reason>``;
-4. the declarative **shape check** (:func:`check`): a nested
+3. the declarative **shape check** (:func:`check`): a nested
    ``{key: type | (types) | [shape] | {shape}}`` table, returning the
    list of problems;
-5. the **wall quarantine** in its two styles: a ``wall`` key
-   (:func:`strip_wall`: events, run, findings) and named fields
+4. the **wall quarantine** in its two styles: a ``wall`` key
+   (:func:`strip_wall`: events, findings) and named fields
    (:func:`strip_named`: bench).
 
 The owners (``bench/schema.py``, ``obs/*``, ``policy/tune.py``,
@@ -27,13 +26,12 @@ classes subclass :class:`DocError`, which the CLI turns into
 
 from __future__ import annotations
 
-import hashlib
 import json
 from pathlib import Path
 from typing import Any, Iterator, Optional, Union
 
 #: the key holding every wall-clock-dependent field of a record or
-#: document in the ``events``, ``run`` and ``findings`` schemas
+#: document in the ``events`` and ``findings`` schemas
 WALL_KEY = "wall"
 
 
@@ -41,7 +39,7 @@ class DocError(ValueError):
     """An unreadable or misshapen document; one line, no traceback."""
 
 
-# -- spelling and hashing ------------------------------------------------------
+# -- spelling ------------------------------------------------------------------
 
 #: one line, sorted keys, no spaces
 compact = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
@@ -58,11 +56,6 @@ def pretty(doc: Any) -> str:
 def jsonl(records) -> str:
     """One compact line per record."""
     return "".join(compact(record) + "\n" for record in records)
-
-
-def sha256(doc: Any) -> str:
-    """Content hash of a document: independent of key order."""
-    return hashlib.sha256(compact(doc).encode()).hexdigest()
 
 
 def write(path: Union[str, Path], text: str) -> Path:

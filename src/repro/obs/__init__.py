@@ -1,4 +1,4 @@
-"""Fleet observability: the run ledger, pool health and perf trends.
+"""Fleet observability: the run ledger, pool health and the doctor.
 
 Where ``repro.telemetry`` watches *one simulation from the inside*
 (protocol metrics, trace sinks, sim-time sampling), this package watches
@@ -12,26 +12,15 @@ the *tooling fleet from the outside*:
 ``health``
     Worker-pool heartbeats, per-worker counters/gauges on the shared
     metrics-registry machinery, and stall detection.
-``wallprof``
-    Opt-in cProfile capture of the slowest sweep points
-    (``repro bench --profile-wall N``).
-``trend``
-    The perf trajectory: ``repro obs trend`` / ``repro bench
-    --compare`` turn a series of ``BENCH_*.json`` documents into
-    noise-aware ``repro-trend/1`` regression verdicts, wired as a CI
-    gate; ``repro obs trend --history N`` gates the last N runs from
-    the history store.
 ``doctor``
     Streaming anomaly detectors (false sharing, shootdown storms,
     frozen-page thrash, defrost starvation, pool wall pathologies)
     over one run's profile events, sampler rows and pool health --
     the ``repro doctor`` verb and ``repro-findings/1`` reports.
-``history``
-    The cross-run memory: one byte-stable ``repro-run/1`` summary per
-    CLI invocation appended to ``.repro/history/``, queried by
-    ``repro obs history list|show|trend``.
 
-See the "Run ledger & perf trajectory" section of
+Nothing here judges wall-clock speed: ``perf/run.py --compare`` is the
+one wall-clock gate, and the committed ``BENCH_smoke.json`` is the one
+gate on simulated drift.  See the "Run ledger" section of
 docs/OBSERVABILITY.md.
 """
 
@@ -44,19 +33,6 @@ from .doctor import (
     strip_wall_findings,
 )
 from .health import PoolHealth, WALL_S_BUCKETS
-from .history import (
-    HISTORY_SCHEMA,
-    HistoryError,
-    RunRecorder,
-    append_summary,
-    get_recorder,
-    history_root,
-    list_runs,
-    load_history,
-    load_summary,
-    set_recorder,
-    strip_wall_summary,
-)
 from .ledger import (
     LEDGER_SCHEMA,
     NULL_SPAN,
@@ -77,67 +53,32 @@ from .ledger import (
     tick,
     validate_ledger,
 )
-from .trend import (
-    DEFAULT_MIN_WALL_S,
-    DEFAULT_WALL_TOLERANCE,
-    TREND_SCHEMA,
-    TrendError,
-    compare_targets,
-    load_perf_doc,
-    render_trend,
-    trend_history,
-    trend_series,
-)
-from .wallprof import format_wall_profile, profile_call, top_functions
 
 __all__ = [
-    "DEFAULT_MIN_WALL_S",
-    "DEFAULT_WALL_TOLERANCE",
     "DETECTOR_ORDER",
     "DOCTOR_SCHEMA",
     "DoctorError",
-    "HISTORY_SCHEMA",
-    "HistoryError",
     "LEDGER_SCHEMA",
     "LedgerError",
     "NULL_SPAN",
     "PoolHealth",
     "RunLedger",
-    "RunRecorder",
     "Span",
-    "TREND_SCHEMA",
-    "TrendError",
     "WALL_S_BUCKETS",
-    "append_summary",
-    "compare_targets",
     "diagnose",
     "event",
     "follow_ledger",
-    "format_wall_profile",
     "get_ledger",
-    "get_recorder",
-    "history_root",
     "iter_spans",
-    "list_runs",
-    "load_history",
-    "load_perf_doc",
-    "load_summary",
-    "profile_call",
     "read_ledger",
     "render_findings",
     "render_follow_record",
-    "render_trend",
     "set_ledger",
-    "set_recorder",
     "span",
     "strip_wall",
     "strip_wall_findings",
     "strip_wall_ledger",
-    "strip_wall_summary",
     "summarize_ledger",
     "tick",
-    "top_functions",
-    "trend_history",
-    "trend_series",
     "validate_ledger",
 ]

@@ -7,14 +7,18 @@ everything except wall-clock fields.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro import doc as _doc
 from repro.bench import (
     TARGETS,
     load_bench,
+    load_snapshot,
     run_bench,
     select_targets,
+    snapshot_doc,
     strip_wall_clock,
     summarize,
     validate_bench,
@@ -77,6 +81,24 @@ def test_parallel_smoke_matches_serial(smoke_docs, smoke_docs_parallel):
             f"{target}: serial and jobs=2 sweeps disagree beyond "
             "wall-clock fields"
         )
+
+
+def test_the_smoke_sweep_reproduces_the_committed_snapshot(smoke_docs):
+    """The one gate on simulated drift.  ``BENCH_smoke.json`` is this
+    sweep with its wall-clock fields stripped, so the same tree rebuilds
+    it byte for byte.  A change that moves any simulated figure fails
+    here, naming the targets, until ``python -m repro bench --update``
+    puts the moved figures in the same diff.  Wall-clock speed is not
+    judged here: ``perf/run.py --compare`` owns that."""
+    committed_path = Path(__file__).resolve().parents[1] / "BENCH_smoke.json"
+    committed = load_snapshot(committed_path)["targets"]
+    fresh = snapshot_doc(smoke_docs, "smoke")
+    drifted = sorted(name for name in set(committed) | set(fresh["targets"])
+                     if committed.get(name) != fresh["targets"].get(name))
+    assert not drifted, (
+        f"simulated drift in {drifted}: regenerate with "
+        "'python -m repro bench --update' and commit BENCH_smoke.json")
+    assert _doc.pretty(fresh) == committed_path.read_text()
 
 
 def test_counters_aggregate_over_points(smoke_docs):
@@ -290,27 +312,14 @@ def test_parallel_points_carry_worker_pids(tmp_path):
         assert sweep is not None  # degraded sandbox: parent ran them
 
 
-def test_profile_wall_embeds_slowest_tables(tmp_path):
-    docs, _records = _ledgered_bench(tmp_path, profile_wall=2)
-    profile = docs["fig1_gauss"]["wall_profile"]
-    assert profile["slowest"] == 2
-    assert 1 <= len(profile["points"]) <= 2
-    for table in profile["points"].values():
-        assert table["top"]
-        assert table["total_calls"] > 0
-    # wall-clock data: stripped from the snapshot view
-    assert "wall_profile" not in \
-        strip_wall_clock(docs["fig1_gauss"])
-    assert validate_bench(docs["fig1_gauss"]) == []
-
-
 def test_bench_without_ledger_emits_nothing(tmp_path):
     from repro.obs import get_ledger
 
     assert get_ledger() is None
     docs, _runner = run_bench(scale="smoke",
                               filter_pattern="tab1_costmodel")
-    assert "wall_profile" not in docs["tab1_costmodel"]
+    assert get_ledger() is None
+    assert validate_bench(docs["tab1_costmodel"]) == []
 
 
 def test_pool_health_is_attached_and_counts_tasks():

@@ -1,5 +1,4 @@
-"""CLI observability: --ledger, repro obs trend/ledger, bench --scale
-and --compare."""
+"""CLI observability: --ledger, repro obs ledger and bench --scale."""
 
 import json
 
@@ -121,100 +120,7 @@ def test_obs_ledger_invalid_records_exit_1(tmp_path, capsys):
     assert "ledger problem(s)" in out
 
 
-# -- repro obs trend ----------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def smoke_outputs(tmp_path_factory):
-    """One real smoke sweep: its results dir and snapshot file."""
-    base = tmp_path_factory.mktemp("trend")
-    out = base / "results"
-    snap = base / "snap.json"
-    code = main(["bench", "--scale", "smoke", "--filter",
-                 "tab1_costmodel", "-q", "--out", str(out),
-                 "--snapshot", str(snap)])
-    assert code == 0
-    return out, snap
-
-
-def test_obs_trend_identical_snapshots_pass(smoke_outputs, tmp_path,
-                                            capsys):
-    _out, snap = smoke_outputs
-    copy = tmp_path / "snap2.json"
-    copy.write_text(snap.read_text())
-    code, out = run_cli(capsys, "obs", "trend", str(snap), str(copy))
-    assert code == 0
-    assert "=> ok" in out
-
-
-def test_obs_trend_flags_injected_2x_regression(smoke_outputs,
-                                                tmp_path, capsys):
-    """The CI self-test contract: double every wall figure of a fresh
-    run and the gate must fail."""
-    results, _snap = smoke_outputs
-    doc = json.loads(
-        (results / "BENCH_tab1_costmodel.json").read_text())
-    for point in doc["points"]:
-        point["wall_s"] = max(point["wall_s"], 0.1)
-    doc["wall_clock_s"] = sum(p["wall_s"] for p in doc["points"])
-    base = tmp_path / "base.json"
-    base.write_text(json.dumps(doc))
-    for point in doc["points"]:
-        point["wall_s"] *= 2
-    doc["wall_clock_s"] *= 2
-    slow = tmp_path / "slow.json"
-    slow.write_text(json.dumps(doc))
-    code, out = run_cli(capsys, "obs", "trend", str(base), str(slow))
-    assert code == 1
-    assert "REGRESSION" in out
-
-
-def test_obs_trend_detects_drift(smoke_outputs, tmp_path, capsys):
-    _results, snap = smoke_outputs
-    doc = json.loads(snap.read_text())
-    target = doc["targets"]["tab1_costmodel"]
-    target["counters"] = dict(target["counters"], faults=999_999)
-    drifted = tmp_path / "drifted.json"
-    drifted.write_text(json.dumps(doc))
-    code, out = run_cli(capsys, "obs", "trend", str(snap),
-                        str(drifted))
-    assert code == 1
-    assert "DRIFT" in out
-    assert "faults" in out
-
-
-def test_obs_trend_json_output_and_out_file(smoke_outputs, tmp_path,
-                                            capsys):
-    _results, snap = smoke_outputs
-    copy = tmp_path / "snap2.json"
-    copy.write_text(snap.read_text())
-    verdict_path = tmp_path / "verdict.json"
-    code, out = run_cli(capsys, "obs", "trend", "--format", "json",
-                        "--out", str(verdict_path), str(snap),
-                        str(copy))
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["schema"] == "repro-trend/1"
-    assert doc["ok"] is True
-    assert json.loads(verdict_path.read_text()) == doc
-
-
-def test_obs_trend_needs_two_files(smoke_outputs, capsys):
-    _results, snap = smoke_outputs
-    code, out = run_cli(capsys, "obs", "trend", str(snap))
-    assert code == 2
-    assert "at least two" in out
-
-
-def test_obs_trend_unreadable_input_exits_2(tmp_path, capsys):
-    code, out = run_cli(capsys, "obs", "trend",
-                        str(tmp_path / "a.json"),
-                        str(tmp_path / "b.json"))
-    assert code == 2
-    assert "repro obs trend:" in out
-
-
-# -- bench --scale / --compare ------------------------------------------------
+# -- bench --scale ------------------------------------------------------------
 
 
 def test_bench_scale_by_name(tmp_path, capsys):
@@ -239,158 +145,6 @@ def test_bench_scale_conflicts_with_smoke_flag(tmp_path, capsys):
         main(["bench", "--scale", "smoke", "--smoke",
               "--out", str(tmp_path)])
     capsys.readouterr()
-
-
-def test_bench_compare_gates_against_a_baseline(smoke_outputs,
-                                                tmp_path, capsys):
-    _results, snap = smoke_outputs
-    code, out = run_cli(
-        capsys, "bench", "--scale", "smoke", "--filter",
-        "tab1_costmodel", "-q", "--out", str(tmp_path),
-        "--compare", str(snap),
-    )
-    assert code == 0
-    assert "=> ok" in out
-
-
-def test_bench_compare_fails_on_drifted_baseline(smoke_outputs,
-                                                 tmp_path, capsys):
-    _results, snap = smoke_outputs
-    doc = json.loads(snap.read_text())
-    target = doc["targets"]["tab1_costmodel"]
-    target["counters"] = dict(target["counters"], faults=123_456_789)
-    baseline = tmp_path / "drifted.json"
-    baseline.write_text(json.dumps(doc))
-    code, out = run_cli(
-        capsys, "bench", "--scale", "smoke", "--filter",
-        "tab1_costmodel", "-q", "--out", str(tmp_path / "r"),
-        "--compare", str(baseline),
-    )
-    assert code == 1
-    assert "DRIFT" in out
-
-
-def test_bench_profile_wall_prints_top_functions(tmp_path, capsys):
-    code, out = run_cli(
-        capsys, "bench", "--scale", "smoke", "--filter",
-        "tab1_costmodel", "-q", "--out", str(tmp_path),
-        "--profile-wall", "1",
-    )
-    assert code == 0
-    assert "cumtime" in out
-    assert "_execute" in out
-
-
-# -- repro --history / obs history --------------------------------------------
-
-
-def test_history_flag_records_and_list_show_read_back(tmp_path,
-                                                      capsys):
-    hist = tmp_path / "hist"
-    code, _out = run_cli(capsys, "--history", str(hist), "table1")
-    assert code == 0
-    code, out = run_cli(capsys, "obs", "history", "list",
-                        "--dir", str(hist))
-    assert code == 0
-    assert "table1" in out
-    code, out = run_cli(capsys, "obs", "history", "show",
-                        "--dir", str(hist))
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["schema"] == "repro-run/1"
-    assert doc["verb"] == "table1"
-    assert doc["exit_code"] == 0
-    assert "t0_s" in doc["wall"]
-
-
-def test_repro_history_env_var_is_the_flag(tmp_path, capsys,
-                                           monkeypatch):
-    hist = tmp_path / "hist"
-    monkeypatch.setenv("REPRO_HISTORY", str(hist))
-    code, _out = run_cli(capsys, "transitions")
-    assert code == 0
-    code, out = run_cli(capsys, "obs", "history", "list",
-                        "--dir", str(hist))
-    assert code == 0
-    assert "transitions" in out
-
-
-def test_history_show_strip_wall_is_byte_stable(tmp_path, capsys):
-    hist = tmp_path / "hist"
-    for _ in range(2):
-        code, _out = run_cli(capsys, "--history", str(hist), "table1")
-        assert code == 0
-    stripped = []
-    for run in ("1", "2"):
-        code, out = run_cli(capsys, "obs", "history", "show", run,
-                            "--strip-wall", "--dir", str(hist))
-        assert code == 0
-        doc = json.loads(out)
-        assert "wall" not in doc
-        doc.pop("run")  # the store index is the only expected delta
-        stripped.append(json.dumps(doc, sort_keys=True))
-    assert stripped[0] == stripped[1]
-
-
-def test_history_verbs_on_a_missing_store_exit_2(tmp_path, capsys):
-    missing = str(tmp_path / "void")
-    for argv in (["obs", "history", "list", "--dir", missing],
-                 ["obs", "history", "show", "--dir", missing],
-                 ["obs", "history", "trend", "--dir", missing]):
-        code, out = run_cli(capsys, *argv)
-        assert code == 2
-        lines = out.strip().splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("repro obs")
-
-
-def test_history_trend_gates_a_three_run_series(tmp_path, capsys):
-    import copy
-
-    from repro.obs import load_history
-    from repro.obs.history import append_summary, strip_wall_summary
-
-    hist = tmp_path / "hist"
-    for _ in range(2):  # identical argv: reruns overwrite --out
-        code, _out = run_cli(
-            capsys, "--history", str(hist), "bench", "--scale",
-            "smoke", "--filter", "tab1_costmodel", "-q",
-            "--out", str(tmp_path / "r"))
-        assert code == 0
-    code, out = run_cli(capsys, "obs", "history", "trend",
-                        "--dir", str(hist))
-    assert code == 0
-    assert "=> ok" in out
-    # same-args reruns are byte-identical after wall stripping
-    runs = load_history(str(hist))
-    views = [dict(strip_wall_summary(s)) for s in runs]
-    for view in views:
-        view.pop("run")
-    assert views[0] == views[1]
-    # inject a doctored third run with every wall figure doubled:
-    # the CI self-test contract, the gate must fail
-    slow = copy.deepcopy(runs[-1])
-    slow.pop("run")
-    for target in slow["wall"]["bench"].values():
-        if "wall_clock_s" in target:
-            target["wall_clock_s"] *= 2
-        for row in target.get("points", {}).values():
-            if "wall_s" in row:
-                row["wall_s"] *= 2
-            if "events_per_s" in row:
-                row["events_per_s"] /= 2
-    append_summary(str(hist), slow)
-    code, out = run_cli(capsys, "obs", "history", "trend",
-                        "--dir", str(hist), "--min-wall-s", "0")
-    assert code == 1
-    assert "REGRESSION" in out
-
-
-def test_obs_trend_history_conflicts_with_files(tmp_path, capsys):
-    code, out = run_cli(capsys, "obs", "trend", "--history", "3",
-                        str(tmp_path / "a.json"))
-    assert code == 2
-    assert "not both" in out
 
 
 # -- repro obs ledger --follow ------------------------------------------------

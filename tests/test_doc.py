@@ -1,8 +1,8 @@
 """The one document boundary (``repro.doc``): the hostile-document matrix
-over all twelve ``repro-*/1`` schemas, the hostile commands end to end,
+over all ten ``repro-*/1`` schemas, the hostile commands end to end,
 and the byte contracts of the two spellings.
 
-A hostile document is refused in one line that names the file.  Ten
+A hostile document is refused in one line that names the file.  Eight
 loaders raise a :class:`~repro.doc.DocError`; two *report* (the ledger
 validator and the corpus verifier return a list of problems, which the
 CLI prints with exit 1), so the matrix accepts a non-empty problem list
@@ -26,16 +26,7 @@ from repro import doc
 from repro.bench import load_bench, load_snapshot
 from repro.bench.schema import make_doc
 from repro.bench.snapshot import snapshot_doc
-from repro.obs import (
-    DOCTOR_SCHEMA,
-    TREND_SCHEMA,
-    compare_targets,
-    diagnose,
-    load_summary,
-    read_ledger,
-    validate_ledger,
-)
-from repro.obs.history import run_path
+from repro.obs import DOCTOR_SCHEMA, diagnose, read_ledger, validate_ledger
 from repro.point import point_kernel, point_program
 from repro.policy import load_tuned
 from repro.profile import AccessProbe, ProfileSource, build_explain
@@ -145,10 +136,6 @@ def corpus_loader(path):
     return verify_corpus(path.parent)
 
 
-def summary_loader(path):
-    return load_summary(str(path.parent), 1)
-
-
 LEDGER = [
     {"record": "meta", "schema": "repro-events/1", "verb": "bench",
      "argv": [], "wall": {"pid": 1, "t0_s": 0.0}},
@@ -157,23 +144,15 @@ LEDGER = [
     {"record": "close", "status": "ok", "spans": 1, "events": 0,
      "wall": {"dur_s": 0.1}},
 ]
-SUMMARY = {
-    "schema": "repro-run/1", "run": 1, "verb": "bench",
-    "argv": ["bench"], "status": "ok", "exit_code": 0,
-    "bench": {"targets": {"t": {"sha256": "a" * 64, "points": 1}}},
-    "wall": {"t0_s": 0.0, "dur_s": 1.0},
-}
 TUNED = {"schema": "repro-tune/1", "policy": "adaptive",
          "policy_args": {"t1_hot_factor": 16.0}, "sim_time_ns": 5}
 SPEC_FILE = CORPUS / "gen-smoke-00100-uniform.json"
 
 
 def schemas(source, bundle_bytes):
-    """The twelve rows (built lazily: three need the traced run)."""
+    """The ten rows (built lazily: three need the traced run)."""
     bench = bench_doc()
     snapshot = snapshot_doc({"t": bench}, "smoke")
-    norm = {"source": "mem", "scale": "smoke", "targets": {"t": bench}}
-    trend = compare_targets(norm, norm)
     explain = build_explain(source, top=2).to_dict()
     findings = diagnose(source)
     profile = [*source.events[:8], source._meta()]
@@ -213,15 +192,9 @@ def schemas(source, bundle_bytes):
                ((-1, "access"), [1]), tag=(-1, "schema"),
                spell=doc.jsonl, file="profile.jsonl",
                not_object=[[1, 2]], not_json=b"{nope\n{}\n"),
-        Schema("run", SUMMARY, summary_loader, ("verb",),
-               (("run",), "one"), (("bench",), {"targets": {"t": 3}}),
-               spell=lambda value: doc.compact(value) + "\n",
-               file=Path(run_path("hist", 1)).as_posix()),
         Schema("trace", header, load_trace, ("streams", 0, "offset"),
                (("config",), 7), (("streams", 0), 5),
                spell=spell_bundle, file="g.trace"),
-        Schema("trend", trend, reader(TREND_SCHEMA, trend),
-               ("targets",), (("ok",), "yes"), (("drifted",), {"t": 1})),
         Schema("tune", TUNED, load_tuned, ("policy",),
                (("policy",), 7), (("policy_args",), [1])),
         Schema("workload", spec, WorkloadSpec.load, ("seed",),
@@ -230,8 +203,8 @@ def schemas(source, bundle_bytes):
 
 
 SCHEMA_NAMES = ("bench", "bench-snapshot", "events", "explain",
-                "findings", "genfp", "profile", "run", "trace", "trend",
-                "tune", "workload")
+                "findings", "genfp", "profile", "trace", "tune",
+                "workload")
 HOSTILE = ("missing file", "empty file", "not JSON", "not an object",
            "wrong schema", "required key missing",
            "required key of the wrong type",
@@ -316,13 +289,6 @@ def hostile_files(directory: Path) -> None:
             MAGIC + struct.pack("<Q", len(raw)) + raw)
 
     texts = {
-        "B.json": json.dumps({"schema": "repro-bench/1"}),
-        "B2.json": json.dumps({"schema": "repro-bench/1", "target": "t",
-                               "points": "x"}),
-        "S1.json": json.dumps({"schema": "repro-bench-snapshot/1",
-                               "targets": [1]}),
-        "S2.json": json.dumps({"schema": "repro-bench-snapshot/1",
-                               "targets": {"a": 3}}),
         "P1.jsonl": lines({"record": "profile_meta",
                            "schema": "repro-profile/1"}, EVENT),
         "P2.jsonl": lines({**EVENT, "time": "x"}, EVENT),
@@ -344,11 +310,6 @@ def hostile_files(directory: Path) -> None:
 
 
 HOSTILE_COMMANDS = (
-    ("obs trend B.json B.json", "repro obs trend: B.json: "),
-    ("bench --smoke --filter tab1 --out res --compare B.json",
-     "repro bench: B.json: "),
-    ("obs trend S1.json S1.json", "repro obs trend: S1.json: targets"),
-    ("obs trend S2.json S2.json", "repro obs trend: S2.json: targets.a"),
     ("explain P1.jsonl", "repro explain: P1.jsonl:1: "),
     ("doctor P1.jsonl", "repro doctor: P1.jsonl:1: "),
     ("explain P2.jsonl", "repro explain: P2.jsonl:1: time"),
@@ -359,8 +320,7 @@ HOSTILE_COMMANDS = (
     ("replay T3.trace", "repro replay: T3.trace: "),
     ("gen verify listed", "repro gen: listed/FINGERPRINTS.json: "),
     ("gen verify torn", "repro gen: torn/FINGERPRINTS.json: not JSON"),
-    # the two that used to answer, wrongly, with exit 0
-    ("obs trend B2.json B2.json", "repro obs trend: B2.json: "),
+    # used to answer, wrongly, with exit 0
     ("metrics --from M.jsonl", "repro metrics: M.jsonl:1: "),
 )
 
@@ -416,8 +376,6 @@ def test_spellings():
     assert doc.compact(value) == '{"a":"x","b":[1,{"c":2.5,"d":null}]}'
     assert doc.pretty({"b": 1, "a": []}) == '{\n  "a": [],\n  "b": 1\n}\n'
     assert doc.jsonl([{"b": 1, "a": 2}, {}]) == '{"a":2,"b":1}\n{}\n'
-    assert doc.sha256({}) == (
-        "44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a")
 
 
 def test_torn_tail_is_the_caller_visible_difference(tmp_path):
@@ -466,15 +424,6 @@ SHAPES = st.recursive(
         st.sampled_from(["a", "b?", "*", "schema"]), inner, max_size=3),
     max_leaves=6,
 )
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=5),
-       st.randoms(use_true_random=False))
-def test_sha256_is_invariant_under_key_order(value, rng):
-    items = list(value.items())
-    rng.shuffle(items)
-    assert doc.sha256(dict(items)) == doc.sha256(value)
 
 
 @settings(max_examples=300, deadline=None)
