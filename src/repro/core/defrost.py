@@ -90,7 +90,7 @@ class DefrostDaemon:
             thawed += 1
         self.pages_thawed += thawed
         if self.metrics.enabled:
-            self._m_runs.inc()
+            self._m_runs.add()
         if self.tracer.enabled:
             self.tracer.record(
                 now, EventKind.DEFROST_RUN, None, None, eid=run_eid,
@@ -127,7 +127,7 @@ class DefrostDaemon:
         cpage.recompute_state()
         self.policy.thaw(cpage, now)
         if self.metrics.enabled:
-            self._m_thaws.labels("defrost").inc()
+            self._m_thaws.add("defrost")
         if self.tracer.enabled:
             self.tracer.record(
                 now, EventKind.THAW, cpage.index, initiator, eid=eid,

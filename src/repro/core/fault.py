@@ -20,6 +20,7 @@ faulting processor resumes and retries its access then.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable
 
@@ -86,9 +87,10 @@ class CoherentFaultHandler:
             labels=("action",))
         self._m_handler_ns = m.histogram(
             "fault_handler_ns",
-            "fault-handler latency including lock wait", unit="ns")
+            "fault-handler latency including lock wait", unit="ns").labels()
         self._m_wait_ns = m.histogram(
-            "fault_wait_ns", "per-cpage handler-lock wait", unit="ns")
+            "fault_wait_ns", "per-cpage handler-lock wait",
+            unit="ns").labels()
         self._m_freezes = m.counter(
             "freezes_total", "cpages frozen by the replication policy",
             labels=("cpage",))
@@ -132,9 +134,7 @@ class CoherentFaultHandler:
         else:
             stats.read_faults += 1
         if metrics_on:
-            self._m_faults.labels(
-                proc, "write" if write else "read"
-            ).inc()
+            self._m_faults.add(proc, "write" if write else "read")
 
         # serialize the directory critical section for this Cpage.  The
         # lock scope is small (section 2.2): frame allocation and mapping
@@ -166,13 +166,19 @@ class CoherentFaultHandler:
 
         stats.handler_busy_ns += t - start
         if metrics_on:
-            self._m_actions.labels(action).inc()
-            self._m_handler_ns.observe(t - now)
-            self._m_wait_ns.observe(wait)
+            self._m_actions.add(action)
+            # _HistogramChild.observe inlined for the two whole ns values
+            # a fault ends with, never NaN nor infinite; held to it by
+            # tests/test_telemetry_metrics.py
+            for h, ns in ((self._m_handler_ns, t - now),
+                          (self._m_wait_ns, wait)):
+                h.count += 1
+                h.sum += ns
+                h.counts[bisect_left(h.buckets, ns)] += 1
             if cpage.frozen and not frozen_before:
-                self._m_freezes.labels(cpage.index).inc()
+                self._m_freezes.add(cpage.index)
             elif frozen_before and not cpage.frozen:
-                self._m_thaws.labels("fault").inc()
+                self._m_thaws.add("fault")
         if tracer.enabled:
             tracer.record(
                 now, EventKind.FAULT, cpage.index, proc, eid=eid,
@@ -222,7 +228,8 @@ class CoherentFaultHandler:
 
         action = self.policy.decide(FaultContext(cpage, proc, now, False))
         if self.metrics.enabled:
-            self._m_decisions.labels(self.policy.name, action.value).inc()
+            # _value_, not the .value property: that is two more calls
+            self._m_decisions.add(self.policy.name, action._value_)
         if action is Action.CACHE:
             new_frame = self._try_allocate(proc, cpage)
             if new_frame is not None:
@@ -287,7 +294,7 @@ class CoherentFaultHandler:
 
         action = self.policy.decide(FaultContext(cpage, proc, now, True))
         if self.metrics.enabled:
-            self._m_decisions.labels(self.policy.name, action.value).inc()
+            self._m_decisions.add(self.policy.name, action._value_)
         if action is Action.CACHE:
             new_frame = self._try_allocate(proc, cpage)
             if new_frame is not None:
@@ -361,9 +368,7 @@ class CoherentFaultHandler:
         if queued > 0:
             cpage.stats.handler_wait_ns += queued
         if self.metrics.enabled:
-            self._m_transfers.labels(
-                src.module_index, dst.module_index
-            ).inc()
+            self._m_transfers.add(src.module_index, dst.module_index)
         if self.tracer.enabled:
             self.tracer.record(
                 t, EventKind.TRANSFER, cpage.index, None, cause=cause,

@@ -176,7 +176,7 @@ class ShootdownMechanism:
                         if proc != initiator:
                             send_ipi(initiator, proc, ipi_cost)
                             if count_ipis:
-                                self._m_ipis.labels(proc).inc()
+                                self._m_ipis.add(proc)
                             interrupted |= bit
                         # MMU.invalidate_page / restrict_page, in place
                         atc = mmus[proc].atc
@@ -223,8 +223,9 @@ class ShootdownMechanism:
         self.total_interrupted += len(hit)
         self.total_deferred += len(missed)
         if self.metrics.enabled:
-            self._m_shootdowns.labels(directive.value).inc()
-            self._m_deferred.inc(len(missed))
+            self._m_shootdowns.add(directive._value_)  # not the property
+            if missed:
+                self._m_deferred.add(amount=len(missed))
         return ShootdownResult(cost, hit, missed, posted)
 
     # -- address-space activation ----------------------------------------------

@@ -44,7 +44,7 @@ class EventKind(enum.Enum):
     DEFROST_RUN = "defrost_run"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TraceEvent:
     """One timestamped protocol action.
 

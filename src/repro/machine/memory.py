@@ -156,11 +156,13 @@ class MemoryModule:
             raise OutOfFramesError(
                 f"memory module {self.index} has no free frames"
             )
+        built = self.frames.materialized
         frame = self.frames[self._free.pop()]
         if frame.allocated:
             raise RuntimeError(f"free list corrupt: {frame!r} was allocated")
         frame.allocated = True
-        if not self.dataless:
+        # a frame built just now is np.zeros already: zero reused ones
+        if not self.dataless and self.frames.materialized == built:
             frame.zero()
         self.alloc_count += 1
         return frame

@@ -55,22 +55,23 @@ class AccessProbe:
         coherent.access_probe = probe
         return probe
 
-    def note(self, cpage_index: int, proc: int, write: bool,
-             outcome) -> None:
-        """Record one batched access run (called from the executor)."""
+    def note(self, cpage_index: int, proc: int, write: bool, remote: bool,
+             words: int, queue_delay: int) -> None:
+        """Record one batched access run (called from the executor with
+        the fields of its ``AccessOutcome``, which it does not build)."""
         key = (cpage_index, proc)
         c = self.counts.get(key)
         if c is None:
             c = self.counts[key] = [0] * _SLOTS
-        if outcome.remote:
+        if remote:
             if self.cpages.get(cpage_index).frozen:
                 idx = FROZEN_WRITE if write else FROZEN_READ
             else:
                 idx = REMOTE_WRITE if write else REMOTE_READ
         else:
             idx = LOCAL_WRITE if write else LOCAL_READ
-        c[idx] += outcome.words
-        c[QUEUE_NS] += outcome.queue_delay
+        c[idx] += words
+        c[QUEUE_NS] += queue_delay
 
     def table(self) -> list[dict]:
         """The counters as a deterministic, JSON-ready list of rows."""

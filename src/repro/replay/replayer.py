@@ -253,30 +253,31 @@ class ReplayThreadProcess(ThreadProcess):
 
     __slots__ = ("ops", "pos", "channels")
 
+    #: whether the cursor offers each op to ``_window`` first (fast mode)
+    _batches = False
+
     def __init__(self, kernel, thread, cpu, decoded, channels) -> None:
         super().__init__(kernel, thread, None, cpu)
         self.ops = decoded
         self.pos = 0
         self.channels = channels
 
-    def _window(self, pos: int) -> bool:
-        """Cost a stretch of ops starting at ``pos`` in one event and
-        advance the cursor past it; exact mode never batches."""
-        return False
-
-    def _resume(self, value) -> None:
-        # the generator is gone; step the cursor instead.  Fires, satisfied
-        # waits and GetTime are synchronous in the live executor too, so
-        # looping over them here keeps the engine-event structure identical.
+    def _wake(self) -> None:
+        # the generator is gone; step the cursor instead, in the engine's
+        # own callback frame (every op resumes with None: the slot stays
+        # empty).  Fires, satisfied waits and GetTime are synchronous in
+        # the live executor too, so looping over them here keeps the
+        # engine-event structure identical.
         try:
             ops = self.ops
             n = len(ops)
+            batches = self._batches
             while True:
                 pos = self.pos
                 if pos >= n:
                     self._finish(result=None)
                     return
-                if self._window(pos):
+                if batches and self._window(pos):
                     return
                 op = ops[pos]
                 self.pos = pos + 1
@@ -313,6 +314,9 @@ class ReplayThreadProcess(ThreadProcess):
         except Exception as exc:  # noqa: BLE001 - recorded, like a crash
             self._finish(error=exc)
 
+    def _resume(self, value) -> None:
+        self._wake()
+
 
 class FastReplayThreadProcess(ReplayThreadProcess):
     """Window-at-a-time replay: one engine event per fault-free stretch.
@@ -346,6 +350,8 @@ class FastReplayThreadProcess(ReplayThreadProcess):
         "_acc_served", "_acc_count", "_acc_busy",
         "batched_ops", "windows",
     )
+
+    _batches = True
 
     def __init__(
         self, kernel, thread, cpu, decoded, channels, slots

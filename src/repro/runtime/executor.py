@@ -26,7 +26,6 @@ import numpy as np
 
 from ..kernel.kernel import Kernel
 from ..kernel.threads import Thread
-from ..machine.machine import AccessOutcome
 from ..machine.memory import WORD_DTYPE
 from ..machine.pmap import PmapEntry
 from ..sim.engine import SimulationError
@@ -282,8 +281,8 @@ class ThreadProcess(Process):
                 coherent.note_remote_access(cpage_index, proc, n)
             probe = coherent.access_probe
             if probe is not None:
-                probe.note(cpage_index, proc, write, AccessOutcome(
-                    completion, queue_delay, remote, n))
+                probe.note(cpage_index, proc, write, remote, n,
+                           queue_delay)
         return completion, entry
 
     def _split_runs(self, va: int, n: int) -> list[tuple[int, int, int]]:

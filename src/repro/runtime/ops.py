@@ -11,6 +11,10 @@ read-modify-write at the simulation event where the operation is issued,
 so two racing atomics serialize in event order -- the "atomicity of memory
 operations" the paper's neural-network simulator relies on for
 synchronization.
+
+Op records are slotted dataclasses, immutable by convention only (a
+frozen one costs an ``object.__setattr__`` per field on every op built):
+never mutate an op once built -- a program may yield one op many times.
 """
 
 from __future__ import annotations
@@ -27,14 +31,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from .sync import Broadcast
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Compute(Op):
     """Pure computation: occupies the processor for ``ns`` nanoseconds."""
 
     ns: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Read(Op):
     """Read ``n`` consecutive words starting at word address ``va``.
 
@@ -45,7 +49,7 @@ class Read(Op):
     n: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Write(Op):
     """Write ``value`` (scalar or array) starting at word address ``va``."""
 
@@ -53,7 +57,7 @@ class Write(Op):
     value: Union[int, np.ndarray]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TestAndSet(Op):
     """Atomically set word ``va`` to ``value``; resumes with the old word."""
 
@@ -61,7 +65,7 @@ class TestAndSet(Op):
     value: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class FetchAdd(Op):
     """Atomically add ``delta`` to word ``va``; resumes with the new value."""
 
@@ -69,14 +73,14 @@ class FetchAdd(Op):
     delta: int = 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Migrate(Op):
     """Explicitly migrate this thread to another processor."""
 
     processor: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SendPort(Op):
     """Send a message (word array) to a port."""
 
@@ -84,14 +88,14 @@ class SendPort(Op):
     data: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class RecvPort(Op):
     """Blocking receive; resumes with the message's word array."""
 
     port: "Port"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WaitNewer(Op):
     """Wait until a broadcast channel's version exceeds ``seen``.
 
@@ -104,7 +108,7 @@ class WaitNewer(Op):
     seen: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class GetTime(Op):
     """Resume immediately with the current simulated time (ns)."""
 

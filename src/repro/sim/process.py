@@ -25,14 +25,14 @@ class Op:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Delay(Op):
     """Suspend the process for ``ns`` simulated nanoseconds."""
 
     ns: float
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class WaitFor(Op):
     """Suspend the process until ``event`` fires; resumes with its value."""
 

@@ -14,7 +14,9 @@ Design constraints, in order:
   attribute load and one branch (``if registry.enabled``), the same
   pattern :class:`~repro.core.trace.ProtocolTracer` uses.  Components
   keep pre-bound instrument (and label-child) references so the disabled
-  path never touches a dict;
+  path never touches a dict.  Enabled, a write is one call: a counter
+  through :meth:`Metric.add` under the writer's own branch, a histogram
+  through its pre-bound child (the fault handler bins its two inline);
 * **deterministic output** -- values derive only from simulated work, so
   two same-seed runs emit byte-identical JSONL (collection order is
   registration order, label children in first-bound order);
@@ -26,6 +28,7 @@ Design constraints, in order:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterator, Optional, Sequence
 
 from ..doc import DocError, expect, jsonl, read_jsonl
@@ -107,11 +110,8 @@ class _HistogramChild:
             return
         if -_INF < value < _INF:
             self.sum += value  # non-finite values must not poison sum
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1  # out of range: the +Inf overflow bucket
+        # the first bound >= value; past the last one is the +Inf bucket
+        self.counts[bisect_left(self.buckets, value)] += 1
 
 
 class Metric:
@@ -157,6 +157,16 @@ class Metric:
             child = self._new_child()
             self._children[values] = child
         return child
+
+    def add(self, *values, amount: float = 1.0) -> None:
+        """``labels(*values).inc(amount)`` in one call and without the
+        ``enabled`` check, for a hot-path writer that has already made
+        it.  A series seen for the first time is bound through
+        :meth:`labels`, so children keep their first-bound order."""
+        child = self._children.get(values)
+        if child is None:
+            child = self.labels(*values)
+        child.value += amount
 
     # unlabeled convenience passthroughs ------------------------------------
 

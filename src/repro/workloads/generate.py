@@ -271,7 +271,8 @@ class GeneratedWorkload(Program):
             working = min(phase.working_pages or spec.pages, spec.pages)
             pool = self._pool(tid, working)
             read_frac = phase.mix["read"]
-            # ops are frozen: one think op serves the whole phase
+            # ops are never mutated once built (DESIGN.md section 5):
+            # one think op serves the whole phase
             think = Compute(phase.compute_ns) if phase.compute_ns else None
             for k in range(phase.ops):
                 page = self._pick_page(rng, tid, k, phase, pool, working)

@@ -39,7 +39,7 @@ POLICIES = {
 
 
 class LoggingProbe(AccessProbe):
-    """An AccessProbe that also keeps every outcome it was handed."""
+    """An AccessProbe that also keeps every run it was handed."""
 
     __slots__ = ("log",)
 
@@ -47,11 +47,12 @@ class LoggingProbe(AccessProbe):
         super().__init__(cpages)
         self.log = []
 
-    def note(self, cpage_index, proc, write, outcome) -> None:
+    def note(self, cpage_index, proc, write, remote, words,
+             queue_delay) -> None:
         self.log.append(
-            (cpage_index, proc, write, dataclasses.astuple(outcome))
+            (cpage_index, proc, write, remote, words, queue_delay)
         )
-        super().note(cpage_index, proc, write, outcome)
+        super().note(cpage_index, proc, write, remote, words, queue_delay)
 
 
 def build(policy: str):
@@ -91,7 +92,8 @@ def reference_cost_run(process, vpage, n, write, t):
                     entry.cpage_index, proc, n
                 )
             kernel.coherent.access_probe.note(
-                entry.cpage_index, proc, write, outcome
+                entry.cpage_index, proc, write, outcome.remote,
+                outcome.words, outcome.queue_delay,
             )
             return outcome.completion, entry
         t = kernel.fault(proc, thread.aspace_id, vpage, write, t).completion

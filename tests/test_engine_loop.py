@@ -422,15 +422,24 @@ def test_every_redefined_resume_path_gets_the_reference_wake():
     assert {"RecordingThreadProcess", "ReplayThreadProcess",
             "FastReplayThreadProcess", "ReferenceThreadProcess"} <= names
     for cls in classes:
+        below = cls.__mro__[:cls.__mro__.index(ThreadProcess)]
+        own = next((vars(klass)["_wake"] for klass in below
+                    if "_wake" in vars(klass)), Process._wake)
+        if own is not Process._wake:
+            assert cls._wake is own, cls  # a class's own _wake is kept
+            continue
         redefined = any(
             name in vars(klass)
-            for klass in cls.__mro__[:cls.__mro__.index(ThreadProcess)]
+            for klass in below
             for name in ("_resume", "_throw", "interpret")
         )
         want = Process._wake if redefined else ThreadProcess._wake
         assert cls._wake is want, cls
     assert recorder_mod.RecordingThreadProcess._wake is Process._wake
-    assert replayer_mod.FastReplayThreadProcess._wake is Process._wake
+    # the replay cursor steps in its own _wake; _resume delegates to it
+    replay = replayer_mod.ReplayThreadProcess
+    assert "_wake" in vars(replay)
+    assert replayer_mod.FastReplayThreadProcess._wake is replay._wake
 
     class OwnWake(ThreadProcess):
         __slots__ = ()

@@ -5,7 +5,7 @@ import pytest
 
 from repro import make_kernel
 from repro.machine import MachineParams, MemoryModule, OutOfFramesError
-from repro.machine.memory import LazyList
+from repro.machine.memory import Frame, LazyList
 from repro.workloads.generate import run_spec
 from repro.workloads.spec import PhaseSpec, WorkloadSpec
 
@@ -42,6 +42,29 @@ def test_release_recycles(module):
     assert np.all(again.data == 0)  # zeroed on reuse
     # the same frame, not a second one materialized beside it
     assert again.pfn == pfn and module.frames.materialized == 1
+
+
+def test_only_a_frame_that_existed_before_is_zeroed(module, monkeypatch):
+    """A frame built by its first allocation is np.zeros already; a
+    reused one -- freed, or built while free and written -- still comes
+    back zeroed."""
+    zeroed = []
+    zero = Frame.zero
+    monkeypatch.setattr(
+        Frame, "zero", lambda frame: (zeroed.append(frame.pfn), zero(frame)))
+    fresh = module.allocate()
+    assert zeroed == [] and np.all(fresh.data == 0)
+    fresh.data[:] = 7
+    module.release(fresh)
+    reused = module.allocate()
+    assert reused is fresh and zeroed == [fresh.pfn]
+    assert np.all(reused.data == 0)
+    # built by indexing while free (an inspection), then written
+    touched = module.frames[1]
+    touched.data[:] = 5
+    assert module.allocate() is touched
+    assert zeroed == [fresh.pfn, touched.pfn]
+    assert np.all(touched.data == 0)
 
 
 def test_double_free_detected(module):

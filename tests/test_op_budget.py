@@ -26,6 +26,9 @@ live, sharing replay):
 * ``Engine.run`` popping inline, ``ThreadProcess._wake`` resuming and
   dispatching in one frame and ``commit`` pushing its own wake-up:
   10.08 / 7.99 / 21.49 / 17.16 calls (Sequent 99.99 / 140.20), same
+  pushes;
+* the replay cursor stepping in its own ``_wake``, which never asks
+  ``_window`` in exact mode: 10.08 / 6.00 / 21.49 / 15.18 calls, same
   pushes.
 
 The budgets are the last row plus 10 %, except the private live run,
@@ -54,10 +57,10 @@ from repro.workloads.spec import PhaseSpec, WorkloadSpec
 #: (spec, how it runs) -> (Python calls per op, heap pushes per op)
 BUDGET = {
     ("private", "live"): (10.5, 1.087),       # 10.08, 0.988
-    ("private", "replay"): (8.79, 1.087),     # 7.99, 0.988
+    ("private", "replay"): (6.6, 1.087),      # 6.00, 0.988
     ("private", "sequent"): (109.98, 1.087),  # 99.99, 0.988
     ("sharing", "live"): (23.64, 1.092),      # 21.49, 0.993
-    ("sharing", "replay"): (18.87, 1.092),    # 17.16, 0.993
+    ("sharing", "replay"): (16.70, 1.092),    # 15.18, 0.993
     ("sharing", "sequent"): (154.22, 1.079),  # 140.20, 0.981
 }
 

@@ -1,10 +1,14 @@
 """Tests for the metrics registry (repro.telemetry.metrics)."""
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import make_kernel, run_program
+from repro.core.trace import EventKind
 from repro.telemetry import DEFAULT_NS_BUCKETS, MetricError, MetricsRegistry
 from repro.workloads import GaussianElimination
 
@@ -63,6 +67,24 @@ def test_label_arity_is_checked():
     c = reg.counter("c", labels=("a", "b"))
     with pytest.raises(MetricError):
         c.labels(1)
+
+
+def test_add_is_labels_then_inc_in_one_call():
+    reg = MetricsRegistry(enabled=True)
+    c = reg.counter("c", labels=("a", "b"))
+    c.add(1, "x")
+    c.add(0, "y", amount=2)
+    c.labels(2, "z")
+    c.add(1, "x")
+    # children in first-bound order, whichever call bound them
+    assert [(labels, child.value) for labels, child in c.series()] == [
+        ({"a": 1, "b": "x"}, 2.0), ({"a": 0, "b": "y"}, 2.0),
+        ({"a": 2, "b": "z"}, 0.0)]
+    with pytest.raises(MetricError):
+        c.add(1)
+    u = reg.counter("u")
+    u.add(amount=3)
+    assert u.total == 3.0
 
 
 def test_registration_is_idempotent_but_type_clash_raises():
@@ -168,6 +190,30 @@ def test_handler_latency_histogram_observes_every_fault(metered_run):
     kernel, result = metered_run
     h = kernel.metrics.get("fault_handler_ns")
     assert h.total == result.report.total_faults
+
+
+def test_inlined_fault_histograms_match_observe():
+    """The fault handler bins its two latencies inline.  Fed the same
+    values -- each FAULT event's ``dur`` and ``wait``, in recording
+    order -- the reference ``_HistogramChild.observe`` must reach the
+    same counts, sum and count."""
+    kernel = make_kernel(n_processors=4, metrics=True, trace=True)
+    run_program(kernel, GaussianElimination(
+        n=24, n_threads=4, verify_result=False,
+    ))
+    faults = [e for e in kernel.coherent.tracer.events
+              if e.kind is EventKind.FAULT]
+    assert kernel.coherent.tracer.dropped == 0
+    reference = MetricsRegistry(enabled=True)
+    for name, field in (("fault_handler_ns", "dur"),
+                        ("fault_wait_ns", "wait")):
+        want = reference.histogram(name, unit="ns").labels()
+        for event in faults:
+            want.observe(event.detail[field])
+        got = kernel.metrics.get(name).labels()
+        assert (got.counts, got.sum, got.count) == \
+            (want.counts, want.sum, want.count), name
+        assert sum(1 for c in got.counts if c) > 1, name  # not one bucket
 
 
 def test_default_kernel_has_disabled_registry():
@@ -287,6 +333,54 @@ def test_nan_and_infinite_observations_are_counted_not_lost():
     assert sum(child.counts) == 4  # every observation binned somewhere
     assert child.counts[-1] == 2  # NaN + +Inf in the overflow bucket
     assert child.sum == 5  # non-finite values never poison the sum
+
+
+def linear_scan_observe(child, value):
+    """``_HistogramChild.observe`` before it binned with ``bisect_left``:
+    the first bound >= value, by a linear scan."""
+    child.count += 1
+    if value != value:
+        child.counts[-1] += 1
+        return
+    if -math.inf < value < math.inf:
+        child.sum += value
+    for i, bound in enumerate(child.buckets):
+        if value <= bound:
+            child.counts[i] += 1
+            return
+    child.counts[-1] += 1
+
+
+def edge_values(buckets):
+    """Every bound, its float neighbours, the midpoints between bounds,
+    both infinities, NaN and negative values."""
+    values = [-math.inf, math.inf, math.nan, -1e12, -5, -0.0, 0, 1e300]
+    for bound in buckets:
+        values += [bound, int(bound), math.nextafter(bound, -math.inf),
+                   math.nextafter(bound, math.inf)]
+    values += [(a + b) / 2 for a, b in zip(buckets, buckets[1:])]
+    return values
+
+
+OBSERVED = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10**9, 10**9),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(extra=st.lists(OBSERVED, max_size=30))
+def test_observe_bins_as_the_linear_scan_did(extra):
+    """Value by value, and so cumulatively over the whole list."""
+    for buckets in (DEFAULT_NS_BUCKETS, (1.0,), (-3.0, 0.0, 2.5)):
+        reg = MetricsRegistry(enabled=True)
+        new = reg.histogram("new", buckets=buckets).labels()
+        old = reg.histogram("old", buckets=buckets).labels()
+        for value in edge_values(buckets) + extra:
+            new.observe(value)
+            linear_scan_observe(old, value)
+            assert (new.counts, new.sum, new.count) == \
+                (old.counts, old.sum, old.count), value
 
 
 def test_bucket_bounds_are_sorted_deduped_and_inf_dropped():
