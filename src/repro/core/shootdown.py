@@ -133,8 +133,11 @@ class ShootdownMechanism:
         modules: Optional[set[int]],
     ) -> tuple[int, int, int]:
         """Change one page's translations in one address space: one walk
-        of the reference mask.  Returns the masks of the processors
-        interrupted and deferred, and whether a message was posted.
+        of the reference mask's set bits, lowest processor first.
+        Returns the masks of the processors interrupted and deferred,
+        and whether any translation matched (what
+        ``ShootdownResult.messages_posted`` counts, even when the only
+        match is the initiator's own and nothing reaches the Cmap queue).
 
         A target with the address space active is interrupted and has
         applied (and acknowledged) the change by the time this returns;
@@ -146,50 +149,51 @@ class ShootdownMechanism:
         key = (cmap.aspace_id, vpage)
         pmaps = cmap._pmaps
         active = cmap.active_mask
-        mmus = self.machine.mmus
-        send_ipi = self.machine.interrupts.send_ipi
-        ipi_cost = self.machine.params.ipi_target_cost
+        machine = self.machine
+        mmus = machine.mmus
+        ipi_state = machine.interrupts.state
+        ipi_cost = machine.params.ipi_target_cost
         count_ipis = self.metrics.enabled
         found = False
         interrupted = deferred = 0
         mask = entry.ref_mask
-        proc = 0
         while mask:
-            if mask & 1:
-                bit = 1 << proc
-                pmap = pmaps.get(proc)
-                pentry = pmap._entries.get(vpage) if pmap is not None \
-                    else None
-                if pentry is None:
-                    # the reference mask is conservative: the processor
-                    # may have dropped the translation already; just
-                    # clear the bit
-                    if invalidate and modules is None:
-                        entry.ref_mask &= ~bit
-                elif modules is None or pentry.frame.module_index in modules:
-                    found = True
-                    if proc != initiator and not active & bit:
-                        deferred |= bit  # applied on activation
-                    else:
-                        # the initiator updates its own structures
-                        # directly; anyone else is interrupted to
-                        if proc != initiator:
-                            send_ipi(initiator, proc, ipi_cost)
-                            if count_ipis:
-                                self._m_ipis.add(proc)
-                            interrupted |= bit
-                        # MMU.invalidate_page / restrict_page, in place
-                        atc = mmus[proc].atc
-                        if atc._entries.pop(key, None) is not None:
-                            atc.flushes += 1
-                        if invalidate:
-                            del pmap._entries[vpage]
-                        else:
-                            pmap.restrict(vpage, rights)
+            bit = mask & -mask
+            mask ^= bit
+            proc = bit.bit_length() - 1
+            pmap = pmaps.get(proc)
+            pentry = pmap._entries.get(vpage) if pmap is not None else None
+            if pentry is None:
+                # the reference mask is conservative: the processor may
+                # have dropped the translation already; just clear the bit
+                if invalidate and modules is None:
+                    entry.ref_mask &= ~bit
+            elif modules is None or pentry.frame.module_index in modules:
+                found = True
+                if proc != initiator and not active & bit:
+                    deferred |= bit  # applied on activation
+                else:
+                    # the initiator updates its own structures directly;
+                    # anyone else is interrupted to
+                    if proc != initiator:
+                        # InterruptController.send_ipi, in place
+                        ipi_state[initiator].ipis_sent += 1
+                        st = ipi_state[proc]
+                        st.ipis_received += 1
+                        st.pending_penalty += ipi_cost
+                        if count_ipis:
+                            self._m_ipis.add(proc)
+                        interrupted |= bit
+                    # MMU.invalidate_page / restrict_page, in place
+                    atc = mmus[proc].atc
+                    if atc._entries.pop(key, None) is not None:
+                        atc.flushes += 1
                     if invalidate:
-                        entry.ref_mask &= ~bit
-            mask >>= 1
-            proc += 1
+                        del pmap._entries[vpage]
+                    else:
+                        pmap.restrict(vpage, rights)
+                if invalidate:
+                    entry.ref_mask &= ~bit
         if deferred:
             cmap.post_message(
                 CmapMessage(vpage, directive, rights, deferred, now))
@@ -206,15 +210,14 @@ class ShootdownMechanism:
         lists, the initiator's cost, the totals and the metrics."""
         hit: list[int] = []
         missed: list[int] = []
-        mask = interrupted | deferred
-        proc = 0
-        while mask:
-            if interrupted >> proc & 1:
-                hit.append(proc)
-            if deferred >> proc & 1:
-                missed.append(proc)
-            mask >>= 1
-            proc += 1
+        while interrupted:
+            bit = interrupted & -interrupted
+            interrupted ^= bit
+            hit.append(bit.bit_length() - 1)
+        while deferred:
+            bit = deferred & -deferred
+            deferred ^= bit
+            missed.append(bit.bit_length() - 1)
         cost = 0
         if hit:
             p = self.machine.params

@@ -417,20 +417,21 @@ class FastReplayThreadProcess(ReplayThreadProcess):
             busy[proc] += rnmc[stop] - rnmc[pos]
             machine.mmus[proc].atc.hits += n_mem
             if remote is not None:
-                t_mod, t_sw, t_local, t_rr, t_rw = self._consts
+                t_mod, _t_sw, t_local, _t_rr, _t_rw = self._consts
                 extra_local = max(t_local - t_mod, 0)
                 ops = self.ops
+                dests = self._dests[proc]
                 rw = rww = 0
                 for s, mi in remote:
                     _mem, write, ((_vp, w),) = ops[s]
-                    h = len(machine.topology.route(proc, mi))
+                    # the executor's costing constants for this module
+                    cost = dests[mi] or self._destination(proc, mi)
+                    per_word, extra_read, extra_write = cost[4:7]
                     rnm = w * t_mod
-                    extra = (t_rw if write else t_rr) - (t_mod + h * t_sw)
-                    if extra < 0:
-                        extra = 0
                     # what the slot costs remotely, less what the
                     # prefix sums charged for it as a local hit
-                    total += w * (h * t_sw + extra - extra_local)
+                    total += w * (per_word - t_mod + (
+                        extra_write if write else extra_read) - extra_local)
                     rw += w
                     if write:
                         rww += w

@@ -117,15 +117,15 @@ class Matrix:
                  ) -> Read:
         if n is None:
             n = self.cols - start
-        self.va(r, start)
+        va = self.va(r, start)
         if start + n > self.cols:
             raise IndexError(f"{self.name} row {r} slice out of range")
-        return Read(self.va(r, start), n)
+        return Read(va, n)
 
     def write_row(
         self, r: int, values: np.ndarray, start: int = 0
     ) -> Write:
-        self.va(r, start)
+        va = self.va(r, start)
         if start + len(values) > self.cols:
             raise IndexError(f"{self.name} row {r} slice out of range")
-        return Write(self.va(r, start), values)
+        return Write(va, values)

@@ -78,7 +78,7 @@ def write_words(value: Any) -> np.ndarray:
 class ThreadProcess(Process):
     """Runs one user thread's generator in simulated time."""
 
-    __slots__ = ("kernel", "thread", "cpu", "_consts", "_wpp")
+    __slots__ = ("kernel", "thread", "cpu", "_consts", "_wpp", "_dests")
 
     def __init__(
         self,
@@ -98,6 +98,10 @@ class ThreadProcess(Process):
             p.t_remote_read, p.t_remote_write,
         )
         self._wpp = p.words_per_page
+        # _destination's tables: one row per processor the thread may
+        # run on, so a migration needs no invalidation
+        n_modules = len(kernel.machine.modules)
+        self._dests = [[None] * n_modules for _ in range(p.n_processors)]
         self.on_finish(lambda _p: self.kernel.threads.exit(self.thread))
 
     # -- operation dispatch -------------------------------------------------
@@ -191,12 +195,16 @@ class ThreadProcess(Process):
         an ATC hit with sufficient rights is taken inline (the ATC is
         touched here only on such a hit, with ``MMU.translate``'s counter
         updates); anything else goes through ``translate``'s single
-        authoritative lookup, faulting into the kernel until there is a
-        translation.  The costing: one block for every reference,
-        ``Machine.access`` + ``FifoResource.occupy`` spelled inline.
-        ``MMU.translate`` and ``Machine.access`` stay the reference
-        spelling; the differential test in tests/test_cost_run.py holds
-        this one to the same arithmetic and the same counters.
+        authoritative lookup, faulting into the kernel.  The retry after
+        a fault reads the entry the handler installed straight from the
+        Pmap (``translate``'s ATC-miss/Pmap-hit arm, in place); any other
+        outcome takes the reference loop, ``_translate``.  The costing:
+        one block for every reference, ``Machine.access`` +
+        ``FifoResource.occupy`` spelled inline over the constants of the
+        destination module (``_destination``).  ``MMU.translate`` and
+        ``Machine.access`` stay the reference spelling; the differential
+        test in tests/test_cost_run.py holds this one to the same
+        arithmetic and the same counters.
         """
         kernel = self.kernel
         machine = kernel.machine
@@ -219,37 +227,50 @@ class ThreadProcess(Process):
             if write:
                 entry.modified = True
         else:
-            for _attempt in range(3):
-                result = mmu.translate(aspace_id, vpage, write)
-                t += result.cost
-                entry = result.entry
-                if entry is not None:
-                    break
-                t = kernel.fault(proc, aspace_id, vpage, write, t).completion
-            else:
-                raise ExecutionError(
-                    f"cpu{proc} could not obtain a translation for vpage "
-                    f"{vpage} (aspace {aspace_id}, write={write}) after "
-                    "repeated faults"
-                )
+            result = mmu.translate(aspace_id, vpage, write)
+            t += result.cost
+            entry = result.entry
+            if entry is None:
+                t = kernel.fault(proc, aspace_id, vpage, write,
+                                 t).completion
+                pmap = mmu._pmaps.get(aspace_id)
+                entry = pmap._entries.get(vpage) if pmap is not None \
+                    else None
+                if entry is not None and (
+                    entry.rights == 3 or (entry.rights == 1 and not write)
+                ) and key not in entries:
+                    # MMU.translate's ATC-miss/Pmap-hit arm, in place
+                    atc.misses += 1
+                    t += mmu.params.atc_miss_cost
+                    entry.referenced = True
+                    if write:
+                        entry.modified = True
+                    entries[key] = entry
+                    while len(entries) > atc.capacity:
+                        entries.popitem(last=False)
+                else:
+                    t, entry = self._translate(vpage, write, t, 1)
         if n <= 0:
             raise ValueError(f"access of {n} words")
-        t_module, t_switch, t_local, t_rread, t_rwrite = self._consts
         dst = entry.frame.module_index
-        module = machine.modules[dst]
-        remote = proc != dst
+        cost = self._dests[proc][dst]
+        if cost is None:
+            cost = self._destination(proc, dst)
+        module, bus, t_module, route, per_word, extra_read, extra_write, \
+            remote = cost
         tt = t
-        if remote:
-            route = machine.topology.route(proc, dst)
+        if route:
+            # FifoResource.occupy(tt, n * t_switch) per port, inlined
+            duration = n * self._consts[1]
             for port in route:
-                _, tt = port.occupy(tt, n * t_switch)
-            t_word = t_rwrite if write else t_rread
-            service_per_word = t_module + len(route) * t_switch
-        else:
-            t_word = t_local
-            service_per_word = t_module
+                busy = port.busy_until
+                start = tt if tt > busy else busy
+                port.wait_time += start - tt
+                tt = start + duration
+                port.busy_until = tt
+                port.busy_time += duration
+                port.requests += 1
         # FifoResource.occupy(tt, n * t_module) inlined
-        bus = module.bus
         duration = n * t_module
         busy = bus.busy_until
         start = tt if tt > busy else busy
@@ -258,11 +279,8 @@ class ThreadProcess(Process):
         bus.busy_until = tt
         bus.busy_time += duration
         bus.requests += 1
-        extra = t_word - service_per_word
-        if extra < 0:
-            extra = 0
-        completion = tt + n * extra
-        queue_delay = tt - (t + n * service_per_word)
+        completion = tt + n * (extra_write if write else extra_read)
+        queue_delay = tt - (t + n * per_word)
         if queue_delay < 0:
             queue_delay = 0
         if remote:
@@ -284,6 +302,58 @@ class ThreadProcess(Process):
                 probe.note(cpage_index, proc, write, remote, n,
                            queue_delay)
         return completion, entry
+
+    def _translate(
+        self, vpage: int, write: bool, t: int, faults: int
+    ) -> tuple[int, PmapEntry]:
+        """``MMU.translate`` from time ``t``, faulting into the kernel
+        until there is a translation: the reference loop, entered after
+        ``faults`` faults already taken.  Returns (time, entry); a
+        reference still untranslated after three faults is an error."""
+        kernel = self.kernel
+        thread = self.thread
+        proc = thread.processor
+        aspace_id = thread.aspace_id
+        mmu = kernel.machine.mmus[proc]
+        while faults < 3:
+            result = mmu.translate(aspace_id, vpage, write)
+            t += result.cost
+            if result.entry is not None:
+                return t, result.entry
+            t = kernel.fault(proc, aspace_id, vpage, write, t).completion
+            faults += 1
+        raise ExecutionError(
+            f"cpu{proc} could not obtain a translation for vpage "
+            f"{vpage} (aspace {aspace_id}, write={write}) after "
+            "repeated faults"
+        )
+
+    def _destination(self, proc: int, dst: int) -> tuple:
+        """The constants ``_cost_run`` costs a reference from processor
+        ``proc`` to memory module ``dst`` with, built on first use:
+        ``(module, bus, t_module, route, service per word, extra per
+        word read, extra per word written, remote)``.  ``remote`` is its
+        own flag: the uniform topology's remote routes are empty.  The
+        route is asked for here, at the first such reference, as
+        ``Machine.access`` would ask, so switch ports come into being in
+        the same order."""
+        machine = self.kernel.machine
+        t_module, t_switch, t_local, t_rread, t_rwrite = self._consts
+        module = machine.modules[dst]
+        remote = proc != dst
+        if remote:
+            route = machine.topology.route(proc, dst)
+            per_word = t_module + len(route) * t_switch
+            extra_read = max(t_rread - per_word, 0)
+            extra_write = max(t_rwrite - per_word, 0)
+        else:
+            route = ()
+            per_word = t_module
+            extra_read = extra_write = max(t_local - t_module, 0)
+        cost = (module, module.bus, t_module, route, per_word, extra_read,
+                extra_write, remote)
+        self._dests[proc][dst] = cost
+        return cost
 
     def _split_runs(self, va: int, n: int) -> list[tuple[int, int, int]]:
         """The within-page runs ``(vpage, offset, words)`` of an access."""

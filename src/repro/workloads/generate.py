@@ -224,45 +224,35 @@ class GeneratedWorkload(Program):
             return pool or [tid % working]
         return list(range(working))
 
-    def _pick_page(self, rng, tid: int, k: int, phase: PhaseSpec,
-                   pool: list, working: int) -> int:
-        sharing = self.spec.sharing
-        if sharing == "round-robin":
-            return (tid + k) % working
-        if sharing == "producer-consumer":
-            return k % working
-        if sharing == "hotspot" and rng.random() < 0.75:
-            return pool[0]
-        if phase.access == "sequential":
-            return pool[k % len(pool)]
-        if phase.access == "zipf":
-            cum = self._zipf_cum(len(pool))
-            return pool[min(bisect_left(cum, rng.random()),
-                            len(pool) - 1)]
-        return pool[rng.randrange(len(pool))]
-
-    def _pick_offset(self, rng, k: int, phase: PhaseSpec) -> int:
-        max_off = self.wpp - self.words
-        if max_off <= 0:
-            return 0
-        if phase.access == "sequential":
-            return (k * self.words) % (max_off + 1)
-        return rng.randrange(max_off + 1)
-
     # -- thread body ---------------------------------------------------------
 
     def _body(self, env: ThreadEnv):
         spec = self.spec
         tid = env.tid
         rng = random.Random(spec.seed * 1_000_003 + tid * 9176 + 17)
+        # a uniform draw below n is Random's own rejection loop over
+        # getrandbits (CPython 3.10-3.13), spelled in place below: the
+        # same stream, no frames (reference: tests/test_generate_draws.py)
+        draw, getrandbits = rng.random, rng.getrandbits
         words = self.words
+        wpp = self.wpp
+        base = self.shared_base
+        sharing = spec.sharing
+        hot = sharing == "hotspot"
+        # round-robin and producer-consumer walk every page in turn
+        walk = sharing in ("round-robin", "producer-consumer")
+        shift = tid if sharing == "round-robin" else 0
+        draw_read = not (sharing == "producer-consumer" and spec.threads > 1)
+        is_read = tid % 2 == 1
+        n_off = wpp - words + 1  # offsets 0 .. n_off - 1
+        off_bits = n_off.bit_length()
         fs_va = None
         if self.fs_base is not None:
             # one private counter word per thread, packed so that
             # ``threads / false_sharing`` threads share each page:
             # classic false sharing, freezable exactly like section 4.2
             fs_va = (self.fs_base
-                     + (tid % spec.false_sharing) * self.wpp
+                     + (tid % spec.false_sharing) * wpp
                      + tid // spec.false_sharing)
         ops_done = 0
         for phase in spec.phases:
@@ -270,19 +260,38 @@ class GeneratedWorkload(Program):
                 yield from self.barrier.wait()
             working = min(phase.working_pages or spec.pages, spec.pages)
             pool = self._pool(tid, working)
+            n_pool = len(pool)
+            pool_bits = n_pool.bit_length()
+            sequential = phase.access == "sequential"
+            seq_page = walk or sequential
+            cum = (self._zipf_cum(n_pool)
+                   if phase.access == "zipf" and not seq_page else None)
+            draw_off = n_off > 1 and not sequential
             read_frac = phase.mix["read"]
             # ops are never mutated once built (DESIGN.md section 5):
             # one think op serves the whole phase
             think = Compute(phase.compute_ns) if phase.compute_ns else None
             for k in range(phase.ops):
-                page = self._pick_page(rng, tid, k, phase, pool, working)
-                offset = self._pick_offset(rng, k, phase)
-                va = self.shared_base + page * self.wpp + offset
-                if spec.sharing == "producer-consumer" \
-                        and spec.threads > 1:
-                    is_read = tid % 2 == 1
+                if hot and draw() < 0.75:
+                    page = pool[0]
+                elif seq_page:
+                    page = pool[(shift + k) % n_pool]
+                elif cum is not None:
+                    page = pool[min(bisect_left(cum, draw()), n_pool - 1)]
                 else:
-                    is_read = rng.random() < read_frac
+                    r = getrandbits(pool_bits)
+                    while r >= n_pool:
+                        r = getrandbits(pool_bits)
+                    page = pool[r]
+                if draw_off:
+                    offset = getrandbits(off_bits)
+                    while offset >= n_off:
+                        offset = getrandbits(off_bits)
+                else:
+                    offset = (k * words) % n_off
+                va = base + page * wpp + offset
+                if draw_read:
+                    is_read = draw() < read_frac
                 if is_read:
                     yield Read(va, words)
                 elif words == 1:

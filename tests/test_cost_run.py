@@ -8,12 +8,15 @@ anything about that arithmetic; this test does.  Twin kernels receive
 the same random string of references and bus/port reservations, one
 through ``_cost_run`` and one through the reference methods
 (``MMU.translate``, ``Kernel.fault``, ``Machine.access``), and must
-stay in the same state after every step.
+stay in the same state after every step -- on each topology, with
+threads migrating between steps, and with a one-entry ATC where every
+reload evicts.
 """
 
 import dataclasses
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -24,7 +27,11 @@ from repro.machine.pmap import Rights
 from repro.policy.fixed import NeverCachePolicy, TimestampFreezePolicy
 from repro.profile import AccessProbe
 from repro.runtime import ops
-from repro.runtime.executor import ThreadProcess, _cpu_resource
+from repro.runtime.executor import (
+    ExecutionError,
+    ThreadProcess,
+    _cpu_resource,
+)
 
 N_PROCESSORS = 5  # more than one switch: remote routes have two hops
 N_PAGES = 5
@@ -55,11 +62,17 @@ class LoggingProbe(AccessProbe):
         super().note(cpage_index, proc, write, remote, words, queue_delay)
 
 
-def build(policy: str):
+#: the interconnects: two-hop routes, one shared bus, and remote
+#: references with an empty route
+TOPOLOGIES = ("butterfly", "bus", "uniform")
+
+
+def build(policy: str, topology: str = "butterfly",
+          atc_entries: int = ATC_ENTRIES):
     kernel = make_kernel(
         n_processors=N_PROCESSORS, policy=POLICIES[policy](),
-        defrost_enabled=False, atc_entries=ATC_ENTRIES,
-        frames_per_module=32,
+        defrost_enabled=False, atc_entries=atc_entries,
+        frames_per_module=32, topology=topology,
     )
     kernel.coherent.reference_counting = True
     probe = LoggingProbe.install(kernel.coherent)
@@ -143,7 +156,8 @@ def snapshot(kernel, probe):
     }
 
 
-#: (processor, vpage, words, write?, ns since the previous step)
+#: (thread, vpage, words, write?, ns since the previous step); thread
+#: ``i`` starts on processor ``i``
 ACCESS = st.tuples(
     st.integers(0, N_PROCESSORS - 1),
     st.integers(0, N_PAGES - 1),
@@ -162,6 +176,14 @@ OCCUPY = st.tuples(
 )
 
 
+#: move a thread to another processor, as ``kernel.threads.migrate``
+#: does under the executor (whose per-processor tables must follow)
+MIGRATE = st.tuples(
+    st.integers(0, N_PROCESSORS - 1),
+    st.integers(0, N_PROCESSORS - 1),
+)
+
+
 def occupy(kernel, src, module, ns, t):
     machine = kernel.machine
     if src != module:
@@ -170,30 +192,40 @@ def occupy(kernel, src, module, ns, t):
     machine.modules[module].bus.occupy(t, ns)
 
 
-def run_string(policy, steps) -> Counter:
+def run_string(policy, steps, topology="butterfly",
+               atc_entries=ATC_ENTRIES) -> Counter:
     """Feed ``steps`` to twin kernels, comparing after every step;
     returns how often each kind of reference was met."""
-    kernel_a, probe_a, threads_a = build(policy)
-    kernel_b, probe_b, threads_b = build(policy)
+    kernel_a, probe_a, threads_a = build(policy, topology, atc_entries)
+    kernel_b, probe_b, threads_b = build(policy, topology, atc_entries)
     assert kernel_a.params.words_per_page == 1024
     met = Counter()
     t = 0
     for step in steps:
+        if len(step) == 2:
+            i, to = step
+            for kernel, threads in ((kernel_a, threads_a),
+                                    (kernel_b, threads_b)):
+                kernel.threads.migrate(threads[i].thread, to)
+            met["migrated"] += to != i
+            continue
         if len(step) == 3:
             occupy(kernel_a, *step, t)
             occupy(kernel_b, *step, t)
             continue
-        proc, vpage, n, write, dt = step
+        i, vpage, n, write, dt = step
         t += dt
-        process = threads_a[proc]
-        cached = kernel_a.machine.mmus[proc].atc._entries.get(
-            (process.thread.aspace_id, vpage)
-        )
+        process = threads_a[i]
+        proc = process.thread.processor
+        atc = kernel_a.machine.mmus[proc].atc._entries
+        key = (process.thread.aspace_id, vpage)
+        cached = atc.get(key)
+        others = [k for k in atc if k != key]
         waited = sum(kernel_a.machine.queue_delay_ns)
         faults = kernel_a.coherent.fault_handler.fault_count
         done_a, entry_a = process._cost_run(vpage, n, write, t)
         done_b, entry_b = reference_cost_run(
-            threads_b[proc], vpage, n, write, t
+            threads_b[i], vpage, n, write, t
         )
         assert done_a == done_b
         assert describe(entry_a) == describe(entry_b)
@@ -201,6 +233,8 @@ def run_string(policy, steps) -> Counter:
         if kernel_a.coherent.fault_handler.fault_count > faults:
             # the retry after the fault goes through the costing block
             met["fault, remote" if entry_a.remote else "fault, local"] += 1
+            if any(k not in atc for k in others):
+                met["fault, reload evicts"] += 1
         if cached is None:
             met["atc miss"] += 1
         elif cached.rights.allows(write):
@@ -214,25 +248,58 @@ def run_string(policy, steps) -> Counter:
     return met
 
 
-@settings(max_examples=60, deadline=None,
+@settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(
     policy=st.sampled_from(sorted(POLICIES)),
-    steps=st.lists(st.one_of(ACCESS, OCCUPY), max_size=60),
+    topology=st.sampled_from(TOPOLOGIES),
+    atc_entries=st.sampled_from([1, ATC_ENTRIES]),
+    steps=st.lists(st.one_of(ACCESS, OCCUPY, MIGRATE), max_size=60),
 )
-def test_cost_run_matches_translate_plus_access(policy, steps):
-    run_string(policy, steps)
+def test_cost_run_matches_translate_plus_access(policy, topology,
+                                                atc_entries, steps):
+    run_string(policy, steps, topology, atc_entries)
+
+
+#: (topology, ATC entries) of the seeded strings
+CONFIGS = (
+    ("butterfly", ATC_ENTRIES), ("bus", ATC_ENTRIES),
+    ("uniform", ATC_ENTRIES), ("butterfly", 1),
+)
 
 
 @pytest.mark.parametrize("policy", sorted(POLICIES))
 def test_seeded_string_meets_every_kind_of_reference(policy):
     """The comparison is only as good as the cases it is fed: a long
     seeded string must take the inlined path on local and remote frames,
-    with and without queueing, and fall off it both ways."""
+    with and without queueing, and fall off it both ways, on threads
+    that have migrated, on every topology; a one-entry ATC must evict on
+    the post-fault reload."""
+    for topology, atc_entries in CONFIGS:
+        met = seeded_string(policy, topology, atc_entries)
+        wanted = {"atc miss", "atc hit", "hit, remote", "hit, queued",
+                  "fault, remote", "fault, local", "migrated"}
+        if policy == "freeze":
+            wanted.add("hit, local")
+        if atc_entries == 1:
+            wanted.add("fault, reload evicts")
+        elif policy == "freeze":
+            # a one-entry ATC seldom still holds a read-only copy when
+            # the same page is written
+            wanted.add("rights-restricted entry")
+        assert wanted <= set(met), (topology, atc_entries, met)
+
+
+def seeded_string(policy, topology, atc_entries) -> Counter:
+    """600 steps from a fixed seed -- accesses, reservations and a few
+    migrations -- fed through ``run_string``."""
     rng = random.Random(1989)
     steps = []
     for _ in range(600):
-        if rng.random() < 0.2:
+        if rng.random() < 0.03:
+            steps.append((rng.randrange(N_PROCESSORS),
+                          rng.randrange(N_PROCESSORS)))
+        elif rng.random() < 0.2:
             steps.append((
                 rng.randrange(N_PROCESSORS), rng.randrange(N_PROCESSORS),
                 rng.randrange(1, 200_000),
@@ -243,12 +310,65 @@ def test_seeded_string_meets_every_kind_of_reference(policy):
                 rng.randrange(1, 1025), rng.random() < 0.3,
                 rng.randrange(0, 100_000),
             ))
-    met = run_string(policy, steps)
-    wanted = {"atc miss", "atc hit", "hit, remote", "hit, queued",
-              "fault, remote", "fault, local"}
-    if policy == "freeze":
-        wanted |= {"hit, local", "rights-restricted entry"}
-    assert wanted <= set(met), met
+    return run_string(policy, steps, topology, atc_entries)
+
+
+def script_faults(kernel, script) -> None:
+    """Make ``kernel.fault`` follow ``script``, one word per fault:
+    ``"real"`` handles it, ``"nothing"`` installs no translation,
+    ``"read-only"`` handles it and leaves the entry read-only, and
+    ``"cached"`` handles it and puts the entry in the ATC too."""
+    real = kernel.fault
+    steps = iter(script)
+
+    def fault(proc, aspace_id, vpage, write, t):
+        how = next(steps)
+        if how == "nothing":
+            return SimpleNamespace(completion=t + 1_000)
+        outcome = real(proc, aspace_id, vpage, write, t)
+        if how == "read-only":
+            kernel.machine.mmus[proc]._pmaps[aspace_id].restrict(
+                vpage, Rights.READ)
+        elif how == "cached":
+            mmu = kernel.machine.mmus[proc]
+            mmu.atc._entries[(aspace_id, vpage)] = \
+                mmu._pmaps[aspace_id]._entries[vpage]
+        return outcome
+
+    kernel.fault = fault
+
+
+@pytest.mark.parametrize("script", [
+    ("nothing", "real"), ("read-only", "real"), ("cached",),
+])
+def test_a_retry_off_the_pmap_hit_arm_takes_the_reference_loop(script):
+    """After a fault the retry is read from the Pmap only when that is
+    what ``MMU.translate`` would do; a fault that installed nothing, or
+    an entry the ATC already holds, goes round the reference loop."""
+    kernel_a, probe_a, threads_a = build("never")
+    kernel_b, probe_b, threads_b = build("never")
+    script_faults(kernel_a, script)
+    script_faults(kernel_b, script)
+    done_a, entry_a = threads_a[1]._cost_run(2, 16, True, 5_000)
+    done_b, entry_b = reference_cost_run(threads_b[1], 2, 16, True, 5_000)
+    assert done_a == done_b
+    assert describe(entry_a) == describe(entry_b)
+    assert snapshot(kernel_a, probe_a) == snapshot(kernel_b, probe_b)
+    assert kernel_a.machine.mmus[1].faults == len(script)
+
+
+@pytest.mark.parametrize("script", [
+    ("nothing", "nothing", "nothing"), ("nothing", "nothing", "real"),
+])
+def test_three_faults_without_a_translation_are_an_error(script):
+    """Three faults are the most a reference may take, as in the
+    reference loop: a translation installed by the third comes too
+    late."""
+    kernel, _probe, threads = build("never")
+    script_faults(kernel, script)
+    with pytest.raises(ExecutionError, match="after repeated faults"):
+        threads[1]._cost_run(2, 16, True, 0)
+    assert kernel.machine.mmus[1].faults == 3
 
 
 # -- the timing helpers: whole ns in, whole ns out --------------------------------

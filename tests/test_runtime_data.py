@@ -78,6 +78,16 @@ def test_matrix_bounds(api):
         m.read_row(0, start=5, n=4)
     with pytest.raises(IndexError):
         m.write_row(0, np.zeros(6, dtype=np.int64), start=4)
+    # a row slice checks its row and start as ``va`` does, as well as
+    # its length
+    with pytest.raises(IndexError):
+        m.read_row(3)
+    with pytest.raises(IndexError):
+        m.read_row(-1, n=1)
+    with pytest.raises(IndexError):
+        m.write_row(3, np.zeros(1, dtype=np.int64))
+    with pytest.raises(IndexError):
+        m.write_row(0, np.zeros(0, dtype=np.int64), start=8)
 
 
 def test_matrix_stride_validation():
