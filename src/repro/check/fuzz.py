@@ -140,8 +140,7 @@ def run_schedule(
         kernel.tracer.enable()
     if tie_seed is not None:
         kernel.engine.perturb_ties(random.Random(tie_seed))
-    checker = InvariantChecker(kernel.coherent)
-    kernel.coherent.add_protocol_hook(checker)
+    checker = InvariantChecker(kernel.coherent).install()
 
     aspace = kernel.vm.create_address_space()
     for vpage in range(n_pages):

@@ -31,11 +31,13 @@ a handful of whole-system invariants that hold between protocol actions:
 
 :class:`InvariantChecker` verifies all of these against a live
 :class:`~repro.core.coherent_memory.CoherentMemorySystem`.  Installed via
-:func:`install_invariant_checker` it runs after *every* protocol action
-(fault, shootdown, Cmap-queue application, thaw) through the
-``post_action_hooks`` of the fault handler, shootdown mechanism and
-defrost daemon, so a corruption is caught at the action that introduced
-it, not at the end of the run.
+:func:`install_invariant_checker` it joins the system's observer list
+(``CoherentMemorySystem.observers``, see ``repro.core.trace``) and runs
+one full check after *every* completed protocol action (fault,
+shootdown, Cmap-queue application, thaw, defrost run), so a corruption
+is caught at the action that introduced it, not at the end of the run.
+It skips the two points where the directory is not consistent: a block
+transfer (mid-fault) and a fault that raised.
 """
 
 from __future__ import annotations
@@ -70,10 +72,10 @@ class InvariantViolation(CoherencyError):
 class InvariantChecker:
     """Checks every global coherence invariant on demand.
 
-    Callable so it can be installed directly as a protocol hook; each
-    call is one full check.  ``raise_on_violation=False`` turns it into
-    a collector: violations accumulate in ``violations`` instead of
-    raising, which the CLI uses to report everything at once.
+    Also a protocol observer (``repro.core.trace.Observers``): each
+    completed action is one full check.  ``raise_on_violation=False``
+    turns it into a collector: violations accumulate in ``violations``
+    instead of raising, which the CLI uses to report everything at once.
     """
 
     def __init__(
@@ -87,9 +89,6 @@ class InvariantChecker:
         self.checks = 0
         #: every violation string ever seen (non-raising mode)
         self.violations: List[str] = []
-
-    def __call__(self) -> None:
-        self.check()
 
     def check(self) -> List[str]:
         """Run every invariant; returns (and records) the violations."""
@@ -228,21 +227,37 @@ class InvariantChecker:
                         f"{message.vpage} should be an invalidate"
                     )
 
+    # -- the observer methods -------------------------------------------------
+
+    def fault(self, now, cpage, proc, write, eid, action, *rest) -> None:
+        if action is not None:  # a fault that raised completed nothing
+            self.check()
+
+    def transfer(self, *args) -> None:
+        pass  # mid-fault: the directory is not yet consistent
+
+    def _after(self, *args) -> None:
+        self.check()
+
+    shootdown = apply_pending = thaw = defrost_run = _after
+
     # -- installation ---------------------------------------------------------
 
     def install(self) -> "InvariantChecker":
-        """Hook this checker into every protocol action of the system."""
-        self.system.add_protocol_hook(self)
+        """Check after every protocol action of the system."""
+        self.system.observers.append(self)
         return self
 
     def uninstall(self) -> None:
-        self.system.remove_protocol_hook(self)
+        if self in self.system.observers:
+            self.system.observers.remove(self)
 
 
 def install_invariant_checker(
     system: "CoherentMemorySystem", raise_on_violation: bool = True
 ) -> InvariantChecker:
-    """Install (idempotently) an invariant checker as a protocol hook.
+    """Install (idempotently) an invariant checker as a protocol
+    observer.
 
     Returns the installed checker; repeated calls on the same system
     return the existing one rather than double-checking every action.

@@ -9,11 +9,11 @@ facade; the processor execution layer below delivers faults to it.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional, Union
 
 from ..machine.machine import Machine
 from ..machine.pmap import Rights
-from ..telemetry.metrics import MetricsRegistry
+from ..telemetry.metrics import MetricsRegistry, ProtocolMetrics
 from .cmap import Cmap, CmapEntry
 from .cpage import Cpage, CpageTable
 from .defrost import DefrostDaemon
@@ -22,7 +22,7 @@ from .instrumentation import MemoryReport, build_report
 from ..policy.base import ReplicationPolicy
 from ..policy.fixed import TimestampFreezePolicy
 from .shootdown import ShootdownMechanism
-from .trace import ProtocolTracer
+from .trace import Observers, ProtocolTracer
 
 
 class CoherentMemorySystem:
@@ -35,7 +35,7 @@ class CoherentMemorySystem:
         defrost_enabled: bool = True,
         defrost_period: Optional[float] = None,
         trace: bool = False,
-        metrics: Optional[MetricsRegistry] = None,
+        metrics: Union[MetricsRegistry, bool, None] = None,
     ) -> None:
         self.machine = machine
         self.policy = (
@@ -43,24 +43,29 @@ class CoherentMemorySystem:
             if policy is not None
             else TimestampFreezePolicy(machine.params.t1_freeze_window)
         )
-        self.tracer = ProtocolTracer(enabled=trace)
-        #: the telemetry metrics registry shared by every protocol
-        #: component (disabled unless one was passed in enabled)
-        self.metrics = (
-            metrics if metrics is not None else MetricsRegistry()
-        )
+        #: every observer of protocol actions (repro.core.trace): the
+        #: tracer while enabled, the metrics fold while the registry is,
+        #: and an invariant checker once installed
+        self.observers = Observers()
+        self.tracer = ProtocolTracer(enabled=trace, observers=self.observers)
+        #: the telemetry metrics registry: an instance is used as-is
+        #: (share one across kernels to aggregate), ``True`` makes an
+        #: enabled one, ``False``/``None`` a disabled one
+        if not isinstance(metrics, MetricsRegistry):
+            metrics = MetricsRegistry(enabled=bool(metrics))
+        self.metrics = metrics
+        # the protocol catalogue is listed (at zero) even while disabled
+        fold = ProtocolMetrics(metrics)
+        if metrics.enabled:
+            self.observers.append(fold)
         self.cpages = CpageTable(machine.params.n_modules)
         self.cmaps: dict[int, Cmap] = {}
-        self.shootdown = ShootdownMechanism(
-            machine, tracer=self.tracer, metrics=self.metrics
-        )
+        self.shootdown = ShootdownMechanism(machine, self.observers)
         self.fault_handler = CoherentFaultHandler(
-            machine, self.shootdown, self.policy, tracer=self.tracer,
-            metrics=self.metrics,
-        )
+            machine, self.shootdown, self.policy, self.observers)
         self.defrost = DefrostDaemon(
             machine, self.shootdown, self.policy, period=defrost_period,
-            tracer=self.tracer, metrics=self.metrics,
+            observers=self.observers,
         )
         if defrost_enabled:
             self.defrost.start()
@@ -73,23 +78,6 @@ class CoherentMemorySystem:
         #: processor) word counts for cost attribution; one attribute
         #: load + branch on the access hot path when None
         self.access_probe = None
-
-    # -- protocol hooks -----------------------------------------------------------
-
-    def add_protocol_hook(self, hook: Callable[[], None]) -> None:
-        """Run ``hook()`` after every protocol action (fault, shootdown,
-        Cmap-queue application, thaw).  The state is consistent at every
-        call site; the ``repro.check`` invariant checker installs itself
-        this way."""
-        for component in (self.fault_handler, self.shootdown, self.defrost):
-            component.post_action_hooks.append(hook)
-
-    def remove_protocol_hook(self, hook: Callable[[], None]) -> None:
-        for component in (self.fault_handler, self.shootdown, self.defrost):
-            try:
-                component.post_action_hooks.remove(hook)
-            except ValueError:
-                pass
 
     # -- Cmap / mapping management (called by the VM layer) --------------------
 

@@ -26,9 +26,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..machine.machine import Machine
-from ..machine.pmap import Rights
-from .cmap import Directive
+from ..machine.params import MachineParams
 from .coherent_memory import CoherentMemorySystem
 from .cpage import Cpage
 from ..policy.base import Action, FaultContext, ReplicationPolicy
@@ -59,9 +57,8 @@ class CompetitivePolicy(ReplicationPolicy):
         return Action.REMOTE_MAP
 
 
-def break_even_words(machine: Machine) -> int:
+def break_even_words(p: MachineParams) -> int:
     """Remote words whose extra latency equals one page migration."""
-    p = machine.params
     migrate_cost = (
         p.page_copy_time + p.fault_fixed_remote + p.shootdown_first
         + p.page_free
@@ -91,7 +88,7 @@ class MigrationDaemon:
         self.threshold_words = (
             threshold_words
             if threshold_words is not None
-            else break_even_words(coherent.machine)
+            else break_even_words(coherent.machine.params)
         )
         self.runs = 0
         self.pages_replaced = 0
@@ -127,20 +124,7 @@ class MigrationDaemon:
     def _replace(self, cpage: Cpage, now: int) -> None:
         """Invalidate all mappings so the next fault re-places the page
         at (one of) its heavy users."""
-        saved = cpage.last_invalidation
-        initiator = cpage.home_module
-        self.coherent.shootdown.shoot_cpage(
-            cpage, Directive.INVALIDATE, initiator, now,
-            modules=None, rights=Rights.NONE,
-        )
-        self.machine.interrupts.charge(
-            initiator, self.machine.params.shootdown_per_cpu
-        )
-        # daemon housekeeping, not interprocessor interference
-        cpage.last_invalidation = saved
-        cpage.stats.invalidations -= 1
-        cpage.has_write_mapping = False
-        cpage.recompute_state()
+        self.coherent.defrost.invalidate_mappings(cpage, now)
         # tell a cooperating policy who to move the page to
         heaviest = max(
             cpage.remote_counts, key=lambda proc: cpage.remote_counts[proc]

@@ -127,14 +127,6 @@ class Cpage:
     # -- directory ----------------------------------------------------------
 
     @property
-    def module_mask(self) -> int:
-        """Bit mask of memory modules holding a copy."""
-        mask = 0
-        for m in self.frames:
-            mask |= 1 << m
-        return mask
-
-    @property
     def n_copies(self) -> int:
         return len(self.frames)
 
@@ -181,16 +173,6 @@ class Cpage:
                 f"{self!r} is not bound to aspace {cmap.aspace_id} "
                 f"vpage {vpage}"
             ) from exc
-
-    def reference_union(self) -> int:
-        """Union of the reference masks over all bindings: every processor
-        that may hold a translation for this Cpage."""
-        mask = 0
-        for cmap, vpage in self.bindings:
-            entry = cmap.entries.get(vpage)
-            if entry is not None:
-                mask |= entry.ref_mask
-        return mask
 
     # -- state bookkeeping ---------------------------------------------------
 

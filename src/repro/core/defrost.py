@@ -15,16 +15,15 @@ every thawed page would immediately re-freeze on its next fault.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..machine.machine import Machine
 from ..machine.pmap import Rights
-from ..telemetry.metrics import MetricsRegistry
 from .cmap import Directive
 from .cpage import Cpage
 from ..policy.base import ReplicationPolicy
 from .shootdown import ShootdownMechanism
-from .trace import EventKind, ProtocolTracer
+from .trace import Observers
 
 
 class DefrostDaemon:
@@ -36,19 +35,13 @@ class DefrostDaemon:
         shootdown: ShootdownMechanism,
         policy: ReplicationPolicy,
         period: Optional[float] = None,
-        tracer: ProtocolTracer | None = None,
-        metrics: MetricsRegistry | None = None,
+        observers: Optional[Observers] = None,
     ) -> None:
         self.machine = machine
         self.shootdown = shootdown
         self.policy = policy
-        self.tracer = tracer if tracer is not None else ProtocolTracer()
-        m = metrics if metrics is not None else MetricsRegistry()
-        self.metrics = m
-        self._m_runs = m.counter(
-            "defrost_runs_total", "defrost daemon activations")
-        self._m_thaws = m.counter(
-            "thaws_total", "cpages thawed", labels=("via",))
+        #: told of every thaw and daemon run (repro.core.trace)
+        self.observers = observers if observers is not None else Observers()
         self.period = (
             period if period is not None
             else machine.params.t2_defrost_period
@@ -57,9 +50,6 @@ class DefrostDaemon:
         self.runs = 0
         self.pages_thawed = 0
         self._scheduled = False
-        #: called after every thawed page and every daemon run (the
-        #: repro.check invariant checker hooks here)
-        self.post_action_hooks: list[Callable[[], None]] = []
 
     def start(self) -> None:
         """Schedule the periodic clock interrupt."""
@@ -78,7 +68,7 @@ class DefrostDaemon:
         self.runs += 1
         thawed = 0
         now = self.machine.engine.now
-        run_eid = self.tracer.reserve()
+        run_eid = self.observers.new_eid()
         for cpage in self.policy.frozen_pages:
             if cpage.thaw_exempt:
                 continue
@@ -89,24 +79,33 @@ class DefrostDaemon:
             self.thaw_page(cpage, now, cause=run_eid)
             thawed += 1
         self.pages_thawed += thawed
-        if self.metrics.enabled:
-            self._m_runs.add()
-        if self.tracer.enabled:
-            self.tracer.record(
-                now, EventKind.DEFROST_RUN, None, None, eid=run_eid,
-                thawed=thawed
-            )
-        for hook in self.post_action_hooks:
-            hook()
+        for observer in self.observers:
+            observer.defrost_run(now, run_eid, thawed)
         return thawed
 
     def thaw_page(
         self, cpage: Cpage, now: int, cause: Optional[int] = None
     ) -> None:
         """Invalidate every mapping to a frozen page and un-freeze it."""
+        eid = self.observers.new_eid()
+        self.invalidate_mappings(cpage, now, cause=eid)
+        self.policy.thaw(cpage, now)
+        cost = self.machine.params.shootdown_per_cpu
+        for observer in self.observers:
+            observer.thaw(now, cpage, cpage.home_module, eid, cause, cost)
+
+    def invalidate_mappings(
+        self, cpage: Cpage, now: int, cause: Optional[int] = None
+    ) -> None:
+        """Housekeeping invalidation: shoot down every mapping to
+        ``cpage`` from its home node, as asynchronous kernel work there.
+
+        Shared with the section 8 migration daemon.  It is not
+        interprocessor interference, so the page's last-invalidation
+        timestamp and invalidation count are left as they were.
+        """
         saved = cpage.last_invalidation
         initiator = cpage.home_module
-        eid = self.tracer.reserve()
         self.shootdown.shoot_cpage(
             cpage,
             Directive.INVALIDATE,
@@ -114,25 +113,13 @@ class DefrostDaemon:
             now,
             modules=None,
             rights=Rights.NONE,
-            cause=eid,
+            cause=cause,
         )
         # daemon time is asynchronous kernel work on the initiating node
         self.machine.interrupts.charge(
             initiator, self.machine.params.shootdown_per_cpu
         )
-        # a thaw is not interprocessor interference: restore the timestamp
         cpage.last_invalidation = saved
         cpage.stats.invalidations -= 1  # not a protocol invalidation
         cpage.has_write_mapping = False
         cpage.recompute_state()
-        self.policy.thaw(cpage, now)
-        if self.metrics.enabled:
-            self._m_thaws.add("defrost")
-        if self.tracer.enabled:
-            self.tracer.record(
-                now, EventKind.THAW, cpage.index, initiator, eid=eid,
-                cause=cause, via="defrost",
-                cost=self.machine.params.shootdown_per_cpu,
-            )
-        for hook in self.post_action_hooks:
-            hook()

@@ -20,19 +20,17 @@ faulting processor resumes and retries its access then.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable
+from typing import Optional
 
 from ..machine.machine import Machine
 from ..machine.memory import Frame, OutOfFramesError
 from ..machine.pmap import PmapEntry, Rights
-from ..telemetry.metrics import MetricsRegistry
 from .cmap import Cmap, CmapEntry, Directive
 from .cpage import CoherencyError, Cpage, CpageState
 from ..policy.base import Action, FaultContext, ReplicationPolicy
 from .shootdown import ShootdownMechanism
-from .trace import EventKind, ProtocolTracer
+from .trace import Observers
 
 
 _READ, _WRITE = Rights.READ, Rights.WRITE
@@ -63,46 +61,19 @@ class CoherentFaultHandler:
         machine: Machine,
         shootdown: ShootdownMechanism,
         policy: ReplicationPolicy,
-        tracer: ProtocolTracer | None = None,
-        metrics: MetricsRegistry | None = None,
+        observers: Optional[Observers] = None,
     ) -> None:
         self.machine = machine
         self.shootdown = shootdown
         self.policy = policy
-        self.tracer = tracer if tracer is not None else ProtocolTracer()
+        #: told of every fault and block transfer (repro.core.trace)
+        self.observers = observers if observers is not None else Observers()
         self.fault_count = 0
+        #: the policy consulted by the fault in progress, as
+        #: ``(policy name, action value)``; ``None`` if it was not
+        self.decision: Optional[tuple[str, str]] = None
         # a property of a property; MachineParams is frozen
         self._page_copy_time = machine.params.page_copy_time
-        #: called after every completed fault, with the directory in a
-        #: consistent state (the repro.check invariant checker hooks here)
-        self.post_action_hooks: list[Callable[[], None]] = []
-        # instruments are pre-bound so the disabled path costs one branch
-        m = metrics if metrics is not None else MetricsRegistry()
-        self.metrics = m
-        self._m_faults = m.counter(
-            "faults_total", "coherent memory faults taken",
-            labels=("processor", "kind"))
-        self._m_actions = m.counter(
-            "fault_actions_total", "completed fault-handler actions",
-            labels=("action",))
-        self._m_handler_ns = m.histogram(
-            "fault_handler_ns",
-            "fault-handler latency including lock wait", unit="ns").labels()
-        self._m_wait_ns = m.histogram(
-            "fault_wait_ns", "per-cpage handler-lock wait",
-            unit="ns").labels()
-        self._m_freezes = m.counter(
-            "freezes_total", "cpages frozen by the replication policy",
-            labels=("cpage",))
-        self._m_thaws = m.counter(
-            "thaws_total", "cpages thawed", labels=("via",))
-        self._m_transfers = m.counter(
-            "transfers_total", "whole-page block transfers",
-            labels=("src", "dst"))
-        self._m_decisions = m.counter(
-            "policy_decisions_total",
-            "replication-policy decisions on policy-consulted misses",
-            labels=("policy", "action"))
 
     # -- entry point -----------------------------------------------------------
 
@@ -125,16 +96,13 @@ class CoherentFaultHandler:
             )
         cpage = entry.cpage
         stats = cpage.stats
-        metrics_on = self.metrics.enabled
-        tracer = self.tracer
+        observers = self.observers
         self.fault_count += 1
         stats.faults += 1
         if write:
             stats.write_faults += 1
         else:
             stats.read_faults += 1
-        if metrics_on:
-            self._m_faults.add(proc, "write" if write else "read")
 
         # serialize the directory critical section for this Cpage.  The
         # lock scope is small (section 2.2): frame allocation and mapping
@@ -143,7 +111,7 @@ class CoherentFaultHandler:
         # replication of the same page is the source memory bus, the
         # "serialization in hardware" section 5.1 observes on pivot pages.
         p = self.machine.params
-        eid = tracer.reserve() if tracer.enabled else None
+        eid = observers.new_eid() if observers.tracing else None
         wait = cpage.handler_busy_until - now
         if wait < 0:
             wait = 0
@@ -160,45 +128,21 @@ class CoherentFaultHandler:
         state_before = cpage.state
         frozen_before = cpage.frozen
         last_inval_before = cpage.last_invalidation
-        t, action = (self._handle_write if write else self._handle_read)(
-            proc, cmap, entry, cpage, local, start + fixed, now, eid
-        )
-
-        stats.handler_busy_ns += t - start
-        if metrics_on:
-            self._m_actions.add(action)
-            # _HistogramChild.observe inlined for the two whole ns values
-            # a fault ends with, never NaN nor infinite; held to it by
-            # tests/test_telemetry_metrics.py
-            for h, ns in ((self._m_handler_ns, t - now),
-                          (self._m_wait_ns, wait)):
-                h.count += 1
-                h.sum += ns
-                h.counts[bisect_left(h.buckets, ns)] += 1
-            if cpage.frozen and not frozen_before:
-                self._m_freezes.add(cpage.index)
-            elif frozen_before and not cpage.frozen:
-                self._m_thaws.add("fault")
-        if tracer.enabled:
-            tracer.record(
-                now, EventKind.FAULT, cpage.index, proc, eid=eid,
-                write=write, action=action,
-                dur=t - now, wait=wait, fixed=fixed,
-                last_inval=last_inval_before,
-                **{"from": state_before.value, "to": cpage.state.value},
+        self.decision = None
+        t, action = now, None
+        try:
+            t, action = (self._handle_write if write else self._handle_read)(
+                proc, cmap, entry, cpage, local, start + fixed, now, eid
             )
-            if cpage.frozen and not frozen_before:
-                tracer.record(
-                    now, EventKind.FREEZE, cpage.index, proc, cause=eid,
-                    last_inval=last_inval_before,
-                )
-            elif frozen_before and not cpage.frozen:
-                tracer.record(
-                    now, EventKind.THAW, cpage.index, proc, cause=eid,
-                    via="fault"
-                )
-        for hook in self.post_action_hooks:
-            hook()
+            stats.handler_busy_ns += t - start
+        finally:
+            # also when the handler raised (out of frames): the fault was
+            # taken, and is published with no action
+            for observer in observers:
+                observer.fault(
+                    now, cpage, proc, write, eid, action, t, wait, fixed,
+                    state_before, frozen_before, last_inval_before,
+                    self.decision)
         return FaultResult(t, action, wait)
 
     # -- read faults -------------------------------------------------------------
@@ -227,9 +171,8 @@ class CoherentFaultHandler:
             return t, "fill"
 
         action = self.policy.decide(FaultContext(cpage, proc, now, False))
-        if self.metrics.enabled:
-            # _value_, not the .value property: that is two more calls
-            self._m_decisions.add(self.policy.name, action._value_)
+        # _value_, not the .value property: that is two more calls
+        self.decision = (self.policy.name, action._value_)
         if action is Action.CACHE:
             new_frame = self._try_allocate(proc, cpage)
             if new_frame is not None:
@@ -293,8 +236,7 @@ class CoherentFaultHandler:
             return t, ("collapse" if was_replicated else "upgrade")
 
         action = self.policy.decide(FaultContext(cpage, proc, now, True))
-        if self.metrics.enabled:
-            self._m_decisions.add(self.policy.name, action._value_)
+        self.decision = (self.policy.name, action._value_)
         if action is Action.CACHE:
             new_frame = self._try_allocate(proc, cpage)
             if new_frame is not None:
@@ -367,13 +309,9 @@ class CoherentFaultHandler:
         queued = end - t - self._page_copy_time
         if queued > 0:
             cpage.stats.handler_wait_ns += queued
-        if self.metrics.enabled:
-            self._m_transfers.add(src.module_index, dst.module_index)
-        if self.tracer.enabled:
-            self.tracer.record(
-                t, EventKind.TRANSFER, cpage.index, None, cause=cause,
-                src=src.module_index, dst=dst.module_index, dur=end - t,
-            )
+        for observer in self.observers:
+            observer.transfer(t, cpage, src.module_index, dst.module_index,
+                              end, cause)
         return end
 
     def _try_allocate(self, proc: int, cpage: Cpage) -> Frame | None:

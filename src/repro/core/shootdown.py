@@ -18,14 +18,13 @@ to it as a pending penalty (see ``repro.machine.interrupts``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from ..machine.machine import Machine
 from ..machine.pmap import Rights
-from ..telemetry.metrics import MetricsRegistry
 from .cmap import Cmap, CmapEntry, CmapMessage, Directive
 from .cpage import Cpage
-from .trace import EventKind, ProtocolTracer
+from .trace import Observers
 
 
 @dataclass(slots=True)
@@ -50,31 +49,15 @@ class ShootdownMechanism:
     """Restricts or invalidates mappings across processors."""
 
     def __init__(
-        self,
-        machine: Machine,
-        tracer: ProtocolTracer | None = None,
-        metrics: MetricsRegistry | None = None,
+        self, machine: Machine, observers: Optional[Observers] = None
     ) -> None:
         self.machine = machine
-        self.tracer = tracer if tracer is not None else ProtocolTracer()
+        #: told of every shootdown and Cmap-queue application
+        #: (repro.core.trace)
+        self.observers = observers if observers is not None else Observers()
         self.shootdowns = 0
         self.total_interrupted = 0
         self.total_deferred = 0
-        #: called after every completed shootdown / queue application
-        #: (the repro.check invariant checker hooks here)
-        self.post_action_hooks: list[Callable[[], None]] = []
-        m = metrics if metrics is not None else MetricsRegistry()
-        self.metrics = m
-        self._m_shootdowns = m.counter(
-            "shootdowns_total", "mapping shootdown operations",
-            labels=("directive",))
-        self._m_ipis = m.counter(
-            "shootdown_ipis_total",
-            "IPIs sent to targets with the address space active",
-            labels=("target",))
-        self._m_deferred = m.counter(
-            "shootdown_deferred_total",
-            "shootdown updates deferred to address-space activation")
 
     # -- protocol-driven shootdowns (by Cpage) --------------------------------
 
@@ -96,30 +79,24 @@ class ShootdownMechanism:
         section 3.3).  ``None`` means all translations.
         """
         interrupted = deferred = posted = 0
+        hits = []
         for cmap, vpage in cpage.bindings:
             entry = cmap.entries.get(vpage)
             if entry is not None and entry.ref_mask:
                 hit, missed, message = self._shoot_one(
                     cmap, entry, directive, rights, initiator, now, modules)
                 interrupted |= hit
+                hits.append(hit)
                 deferred |= missed
                 posted += message
-        result = self._account(directive, interrupted, deferred, posted)
+        result = self._account(interrupted, deferred, posted)
         if directive is Directive.INVALIDATE:
             cpage.stats.invalidations += 1
         else:
             cpage.stats.restrictions += 1
-        if self.tracer.enabled:
-            self.tracer.record(
-                now, EventKind.SHOOTDOWN, cpage.index, initiator,
-                cause=cause, directive=directive.value,
-                interrupted=len(result.interrupted),
-                deferred=len(result.deferred),
-                cost=result.initiator_cost,
-                targets=result.interrupted,
-            )
-        for hook in self.post_action_hooks:
-            hook()
+        for observer in self.observers:
+            observer.shootdown(now, cpage, directive, initiator, cause,
+                               result, hits)
         return result
 
     def _shoot_one(
@@ -153,7 +130,6 @@ class ShootdownMechanism:
         mmus = machine.mmus
         ipi_state = machine.interrupts.state
         ipi_cost = machine.params.ipi_target_cost
-        count_ipis = self.metrics.enabled
         found = False
         interrupted = deferred = 0
         mask = entry.ref_mask
@@ -181,8 +157,6 @@ class ShootdownMechanism:
                         st = ipi_state[proc]
                         st.ipis_received += 1
                         st.pending_penalty += ipi_cost
-                        if count_ipis:
-                            self._m_ipis.add(proc)
                         interrupted |= bit
                     # MMU.invalidate_page / restrict_page, in place
                     atc = mmus[proc].atc
@@ -203,11 +177,10 @@ class ShootdownMechanism:
         return interrupted, deferred, found
 
     def _account(
-        self, directive: Directive, interrupted: int, deferred: int,
-        posted: int,
+        self, interrupted: int, deferred: int, posted: int
     ) -> ShootdownResult:
         """What every shootdown ends with: the target masks as sorted
-        lists, the initiator's cost, the totals and the metrics."""
+        lists, the initiator's cost and the totals."""
         hit: list[int] = []
         missed: list[int] = []
         while interrupted:
@@ -225,10 +198,6 @@ class ShootdownMechanism:
         self.shootdowns += 1
         self.total_interrupted += len(hit)
         self.total_deferred += len(missed)
-        if self.metrics.enabled:
-            self._m_shootdowns.add(directive._value_)  # not the property
-            if missed:
-                self._m_deferred.add(amount=len(missed))
         return ShootdownResult(cost, hit, missed, posted)
 
     # -- address-space activation ----------------------------------------------
@@ -249,8 +218,8 @@ class ShootdownMechanism:
             cmap.acknowledge(message, proc)
         cost = self.machine.params.ipi_target_cost if pending else 0
         if pending:
-            for hook in self.post_action_hooks:
-                hook()
+            for observer in self.observers:
+                observer.apply_pending(cmap, proc, pending)
         return len(pending), cost
 
     # -- VM-driven shootdowns (by virtual range) ---------------------------------
@@ -267,15 +236,18 @@ class ShootdownMechanism:
         """Restrict/invalidate a set of virtual pages in one address space
         (used by the virtual memory layer for unmap and protect)."""
         interrupted = deferred = posted = 0
+        hits = []
         for vpage in vpages:
             entry = cmap.entries.get(vpage)
             if entry is not None:
                 hit, missed, message = self._shoot_one(
                     cmap, entry, directive, rights, initiator, now, None)
                 interrupted |= hit
+                hits.append(hit)
                 deferred |= missed
                 posted += message
-        result = self._account(directive, interrupted, deferred, posted)
-        for hook in self.post_action_hooks:
-            hook()
+        result = self._account(interrupted, deferred, posted)
+        for observer in self.observers:
+            observer.shootdown(now, None, directive, initiator, None,
+                               result, hits)
         return result

@@ -1,16 +1,24 @@
-"""Protocol event tracing.
+"""Protocol event tracing, and the observer list protocol actions go to.
 
 Paper section 9: "An important part of this will be the installation of
 instrumentation for performance monitoring, analysis, and visualization
 ... useful to application programmers, compiler writers, and system
-implementors."  This module is that instrumentation interface: when
-enabled, every protocol action -- faults with their transitions,
-shootdowns, block transfers, freezes, thaws, defrost runs -- is recorded
-as a timestamped event that can be queried and rendered as a per-page
-timeline.
+implementors."  The fault handler, the shootdown mechanism and the
+defrost daemon publish each protocol action once, when it completes, to
+one :class:`Observers` list: a fault, a block transfer, a shootdown (by
+Cpage or by virtual pages), a Cmap-queue application, a thaw and a
+defrost run.  Each observer implements one method per action (see
+:class:`Observers`); the arguments name the pages and processors the
+action touched.  Three observers exist: this module's
+:class:`ProtocolTracer`, the metrics fold
+(``repro.telemetry.metrics.ProtocolMetrics``) and the invariant checker
+(``repro.check.invariants``).  An empty list costs one loop over nothing
+per action.
 
-Tracing is off by default (it retains every event in memory); enable it
-per kernel with ``make_kernel(trace=True)`` or
+The tracer records each action as a timestamped event that can be
+queried and rendered as a per-page timeline.  It is on the list only
+while enabled (off by default, since it retains every event in memory);
+enable it per kernel with ``make_kernel(trace=True)`` or
 ``kernel.coherent.tracer.enable()``.
 
 Two retention modes bound memory.  The default keeps the *first*
@@ -44,16 +52,63 @@ class EventKind(enum.Enum):
     DEFROST_RUN = "defrost_run"
 
 
+class Observers(list):
+    """The one list of protocol observers, and the causal-id counter.
+
+    Every observer implements six methods, called in list order once
+    per completed action with the state consistent unless noted:
+
+    * ``fault(now, cpage, proc, write, eid, action, end, wait, fixed,
+      state, frozen, last_inval, decision)`` -- ``state``/``frozen``/
+      ``last_inval`` are the Cpage's before the fault, ``decision`` the
+      ``(policy name, action value)`` pair of a policy-consulted miss or
+      ``None``.  A fault that raised is published with ``action``
+      ``None`` (and ``end`` = ``now``); it is still a fault taken;
+    * ``transfer(now, cpage, src, dst, end, cause)`` -- a block transfer,
+      mid-fault: the directory is not yet consistent;
+    * ``shootdown(now, cpage, directive, initiator, cause, result,
+      hits)`` -- ``hits`` holds one mask of interrupted processors per
+      binding walked, in walk order; ``cpage`` is ``None`` for a
+      virtual-range shootdown (unmap, protect);
+    * ``apply_pending(cmap, proc, messages)`` -- queued Cmap messages
+      applied on activation;
+    * ``thaw(now, cpage, initiator, eid, cause, cost)`` -- a defrost thaw;
+    * ``defrost_run(now, eid, thawed)``.
+
+    ``eid``/``cause`` are causal ids (:class:`TraceEvent`).  They are
+    drawn from this one counter, and only while a tracer listens
+    (``tracing``), so that same-seed traces stay byte-identical.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.tracing = False
+        self.next_eid = 0
+
+    def new_eid(self) -> Optional[int]:
+        """A fresh causal id, or ``None`` when nothing is traced.
+
+        Drawn when an action starts: its children (the shootdowns and
+        transfers of a fault, the thaws of a defrost run) are published
+        before it completes, and must name it as their ``cause``.
+        """
+        if not self.tracing:
+            return None
+        eid = self.next_eid
+        self.next_eid = eid + 1
+        return eid
+
+
 @dataclass(slots=True, unsafe_hash=True)
 class TraceEvent:
     """One timestamped protocol action.
 
     ``eid``/``cause`` carry the causal structure the profiler consumes:
-    an event reserved an id (:meth:`ProtocolTracer.reserve`) when other
-    events name it as their parent -- a fault is the cause of the
-    shootdowns and transfers its handler performed, a defrost run is the
-    cause of its thaws, a thaw is the cause of its invalidation
-    shootdown.  Both stay ``None`` for standalone events.
+    an action draws an id (:meth:`Observers.new_eid`) when other events
+    name it as their parent -- a fault is the cause of the shootdowns
+    and transfers its handler performed, a defrost run is the cause of
+    its thaws, a thaw is the cause of its invalidation shootdown.  Both
+    stay ``None`` for standalone events.
     """
 
     time: int
@@ -95,15 +150,23 @@ class TraceEvent:
 
 
 class ProtocolTracer:
-    """Collects protocol events; disabled tracers cost one branch."""
+    """Collects protocol events; an observer while enabled.
+
+    ``observers`` is the list the tracer joins (first, so that it has
+    recorded an action before any later observer -- the invariant
+    checker -- can raise on it); a tracer built without one gets its
+    own.
+    """
 
     def __init__(
         self,
         enabled: bool = False,
         max_events: int = 1_000_000,
         ring: bool = False,
+        observers: Optional[Observers] = None,
     ):
-        self.enabled = enabled
+        self.observers = observers if observers is not None else Observers()
+        self.enabled = False
         self.max_events = max_events
         self.ring = ring
         self.events: MutableSequence[TraceEvent] = (
@@ -115,13 +178,22 @@ class ProtocolTracer:
         self.sinks: list = []
         #: when False, events go to sinks only -- nothing is retained
         self.retain = True
-        self._next_eid = 0
+        if enabled:
+            self.enable()
 
     def enable(self) -> None:
         self.enabled = True
+        observers = self.observers
+        observers.tracing = True
+        if self not in observers:
+            observers.insert(0, self)
 
     def disable(self) -> None:
         self.enabled = False
+        observers = self.observers
+        observers.tracing = False
+        if self in observers:
+            observers.remove(self)
 
     def use_ring(self, max_events: Optional[int] = None) -> None:
         """Switch to ring-buffer retention, keeping the newest events.
@@ -139,23 +211,7 @@ class ProtocolTracer:
     def clear(self) -> None:
         self.events.clear()
         self.dropped = 0
-        self._next_eid = 0
-
-    def reserve(self) -> Optional[int]:
-        """Allocate an event id before the event itself is recorded.
-
-        Needed because recording order is not causal order: a fault event
-        is recorded *after* the shootdowns and transfers its handler
-        performed, yet those children must name the fault as their
-        ``cause``.  Returns ``None`` when the tracer is disabled (ids are
-        only allocated on traced runs, keeping same-seed traces
-        byte-identical).
-        """
-        if not self.enabled:
-            return None
-        eid = self._next_eid
-        self._next_eid += 1
-        return eid
+        self.observers.next_eid = 0
 
     # -- sinks ------------------------------------------------------------------
 
@@ -166,13 +222,7 @@ class ProtocolTracer:
         record nothing.
         """
         self.sinks.append(sink)
-        self.enabled = True
-
-    def remove_sink(self, sink) -> None:
-        try:
-            self.sinks.remove(sink)
-        except ValueError:
-            pass
+        self.enable()
 
     def close_sinks(self) -> None:
         """Finalize every attached sink (flush files, close spans)."""
@@ -203,6 +253,50 @@ class ProtocolTracer:
                 return
         self.events.append(event)
 
+    # -- the observer methods (Observers) -------------------------------------
+
+    def fault(self, now, cpage, proc, write, eid, action, end, wait,
+              fixed, state, frozen, last_inval, decision) -> None:
+        if action is None:
+            return  # a fault that raised leaves no event
+        record = self.record
+        record(now, EventKind.FAULT, cpage.index, proc, eid=eid,
+               write=write, action=action, dur=end - now, wait=wait,
+               fixed=fixed, last_inval=last_inval,
+               **{"from": state.value, "to": cpage.state.value})
+        if cpage.frozen and not frozen:
+            record(now, EventKind.FREEZE, cpage.index, proc, cause=eid,
+                   last_inval=last_inval)
+        elif frozen and not cpage.frozen:
+            record(now, EventKind.THAW, cpage.index, proc, cause=eid,
+                   via="fault")
+
+    def transfer(self, now, cpage, src, dst, end, cause) -> None:
+        self.record(now, EventKind.TRANSFER, cpage.index, None, cause=cause,
+                    src=src, dst=dst, dur=end - now)
+
+    def shootdown(self, now, cpage, directive, initiator, cause, result,
+                  hits) -> None:
+        if cpage is None:
+            return  # unmap/protect shootdowns are not traced
+        self.record(now, EventKind.SHOOTDOWN, cpage.index, initiator,
+                    cause=cause, directive=directive.value,
+                    interrupted=len(result.interrupted),
+                    deferred=len(result.deferred),
+                    cost=result.initiator_cost,
+                    targets=result.interrupted)
+
+    def apply_pending(self, cmap, proc, messages) -> None:
+        pass  # Cmap-queue applications are not traced
+
+    def thaw(self, now, cpage, initiator, eid, cause, cost) -> None:
+        self.record(now, EventKind.THAW, cpage.index, initiator, eid=eid,
+                    cause=cause, via="defrost", cost=cost)
+
+    def defrost_run(self, now, eid, thawed) -> None:
+        self.record(now, EventKind.DEFROST_RUN, None, None, eid=eid,
+                    thawed=thawed)
+
     # -- queries ----------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -222,9 +316,6 @@ class ProtocolTracer:
 
     def by_cpage(self, cpage_index: int) -> list[TraceEvent]:
         return [e for e in self.ordered() if e.cpage_index == cpage_index]
-
-    def by_processor(self, processor: int) -> list[TraceEvent]:
-        return [e for e in self.ordered() if e.processor == processor]
 
     def between(self, start: float, end: float) -> list[TraceEvent]:
         return [e for e in self.ordered() if start <= e.time < end]

@@ -54,9 +54,6 @@ class Kernel:
         #: per-processor resources that serialize the threads sharing a
         #: processor, filled on first use by the thread executor
         self.cpu_resources: dict[int, FifoResource] = {}
-        self.kernel_aspace = None
-        self.kernel_text = None
-        self.kernel_data = None
 
     def __repr__(self) -> str:
         return f"<Kernel on {self.machine!r} policy={self.policy.name}>"
@@ -81,8 +78,7 @@ class Kernel:
     @property
     def metrics(self):
         """The telemetry metrics registry (enable with
-        Kernel(..., metrics=MetricsRegistry(enabled=True)) or
-        make_kernel(metrics=True))."""
+        Kernel(..., metrics=True), or pass a registry to share)."""
         return self.coherent.metrics
 
     # -- the fault path ---------------------------------------------------------
@@ -104,60 +100,6 @@ class Kernel:
             self.vm.resolve_fault(aspace_id, vpage)
             cmap = coherent.cmaps[aspace_id]
         return coherent.fault_handler.handle(proc, cmap, vpage, write, now)
-
-    # -- kernel memory regions (paper section 2.2) --------------------------------
-
-    def boot_kernel_memory(
-        self, text_pages: int = 4, data_pages: int = 2
-    ) -> None:
-        """Set up the kernel's own memory regions as section 2.2
-        describes: "The kernel replicates its code and read-only data.
-        Since writable data in physical memory can only have one copy,
-        each writable page in kernel physical memory is mapped for
-        remote access by all but its local processor."
-
-        Kernel text is replicated to every module at boot; writable
-        kernel data pages get a single copy each (distributed round-
-        robin) and are born *frozen*, so every other processor's
-        mapping is a full-rights remote mapping -- exactly the frozen-
-        page mechanism reused for the kernel's own data.
-        """
-        if self.kernel_aspace is not None:
-            raise RuntimeError("kernel memory already booted")
-        from ..machine.pmap import Rights
-
-        n = self.params.n_processors
-        aspace = self.vm.create_address_space()
-        self.kernel_aspace = aspace
-        self.kernel_text = self.vm.create_object(
-            text_pages, label="ktext"
-        )
-        self.vm.bind(aspace, 0, self.kernel_text, rights=Rights.READ)
-        self.kernel_data = self.vm.create_object(
-            data_pages, label="kdata"
-        )
-        self.vm.bind(
-            aspace, text_pages, self.kernel_data, rights=Rights.WRITE
-        )
-        for proc in range(n):
-            self.coherent.activate(aspace.asid, proc)
-        now = self.engine.now
-        # replicate the text everywhere (boot-time, not charged to anyone)
-        for vpage in range(text_pages):
-            for proc in range(n):
-                self.fault(proc, aspace.asid, vpage, False, now)
-        # place each writable kernel page and freeze it so all further
-        # mappings are full-rights remote mappings
-        for i in range(data_pages):
-            vpage = text_pages + i
-            home = i % n
-            self.fault(home, aspace.asid, vpage, True, now)
-            cpage = self.kernel_data.cpages[i]
-            self.policy.freeze(cpage, now)
-            cpage.thaw_exempt = True  # the daemon must not thaw these
-            for proc in range(n):
-                if proc != home:
-                    self.fault(proc, aspace.asid, vpage, True, now)
 
     # -- reporting ---------------------------------------------------------------
 

@@ -130,10 +130,3 @@ class ThreadManager:
             self.coherent.deactivate(aspace_id, processor)
         else:
             self._active_counts[key] = count - 1
-
-    def threads_on(self, processor: int) -> list[Thread]:
-        return [
-            t
-            for t in self.threads.values()
-            if t.processor == processor and t.state is not ThreadState.DONE
-        ]

@@ -77,18 +77,6 @@ class ATC:
             self.flushes += 1
         return removed
 
-    def flush_aspace(self, aspace_id: int) -> int:
-        keys = [k for k in self._entries if k[0] == aspace_id]
-        for k in keys:
-            del self._entries[k]
-        self.flushes += len(keys)
-        return len(keys)
-
-    def flush_all(self) -> int:
-        n = len(self._entries)
-        self._entries.clear()
-        self.flushes += n
-        return n
 
 
 class MMU:

@@ -39,7 +39,6 @@ from .machine.machine import Machine
 from .machine.params import MachineParams
 from .policy.registry import make_policy
 from .runtime.program import Program
-from .telemetry.metrics import MetricsRegistry
 from .workloads import (
     GaussianElimination,
     GeneratedWorkload,
@@ -157,10 +156,6 @@ def point_kernel(
             params=params, trace=trace, metrics=metrics,
         )
         return kernel
-    if metrics is True:
-        metrics = MetricsRegistry(enabled=True)
-    elif metrics is False:
-        metrics = None
     return Kernel(
         machine=Machine(params, dataless=dataless),
         policy=make_policy(spec.get("policy"), spec.get("policy_args")),

@@ -113,12 +113,7 @@ class OnlineCompetitivePolicy(ReplicationPolicy):
         """
         from ..core.competitive import break_even_words
 
-        class _M:  # break_even_words wants a machine-shaped object
-            pass
-
-        machine = _M()
-        machine.params = params
-        buy = max(1.0, break_even_words(machine) / max(1.0, words_per_fault))
+        buy = max(1.0, break_even_words(params) / max(1.0, words_per_fault))
         return cls(buy=buy)
 
     def decide(self, ctx: FaultContext) -> Action:

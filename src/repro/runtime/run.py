@@ -160,21 +160,15 @@ def make_kernel(
     ``metrics`` enables the telemetry metrics registry: ``True`` creates
     an enabled :class:`~repro.telemetry.MetricsRegistry`; an existing
     registry instance is used as-is (share one across kernels to
-    aggregate); ``False`` (the default) wires a disabled registry whose
-    instrument writes cost one branch.
+    aggregate); ``False`` (the default) wires a disabled one, which
+    costs the protocol nothing (``CoherentMemorySystem``).
     """
-    from ..telemetry.metrics import MetricsRegistry
-
     if params is None:
         params = MachineParams(n_processors=n_processors).scaled(
             **param_overrides
         )
     elif param_overrides:
         params = params.scaled(**param_overrides)
-    if metrics is True:
-        metrics = MetricsRegistry(enabled=True)
-    elif metrics is False:
-        metrics = None
     return Kernel(
         params=params,
         policy=policy,

@@ -8,10 +8,9 @@ channels on which the NUMA machine model (``repro.machine``) is built.
 from .engine import Engine, SimulationError
 from .process import Delay, Op, Process, ProcessCrashed, WaitFor, run_all
 from .resource import FifoResource
-from .sync import CountdownLatch, SimEvent
+from .sync import SimEvent
 
 __all__ = [
-    "CountdownLatch",
     "Delay",
     "Engine",
     "FifoResource",

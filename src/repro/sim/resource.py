@@ -59,10 +59,6 @@ class FifoResource:
         self.requests += 1
         return start, end
 
-    def waiting_delay(self, now: int) -> int:
-        """How long a request arriving now would wait before service."""
-        return max(0, self.busy_until - now)
-
     def utilization(self, now: int) -> float:
         """Fraction of time busy since t=0 (1.0 if now == 0)."""
         if now <= 0:

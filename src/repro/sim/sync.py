@@ -44,30 +44,3 @@ class SimEvent:
         for cb in waiters:
             self.engine.schedule(delay, lambda cb=cb: cb(value))
         return len(waiters)
-
-
-class CountdownLatch:
-    """Fires an event once :meth:`arrive` has been called ``n`` times.
-
-    Used by the harness to detect that all workload threads finished.
-    """
-
-    def __init__(self, engine: Engine, n: int, name: str = "latch") -> None:
-        if n < 0:
-            raise ValueError("latch count must be >= 0")
-        self.engine = engine
-        self.remaining = n
-        self.event = SimEvent(engine, name)
-        self.completed_at: Optional[int] = None
-
-    @property
-    def done(self) -> bool:
-        return self.remaining == 0
-
-    def arrive(self) -> None:
-        if self.remaining <= 0:
-            raise RuntimeError("latch already completed")
-        self.remaining -= 1
-        if self.remaining == 0:
-            self.completed_at = self.engine.now
-            self.event.fire()

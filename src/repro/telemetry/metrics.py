@@ -3,20 +3,22 @@
 Paper section 9 names "instrumentation for performance monitoring,
 analysis, and visualization" as future work; this module is the
 continuous half of that instrumentation (``repro.core.instrumentation``
-is the post-mortem half).  Protocol components create *instruments* from
-one :class:`MetricsRegistry` at construction time and bump them on the
-hot path; the registry renders everything to a JSONL stream, a flat
-totals dict, or a human-readable table.
+is the post-mortem half).  The registry renders every instrument to a
+JSONL stream, a flat totals dict, or a human-readable table.
+
+The protocol's own metrics -- the twelve-metric catalogue of
+docs/OBSERVABILITY.md -- have one owner, :class:`ProtocolMetrics`: a
+fold over the protocol's observer list (``repro.core.trace``), which
+counts each published fault, transfer, shootdown, thaw and defrost run.
 
 Design constraints, in order:
 
-* **near-zero overhead when disabled** -- every instrument write is one
-  attribute load and one branch (``if registry.enabled``), the same
-  pattern :class:`~repro.core.trace.ProtocolTracer` uses.  Components
-  keep pre-bound instrument (and label-child) references so the disabled
-  path never touches a dict.  Enabled, a write is one call: a counter
-  through :meth:`Metric.add` under the writer's own branch, a histogram
-  through its pre-bound child (the fault handler bins its two inline);
+* **free when disabled** -- a disabled registry's fold never joins the
+  observer list, so the protocol pays nothing for it; the catalogue is
+  still registered, so it lists at zero.  Enabled, each action costs
+  one call into the fold, whose writes go straight to pre-bound
+  instruments: a counter through :meth:`Metric.add`, the fault
+  histograms binned inline;
 * **deterministic output** -- values derive only from simulated work, so
   two same-seed runs emit byte-identical JSONL (collection order is
   registration order, label children in first-bound order);
@@ -350,6 +352,101 @@ class MetricsRegistry:
                         "series"
                     )
         return "\n".join(lines)
+
+
+class ProtocolMetrics:
+    """The protocol metric catalogue, folded from the observer list.
+
+    Registers the twelve protocol metrics on ``registry`` in catalogue
+    order (a disabled registry still lists them at zero) and implements
+    the observer methods of ``repro.core.trace.Observers``;
+    ``CoherentMemorySystem`` puts it on the list only when the registry
+    is enabled.
+    """
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.registry = m = registry
+        self._shootdowns = m.counter(
+            "shootdowns_total", "mapping shootdown operations",
+            labels=("directive",))
+        self._ipis = m.counter(
+            "shootdown_ipis_total",
+            "IPIs sent to targets with the address space active",
+            labels=("target",))
+        self._deferred = m.counter(
+            "shootdown_deferred_total",
+            "shootdown updates deferred to address-space activation")
+        self._faults = m.counter(
+            "faults_total", "coherent memory faults taken",
+            labels=("processor", "kind"))
+        self._actions = m.counter(
+            "fault_actions_total", "completed fault-handler actions",
+            labels=("action",))
+        self._handler_ns = m.histogram(
+            "fault_handler_ns",
+            "fault-handler latency including lock wait", unit="ns").labels()
+        self._wait_ns = m.histogram(
+            "fault_wait_ns", "per-cpage handler-lock wait",
+            unit="ns").labels()
+        self._freezes = m.counter(
+            "freezes_total", "cpages frozen by the replication policy",
+            labels=("cpage",))
+        self._thaws = m.counter(
+            "thaws_total", "cpages thawed", labels=("via",))
+        self._transfers = m.counter(
+            "transfers_total", "whole-page block transfers",
+            labels=("src", "dst"))
+        self._decisions = m.counter(
+            "policy_decisions_total",
+            "replication-policy decisions on policy-consulted misses",
+            labels=("policy", "action"))
+        self._runs = m.counter(
+            "defrost_runs_total", "defrost daemon activations")
+
+    def fault(self, now, cpage, proc, write, eid, action, end, wait,
+              fixed, state, frozen, last_inval, decision) -> None:
+        self._faults.add(proc, "write" if write else "read")
+        if decision is not None:
+            self._decisions.add(*decision)
+        if action is None:
+            return  # raised: taken, but it completed nothing
+        self._actions.add(action)
+        # _HistogramChild.observe inlined for the two whole ns values a
+        # fault ends with, never NaN nor infinite; held to it by
+        # tests/test_telemetry_metrics.py
+        for h, ns in ((self._handler_ns, end - now), (self._wait_ns, wait)):
+            h.count += 1
+            h.sum += ns
+            h.counts[bisect_left(h.buckets, ns)] += 1
+        if cpage.frozen and not frozen:
+            self._freezes.add(cpage.index)
+        elif frozen and not cpage.frozen:
+            self._thaws.add("fault")
+
+    def transfer(self, now, cpage, src, dst, end, cause) -> None:
+        self._transfers.add(src, dst)
+
+    def shootdown(self, now, cpage, directive, initiator, cause, result,
+                  hits) -> None:
+        # one IPI per binding, lowest processor first, as they were sent
+        ipis = self._ipis
+        for mask in hits:
+            while mask:
+                bit = mask & -mask
+                mask ^= bit
+                ipis.add(bit.bit_length() - 1)
+        self._shootdowns.add(directive._value_)  # not the property
+        if result.deferred:
+            self._deferred.add(amount=len(result.deferred))
+
+    def apply_pending(self, cmap, proc, messages) -> None:
+        pass
+
+    def thaw(self, now, cpage, initiator, eid, cause, cost) -> None:
+        self._thaws.add("defrost")
+
+    def defrost_run(self, now, eid, thawed) -> None:
+        self._runs.add()
 
 
 # -- reading a metrics JSONL file back -----------------------------------------

@@ -67,16 +67,13 @@ def test_install_is_idempotent():
     first = install_invariant_checker(system)
     second = install_invariant_checker(system)
     assert first is second
-    assert system.fault_handler.post_action_hooks.count(first) == 1
+    assert system.observers.count(first) == 1
 
 
 def test_uninstall_removes_every_hook():
     harness, checker = checked_harness()
     checker.uninstall()
-    system = harness.kernel.coherent
-    for component in (system.fault_handler, system.shootdown,
-                      system.defrost):
-        assert checker not in component.post_action_hooks
+    assert checker not in harness.kernel.coherent.observers
     before = checker.checks
     harness.fault(0, write=True)
     assert checker.checks == before

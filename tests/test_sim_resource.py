@@ -40,8 +40,9 @@ def test_gap_between_requests_leaves_idle_time():
 def test_waiting_delay():
     res = FifoResource("r")
     res.occupy(0, 100)
-    assert res.waiting_delay(40) == 60
-    assert res.waiting_delay(200) == 0
+    # a request arriving at 40 waits 60; one arriving at 200 not at all
+    assert res.occupy(40, 1)[0] - 40 == 60
+    assert res.occupy(200, 1)[0] - 200 == 0
 
 
 def test_zero_duration_allowed():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import CountdownLatch, Engine, SimEvent
+from repro.sim import Engine, SimEvent
 
 
 def test_fire_wakes_all_waiters_with_value():
@@ -29,31 +29,3 @@ def test_event_is_reusable():
     engine.run()
     assert got == [1, 2]
     assert event.fire_count == 2
-
-
-def test_latch_fires_after_n_arrivals():
-    engine = Engine()
-    latch = CountdownLatch(engine, 3)
-    done = []
-    latch.event.wait(done.append)
-    latch.arrive()
-    latch.arrive()
-    assert not latch.done
-    latch.arrive()
-    assert latch.done
-    engine.run()
-    assert len(done) == 1
-    assert latch.completed_at == 0
-
-
-def test_latch_overflow_rejected():
-    engine = Engine()
-    latch = CountdownLatch(engine, 1)
-    latch.arrive()
-    with pytest.raises(RuntimeError):
-        latch.arrive()
-
-
-def test_latch_negative_count_rejected():
-    with pytest.raises(ValueError):
-        CountdownLatch(Engine(), -1)

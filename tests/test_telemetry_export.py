@@ -66,7 +66,7 @@ def test_remove_sink_stops_streaming():
     sink = JsonlTraceSink(buf)
     tracer.add_sink(sink)
     tracer.record(1, EventKind.FAULT, 0, 0)
-    tracer.remove_sink(sink)
+    tracer.sinks.remove(sink)
     tracer.record(2, EventKind.FAULT, 0, 0)
     assert sink.emitted == 1
 
