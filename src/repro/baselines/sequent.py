@@ -25,6 +25,7 @@ from ..machine.memory import WORD_DTYPE
 from ..runtime import ops
 from ..runtime.executor import commit, write_words
 from ..runtime.program import Program
+from ..runtime.run import run_threads
 from ..runtime.sync import Barrier, EventCount, SpinLock
 from ..sim.engine import Engine
 from ..sim.process import Delay, Op, Process, WaitFor
@@ -287,16 +288,9 @@ def run_on_sequent(
             FifoResource(f"seq.cpu[{spec.thread.processor}]"),
         )
         processes.append(SequentThreadProcess(machine, spec, cpu))
-
-    def note_finish(p: SequentThreadProcess) -> None:
-        if p.error is not None or all(q.finished for q in processes):
-            machine.engine.stop()
-
-    for proc in processes:
-        proc.on_finish(note_finish)
-        proc.start()
-    machine.engine.run(max_events=max_events)
-    results = [p.check() for p in processes]
+    # the one thread driver reads only the machine's engine: a crash, a
+    # deadlock or a thread that never finished raises as on PLATINUM
+    results = run_threads(machine, processes, program.name, max_events)
     program.verify(results)
     return SequentRunResult(
         program=program,

@@ -222,9 +222,7 @@ class SweepRunner:
                 worker="serial", span=span,
             )
         if self.health is not None:
-            self.health.task_finished(
-                "serial", result.name, result.ok, result.wall_s,
-            )
+            self.health.task_finished("serial", result.ok)
             # the serial path has no poll loop: beat here so a
             # ledger --follow reader still sees pool.heartbeat ticks
             self.health.heartbeat(pending=0, workers=0)
@@ -261,10 +259,7 @@ class SweepRunner:
         results[index] = result
         worker.busy = None
         if self.health is not None:
-            self.health.task_finished(
-                worker.id, result.name, result.ok, result.wall_s,
-                timed_out=result.timed_out,
-            )
+            self.health.task_finished(worker.id, result.ok)
         if self.progress is not None:
             self.progress(result)
 
@@ -384,8 +379,6 @@ class SweepRunner:
             self.degraded = True
             return [self._run_serial(t) for t in tasks]
 
-        if self.health is not None:
-            self.health.pool_started(len(self._workers))
         pending = list(enumerate(tasks))
         next_worker_id = len(self._workers)
         sweep_t0 = time.perf_counter()
@@ -399,8 +392,7 @@ class SweepRunner:
                         queue_wait = now - sweep_t0
                         worker.busy = (index, task, now, queue_wait)
                         if self.health is not None:
-                            self.health.task_assigned(
-                                worker.id, task.name, queue_wait)
+                            self.health.task_assigned(worker.id, task.name)
                         worker.task_q.put(
                             (index, task.spec, task.seed, self._ctx())
                         )

@@ -2,8 +2,9 @@
 
 Three independent nets under the protocol:
 
-* :mod:`.invariants` -- global invariant checking on a live kernel,
-  hookable after every protocol action;
+* :mod:`.invariants` -- the one statement of the global invariants,
+  checked at the end of every run and, installed, after every protocol
+  action;
 * :mod:`.conformance` -- replay of a recorded protocol trace against the
   declarative Figure 4 transition table;
 * :mod:`.fuzz` -- seeded schedule fuzzing: synthetic workloads under

@@ -33,7 +33,7 @@ from ..kernel.kernel import Kernel
 from ..machine.pmap import Rights
 from ..point import point_kernel
 from ..policy.registry import policy_names
-from .invariants import InvariantChecker
+from .invariants import install_invariant_checker
 
 #: operation kinds a schedule is built from
 OP_KINDS = ("read", "write", "defrost", "deactivate", "activate")
@@ -140,7 +140,7 @@ def run_schedule(
         kernel.tracer.enable()
     if tie_seed is not None:
         kernel.engine.perturb_ties(random.Random(tie_seed))
-    checker = InvariantChecker(kernel.coherent).install()
+    checker = install_invariant_checker(kernel.coherent)
 
     aspace = kernel.vm.create_address_space()
     for vpage in range(n_pages):

@@ -7,10 +7,11 @@ a handful of whole-system invariants that hold between protocol actions:
   physical copy, a write mapping exists only in that state, and all
   replicas of a ``present+`` page are byte-identical (Figure 3's
   directory/state agreement).
-* **translation-copyset** -- every hardware translation points at a frame
-  recorded in its Cpage's directory, and is covered by the Cmap entry's
-  reference mask (the mask is what bounds shootdown targets, section
-  3.1; a translation outside it would survive invalidation).
+* **translation-copyset** -- every hardware translation maps a vpage
+  with a Cmap entry, points at a frame recorded in its Cpage's
+  directory, and is covered by the Cmap entry's reference mask (the
+  mask is what bounds shootdown targets, section 3.1; a translation
+  outside it would survive invalidation).
 * **frame-ownership** -- every directory frame is allocated to that Cpage
   in the owning module's inverted page table (the handler's
   local-copy probe of section 3.3 depends on this agreement).
@@ -29,20 +30,36 @@ a handful of whole-system invariants that hold between protocol actions:
   processor still to apply them (retired messages must leave the queue,
   or activation would re-apply stale directives).
 
-:class:`InvariantChecker` verifies all of these against a live
-:class:`~repro.core.coherent_memory.CoherentMemorySystem`.  Installed via
-:func:`install_invariant_checker` it joins the system's observer list
-(``CoherentMemorySystem.observers``, see ``repro.core.trace``) and runs
-one full check after *every* completed protocol action (fault,
-shootdown, Cmap-queue application, thaw, defrost run), so a corruption
-is caught at the action that introduced it, not at the end of the run.
-It skips the two points where the directory is not consistent: a block
-transfer (mid-fault) and a fault that raised.
+This module is the one statement of them.  :class:`InvariantChecker`
+checks all seven against a live
+:class:`~repro.core.coherent_memory.CoherentMemorySystem` and raises
+:class:`InvariantViolation` listing every failure.  It runs in two
+places, with the same code:
+
+* at the end of every run: ``Kernel.check_invariants()``, which
+  ``run_program``, ``record_program`` and ``replay_trace`` call, is one
+  full check;
+* after every protocol action: :func:`install_invariant_checker` puts a
+  checker on the system's observer list
+  (``CoherentMemorySystem.observers``, see ``repro.core.trace``), so a
+  corruption is caught at the action that introduced it (fault,
+  shootdown, Cmap-queue application, thaw, defrost run).  It skips the
+  two points where the directory is not consistent: a block transfer
+  (mid-fault) and a fault that raised.
+
+A translation whose vpage has a pending Cmap message for its processor
+is exempt from both translation invariants, *before* anything else is
+looked up: it is stale by design until the owner reactivates the
+address space and applies the message, which may remove it -- as an
+unmap of an address space active nowhere does, after it has removed
+the Cmap entry.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, List
+
+import numpy as np
 
 from ..core.cpage import CoherencyError, CpageState
 from ..machine.pmap import Rights
@@ -70,43 +87,32 @@ class InvariantViolation(CoherencyError):
 
 
 class InvariantChecker:
-    """Checks every global coherence invariant on demand.
+    """Checks every global coherence invariant of one system.
 
-    Also a protocol observer (``repro.core.trace.Observers``): each
-    completed action is one full check.  ``raise_on_violation=False``
-    turns it into a collector: violations accumulate in ``violations``
-    instead of raising, which the CLI uses to report everything at once.
+    :meth:`check` is the one check; it counts itself in ``checks``.  The
+    six observer methods (``repro.core.trace.Observers``) make a checker
+    on the observer list run it after each completed action.
     """
 
-    def __init__(
-        self,
-        system: "CoherentMemorySystem",
-        raise_on_violation: bool = True,
-    ) -> None:
+    def __init__(self, system: "CoherentMemorySystem") -> None:
         self.system = system
-        self.raise_on_violation = raise_on_violation
         #: number of full invariant sweeps performed
         self.checks = 0
-        #: every violation string ever seen (non-raising mode)
-        self.violations: List[str] = []
 
-    def check(self) -> List[str]:
-        """Run every invariant; returns (and records) the violations."""
+    def check(self) -> None:
+        """Run every invariant; raise :class:`InvariantViolation` listing
+        every failure."""
         self.checks += 1
         problems: List[str] = []
         report = problems.append
         self._inv_single_writer(report)
-        self._inv_translation_copyset(report)
+        self._inv_translations(report)
         self._inv_frame_ownership(report)
-        self._inv_pmap_state(report)
         self._inv_frozen_pages(report)
         self._inv_defrost_queue(report)
         self._inv_message_queue(report)
         if problems:
-            self.violations.extend(problems)
-            if self.raise_on_violation:
-                raise InvariantViolation(problems)
-        return problems
+            raise InvariantViolation(problems)
 
     # -- individual invariants ----------------------------------------------
 
@@ -114,62 +120,116 @@ class InvariantChecker:
         """Directory/state agreement per Cpage, including at most one
         ``modified`` copy and byte-equality of replicas (Figure 3)."""
         for cpage in self.system.cpages:
-            try:
-                cpage.check_invariants()
-            except CoherencyError as exc:
-                report(f"single-writer: {exc}")
+            frames = cpage.frames
+            n = len(frames)
+            state = cpage.state
+            if state is CpageState.EMPTY and n != 0:
+                report(f"single-writer: {cpage!r}: empty but has {n} copies")
+            elif state is CpageState.PRESENT1 and n != 1:
+                report(f"single-writer: {cpage!r}: present1 with {n} copies")
+            elif state is CpageState.PRESENT_PLUS and n < 2:
+                report(f"single-writer: {cpage!r}: present+ with {n} copies")
+            elif state is CpageState.MODIFIED and n != 1:
+                report(f"single-writer: {cpage!r}: modified with {n} copies")
+            if cpage.has_write_mapping and state is not CpageState.MODIFIED:
+                report(
+                    f"single-writer: {cpage!r}: write mapping in state "
+                    f"{state.value}"
+                )
+            for module, frame in frames.items():
+                if frame.module_index != module:
+                    report(
+                        f"single-writer: {cpage!r}: directory slot "
+                        f"{module} holds {frame!r}"
+                    )
+                if not frame.allocated:
+                    report(
+                        f"single-writer: {cpage!r}: directory holds free "
+                        "frame"
+                    )
+            if n >= 2:  # all readable copies must be byte-identical
+                copies = list(frames.values())
+                first = copies[0]
+                for other in copies[1:]:
+                    if not np.array_equal(first.data, other.data):
+                        report(
+                            f"single-writer: {cpage!r}: replicas differ "
+                            f"between modules {first.module_index} and "
+                            f"{other.module_index}"
+                        )
 
-    def _inv_translation_copyset(
-        self, report: Callable[[str], None]
-    ) -> None:
-        """Every live translation is in the copyset and covered by the
-        reference mask (section 3.1: the mask bounds shootdowns)."""
-        try:
-            self.system._check_reference_masks()
-        except CoherencyError as exc:
-            report(f"translation-copyset: {exc}")
+    def _inv_translations(self, report: Callable[[str], None]) -> None:
+        """One walk of every translation for two invariants.
 
-    def _inv_frame_ownership(self, report: Callable[[str], None]) -> None:
-        """Directory frames are registered to their Cpage in the owning
-        module's inverted page table (section 3.3's local probe)."""
-        try:
-            self.system._check_frames_registered()
-        except CoherencyError as exc:
-            report(f"frame-ownership: {exc}")
-
-    def _inv_pmap_state(self, report: Callable[[str], None]) -> None:
-        """Pmap entries agree with protocol state: write rights imply
-        ``modified``; no translation maps an ``empty`` page.
-
-        Translations with a pending (deferred) Cmap message are stale by
-        design until the owner reactivates the address space, and are
-        skipped -- the same allowance the reference-mask check makes.
+        **translation-copyset**: every live translation maps a vpage
+        with a Cmap entry, is covered by its reference mask (section 3.1:
+        the mask bounds shootdowns) and points at a frame in its Cpage's
+        directory; a write translation needs ``has_write_mapping``.
+        **pmap-state**: write rights imply ``modified``; no translation
+        maps an ``empty`` page.  Translations with a pending Cmap message
+        are exempt first (module docstring).
         """
         for cmap in self.system.cmaps.values():
+            entries = cmap.entries
             for proc, pmap in cmap.pmaps().items():
+                bit = 1 << proc
                 pending = {m.vpage for m in cmap.pending_for(proc)}
                 for pentry in pmap.entries():
-                    if pentry.vpage in pending:
+                    vpage = pentry.vpage
+                    if vpage in pending:
                         continue
-                    entry = cmap.entries.get(pentry.vpage)
+                    entry = entries.get(vpage)
                     if entry is None:
-                        continue  # translation-copyset reports this
+                        report(
+                            f"translation-copyset: cpu{proc} maps "
+                            f"unmapped vpage {vpage} in aspace "
+                            f"{cmap.aspace_id}"
+                        )
+                        continue
                     cpage = entry.cpage
-                    if cpage.state is CpageState.EMPTY:
+                    if not entry.ref_mask & bit:
+                        report(
+                            f"translation-copyset: cpu{proc} translation "
+                            f"for vpage {vpage} not covered by the "
+                            "reference mask"
+                        )
+                    frame = pentry.frame
+                    if cpage.frames.get(frame.module_index) is not frame:
+                        report(
+                            f"translation-copyset: cpu{proc} vpage {vpage} "
+                            f"maps {frame!r}, not in {cpage!r} directory"
+                        )
+                    write = pentry.rights == Rights.WRITE
+                    if write and not cpage.has_write_mapping:
+                        report(
+                            f"translation-copyset: write translation for "
+                            f"{cpage!r} but has_write_mapping is false"
+                        )
+                    state = cpage.state
+                    if state is CpageState.EMPTY:
                         report(
                             f"pmap-state: cpu{proc} maps {cpage!r} "
                             "which is empty"
                         )
-                    if (
-                        pentry.rights.allows(True)
-                        and cpage.state is not CpageState.MODIFIED
-                    ):
+                    if write and state is not CpageState.MODIFIED:
                         report(
                             f"pmap-state: cpu{proc} holds a write "
                             f"translation for {cpage!r} in state "
-                            f"{cpage.state.value}"
+                            f"{state.value}"
                         )
 
+    def _inv_frame_ownership(self, report: Callable[[str], None]) -> None:
+        """Directory frames are registered to their Cpage in the owning
+        module's inverted page table (section 3.3's local probe)."""
+        ipts = self.system.machine.ipts
+        for cpage in self.system.cpages:
+            for module, frame in cpage.frames.items():
+                owner = ipts[module].owner_of(frame)
+                if owner != cpage.index:
+                    report(
+                        f"frame-ownership: {frame!r} backs {cpage!r} but "
+                        f"the inverted page table says cpage {owner}"
+                    )
     def _inv_frozen_pages(self, report: Callable[[str], None]) -> None:
         """Frozen pages have exactly one copy and are never replicated:
         freezing disables caching for the page (section 4.2)."""
@@ -241,32 +301,19 @@ class InvariantChecker:
 
     shootdown = apply_pending = thaw = defrost_run = _after
 
-    # -- installation ---------------------------------------------------------
-
-    def install(self) -> "InvariantChecker":
-        """Check after every protocol action of the system."""
-        self.system.observers.append(self)
-        return self
-
-    def uninstall(self) -> None:
-        if self in self.system.observers:
-            self.system.observers.remove(self)
-
 
 def install_invariant_checker(
-    system: "CoherentMemorySystem", raise_on_violation: bool = True
+    system: "CoherentMemorySystem",
 ) -> InvariantChecker:
-    """Install (idempotently) an invariant checker as a protocol
-    observer.
+    """Put an invariant checker on the system's observer list, so every
+    completed protocol action is one full check, and return it.
 
-    Returns the installed checker; repeated calls on the same system
-    return the existing one rather than double-checking every action.
+    Idempotent: a checker already on the list is returned instead of
+    adding a second one.
     """
-    existing = getattr(system, "_invariant_checker", None)
-    if existing is not None:
-        return existing
-    checker = InvariantChecker(
-        system, raise_on_violation=raise_on_violation
-    ).install()
-    system._invariant_checker = checker
+    for observer in system.observers:
+        if isinstance(observer, InvariantChecker):
+            return observer
+    checker = InvariantChecker(system)
+    system.observers.append(checker)
     return checker

@@ -76,9 +76,6 @@ class CmapEntry:
     def set_ref(self, processor: int) -> None:
         self.ref_mask |= 1 << processor
 
-    def clear_ref(self, processor: int) -> None:
-        self.ref_mask &= ~(1 << processor)
-
     def has_ref(self, processor: int) -> bool:
         return bool(self.ref_mask & (1 << processor))
 
@@ -145,9 +142,6 @@ class Cmap:
 
     def deactivate(self, processor: int) -> None:
         self.active_mask &= ~(1 << processor)
-
-    def is_active(self, processor: int) -> bool:
-        return bool(self.active_mask & (1 << processor))
 
     # -- message queue -----------------------------------------------------------
 

@@ -150,63 +150,3 @@ class CoherentMemorySystem:
         return build_report(
             self.cpages, self.machine, shootdowns=self.shootdown.shootdowns
         )
-
-    def check_invariants(self) -> None:
-        """Verify every protocol invariant; raises CoherencyError."""
-        self.cpages.check_invariants()
-        self._check_reference_masks()
-        self._check_frames_registered()
-
-    def _check_reference_masks(self) -> None:
-        """Every live hardware translation must be covered by a reference-
-        mask bit, and every translation must point at a directory frame."""
-        from .cpage import CoherencyError
-
-        for cmap in self.cmaps.values():
-            for proc, pmap in cmap.pmaps().items():
-                pending = {
-                    m.vpage for m in cmap.pending_for(proc)
-                }
-                for pentry in pmap.entries():
-                    entry = cmap.entries.get(pentry.vpage)
-                    if entry is None:
-                        raise CoherencyError(
-                            f"cpu{proc} maps unmapped vpage {pentry.vpage} "
-                            f"in aspace {cmap.aspace_id}"
-                        )
-                    if pentry.vpage in pending:
-                        continue  # stale by design until activation
-                    if not entry.has_ref(proc):
-                        raise CoherencyError(
-                            f"cpu{proc} translation for vpage {pentry.vpage} "
-                            "not covered by the reference mask"
-                        )
-                    cpage = entry.cpage
-                    if cpage.frame_at(pentry.frame.module_index) is not (
-                        pentry.frame
-                    ):
-                        raise CoherencyError(
-                            f"cpu{proc} vpage {pentry.vpage} maps "
-                            f"{pentry.frame!r}, not in {cpage!r} directory"
-                        )
-                    if pentry.rights.allows(True) and not (
-                        cpage.has_write_mapping
-                    ):
-                        raise CoherencyError(
-                            f"write translation for {cpage!r} but "
-                            "has_write_mapping is false"
-                        )
-
-    def _check_frames_registered(self) -> None:
-        """Every directory frame must be allocated to its Cpage in the
-        owning module's inverted page table."""
-        from .cpage import CoherencyError
-
-        for cpage in self.cpages:
-            for module, frame in cpage.frames.items():
-                ipt = self.machine.ipt_of(module)
-                if ipt.owner_of(frame) != cpage.index:
-                    raise CoherencyError(
-                        f"{frame!r} backs {cpage!r} but the inverted page "
-                        f"table says cpage {ipt.owner_of(frame)}"
-                    )

@@ -67,9 +67,6 @@ class CpageStats:
     #: count' the competitive policies of section 8 require)
     remote_access_words: int = 0
 
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.__dict__)
-
 
 class Cpage:
     """One coherent page and its directory."""
@@ -196,41 +193,6 @@ class Cpage:
                 )
             self.state = CpageState.PRESENT_PLUS
 
-    def check_invariants(self) -> None:
-        """Raise CoherencyError if directory/state are inconsistent."""
-        n = len(self.frames)
-        if self.state is CpageState.EMPTY and n != 0:
-            raise CoherencyError(f"{self!r}: empty but has {n} copies")
-        if self.state is CpageState.PRESENT1 and n != 1:
-            raise CoherencyError(f"{self!r}: present1 with {n} copies")
-        if self.state is CpageState.PRESENT_PLUS and n < 2:
-            raise CoherencyError(f"{self!r}: present+ with {n} copies")
-        if self.state is CpageState.MODIFIED and n != 1:
-            raise CoherencyError(f"{self!r}: modified with {n} copies")
-        if self.has_write_mapping and self.state is not CpageState.MODIFIED:
-            raise CoherencyError(
-                f"{self!r}: write mapping in state {self.state.value}"
-            )
-        if self.frozen and n != 1:
-            raise CoherencyError(f"{self!r}: frozen with {n} copies")
-        for module, frame in self.frames.items():
-            if frame.module_index != module:
-                raise CoherencyError(
-                    f"{self!r}: directory slot {module} holds {frame!r}"
-                )
-            if not frame.allocated:
-                raise CoherencyError(f"{self!r}: directory holds free frame")
-        # all readable copies must be byte-identical
-        if n >= 2:
-            frames = list(self.frames.values())
-            first = frames[0].data
-            for other in frames[1:]:
-                if not np.array_equal(first, other.data):
-                    raise CoherencyError(
-                        f"{self!r}: replicas differ between modules "
-                        f"{frames[0].module_index} and {other.module_index}"
-                    )
-
 
 class CpageTable:
     """The list of all coherent pages in the system (paper section 2.3)."""
@@ -262,7 +224,3 @@ class CpageTable:
         page = Cpage(index, home_module, backing=backing, label=label)
         self._pages.append(page)
         return page
-
-    def check_invariants(self) -> None:
-        for page in self._pages:
-            page.check_invariants()

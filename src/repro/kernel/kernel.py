@@ -107,4 +107,8 @@ class Kernel:
         return self.coherent.report()
 
     def check_invariants(self) -> None:
-        self.coherent.check_invariants()
+        """One full check of the seven coherence invariants; raises
+        :class:`~repro.check.invariants.InvariantViolation`."""
+        from ..check.invariants import InvariantChecker
+
+        InvariantChecker(self.coherent).check()

@@ -88,11 +88,6 @@ class Frame:
         state = "alloc" if self.allocated else "free"
         return f"<Frame m{self.module_index}:f{self.frame_index} {state}>"
 
-    @property
-    def pfn(self) -> tuple[int, int]:
-        """Globally unique physical frame name."""
-        return (self.module_index, self.frame_index)
-
     def zero(self) -> None:
         self.data[:] = 0
 
@@ -146,10 +141,6 @@ class MemoryModule:
     def n_free(self) -> int:
         return len(self._free)
 
-    @property
-    def n_allocated(self) -> int:
-        return len(self.frames) - len(self._free)
-
     def allocate(self) -> Frame:
         """Take a free frame (zeroed).  Raises OutOfFramesError if full."""
         if not self._free:
@@ -178,7 +169,3 @@ class MemoryModule:
         frame.allocated = False
         self._free.append(frame.frame_index)
         self.free_count += 1
-
-    def occupy_bus(self, now: int, duration: int) -> tuple[int, int]:
-        """Reserve this module's bus; see FifoResource.occupy."""
-        return self.bus.occupy(now, duration)

@@ -159,10 +159,6 @@ class MachineParams:
         """One memory module per processor node."""
         return self.n_processors
 
-    def remote_read_overhead(self) -> int:
-        """Extra latency of a remote read vs a local reference."""
-        return self.t_remote_read - self.t_local
-
     def to_dict(self) -> dict:
         """The JSON form ``repro-trace/1`` bundles and
         ``repro-profile/1`` footers store.  Times are spelled as floats

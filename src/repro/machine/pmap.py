@@ -163,10 +163,6 @@ class InvertedPageTable:
     def n_free(self) -> int:
         return self.module.n_free
 
-    def hash_slot(self, cpage_index: int) -> int:
-        """The hash the paper's probe starts from (exposed for tests)."""
-        return (cpage_index * 2654435761) % len(self._entries)
-
     def find_local_copy(self, cpage_index: int) -> Optional[Frame]:
         """Frame in this module backing ``cpage_index``, if any."""
         self.probe_count += 1

@@ -10,8 +10,7 @@ the *tooling fleet from the outside*:
     per pipeline stage, per-point spans from the bench worker pool with
     context propagated across the process boundary.
 ``health``
-    Worker-pool heartbeats, per-worker counters/gauges on the shared
-    metrics-registry machinery, and stall detection.
+    Worker-pool task counts, heartbeat ticks and stall detection.
 ``doctor``
     Streaming anomaly detectors (false sharing, shootdown storms,
     frozen-page thrash, defrost starvation, pool wall pathologies)
@@ -32,7 +31,7 @@ from .doctor import (
     render_findings,
     strip_wall_findings,
 )
-from .health import PoolHealth, WALL_S_BUCKETS
+from .health import PoolHealth
 from .ledger import (
     LEDGER_SCHEMA,
     NULL_SPAN,
@@ -64,7 +63,6 @@ __all__ = [
     "PoolHealth",
     "RunLedger",
     "Span",
-    "WALL_S_BUCKETS",
     "diagnose",
     "event",
     "follow_ledger",

@@ -130,10 +130,6 @@ class AdaptiveFreezePolicy(TimestampFreezePolicy):
             # nothing else: the interference is still there
             self._hot.add(idx)
 
-    def interval_estimate(self, index: int) -> Optional[float]:
-        """The learned EWMA inter-invalidation interval, or ``None``."""
-        return self._interval_ewma.get(index)
-
     def is_hot(self, cpage) -> bool:
         """Hot = re-invalidated right after a thaw, or steadily
         invalidated faster than the hot threshold."""

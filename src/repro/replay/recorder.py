@@ -257,7 +257,6 @@ def record_program(
     program: Program,
     config: Optional[dict] = None,
     max_events: Optional[int] = None,
-    check_invariants: bool = True,
     stall_limit_ns: float = 30e9,
 ) -> tuple[TraceBundle, RunResult]:
     """Run ``program`` on ``kernel`` (as ``run_program`` would) while
@@ -303,8 +302,7 @@ def record_program(
         )
     finally:
         Broadcast.recorder = None
-    if check_invariants:
-        kernel.check_invariants()
+    kernel.check_invariants()
     program.verify(results)
     if rec.errors:
         raise RecordError(rec.errors[0])

@@ -581,7 +581,6 @@ def replay_trace(
     probe: bool = False,
     dataless: bool = True,
     check_expected: bool = False,
-    check_invariants: bool = True,
     max_events: Optional[int] = None,
     stall_limit_ns: float = 30e9,
     mode: str = "exact",
@@ -654,8 +653,7 @@ def replay_trace(
     if mode == "fast":
         for proc in processes:
             proc._flush_counters()
-    if check_invariants:
-        kernel.check_invariants()
+    kernel.check_invariants()
     result = ReplayResult(
         kernel=kernel,
         sim_time_ns=kernel.engine.now - start,

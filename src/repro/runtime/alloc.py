@@ -95,10 +95,6 @@ class Arena:
         self._next += n_words
         return va
 
-    def alloc_pages(self, n_pages: int) -> int:
-        """Allocate whole pages; returns the word address."""
-        return self.alloc(n_pages * self.words_per_page, page_aligned=True)
-
     def vpage_of(self, va: int) -> int:
         """The virtual page containing a word address in this arena."""
         if not self.base_va <= va < self.base_va + self.n_words:

@@ -45,9 +45,6 @@ class WordArray:
             raise IndexError(f"{self.name}[{i}:{i + n}] out of range")
         return Read(self.base_va + i, n)
 
-    def read_all(self) -> Read:
-        return Read(self.base_va, self.n)
-
     def write(self, i: int, value: Union[int, np.ndarray]) -> Write:
         self.va(i)
         n = 1 if np.isscalar(value) else len(value)

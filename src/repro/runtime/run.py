@@ -51,8 +51,9 @@ def run_threads(
     """Start ``processes`` and run the engine until every one finished
     or one crashed; returns their results in order.
 
-    The one thread driver: live runs, recording runs and replays all
-    come through here.  A crash re-raises as ``ProcessCrashed``; a
+    The one thread driver: live runs, recording runs, replays and the
+    Sequent baseline all come through here; ``kernel`` is read only for
+    its ``engine``.  A crash re-raises as ``ProcessCrashed``; a
     stall or a thread that never finished raises ``error``, named
     after ``name``.  ``stall_limit_ns`` bounds how long (in simulated
     time) the run may go with every thread suspended and only daemon
@@ -111,7 +112,6 @@ def run_program(
     kernel: Kernel,
     program: Program,
     max_events: Optional[int] = None,
-    check_invariants: bool = True,
     stall_limit_ns: float = 30e9,
 ) -> RunResult:
     """Run ``program`` to completion on ``kernel``.
@@ -133,8 +133,7 @@ def run_program(
     results = run_threads(
         kernel, processes, program.name, max_events, stall_limit_ns
     )
-    if check_invariants:
-        kernel.check_invariants()
+    kernel.check_invariants()
     program.verify(results)
     return RunResult(
         program=program,

@@ -76,11 +76,6 @@ class SpinLock:
         yield Write(self.va, 0)
         self.wake.fire()
 
-    def locked(self) -> Generator:
-        """Read the lock word (a test, not an acquisition)."""
-        val = yield Read(self.va, 1)
-        return bool(val[0])
-
 
 class EventCount:
     """A monotonically increasing counter with waiting (paper's programs

@@ -6,7 +6,7 @@ channels on which the NUMA machine model (``repro.machine``) is built.
 """
 
 from .engine import Engine, SimulationError
-from .process import Delay, Op, Process, ProcessCrashed, WaitFor, run_all
+from .process import Delay, Op, Process, ProcessCrashed, WaitFor
 from .resource import FifoResource
 from .sync import SimEvent
 
@@ -20,5 +20,4 @@ __all__ = [
     "SimEvent",
     "SimulationError",
     "WaitFor",
-    "run_all",
 ]

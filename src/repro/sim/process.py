@@ -168,23 +168,3 @@ class Process:
             ) from self.error
         return self.result
 
-
-def run_all(
-    engine: Engine,
-    processes: list[Process],
-    max_events: Optional[int] = None,
-    until: Optional[float] = None,
-) -> None:
-    """Start the given processes, run the engine, and re-raise any crash."""
-
-    def stop_on_crash(proc: Process) -> None:
-        if proc.error is not None:
-            engine.stop()
-
-    for proc in processes:
-        proc.on_finish(stop_on_crash)
-        if not proc.started:
-            proc.start()
-    engine.run(until=until, max_events=max_events)
-    for proc in processes:
-        proc.check()

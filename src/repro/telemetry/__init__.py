@@ -7,8 +7,6 @@ from .export import (
     ChromeTraceSink,
     JsonlTraceSink,
     TraceSink,
-    export_chrome_trace,
-    export_jsonl_trace,
     lint_prometheus,
     records_to_prometheus,
     to_prometheus,
@@ -31,8 +29,6 @@ __all__ = [
     "MetricsRegistry",
     "SimTimeSampler",
     "TraceSink",
-    "export_chrome_trace",
-    "export_jsonl_trace",
     "lint_prometheus",
     "read_metric_records",
     "records_to_prometheus",

@@ -251,34 +251,6 @@ class ChromeTraceSink(TraceSink):
             self.stream.close()
 
 
-def export_chrome_trace(
-    tracer,
-    destination: Union[str, Path, IO[str]],
-    n_processors: Optional[int] = None,
-) -> int:
-    """Post-hoc export: write a tracer's retained events as a Chrome
-    trace.  Returns the number of events exported.  (For streaming
-    export attach the sink *before* the run with ``tracer.add_sink``.)"""
-    sink = ChromeTraceSink(destination, n_processors=n_processors)
-    events = tracer.ordered()
-    for event in events:
-        sink.emit(event)
-    sink.close()
-    return len(events)
-
-
-def export_jsonl_trace(
-    tracer, destination: Union[str, Path, IO[str]]
-) -> int:
-    """Post-hoc export of a tracer's retained events as JSON Lines."""
-    sink = JsonlTraceSink(destination)
-    events = tracer.ordered()
-    for event in events:
-        sink.emit(event)
-    sink.close()
-    return len(events)
-
-
 # -- Prometheus text exposition ------------------------------------------------
 #
 # The text-based exposition format 0.0.4: `# HELP` / `# TYPE` headers,

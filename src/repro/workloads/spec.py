@@ -305,10 +305,6 @@ class WorkloadSpec:
         newline -- writing the same spec twice yields identical bytes."""
         return _doc.pretty(self.to_dict())
 
-    @classmethod
-    def from_json(cls, text: str) -> "WorkloadSpec":
-        return cls.from_dict(_doc.parse(text, "spec", SpecError))
-
     def save(self, path: Union[str, Path]) -> Path:
         return _doc.write(path, self.to_json())
 

@@ -12,6 +12,7 @@ from repro.baselines import (
     smp_kernel,
     uniform_system_kernel,
 )
+from repro.runtime import Compute, Program
 from repro.workloads import MergeSort, PrivateWork
 
 
@@ -122,6 +123,36 @@ def test_sequent_runs_mergesort_correctly():
     result = run_on_sequent(MergeSort(n=2048, n_threads=4),
                             n_processors=4)
     assert result.sim_time_ns > 0
+
+
+class NeverAdvanced(Program):
+    """One thread works; the other awaits an event count nobody
+    advances."""
+
+    name = "never-advanced"
+
+    def setup(self, api):
+        arena = api.arena(1, label="sync")
+        self.evc = api.event_count(arena)
+        api.spawn(0, self.stuck, name="stuck")
+        api.spawn(1, self.worker, name="worker")
+
+    def stuck(self, env):
+        yield from self.evc.await_at_least(1)
+
+    def worker(self, env):
+        yield Compute(1000)
+        return "worked"
+
+
+def test_sequent_reports_a_deadlocked_program():
+    """The same driver as PLATINUM: a thread that never finished is an
+    error, not a finished run with its result ``None``."""
+    with pytest.raises(
+        RuntimeError,
+        match=r"never-advanced: threads never finished: \['seq0'\]",
+    ):
+        run_on_sequent(NeverAdvanced(), n_processors=2)
 
 
 def test_sequent_runs_private_work():

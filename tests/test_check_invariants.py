@@ -15,6 +15,10 @@ from repro.check import (
 from repro.core.cmap import CmapMessage, Directive
 from repro.core.cpage import CpageState
 from repro.machine.pmap import Rights
+from repro.point import point_kernel
+from repro.runtime.run import run_program
+from repro.workloads import GeneratedWorkload, generate_spec
+from repro.workloads.generate import bench_spec_for
 
 from tests.conftest import make_harness
 
@@ -36,7 +40,6 @@ def test_clean_run_passes_every_sweep():
     harness.fault(3, write=True)
     harness.fault(0, write=False)
     assert checker.checks > 0
-    assert checker.violations == []
 
 
 def test_hooks_fire_on_every_protocol_action():
@@ -58,25 +61,19 @@ def test_clean_freeze_thaw_cycle_passes():
     harness.settle(300e6)  # past t2
     harness.kernel.coherent.defrost.run_once()
     assert not harness.cpage.frozen
-    assert checker.violations == []
+    assert checker.checks > 0
 
 
 def test_install_is_idempotent():
+    """Through the observer list, with the tracer still first."""
     harness = make_harness()
     system = harness.kernel.coherent
     first = install_invariant_checker(system)
+    harness.kernel.tracer.enable()
     second = install_invariant_checker(system)
     assert first is second
-    assert system.observers.count(first) == 1
-
-
-def test_uninstall_removes_every_hook():
-    harness, checker = checked_harness()
-    checker.uninstall()
-    assert checker not in harness.kernel.coherent.observers
-    before = checker.checks
-    harness.fault(0, write=True)
-    assert checker.checks == before
+    assert list(system.observers) == [harness.kernel.tracer, first]
+    assert not hasattr(system, "_invariant_checker")
 
 
 # -- seeded corruptions: each invariant catches its own -----------------------
@@ -192,18 +189,6 @@ def test_catches_message_targeting_absent_processor():
 # -- reporting modes ----------------------------------------------------------
 
 
-def test_collector_mode_accumulates_instead_of_raising():
-    harness = corrupted(make_harness())
-    harness.cpage.state = CpageState.MODIFIED
-    harness.cmap_entry().ref_mask = 0
-    checker = InvariantChecker(
-        harness.kernel.coherent, raise_on_violation=False
-    )
-    problems = checker.check()
-    assert len(problems) >= 2
-    assert checker.violations == problems
-
-
 def test_violation_message_summarises_and_counts():
     harness = corrupted(make_harness())
     harness.cpage.state = CpageState.MODIFIED
@@ -224,3 +209,83 @@ def test_hooked_checker_raises_at_the_corrupting_action():
     harness.kernel.coherent.policy._frozen.append(harness.cpage)
     with pytest.raises(InvariantViolation):
         harness.fault(1, write=False)
+
+
+# -- one checker: the end of a run checks all seven ---------------------------
+
+
+def test_end_of_run_check_covers_the_defrost_queue():
+    """``Kernel.check_invariants()`` -- what every run ends with -- is
+    the full checker, so a frozen page dropped from the defrost queue
+    after a finished run is reported."""
+    spec = generate_spec(100, "smoke")
+    kernel = point_kernel(bench_spec_for(spec))
+    run_program(kernel, GeneratedWorkload(spec))
+    kernel.check_invariants()  # clean
+    assert kernel.coherent.policy._frozen.pop().frozen
+    with pytest.raises(InvariantViolation, match="defrost-queue"):
+        kernel.check_invariants()
+
+
+def unbound_idle_aspace():
+    """Map one two-page object on every processor, leave the address
+    space active nowhere, then unbind it from cpu0: every other
+    processor's invalidation is deferred to a queued Cmap message, and
+    the Cmap entries are gone."""
+    harness = make_harness()
+    kernel = harness.kernel
+    obj = kernel.vm.create_object(2, label="x")
+    aspace = kernel.vm.create_address_space()
+    binding = kernel.vm.bind(aspace, 0, obj)
+    n = kernel.params.n_processors
+    for proc in range(n):
+        kernel.coherent.activate(aspace.asid, proc)
+        for vpage in (0, 1):
+            kernel.fault(proc, aspace.asid, vpage, False, kernel.engine.now)
+    for proc in range(n):
+        kernel.coherent.deactivate(aspace.asid, proc)
+    kernel.vm.unbind(aspace, binding)
+    cmap = kernel.coherent.cmaps[aspace.asid]
+    assert not cmap.entries and cmap.messages
+    # the initiator applied its own invalidations at once
+    assert [len(cmap.pmap_for(proc)) for proc in range(n)] == [0, 2, 2, 2]
+    return kernel, cmap
+
+
+def test_unbind_of_an_aspace_active_nowhere_is_clean():
+    """The stale translations await their queued invalidations; the
+    checker exempts pending vpages before it looks up the Cmap entry."""
+    kernel, cmap = unbound_idle_aspace()
+    kernel.check_invariants()
+    for proc in range(kernel.params.n_processors):
+        kernel.coherent.activate(cmap.aspace_id, proc)
+    assert not cmap.messages
+    assert all(len(pmap) == 0 for pmap in cmap.pmaps().values())
+    kernel.check_invariants()
+
+
+def test_stale_translation_with_no_pending_message_is_caught():
+    kernel, cmap = unbound_idle_aspace()
+    for proc in range(kernel.params.n_processors):
+        kernel.coherent.activate(cmap.aspace_id, proc)
+    frame = kernel.machine.modules[1].allocate()
+    cmap.pmap_for(1).enter(0, frame, Rights.READ, remote=False)
+    with pytest.raises(InvariantViolation,
+                       match="translation-copyset: cpu1 maps unmapped "
+                             "vpage 0"):
+        kernel.check_invariants()
+
+
+def test_one_walk_of_the_translations_per_check(monkeypatch):
+    """translation-copyset and pmap-state share one walk: each Pmap's
+    entries are read once per full check."""
+    from repro.machine.pmap import Pmap
+
+    harness = corrupted(make_harness())
+    walked = []
+    entries = Pmap.entries
+    monkeypatch.setattr(
+        Pmap, "entries", lambda pmap: (walked.append(pmap), entries(pmap))[1])
+    InvariantChecker(harness.kernel.coherent).check()
+    pmaps = harness.kernel.coherent.cmaps[harness.aspace_id].pmaps()
+    assert sorted(p.processor_index for p in walked) == sorted(pmaps)

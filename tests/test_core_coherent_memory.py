@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.check import InvariantChecker
 from repro.core import (
     CoherencyError,
     CoherentMemorySystem,
@@ -72,7 +73,7 @@ def test_invariant_checker_catches_corruption(system):
     frame = system.machine.ipt_of(1).allocate_for(cpage.index)
     cpage.add_frame(frame)
     with pytest.raises(CoherencyError):
-        system.check_invariants()
+        InvariantChecker(system).check()
 
 
 def test_invariant_checker_catches_unregistered_frame(system):
@@ -86,7 +87,7 @@ def test_invariant_checker_catches_unregistered_frame(system):
     system.machine.ipt_of(0).release(frame)
     system.machine.modules[0].allocate()  # reuse the slot
     with pytest.raises(CoherencyError):
-        system.check_invariants()
+        InvariantChecker(system).check()
 
 
 def test_report_includes_all_pages(system):

@@ -129,8 +129,10 @@ def test_present_plus_write_with_local_copy_collapses(harness):
     assert harness.cpage.state is CpageState.MODIFIED
     assert list(harness.cpage.frames) == [0]
     # the other replicas' frames were freed
-    assert harness.machine.modules[1].n_allocated == 0
-    assert harness.machine.modules[2].n_allocated == 0
+    module = harness.machine.modules[1]
+    assert module.n_free == len(module.frames)
+    module = harness.machine.modules[2]
+    assert module.n_free == len(module.frames)
     assert harness.cpage.last_invalidation is not None
     assert harness.pmap_entry(1) is None
     assert harness.pmap_entry(2) is None
@@ -201,7 +203,8 @@ def test_modified_write_migration_moves_single_copy(harness):
     assert result.action == "migrate"
     assert list(harness.cpage.frames) == [2]
     assert np.all(harness.cpage.frames[2].data == 77)
-    assert harness.machine.modules[0].n_allocated == 0
+    module = harness.machine.modules[0]
+    assert module.n_free == len(module.frames)
 
 
 def test_modified_write_remote_map_allows_two_writers():

@@ -21,6 +21,7 @@ to the fault path must reproduce the file byte for byte.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -165,7 +166,7 @@ class World:
                 "frozen": cpage.frozen,
                 "frozen_at": cpage.frozen_at,
                 "handler_busy_until": cpage.handler_busy_until,
-                "stats": list(cpage.stats.as_dict().values()),
+                "stats": list(dataclasses.astuple(cpage.stats)),
             },
             "frozen_list": [c.index for c in self.policy.frozen_pages],
             "cmaps": {

@@ -106,7 +106,7 @@ def test_kernel_text_is_read_only(booted):
 
 def test_boot_consumes_frames_per_module(booted):
     # 3 text replicas on every module + 2 data pages somewhere
-    total = sum(m.n_allocated for m in booted.machine.modules)
+    total = sum(len(m.frames) - m.n_free for m in booted.machine.modules)
     assert total == 3 * 4 + 2
 
 

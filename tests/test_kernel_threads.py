@@ -22,8 +22,7 @@ def test_spawn_binds_and_activates(kernel):
     assert thread.processor == 2
     assert thread.state is ThreadState.RUNNABLE
     cmap = kernel.coherent.cmaps[aspace.asid]
-    assert cmap.is_active(2)
-    assert not cmap.is_active(0)
+    assert cmap.active_mask == 1 << 2
 
 
 def test_spawn_out_of_range_rejected(kernel):
@@ -38,9 +37,9 @@ def test_exit_deactivates_when_last(kernel):
     t2 = kernel.threads.spawn(aspace.asid, 1)
     cmap = kernel.coherent.cmaps[aspace.asid]
     kernel.threads.exit(t1)
-    assert cmap.is_active(1)  # t2 still there
+    assert cmap.active_mask == 1 << 1  # t2 still there
     kernel.threads.exit(t2)
-    assert not cmap.is_active(1)
+    assert cmap.active_mask == 0
     kernel.threads.exit(t2)  # idempotent
 
 
@@ -51,7 +50,7 @@ def test_migration_moves_activation(kernel):
     assert thread.processor == 3
     assert thread.migrations == 1
     cmap = kernel.coherent.cmaps[aspace.asid]
-    assert cmap.is_active(3) and not cmap.is_active(0)
+    assert cmap.active_mask == 1 << 3
     # the kernel stack moves with the thread: at least one page copy
     assert cost >= kernel.params.page_copy_time
 

@@ -10,6 +10,11 @@ from repro.workloads.generate import run_spec
 from repro.workloads.spec import PhaseSpec, WorkloadSpec
 
 
+def pfn(frame):
+    """A frame's globally unique physical name."""
+    return (frame.module_index, frame.frame_index)
+
+
 @pytest.fixture
 def module():
     params = MachineParams(n_processors=2, frames_per_module=8).validated()
@@ -21,7 +26,7 @@ def test_allocate_returns_zeroed_frame(module):
     assert frame.allocated
     assert np.all(frame.data == 0)
     assert frame.module_index == 0
-    assert module.n_allocated == 1
+    assert module.n_free == 7
 
 
 def test_allocation_is_exhaustible(module):
@@ -33,7 +38,7 @@ def test_allocation_is_exhaustible(module):
 
 def test_release_recycles(module):
     frame = module.allocate()
-    pfn = frame.pfn
+    name = pfn(frame)
     frame.data[:] = 99
     module.release(frame)
     assert not frame.allocated
@@ -41,7 +46,7 @@ def test_release_recycles(module):
     again = module.allocate()
     assert np.all(again.data == 0)  # zeroed on reuse
     # the same frame, not a second one materialized beside it
-    assert again.pfn == pfn and module.frames.materialized == 1
+    assert pfn(again) == name and module.frames.materialized == 1
 
 
 def test_only_a_frame_that_existed_before_is_zeroed(module, monkeypatch):
@@ -51,19 +56,19 @@ def test_only_a_frame_that_existed_before_is_zeroed(module, monkeypatch):
     zeroed = []
     zero = Frame.zero
     monkeypatch.setattr(
-        Frame, "zero", lambda frame: (zeroed.append(frame.pfn), zero(frame)))
+        Frame, "zero", lambda frame: (zeroed.append(pfn(frame)), zero(frame)))
     fresh = module.allocate()
     assert zeroed == [] and np.all(fresh.data == 0)
     fresh.data[:] = 7
     module.release(fresh)
     reused = module.allocate()
-    assert reused is fresh and zeroed == [fresh.pfn]
+    assert reused is fresh and zeroed == [pfn(fresh)]
     assert np.all(reused.data == 0)
     # built by indexing while free (an inspection), then written
     touched = module.frames[1]
     touched.data[:] = 5
     assert module.allocate() is touched
-    assert zeroed == [fresh.pfn, touched.pfn]
+    assert zeroed == [pfn(fresh), pfn(touched)]
     assert np.all(touched.data == 0)
 
 
@@ -94,7 +99,7 @@ def test_frame_copy(module):
 
 def test_frame_pfn_unique(module):
     frames = [module.allocate() for _ in range(3)]
-    assert len({f.pfn for f in frames}) == 3
+    assert len({pfn(f) for f in frames}) == 3
 
 
 def test_counters(module):
@@ -106,9 +111,9 @@ def test_counters(module):
 
 
 def test_bus_occupancy(module):
-    start, end = module.occupy_bus(0, 1000)
+    start, end = module.bus.occupy(0, 1000)
     assert (start, end) == (0, 1000)
-    start2, _ = module.occupy_bus(500, 100)
+    start2, _ = module.bus.occupy(500, 100)
     assert start2 == 1000  # queued behind the first
 
 

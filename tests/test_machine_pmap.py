@@ -125,11 +125,6 @@ def test_ipt_tracks_module_capacity(ipt):
     assert ipt.n_free == 0
 
 
-def test_ipt_hash_slot_in_range(ipt):
-    for cp in (0, 1, 17, 123456789):
-        assert 0 <= ipt.hash_slot(cp) < len(ipt)
-
-
 def test_ipt_entries_appear_with_the_frames_they_describe(ipt, module):
     assert ipt._entries.materialized == 0 and len(ipt) == 8
     frame = ipt.allocate_for(42)

@@ -4,7 +4,6 @@ import io
 import json
 
 from repro.obs import PoolHealth, RunLedger, set_ledger
-from repro.telemetry.metrics import MetricsRegistry
 
 
 class FakeClock:
@@ -26,73 +25,47 @@ def make_health(**kwargs):
 
 def test_counters_track_the_task_lifecycle():
     health, clock = make_health()
-    health.pool_started(2)
-    health.task_assigned(0, "a", queue_wait_s=0.1)
-    health.task_assigned(1, "b", queue_wait_s=0.2)
+    health.task_assigned(0, "a")
+    health.task_assigned(1, "b")
     clock.advance(1.0)
-    health.task_finished(0, "a", ok=True, wall_s=1.0)
-    health.task_finished(1, "b", ok=False, wall_s=1.0)
-    summary = health.summary()
-    assert summary["tasks"] == 2
-    assert summary["failures"] == 1
-    assert summary["timeouts"] == 0
-    totals = health.registry.totals()
-    assert totals["pool_tasks_total"] == 2
-    assert health.registry.get("pool_queue_wait_s").total == 2
-
-
-def test_per_worker_task_counts_are_labelled():
-    health, _ = make_health()
-    health.task_assigned(0, "a", 0.0)
-    health.task_finished(0, "a", ok=True, wall_s=0.1)
-    health.task_assigned(0, "b", 0.0)
-    health.task_finished(0, "b", ok=True, wall_s=0.1)
-    health.task_assigned(1, "c", 0.0)
-    health.task_finished(1, "c", ok=True, wall_s=0.1)
-    counter = health.registry.get("pool_tasks_total")
-    series = {labels["worker"]: child.value
-              for labels, child in counter.series()}
-    assert series["0"] == 2
-    assert series["1"] == 1
+    health.task_finished(0, ok=True)
+    health.task_finished(1, ok=False)
+    assert health.summary() == {
+        "tasks": 2, "failures": 1, "timeouts": 0, "respawns": 0,
+        "deaths": 0, "stalls": 0,
+    }
 
 
 def test_timeout_is_counted_once_not_doubled():
     """task_timed_out counts the kill; the task_finished that follows
     must not count it again."""
     health, _ = make_health()
-    health.task_assigned(0, "slow", 0.0)
+    health.task_assigned(0, "slow")
     health.task_timed_out(0, "slow", timeout_s=5.0)
-    health.task_finished(0, "slow", ok=False, wall_s=6.0,
-                         timed_out=True)
+    health.task_finished(0, ok=False)
     assert health.summary()["timeouts"] == 1
 
 
 def test_heartbeat_is_throttled_and_snapshots_pool_state():
-    health, clock = make_health(heartbeat_s=1.0)
-    health.pool_started(2)
-    health.task_assigned(0, "a", 0.0)
-    assert health.heartbeat(pending=3, workers=2) is not None
-    clock.advance(0.5)
-    assert health.heartbeat(pending=2, workers=2) is None
-    clock.advance(0.6)
-    row = health.heartbeat(pending=1, workers=2)
-    assert row is not None
-    assert row["record"] == "pool_sample"
-    assert row["busy"] == 1
-    assert row["pending"] == 1
-    assert len(health.snapshots) == 2
-    jsonl = health.to_jsonl()
-    assert [json.loads(line)["pending"]
-            for line in jsonl.splitlines()] == [3, 1]
-
-
-def test_snapshot_cap_counts_drops():
-    health, clock = make_health(heartbeat_s=1.0, max_snapshots=1)
-    health.heartbeat(pending=0, workers=1, force=True)
-    clock.advance(2.0)
-    health.heartbeat(pending=0, workers=1, force=True)
-    assert len(health.snapshots) == 1
-    assert health.dropped == 1
+    stream = io.StringIO()
+    ledger = RunLedger(stream, verb="test")
+    previous = set_ledger(ledger)
+    try:
+        health, clock = make_health(heartbeat_s=1.0)
+        health.task_assigned(0, "a")
+        assert health.heartbeat(pending=3, workers=2)
+        clock.advance(0.5)
+        assert not health.heartbeat(pending=2, workers=2)
+        clock.advance(0.6)
+        assert health.heartbeat(pending=1, workers=2)
+    finally:
+        set_ledger(previous)
+    ledger.close()
+    ticks = [record["wall"] for record in map(
+        json.loads, stream.getvalue().splitlines())
+        if record.get("name") == "pool.heartbeat"]
+    assert [(t["busy"], t["pending"], t["workers"], t["tasks_done"])
+            for t in ticks] == [(1, 3, 2, 0), (1, 1, 2, 0)]
 
 
 def test_stall_emits_one_ledger_event_per_task():
@@ -101,7 +74,7 @@ def test_stall_emits_one_ledger_event_per_task():
     previous = set_ledger(ledger)
     try:
         health, clock = make_health(stall_after_s=30.0)
-        health.task_assigned(0, "slow", 0.0)
+        health.task_assigned(0, "slow")
         clock.advance(31.0)
         health.heartbeat(pending=0, workers=1, force=True)
         clock.advance(31.0)  # still stalled: no second warning
@@ -124,7 +97,7 @@ def test_death_and_respawn_hooks_count_and_ledger():
     previous = set_ledger(ledger)
     try:
         health, _ = make_health()
-        health.task_assigned(0, "doomed", 0.0)
+        health.task_assigned(0, "doomed")
         health.worker_died(0, "doomed", exitcode=-9)
         health.worker_respawned(2)
     finally:
@@ -141,16 +114,8 @@ def test_death_and_respawn_hooks_count_and_ledger():
 
 def test_health_works_without_any_ledger():
     health, clock = make_health()
-    health.task_assigned(0, "a", 0.0)
+    health.task_assigned(0, "a")
     clock.advance(40.0)
     health.heartbeat(pending=0, workers=1, force=True)  # stall: no-op event
     health.worker_died(0, "a")
     assert health.summary()["stalls"] == 1
-
-
-def test_external_registry_is_reused():
-    registry = MetricsRegistry(enabled=True)
-    health = PoolHealth(registry=registry)
-    health.task_assigned(0, "a", 0.0)
-    health.task_finished(0, "a", ok=True, wall_s=0.5)
-    assert registry.totals()["pool_tasks_total"] == 1

@@ -164,7 +164,7 @@ def test_adaptive_ewma_marks_steady_interference_hot():
     cpage = _page()
     for now in (0, 10, 20, 30):
         policy.note_invalidation(cpage, now)
-    assert policy.interval_estimate(cpage.index) == 10.0
+    assert policy._interval_ewma[cpage.index] == 10.0  # learned interval
     assert policy.is_hot(cpage)
 
 

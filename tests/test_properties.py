@@ -93,7 +93,7 @@ def test_frame_accounting_never_leaks(accesses, st_seed):
                      kernel.engine.now)
         kernel.engine.run(until=kernel.engine.now + 500_000)
     directory_frames = sum(cp.n_copies for cp in cpages)
-    allocated = sum(m.n_allocated for m in kernel.machine.modules)
+    allocated = sum(len(m.frames) - m.n_free for m in kernel.machine.modules)
     assert allocated == directory_frames
 
 

@@ -4,8 +4,10 @@ A hypothesis rule-based state machine drives the live kernel through
 arbitrary interleavings of faults, address-space activation changes,
 defrost runs, and time passage, while checking after every step that
 
-* every protocol invariant holds (directory/state agreement, replica
-  byte-equality, reference-mask soundness, frame accounting);
+* every protocol invariant holds (the seven of ``repro.check``:
+  directory/state agreement, replica byte-equality, reference-mask
+  soundness, frame ownership, frozen pages, defrost and message
+  queues), plus frame accounting;
 * a shadow model of memory semantics agrees: reads through any
   processor's mapping see the latest shadow value.
 
@@ -114,7 +116,7 @@ class ProtocolMachine(RuleBasedStateMachine):
         if not hasattr(self, "kernel"):
             return
         allocated = sum(
-            m.n_allocated for m in self.kernel.machine.modules
+            len(m.frames) - m.n_free for m in self.kernel.machine.modules
         )
         in_directories = sum(cp.n_copies for cp in self.cpages)
         assert allocated == in_directories
@@ -140,11 +142,11 @@ class CheckedProtocolMachine(RuleBasedStateMachine):
     after **every** step -- both hooked into every protocol action and
     asserted as a hypothesis invariant.
 
-    Where :class:`ProtocolMachine` samples the state space under the
-    kernel's built-in spot checks, this machine holds it to the complete
-    global invariant set (single-writer, translation-copyset,
-    frame-ownership, pmap-state, frozen-pages, defrost-queue,
-    message-queue).
+    Where :class:`ProtocolMachine` checks the complete global invariant
+    set (single-writer, translation-copyset, frame-ownership,
+    pmap-state, frozen-pages, defrost-queue, message-queue) between
+    steps, through ``Kernel.check_invariants()``, this machine also
+    checks it inside each step, after every protocol action.
     """
 
     N = 3
@@ -235,7 +237,7 @@ class CheckedProtocolMachine(RuleBasedStateMachine):
     def every_global_invariant_holds(self):
         if not hasattr(self, "checker"):
             return
-        assert self.checker.check() == []
+        self.checker.check()  # raises InvariantViolation
 
 
 CheckedProtocolMachine.TestCase.settings = settings(

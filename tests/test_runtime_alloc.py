@@ -50,7 +50,7 @@ def test_page_aligned_when_already_aligned(api):
 def test_alloc_pages(api):
     arena = api.arena(4)
     wpp = api.kernel.params.words_per_page
-    va = arena.alloc_pages(2)
+    va = arena.alloc(2 * wpp, page_aligned=True)  # two whole pages
     assert va % wpp == 0
     assert arena.words_free == 2 * wpp
 

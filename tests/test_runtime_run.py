@@ -217,5 +217,5 @@ def test_make_kernel_policy_injection():
 
 def test_invariants_checked_after_run():
     kernel = make_kernel(n_processors=2)
-    result = run_program(kernel, Trivial(), check_invariants=True)
+    result = run_program(kernel, Trivial())
     assert result.sim_time_ns > 0

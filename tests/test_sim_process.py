@@ -10,7 +10,6 @@ from repro.sim import (
     SimEvent,
     SimulationError,
     WaitFor,
-    run_all,
 )
 
 
@@ -109,29 +108,6 @@ def test_on_finish_callback():
     assert done == [42, "late"]
 
 
-def test_run_all_starts_and_checks():
-    engine = Engine()
-
-    def good():
-        yield Delay(10)
-        return "ok"
-
-    procs = [Process(engine, good(), name=f"p{i}") for i in range(3)]
-    run_all(engine, procs)
-    assert all(p.result == "ok" for p in procs)
-
-
-def test_run_all_reraises_crash():
-    engine = Engine()
-
-    def bad():
-        yield Delay(1)
-        raise RuntimeError("dead")
-
-    with pytest.raises(ProcessCrashed):
-        run_all(engine, [Process(engine, bad())])
-
-
 def test_interleaving_of_two_processes():
     engine = Engine()
     trace = []
@@ -141,13 +117,10 @@ def test_interleaving_of_two_processes():
             yield Delay(step)
             trace.append((tag, engine.now))
 
-    run_all(
-        engine,
-        [
-            Process(engine, body("a", 10)),
-            Process(engine, body("b", 15)),
-        ],
-    )
+    for proc in (Process(engine, body("a", 10)),
+                 Process(engine, body("b", 15))):
+        proc.start()
+    engine.run()
     # at t=30 both are due; b's event was scheduled earlier (at t=15)
     # so the deterministic tie-break runs it first
     assert trace == [

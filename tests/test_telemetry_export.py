@@ -8,12 +8,7 @@ import pytest
 
 from repro import make_kernel, run_program
 from repro.core.trace import EventKind, ProtocolTracer
-from repro.telemetry import (
-    ChromeTraceSink,
-    JsonlTraceSink,
-    export_chrome_trace,
-    export_jsonl_trace,
-)
+from repro.telemetry import ChromeTraceSink, JsonlTraceSink
 from repro.workloads import GaussianElimination, PhaseChangeSharing
 
 
@@ -159,23 +154,21 @@ def test_chrome_frozen_spans_balance_over_a_freezing_run():
     assert begins == ends
 
 
-# -- post-hoc export helpers and file output -----------------------------------
+# -- file output ----------------------------------------------------------------
 
 
-def test_export_helpers_write_files(tmp_path):
+def test_sinks_write_files(tmp_path):
     kernel = make_kernel(n_processors=2, trace=True)
+    jsonl = tmp_path / "trace.jsonl"
+    chrome = tmp_path / "nested" / "trace.json"
+    kernel.tracer.add_sink(JsonlTraceSink(jsonl))
+    kernel.tracer.add_sink(ChromeTraceSink(chrome, n_processors=2))
     run_program(kernel, GaussianElimination(
         n=12, n_threads=2, verify_result=False,
     ))
-    jsonl = tmp_path / "trace.jsonl"
-    chrome = tmp_path / "nested" / "trace.json"
-    n_j = export_jsonl_trace(kernel.tracer, jsonl)
-    n_c = export_chrome_trace(kernel.tracer, chrome, n_processors=2)
-    assert n_j == n_c == len(kernel.tracer.events)
+    kernel.tracer.close_sinks()
     lines = jsonl.read_text().splitlines()
-    assert len(lines) == n_j
-    times = [json.loads(line)["time"] for line in lines]
-    assert times == sorted(times)  # ordered() sorts post-hoc exports
+    assert len(lines) == len(kernel.tracer.events) > 0
     doc = json.loads(chrome.read_text())
     assert doc["displayTimeUnit"] == "ms"
 

@@ -7,8 +7,14 @@ import json
 
 import pytest
 
+from repro import doc
 from repro.workloads import PhaseSpec, SpecError, WorkloadSpec
 from repro.workloads.generate import generate_spec
+
+
+def from_json(text):
+    """A spec from its JSON text, as ``WorkloadSpec.load`` reads one."""
+    return WorkloadSpec.from_dict(doc.parse(text, "spec", SpecError))
 
 
 def small_spec(**overrides):
@@ -34,7 +40,7 @@ def test_roundtrip_identity_hand_written():
             PhaseSpec(ops=8),
         ),
     ).validate()
-    again = WorkloadSpec.from_json(spec.to_json())
+    again = from_json(spec.to_json())
     assert again == spec
     assert again.to_json() == spec.to_json()
 
@@ -42,7 +48,7 @@ def test_roundtrip_identity_hand_written():
 @pytest.mark.parametrize("seed", range(50, 60))
 def test_roundtrip_identity_generated(seed):
     spec = generate_spec(seed, "smoke")
-    assert WorkloadSpec.from_json(spec.to_json()) == spec
+    assert from_json(spec.to_json()) == spec
 
 
 def test_to_json_is_canonical():
@@ -150,7 +156,7 @@ def test_from_dict_requires_core_keys(missing):
 
 def test_from_json_reports_parse_errors():
     with pytest.raises(SpecError, match="not JSON"):
-        WorkloadSpec.from_json("{nope")
+        from_json("{nope")
 
 
 def test_load_prefixes_path(tmp_path):
