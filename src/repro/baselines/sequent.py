@@ -23,7 +23,7 @@ import numpy as np
 from ..machine.cache import CacheParams, SnoopyBus
 from ..machine.memory import WORD_DTYPE
 from ..runtime import ops
-from ..runtime.executor import commit, write_words
+from ..runtime.executor import ExecutionError, commit, write_words
 from ..runtime.program import Program
 from ..runtime.run import run_threads
 from ..runtime.sync import Barrier, EventCount, SpinLock
@@ -199,7 +199,11 @@ class SequentThreadProcess(Process):
             self._commit(t, out)
         elif isinstance(op, ops.Write):
             t = self._begin()
-            values = write_words(op.value)
+            try:
+                values = write_words(op.value)
+            except ExecutionError as exc:  # a thread crash, as live
+                self._throw(exc)
+                return
             self.machine.memory[op.va: op.va + len(values)] = values
             t = self._cost_write(op.va, len(values), t)
             self._commit(t)

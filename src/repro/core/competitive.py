@@ -31,6 +31,9 @@ from .coherent_memory import CoherentMemorySystem
 from .cpage import Cpage
 from ..policy.base import Action, FaultContext, ReplicationPolicy
 
+#: bound once: an Enum-class member load is dear (DESIGN.md section 5)
+_CACHE, _REMOTE_MAP = Action.CACHE, Action.REMOTE_MAP
+
 
 class CompetitivePolicy(ReplicationPolicy):
     """The fault-side half of competitive placement.
@@ -53,8 +56,8 @@ class CompetitivePolicy(ReplicationPolicy):
         hint = self.move_hints.get(ctx.cpage.index)
         if hint == ctx.processor:
             del self.move_hints[ctx.cpage.index]
-            return Action.CACHE
-        return Action.REMOTE_MAP
+            return _CACHE
+        return _REMOTE_MAP
 
 
 def break_even_words(p: MachineParams) -> int:

@@ -39,6 +39,10 @@ class CpageState(enum.Enum):
     MODIFIED = "modified"
 
 
+# bound once for the per-fault recompute_state (DESIGN.md section 5)
+_EMPTY, _PRESENT1, _PRESENT_PLUS, _MODIFIED = CpageState
+
+
 class CoherencyError(RuntimeError):
     """An internal protocol invariant was violated."""
 
@@ -177,21 +181,17 @@ class Cpage:
         """Derive the protocol state from the directory and write flag."""
         n = len(self.frames)
         if n == 0:
-            self.state = CpageState.EMPTY
+            self.state = _EMPTY
             if self.has_write_mapping:
                 raise CoherencyError(f"{self!r}: write mapping with no copy")
         elif n == 1:
-            self.state = (
-                CpageState.MODIFIED
-                if self.has_write_mapping
-                else CpageState.PRESENT1
-            )
+            self.state = _MODIFIED if self.has_write_mapping else _PRESENT1
         else:
             if self.has_write_mapping:
                 raise CoherencyError(
                     f"{self!r}: write mapping while replicated"
                 )
-            self.state = CpageState.PRESENT_PLUS
+            self.state = _PRESENT_PLUS
 
 
 class CpageTable:

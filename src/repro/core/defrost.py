@@ -25,6 +25,9 @@ from ..policy.base import ReplicationPolicy
 from .shootdown import ShootdownMechanism
 from .trace import Observers
 
+#: bound once, as in core/fault.py: read on every thaw
+_INVALIDATE, _NONE = Directive.INVALIDATE, Rights.NONE
+
 
 class DefrostDaemon:
     """Periodically thaws every frozen Cpage."""
@@ -108,11 +111,11 @@ class DefrostDaemon:
         initiator = cpage.home_module
         self.shootdown.shoot_cpage(
             cpage,
-            Directive.INVALIDATE,
+            _INVALIDATE,
             initiator,
             now,
             modules=None,
-            rights=Rights.NONE,
+            rights=_NONE,
             cause=cause,
         )
         # daemon time is asynchronous kernel work on the initiating node

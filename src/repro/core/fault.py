@@ -33,7 +33,12 @@ from .shootdown import ShootdownMechanism
 from .trace import Observers
 
 
+# Enum members read on every fault, bound once: a member load through
+# the Enum class costs ~13 module-global loads (DESIGN.md section 5)
 _READ, _WRITE = Rights.READ, Rights.WRITE
+_EMPTY, _PRESENT1, _PRESENT_PLUS, _MODIFIED = CpageState
+_CACHE = Action.CACHE
+_INVALIDATE, _RESTRICT = Directive.INVALIDATE, Directive.RESTRICT
 
 
 class ProtectionError(RuntimeError):
@@ -162,7 +167,7 @@ class CoherentFaultHandler:
             self._install(cmap, entry, proc, local, _READ)
             cpage.stats.local_mappings += 1
             return t, "map_local"
-        if cpage.state is CpageState.EMPTY:
+        if cpage.state is _EMPTY:
             frame, at_home = self._first_touch(proc, cpage)
             cpage.recompute_state()
             self._install(cmap, entry, proc, frame, _READ)
@@ -170,16 +175,18 @@ class CoherentFaultHandler:
                 cpage.stats.remote_mappings += 1
             return t, "fill"
 
-        action = self.policy.decide(FaultContext(cpage, proc, now, False))
+        # a FaultContext without the namedtuple's Python __new__ frame
+        action = self.policy.decide(
+            tuple.__new__(FaultContext, (cpage, proc, now, False)))
         # _value_, not the .value property: that is two more calls
         self.decision = (self.policy.name, action._value_)
-        if action is Action.CACHE:
+        if action is _CACHE:
             new_frame = self._try_allocate(proc, cpage)
             if new_frame is not None:
-                if cpage.state is CpageState.MODIFIED:
+                if cpage.state is _MODIFIED:
                     # restrict the write mapping(s) to read-only first
                     res = self.shootdown.shoot_cpage(
-                        cpage, Directive.RESTRICT, proc, t,
+                        cpage, _RESTRICT, proc, t,
                         rights=_READ, cause=cause,
                     )
                     t += res.initiator_cost
@@ -213,7 +220,7 @@ class CoherentFaultHandler:
         now: int,
         cause: int | None = None,
     ) -> tuple[int, str]:
-        if cpage.state is CpageState.EMPTY:
+        if cpage.state is _EMPTY:
             frame, _at_home = self._first_touch(proc, cpage)
             cpage.has_write_mapping = True
             cpage.recompute_state()
@@ -221,7 +228,7 @@ class CoherentFaultHandler:
             return t, "fill"
 
         if local is not None:
-            was_replicated = cpage.state is CpageState.PRESENT_PLUS
+            was_replicated = cpage.state is _PRESENT_PLUS
             if was_replicated:
                 # invalidate translations to the other replicas, free them
                 others = set(cpage.frames)
@@ -235,9 +242,10 @@ class CoherentFaultHandler:
             cpage.stats.upgrades += 1
             return t, ("collapse" if was_replicated else "upgrade")
 
-        action = self.policy.decide(FaultContext(cpage, proc, now, True))
+        action = self.policy.decide(
+            tuple.__new__(FaultContext, (cpage, proc, now, True)))
         self.decision = (self.policy.name, action._value_)
-        if action is Action.CACHE:
+        if action is _CACHE:
             new_frame = self._try_allocate(proc, cpage)
             if new_frame is not None:
                 t = self._copy_page(cpage, new_frame, t, cause)
@@ -250,7 +258,7 @@ class CoherentFaultHandler:
                 return t, "migrate"
             # local memory full: degrade to a remote write mapping
         # remote write mapping: reduce to a single copy first if needed
-        if cpage.state is CpageState.PRESENT_PLUS:
+        if cpage.state is _PRESENT_PLUS:
             others = set(cpage.frames)
             others.discard(cpage.any_frame().module_index)
             t = self._collapse(cpage, others, proc, t, cause)
@@ -274,7 +282,7 @@ class CoherentFaultHandler:
         if not modules:
             return t
         res = self.shootdown.shoot_cpage(
-            cpage, Directive.INVALIDATE, proc, t, modules=modules,
+            cpage, _INVALIDATE, proc, t, modules=modules,
             cause=cause,
         )
         t += res.initiator_cost

@@ -34,6 +34,9 @@ from typing import Sequence
 
 from .base import Action, FaultContext, ReplicationPolicy
 
+#: bound once: an Enum-class member load is dear (DESIGN.md section 5)
+_CACHE, _REMOTE_MAP = Action.CACHE, Action.REMOTE_MAP
+
 
 def rent_or_buy_cost(
     rents: Sequence[float], buy: float
@@ -123,9 +126,9 @@ class OnlineCompetitivePolicy(ReplicationPolicy):
         if accrued >= self.buy:
             self._accrued[idx] = 0.0
             self.buys += 1
-            return Action.CACHE
+            return _CACHE
         self._accrued[idx] = accrued
-        return Action.REMOTE_MAP
+        return _REMOTE_MAP
 
     def note_invalidation(self, cpage, now: int) -> None:
         # another processor changed the page's configuration: the rent

@@ -19,6 +19,10 @@ from __future__ import annotations
 from ..core.cpage import CpageState
 from .base import Action, FaultContext, ReplicationPolicy
 
+#: bound once: an Enum-class member load is dear (DESIGN.md section 5)
+_CACHE, _REMOTE_MAP = Action.CACHE, Action.REMOTE_MAP
+_EMPTY = CpageState.EMPTY
+
 
 class TimestampFreezePolicy(ReplicationPolicy):
     """PLATINUM's interim policy (section 4.2).
@@ -55,17 +59,17 @@ class TimestampFreezePolicy(ReplicationPolicy):
         if cpage.frozen:
             if self.thaw_on_fault and self._window_expired(cpage, now):
                 self.thaw(cpage, now)
-                return Action.CACHE
-            return Action.REMOTE_MAP
+                return _CACHE
+            return _REMOTE_MAP
         if self._window_expired(cpage, now):
-            return Action.CACHE
+            return _CACHE
         # recently invalidated: interprocessor interference suspected.
         # Invalidations leave the page modified with a single copy, which
         # is exactly the precondition for freezing.
-        if cpage.n_copies == 1:
+        if len(cpage.frames) == 1:
             self.freeze(cpage, now)
-            return Action.REMOTE_MAP
-        return Action.CACHE
+            return _REMOTE_MAP
+        return _CACHE
 
 
 class AlwaysReplicatePolicy(ReplicationPolicy):
@@ -78,7 +82,7 @@ class AlwaysReplicatePolicy(ReplicationPolicy):
     name = "always-replicate"
 
     def decide(self, ctx: FaultContext) -> Action:
-        return Action.CACHE
+        return _CACHE
 
 
 class NeverCachePolicy(ReplicationPolicy):
@@ -91,9 +95,9 @@ class NeverCachePolicy(ReplicationPolicy):
     name = "never-cache"
 
     def decide(self, ctx: FaultContext) -> Action:
-        if ctx.cpage.state is CpageState.EMPTY:
-            return Action.CACHE  # first touch places the page
-        return Action.REMOTE_MAP
+        if ctx.cpage.state is _EMPTY:
+            return _CACHE  # first touch places the page
+        return _REMOTE_MAP
 
 
 class AceStylePolicy(ReplicationPolicy):
@@ -112,14 +116,14 @@ class AceStylePolicy(ReplicationPolicy):
     def decide(self, ctx: FaultContext) -> Action:
         cpage = ctx.cpage
         if cpage.frozen:
-            return Action.REMOTE_MAP
+            return _REMOTE_MAP
         if ctx.write or cpage.stats.write_faults > 0:
             if cpage.stats.migrations >= self.max_migrations:
                 if cpage.n_copies == 1:
                     self.freeze(cpage, ctx.now)
-                return Action.REMOTE_MAP
+                return _REMOTE_MAP
             if ctx.write:
-                return Action.CACHE
+                return _CACHE
             # read miss on a page that has been written: never replicate
-            return Action.REMOTE_MAP
-        return Action.CACHE
+            return _REMOTE_MAP
+        return _CACHE

@@ -27,6 +27,9 @@ from typing import Optional
 from .base import Action, FaultContext
 from .fixed import TimestampFreezePolicy
 
+#: bound once: an Enum-class member load is dear (DESIGN.md section 5)
+_CACHE, _REMOTE_MAP = Action.CACHE, Action.REMOTE_MAP
+
 #: verdicts a tuned table may pin a page to
 VERDICTS = ("cache", "remote_map")
 
@@ -63,12 +66,12 @@ class TunedPolicy(TimestampFreezePolicy):
             if cpage.frozen:
                 # same bookkeeping as the fixed thaw-on-fault variant
                 self.thaw(cpage, now)
-            return Action.CACHE
+            return _CACHE
         # remote_map: pin the single copy, carrying full mapping rights
         # the way frozen pages do
         if not cpage.frozen and cpage.n_copies == 1:
             self.freeze(cpage, now)
-        return Action.REMOTE_MAP
+        return _REMOTE_MAP
 
     def should_thaw(self, cpage, now: int) -> bool:
         return self.table.get(cpage.index) != "remote_map"

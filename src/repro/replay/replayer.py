@@ -290,7 +290,7 @@ class ReplayThreadProcess(ThreadProcess):
                     self._commit(t)
                     return
                 if k == K_THINK:
-                    # the recorded twin of _do_compute, rounded as there
+                    # the recorded twin of _cost_compute, rounded as there
                     self._commit(int(round(self._begin() + op[1])))
                     return
                 if k == K_FIRE:

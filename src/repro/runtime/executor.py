@@ -67,18 +67,23 @@ def commit(proc: Process, end: int, value: Any = None) -> None:
 
 
 def write_words(value: Any) -> np.ndarray:
-    """What a ``Write`` of ``value`` stores, on either machine."""
-    if isinstance(value, np.ndarray):  # first: np.isscalar is slow
-        return np.asarray(value, dtype=WORD_DTYPE)
-    if np.isscalar(value) or isinstance(value, (int, np.integer)):
+    """What a ``Write`` of ``value`` stores, on either machine: an
+    integer or bool, or an array or sequence of them.  Anything else
+    would be cast to a silently wrong word: an ``ExecutionError``."""
+    if isinstance(value, (int, np.integer, np.bool_)):  # bool is an int
         return np.full(1, value, dtype=WORD_DTYPE)
-    return np.asarray(value, dtype=WORD_DTYPE)
+    words = np.asarray(value)
+    if words.dtype.kind not in ("i", "u", "b"):
+        raise ExecutionError(
+            f"cannot write {value!r}: a word is an integer or a bool")
+    return words.astype(WORD_DTYPE, copy=False)
 
 
 class ThreadProcess(Process):
     """Runs one user thread's generator in simulated time."""
 
-    __slots__ = ("kernel", "thread", "cpu", "_consts", "_wpp", "_dests")
+    __slots__ = ("kernel", "thread", "cpu", "_consts", "_wpp", "_dests",
+                 "_ipis")
 
     def __init__(
         self,
@@ -99,9 +104,10 @@ class ThreadProcess(Process):
         )
         self._wpp = p.words_per_page
         # _destination's tables: one row per processor the thread may
-        # run on, so a migration needs no invalidation
+        # run on, so a migration needs no invalidation; so is _ipis
         n_modules = len(kernel.machine.modules)
         self._dests = [[None] * n_modules for _ in range(p.n_processors)]
+        self._ipis = kernel.machine.interrupts.state
         self.on_finish(lambda _p: self.kernel.threads.exit(self.thread))
 
     # -- operation dispatch -------------------------------------------------
@@ -117,10 +123,9 @@ class ThreadProcess(Process):
             cls._wake = Process._wake
 
     def _wake(self) -> None:
-        """``Process._wake`` -> ``_resume`` -> ``interpret`` in one frame:
-        the generator is resumed and its op dispatched here.  Those three
-        stay the reference (tests/test_engine_loop.py); an op subclass
-        and every handler error still go through ``interpret``."""
+        """``Process._wake`` -> ``_resume`` -> ``interpret`` -> ``_run``
+        in one frame, for an op of the cost table; those four stay the
+        reference (tests/test_engine_loop.py), and run any other op."""
         value = self._wake_value
         self._wake_value = None
         if self.finished:
@@ -133,31 +138,76 @@ class ThreadProcess(Process):
         except BaseException as exc:  # noqa: BLE001 - recorded, not hidden
             self._finish(error=exc)
             return
-        handler = _HANDLERS.get(type(op))
-        if handler is None:
+        cost = _COSTS.get(type(op))
+        if cost is None:
             self.interpret(op)
             return
+        engine = self.engine  # _begin, in place
+        now = engine._now
+        cpu = self.cpu
+        busy = cpu.busy_until
+        start = now if now > busy else busy
+        st = self._ipis[self.thread.processor]
+        penalty = st.pending_penalty
+        if penalty:
+            st.pending_penalty = 0
+            start += penalty
         try:
-            handler(self, op)
-        except Exception as exc:  # noqa: BLE001 - as interpret does
+            end, value = cost(self, op, start)
+        except Exception as exc:  # noqa: BLE001 - as _run does
+            if cost is ThreadProcess._cost_compute:
+                st.pending_penalty += penalty  # it never started
             self._throw(exc)
+            return
+        # commit, in place
+        if end < now:
+            end = now
+        if end > cpu.busy_until:
+            cpu.busy_until = end
+        if (
+            end > now
+            and engine._tie_rng is None
+            and end >= engine._no_fast_before
+        ):
+            seq = engine._seq
+            engine._seq = seq + 1
+            heappush(engine._queue, (end, 0.0, seq, self._wake))
+        else:
+            engine.schedule_at(end, self._wake)
+        self._wake_value = value
 
     def interpret(self, op: Op) -> None:
         try:
-            handler = _HANDLERS.get(type(op))
-            if handler is None:
-                # an op subclass runs as its nearest known base
-                for base in type(op).__mro__[1:]:
-                    handler = _HANDLERS.get(base)
-                    if handler is not None:
-                        break
-                else:
-                    raise ExecutionError(f"unsupported operation {op!r}")
-            handler(self, op)
+            # the exact type first; an op subclass runs as its nearest
+            # known base
+            for klass in type(op).__mro__:
+                cost = _COSTS.get(klass)
+                if cost is not None:
+                    self._run(cost, op)
+                    return
+                if klass in _HANDLERS:
+                    _HANDLERS[klass](self, op)
+                    return
+            raise ExecutionError(f"unsupported operation {op!r}")
         except Exception as exc:  # noqa: BLE001 - becomes a thread crash
             # any executor or kernel error (protection fault, wild access,
             # out of memory) kills the simulated thread, not the engine
             self._throw(exc)
+
+    def _run(self, cost, op: Op) -> None:
+        """``_begin``, ``cost(self, op, start) -> (end, value)``, then
+        ``commit``.  An invalid ``Compute`` leaves the penalty pending;
+        any other error is raised after the penalty is taken."""
+        st = self._ipis[self.thread.processor]
+        penalty = st.pending_penalty
+        start = self._begin()
+        try:
+            end, value = cost(self, op, start)
+        except ExecutionError:
+            if cost is ThreadProcess._cost_compute:
+                st.pending_penalty += penalty
+            raise
+        self._commit(end, value)
 
     # -- timing helpers --------------------------------------------------------
 
@@ -167,7 +217,7 @@ class ThreadProcess(Process):
         now = self.engine._now
         busy = self.cpu.busy_until
         start = now if now > busy else busy
-        st = self.kernel.machine.interrupts.state[self.thread.processor]
+        st = self._ipis[self.thread.processor]
         penalty = st.pending_penalty
         if penalty:
             st.pending_penalty = 0
@@ -175,13 +225,14 @@ class ThreadProcess(Process):
 
     _commit = commit  # shared with the Sequent baseline
 
-    # -- compute -----------------------------------------------------------------
+    # -- the cost table's functions: (self, op, start) -> (end, value) ----------
 
-    def _do_compute(self, op: ops.Compute) -> None:
-        if not 0 <= op.ns < math.inf:  # NaN compares false
-            raise ExecutionError(f"compute time {op.ns} is not in [0, inf)")
+    def _cost_compute(self, op: ops.Compute, start: int) -> tuple:
+        ns = op.ns
+        if not 0 <= ns < math.inf:  # NaN compares false
+            raise ExecutionError(f"compute time {ns} is not in [0, inf)")
         # a program may compute its think time: rounded onto the clock
-        self._commit(int(round(self._begin() + op.ns)))
+        return int(round(start + ns)), None
 
     # -- memory access -------------------------------------------------------------
 
@@ -191,14 +242,13 @@ class ThreadProcess(Process):
         """Translate and cost one ``n``-word within-page run starting at
         time ``t``: the one definition of what a reference costs.
 
-        Returns (completion_time, translation entry).  The translation:
-        an ATC hit with sufficient rights is taken inline (the ATC is
-        touched here only on such a hit, with ``MMU.translate``'s counter
-        updates); anything else goes through ``translate``'s single
-        authoritative lookup, faulting into the kernel.  The retry after
-        a fault reads the entry the handler installed straight from the
-        Pmap (``translate``'s ATC-miss/Pmap-hit arm, in place); any other
-        outcome takes the reference loop, ``_translate``.  The costing:
+        Returns (completion_time, translation entry).  The translation
+        is ``MMU.translate`` in place, retried after each fault into the
+        kernel (at most three): an ATC hit with sufficient rights, or an
+        ATC miss that finds such an entry in the Pmap -- the lookup
+        before a fault and the retry after it -- with ``translate``'s
+        counter updates; a rights-restricted ATC entry is left to
+        ``translate`` itself, which flushes it and faults.  The costing:
         one block for every reference, ``Machine.access`` +
         ``FifoResource.occupy`` spelled inline over the constants of the
         destination module (``_destination``).  ``MMU.translate`` and
@@ -215,41 +265,47 @@ class ThreadProcess(Process):
         atc = mmu.atc
         key = (aspace_id, vpage)
         entries = atc._entries
-        entry = entries.get(key)
-        # rights check via plain int comparison (Rights values are
-        # only ever NONE=0, READ=1, WRITE=3; IntFlag.__and__ is slow)
-        if entry is not None and (
-            entry.rights == 3 or (entry.rights == 1 and not write)
-        ):
-            entries.move_to_end(key)
-            atc.hits += 1
-            entry.referenced = True
-            if write:
-                entry.modified = True
-        else:
-            result = mmu.translate(aspace_id, vpage, write)
-            t += result.cost
-            entry = result.entry
-            if entry is None:
-                t = kernel.fault(proc, aspace_id, vpage, write,
-                                 t).completion
+        faults = 0
+        while True:
+            entry = entries.get(key)
+            if entry is not None:
+                # rights are the ints 0 < 1 < 3 (an IntFlag & is slow)
+                if entry.rights == 3 or (entry.rights == 1 and not write):
+                    entries.move_to_end(key)
+                    atc.hits += 1
+                    entry.referenced = True
+                    if write:
+                        entry.modified = True
+                    break
+                # a rights-restricted ATC entry: MMU.translate, its
+                # reference, flushes it and faults
+                t += mmu.translate(aspace_id, vpage, write).cost
+            else:
+                # MMU.translate's ATC-miss arm, in place
                 pmap = mmu._pmaps.get(aspace_id)
                 entry = pmap._entries.get(vpage) if pmap is not None \
                     else None
+                atc.misses += 1
+                t += mmu.params.atc_miss_cost
                 if entry is not None and (
                     entry.rights == 3 or (entry.rights == 1 and not write)
-                ) and key not in entries:
-                    # MMU.translate's ATC-miss/Pmap-hit arm, in place
-                    atc.misses += 1
-                    t += mmu.params.atc_miss_cost
+                ):
                     entry.referenced = True
                     if write:
                         entry.modified = True
                     entries[key] = entry
                     while len(entries) > atc.capacity:
                         entries.popitem(last=False)
-                else:
-                    t, entry = self._translate(vpage, write, t, 1)
+                    break
+                mmu.faults += 1
+            t = kernel.fault(proc, aspace_id, vpage, write, t).completion
+            faults += 1
+            if faults == 3:
+                raise ExecutionError(
+                    f"cpu{proc} could not obtain a translation for vpage "
+                    f"{vpage} (aspace {aspace_id}, write={write}) after "
+                    "repeated faults"
+                )
         if n <= 0:
             raise ValueError(f"access of {n} words")
         dst = entry.frame.module_index
@@ -303,31 +359,6 @@ class ThreadProcess(Process):
                            queue_delay)
         return completion, entry
 
-    def _translate(
-        self, vpage: int, write: bool, t: int, faults: int
-    ) -> tuple[int, PmapEntry]:
-        """``MMU.translate`` from time ``t``, faulting into the kernel
-        until there is a translation: the reference loop, entered after
-        ``faults`` faults already taken.  Returns (time, entry); a
-        reference still untranslated after three faults is an error."""
-        kernel = self.kernel
-        thread = self.thread
-        proc = thread.processor
-        aspace_id = thread.aspace_id
-        mmu = kernel.machine.mmus[proc]
-        while faults < 3:
-            result = mmu.translate(aspace_id, vpage, write)
-            t += result.cost
-            if result.entry is not None:
-                return t, result.entry
-            t = kernel.fault(proc, aspace_id, vpage, write, t).completion
-            faults += 1
-        raise ExecutionError(
-            f"cpu{proc} could not obtain a translation for vpage "
-            f"{vpage} (aspace {aspace_id}, write={write}) after "
-            "repeated faults"
-        )
-
     def _destination(self, proc: int, dst: int) -> tuple:
         """The constants ``_cost_run`` costs a reference from processor
         ``proc`` to memory module ``dst`` with, built on first use:
@@ -372,51 +403,57 @@ class ThreadProcess(Process):
             n -= take
         return runs
 
-    def _do_read(self, op: ops.Read) -> None:
+    def _cost_read(self, op: ops.Read, start: int) -> tuple:
         # the common access never leaves its page and goes straight to
         # _cost_run; anything else takes the checked split
-        t = self._begin()
         va, n = op.va, op.n
-        offset = va % self._wpp
-        if 0 < n <= self._wpp - offset and va >= 0:
-            t, entry = self._cost_run(va // self._wpp, n, False, t)
-            self._commit(t, entry.frame.data[offset: offset + n].copy())
-            return
+        wpp = self._wpp
+        offset = va % wpp
+        if 0 < n <= wpp - offset and va >= 0:
+            t, entry = self._cost_run(va // wpp, n, False, start)
+            return t, entry.frame.data[offset: offset + n].copy()
+        t = start
         parts = []
         for vpage, offset, take in self._split_runs(va, n):
             t, entry = self._cost_run(vpage, take, False, t)
             parts.append(entry.frame.data[offset: offset + take].copy())
-        self._commit(t, np.concatenate(parts))
+        return t, np.concatenate(parts)
 
-    def _do_write(self, op: ops.Write) -> None:
-        t = self._begin()
-        values = write_words(op.value)
+    def _cost_write(self, op: ops.Write, start: int) -> tuple:
+        values = op.value
+        if values.__class__ is not np.ndarray or values.dtype != WORD_DTYPE:
+            values = write_words(values)  # an int64 array is its own
         va, n = op.va, len(values)
-        offset = va % self._wpp
-        if 0 < n <= self._wpp - offset and va >= 0:
-            t, entry = self._cost_run(va // self._wpp, n, True, t)
+        wpp = self._wpp
+        offset = va % wpp
+        if 0 < n <= wpp - offset and va >= 0:
+            t, entry = self._cost_run(va // wpp, n, True, start)
             entry.frame.data[offset: offset + n] = values
-        else:
-            for vpage, offset, take in self._split_runs(va, n):
-                t, entry = self._cost_run(vpage, take, True, t)
-                entry.frame.data[offset: offset + take] = values[:take]
-                values = values[take:]
-        self._commit(t)
+            return t, None
+        t = start
+        for vpage, offset, take in self._split_runs(va, n):
+            t, entry = self._cost_run(vpage, take, True, t)
+            entry.frame.data[offset: offset + take] = values[:take]
+            values = values[take:]
+        return t, None
 
-    def _do_test_and_set(self, op: ops.TestAndSet) -> None:
-        t = self._begin()
+    def _cost_test_and_set(self, op: ops.TestAndSet, start: int) -> tuple:
         vpage, i = divmod(op.va, self._wpp)
-        t, entry = self._cost_run(vpage, 1, True, t)
+        t, entry = self._cost_run(vpage, 1, True, start)
         old = int(entry.frame.data[i])
         entry.frame.data[i] = op.value
-        self._commit(t, old)
+        return t, old
 
-    def _do_fetch_add(self, op: ops.FetchAdd) -> None:
-        t = self._begin()
+    def _cost_fetch_add(self, op: ops.FetchAdd, start: int) -> tuple:
         vpage, i = divmod(op.va, self._wpp)
-        t, entry = self._cost_run(vpage, 1, True, t)
+        t, entry = self._cost_run(vpage, 1, True, start)
         entry.frame.data[i] += op.delta
-        self._commit(t, int(entry.frame.data[i]))
+        return t, int(entry.frame.data[i])
+
+    def _cost_send(self, op: ops.SendPort, start: int) -> tuple:
+        data = np.asarray(op.data, dtype=WORD_DTYPE)
+        return op.port.send(data, self.thread.tid, self.thread.processor,
+                            start), None
 
     # -- thread migration --------------------------------------------------------------
 
@@ -431,12 +468,6 @@ class ThreadProcess(Process):
         self._commit(start + cost)
 
     # -- ports -------------------------------------------------------------------------
-
-    def _do_send(self, op: ops.SendPort) -> None:
-        t = self._begin()
-        data = np.asarray(op.data, dtype=WORD_DTYPE)
-        end = op.port.send(data, self.thread.tid, self.thread.processor, t)
-        self._commit(end)
 
     def _do_recv(self, op: ops.RecvPort) -> None:
         t = self._begin()
@@ -461,16 +492,22 @@ class ThreadProcess(Process):
         self._resume(self.engine.now)
 
 
-#: the one dispatch table of ``ThreadProcess.interpret``, keyed by the
-#: exact op type (subclasses of these resolve through their MRO)
+#: the cost table: the ops ``ThreadProcess._wake`` starts, costs and
+#: commits in its own frame, keyed by exact type (``interpret`` resolves
+#: a subclass through its MRO and runs it with ``_run``)
+_COSTS = {
+    ops.Compute: ThreadProcess._cost_compute,
+    ops.Read: ThreadProcess._cost_read,
+    ops.Write: ThreadProcess._cost_write,
+    ops.TestAndSet: ThreadProcess._cost_test_and_set,
+    ops.FetchAdd: ThreadProcess._cost_fetch_add,
+    ops.SendPort: ThreadProcess._cost_send,
+}
+
+#: the ops that keep a handler: ``Migrate`` switches ``self.cpu`` before
+#: it commits, and the others may block or resume without committing
 _HANDLERS = {
-    ops.Compute: ThreadProcess._do_compute,
-    ops.Read: ThreadProcess._do_read,
-    ops.Write: ThreadProcess._do_write,
-    ops.TestAndSet: ThreadProcess._do_test_and_set,
-    ops.FetchAdd: ThreadProcess._do_fetch_add,
     ops.Migrate: ThreadProcess._do_migrate,
-    ops.SendPort: ThreadProcess._do_send,
     ops.RecvPort: ThreadProcess._do_recv,
     ops.WaitNewer: ThreadProcess._do_wait_newer,
     ops.GetTime: ThreadProcess._do_get_time,

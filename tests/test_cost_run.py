@@ -1,8 +1,10 @@
 """Differential test: ``ThreadProcess._cost_run`` vs the reference path.
 
-``_cost_run`` takes an ATC hit with sufficient rights inline and costs
-*every* reference -- hit, refill or post-fault retry -- in one inline
-spelling of ``Machine.access`` + ``FifoResource.occupy``.  Live runs
+``_cost_run`` spells ``MMU.translate``'s ATC hit and ATC miss in place
+-- one miss arm for the lookup before a fault and the retry after it,
+with the three-fault limit of the reference loop -- and costs *every*
+reference -- hit, refill or post-fault retry -- in one inline spelling
+of ``Machine.access`` + ``FifoResource.occupy``.  Live runs
 and replays both go through it, so live == replay no longer says
 anything about that arithmetic; this test does.  Twin kernels receive
 the same random string of references and bus/port reservations, one
@@ -342,9 +344,9 @@ def script_faults(kernel, script) -> None:
     ("nothing", "real"), ("read-only", "real"), ("cached",),
 ])
 def test_a_retry_off_the_pmap_hit_arm_takes_the_reference_loop(script):
-    """After a fault the retry is read from the Pmap only when that is
-    what ``MMU.translate`` would do; a fault that installed nothing, or
-    an entry the ATC already holds, goes round the reference loop."""
+    """After a fault the retry does what ``MMU.translate`` would: a
+    fault that installed nothing, or only a read-only entry, faults
+    again, and an entry the ATC already holds is an ATC hit."""
     kernel_a, probe_a, threads_a = build("never")
     kernel_b, probe_b, threads_b = build("never")
     script_faults(kernel_a, script)
@@ -441,7 +443,7 @@ NS = st.one_of(
 @settings(max_examples=50, deadline=None)
 @given(compute_ns=NS, penalty=st.integers(0, 10**6))
 def test_compute_op_lands_where_the_formulas_say(compute_ns, penalty):
-    """`_do_compute` end to end: a fractional ``Compute.ns`` is added to
+    """`_cost_compute` end to end: a fractional ``Compute.ns`` is added to
     the (whole) start time and the sum rounded once."""
     process, resumed = timing_process(1_000, 0, ops.Compute(compute_ns))
     process.kernel.machine.interrupts.charge(1, penalty)
@@ -450,3 +452,43 @@ def test_compute_op_lands_where_the_formulas_say(compute_ns, penalty):
     ((landed, _value),) = resumed
     assert landed == int(round(1_000 + penalty + compute_ns))
     assert type(landed) is int
+
+
+class TaggedCompute(ops.Compute):
+    """A Compute subclass: it runs through ``interpret`` and ``_run``."""
+
+
+@pytest.mark.parametrize("bad, keeps", [
+    (ops.Compute(-1.0), True),
+    (TaggedCompute(float("nan")), True),
+    (ops.Read(0, 0), False),
+    (ops.Write(-5, 1), False),
+    (ops.Write(0, 2.5), False),
+], ids=["compute", "compute-subclass", "read", "write", "write-value"])
+def test_only_an_invalid_compute_leaves_the_penalty_pending(bad, keeps):
+    """An invalid ``Compute`` raises before its start time takes the
+    pending interrupt penalty; a bad read or write raises after it.
+    The next op (caught error, then ``Compute(0)``) shows which."""
+    kernel = make_kernel(n_processors=2, defrost_enabled=False)
+    aspace = kernel.vm.create_address_space()
+    landed = []
+
+    def body():
+        yield  # primed below: suspended as after an op
+        with pytest.raises(ExecutionError):
+            yield bad
+        yield ops.Compute(0)
+        landed.append(kernel.engine.now)
+
+    gen = body()
+    next(gen)
+    process = ThreadProcess(
+        kernel, kernel.threads.spawn(aspace.asid, 1), gen,
+        _cpu_resource(kernel, 1),
+    )
+    kernel.engine.run(until=1_000)
+    kernel.machine.interrupts.charge(1, 500)
+    process._wake()
+    kernel.engine.run()
+    assert landed == [1_500 if keeps else 1_000]
+    assert kernel.machine.interrupts.state[1].pending_penalty == 0

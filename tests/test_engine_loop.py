@@ -4,10 +4,13 @@ Three rules are spelled twice on the op path, once where they are kept
 and once inline where every op pays for a frame:
 
 * ``Engine.run`` pops each event itself; ``Engine.step`` is the rule.
-* ``ThreadProcess._wake`` resumes the generator and dispatches its op in
-  one frame; ``Process._wake`` -> ``_resume`` -> ``interpret`` is the
-  chain it stands for, and what a subclass that redefines any of those
-  gets back (``ThreadProcess.__init_subclass__``).
+* ``ThreadProcess._wake`` resumes the generator and, for an op of the
+  cost table, takes its start time, costs it and pushes its own wake-up
+  in one frame; ``Process._wake`` -> ``_resume`` -> ``interpret`` ->
+  ``_run`` (``_begin``, the cost function, ``commit``) is the chain it
+  stands for, what an op subclass takes, and what a subclass that
+  redefines any of the first three gets back
+  (``ThreadProcess.__init_subclass__``).
 * ``commit`` pushes a future wake-up onto the heap itself;
   ``Engine.schedule_at`` is the rule.
 
@@ -301,21 +304,95 @@ class Scripted(Program):
             api.spawn(1, lambda env: self.other(self, env), name="t1")
 
 
-def observe(monkeypatch, cls, body, other=None) -> tuple:
-    """Run ``body`` (and ``other``) with ``cls`` as the thread process."""
+def churn(prog, env, tagged=False):
+    """Reads, writes, atomics and think time over the shared arena, from
+    a per-thread seed: with two of these the threads fault, shoot each
+    other down and pay IPI penalties.  ``tagged`` yields op subclasses,
+    which run through ``interpret``."""
+    kinds = TAGGED if tagged else (Read, Write, FetchAdd, TestAndSet,
+                                   Compute)
+    read, write, fetch_add, test_and_set, compute = kinds
+    wpp = env.kernel.params.words_per_page
+    rng = random.Random(env.tid)
+    total = 0
+    for _ in range(150):
+        va = prog.base + rng.randrange(4 * wpp - 8)
+        roll = rng.random()
+        if roll < 0.35:
+            total += int((yield read(va, 8)).sum())
+        elif roll < 0.7:
+            yield write(va, np.arange(8, dtype=np.int64))
+        elif roll < 0.8:
+            total += yield fetch_add(va, 1)
+        elif roll < 0.85:
+            total += yield test_and_set(va, 3)
+        else:
+            yield compute(rng.random() * 2_000)
+    return total
+
+
+class TaggedWrite(Write):
+    pass
+
+
+class TaggedFetchAdd(FetchAdd):
+    pass
+
+
+class TaggedTestAndSet(TestAndSet):
+    pass
+
+
+class TaggedCompute(Compute):
+    pass
+
+
+TAGGED = (TaggedRead, TaggedWrite, TaggedFetchAdd, TaggedTestAndSet,
+          TaggedCompute)
+
+
+def lockstep(prog, env):
+    """Equal think steps on both processors: every wake-up ties with the
+    other thread's, and each thread notes the turns it ran, so the order
+    ties were broken in is part of the outcome."""
+    turns = []
+    for _ in range(1_000):
+        yield Compute(1_000)
+        prog.turns = getattr(prog, "turns", 0) + 1
+        turns.append(prog.turns)
+    return turns
+
+
+def observe(monkeypatch, cls, body, other=None, ties=None) -> tuple:
+    """Run ``body`` (and ``other``) with ``cls`` as the thread process;
+    ``ties`` perturbs the engine's tie order from the start, and
+    "restored" switches it off and on again every 0.1 ms (on the
+    lockstep threads' wake-up times), each time opening the window in
+    which no wake-up may be pushed directly."""
     monkeypatch.setattr(run_mod, "ThreadProcess", cls)
     kernel = make_kernel(n_processors=2, defrost_enabled=False, trace=True)
+    engine = kernel.engine
+    if ties is not None:
+        engine.perturb_ties(random.Random(1989))
+    if ties == "restored":
+        for k in range(1, 30):
+            rng = None if k % 2 else random.Random(k)
+            engine.schedule_at(k * 100_000,
+                               lambda rng=rng: engine.perturb_ties(rng))
     try:
         result = run_program(kernel, Scripted(body, other))
         outcome = ("ok", result.thread_results)
     except ProcessCrashed as crash:
         cause = crash.__cause__
         outcome = ("crashed", str(crash), type(cause).__name__, str(cause))
-    engine = kernel.engine
     trace = [(e.time, e.kind.value, e.cpage_index, e.processor)
              for e in kernel.tracer.events]
+    interrupts = [(s.pending_penalty, s.ipis_received, s.ipis_sent)
+                  for s in kernel.machine.interrupts.state]
+    cpus = {p: r.busy_until for p, r in kernel.cpu_resources.items()}
     return (outcome, engine.now, engine.events_executed,
-            engine.pending_events, trace)
+            engine.pending_events, trace, interrupts, cpus,
+            kernel.report())
 
 
 @pytest.mark.parametrize("body, other", [
@@ -338,6 +415,55 @@ def test_fused_wake_matches_resume_then_interpret(monkeypatch, body, other):
         assert mine[5] == "fired" and theirs == [0, 1]
     if body is get_time_chain:
         assert fused[0] == ("ok", [sum(range(7_500))])
+
+
+@pytest.mark.parametrize("ties", [None, "perturbed", "restored"])
+@pytest.mark.parametrize("body", [churn, lockstep])
+def test_fused_push_matches_commit_with_ties_perturbed(monkeypatch, body,
+                                                      ties):
+    """The wake-up ``_wake`` pushes itself is the one ``commit`` pushes
+    or leaves to ``schedule_at``: ties unperturbed, perturbed, and
+    perturbed then restored, on threads that fault and shoot each other
+    down and on threads whose every wake-up is a tie."""
+    fused = observe(monkeypatch, ThreadProcess, body, body, ties)
+    reference = observe(monkeypatch, ReferenceThreadProcess, body, body,
+                        ties)
+    assert fused == reference
+    status, _results = fused[0]
+    assert status == "ok"
+    if body is churn:
+        assert all(received for _pending, received, _sent in fused[5])
+
+
+def test_an_op_subclass_runs_as_its_base_through_interpret(monkeypatch):
+    """The same program with every op an op subclass (``interpret`` ->
+    ``_run``) and with the exact types (the fused ``_wake``): the same
+    times, trace, counters and interrupt penalties."""
+    exact = observe(monkeypatch, ThreadProcess, churn, churn)
+    tagged = observe(
+        monkeypatch, ThreadProcess,
+        lambda prog, env: churn(prog, env, tagged=True),
+        lambda prog, env: churn(prog, env, tagged=True))
+    assert tagged == exact
+    assert all(received for _pending, received, _sent in exact[5])
+
+
+def test_migrate_occupies_the_new_processors_cpu(monkeypatch):
+    """``Migrate`` keeps its handler: it switches the thread's cpu
+    before it commits, so the move and what follows occupy the new
+    processor's cpu, and the old one is left as it was."""
+    def body(prog, env):
+        yield Compute(500)
+        yield Migrate(1)
+        moved = yield GetTime()
+        yield Compute(700)
+        return moved
+
+    outcome, now, *_rest, cpus, _report = observe(
+        monkeypatch, ThreadProcess, body)
+    (_status, (moved,)) = outcome
+    assert cpus == {0: 500, 1: now}
+    assert moved > 500 and now == moved + 700
 
 
 def test_a_finished_thread_is_not_woken_again():

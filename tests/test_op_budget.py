@@ -35,7 +35,14 @@ live, sharing replay):
   read from the Pmap instead of a second ``MMU.translate``, the
   shootdown's ``send_ipi`` in place and the switch ports occupied
   inline: 8.78 / 5.69 / 16.50 / 12.95 calls (Sequent 99.04 / 137.49),
-  same pushes.
+  same pushes;
+* the op round trip in ``ThreadProcess._wake``'s one frame (it takes the
+  start time, calls the op's cost function and pushes its own wake-up:
+  no ``_begin``, handler or ``commit`` frame), an ATC miss taken in
+  ``_cost_run`` without ``MMU.translate``, a ``FaultContext`` built
+  without its ``__new__`` frame and an int64 ``Write`` stored without a
+  ``write_words`` call: 6.29 / 5.57 / 12.80 / 11.81 calls (Sequent
+  98.77 / 137.06), same pushes.
 
 The budgets are the last row plus 10 %: a change that pushes a run
 over its budget has put a call or a queued event back on the path --
@@ -61,12 +68,12 @@ from repro.workloads.spec import PhaseSpec, WorkloadSpec
 
 #: (spec, how it runs) -> (Python calls per op, heap pushes per op)
 BUDGET = {
-    ("private", "live"): (9.66, 1.087),       # 8.78, 0.988
-    ("private", "replay"): (6.27, 1.087),     # 5.69, 0.988
-    ("private", "sequent"): (108.95, 1.087),  # 99.04, 0.988
-    ("sharing", "live"): (18.15, 1.092),      # 16.50, 0.993
-    ("sharing", "replay"): (14.25, 1.092),    # 12.95, 0.993
-    ("sharing", "sequent"): (151.24, 1.079),  # 137.49, 0.981
+    ("private", "live"): (6.92, 1.087),       # 6.29, 0.988
+    ("private", "replay"): (6.12, 1.087),     # 5.57, 0.988
+    ("private", "sequent"): (108.64, 1.087),  # 98.77, 0.988
+    ("sharing", "live"): (14.08, 1.092),      # 12.80, 0.993
+    ("sharing", "replay"): (12.99, 1.092),    # 11.81, 0.993
+    ("sharing", "sequent"): (150.76, 1.079),  # 137.06, 0.981
 }
 
 #: defrost period of the sharing spec: pages freeze and thaw in the run

@@ -66,6 +66,59 @@ def test_scalar_write():
     assert run_one(body).thread_results[0] == 42
 
 
+#: what a Write of each value reads back, on either machine
+WRITABLE = [
+    (7, [7]),
+    (True, [1]),
+    (np.int32(-3), [-3]),
+    (np.bool_(True), [1]),
+    (np.array([1, 2], dtype=np.int32), [1, 2]),
+    (np.array([5], dtype=np.uint8), [5]),
+    (np.array([True, False]), [1, 0]),
+    ([4, 5], [4, 5]),
+]
+
+#: values that used to be cast to a silently wrong word (2.5 read back
+#: as 2, NaN and 1e30 as the most negative word, "7" as 7)
+UNWRITABLE = [2.5, float("nan"), 1e30, np.array([1.7, -2.2]), "7",
+              np.float64(3.0), None]
+
+
+def write_and_read(value):
+    def body(prog, env):
+        yield Write(prog.base, value)
+        n = 1 if np.ndim(value) == 0 else len(value)
+        data = yield Read(prog.base, n)
+        return list(map(int, data))
+    return body
+
+
+def run_both(body):
+    """Runners of ``body`` on the NUMA executor and the Sequent baseline."""
+    from repro.baselines.sequent import run_on_sequent
+
+    return (lambda: run_one(body),
+            lambda: run_on_sequent(OneShot(body), n_processors=2))
+
+
+@pytest.mark.parametrize("value, words", WRITABLE,
+                         ids=[repr(v) for v, _ in WRITABLE])
+def test_a_write_stores_integers_and_bools(value, words):
+    for run in run_both(write_and_read(value)):
+        assert run().thread_results[0] == words
+
+
+@pytest.mark.parametrize("value", UNWRITABLE,
+                         ids=[repr(v) for v in UNWRITABLE])
+def test_a_write_of_a_non_integer_crashes_the_thread(value):
+    for run in run_both(write_and_read(value)):
+        with pytest.raises(ProcessCrashed) as crash:
+            run()
+        cause = crash.value.__cause__
+        assert isinstance(cause, ExecutionError)
+        assert "a word is an integer or a bool" in str(cause)
+
+
 def test_cross_page_access_splits_runs():
     def body(prog, env):
         wpp = env.kernel.params.words_per_page
