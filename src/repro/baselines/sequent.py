@@ -5,7 +5,14 @@ the machine of Anderson's merge-sort study that the paper compares
 against.  It runs the *same* ``runtime`` programs as PLATINUM -- thread
 bodies yield the same operations -- but against a flat shared memory with
 per-processor caches instead of NUMA coherent memory, so Figure 5's
-comparison is apples-to-apples at the program level.
+comparison is apples-to-apples at the program level.  Its threads run on
+the executor's one op path (:class:`~repro.runtime.executor.OpProcess`):
+an op is started, costed and committed as on PLATINUM, and only the cost
+table -- reads line by line and written-through words on the
+:class:`~repro.machine.cache.SnoopyBus` -- is this machine's.  An op
+PLATINUM refuses (no words, a negative address, an invalid ``Compute``)
+crashes the thread here too, as does an access beyond the flat memory
+or an op the UMA machine has no model of (ports, migration).
 
 The paper's explanation of the Sequent's inferior merge-sort speedup is
 captured by construction: the 8 KB cache cannot hold a merge run between
@@ -16,19 +23,25 @@ local-memory effect to exploit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Optional
+from typing import Any, Optional
 
 import numpy as np
 
+from ..kernel.threads import Thread
 from ..machine.cache import CacheParams, SnoopyBus
+from ..machine.interrupts import ProcessorInterruptState
 from ..machine.memory import WORD_DTYPE
 from ..runtime import ops
-from ..runtime.executor import ExecutionError, commit, write_words
-from ..runtime.program import Program
+from ..runtime.executor import (
+    ExecutionError,
+    OpProcess,
+    check_access,
+    write_words,
+)
+from ..runtime.program import Program, ThreadEnv, ThreadSpec
 from ..runtime.run import run_threads
 from ..runtime.sync import Barrier, EventCount, SpinLock
 from ..sim.engine import Engine
-from ..sim.process import Delay, Op, Process, WaitFor
 from ..sim.resource import FifoResource
 
 
@@ -52,6 +65,11 @@ class SequentMachine:
         self.engine = engine if engine is not None else Engine()
         self.memory = np.zeros(params.memory_words, dtype=WORD_DTYPE)
         self.bus = SnoopyBus(params.cache, params.n_processors)
+        #: the op path's per-processor penalties: there are no
+        #: interprocessor interrupts here, so they stay zero
+        self.interrupt_states = [
+            ProcessorInterruptState() for _ in range(params.n_processors)
+        ]
 
 
 class _SequentArena:
@@ -84,53 +102,16 @@ class _SequentArena:
         return va
 
 
-@dataclass(eq=False)
-class _SequentThreadStub:
-    """Duck-typed stand-in for the kernel Thread control block."""
-
-    tid: int
-    processor: int
-
-
-@dataclass(eq=False)
-class _SequentEnv:
-    tid: int
-    thread: _SequentThreadStub
-
-    @property
-    def processor(self) -> int:
-        return self.thread.processor
-
-
-@dataclass(eq=False)
-class _SequentSpec:
-    thread: _SequentThreadStub
-    env: _SequentEnv
-    body: Generator
-
-
-class _ParamsShim:
-    """Exposes ``words_per_page`` the way kernel params do."""
-
-    def __init__(self, words_per_page: int) -> None:
-        self.words_per_page = words_per_page
-
-
-class _KernelShim:
-    def __init__(self, machine: SequentMachine) -> None:
-        self.params = _ParamsShim(machine.params.words_per_page)
-        self.engine = machine.engine
-
-
 class SequentAPI:
     """ProgramAPI-compatible setup surface for the UMA machine."""
 
     def __init__(self, machine: SequentMachine) -> None:
         self.machine = machine
-        self.kernel = _KernelShim(machine)
+        #: what a program reads of a kernel (``params.words_per_page``,
+        #: ``engine``) the machine has too
+        self.kernel = machine
         self._next_word = 0
-        self.thread_specs: list[_SequentSpec] = []
-        self._next_tid = 0
+        self.thread_specs: list[ThreadSpec] = []
 
     @property
     def n_processors(self) -> int:
@@ -164,100 +145,94 @@ class SequentAPI:
         return Barrier(self.engine, count, gen, n, name)
 
     def spawn(self, processor: int, body_factory, name: str = "",
-              aspace=None) -> _SequentSpec:
-        stub = _SequentThreadStub(self._next_tid, processor)
-        self._next_tid += 1
-        env = _SequentEnv(stub.tid, stub)
-        spec = _SequentSpec(stub, env, body_factory(env))
+              aspace=None) -> ThreadSpec:
+        n = self.n_processors
+        if not 0 <= processor < n:  # as the kernel's ThreadManager
+            raise ValueError(f"processor {processor} out of range (n={n})")
+        tid = len(self.thread_specs)
+        thread = Thread(tid, 0, processor, name=f"seq{tid}")
+        env = ThreadEnv(tid, thread, self.kernel)
+        spec = ThreadSpec(thread, env, body_factory(env))
         self.thread_specs.append(spec)
         return spec
 
 
-class SequentThreadProcess(Process):
-    """Interprets runtime operations against the UMA machine."""
+class SequentThreadProcess(OpProcess):
+    """Prices runtime operations on the UMA machine: the op path is the
+    executor's, the cost table this machine's."""
 
-    __slots__ = ("machine", "proc", "cpu")
+    __slots__ = ("memory", "bus")
 
-    def __init__(self, machine: SequentMachine, spec: _SequentSpec,
+    def __init__(self, machine: SequentMachine, spec: ThreadSpec,
                  cpu: FifoResource) -> None:
-        super().__init__(machine.engine, spec.body,
-                         name=f"seq{spec.thread.tid}")
-        self.machine = machine
-        self.proc = spec.thread.processor
-        self.cpu = cpu
+        super().__init__(machine.engine, spec.thread, spec.body, cpu,
+                         machine.interrupt_states)
+        self.memory = machine.memory
+        self.bus = machine.bus
 
-    def interpret(self, op: Op) -> None:
-        if isinstance(op, ops.Compute):
-            # a duration from outside: rounded here, as in ThreadProcess
-            self._commit(int(round(self._begin() + op.ns)))
-        elif isinstance(op, ops.Read):
-            t = self._begin()
-            out = np.array(
-                self.machine.memory[op.va: op.va + op.n], copy=True
-            )
-            t = self._cost_read(op.va, op.n, t)
-            self._commit(t, out)
-        elif isinstance(op, ops.Write):
-            t = self._begin()
-            try:
-                values = write_words(op.value)
-            except ExecutionError as exc:  # a thread crash, as live
-                self._throw(exc)
-                return
-            self.machine.memory[op.va: op.va + len(values)] = values
-            t = self._cost_write(op.va, len(values), t)
-            self._commit(t)
-        elif isinstance(op, ops.TestAndSet):
-            t = self._begin()
-            old = int(self.machine.memory[op.va])
-            self.machine.memory[op.va] = op.value
-            t = self._cost_write(op.va, 1, t)
-            self._commit(t, old)
-        elif isinstance(op, ops.FetchAdd):
-            t = self._begin()
-            self.machine.memory[op.va] += op.delta
-            new = int(self.machine.memory[op.va])
-            t = self._cost_write(op.va, 1, t)
-            self._commit(t, new)
-        elif isinstance(op, ops.WaitNewer):
-            if op.channel.version > op.seen:
-                self._resume(None)
-            else:
-                op.channel.event.wait(self._resume)
-        elif isinstance(op, ops.GetTime):
-            self._resume(self.engine.now)
-        elif isinstance(op, (Delay, WaitFor)):
-            super().interpret(op)
-        else:
-            self._throw(
-                RuntimeError(f"sequent cannot execute {op!r}")
-            )
+    def _check(self, va: int, n: int) -> None:
+        check_access(va, n)
+        if va + n > len(self.memory):
+            raise ExecutionError(
+                f"access of {n} words at va {va} is beyond memory")
 
-    def _begin(self) -> int:
-        return max(self.engine.now, self.cpu.busy_until)
+    # -- the cost table's functions: (self, op, start) -> (end, value) --------
 
-    _commit = commit  # the executor's: occupy the cpu, then resume
-
-    def _cost_read(self, va: int, n: int, t: int) -> int:
-        bus = self.machine.bus
+    def _cost_read(self, op: ops.Read, start: int) -> tuple:
+        va, n = op.va, op.n
+        self._check(va, n)
+        bus = self.bus
+        proc = self.thread.processor
         wpl = bus.params.words_per_line
+        hit = bus.params.hit_ns
         # cost line by line: one fill per missing line, hits otherwise
-        addr = va
-        remaining = n
+        t, addr, remaining = start, va, n
         while remaining > 0:
             take = min(remaining, wpl - addr % wpl)
-            end = bus.read_word(self.proc, addr, t)
             # further words on the same line are hits
-            t = end + (take - 1) * bus.params.hit_ns
+            t = bus.read_word(proc, addr, t) + (take - 1) * hit
             addr += take
             remaining -= take
-        return t
+        return t, self.memory[va: va + n].copy()
 
-    def _cost_write(self, va: int, n: int, t: int) -> int:
-        bus = self.machine.bus
-        for i in range(n):
-            t = bus.write_word(self.proc, va + i, t)
-        return t
+    def _cost_write(self, op: ops.Write, start: int) -> tuple:
+        values = op.value
+        if values.__class__ is not np.ndarray or values.dtype != WORD_DTYPE:
+            values = write_words(values)  # an int64 array is its own
+        va, n = op.va, len(values)
+        self._check(va, n)
+        self.memory[va: va + n] = values
+        bus = self.bus
+        proc = self.thread.processor
+        t = start
+        for addr in range(va, va + n):  # write-through: word by word
+            t = bus.write_word(proc, addr, t)
+        return t, None
+
+    def _cost_test_and_set(self, op: ops.TestAndSet, start: int) -> tuple:
+        va = op.va
+        self._check(va, 1)
+        memory = self.memory
+        old = int(memory[va])
+        memory[va] = op.value
+        return self.bus.write_word(self.thread.processor, va, start), old
+
+    def _cost_fetch_add(self, op: ops.FetchAdd, start: int) -> tuple:
+        va = op.va
+        self._check(va, 1)
+        memory = self.memory
+        memory[va] += op.delta
+        return (self.bus.write_word(self.thread.processor, va, start),
+                int(memory[va]))
+
+    #: ports and migration have no model here: "unsupported operation"
+    _COSTS = {
+        ops.Compute: OpProcess._cost_compute,
+        ops.Read: _cost_read,
+        ops.Write: _cost_write,
+        ops.TestAndSet: _cost_test_and_set,
+        ops.FetchAdd: _cost_fetch_add,
+    }
 
 
 @dataclass

@@ -12,14 +12,16 @@ exactly.  What is elided -- generator execution and data movement (the
 machine is built *dataless*) -- carries no simulated cost.
 
 Nothing is priced or timed here.  A replayed thread is the executor's
-own :class:`~repro.runtime.executor.ThreadProcess` with the generator
-swapped for a cursor over pre-decoded ops (memory operations already
-split into per-page ``(vpage, words)`` runs): op start and completion
-come from its ``_begin``/``_commit``, every run is priced by its
-``_cost_run`` -- the same call a live read or write makes -- and the
-threads are run by :func:`~repro.runtime.run.run_threads`, the driver of
-live and recording runs too.  So the protocol path -- the thing being
-studied -- is always the real kernel code, never an approximation.
+own :class:`~repro.runtime.executor.ThreadProcess` whose generator is a
+cursor over pre-decoded executor ops -- ``Compute``, ``Delay``,
+``Migrate``, ``GetTime`` and :class:`Runs`, a memory operation already
+split into per-page ``(vpage, words)`` runs, each priced by
+``_cost_run`` as a live reference is.  The executor's one op path starts,
+costs and commits every op, and :func:`~repro.runtime.run.run_threads`
+runs the threads, as live.  A channel fire runs inside the cursor where
+the recorder logged it; a wait is yielded as the live ``WaitNewer``.  So
+the protocol path -- the thing being studied -- is always the real
+kernel code, never an approximation.
 
 Replays under a *variant* (different policy, freeze window, latency
 constants) hold the recorded reference string fixed: spin iterations and
@@ -27,13 +29,13 @@ branch outcomes are the live run's.  Structural parameters that would
 invalidate the recorded addresses (``page_bytes``, ``word_bytes``,
 ``n_processors``) cannot be overridden.
 
-Two fidelity modes share that cursor.  ``mode="exact"`` (the default)
+Two fidelity modes share that op path.  ``mode="exact"`` (the default)
 replays one engine event per op and is bit-identical to the live run
-under the recording configuration.  ``mode="fast"`` asks, before each
-op, whether a fault-free *window* starts there
+under the recording configuration.  ``mode="fast"`` has its own cursor,
+which asks, before each op, whether a fault-free *window* starts there
 (:meth:`FastReplayThreadProcess._window`); a stretch of mapped memory
-references and thinks is then costed in one pass and committed as one
-engine event, and only protocol events -- faults, shootdowns, freezes,
+references and thinks is then costed in one pass and yielded as one
+``Compute``, and only protocol events -- faults, shootdowns, freezes,
 defrosts -- and synchronization take the shared scalar path.  Fast mode
 alone owns the window costing and its per-slot tables
 (:class:`_SlotTable`); what is mapped it reads off the thread's live
@@ -50,6 +52,7 @@ exactness claims belong to exact mode.
 
 from __future__ import annotations
 
+import math
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -63,8 +66,10 @@ from ..kernel.kernel import Kernel
 from ..machine.pmap import Rights
 from ..point import point_kernel
 from ..runtime.executor import ThreadProcess, _cpu_resource
+from ..runtime.ops import Compute, GetTime, Migrate, WaitNewer
 from ..runtime.run import run_threads
 from ..runtime.sync import Broadcast
+from ..sim.process import Delay, Op
 from .bundle import (
     K_DELAY,
     K_FIRE,
@@ -79,9 +84,6 @@ from .bundle import (
     TraceBundle,
     load_trace,
 )
-
-#: decoded-stream tag for a memory op pre-split into per-page runs
-K_MEM = 10
 
 #: machine-parameter overrides that would invalidate the recorded
 #: reference string (virtual addresses, run splits, processor ids)
@@ -116,14 +118,26 @@ class ReplayResult:
         )
 
 
-def _decode_stream(index: int, arr, wpp: int) -> list[tuple]:
-    """Turn thread ``index``'s (n, 4) op array into dispatch-ready
-    tuples, splitting memory ops into per-page runs at the recording
-    page size.  An op no recording can hold -- unknown kind, operands
-    that are not integers, a reference the live executor refuses
-    (``_split_runs``: negative address, no words) -- is a corrupt trace,
-    reported here so that neither mode ever prices it."""
-    decoded: list[tuple] = []
+@dataclass(slots=True, unsafe_hash=True)
+class Runs(Op):
+    """A recorded read (``write`` false), write or read-modify-write,
+    pre-split into its per-page ``(vpage, words)`` runs at the
+    recording page size: the replay op ``_cost_runs`` prices."""
+
+    write: bool
+    runs: tuple
+
+
+def _decode_stream(index: int, arr, wpp: int) -> list:
+    """Turn thread ``index``'s (n, 4) op array into the ops its cursor
+    yields: executor ops, :class:`Runs`, and ``(K_FIRE, cid)`` /
+    ``(K_WAIT, cid, seen)`` rows for the replay's channels.  An op no
+    recording can hold -- unknown kind, operands that are not integers,
+    a reference the live executor refuses (``check_access``: negative
+    address, no words), a think or delay that is not finite and >= 0
+    (live ``Compute`` and ``Engine.schedule`` refuse it) -- is a corrupt
+    trace, reported here so that neither mode ever prices it."""
+    decoded: list = []
     for j, (kind, a, b, _c) in enumerate(arr.tolist()):
         try:
             k = int(kind)
@@ -144,15 +158,20 @@ def _decode_stream(index: int, arr, wpp: int) -> list[tuple]:
                     vpage += 1
                     offset = 0
                     n -= take
-                decoded.append((K_MEM, k != K_READ, tuple(runs)))
+                decoded.append(Runs(k != K_READ, tuple(runs)))
             elif k in (K_THINK, K_DELAY):
-                decoded.append((k, a))
+                what = "think" if k == K_THINK else "delay"
+                if not 0 <= a < math.inf:  # NaN compares false
+                    raise ValueError(f"{what} time {a!r} is not in [0, inf)")
+                decoded.append(Compute(a) if k == K_THINK else Delay(a))
             elif k == K_WAIT:
                 decoded.append((k, int(a), int(b)))
-            elif k in (K_FIRE, K_MIGRATE):
+            elif k == K_FIRE:
                 decoded.append((k, int(a)))
+            elif k == K_MIGRATE:
+                decoded.append(Migrate(int(a)))
             elif k == K_GETTIME:
-                decoded.append((k,))
+                decoded.append(GetTime())
             else:
                 raise ValueError(f"unknown op kind {k}")
         except (ValueError, OverflowError) as exc:  # int(nan), int(inf)
@@ -160,7 +179,7 @@ def _decode_stream(index: int, arr, wpp: int) -> list[tuple]:
     return decoded
 
 
-def _decoded_streams(bundle: TraceBundle, wpp: int) -> list[list[tuple]]:
+def _decoded_streams(bundle: TraceBundle, wpp: int) -> list[list]:
     """The bundle's decoded streams, decoded once: decoding depends only
     on the recording page size (structural params cannot be overridden),
     so a variant sweep over one bundle shares the read-only result."""
@@ -195,10 +214,10 @@ class _SlotTable:
     bundle.
 
     ``code[i]`` classifies op ``i``: ``_S_FREE`` is a pure delay on the
-    issuing cpu (think, gettime), ``_S_READ``/``_S_WRITE`` a single-run
-    memory reference to ``vpage[i]``, ``_S_SCALAR`` anything only the
-    scalar path executes (sync, migrate, delay, page-crossing memory
-    op); one ``_S_SCALAR`` past the end stops every walk.  ``wcum`` is
+    issuing cpu (``Compute``, ``GetTime``), ``_S_READ``/``_S_WRITE`` a
+    single-run memory reference to ``vpage[i]``, ``_S_SCALAR`` anything
+    only the scalar path executes (sync, migrate, delay, page-crossing
+    memory op); one ``_S_SCALAR`` past the end stops every walk.  ``wcum`` is
     the prefix sum of words referenced.  All of that depends only on
     the decode; the two prefix sums that depend on the variant's
     latency constants -- ``dbc`` (slot duration assuming a local hit)
@@ -208,7 +227,7 @@ class _SlotTable:
 
     __slots__ = ("code", "vpage", "wcum", "_words", "_think", "_costs")
 
-    def __init__(self, decoded: list[tuple]) -> None:
+    def __init__(self, decoded: list) -> None:
         m = len(decoded)
         self.code = code = [_S_SCALAR] * (m + 1)
         # the vpage ints are the decoded tuples' own: 8 bytes a slot
@@ -216,16 +235,15 @@ class _SlotTable:
         self._words = words = np.zeros(m)
         self._think = think = np.zeros(m)
         for i, op in enumerate(decoded):
-            k = op[0]
-            if k == K_MEM:
-                runs = op[2]
-                if len(runs) == 1:
-                    code[i] = _S_WRITE if op[1] else _S_READ
-                    vpage[i], words[i] = runs[0]
-            elif k == K_THINK:
+            cls = op.__class__
+            if cls is Runs:
+                if len(op.runs) == 1:
+                    code[i] = _S_WRITE if op.write else _S_READ
+                    vpage[i], words[i] = op.runs[0]
+            elif cls is Compute:
                 code[i] = _S_FREE
-                think[i] = op[1]
-            elif k == K_GETTIME:
+                think[i] = op.ns
+            elif cls is GetTime:
                 code[i] = _S_FREE
         self.wcum = _prefix(words)
         self._costs = None
@@ -244,78 +262,44 @@ class _SlotTable:
 
 
 class ReplayThreadProcess(ThreadProcess):
-    """Drives one thread's decoded op stream instead of a generator.
+    """Drives one thread's decoded op stream instead of a generator:
+    only the cursor and the price of :class:`Runs` live here, so replay
+    cannot drift from the live run."""
 
-    Only the cursor lives here: every op is timed by the executor's own
-    ``_begin``/``_commit`` and every reference priced by its
-    ``_cost_run``, so replay cannot drift from the live run.
-    """
-
-    __slots__ = ("ops", "pos", "channels")
-
-    #: whether the cursor offers each op to ``_window`` first (fast mode)
-    _batches = False
+    __slots__ = ("ops", "channels")
 
     def __init__(self, kernel, thread, cpu, decoded, channels) -> None:
         super().__init__(kernel, thread, None, cpu)
         self.ops = decoded
-        self.pos = 0
         self.channels = channels
+        self.gen = self._cursor()
 
-    def _wake(self) -> None:
-        # the generator is gone; step the cursor instead, in the engine's
-        # own callback frame (every op resumes with None: the slot stays
-        # empty).  Fires, satisfied waits and GetTime are synchronous in
-        # the live executor too, so looping over them here keeps the
-        # engine-event structure identical.
-        try:
-            ops = self.ops
-            n = len(ops)
-            batches = self._batches
-            while True:
-                pos = self.pos
-                if pos >= n:
-                    self._finish(result=None)
-                    return
-                if batches and self._window(pos):
-                    return
-                op = ops[pos]
-                self.pos = pos + 1
-                k = op[0]
-                if k == K_MEM:
-                    t = self._begin()
-                    write = op[1]
-                    for vpage, words in op[2]:
-                        t, _entry = self._cost_run(vpage, words, write, t)
-                    self._commit(t)
-                    return
-                if k == K_THINK:
-                    # the recorded twin of _cost_compute, rounded as there
-                    self._commit(int(round(self._begin() + op[1])))
-                    return
-                if k == K_FIRE:
-                    self.channels[op[1]].fire()
+    def _cursor(self):
+        """The thread's generator: yields its recorded ops in order."""
+        for op in self.ops:
+            if op.__class__ is tuple:
+                op = self._channel_op(op)
+                if op is None:
                     continue
-                if k == K_WAIT:
-                    ch = self.channels[op[1]]
-                    if ch.version > op[2]:
-                        continue  # the live path resumes synchronously
-                    ch.event.wait(self._resume)
-                    return
-                if k == K_GETTIME:
-                    continue
-                if k == K_DELAY:
-                    self.engine.schedule(op[1], self._wake)
-                    return
-                if k == K_MIGRATE:
-                    self._migrate(op[1])
-                    return
-                raise ReplayError(f"unknown decoded op {op!r}")
-        except Exception as exc:  # noqa: BLE001 - recorded, like a crash
-            self._finish(error=exc)
+            yield op
 
-    def _resume(self, value) -> None:
-        self._wake()
+    def _channel_op(self, row: tuple):
+        """A recorded channel row: a fire runs now, where the recorder
+        logged it (``None``); a wait is the ``WaitNewer`` the live thread
+        yielded."""
+        channel = self.channels[row[1]]
+        if row[0] == K_FIRE:
+            channel.fire()
+            return None
+        return WaitNewer(channel, row[2])
+
+    def _cost_runs(self, op: Runs, start: int) -> tuple:
+        write = op.write
+        for vpage, words in op.runs:
+            start, _entry = self._cost_run(vpage, words, write, start)
+        return start, None
+
+    _COSTS = {**ThreadProcess._COSTS, Runs: _cost_runs}
 
 
 class FastReplayThreadProcess(ReplayThreadProcess):
@@ -325,10 +309,10 @@ class FastReplayThreadProcess(ReplayThreadProcess):
     single-run memory references whose pages are mapped with
     sufficient rights in this processor's pmap.  The whole window is
     costed in one pass -- per-run latency math identical to the exact
-    path, minus bus/port queueing -- and committed as a single engine
-    event.  Anything else (faults, page-crossing runs, sync, migration)
-    drops to the scalar machinery of the parent class, so the protocol
-    path is still the real kernel code.
+    path, minus bus/port queueing -- and yielded as a single
+    ``Compute``.  Anything else (faults, page-crossing runs, sync,
+    migration) drops to the scalar machinery of the parent class, so the
+    protocol path is still the real kernel code.
 
     Classification is one lookup per memory slot in the thread's live
     pmap, made when the window starts: the page table is the only
@@ -351,8 +335,6 @@ class FastReplayThreadProcess(ReplayThreadProcess):
         "batched_ops", "windows",
     )
 
-    _batches = True
-
     def __init__(
         self, kernel, thread, cpu, decoded, channels, slots
     ) -> None:
@@ -368,14 +350,33 @@ class FastReplayThreadProcess(ReplayThreadProcess):
         self.batched_ops = 0
         self.windows = 0
 
-    def _window(self, pos: int) -> bool:
-        """Cost ops[pos:stretch-end] in one event; False if ops[pos]
-        itself needs the scalar path."""
+    def _cursor(self):
+        """The exact cursor, but each op is first offered to
+        ``_window``: a window is yielded as one ``Compute``."""
+        ops = self.ops
+        pos, n = 0, len(ops)
+        while pos < n:
+            window = self._window(pos)
+            if window is not None:
+                pos, ns = window
+                yield Compute(ns)
+                continue
+            op = ops[pos]
+            pos += 1
+            if op.__class__ is tuple:
+                op = self._channel_op(op)
+                if op is None:
+                    continue
+            yield op
+
+    def _window(self, pos: int) -> Optional[tuple[int, int]]:
+        """Cost ops[pos:stretch-end] in one pass: ``(stretch-end, ns)``,
+        or None if ops[pos] itself needs the scalar path."""
         code = self._code
         # a scalar-only op, or a one-op stretch: the scalar path prices
         # a lone reference exactly, contention included
         if code[pos] == _S_SCALAR or code[pos + 1] == _S_SCALAR:
-            return False
+            return None
         thread = self.thread
         proc = thread.processor
         machine = self.kernel.machine
@@ -402,7 +403,7 @@ class FastReplayThreadProcess(ReplayThreadProcess):
                     remote.append((stop, mi))
             stop += 1
         if stop == pos:
-            return False
+            return None
         dbc = self._dbc
         total = dbc[stop] - dbc[pos]
         if n_mem:
@@ -423,7 +424,9 @@ class FastReplayThreadProcess(ReplayThreadProcess):
                 dests = self._dests[proc]
                 rw = rww = 0
                 for s, mi in remote:
-                    _mem, write, ((_vp, w),) = ops[s]
+                    op = ops[s]
+                    write = op.write
+                    ((_vp, w),) = op.runs
                     # the executor's costing constants for this module
                     cost = dests[mi] or self._destination(proc, mi)
                     per_word, extra_read, extra_write = cost[4:7]
@@ -445,12 +448,10 @@ class FastReplayThreadProcess(ReplayThreadProcess):
                 machine.remote_words[proc] += rw
                 machine.remote_write_words[proc] += rww
             machine.local_words[proc] += int(local)
-        self.pos = stop
         self.windows += 1
         self.batched_ops += stop - pos
         # fractional think slots, approximate by design: rounded once
-        self._commit(self._begin() + int(round(total)))
-        return True
+        return stop, int(round(total))
 
     def _flush_counters(self) -> None:
         """Apply the deferred module/bus counter accumulations."""

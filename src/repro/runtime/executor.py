@@ -1,19 +1,17 @@
 """The thread executor: drives user generators on simulated processors.
 
-One :class:`ThreadProcess` runs each kernel thread.  It translates the
-operations of ``runtime.ops`` into machine and kernel activity:
-
-* memory operations are split into per-page runs; each run is translated
-  by the processor's MMU, faults into the PLATINUM fault path if needed,
-  and is then costed through the machine's contention model while the real
-  data moves between the simulated page frames;
-* the entire chain of a memory operation is computed in a single
-  simulation event -- shared resources are reserved into the future (see
-  ``repro.sim.resource``) -- and the generator resumes when the final
-  completion time arrives;
-* a per-processor ``cpu`` resource serializes threads that share a
-  processor, and interprocessor-interrupt penalties accumulated by
-  shootdowns are paid at the start of the next operation.
+:class:`OpProcess` is the one op path of every thread driver -- live
+PLATINUM, the Sequent baseline, trace replay.  Its ``_wake`` resumes the
+generator and, for an op of the class's cost table (op type ->
+``(self, op, start) -> (end, value)``), starts, costs and commits it in
+one frame; a machine supplies only the cost table.  PLATINUM's
+(:class:`ThreadProcess`) splits a memory operation into per-page runs,
+each translated by the processor's MMU (faulting into the PLATINUM fault
+path if needed) and costed through the machine's contention model in a
+single simulation event, while the real data moves between page frames.
+A per-processor ``cpu`` resource serializes threads that share a
+processor, and interprocessor-interrupt penalties accumulated by
+shootdowns are paid at the start of the next operation.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from ..kernel.kernel import Kernel
 from ..kernel.threads import Thread
 from ..machine.memory import WORD_DTYPE
 from ..machine.pmap import PmapEntry
-from ..sim.engine import SimulationError
+from ..sim.engine import Engine, SimulationError
 from ..sim.process import Delay, Op, Process, WaitFor
 from ..sim.resource import FifoResource
 from . import ops
@@ -38,32 +36,12 @@ class ExecutionError(RuntimeError):
     """A user thread issued an operation the executor cannot perform."""
 
 
-def commit(proc: Process, end: int, value: Any = None) -> None:
-    """Occupy ``proc.cpu`` until ``end`` and resume ``proc``, with
-    ``value``, then (one ``_wake`` event).  Both executors' ``_commit``:
-    any :class:`Process` with a ``cpu`` :class:`FifoResource`.
-
-    A wake-up in the future with ties unperturbed is pushed here, as
-    ``Engine.schedule_at`` would push it; every other case goes through
-    ``schedule_at``, the reference (tests/test_engine_loop.py)."""
-    engine = proc.engine
-    now = engine._now
-    if end < now:
-        end = now
-    cpu = proc.cpu
-    if end > cpu.busy_until:
-        cpu.busy_until = end
-    if (
-        end > now
-        and engine._tie_rng is None
-        and end >= engine._no_fast_before
-    ):
-        seq = engine._seq
-        engine._seq = seq + 1
-        heappush(engine._queue, (end, 0.0, seq, proc._wake))
-    else:
-        engine.schedule_at(end, proc._wake)
-    proc._wake_value = value
+def check_access(va: int, n: int) -> None:
+    """Refuse an access of no words, or at a negative address."""
+    if n <= 0:
+        raise ExecutionError(f"access of {n} words at va {va}")
+    if va < 0:
+        raise ExecutionError(f"negative address {va}")
 
 
 def write_words(value: Any) -> np.ndarray:
@@ -79,36 +57,27 @@ def write_words(value: Any) -> np.ndarray:
     return words.astype(WORD_DTYPE, copy=False)
 
 
-class ThreadProcess(Process):
-    """Runs one user thread's generator in simulated time."""
+class OpProcess(Process):
+    """Runs one thread's generator in simulated time, on any machine:
+    ``_ipis`` are the machine's per-processor interrupt states, and a
+    subclass prices ops with its ``_COSTS`` and may extend ``_HANDLERS``.
+    """
 
-    __slots__ = ("kernel", "thread", "cpu", "_consts", "_wpp", "_dests",
-                 "_ipis")
+    __slots__ = ("thread", "cpu", "_ipis", "_costs")
 
     def __init__(
         self,
-        kernel: Kernel,
+        engine: Engine,
         thread: Thread,
         body: Generator[Op, Any, Any],
         cpu: FifoResource,
+        ipis: list,
     ) -> None:
-        super().__init__(kernel.engine, body, name=thread.name)
-        self.kernel = kernel
+        super().__init__(engine, body, name=thread.name)
         self.thread = thread
         self.cpu = cpu
-        # immutable machine constants, hoisted out of the per-op path
-        p = kernel.params
-        self._consts = (
-            p.t_module_service, p.t_switch_service, p.t_local,
-            p.t_remote_read, p.t_remote_write,
-        )
-        self._wpp = p.words_per_page
-        # _destination's tables: one row per processor the thread may
-        # run on, so a migration needs no invalidation; so is _ipis
-        n_modules = len(kernel.machine.modules)
-        self._dests = [[None] * n_modules for _ in range(p.n_processors)]
-        self._ipis = kernel.machine.interrupts.state
-        self.on_finish(lambda _p: self.kernel.threads.exit(self.thread))
+        self._ipis = ipis
+        self._costs = self._COSTS  # a slot: the fused _wake reads it
 
     # -- operation dispatch -------------------------------------------------
 
@@ -138,7 +107,7 @@ class ThreadProcess(Process):
         except BaseException as exc:  # noqa: BLE001 - recorded, not hidden
             self._finish(error=exc)
             return
-        cost = _COSTS.get(type(op))
+        cost = self._costs.get(type(op))
         if cost is None:
             self.interpret(op)
             return
@@ -155,11 +124,11 @@ class ThreadProcess(Process):
         try:
             end, value = cost(self, op, start)
         except Exception as exc:  # noqa: BLE001 - as _run does
-            if cost is ThreadProcess._cost_compute:
+            if cost is OpProcess._cost_compute:
                 st.pending_penalty += penalty  # it never started
             self._throw(exc)
             return
-        # commit, in place
+        # _commit, in place
         if end < now:
             end = now
         if end > cpu.busy_until:
@@ -181,12 +150,13 @@ class ThreadProcess(Process):
             # the exact type first; an op subclass runs as its nearest
             # known base
             for klass in type(op).__mro__:
-                cost = _COSTS.get(klass)
+                cost = self._costs.get(klass)
                 if cost is not None:
                     self._run(cost, op)
                     return
-                if klass in _HANDLERS:
-                    _HANDLERS[klass](self, op)
+                handler = self._HANDLERS.get(klass)
+                if handler is not None:
+                    handler(self, op)
                     return
             raise ExecutionError(f"unsupported operation {op!r}")
         except Exception as exc:  # noqa: BLE001 - becomes a thread crash
@@ -196,7 +166,7 @@ class ThreadProcess(Process):
 
     def _run(self, cost, op: Op) -> None:
         """``_begin``, ``cost(self, op, start) -> (end, value)``, then
-        ``commit``.  An invalid ``Compute`` leaves the penalty pending;
+        ``_commit``.  An invalid ``Compute`` leaves the penalty pending;
         any other error is raised after the penalty is taken."""
         st = self._ipis[self.thread.processor]
         penalty = st.pending_penalty
@@ -204,7 +174,7 @@ class ThreadProcess(Process):
         try:
             end, value = cost(self, op, start)
         except ExecutionError:
-            if cost is ThreadProcess._cost_compute:
+            if cost is OpProcess._cost_compute:
                 st.pending_penalty += penalty
             raise
         self._commit(end, value)
@@ -223,9 +193,31 @@ class ThreadProcess(Process):
             st.pending_penalty = 0
         return start + penalty
 
-    _commit = commit  # shared with the Sequent baseline
+    def _commit(self, end: int, value: Any = None) -> None:
+        """Occupy ``self.cpu`` until ``end``, then resume with ``value``
+        (one ``_wake`` event).  A future wake-up with ties unperturbed is
+        pushed here as ``Engine.schedule_at``, the reference, would push
+        it (tests/test_engine_loop.py)."""
+        engine = self.engine
+        now = engine._now
+        if end < now:
+            end = now
+        cpu = self.cpu
+        if end > cpu.busy_until:
+            cpu.busy_until = end
+        if (
+            end > now
+            and engine._tie_rng is None
+            and end >= engine._no_fast_before
+        ):
+            seq = engine._seq
+            engine._seq = seq + 1
+            heappush(engine._queue, (end, 0.0, seq, self._wake))
+        else:
+            engine.schedule_at(end, self._wake)
+        self._wake_value = value
 
-    # -- the cost table's functions: (self, op, start) -> (end, value) ----------
+    # -- the shared cost and handlers -----------------------------------------
 
     def _cost_compute(self, op: ops.Compute, start: int) -> tuple:
         ns = op.ns
@@ -233,6 +225,54 @@ class ThreadProcess(Process):
             raise ExecutionError(f"compute time {ns} is not in [0, inf)")
         # a program may compute its think time: rounded onto the clock
         return int(round(start + ns)), None
+
+    def _do_wait_newer(self, op: ops.WaitNewer) -> None:
+        if op.channel.version > op.seen:
+            self._resume(None)
+            return
+        op.channel.event.wait(self._resume)
+
+    def _do_get_time(self, op: ops.GetTime) -> None:
+        self._resume(self.engine.now)
+
+    #: the ops every machine runs alike; a handler's op may block or
+    #: resume without committing
+    _COSTS = {ops.Compute: _cost_compute}
+    _HANDLERS = {
+        ops.WaitNewer: _do_wait_newer,
+        ops.GetTime: _do_get_time,
+        Delay: Process.interpret,
+        WaitFor: Process.interpret,
+    }
+
+
+class ThreadProcess(OpProcess):
+    """Runs one user thread's generator on a PLATINUM kernel."""
+
+    __slots__ = ("kernel", "_consts", "_wpp", "_dests")
+
+    def __init__(
+        self,
+        kernel: Kernel,
+        thread: Thread,
+        body: Generator[Op, Any, Any],
+        cpu: FifoResource,
+    ) -> None:
+        super().__init__(kernel.engine, thread, body, cpu,
+                         kernel.machine.interrupts.state)
+        self.kernel = kernel
+        # immutable machine constants, hoisted out of the per-op path
+        p = kernel.params
+        self._consts = (
+            p.t_module_service, p.t_switch_service, p.t_local,
+            p.t_remote_read, p.t_remote_write,
+        )
+        self._wpp = p.words_per_page
+        # _destination's tables: one row per processor the thread may
+        # run on, so a migration needs no invalidation
+        n_modules = len(kernel.machine.modules)
+        self._dests = [[None] * n_modules for _ in range(p.n_processors)]
+        self.on_finish(lambda _p: self.kernel.threads.exit(self.thread))
 
     # -- memory access -------------------------------------------------------------
 
@@ -388,10 +428,7 @@ class ThreadProcess(Process):
 
     def _split_runs(self, va: int, n: int) -> list[tuple[int, int, int]]:
         """The within-page runs ``(vpage, offset, words)`` of an access."""
-        if n <= 0:
-            raise ExecutionError(f"access of {n} words at va {va}")
-        if va < 0:
-            raise ExecutionError(f"negative address {va}")
+        check_access(va, n)
         wpp = self._wpp
         vpage, offset = divmod(va, wpp)
         runs = []
@@ -455,19 +492,14 @@ class ThreadProcess(Process):
         return op.port.send(data, self.thread.tid, self.thread.processor,
                             start), None
 
-    # -- thread migration --------------------------------------------------------------
+    # -- thread migration and ports -------------------------------------------
 
     def _do_migrate(self, op: ops.Migrate) -> None:
-        self._migrate(op.processor)
-
-    def _migrate(self, processor: int) -> None:
         start = self._begin()
-        cost = self.kernel.threads.migrate(self.thread, processor)
+        cost = self.kernel.threads.migrate(self.thread, op.processor)
         # after migration the thread competes for the new processor
-        self.cpu = _cpu_resource(self.kernel, processor)
+        self.cpu = _cpu_resource(self.kernel, op.processor)
         self._commit(start + cost)
-
-    # -- ports -------------------------------------------------------------------------
 
     def _do_recv(self, op: ops.RecvPort) -> None:
         t = self._begin()
@@ -480,40 +512,23 @@ class ThreadProcess(Process):
         message, end = result
         self._commit(end, message.data)
 
-    # -- broadcast wait -------------------------------------------------------------------
-
-    def _do_wait_newer(self, op: ops.WaitNewer) -> None:
-        if op.channel.version > op.seen:
-            self._resume(None)
-            return
-        op.channel.event.wait(self._resume)
-
-    def _do_get_time(self, op: ops.GetTime) -> None:
-        self._resume(self.engine.now)
-
-
-#: the cost table: the ops ``ThreadProcess._wake`` starts, costs and
-#: commits in its own frame, keyed by exact type (``interpret`` resolves
-#: a subclass through its MRO and runs it with ``_run``)
-_COSTS = {
-    ops.Compute: ThreadProcess._cost_compute,
-    ops.Read: ThreadProcess._cost_read,
-    ops.Write: ThreadProcess._cost_write,
-    ops.TestAndSet: ThreadProcess._cost_test_and_set,
-    ops.FetchAdd: ThreadProcess._cost_fetch_add,
-    ops.SendPort: ThreadProcess._cost_send,
-}
-
-#: the ops that keep a handler: ``Migrate`` switches ``self.cpu`` before
-#: it commits, and the others may block or resume without committing
-_HANDLERS = {
-    ops.Migrate: ThreadProcess._do_migrate,
-    ops.RecvPort: ThreadProcess._do_recv,
-    ops.WaitNewer: ThreadProcess._do_wait_newer,
-    ops.GetTime: ThreadProcess._do_get_time,
-    Delay: Process.interpret,
-    WaitFor: Process.interpret,
-}
+    #: the cost table: the ops ``_wake`` starts, costs and commits in its
+    #: own frame, keyed by exact type (``interpret`` resolves a subclass
+    #: through its MRO and runs it with ``_run``)
+    _COSTS = {
+        ops.Compute: OpProcess._cost_compute,
+        ops.Read: _cost_read,
+        ops.Write: _cost_write,
+        ops.TestAndSet: _cost_test_and_set,
+        ops.FetchAdd: _cost_fetch_add,
+        ops.SendPort: _cost_send,
+    }
+    #: ``Migrate`` switches ``self.cpu`` before it commits
+    _HANDLERS = {
+        **OpProcess._HANDLERS,
+        ops.Migrate: _do_migrate,
+        ops.RecvPort: _do_recv,
+    }
 
 
 def _cpu_resource(kernel: Kernel, processor: int) -> FifoResource:

@@ -183,3 +183,20 @@ def test_sequent_memory_exhaustion_detected():
     params = SequentParams(n_processors=2, memory_words=1024)
     with pytest.raises(MemoryError):
         run_on_sequent(MergeSort(n=4096, n_threads=2), params=params)
+
+
+def test_sequent_refuses_a_thread_on_a_missing_processor():
+    """As the kernel does: a thread on processor 2 of a 2-processor
+    machine is a set-up error, not a crash inside the run."""
+
+    class OffTheEnd(Program):
+        name = "off-the-end"
+
+        def setup(self, api):
+            api.spawn(2, self.body)
+
+        def body(self, env):
+            yield Compute(10)
+
+    with pytest.raises(ValueError, match="processor 2 out of range"):
+        run_on_sequent(OffTheEnd(), n_processors=2)

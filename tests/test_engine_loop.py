@@ -4,14 +4,15 @@ Three rules are spelled twice on the op path, once where they are kept
 and once inline where every op pays for a frame:
 
 * ``Engine.run`` pops each event itself; ``Engine.step`` is the rule.
-* ``ThreadProcess._wake`` resumes the generator and, for an op of the
-  cost table, takes its start time, costs it and pushes its own wake-up
-  in one frame; ``Process._wake`` -> ``_resume`` -> ``interpret`` ->
-  ``_run`` (``_begin``, the cost function, ``commit``) is the chain it
-  stands for, what an op subclass takes, and what a subclass that
-  redefines any of the first three gets back
-  (``ThreadProcess.__init_subclass__``).
-* ``commit`` pushes a future wake-up onto the heap itself;
+* ``OpProcess._wake`` -- the one op path of the PLATINUM executor, the
+  Sequent baseline and the trace replayer -- resumes the generator and,
+  for an op of the class's cost table, takes its start time, costs it
+  and pushes its own wake-up in one frame; ``Process._wake`` ->
+  ``_resume`` -> ``interpret`` -> ``_run`` (``_begin``, the cost
+  function, ``_commit``) is the chain it stands for, what an op subclass
+  takes, and what a subclass that redefines any of the first three gets
+  back (``OpProcess.__init_subclass__``).
+* ``OpProcess._commit`` pushes a future wake-up onto the heap itself;
   ``Engine.schedule_at`` is the rule.
 
 Each copy is driven here side by side with its reference over random
@@ -27,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.baselines.sequent as sequent_mod
 import repro.point as point_mod
 import repro.replay.recorder as recorder_mod
 import repro.replay.replayer as replayer_mod
@@ -50,7 +52,7 @@ from repro.runtime import (
     WaitNewer,
     Write,
 )
-from repro.runtime.executor import _cpu_resource, commit
+from repro.runtime.executor import OpProcess, _cpu_resource
 from repro.sim import Engine, SimulationError
 from repro.sim.process import Delay, Op, Process, ProcessCrashed, WaitFor
 from repro.sim.resource import FifoResource
@@ -192,12 +194,21 @@ def test_run_until_compares_against_the_rounded_limit():
     assert engine.now == 11
 
 
-# -- ThreadProcess._wake against Process._wake -> _resume -> interpret --------------
+# -- OpProcess._wake against Process._wake -> _resume -> interpret ------------------
 
 
 class ReferenceThreadProcess(ThreadProcess):
     """A thread process that redefines ``interpret`` (as itself): the
     guard gives it the reference ``Process._wake`` chain."""
+
+    __slots__ = ()
+
+    def interpret(self, op: Op) -> None:
+        super().interpret(op)
+
+
+class ReferenceSequentThreadProcess(sequent_mod.SequentThreadProcess):
+    """The Sequent's reference: the same guard, the same chain."""
 
     __slots__ = ()
 
@@ -218,7 +229,9 @@ class Bogus(Op):
 
 
 def every_op(prog, env):
-    """Thread 0: every op type the executor knows, in turn."""
+    """Thread 0: every op type the executor knows, in turn; without
+    ports and migration (``prog.ports`` false), every op the Sequent
+    knows."""
     base = prog.base
     yield Write(base, np.arange(8, dtype=np.int64))
     data = yield Read(base + 2, 3)
@@ -231,8 +244,10 @@ def every_op(prog, env):
     got = yield WaitFor(prog.event)
     yield WaitNewer(prog.channel, 0)  # fired with the event: satisfied
     yield WaitNewer(prog.channel, 1)  # waits for the second fire
-    yield Migrate(1)
-    msg = yield RecvPort(prog.port)
+    msg = []
+    if prog.ports:
+        yield Migrate(1)
+        msg = yield RecvPort(prog.port)
     try:
         yield Read(base, 0)  # the handler raises ExecutionError
     except ExecutionError as exc:
@@ -241,7 +256,8 @@ def every_op(prog, env):
         yield Bogus()  # no handler: interpret raises ExecutionError
     except ExecutionError as exc:
         caught += " / " + str(exc)
-    yield SendPort(prog.reply, np.arange(2, dtype=np.int64))
+    if prog.ports:
+        yield SendPort(prog.reply, np.arange(2, dtype=np.int64))
     return (list(map(int, data)), list(map(int, tagged)), old, new, now,
             got, list(map(int, msg)), caught)
 
@@ -254,6 +270,8 @@ def helper(prog, env):
     prog.channel.fire()
     yield Compute(2e6)
     prog.channel.fire()
+    if not prog.ports:
+        return []
     yield SendPort(prog.port, np.arange(3, dtype=np.int64))
     reply = yield RecvPort(prog.reply)
     return list(map(int, reply))
@@ -285,20 +303,22 @@ def get_time_chain(prog, env):
 
 
 class Scripted(Program):
-    """Thread 0 runs ``body``; thread 1, if given, runs ``other``."""
+    """Thread 0 runs ``body``; thread 1, if given, runs ``other``.
+    ``ports`` false: no ports (the Sequent has none)."""
 
     name = "scripted"
 
-    def __init__(self, body, other=None):
-        self.body, self.other = body, other
+    def __init__(self, body, other=None, ports=True):
+        self.body, self.other, self.ports = body, other, ports
 
     def setup(self, api):
         arena = api.arena(4, label="data")
         self.base = arena.base_va
         self.event = SimEvent(api.engine, "go")
         self.channel = Broadcast(api.engine, "chan")
-        self.port = api.port(home_module=0)  # thread 1 to thread 0
-        self.reply = api.port(home_module=1)  # and back
+        if self.ports:
+            self.port = api.port(home_module=0)  # thread 1 to thread 0
+            self.reply = api.port(home_module=1)  # and back
         api.spawn(0, lambda env: self.body(self, env), name="t0")
         if self.other is not None:
             api.spawn(1, lambda env: self.other(self, env), name="t1")
@@ -395,16 +415,54 @@ def observe(monkeypatch, cls, body, other=None, ties=None) -> tuple:
             kernel.report())
 
 
-@pytest.mark.parametrize("body, other", [
+def capture(monkeypatch, name, cls) -> list:
+    """Build ``sequent_mod.<name>`` as ``cls``; returns what was built."""
+    made = []
+
+    def make(*args):
+        made.append(cls(*args))
+        return made[-1]
+
+    monkeypatch.setattr(sequent_mod, name, make)
+    return made
+
+
+def observe_sequent(monkeypatch, cls, body, other=None) -> tuple:
+    """``observe`` on the Sequent baseline: the outcome, the engine, the
+    cpus and the snoopy bus's counters."""
+    processes = capture(monkeypatch, "SequentThreadProcess", cls)
+    machine = capture(monkeypatch, "SequentMachine",
+                      sequent_mod.SequentMachine)
+    try:
+        result = sequent_mod.run_on_sequent(
+            Scripted(body, other, ports=False), n_processors=2)
+        outcome = ("ok", result.thread_results)
+    except ProcessCrashed as crash:
+        cause = crash.__cause__
+        outcome = ("crashed", str(crash), type(cause).__name__, str(cause))
+    (machine,) = machine
+    engine, bus = machine.engine, machine.bus
+    cpus = {p.thread.processor: p.cpu.busy_until for p in processes}
+    counters = (bus.reads, bus.writes, bus.bus.busy_until,
+                bus.bus.busy_time, bus.bus.wait_time, bus.bus.requests)
+    return (outcome, engine.now, engine.events_executed,
+            engine.pending_events, cpus, counters)
+
+
+BODIES = [
     (every_op, helper),
     (crashes, None),
     (handler_error_escapes, None),
     (stop_iteration_at_once, None),
     (get_time_chain, None),
-], ids=["every-op", "crash", "handler-error", "stop-iteration", "chain"])
+]
+BODY_IDS = ["every-op", "crash", "handler-error", "stop-iteration", "chain"]
+
+
+@pytest.mark.parametrize("body, other", BODIES, ids=BODY_IDS)
 def test_fused_wake_matches_resume_then_interpret(monkeypatch, body, other):
     assert ReferenceThreadProcess._wake is Process._wake
-    assert ThreadProcess._wake is not Process._wake
+    assert ThreadProcess._wake is OpProcess._wake
     fused = observe(monkeypatch, ThreadProcess, body, other)
     reference = observe(monkeypatch, ReferenceThreadProcess, body, other)
     assert fused == reference
@@ -413,6 +471,30 @@ def test_fused_wake_matches_resume_then_interpret(monkeypatch, body, other):
         assert "access of 0 words" in mine[-1]
         assert "unsupported operation" in mine[-1]
         assert mine[5] == "fired" and theirs == [0, 1]
+    if body is get_time_chain:
+        assert fused[0] == ("ok", [sum(range(7_500))])
+
+
+@pytest.mark.parametrize("body, other", BODIES, ids=BODY_IDS)
+def test_sequent_fused_wake_matches_resume_then_interpret(
+        monkeypatch, body, other):
+    """The Sequent runs the same op path: fused, and through the
+    reference chain, the same outcome, engine, cpus and bus."""
+    sequent = sequent_mod.SequentThreadProcess
+    assert ReferenceSequentThreadProcess._wake is Process._wake
+    assert sequent._wake is OpProcess._wake
+    fused = observe_sequent(monkeypatch, sequent, body, other)
+    monkeypatch.undo()
+    reference = observe_sequent(monkeypatch, ReferenceSequentThreadProcess,
+                                body, other)
+    assert fused == reference
+    if body is every_op:
+        (_status, (mine, theirs)), *_rest = fused
+        assert mine[:2] == ([2, 3, 4], [0, 1])
+        assert "access of 0 words" in mine[-1]
+        assert "unsupported operation" in mine[-1]
+        assert mine[5] == "fired" and theirs == []
+        assert fused[-1][1] > 0  # the bus carried the writes
     if body is get_time_chain:
         assert fused[0] == ("ok", [sum(range(7_500))])
 
@@ -482,7 +564,7 @@ def test_a_finished_thread_is_not_woken_again():
             wake()
 
 
-# -- commit's inline push against Engine.schedule_at --------------------------------
+# -- _commit's inline push against Engine.schedule_at ------------------------------
 
 
 def engine_state(engine) -> tuple:
@@ -514,7 +596,7 @@ def test_commit_pushes_as_schedule_at_would(now, queued, ties, end, seed):
     rng_state = None if engine._tie_rng is None else \
         engine._tie_rng.getstate()
 
-    commit(proc, end, "value")
+    OpProcess._commit(proc, end, "value")
     inline = engine_state(engine)
 
     engine._queue[:] = before[0]
@@ -532,8 +614,8 @@ def test_commit_pushes_as_schedule_at_would(now, queued, ties, end, seed):
 # -- the guard: a redefined resume path gets the reference _wake --------------------
 
 
-def thread_process_classes():
-    seen, todo = [], [ThreadProcess]
+def op_process_classes():
+    seen, todo = [], [OpProcess]
     while todo:
         cls = todo.pop()
         seen.append(cls)
@@ -541,14 +623,21 @@ def thread_process_classes():
     return seen
 
 
+#: the thread drivers: each runs every op through ``OpProcess._wake``
+DRIVERS = (ThreadProcess, sequent_mod.SequentThreadProcess,
+           replayer_mod.ReplayThreadProcess,
+           replayer_mod.FastReplayThreadProcess)
+
+
 def test_every_redefined_resume_path_gets_the_reference_wake():
     # the production subclasses and the test ones are imported above
-    classes = thread_process_classes()
+    classes = op_process_classes()
     names = {cls.__name__ for cls in classes}
-    assert {"RecordingThreadProcess", "ReplayThreadProcess",
-            "FastReplayThreadProcess", "ReferenceThreadProcess"} <= names
+    assert {cls.__name__ for cls in DRIVERS} | {
+        "RecordingThreadProcess", "ReferenceThreadProcess",
+        "ReferenceSequentThreadProcess"} <= names
     for cls in classes:
-        below = cls.__mro__[:cls.__mro__.index(ThreadProcess)]
+        below = cls.__mro__[:cls.__mro__.index(OpProcess)]
         own = next((vars(klass)["_wake"] for klass in below
                     if "_wake" in vars(klass)), Process._wake)
         if own is not Process._wake:
@@ -559,13 +648,16 @@ def test_every_redefined_resume_path_gets_the_reference_wake():
             for klass in below
             for name in ("_resume", "_throw", "interpret")
         )
-        want = Process._wake if redefined else ThreadProcess._wake
+        want = Process._wake if redefined else OpProcess._wake
         assert cls._wake is want, cls
     assert recorder_mod.RecordingThreadProcess._wake is Process._wake
-    # the replay cursor steps in its own _wake; _resume delegates to it
-    replay = replayer_mod.ReplayThreadProcess
-    assert "_wake" in vars(replay)
-    assert replayer_mod.FastReplayThreadProcess._wake is replay._wake
+    # one op path: no driver keeps a _wake, a resume or an interpreter
+    # of its own
+    for cls in DRIVERS:
+        for klass in cls.__mro__[:cls.__mro__.index(OpProcess)]:
+            assert not {"_wake", "_resume", "_throw", "interpret",
+                        "_begin", "_commit"} & set(vars(klass)), klass
+        assert cls._wake is OpProcess._wake, cls
 
     class OwnWake(ThreadProcess):
         __slots__ = ()
@@ -577,12 +669,13 @@ def test_every_redefined_resume_path_gets_the_reference_wake():
             pass
 
     assert OwnWake._wake is not Process._wake
-    assert OwnWake._wake is not ThreadProcess._wake
+    assert OwnWake._wake is not OpProcess._wake
 
 
 def test_live_recorded_and_replayed_runs_agree(monkeypatch):
-    """One spec live, recording and replayed: the three wake paths (fused,
-    recorder's, replayer's) give the same event count and sampler rows."""
+    """One spec live, recording and replayed: the fused op path over a
+    generator and over the replay cursor, and the recorder's reference
+    chain, give the same event count and sampler rows."""
     spec = WorkloadSpec(
         name="guard", seed=7, threads=4, machine=4, words_per_op=8,
         phases=(PhaseSpec(ops=30, mix={"read": 0.5, "write": 0.5},

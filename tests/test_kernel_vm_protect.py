@@ -56,6 +56,23 @@ def test_relaxation_is_lazy(setup):
     assert result.action in ("upgrade", "migrate")
 
 
+@pytest.mark.parametrize("rights", [Rights.READ, Rights.WRITE])
+def test_unchanged_rights_post_no_shootdown(setup, rights):
+    """``protect`` to the rights a binding already has restricts
+    nothing: no shootdown, on pages mapped on two processors."""
+    kernel, aspace, binding = setup
+    kernel.vm.protect(aspace, binding, rights, initiator=0)
+    for proc in (0, 1):
+        kernel.fault(proc, aspace.asid, 0, rights == Rights.WRITE,
+                     kernel.engine.now)
+    shootdown = kernel.coherent.shootdown
+    before = shootdown.shootdowns
+    kernel.vm.protect(aspace, binding, rights, initiator=2)
+    assert shootdown.shootdowns == before
+    cmap = kernel.coherent.cmaps[aspace.asid]
+    assert cmap.lookup(0).vm_rights == rights
+
+
 def test_restriction_only_touches_mapped_pages(setup):
     kernel, aspace, binding = setup
     kernel.fault(0, aspace.asid, 0, True, 0)  # only page 0 ever touched

@@ -12,8 +12,9 @@ private and sharing specs (``perf/workloads.py``, quick size, seed
 counted) and the ``heapq.heappush`` calls, per op.
 
 The Sequent baseline (``run_on_sequent`` on the same generated
-program, 8 processors) is counted too: it shares ``commit`` and the run
-loop with the executor, so a frame taken off either shows there.
+program, 8 processors) is counted too: it shares the op path
+(``OpProcess._wake``) and the run loop with the executor, so a frame
+taken off either shows there.
 
 History (calls / pushes per op: private live, private replay, sharing
 live, sharing replay):
@@ -42,11 +43,20 @@ live, sharing replay):
   ``_cost_run`` without ``MMU.translate``, a ``FaultContext`` built
   without its ``__new__`` frame and an int64 ``Write`` stored without a
   ``write_words`` call: 6.29 / 5.57 / 12.80 / 11.81 calls (Sequent
-  98.77 / 137.06), same pushes.
+  98.77 / 137.06), same pushes;
+* one op path for the three drivers: the Sequent starts, costs and
+  commits each op in ``OpProcess._wake`` (no ``_resume``,
+  ``interpret``, ``_begin`` or ``commit`` frame; a bus write per atomic
+  without a helper) and the replay cursor is a generator whose
+  ``GetTime`` and channel waits take the executor's handlers: live
+  unchanged, replay 5.66 / 11.96 calls (Sequent 95.24 / 133.52), same
+  pushes.
 
-The budgets are the last row plus 10 %: a change that pushes a run
-over its budget has put a call or a queued event back on the path --
-take it out again, or raise the budget in the same change and say why.
+The budgets are a row's counts plus 10 % -- the Sequent's the last row,
+live and replay the one before, which they still hold: a change that
+pushes a run over its budget has put a call or a queued event back on
+the path -- take it out again, or raise the budget in the same change
+and say why.
 """
 
 from __future__ import annotations
@@ -69,11 +79,11 @@ from repro.workloads.spec import PhaseSpec, WorkloadSpec
 #: (spec, how it runs) -> (Python calls per op, heap pushes per op)
 BUDGET = {
     ("private", "live"): (6.92, 1.087),       # 6.29, 0.988
-    ("private", "replay"): (6.12, 1.087),     # 5.57, 0.988
-    ("private", "sequent"): (108.64, 1.087),  # 98.77, 0.988
+    ("private", "replay"): (6.12, 1.087),     # 5.66, 0.988
+    ("private", "sequent"): (104.76, 1.087),  # 95.24, 0.988
     ("sharing", "live"): (14.08, 1.092),      # 12.80, 0.993
-    ("sharing", "replay"): (12.99, 1.092),    # 11.81, 0.993
-    ("sharing", "sequent"): (150.76, 1.079),  # 137.06, 0.981
+    ("sharing", "replay"): (12.99, 1.092),    # 11.96, 0.993
+    ("sharing", "sequent"): (146.87, 1.079),  # 133.52, 0.981
 }
 
 #: defrost period of the sharing spec: pages freeze and thaw in the run

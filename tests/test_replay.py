@@ -40,6 +40,7 @@ from repro.replay import (
     replay_trace,
     save_trace,
 )
+from repro.replay.bundle import _MAGIC
 from repro.runtime import (
     Program,
     Read,
@@ -211,6 +212,15 @@ def test_truncated_bundle_rejected(gauss_recording):
         TraceBundle.from_bytes(b"NOTATRACE" + raw)
     with pytest.raises(TraceError):
         TraceBundle.from_bytes(raw[: len(raw) // 4])
+
+
+def test_a_bundle_cut_inside_its_header_says_so(gauss_recording):
+    """Cut past the 8-byte header length but inside the header: the
+    length check names it, before any parse of the partial header."""
+    raw = gauss_recording[0].to_bytes()
+    for keep in (8, 9, 40):
+        with pytest.raises(TraceError, match="truncated bundle header$"):
+            TraceBundle.from_bytes(raw[: len(_MAGIC) + keep])
 
 
 # -- variant replays ----------------------------------------------------------

@@ -287,6 +287,11 @@ CORRUPT_OPS = [
     ([K_READ, 16, 2.5, 0], "words"),
     ([K_READ, 16, float("inf"), 0], "infinity"),
     ([42, 0, 0, 0], "kind"),
+    ([K_THINK, float("nan"), 0, 0], "think time nan"),
+    ([K_THINK, float("inf"), 0, 0], "think time inf"),
+    ([K_THINK, -5.0, 0, 0], "think time -5.0"),
+    ([K_DELAY, -1.0, 0, 0], "delay time -1.0"),
+    ([K_DELAY, float("nan"), 0, 0], "delay time nan"),
 ]
 
 
@@ -321,3 +326,22 @@ def test_cli_replay_of_a_corrupt_trace_exits_2(capsys, tmp_path):
         out = capsys.readouterr().out
         assert out == (f"repro replay: stream 0 op {index}: "
                        f"bad address {float(stream[index, 1])!r}\n")
+
+
+@pytest.mark.parametrize("ns", [float("nan"), float("inf"), -5.0])
+def test_cli_replay_of_a_corrupt_think_exits_2(capsys, tmp_path, ns):
+    """A think that live ``Compute`` would refuse was a ``ProcessCrashed``
+    traceback (NaN, inf) or replayed "ok", clamped to the current time
+    (-5.0): now the same one-line refusal as a corrupt address."""
+    bundle, _live = record_spec(bench_spec_for(_corpus_specs()[0]))
+    stream = bundle.streams[0].copy()
+    index = int(np.nonzero(stream[:, 0] == K_THINK)[0][0])
+    stream[index, 1] = ns
+    bad = save_trace(
+        dataclasses.replace(bundle, streams=[stream] + bundle.streams[1:]),
+        tmp_path / "bad.trace")
+    for flags in ([], ["--fast"]):
+        assert cli_main(["replay", str(bad), *flags]) == 2
+        out = capsys.readouterr().out
+        assert out == (f"repro replay: stream 0 op {index}: "
+                       f"think time {ns!r} is not in [0, inf)\n")

@@ -12,6 +12,7 @@ from repro.runtime import (
     ExecutionError,
     FetchAdd,
     GetTime,
+    Migrate,
     Program,
     Read,
     TestAndSet,
@@ -117,6 +118,74 @@ def test_a_write_of_a_non_integer_crashes_the_thread(value):
         cause = crash.value.__cause__
         assert isinstance(cause, ExecutionError)
         assert "a word is an integer or a bool" in str(cause)
+
+
+#: ops both machines refuse with the same ExecutionError; the Sequent
+#: used to run them (a negative compute took no time, a negative address
+#: read from the end of memory, an empty read returned nothing) or let a
+#: raw ValueError escape the engine
+REFUSED = [
+    (lambda base: Compute(-5.0), "compute time -5.0 is not in [0, inf)"),
+    (lambda base: Compute(float("nan")),
+     "compute time nan is not in [0, inf)"),
+    (lambda base: Read(-3, 2), "negative address -3"),
+    (lambda base: Read(base, 0), "access of 0 words at va 0"),
+    (lambda base: Write(-2, 5), "negative address -2"),
+]
+
+#: accesses past the Sequent's flat memory (1 << 22 words at 2
+#: processors); PLATINUM refuses them as wild accesses of unbound pages
+BEYOND = [
+    lambda: Read(1 << 22, 1),
+    lambda: Read((1 << 22) - 1, 2),
+    lambda: Write(1 << 22, 5),
+    lambda: TestAndSet(1 << 22),
+    lambda: FetchAdd(1 << 22, 1),
+]
+
+
+def crash_of(run):
+    with pytest.raises(ProcessCrashed) as crash:
+        run()
+    return crash.value.__cause__
+
+
+@pytest.mark.parametrize("make_op, message", REFUSED,
+                         ids=[m for _op, m in REFUSED])
+def test_both_machines_refuse_an_invalid_op_as_a_thread_crash(make_op,
+                                                              message):
+    def body(prog, env):
+        yield make_op(prog.base)
+
+    for run in run_both(body):
+        cause = crash_of(run)
+        assert isinstance(cause, ExecutionError)
+        assert str(cause) == message
+
+
+@pytest.mark.parametrize("make_op", BEYOND,
+                         ids=["read", "read-straddling", "write",
+                              "test-and-set", "fetch-add"])
+def test_an_access_beyond_memory_is_a_thread_crash(make_op):
+    def body(prog, env):
+        yield make_op()
+
+    platinum, sequent = run_both(body)
+    assert "wild access" in str(crash_of(platinum))
+    cause = crash_of(sequent)
+    assert isinstance(cause, ExecutionError)
+    assert str(cause).endswith("is beyond memory")
+
+
+def test_the_sequent_refuses_migration_as_an_unsupported_op():
+    from repro.baselines.sequent import run_on_sequent
+
+    def body(prog, env):
+        yield Migrate(1)
+
+    cause = crash_of(lambda: run_on_sequent(OneShot(body), n_processors=2))
+    assert isinstance(cause, ExecutionError)
+    assert str(cause) == "unsupported operation Migrate(processor=1)"
 
 
 def test_cross_page_access_splits_runs():
