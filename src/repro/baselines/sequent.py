@@ -29,7 +29,7 @@ import numpy as np
 
 from ..kernel.threads import Thread
 from ..machine.cache import CacheParams, SnoopyBus
-from ..machine.interrupts import ProcessorInterruptState
+from ..machine.interrupts import ProcessorState
 from ..machine.memory import WORD_DTYPE
 from ..runtime import ops
 from ..runtime.executor import (
@@ -42,7 +42,6 @@ from ..runtime.program import Program, ThreadEnv, ThreadSpec
 from ..runtime.run import run_threads
 from ..runtime.sync import Barrier, EventCount, SpinLock
 from ..sim.engine import Engine
-from ..sim.resource import FifoResource
 
 
 @dataclass(frozen=True)
@@ -65,10 +64,10 @@ class SequentMachine:
         self.engine = engine if engine is not None else Engine()
         self.memory = np.zeros(params.memory_words, dtype=WORD_DTYPE)
         self.bus = SnoopyBus(params.cache, params.n_processors)
-        #: the op path's per-processor penalties: there are no
-        #: interprocessor interrupts here, so they stay zero
+        #: the op path's per-processor rows: there are no
+        #: interprocessor interrupts here, so the penalties stay zero
         self.interrupt_states = [
-            ProcessorInterruptState() for _ in range(params.n_processors)
+            ProcessorState() for _ in range(params.n_processors)
         ]
 
 
@@ -163,9 +162,8 @@ class SequentThreadProcess(OpProcess):
 
     __slots__ = ("memory", "bus")
 
-    def __init__(self, machine: SequentMachine, spec: ThreadSpec,
-                 cpu: FifoResource) -> None:
-        super().__init__(machine.engine, spec.thread, spec.body, cpu,
+    def __init__(self, machine: SequentMachine, spec: ThreadSpec) -> None:
+        super().__init__(machine.engine, spec.thread, spec.body,
                          machine.interrupt_states)
         self.memory = machine.memory
         self.bus = machine.bus
@@ -259,14 +257,8 @@ def run_on_sequent(
     machine = SequentMachine(params)
     api = SequentAPI(machine)
     program.setup(api)
-    cpus: dict[int, FifoResource] = {}
-    processes = []
-    for spec in api.thread_specs:
-        cpu = cpus.setdefault(
-            spec.thread.processor,
-            FifoResource(f"seq.cpu[{spec.thread.processor}]"),
-        )
-        processes.append(SequentThreadProcess(machine, spec, cpu))
+    processes = [SequentThreadProcess(machine, spec)
+                 for spec in api.thread_specs]
     # the one thread driver reads only the machine's engine: a crash, a
     # deadlock or a thread that never finished raises as on PLATINUM
     results = run_threads(machine, processes, program.name, max_events)

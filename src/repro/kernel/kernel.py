@@ -15,7 +15,6 @@ from ..core.instrumentation import MemoryReport
 from ..policy.base import ReplicationPolicy
 from ..machine.machine import Machine
 from ..machine.params import MachineParams
-from ..sim.resource import FifoResource
 from .ports import PortNamespace
 from .threads import ThreadManager
 from .vm import VirtualMemorySystem
@@ -51,9 +50,6 @@ class Kernel:
         self.vm = VirtualMemorySystem(self.coherent)
         self.threads = ThreadManager(machine, self.coherent)
         self.ports = PortNamespace(machine)
-        #: per-processor resources that serialize the threads sharing a
-        #: processor, filled on first use by the thread executor
-        self.cpu_resources: dict[int, FifoResource] = {}
 
     def __repr__(self) -> str:
         return f"<Kernel on {self.machine!r} policy={self.policy.name}>"

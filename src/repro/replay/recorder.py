@@ -35,7 +35,7 @@ import numpy as np
 from ..analysis.costmodel import run_counters
 from ..point import point_kernel, point_program
 from ..runtime import ops
-from ..runtime.executor import ThreadProcess, _cpu_resource
+from ..runtime.executor import ThreadProcess
 from ..runtime.program import Program, ProgramAPI
 from ..runtime.run import RunResult, run_threads
 from ..runtime.sync import Broadcast
@@ -153,8 +153,8 @@ class RecordingThreadProcess(ThreadProcess):
 
     __slots__ = ("rec", "local_tid")
 
-    def __init__(self, rec, local_tid, kernel, thread, body, cpu) -> None:
-        super().__init__(kernel, thread, body, cpu)
+    def __init__(self, rec, local_tid, kernel, thread, body) -> None:
+        super().__init__(kernel, thread, body)
         self.rec = rec
         self.local_tid = local_tid
 
@@ -288,9 +288,7 @@ def record_program(
     start = kernel.engine.now
     processes = [
         RecordingThreadProcess(
-            rec, rec.add_thread(), kernel, spec.thread, spec.body,
-            _cpu_resource(kernel, spec.thread.processor),
-        )
+            rec, rec.add_thread(), kernel, spec.thread, spec.body)
         for spec in api.thread_specs
     ]
     # install the fire hook only now: setup-time fires are part of each

@@ -65,7 +65,7 @@ from ..core.instrumentation import MemoryReport
 from ..kernel.kernel import Kernel
 from ..machine.pmap import Rights
 from ..point import point_kernel
-from ..runtime.executor import ThreadProcess, _cpu_resource
+from ..runtime.executor import ThreadProcess
 from ..runtime.ops import Compute, GetTime, Migrate, WaitNewer
 from ..runtime.run import run_threads
 from ..runtime.sync import Broadcast
@@ -268,8 +268,8 @@ class ReplayThreadProcess(ThreadProcess):
 
     __slots__ = ("ops", "channels")
 
-    def __init__(self, kernel, thread, cpu, decoded, channels) -> None:
-        super().__init__(kernel, thread, None, cpu)
+    def __init__(self, kernel, thread, decoded, channels) -> None:
+        super().__init__(kernel, thread, None)
         self.ops = decoded
         self.channels = channels
         self.gen = self._cursor()
@@ -336,9 +336,9 @@ class FastReplayThreadProcess(ReplayThreadProcess):
     )
 
     def __init__(
-        self, kernel, thread, cpu, decoded, channels, slots
+        self, kernel, thread, decoded, channels, slots
     ) -> None:
-        super().__init__(kernel, thread, cpu, decoded, channels)
+        super().__init__(kernel, thread, decoded, channels)
         self._code = slots.code
         self._vpage = slots.vpage
         self._wcum = slots.wcum
@@ -421,7 +421,7 @@ class FastReplayThreadProcess(ReplayThreadProcess):
                 t_mod, _t_sw, t_local, _t_rr, _t_rw = self._consts
                 extra_local = max(t_local - t_mod, 0)
                 ops = self.ops
-                dests = self._dests[proc]
+                dests = self.rows[proc].dests
                 rw = rww = 0
                 for s, mi in remote:
                     op = ops[s]
@@ -634,16 +634,13 @@ def replay_trace(
             bundle._slots = [_SlotTable(d) for d in decoded_streams]
         processes = [
             FastReplayThreadProcess(
-                kernel, thread, _cpu_resource(kernel, thread.processor),
-                decoded, channels, slots)
+                kernel, thread, decoded, channels, slots)
             for thread, decoded, slots in zip(
                 threads, decoded_streams, bundle._slots)
         ]
     else:
         processes = [
-            ReplayThreadProcess(
-                kernel, thread, _cpu_resource(kernel, thread.processor),
-                decoded, channels)
+            ReplayThreadProcess(kernel, thread, decoded, channels)
             for thread, decoded in zip(threads, decoded_streams)
         ]
 

@@ -9,9 +9,12 @@ one frame; a machine supplies only the cost table.  PLATINUM's
 each translated by the processor's MMU (faulting into the PLATINUM fault
 path if needed) and costed through the machine's contention model in a
 single simulation event, while the real data moves between page frames.
-A per-processor ``cpu`` resource serializes threads that share a
-processor, and interprocessor-interrupt penalties accumulated by
-shootdowns are paid at the start of the next operation.
+What the op path knows about a processor it reads from the machine's
+row of that processor (:class:`~repro.machine.interrupts.ProcessorState`),
+indexed by ``thread.processor`` at each op: ``busy_until`` serializes
+the threads that share it, the interrupt penalty accumulated by
+shootdowns is paid at the start of its next operation, and ``dests``
+holds its costing constants.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from ..machine.memory import WORD_DTYPE
 from ..machine.pmap import PmapEntry
 from ..sim.engine import Engine, SimulationError
 from ..sim.process import Delay, Op, Process, WaitFor
-from ..sim.resource import FifoResource
 from . import ops
 
 
@@ -59,24 +61,22 @@ def write_words(value: Any) -> np.ndarray:
 
 class OpProcess(Process):
     """Runs one thread's generator in simulated time, on any machine:
-    ``_ipis`` are the machine's per-processor interrupt states, and a
-    subclass prices ops with its ``_COSTS`` and may extend ``_HANDLERS``.
+    ``rows`` are the machine's per-processor states, and a subclass
+    prices ops with its ``_COSTS`` and may extend ``_HANDLERS``.
     """
 
-    __slots__ = ("thread", "cpu", "_ipis", "_costs")
+    __slots__ = ("thread", "rows", "_costs")
 
     def __init__(
         self,
         engine: Engine,
         thread: Thread,
         body: Generator[Op, Any, Any],
-        cpu: FifoResource,
-        ipis: list,
+        rows: list,
     ) -> None:
         super().__init__(engine, body, name=thread.name)
         self.thread = thread
-        self.cpu = cpu
-        self._ipis = ipis
+        self.rows = rows
         self._costs = self._COSTS  # a slot: the fused _wake reads it
 
     # -- operation dispatch -------------------------------------------------
@@ -113,26 +113,25 @@ class OpProcess(Process):
             return
         engine = self.engine  # _begin, in place
         now = engine._now
-        cpu = self.cpu
-        busy = cpu.busy_until
+        row = self.rows[self.thread.processor]
+        busy = row.busy_until
         start = now if now > busy else busy
-        st = self._ipis[self.thread.processor]
-        penalty = st.pending_penalty
+        penalty = row.pending_penalty
         if penalty:
-            st.pending_penalty = 0
+            row.pending_penalty = 0
             start += penalty
         try:
             end, value = cost(self, op, start)
         except Exception as exc:  # noqa: BLE001 - as _run does
             if cost is OpProcess._cost_compute:
-                st.pending_penalty += penalty  # it never started
+                row.pending_penalty += penalty  # it never started
             self._throw(exc)
             return
-        # _commit, in place
+        # _commit, in place: no cost in the table moves the thread
         if end < now:
             end = now
-        if end > cpu.busy_until:
-            cpu.busy_until = end
+        if end > row.busy_until:
+            row.busy_until = end
         if (
             end > now
             and engine._tie_rng is None
@@ -168,43 +167,44 @@ class OpProcess(Process):
         """``_begin``, ``cost(self, op, start) -> (end, value)``, then
         ``_commit``.  An invalid ``Compute`` leaves the penalty pending;
         any other error is raised after the penalty is taken."""
-        st = self._ipis[self.thread.processor]
-        penalty = st.pending_penalty
+        row = self.rows[self.thread.processor]
+        penalty = row.pending_penalty
         start = self._begin()
         try:
             end, value = cost(self, op, start)
         except ExecutionError:
             if cost is OpProcess._cost_compute:
-                st.pending_penalty += penalty
+                row.pending_penalty += penalty
             raise
         self._commit(end, value)
 
     # -- timing helpers --------------------------------------------------------
 
     def _begin(self) -> int:
-        """Start time of the next op: after CPU availability and any
-        pending interrupt penalty, which this takes (and clears)."""
+        """Start time of the next op: after the thread's processor is
+        free and any pending interrupt penalty, which this takes (and
+        clears)."""
         now = self.engine._now
-        busy = self.cpu.busy_until
+        row = self.rows[self.thread.processor]
+        busy = row.busy_until
         start = now if now > busy else busy
-        st = self._ipis[self.thread.processor]
-        penalty = st.pending_penalty
+        penalty = row.pending_penalty
         if penalty:
-            st.pending_penalty = 0
+            row.pending_penalty = 0
         return start + penalty
 
     def _commit(self, end: int, value: Any = None) -> None:
-        """Occupy ``self.cpu`` until ``end``, then resume with ``value``
-        (one ``_wake`` event).  A future wake-up with ties unperturbed is
-        pushed here as ``Engine.schedule_at``, the reference, would push
-        it (tests/test_engine_loop.py)."""
+        """Occupy the thread's processor until ``end``, then resume with
+        ``value`` (one ``_wake`` event).  A future wake-up with ties
+        unperturbed is pushed here as ``Engine.schedule_at``, the
+        reference, would push it (tests/test_engine_loop.py)."""
         engine = self.engine
         now = engine._now
         if end < now:
             end = now
-        cpu = self.cpu
-        if end > cpu.busy_until:
-            cpu.busy_until = end
+        row = self.rows[self.thread.processor]
+        if end > row.busy_until:
+            row.busy_until = end
         if (
             end > now
             and engine._tie_rng is None
@@ -249,16 +249,15 @@ class OpProcess(Process):
 class ThreadProcess(OpProcess):
     """Runs one user thread's generator on a PLATINUM kernel."""
 
-    __slots__ = ("kernel", "_consts", "_wpp", "_dests")
+    __slots__ = ("kernel", "_consts", "_wpp")
 
     def __init__(
         self,
         kernel: Kernel,
         thread: Thread,
         body: Generator[Op, Any, Any],
-        cpu: FifoResource,
     ) -> None:
-        super().__init__(kernel.engine, thread, body, cpu,
+        super().__init__(kernel.engine, thread, body,
                          kernel.machine.interrupts.state)
         self.kernel = kernel
         # immutable machine constants, hoisted out of the per-op path
@@ -268,10 +267,6 @@ class ThreadProcess(OpProcess):
             p.t_remote_read, p.t_remote_write,
         )
         self._wpp = p.words_per_page
-        # _destination's tables: one row per processor the thread may
-        # run on, so a migration needs no invalidation
-        n_modules = len(kernel.machine.modules)
-        self._dests = [[None] * n_modules for _ in range(p.n_processors)]
         self.on_finish(lambda _p: self.kernel.threads.exit(self.thread))
 
     # -- memory access -------------------------------------------------------------
@@ -291,10 +286,10 @@ class ThreadProcess(OpProcess):
         ``translate`` itself, which flushes it and faults.  The costing:
         one block for every reference, ``Machine.access`` +
         ``FifoResource.occupy`` spelled inline over the constants of the
-        destination module (``_destination``).  ``MMU.translate`` and
-        ``Machine.access`` stay the reference spelling; the differential
-        test in tests/test_cost_run.py holds this one to the same
-        arithmetic and the same counters.
+        destination module (the row's ``dests``, ``_destination``).
+        ``MMU.translate`` and ``Machine.access`` stay the reference
+        spelling; the differential test in tests/test_cost_run.py holds
+        this one to the same arithmetic and the same counters.
         """
         kernel = self.kernel
         machine = kernel.machine
@@ -349,7 +344,7 @@ class ThreadProcess(OpProcess):
         if n <= 0:
             raise ValueError(f"access of {n} words")
         dst = entry.frame.module_index
-        cost = self._dests[proc][dst]
+        cost = self.rows[proc].dests[dst]
         if cost is None:
             cost = self._destination(proc, dst)
         module, bus, t_module, route, per_word, extra_read, extra_write, \
@@ -401,7 +396,8 @@ class ThreadProcess(OpProcess):
 
     def _destination(self, proc: int, dst: int) -> tuple:
         """The constants ``_cost_run`` costs a reference from processor
-        ``proc`` to memory module ``dst`` with, built on first use:
+        ``proc`` to memory module ``dst`` with, built on first use and
+        kept in ``proc``'s row, where every thread on it finds them:
         ``(module, bus, t_module, route, service per word, extra per
         word read, extra per word written, remote)``.  ``remote`` is its
         own flag: the uniform topology's remote routes are empty.  The
@@ -423,7 +419,7 @@ class ThreadProcess(OpProcess):
             extra_read = extra_write = max(t_local - t_module, 0)
         cost = (module, module.bus, t_module, route, per_word, extra_read,
                 extra_write, remote)
-        self._dests[proc][dst] = cost
+        self.rows[proc].dests[dst] = cost
         return cost
 
     def _split_runs(self, va: int, n: int) -> list[tuple[int, int, int]]:
@@ -475,14 +471,20 @@ class ThreadProcess(OpProcess):
         return t, None
 
     def _cost_test_and_set(self, op: ops.TestAndSet, start: int) -> tuple:
-        vpage, i = divmod(op.va, self._wpp)
+        va = op.va
+        if va < 0:  # check_access's rule, without its call
+            raise ExecutionError(f"negative address {va}")
+        vpage, i = divmod(va, self._wpp)
         t, entry = self._cost_run(vpage, 1, True, start)
         old = int(entry.frame.data[i])
         entry.frame.data[i] = op.value
         return t, old
 
     def _cost_fetch_add(self, op: ops.FetchAdd, start: int) -> tuple:
-        vpage, i = divmod(op.va, self._wpp)
+        va = op.va
+        if va < 0:  # check_access's rule, without its call
+            raise ExecutionError(f"negative address {va}")
+        vpage, i = divmod(va, self._wpp)
         t, entry = self._cost_run(vpage, 1, True, start)
         entry.frame.data[i] += op.delta
         return t, int(entry.frame.data[i])
@@ -495,10 +497,9 @@ class ThreadProcess(OpProcess):
     # -- thread migration and ports -------------------------------------------
 
     def _do_migrate(self, op: ops.Migrate) -> None:
+        # starts on the old processor's row, commits on the new one's
         start = self._begin()
         cost = self.kernel.threads.migrate(self.thread, op.processor)
-        # after migration the thread competes for the new processor
-        self.cpu = _cpu_resource(self.kernel, op.processor)
         self._commit(start + cost)
 
     def _do_recv(self, op: ops.RecvPort) -> None:
@@ -523,18 +524,10 @@ class ThreadProcess(OpProcess):
         ops.FetchAdd: _cost_fetch_add,
         ops.SendPort: _cost_send,
     }
-    #: ``Migrate`` switches ``self.cpu`` before it commits
+    #: ``Migrate`` moves the thread between its start and its commit
     _HANDLERS = {
         **OpProcess._HANDLERS,
         ops.Migrate: _do_migrate,
         ops.RecvPort: _do_recv,
     }
 
-
-def _cpu_resource(kernel: Kernel, processor: int) -> FifoResource:
-    """The kernel's cpu resource of ``processor``, created on first use."""
-    res = kernel.cpu_resources.get(processor)
-    if res is None:
-        res = FifoResource(f"cpu[{processor}]")
-        kernel.cpu_resources[processor] = res
-    return res

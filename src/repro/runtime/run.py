@@ -15,7 +15,7 @@ from ..core.instrumentation import MemoryReport
 from ..policy.base import ReplicationPolicy
 from ..kernel.kernel import Kernel
 from ..machine.params import MachineParams
-from .executor import ThreadProcess, _cpu_resource
+from .executor import ThreadProcess
 from .program import Program, ProgramAPI
 
 
@@ -53,12 +53,13 @@ def run_threads(
 
     The one thread driver: live runs, recording runs, replays and the
     Sequent baseline all come through here; ``kernel`` is read only for
-    its ``engine``.  A crash re-raises as ``ProcessCrashed``; a
-    stall or a thread that never finished raises ``error``, named
-    after ``name``.  ``stall_limit_ns`` bounds how long (in simulated
-    time) the run may go with every thread suspended and only daemon
-    activity in the event queue -- a deadlocked program is reported
-    instead of spinning on defrost ticks forever.
+    its ``engine``, and a process's processor only through its row
+    (``p.rows[p.thread.processor]``).  A crash re-raises as
+    ``ProcessCrashed``; a stall or a thread that never finished raises
+    ``error``, named after ``name``.  ``stall_limit_ns`` bounds how
+    long (in simulated time) the run may go with every thread suspended
+    and only daemon activity in the event queue -- a deadlocked program
+    is reported instead of spinning on defrost ticks forever.
     """
     engine = kernel.engine
     done = not processes
@@ -88,7 +89,8 @@ def run_threads(
             break
         if max_events is not None:
             max_events -= executed
-        busy = max(p.cpu.busy_until for p in processes)
+        busy = max(p.rows[p.thread.processor].busy_until
+                   for p in processes)
         if busy <= last_activity:
             raise error(
                 f"{name}: no thread progress for "
@@ -124,10 +126,7 @@ def run_program(
         raise ValueError(f"{program.name}: setup spawned no threads")
     start = kernel.engine.now
     processes = [
-        ThreadProcess(
-            kernel, spec.thread, spec.body,
-            _cpu_resource(kernel, spec.thread.processor),
-        )
+        ThreadProcess(kernel, spec.thread, spec.body)
         for spec in api.thread_specs
     ]
     results = run_threads(

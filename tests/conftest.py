@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import faulthandler
+import os
+import sys
 from dataclasses import dataclass
 
 import pytest
@@ -163,3 +166,52 @@ def _suite_invariant_checking(request, monkeypatch):
     if request.config.getoption("--check-invariants"):
         _patch_invariant_install(monkeypatch)
     yield
+
+
+# -- a watchdog for hung tests ------------------------------------------------
+
+#: seconds one phase of a test (set-up, call, teardown) may take before
+#: the watchdog prints every thread's stack and ends the run, so a hang
+#: fails with a traceback instead of holding the job.  The slowest test
+#: takes about 2 s (15 s under --check-invariants): only a hang gets
+#: near it.
+WATCHDOG_S = 120
+
+_WATCHDOG_FD = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # the session's stderr, taken before any test captures it: a dump
+    # into a test's captured output would be lost with the process
+    config.stash[_WATCHDOG_FD] = os.dup(sys.stderr.fileno())
+
+
+def pytest_unconfigure(config):
+    os.close(config.stash[_WATCHDOG_FD])
+
+
+def _watched(item):
+    """Arm the watchdog around one phase of ``item``.  Each phase arms
+    it anew: pytest's own faulthandler plugin cancels it when a phase
+    fails, which would leave that test's teardown unwatched."""
+    faulthandler.dump_traceback_later(
+        WATCHDOG_S, exit=True, file=item.config.stash[_WATCHDOG_FD])
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_setup(item):
+    yield from _watched(item)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    yield from _watched(item)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_teardown(item, nextitem):
+    yield from _watched(item)

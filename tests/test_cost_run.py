@@ -29,11 +29,7 @@ from repro.machine.pmap import Rights
 from repro.policy.fixed import NeverCachePolicy, TimestampFreezePolicy
 from repro.profile import AccessProbe
 from repro.runtime import ops
-from repro.runtime.executor import (
-    ExecutionError,
-    ThreadProcess,
-    _cpu_resource,
-)
+from repro.runtime.executor import ExecutionError, ThreadProcess
 
 N_PROCESSORS = 5  # more than one switch: remote routes have two hops
 N_PAGES = 5
@@ -84,7 +80,7 @@ def build(policy: str, topology: str = "butterfly",
     threads = [
         ThreadProcess(
             kernel, kernel.threads.spawn(aspace.asid, p, name=f"t{p}"),
-            None, _cpu_resource(kernel, p),
+            None,
         )
         for p in range(N_PROCESSORS)
     ]
@@ -392,12 +388,9 @@ def timing_process(now: int, busy: int, op=None) -> tuple[ThreadProcess, list]:
 
     gen = body()
     next(gen)
-    process = ThreadProcess(
-        kernel, kernel.threads.spawn(aspace.asid, 1), gen,
-        _cpu_resource(kernel, 1),
-    )
+    process = ThreadProcess(kernel, kernel.threads.spawn(aspace.asid, 1), gen)
     kernel.engine.run(until=now)  # empty queue: only moves the clock
-    process.cpu.busy_until = busy
+    process.rows[1].busy_until = busy
     return process, resumed
 
 
@@ -426,7 +419,7 @@ def test_commit_is_the_reference_formula(now, busy, end, value):
     process._commit(end, value)
     expected = max(end, now)
     assert engine.pending_events == 1  # one wake-up, at `expected` below
-    assert process.cpu.busy_until == max(busy, expected)
+    assert process.rows[1].busy_until == max(busy, expected)
     engine.run()
     assert resumed == [(expected, value)]
     assert process._wake_value is None  # the slot is emptied on wake-up
@@ -482,10 +475,7 @@ def test_only_an_invalid_compute_leaves_the_penalty_pending(bad, keeps):
 
     gen = body()
     next(gen)
-    process = ThreadProcess(
-        kernel, kernel.threads.spawn(aspace.asid, 1), gen,
-        _cpu_resource(kernel, 1),
-    )
+    process = ThreadProcess(kernel, kernel.threads.spawn(aspace.asid, 1), gen)
     kernel.engine.run(until=1_000)
     kernel.machine.interrupts.charge(1, 500)
     process._wake()

@@ -52,10 +52,10 @@ from repro.runtime import (
     WaitNewer,
     Write,
 )
-from repro.runtime.executor import OpProcess, _cpu_resource
+from repro.machine.interrupts import ProcessorState
+from repro.runtime.executor import OpProcess
 from repro.sim import Engine, SimulationError
 from repro.sim.process import Delay, Op, Process, ProcessCrashed, WaitFor
-from repro.sim.resource import FifoResource
 from repro.sim.sync import SimEvent
 from repro.telemetry import SimTimeSampler
 from repro.workloads.generate import bench_spec_for, run_spec
@@ -409,7 +409,7 @@ def observe(monkeypatch, cls, body, other=None, ties=None) -> tuple:
              for e in kernel.tracer.events]
     interrupts = [(s.pending_penalty, s.ipis_received, s.ipis_sent)
                   for s in kernel.machine.interrupts.state]
-    cpus = {p: r.busy_until for p, r in kernel.cpu_resources.items()}
+    cpus = [s.busy_until for s in kernel.machine.interrupts.state]
     return (outcome, engine.now, engine.events_executed,
             engine.pending_events, trace, interrupts, cpus,
             kernel.report())
@@ -442,7 +442,7 @@ def observe_sequent(monkeypatch, cls, body, other=None) -> tuple:
         outcome = ("crashed", str(crash), type(cause).__name__, str(cause))
     (machine,) = machine
     engine, bus = machine.engine, machine.bus
-    cpus = {p.thread.processor: p.cpu.busy_until for p in processes}
+    cpus = [s.busy_until for s in machine.interrupt_states]
     counters = (bus.reads, bus.writes, bus.bus.busy_until,
                 bus.bus.busy_time, bus.bus.wait_time, bus.bus.requests)
     return (outcome, engine.now, engine.events_executed,
@@ -531,9 +531,9 @@ def test_an_op_subclass_runs_as_its_base_through_interpret(monkeypatch):
 
 
 def test_migrate_occupies_the_new_processors_cpu(monkeypatch):
-    """``Migrate`` keeps its handler: it switches the thread's cpu
-    before it commits, so the move and what follows occupy the new
-    processor's cpu, and the old one is left as it was."""
+    """``Migrate`` keeps its handler: it moves the thread between its
+    start and its commit, so the move and what follows occupy the new
+    processor's row, and the old one is left as it was."""
     def body(prog, env):
         yield Compute(500)
         yield Migrate(1)
@@ -544,8 +544,33 @@ def test_migrate_occupies_the_new_processors_cpu(monkeypatch):
     outcome, now, *_rest, cpus, _report = observe(
         monkeypatch, ThreadProcess, body)
     (_status, (moved,)) = outcome
-    assert cpus == {0: 500, 1: now}
+    assert cpus == [500, now]
     assert moved > 500 and now == moved + 700
+
+
+def mover(prog, env):
+    """Moved by the kernel from inside its body, behind the executor."""
+    yield Compute(1_000)
+    env.kernel.threads.migrate(env.thread, 1)
+    yield Compute(500)
+    return (yield GetTime())
+
+
+def sitter(prog, env):
+    yield Compute(2_000)
+
+
+@pytest.mark.parametrize("cls", [ThreadProcess, ReferenceThreadProcess])
+def test_a_thread_moved_in_its_body_occupies_its_new_processor(
+        monkeypatch, cls):
+    """The op path reads the row of ``thread.processor`` at each op, so
+    a thread the kernel moves between two of its ops waits for the
+    thread already on its new processor, and leaves its old row as its
+    last op there left it."""
+    outcome, now, *_rest, cpus, _report = observe(
+        monkeypatch, cls, mover, sitter)
+    assert outcome == ("ok", [2_500, None])
+    assert cpus == [1_000, 2_500] and now == 2_500
 
 
 def test_a_finished_thread_is_not_woken_again():
@@ -554,8 +579,7 @@ def test_a_finished_thread_is_not_woken_again():
     api = ProgramAPI(kernel)
     Scripted(stop_iteration_at_once).setup(api)
     (spec,) = api.thread_specs
-    proc = ThreadProcess(kernel, spec.thread, spec.body,
-                         _cpu_resource(kernel, 0))
+    proc = ThreadProcess(kernel, spec.thread, spec.body)
     proc.start()
     kernel.engine.run()
     assert proc.result == "before any op"
@@ -590,8 +614,9 @@ def test_commit_pushes_as_schedule_at_would(now, queued, ties, end, seed):
         assert engine._no_fast_before == now + max(queued) + 1
     end += now
     waker = lambda: None  # noqa: E731
-    proc = types.SimpleNamespace(engine=engine, cpu=FifoResource("cpu"),
-                                 _wake=waker, _wake_value=None)
+    proc = types.SimpleNamespace(
+        engine=engine, thread=types.SimpleNamespace(processor=0),
+        rows=[ProcessorState()], _wake=waker, _wake_value=None)
     before = engine_state(engine)
     rng_state = None if engine._tie_rng is None else \
         engine._tie_rng.getstate()
@@ -607,7 +632,7 @@ def test_commit_pushes_as_schedule_at_would(now, queued, ties, end, seed):
         engine._tie_rng.setstate(rng_state)
     engine.schedule_at(max(end, now), waker)
     assert inline == engine_state(engine)
-    assert proc.cpu.busy_until == max(end, now, 0)
+    assert proc.rows[0].busy_until == max(end, now, 0)
     assert proc._wake_value == "value"
 
 

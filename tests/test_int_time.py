@@ -45,12 +45,12 @@ def times_kept(kernel):
     yield "engine.now", kernel.engine.now
     resources = [m.bus for m in machine.modules]
     resources += machine.topology.all_resources()
-    resources += kernel.cpu_resources.values()
     for res in resources:
         for field in ("busy_until", "busy_time", "wait_time"):
             yield f"{res.name}.{field}", getattr(res, field)
-    for i, state in enumerate(machine.interrupts.state):
-        yield f"cpu{i}.pending_penalty", state.pending_penalty
+    for i, row in enumerate(machine.interrupts.state):
+        yield f"cpu{i}.busy_until", row.busy_until
+        yield f"cpu{i}.pending_penalty", row.pending_penalty
     for i, delay in enumerate(machine.queue_delay_ns):
         yield f"cpu{i}.queue_delay_ns", delay
     for cpage in kernel.coherent.cpages:

@@ -17,7 +17,7 @@ from repro.runtime import (
     Read,
     Write,
 )
-from repro.runtime.executor import ThreadProcess, _cpu_resource
+from repro.runtime.executor import ThreadProcess
 from repro.runtime.run import run_threads
 from repro.workloads import GaussianElimination, MergeSort
 
@@ -31,10 +31,7 @@ def run_together(kernel, programs, max_events=None):
         program.setup(api)
         apis.append(api)
         for spec in api.thread_specs:
-            cpu = _cpu_resource(kernel, spec.thread.processor)
-            processes.append(
-                ThreadProcess(kernel, spec.thread, spec.body, cpu)
-            )
+            processes.append(ThreadProcess(kernel, spec.thread, spec.body))
     thread_results = run_threads(
         kernel, processes, "+".join(p.name for p in programs), max_events
     )

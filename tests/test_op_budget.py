@@ -50,7 +50,12 @@ live, sharing replay):
   without a helper) and the replay cursor is a generator whose
   ``GetTime`` and channel waits take the executor's handlers: live
   unchanged, replay 5.66 / 11.96 calls (Sequent 95.24 / 133.52), same
-  pushes.
+  pushes;
+* one row per processor (the op path reads ``busy_until``, the penalty
+  and the costing table from ``rows[thread.processor]``; no frame
+  added or taken): 6.30 / 5.66 / 12.82 / 11.96 calls (Sequent 95.24 /
+  133.52), same pushes -- no budget is more than 10 % above its count,
+  so none is lowered.
 
 The budgets are a row's counts plus 10 % -- the Sequent's the last row,
 live and replay the one before, which they still hold: a change that

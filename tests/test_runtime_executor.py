@@ -123,7 +123,8 @@ def test_a_write_of_a_non_integer_crashes_the_thread(value):
 #: ops both machines refuse with the same ExecutionError; the Sequent
 #: used to run them (a negative compute took no time, a negative address
 #: read from the end of memory, an empty read returned nothing) or let a
-#: raw ValueError escape the engine
+#: raw ValueError escape the engine; PLATINUM's atomics called a negative
+#: address a wild access of virtual page -1
 REFUSED = [
     (lambda base: Compute(-5.0), "compute time -5.0 is not in [0, inf)"),
     (lambda base: Compute(float("nan")),
@@ -131,6 +132,8 @@ REFUSED = [
     (lambda base: Read(-3, 2), "negative address -3"),
     (lambda base: Read(base, 0), "access of 0 words at va 0"),
     (lambda base: Write(-2, 5), "negative address -2"),
+    (lambda base: TestAndSet(-1), "negative address -1"),
+    (lambda base: FetchAdd(-4, 1), "negative address -4"),
 ]
 
 #: accesses past the Sequent's flat memory (1 << 22 words at 2

@@ -15,7 +15,7 @@ from repro.runtime import (
     WaitNewer,
 )
 from repro.runtime.run import run_threads
-from repro.sim import FifoResource, SimEvent
+from repro.sim import SimEvent
 
 
 class Trivial(Program):
@@ -163,9 +163,9 @@ def test_drained_queue_names_the_unfinished_threads(front_end, error):
         front_end({"defrost_enabled": False})
 
 
-def test_stall_detector_sees_cpus_the_kernel_does_not_own():
-    """A caller may hand ThreadProcess its own cpu resource; progress on
-    it must still count as progress."""
+def test_stall_detector_counts_a_busy_processor_as_progress():
+    """The stall scan reads each process's processor row: compute that
+    keeps it busy must count as progress."""
     kernel = make_kernel(n_processors=2)
     aspace = kernel.vm.create_address_space()
 
@@ -176,11 +176,11 @@ def test_stall_detector_sees_cpus_the_kernel_does_not_own():
     processes = [
         ThreadProcess(
             kernel, kernel.threads.spawn(aspace.asid, 0, name="busy"),
-            body(), FifoResource("own-cpu"),
+            body(),
         )
     ]
     # 200 ms of compute in 1 ms steps, against a 50 ms stall limit
-    run_threads(kernel, processes, "own-cpu", stall_limit_ns=50e6)
+    run_threads(kernel, processes, "busy-cpu", stall_limit_ns=50e6)
     assert kernel.engine.now == 200e6
 
 
