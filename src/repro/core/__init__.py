@@ -23,7 +23,7 @@ from .cpage import (
     CpageTable,
 )
 from .defrost import DefrostDaemon
-from .fault import CoherentFaultHandler, FaultResult, ProtectionError
+from .fault import CoherentFaultHandler, ProtectionError
 from .instrumentation import CpageReportRow, MemoryReport, build_report
 from ..policy.base import Action, FaultContext, ReplicationPolicy
 from ..policy.fixed import (
@@ -33,7 +33,7 @@ from ..policy.fixed import (
     TimestampFreezePolicy,
 )
 from .protocol import TRANSITIONS, Transition, format_table, lookup
-from .shootdown import ShootdownMechanism, ShootdownResult
+from .shootdown import ShootdownMechanism
 from .trace import EventKind, ProtocolTracer, TraceEvent
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "EventKind",
     "Directive",
     "FaultContext",
-    "FaultResult",
     "MemoryReport",
     "MigrationDaemon",
     "NeverCachePolicy",
@@ -64,7 +63,6 @@ __all__ = [
     "ProtocolTracer",
     "ReplicationPolicy",
     "ShootdownMechanism",
-    "ShootdownResult",
     "TRANSITIONS",
     "TimestampFreezePolicy",
     "TraceEvent",

@@ -62,7 +62,7 @@ class CoherentMemorySystem:
         self.cmaps: dict[int, Cmap] = {}
         self.shootdown = ShootdownMechanism(machine, self.observers)
         self.fault_handler = CoherentFaultHandler(
-            machine, self.shootdown, self.policy, self.observers)
+            machine, self.shootdown, self.policy, self.cmaps, self.observers)
         self.defrost = DefrostDaemon(
             machine, self.shootdown, self.policy, period=defrost_period,
             observers=self.observers,

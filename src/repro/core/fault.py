@@ -15,13 +15,13 @@ All protocol transitions are initiated here.  On a fault the handler:
    sets its bit in the Cmap entry's reference mask.
 
 The handler returns the absolute simulated time at which it completes; the
-faulting processor resumes and retries its access then.
+faulting processor resumes and retries its access then.  What else it did
+is published to the observers (``repro.core.trace``) only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from ..machine.machine import Machine
 from ..machine.memory import Frame, OutOfFramesError
@@ -45,19 +45,6 @@ class ProtectionError(RuntimeError):
     """An access exceeded the rights the virtual memory system granted."""
 
 
-@dataclass(slots=True)
-class FaultResult:
-    """Outcome of one coherent-memory fault."""
-
-    #: absolute simulated time (ns) when the handler finished
-    completion: int
-    #: what the handler did: one of 'fill', 'map_local', 'upgrade',
-    #: 'replicate', 'migrate', 'remote_map', 'collapse'
-    action: str
-    #: time spent queued on the per-Cpage handler lock
-    contention_wait: int
-
-
 class CoherentFaultHandler:
     """Implements the data-coherency protocol of Figure 4."""
 
@@ -66,6 +53,7 @@ class CoherentFaultHandler:
         machine: Machine,
         shootdown: ShootdownMechanism,
         policy: ReplicationPolicy,
+        cmaps: dict[int, Cmap],
         observers: Optional[Observers] = None,
     ) -> None:
         self.machine = machine
@@ -73,30 +61,38 @@ class CoherentFaultHandler:
         self.policy = policy
         #: told of every fault and block transfer (repro.core.trace)
         self.observers = observers if observers is not None else Observers()
+        self.cmaps = cmaps  #: by address space
+        #: the VM layer's ``resolve_fault(aspace_id, vpage) -> CmapEntry``
+        #: for a fault with no Cmap entry (section 3.3); the kernel's
+        self.resolve: Optional[Callable[[int, int], CmapEntry]] = None
         self.fault_count = 0
-        #: the policy consulted by the fault in progress, as
-        #: ``(policy name, action value)``; ``None`` if it was not
-        self.decision: Optional[tuple[str, str]] = None
+        #: the policy's action in the observed fault in progress, if any
+        self.decision: Optional[Action] = None
         # a property of a property; MachineParams is frozen
         self._page_copy_time = machine.params.page_copy_time
 
     # -- entry point -----------------------------------------------------------
 
     def handle(
-        self, proc: int, cmap: Cmap, vpage: int, write: bool, now: int
-    ) -> FaultResult:
-        entry = cmap.entries.get(vpage)
-        if entry is None:
-            raise CoherencyError(
-                f"no Cmap entry for aspace {cmap.aspace_id} vpage {vpage}; "
-                "the virtual memory layer should have resolved this fault"
-            )
+        self, proc: int, aspace_id: int, vpage: int, write: bool, now: int
+    ) -> int:
+        """``Kernel.fault``: handle a fault from ``proc`` and return the
+        completion time (ns).  A page with no Cmap entry is first bound by
+        the virtual memory layer (``resolve``)."""
+        cmap = self.cmaps.get(aspace_id)
+        if cmap is None or (entry := cmap.entries.get(vpage)) is None:
+            if self.resolve is None:
+                raise CoherencyError(f"no Cmap entry for aspace {aspace_id} "
+                                     f"vpage {vpage} and no VM layer")
+            # resolve first: a wild reference must leave no Cmap behind
+            entry = self.resolve(aspace_id, vpage)
+            cmap = self.cmaps[aspace_id]
         # Rights are the ints 0 < 1 < 3: compared, never and-ed (an
         # IntFlag operator costs a microsecond)
         if entry.vm_rights < (3 if write else 1):
             raise ProtectionError(
                 f"cpu{proc} {'write' if write else 'read'} to vpage {vpage} "
-                f"of aspace {cmap.aspace_id} exceeds rights "
+                f"of aspace {aspace_id} exceeds rights "
                 f"{entry.vm_rights.name}"
             )
         cpage = entry.cpage
@@ -116,7 +112,6 @@ class CoherentFaultHandler:
         # replication of the same page is the source memory bus, the
         # "serialization in hardware" section 5.1 observes on pivot pages.
         p = self.machine.params
-        eid = observers.new_eid() if observers.tracing else None
         wait = cpage.handler_busy_until - now
         if wait < 0:
             wait = 0
@@ -130,7 +125,13 @@ class CoherentFaultHandler:
             else p.fault_fixed_remote
         )
         local = self.machine.ipts[proc].find_local_copy(cpage.index)
-        state_before = cpage.state
+        if not observers:
+            t, _action = (self._handle_write if write else self._handle_read)(
+                proc, cmap, entry, cpage, local, start + fixed, now, None)
+            stats.handler_busy_ns += t - start
+            return t
+        eid = observers.new_eid() if observers.tracing else None
+        state_before = cpage.state  # taken only for an observer
         frozen_before = cpage.frozen
         last_inval_before = cpage.last_invalidation
         self.decision = None
@@ -143,12 +144,16 @@ class CoherentFaultHandler:
         finally:
             # also when the handler raised (out of frames): the fault was
             # taken, and is published with no action
+            decision = self.decision
+            if decision is not None:
+                # _value_, not the .value property: that is two more calls
+                decision = (self.policy.name, decision._value_)
             for observer in observers:
                 observer.fault(
                     now, cpage, proc, write, eid, action, t, wait, fixed,
                     state_before, frozen_before, last_inval_before,
-                    self.decision)
-        return FaultResult(t, action, wait)
+                    decision)
+        return t
 
     # -- read faults -------------------------------------------------------------
 
@@ -178,18 +183,16 @@ class CoherentFaultHandler:
         # a FaultContext without the namedtuple's Python __new__ frame
         action = self.policy.decide(
             tuple.__new__(FaultContext, (cpage, proc, now, False)))
-        # _value_, not the .value property: that is two more calls
-        self.decision = (self.policy.name, action._value_)
+        self.decision = action
         if action is _CACHE:
-            new_frame = self._try_allocate(proc, cpage)
+            new_frame = self.machine.ipts[proc].allocate_for(cpage.index)
             if new_frame is not None:
                 if cpage.state is _MODIFIED:
                     # restrict the write mapping(s) to read-only first
-                    res = self.shootdown.shoot_cpage(
+                    t += self.shootdown.shoot_cpage(
                         cpage, _RESTRICT, proc, t,
                         rights=_READ, cause=cause,
                     )
-                    t += res.initiator_cost
                     cpage.has_write_mapping = False
                     cpage.recompute_state()
                 t = self._copy_page(cpage, new_frame, t, cause)
@@ -244,9 +247,9 @@ class CoherentFaultHandler:
 
         action = self.policy.decide(
             tuple.__new__(FaultContext, (cpage, proc, now, True)))
-        self.decision = (self.policy.name, action._value_)
+        self.decision = action
         if action is _CACHE:
-            new_frame = self._try_allocate(proc, cpage)
+            new_frame = self.machine.ipts[proc].allocate_for(cpage.index)
             if new_frame is not None:
                 t = self._copy_page(cpage, new_frame, t, cause)
                 t = self._collapse(cpage, set(cpage.frames), proc, t, cause)
@@ -281,11 +284,10 @@ class CoherentFaultHandler:
         """
         if not modules:
             return t
-        res = self.shootdown.shoot_cpage(
+        t += self.shootdown.shoot_cpage(
             cpage, _INVALIDATE, proc, t, modules=modules,
             cause=cause,
         )
-        t += res.initiator_cost
         ipts = self.machine.ipts
         page_free = self.machine.params.page_free
         for module in sorted(modules):
@@ -322,12 +324,6 @@ class CoherentFaultHandler:
                               end, cause)
         return end
 
-    def _try_allocate(self, proc: int, cpage: Cpage) -> Frame | None:
-        try:
-            return self.machine.ipts[proc].allocate_for(cpage.index)
-        except OutOfFramesError:
-            return None
-
     def _first_touch(self, proc: int, cpage: Cpage) -> tuple[Frame, bool]:
         """The first copy of an empty Cpage, holding its initial data and
         entered in the directory: on the faulting node, or -- that module
@@ -336,11 +332,13 @@ class CoherentFaultHandler:
         both nodes (static-placement baselines).
         """
         placed = cpage.placement_module
-        frame = self._try_allocate(proc if placed is None else placed, cpage)
+        ipts = self.machine.ipts
+        frame = ipts[proc if placed is None else placed].allocate_for(
+            cpage.index)
         at_home = frame is None
         if at_home:
-            frame = self._try_allocate(
-                cpage.home_module if placed is None else placed, cpage)
+            frame = ipts[cpage.home_module if placed is None
+                         else placed].allocate_for(cpage.index)
             if frame is None:
                 raise OutOfFramesError(
                     f"no frames for initial fill of {cpage!r}")

@@ -17,7 +17,6 @@ to it as a pending penalty (see ``repro.machine.interrupts``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..machine.machine import Machine
@@ -28,24 +27,6 @@ from .trace import Observers
 
 #: bound once: a member load through the Enum class costs ~13 global loads
 _INVALIDATE = Directive.INVALIDATE
-
-
-@dataclass(slots=True)
-class ShootdownResult:
-    """Accounting for one shootdown operation."""
-
-    #: time the initiator spent synchronizing with targets (ns)
-    initiator_cost: int
-    #: processors interrupted (address space active)
-    interrupted: list[int]
-    #: processors whose update was deferred to address-space activation
-    deferred: list[int]
-    #: messages posted to Cmap queues
-    messages_posted: int
-
-    @property
-    def n_targets(self) -> int:
-        return len(self.interrupted) + len(self.deferred)
 
 
 class ShootdownMechanism:
@@ -61,6 +42,8 @@ class ShootdownMechanism:
         self.shootdowns = 0
         self.total_interrupted = 0
         self.total_deferred = 0
+        p = machine.params  # the initiator's cost of interrupts (section 4)
+        self._first, self._per_cpu = p.shootdown_first, p.shootdown_per_cpu
 
     # -- protocol-driven shootdowns (by Cpage) --------------------------------
 
@@ -73,34 +56,40 @@ class ShootdownMechanism:
         modules: Optional[set[int]] = None,
         rights: Rights = Rights.READ,
         cause: Optional[int] = None,
-    ) -> ShootdownResult:
-        """Apply a mapping change for ``cpage`` in every address space.
+    ) -> int:
+        """Apply a mapping change for ``cpage`` in every address space;
+        returns the time (ns) the initiator spends synchronizing with
+        the processors it interrupted.
 
         ``modules`` limits the change to translations referencing frames on
         those memory modules (used when freeing specific replicas: only
         "translations for the remote physical copies" are invalidated,
         section 3.3).  ``None`` means all translations.
         """
-        interrupted = deferred = posted = 0
+        interrupted = deferred = 0
         hits = []
         for cmap, vpage in cpage.bindings:
             entry = cmap.entries.get(vpage)
             if entry is not None and entry.ref_mask:
-                hit, missed, message = self._shoot_one(
+                hit, missed = self._shoot_one(
                     cmap, entry, directive, rights, initiator, now, modules)
                 interrupted |= hit
                 hits.append(hit)
                 deferred |= missed
-                posted += message
-        result = self._account(interrupted, deferred, posted)
         if directive is _INVALIDATE:
             cpage.stats.invalidations += 1
         else:
             cpage.stats.restrictions += 1
+        n = interrupted.bit_count()
+        cost = self._first + (n - 1) * self._per_cpu if n else 0
+        self.shootdowns += 1
+        self.total_interrupted += n
+        if deferred:
+            self.total_deferred += deferred.bit_count()
         for observer in self.observers:
             observer.shootdown(now, cpage, directive, initiator, cause,
-                               result, hits)
-        return result
+                               cost, interrupted, deferred, hits)
+        return cost
 
     def _shoot_one(
         self,
@@ -111,13 +100,10 @@ class ShootdownMechanism:
         initiator: int,
         now: int,
         modules: Optional[set[int]],
-    ) -> tuple[int, int, int]:
+    ) -> tuple[int, int]:
         """Change one page's translations in one address space: one walk
         of the reference mask's set bits, lowest processor first.
-        Returns the masks of the processors interrupted and deferred,
-        and whether any translation matched (what
-        ``ShootdownResult.messages_posted`` counts, even when the only
-        match is the initiator's own and nothing reaches the Cmap queue).
+        Returns the masks of the processors interrupted and deferred.
 
         A target with the address space active is interrupted and has
         applied (and acknowledged) the change by the time this returns;
@@ -133,7 +119,6 @@ class ShootdownMechanism:
         mmus = machine.mmus
         ipi_state = machine.interrupts.state
         ipi_cost = machine.params.ipi_target_cost
-        found = False
         interrupted = deferred = 0
         mask = entry.ref_mask
         while mask:
@@ -148,7 +133,6 @@ class ShootdownMechanism:
                 if invalidate and modules is None:
                     entry.ref_mask &= ~bit
             elif modules is None or pentry.frame.module_index in modules:
-                found = True
                 if proc != initiator and not active & bit:
                     deferred |= bit  # applied on activation
                 else:
@@ -177,31 +161,7 @@ class ShootdownMechanism:
         elif interrupted:
             cmap.messages_posted += 1  # and retired, inside this call
         cmap.messages_applied += interrupted.bit_count()
-        return interrupted, deferred, found
-
-    def _account(
-        self, interrupted: int, deferred: int, posted: int
-    ) -> ShootdownResult:
-        """What every shootdown ends with: the target masks as sorted
-        lists, the initiator's cost and the totals."""
-        hit: list[int] = []
-        missed: list[int] = []
-        while interrupted:
-            bit = interrupted & -interrupted
-            interrupted ^= bit
-            hit.append(bit.bit_length() - 1)
-        while deferred:
-            bit = deferred & -deferred
-            deferred ^= bit
-            missed.append(bit.bit_length() - 1)
-        cost = 0
-        if hit:
-            p = self.machine.params
-            cost = p.shootdown_first + p.shootdown_per_cpu * (len(hit) - 1)
-        self.shootdowns += 1
-        self.total_interrupted += len(hit)
-        self.total_deferred += len(missed)
-        return ShootdownResult(cost, hit, missed, posted)
+        return interrupted, deferred
 
     # -- address-space activation ----------------------------------------------
 
@@ -235,22 +195,27 @@ class ShootdownMechanism:
         initiator: int,
         now: int,
         rights: Rights = Rights.READ,
-    ) -> ShootdownResult:
+    ) -> int:
         """Restrict/invalidate a set of virtual pages in one address space
-        (used by the virtual memory layer for unmap and protect)."""
-        interrupted = deferred = posted = 0
+        (used by the virtual memory layer for unmap and protect); returns
+        the initiator's cost, as :meth:`shoot_cpage` does."""
+        interrupted = deferred = 0
         hits = []
         for vpage in vpages:
             entry = cmap.entries.get(vpage)
             if entry is not None:
-                hit, missed, message = self._shoot_one(
+                hit, missed = self._shoot_one(
                     cmap, entry, directive, rights, initiator, now, None)
                 interrupted |= hit
                 hits.append(hit)
                 deferred |= missed
-                posted += message
-        result = self._account(interrupted, deferred, posted)
+        n = interrupted.bit_count()
+        cost = self._first + (n - 1) * self._per_cpu if n else 0
+        self.shootdowns += 1
+        self.total_interrupted += n
+        if deferred:
+            self.total_deferred += deferred.bit_count()
         for observer in self.observers:
             observer.shootdown(now, None, directive, initiator, None,
-                               result, hits)
-        return result
+                               cost, interrupted, deferred, hits)
+        return cost

@@ -66,9 +66,9 @@ class Observers(list):
       ``None`` (and ``end`` = ``now``); it is still a fault taken;
     * ``transfer(now, cpage, src, dst, end, cause)`` -- a block transfer,
       mid-fault: the directory is not yet consistent;
-    * ``shootdown(now, cpage, directive, initiator, cause, result,
-      hits)`` -- ``hits`` holds one mask of interrupted processors per
-      binding walked, in walk order; ``cpage`` is ``None`` for a
+    * ``shootdown(now, cpage, directive, initiator, cause, cost,
+      interrupted, deferred, hits)`` -- processor masks, ``hits`` one
+      per binding walked, in walk order; ``cpage`` is ``None`` for a
       virtual-range shootdown (unmap, protect);
     * ``apply_pending(cmap, proc, messages)`` -- queued Cmap messages
       applied on activation;
@@ -275,16 +275,17 @@ class ProtocolTracer:
         self.record(now, EventKind.TRANSFER, cpage.index, None, cause=cause,
                     src=src, dst=dst, dur=end - now)
 
-    def shootdown(self, now, cpage, directive, initiator, cause, result,
-                  hits) -> None:
+    def shootdown(self, now, cpage, directive, initiator, cause, cost,
+                  interrupted, deferred, hits) -> None:
         if cpage is None:
             return  # unmap/protect shootdowns are not traced
+        targets = [p for p in range(interrupted.bit_length())
+                   if interrupted >> p & 1]
         self.record(now, EventKind.SHOOTDOWN, cpage.index, initiator,
                     cause=cause, directive=directive.value,
-                    interrupted=len(result.interrupted),
-                    deferred=len(result.deferred),
-                    cost=result.initiator_cost,
-                    targets=result.interrupted)
+                    interrupted=len(targets),
+                    deferred=deferred.bit_count(),
+                    cost=cost, targets=targets)
 
     def apply_pending(self, cmap, proc, messages) -> None:
         pass  # Cmap-queue applications are not traced

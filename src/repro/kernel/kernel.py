@@ -7,10 +7,10 @@ exposes the fault path the processor execution layer calls.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional
 
 from ..core.coherent_memory import CoherentMemorySystem
-from ..core.fault import FaultResult
 from ..core.instrumentation import MemoryReport
 from ..policy.base import ReplicationPolicy
 from ..machine.machine import Machine
@@ -18,6 +18,14 @@ from ..machine.params import MachineParams
 from .ports import PortNamespace
 from .threads import ThreadManager
 from .vm import VirtualMemorySystem
+
+
+class _Forward(property):
+    """An attribute that is another object's bound method, read through
+    a C getter (no frame); called on the class, it forwards the call."""
+
+    def __call__(self, owner, *args):
+        return self.fget(owner)(*args)
 
 
 class Kernel:
@@ -48,6 +56,7 @@ class Kernel:
             metrics=metrics,
         )
         self.vm = VirtualMemorySystem(self.coherent)
+        self.coherent.fault_handler.resolve = self.vm.resolve_fault
         self.threads = ThreadManager(machine, self.coherent)
         self.ports = PortNamespace(machine)
 
@@ -79,23 +88,10 @@ class Kernel:
 
     # -- the fault path ---------------------------------------------------------
 
-    def fault(
-        self, proc: int, aspace_id: int, vpage: int, write: bool, now: int
-    ) -> FaultResult:
-        """Handle a translation/protection fault from ``proc``.
-
-        If the coherent layer has no Cmap entry (composition-cache miss),
-        the fault is first passed to the virtual memory fault handler,
-        which resolves the binding; then the coherent page fault handler
-        runs (paper section 3.3).
-        """
-        coherent = self.coherent
-        cmap = coherent.cmaps.get(aspace_id)
-        if cmap is None or vpage not in cmap.entries:
-            # resolve first: a wild reference must leave no Cmap behind
-            self.vm.resolve_fault(aspace_id, vpage)
-            cmap = coherent.cmaps[aspace_id]
-        return coherent.fault_handler.handle(proc, cmap, vpage, write, now)
+    #: ``fault(proc, aspace_id, vpage, write, now) -> int``: the fault
+    #: path, :meth:`CoherentFaultHandler.handle` (the VM layer resolves a
+    #: composition-cache miss first, section 3.3); one frame per fault
+    fault = _Forward(attrgetter("coherent.fault_handler.handle"))
 
     # -- reporting ---------------------------------------------------------------
 

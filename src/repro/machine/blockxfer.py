@@ -38,13 +38,25 @@ class BlockTransferEngine:
         self.transfer_count = 0
         self.words_transferred = 0
         self.total_busy_time = 0
+        # per-machine constants: every frame holds one page
+        self._page_words = params.words_per_page
+        self._page_copy_time = params.page_copy_time
+        self._page_occupancy = self._occupancy(self._page_copy_time)
+
+    def _occupancy(self, duration: int) -> int:
+        """An endpoint bus's share of a transfer between two modules."""
+        # the one product of a time with a non-integer factor
+        occupancy = int(round(
+            duration * self.params.block_transfer_bus_fraction))
+        if occupancy < 0:
+            raise ValueError(f"negative duration {occupancy}")
+        return occupancy
 
     def occupy_endpoints(
         self, src_module: int, dst_module: int, now: int, duration: int
     ) -> int:
         """Reserve the endpoint buses for a ``duration``-ns transfer
-        issued at ``now``; returns when it completes.  Page copies and
-        port messages both come through here."""
+        issued at ``now``; returns when it completes (port messages)."""
         src_bus = self.modules[src_module].bus
         if src_module == dst_module:
             # local copy: single bus, full occupancy
@@ -53,11 +65,7 @@ class BlockTransferEngine:
         # fraction of the transfer duration starting together
         dst_bus = self.modules[dst_module].bus
         start = max(now, src_bus.busy_until, dst_bus.busy_until)
-        # the one product of a time with a non-integer factor
-        occupancy = int(round(
-            duration * self.params.block_transfer_bus_fraction))
-        if occupancy < 0:
-            raise ValueError(f"negative duration {occupancy}")
+        occupancy = self._occupancy(duration)
         # FifoResource.occupy(start, occupancy) on a bus that is free at
         # ``start``: nothing waits
         for bus in (src_bus, dst_bus):
@@ -67,19 +75,28 @@ class BlockTransferEngine:
         return start + duration
 
     def transfer_page(self, src: Frame, dst: Frame, now: int) -> int:
-        """Copy ``src``'s data into ``dst``.
-
-        Returns the completion time (absolute ns).  ``now`` is the time the
-        kernel initiates the transfer.
+        """Copy ``src``'s data into ``dst``; returns the completion time
+        (absolute ns) of a transfer the kernel initiates at ``now``.  The
+        buses are reserved as :meth:`occupy_endpoints` reserves them, in
+        place (held to it by tests/test_machine_blockxfer_interrupts.py).
         """
-        words = len(src.data)
-        if words != len(dst.data):
+        words = self._page_words
+        if len(src.data) != words or len(dst.data) != words:
             raise ValueError("frame size mismatch in block transfer")
-        end = self.occupy_endpoints(
-            src.module_index, dst.module_index, now,
-            self.params.t_block_word * words,
-        )
-        if not self.modules[dst.module_index].dataless:
+        src_bus = self.modules[src.module_index].bus
+        dst_module = self.modules[dst.module_index]
+        dst_bus = dst_module.bus
+        if src_bus is dst_bus:  # local copy: single bus, full occupancy
+            end = src_bus.occupy(now, self._page_copy_time)[1]
+        else:
+            start = max(now, src_bus.busy_until, dst_bus.busy_until)
+            occupancy = self._page_occupancy
+            for bus in (src_bus, dst_bus):
+                bus.busy_until = start + occupancy
+                bus.busy_time += occupancy
+                bus.requests += 1
+            end = start + self._page_copy_time
+        if not dst_module.dataless:
             dst.copy_from(src)
         self.transfer_count += 1
         self.words_transferred += words

@@ -175,28 +175,53 @@ class InvertedPageTable:
             raise RuntimeError("inverted page table index out of sync")
         return entry.frame
 
-    def allocate_for(self, cpage_index: int) -> Frame:
-        """Allocate a free local frame and bind it to a coherent page."""
+    def allocate_for(self, cpage_index: int) -> Optional[Frame]:
+        """Allocate a free local frame (zeroed) and bind it to a coherent
+        page; ``None`` when the module is full.  ``MemoryModule.allocate``
+        in place, reading built ``LazyList`` items directly (held to it
+        by tests/test_machine_pmap.py)."""
+        module = self.module
         if cpage_index in self._by_cpage:
             raise RuntimeError(
-                f"module {self.module.index} already backs cpage "
-                f"{cpage_index}"
-            )
-        frame = self.module.allocate()
-        entry = self._entries[frame.frame_index]
+                f"module {module.index} already backs cpage {cpage_index}")
+        if not module._free:
+            return None
+        index = module._free.pop()
+        built = module.frames._items[index] is None
+        entry = self._entries._items[index]
+        if entry is None:
+            entry = self._entries[index]  # builds the frame too, if need be
+        frame = entry.frame
+        if frame.allocated:
+            raise RuntimeError(f"free list corrupt: {frame!r} was allocated")
+        frame.allocated = True
+        # a frame built just now is np.zeros already: zero reused ones
+        if not built and not module.dataless:
+            frame.data[:] = 0
+        module.alloc_count += 1
         entry.cpage_index = cpage_index
-        self._by_cpage[cpage_index] = frame.frame_index
+        self._by_cpage[cpage_index] = index
         return frame
 
     def release(self, frame: Frame) -> int:
-        """Free a frame; returns the coherent page it was backing."""
-        entry = self._entries[frame.frame_index]
-        cpage_index = entry.cpage_index
+        """Free a frame; returns the coherent page it was backing.
+        ``MemoryModule.release`` in place."""
+        index = frame.frame_index
+        entry = self._entries._items[index]
+        cpage_index = None if entry is None else entry.cpage_index
         if cpage_index is None:
             raise RuntimeError(f"releasing free frame {frame!r}")
+        module = self.module
+        if frame.module_index != module.index:
+            raise ValueError(
+                f"{frame!r} does not belong to module {module.index}")
+        if not frame.allocated:
+            raise RuntimeError(f"double free of {frame!r}")
         entry.cpage_index = None
         del self._by_cpage[cpage_index]
-        self.module.release(frame)
+        frame.allocated = False
+        module._free.append(index)
+        module.free_count += 1
         return cpage_index
 
     def owner_of(self, frame: Frame) -> Optional[int]:

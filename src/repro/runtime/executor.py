@@ -333,7 +333,7 @@ class ThreadProcess(OpProcess):
                         entries.popitem(last=False)
                     break
                 mmu.faults += 1
-            t = kernel.fault(proc, aspace_id, vpage, write, t).completion
+            t = kernel.fault(proc, aspace_id, vpage, write, t)
             faults += 1
             if faults == 3:
                 raise ExecutionError(

@@ -426,8 +426,8 @@ class ProtocolMetrics:
     def transfer(self, now, cpage, src, dst, end, cause) -> None:
         self._transfers.add(src, dst)
 
-    def shootdown(self, now, cpage, directive, initiator, cause, result,
-                  hits) -> None:
+    def shootdown(self, now, cpage, directive, initiator, cause, cost,
+                  interrupted, deferred, hits) -> None:
         # one IPI per binding, lowest processor first, as they were sent
         ipis = self._ipis
         for mask in hits:
@@ -436,8 +436,8 @@ class ProtocolMetrics:
                 mask ^= bit
                 ipis.add(bit.bit_length() - 1)
         self._shootdowns.add(directive._value_)  # not the property
-        if result.deferred:
-            self._deferred.add(amount=len(result.deferred))
+        if deferred:
+            self._deferred.add(amount=deferred.bit_count())
 
     def apply_pending(self, cmap, proc, messages) -> None:
         pass

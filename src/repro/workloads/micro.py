@@ -53,10 +53,8 @@ class MicroSetup:
         """Fault from ``proc`` on an idle machine; returns latency in ns."""
         self.settle()
         now = self.kernel.engine.now
-        result = self.kernel.fault(
-            proc, self.aspace_id, self.vpage, write, now
-        )
-        return float(result.completion - now)
+        end = self.kernel.fault(proc, self.aspace_id, self.vpage, write, now)
+        return float(end - now)
 
 
 def _setup(

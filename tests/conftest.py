@@ -5,6 +5,7 @@ from __future__ import annotations
 import faulthandler
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import pytest
@@ -17,6 +18,49 @@ from repro.policy.fixed import (
 from repro.kernel.kernel import Kernel
 from repro.machine.params import MachineParams
 from repro.machine.pmap import Rights
+
+
+class ActionLog:
+    """A recording observer (``repro.core.trace.Observers``): what each
+    fault ended in and waited, and each shootdown's cost and target
+    masks, as the protocol published them."""
+
+    def __init__(self) -> None:
+        #: ``(action, end, wait)`` per fault, in order
+        self.faults: list[tuple] = []
+        #: ``(cost, interrupted, deferred, hits)`` per shootdown
+        self.shootdowns: list[tuple] = []
+
+    def fault(self, now, cpage, proc, write, eid, action, end, wait,
+              *rest) -> None:
+        self.faults.append((action, end, wait))
+
+    def shootdown(self, now, cpage, directive, initiator, cause, cost,
+                  interrupted, deferred, hits) -> None:
+        self.shootdowns.append((cost, interrupted, deferred, hits))
+
+    def transfer(self, *args) -> None:
+        pass
+
+    apply_pending = thaw = defrost_run = transfer
+
+
+@contextmanager
+def observing(kernel: Kernel):
+    """An :class:`ActionLog` on the kernel's observer list for the
+    block: only then does the protocol publish to it."""
+    log = ActionLog()
+    observers = kernel.coherent.observers
+    observers.append(log)
+    try:
+        yield log
+    finally:
+        observers.remove(log)
+
+
+def bits(mask: int) -> list[int]:
+    """The processors of a mask, lowest first."""
+    return [p for p in range(mask.bit_length()) if mask >> p & 1]
 
 
 @dataclass
@@ -41,21 +85,20 @@ class ProtocolHarness:
         engine = self.kernel.engine
         engine.run(until=engine.now + gap_ns)
 
-    def fault(self, proc: int, write: bool, settle: bool = True):
+    def fault(self, proc: int, write: bool, settle: bool = True) -> str:
+        """Fault from ``proc``; returns the action the handler took."""
         if settle:
             self.settle()
         now = self.kernel.engine.now
-        return self.kernel.fault(
-            proc, self.aspace_id, self.vpage, write, now
-        )
+        with observing(self.kernel) as log:
+            self.kernel.fault(proc, self.aspace_id, self.vpage, write, now)
+        return log.faults[-1][0]
 
     def latency(self, proc: int, write: bool) -> float:
         self.settle()
         now = self.kernel.engine.now
-        result = self.kernel.fault(
-            proc, self.aspace_id, self.vpage, write, now
-        )
-        return float(result.completion - now)
+        end = self.kernel.fault(proc, self.aspace_id, self.vpage, write, now)
+        return float(end - now)
 
     def pmap_entry(self, proc: int):
         cmap = self.kernel.coherent.cmaps[self.aspace_id]

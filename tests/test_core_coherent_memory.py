@@ -19,10 +19,10 @@ def system():
 
 
 def fault(system, proc, aspace_id, vpage, write, now):
-    """Deliver a fault the way ``Kernel.fault`` does once the Cmap entry
-    exists: straight to the handler."""
-    return system.fault_handler.handle(
-        proc, system.cmaps[aspace_id], vpage, write, now)
+    """Deliver a fault the way ``Kernel.fault`` does: to the handler,
+    which, with no virtual memory layer to resolve a missing Cmap entry,
+    takes faults only on pages already mapped."""
+    return system.fault_handler.handle(proc, aspace_id, vpage, write, now)
 
 
 def test_cmap_creation_lazy(system):

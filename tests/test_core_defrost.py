@@ -13,8 +13,8 @@ def _freeze_by_interference(harness):
     harness.fault(0, write=True)
     harness.fault(1, write=True)  # migrate: records an invalidation
     # fault again within t1: freeze
-    result = harness.fault(2, write=True, settle=False)
-    assert result.action == "remote_map"
+    action = harness.fault(2, write=True, settle=False)
+    assert action == "remote_map"
     assert harness.cpage.frozen
     return harness
 
@@ -56,8 +56,8 @@ def test_after_thaw_page_can_replicate_again():
     _freeze_by_interference(harness)
     harness.kernel.coherent.defrost.run_once()
     harness.settle(20e6)  # let the t1 window expire
-    result = harness.fault(0, write=False)
-    assert result.action == "replicate"
+    action = harness.fault(0, write=False)
+    assert action == "replicate"
     assert harness.cpage.state is CpageState.PRESENT_PLUS
 
 
@@ -94,7 +94,7 @@ def test_frozen_page_grants_full_rights_to_remote_mapper():
     rights the VM system permits."""
     harness = make_harness(policy="freeze")
     _freeze_by_interference(harness)
-    result = harness.fault(3, write=False, settle=False)
-    assert result.action == "remote_map"
+    action = harness.fault(3, write=False, settle=False)
+    assert action == "remote_map"
     entry = harness.pmap_entry(3)
     assert entry.rights == Rights.WRITE  # full VM rights, not just READ

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import CpageState
 from repro.core.fault import ProtectionError
+from repro.machine.params import MachineParams
 from repro.machine.pmap import Rights
 
 from tests.conftest import make_harness
@@ -14,8 +15,8 @@ from tests.conftest import make_harness
 
 
 def test_empty_read_fill_goes_present1(harness):
-    result = harness.fault(0, write=False)
-    assert result.action == "fill"
+    action = harness.fault(0, write=False)
+    assert action == "fill"
     assert harness.cpage.state is CpageState.PRESENT1
     assert harness.cpage.n_copies == 1
     entry = harness.pmap_entry(0)
@@ -24,8 +25,8 @@ def test_empty_read_fill_goes_present1(harness):
 
 
 def test_empty_write_fill_goes_modified(harness):
-    result = harness.fault(1, write=True)
-    assert result.action == "fill"
+    action = harness.fault(1, write=True)
+    assert action == "fill"
     assert harness.cpage.state is CpageState.MODIFIED
     assert harness.pmap_entry(1).rights == Rights.WRITE
     assert harness.cpage.frames[1].allocated
@@ -52,15 +53,15 @@ def test_fill_installs_backing_data():
 
 def test_read_with_local_copy_just_maps(harness):
     harness.fault(0, write=False)
-    result = harness.fault(0, write=False)
-    assert result.action == "map_local"
+    action = harness.fault(0, write=False)
+    assert action == "map_local"
     assert harness.cpage.state is CpageState.PRESENT1
 
 
 def test_present1_read_replicates_to_present_plus(harness):
     harness.fault(0, write=False)
-    result = harness.fault(1, write=False)
-    assert result.action == "replicate"
+    action = harness.fault(1, write=False)
+    assert action == "replicate"
     assert harness.cpage.state is CpageState.PRESENT_PLUS
     assert set(harness.cpage.frames) == {0, 1}
     assert harness.cpage.stats.replications == 1
@@ -69,8 +70,8 @@ def test_present1_read_replicates_to_present_plus(harness):
 def test_present1_read_remote_maps_under_never_policy():
     harness = make_harness(policy="never")
     harness.fault(0, write=False)
-    result = harness.fault(1, write=False)
-    assert result.action == "remote_map"
+    action = harness.fault(1, write=False)
+    assert action == "remote_map"
     assert harness.cpage.state is CpageState.PRESENT1
     entry = harness.pmap_entry(1)
     assert entry.remote and entry.rights == Rights.READ
@@ -78,8 +79,8 @@ def test_present1_read_remote_maps_under_never_policy():
 
 def test_present1_write_upgrade_by_holder(harness):
     harness.fault(0, write=False)
-    result = harness.fault(0, write=True)
-    assert result.action == "upgrade"
+    action = harness.fault(0, write=True)
+    assert action == "upgrade"
     assert harness.cpage.state is CpageState.MODIFIED
     assert harness.cpage.stats.invalidations == 0  # neither invalidation
     assert harness.machine.xfer.transfer_count == 0  # nor reclamation/copy
@@ -88,8 +89,8 @@ def test_present1_write_upgrade_by_holder(harness):
 
 def test_present1_write_migrates_from_remote_holder(harness):
     harness.fault(0, write=False)
-    result = harness.fault(1, write=True)
-    assert result.action == "migrate"
+    action = harness.fault(1, write=True)
+    assert action == "migrate"
     assert harness.cpage.state is CpageState.MODIFIED
     assert list(harness.cpage.frames) == [1]
     assert harness.cpage.stats.migrations == 1
@@ -101,8 +102,8 @@ def test_present1_write_migrates_from_remote_holder(harness):
 def test_present1_write_remote_maps_under_never_policy():
     harness = make_harness(policy="never")
     harness.fault(0, write=False)
-    result = harness.fault(1, write=True)
-    assert result.action == "remote_map"
+    action = harness.fault(1, write=True)
+    assert action == "remote_map"
     assert harness.cpage.state is CpageState.MODIFIED
     assert list(harness.cpage.frames) == [0]
     entry = harness.pmap_entry(1)
@@ -124,8 +125,8 @@ def _replicated(harness, nodes=(0, 1, 2)):
 
 def test_present_plus_write_with_local_copy_collapses(harness):
     _replicated(harness)
-    result = harness.fault(0, write=True)
-    assert result.action == "collapse"
+    action = harness.fault(0, write=True)
+    assert action == "collapse"
     assert harness.cpage.state is CpageState.MODIFIED
     assert list(harness.cpage.frames) == [0]
     # the other replicas' frames were freed
@@ -140,8 +141,8 @@ def test_present_plus_write_with_local_copy_collapses(harness):
 
 def test_present_plus_write_migrates_to_new_node(harness):
     _replicated(harness, nodes=(0, 1))
-    result = harness.fault(3, write=True)
-    assert result.action == "migrate"
+    action = harness.fault(3, write=True)
+    assert action == "migrate"
     assert list(harness.cpage.frames) == [3]
     assert harness.cpage.state is CpageState.MODIFIED
 
@@ -154,8 +155,8 @@ def test_present_plus_write_remote_map_collapses_to_one():
     harness.kernel.coherent.fault_handler.policy = AlwaysReplicatePolicy()
     _replicated(harness, nodes=(0, 1))
     harness.kernel.coherent.fault_handler.policy = NeverCachePolicy()
-    result = harness.fault(3, write=True)
-    assert result.action == "remote_map"
+    action = harness.fault(3, write=True)
+    assert action == "remote_map"
     assert harness.cpage.state is CpageState.MODIFIED
     assert harness.cpage.n_copies == 1
     assert harness.pmap_entry(3).remote
@@ -176,8 +177,8 @@ def test_replicas_share_identical_data(harness):
 
 def test_modified_read_replication_restricts_writer(harness):
     harness.fault(0, write=True)
-    result = harness.fault(1, write=False)
-    assert result.action == "replicate"
+    action = harness.fault(1, write=False)
+    assert action == "replicate"
     assert harness.cpage.state is CpageState.PRESENT_PLUS
     # the writer's mapping was restricted to read-only, not removed
     entry = harness.pmap_entry(0)
@@ -190,8 +191,8 @@ def test_modified_read_replication_restricts_writer(harness):
 def test_modified_read_remote_map_under_never_policy():
     harness = make_harness(policy="never")
     harness.fault(0, write=True)
-    result = harness.fault(1, write=False)
-    assert result.action == "remote_map"
+    action = harness.fault(1, write=False)
+    assert action == "remote_map"
     assert harness.cpage.state is CpageState.MODIFIED
     assert harness.pmap_entry(0).rights == Rights.WRITE  # untouched
 
@@ -199,8 +200,8 @@ def test_modified_read_remote_map_under_never_policy():
 def test_modified_write_migration_moves_single_copy(harness):
     harness.fault(0, write=True)
     harness.cpage.frames[0].data[:] = 77
-    result = harness.fault(2, write=True)
-    assert result.action == "migrate"
+    action = harness.fault(2, write=True)
+    assert action == "migrate"
     assert list(harness.cpage.frames) == [2]
     assert np.all(harness.cpage.frames[2].data == 77)
     module = harness.machine.modules[0]
@@ -210,8 +211,8 @@ def test_modified_write_migration_moves_single_copy(harness):
 def test_modified_write_remote_map_allows_two_writers():
     harness = make_harness(policy="never")
     harness.fault(0, write=True)
-    result = harness.fault(1, write=True)
-    assert result.action == "remote_map"
+    action = harness.fault(1, write=True)
+    assert action == "remote_map"
     assert harness.pmap_entry(0).rights == Rights.WRITE
     assert harness.pmap_entry(1).rights == Rights.WRITE
     assert harness.cpage.n_copies == 1  # single copy keeps it coherent
@@ -219,8 +220,8 @@ def test_modified_write_remote_map_allows_two_writers():
 
 def test_modified_local_read_by_second_aspace_maps_local(harness):
     harness.fault(0, write=True)
-    result = harness.fault(0, write=False)
-    assert result.action == "map_local"
+    action = harness.fault(0, write=False)
+    assert action == "map_local"
     assert harness.cpage.state is CpageState.MODIFIED
 
 
@@ -296,8 +297,8 @@ def test_replication_degrades_to_remote_map_when_full():
                                      Rights.WRITE)
     harness.kernel.fault(1, harness.aspace_id, 1, True,
                          harness.kernel.engine.now)
-    result = harness.fault(1, write=False)
-    assert result.action == "remote_map"
+    action = harness.fault(1, write=False)
+    assert action == "remote_map"
     assert harness.pmap_entry(1).remote
 
 
@@ -309,6 +310,54 @@ def test_migration_degrades_to_remote_map_when_full():
                                      Rights.WRITE)
     harness.kernel.fault(1, harness.aspace_id, 1, True,
                          harness.kernel.engine.now)
-    result = harness.fault(1, write=True)
-    assert result.action == "remote_map"
+    action = harness.fault(1, write=True)
+    assert action == "remote_map"
     assert harness.cpage.state is CpageState.MODIFIED
+
+
+# -- the entry point -------------------------------------------------------------------
+
+
+def test_kernel_fault_is_the_handlers_entry(harness):
+    """``kernel.fault`` is the handler's bound ``handle``: a fault makes
+    no frame before the handler's.  Called through the class it
+    forwards the same way, and returns the completion time."""
+    from repro.kernel.kernel import Kernel
+
+    kernel = harness.kernel
+    assert kernel.fault == kernel.coherent.fault_handler.handle
+    end = Kernel.fault(kernel, 0, harness.aspace_id, harness.vpage, False,
+                       kernel.engine.now)
+    assert type(end) is int and end > kernel.engine.now
+    assert harness.cpage.state is CpageState.PRESENT1
+
+
+def test_a_wrapper_on_the_class_sees_every_fault(monkeypatch):
+    """What a profiler does (``perf/tracing.py`` wraps ``Kernel.fault``
+    on the class): every fault the executor takes goes through it."""
+    from repro import make_kernel, run_program
+    from repro.kernel.kernel import Kernel
+    from repro.workloads import GaussianElimination
+
+    seen = []
+    entry = Kernel.fault
+
+    def wrapper(kernel, *args):
+        seen.append(args)
+        return entry(kernel, *args)
+
+    monkeypatch.setattr(Kernel, "fault", wrapper)
+    kernel = make_kernel(n_processors=4)
+    run_program(kernel, GaussianElimination(n=8, n_threads=4))
+    assert len(seen) == kernel.coherent.fault_handler.fault_count > 0
+
+
+def test_a_handler_without_a_vm_layer_faults_only_on_mapped_pages():
+    from repro.core import CoherencyError, CoherentMemorySystem
+    from repro.machine import Machine
+
+    system = CoherentMemorySystem(
+        Machine(MachineParams(n_processors=2)), defrost_enabled=False)
+    with pytest.raises(CoherencyError, match="no VM layer"):
+        system.fault_handler.handle(0, 3, 0, False, 0)
+    assert system.cmaps == {}

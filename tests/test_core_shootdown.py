@@ -7,7 +7,7 @@ import pytest
 from repro.core import Directive
 from repro.machine.pmap import Rights
 
-from tests.conftest import make_harness
+from tests.conftest import bits, make_harness, observing
 
 
 def _mapped_on(harness, nodes, write_first=False):
@@ -22,12 +22,14 @@ def test_targets_limited_to_reference_mask():
     harness = make_harness(n_processors=4)
     _mapped_on(harness, [0, 1])  # cpus 2 and 3 never touched the page
     sd = harness.kernel.coherent.shootdown
-    result = sd.shoot_cpage(
-        harness.cpage, Directive.INVALIDATE, initiator=0,
-        now=harness.kernel.engine.now,
-    )
-    assert result.interrupted == [1]
-    assert result.deferred == []
+    with observing(harness.kernel) as log:
+        sd.shoot_cpage(
+            harness.cpage, Directive.INVALIDATE, initiator=0,
+            now=harness.kernel.engine.now,
+        )
+    _cost, interrupted, deferred, _hits = log.shootdowns[-1]
+    assert bits(interrupted) == [1]
+    assert deferred == 0
     # only processor 1 was interrupted, never 2 or 3
     state = harness.machine.interrupts.state
     assert state[1].ipis_received == 1
@@ -38,11 +40,12 @@ def test_initiator_not_interrupted():
     harness = make_harness(n_processors=4)
     _mapped_on(harness, [0, 1, 2])
     sd = harness.kernel.coherent.shootdown
-    result = sd.shoot_cpage(
-        harness.cpage, Directive.INVALIDATE, initiator=0,
-        now=harness.kernel.engine.now,
-    )
-    assert 0 not in result.interrupted
+    with observing(harness.kernel) as log:
+        sd.shoot_cpage(
+            harness.cpage, Directive.INVALIDATE, initiator=0,
+            now=harness.kernel.engine.now,
+        )
+    assert 0 not in bits(log.shootdowns[-1][1])
     assert harness.machine.interrupts.state[0].ipis_received == 0
     # but the initiator's own translation was removed directly
     assert harness.pmap_entry(0) is None
@@ -65,11 +68,12 @@ def test_restrict_keeps_translations_read_only():
     harness = make_harness(n_processors=4)
     harness.fault(1, write=True)
     sd = harness.kernel.coherent.shootdown
-    result = sd.shoot_cpage(
-        harness.cpage, Directive.RESTRICT, initiator=0,
-        now=harness.kernel.engine.now, rights=Rights.READ,
-    )
-    assert result.interrupted == [1]
+    with observing(harness.kernel) as log:
+        sd.shoot_cpage(
+            harness.cpage, Directive.RESTRICT, initiator=0,
+            now=harness.kernel.engine.now, rights=Rights.READ,
+        )
+    assert bits(log.shootdowns[-1][1]) == [1]
     entry = harness.pmap_entry(1)
     assert entry is not None
     assert entry.rights == Rights.READ
@@ -96,23 +100,25 @@ def test_initiator_cost_scales_per_target():
     _mapped_on(harness, list(range(8)))
     sd = harness.kernel.coherent.shootdown
     p = harness.kernel.params
-    result = sd.shoot_cpage(
-        harness.cpage, Directive.INVALIDATE, initiator=0,
-        now=harness.kernel.engine.now,
-    )
-    assert len(result.interrupted) == 7
-    expected = p.shootdown_first + 6 * p.shootdown_per_cpu
-    assert result.initiator_cost == pytest.approx(expected)
+    with observing(harness.kernel) as log:
+        cost = sd.shoot_cpage(
+            harness.cpage, Directive.INVALIDATE, initiator=0,
+            now=harness.kernel.engine.now,
+        )
+    assert bits(log.shootdowns[-1][1]) == list(range(1, 8))
+    assert cost == p.shootdown_first + 6 * p.shootdown_per_cpu
+    assert log.shootdowns[-1][0] == cost
 
 
 def test_zero_target_shootdown_is_free():
     harness = make_harness(n_processors=4)
     sd = harness.kernel.coherent.shootdown
-    result = sd.shoot_cpage(
-        harness.cpage, Directive.INVALIDATE, initiator=0, now=0
-    )
-    assert result.initiator_cost == 0.0
-    assert result.n_targets == 0
+    with observing(harness.kernel) as log:
+        cost = sd.shoot_cpage(
+            harness.cpage, Directive.INVALIDATE, initiator=0, now=0
+        )
+    assert cost == 0
+    assert log.shootdowns[-1][:3] == (0, 0, 0)  # no target
 
 
 def test_inactive_processor_deferred_until_activation():
@@ -121,12 +127,14 @@ def test_inactive_processor_deferred_until_activation():
     cmap = harness.kernel.coherent.cmaps[harness.aspace_id]
     cmap.deactivate(1)
     sd = harness.kernel.coherent.shootdown
-    result = sd.shoot_cpage(
-        harness.cpage, Directive.INVALIDATE, initiator=0,
-        now=harness.kernel.engine.now,
-    )
-    assert result.deferred == [1]
-    assert result.interrupted == []
+    with observing(harness.kernel) as log:
+        sd.shoot_cpage(
+            harness.cpage, Directive.INVALIDATE, initiator=0,
+            now=harness.kernel.engine.now,
+        )
+    _cost, interrupted, deferred, _hits = log.shootdowns[-1]
+    assert bits(deferred) == [1]
+    assert interrupted == 0
     # the stale translation survives until activation...
     assert harness.pmap_entry(1) is not None
     assert len(cmap.messages) == 1
@@ -148,12 +156,15 @@ def test_messages_posted_per_binding():
     harness.kernel.fault(2, aspace2.asid, 7, False,
                          harness.kernel.engine.now)
     sd = harness.kernel.coherent.shootdown
-    result = sd.shoot_cpage(
-        harness.cpage, Directive.INVALIDATE, initiator=0,
-        now=harness.kernel.engine.now,
-    )
-    # the change reached every address space mapping the Cpage
-    assert result.messages_posted == 2
+    with observing(harness.kernel) as log:
+        sd.shoot_cpage(
+            harness.cpage, Directive.INVALIDATE, initiator=0,
+            now=harness.kernel.engine.now,
+        )
+    # the change reached every address space mapping the Cpage: one
+    # interrupt in each
+    hits = log.shootdowns[-1][3]
+    assert [bits(mask) for mask in hits] == [[1], [2]]
     cmap2 = harness.kernel.coherent.cmaps[aspace2.asid]
     assert cmap2.pmap_for(2).lookup(7) is None
 
@@ -163,11 +174,14 @@ def test_shoot_vpages_for_vm_layer():
     _mapped_on(harness, [0, 1])
     cmap = harness.kernel.coherent.cmaps[harness.aspace_id]
     sd = harness.kernel.coherent.shootdown
-    result = sd.shoot_vpages(
-        cmap, [harness.vpage, 99], Directive.INVALIDATE, initiator=2,
-        now=harness.kernel.engine.now,
-    )
-    assert result.interrupted == [0, 1]
+    with observing(harness.kernel) as log:
+        cost = sd.shoot_vpages(
+            cmap, [harness.vpage, 99], Directive.INVALIDATE, initiator=2,
+            now=harness.kernel.engine.now,
+        )
+    p = harness.kernel.params
+    assert cost == p.shootdown_first + p.shootdown_per_cpu
+    assert bits(log.shootdowns[-1][1]) == [0, 1]
     assert harness.pmap_entry(0) is None
 
 
@@ -237,6 +251,7 @@ def pingpong_bytecodes_per_fault(kernel, asid, vpage, rounds=100):
     step."""
     cmap = kernel.coherent.cmaps[asid]
     kernel.fault(2, asid, vpage, True, 0)
+    stats = cmap.entries[vpage].cpage.stats
     queued, posted, applied = (
         len(cmap.messages), cmap.messages_posted, cmap.messages_applied)
     executed = 0
@@ -252,16 +267,17 @@ def pingpong_bytecodes_per_fault(kernel, asid, vpage, rounds=100):
         return count
 
     for i in range(3 * rounds):
+        migrations = stats.migrations
         sys.settrace(tracer)
         try:
-            result = kernel.fault(i % 3, asid, vpage, True, 0)
+            kernel.fault(i % 3, asid, vpage, True, 0)
         finally:
             sys.settrace(None)
         # the previous holder is interrupted and has acknowledged by
         # the time the fault returns: nothing is left in the queue
         posted += 1
         applied += 1
-        assert result.action == "migrate"
+        assert stats.migrations == migrations + 1
         assert (len(cmap.messages), cmap.messages_posted,
                 cmap.messages_applied) == (queued, posted, applied)
     return executed / (3 * rounds)

@@ -18,7 +18,6 @@ reload evicts.
 import dataclasses
 import random
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -107,7 +106,7 @@ def reference_cost_run(process, vpage, n, write, t):
                 outcome.words, outcome.queue_delay,
             )
             return outcome.completion, entry
-        t = kernel.fault(proc, thread.aspace_id, vpage, write, t).completion
+        t = kernel.fault(proc, thread.aspace_id, vpage, write, t)
     raise AssertionError("no translation after repeated faults")
 
 
@@ -315,15 +314,18 @@ def script_faults(kernel, script) -> None:
     """Make ``kernel.fault`` follow ``script``, one word per fault:
     ``"real"`` handles it, ``"nothing"`` installs no translation,
     ``"read-only"`` handles it and leaves the entry read-only, and
-    ``"cached"`` handles it and puts the entry in the ATC too."""
-    real = kernel.fault
+    ``"cached"`` handles it and puts the entry in the ATC too.
+    ``kernel.fault`` is the handler's ``handle``: the script replaces
+    that."""
+    handler = kernel.coherent.fault_handler
+    real = handler.handle
     steps = iter(script)
 
     def fault(proc, aspace_id, vpage, write, t):
         how = next(steps)
         if how == "nothing":
-            return SimpleNamespace(completion=t + 1_000)
-        outcome = real(proc, aspace_id, vpage, write, t)
+            return t + 1_000
+        end = real(proc, aspace_id, vpage, write, t)
         if how == "read-only":
             kernel.machine.mmus[proc]._pmaps[aspace_id].restrict(
                 vpage, Rights.READ)
@@ -331,9 +333,9 @@ def script_faults(kernel, script) -> None:
             mmu = kernel.machine.mmus[proc]
             mmu.atc._entries[(aspace_id, vpage)] = \
                 mmu._pmaps[aspace_id]._entries[vpage]
-        return outcome
+        return end
 
-    kernel.fault = fault
+    handler.handle = fault
 
 
 @pytest.mark.parametrize("script", [

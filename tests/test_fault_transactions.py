@@ -11,10 +11,16 @@ for every reachable combination of
 
 (the cases of ``tests/test_core_fault.py`` generalised) plus the error
 and policy-driven freeze/thaw paths, everything a fault can be observed
-to do: the ``FaultResult``, the Cpage, every Pmap, reference mask and
-Cmap queue, every ATC, bus, switch port and interrupt state, the trace
-events with their ids and causes, and the metrics registry.  A change
-to the fault path must reproduce the file byte for byte.
+to do: the completion time it returns and the action and lock wait it
+publishes, the Cpage, every Pmap, reference mask and Cmap queue, every
+ATC, bus, switch port and interrupt state, the trace events with their
+ids and causes, and the metrics registry.  A change to the fault path
+must reproduce the file byte for byte.
+
+The handler takes what only an observer reads (the Cpage's state before
+the fault, the policy's decision) only when an observer listens, so
+every case also runs with no observer at all and must leave the same
+kernel state and return the same times.
 
     python tests/test_fault_transactions.py --write   # regenerate
 """
@@ -36,6 +42,8 @@ from repro.machine.pmap import Rights
 from repro.policy.base import Action, ReplicationPolicy
 from repro.policy.fixed import TimestampFreezePolicy
 from repro.telemetry.metrics import MetricsRegistry
+
+from tests.conftest import ActionLog, bits
 
 SNAPSHOT = Path(__file__).parent / "snapshots" / "fault_transactions.json"
 
@@ -65,16 +73,24 @@ class Scripted(ReplicationPolicy):
 
 class World:
     """Four processors, one Cpage bound into address spaces A and B
-    (active everywhere) and C (active nowhere, bound read-only)."""
+    (active everywhere) and C (active nowhere, bound read-only).
 
-    def __init__(self, policy=None, frames_per_module: int = 3) -> None:
+    ``observed`` puts the tracer, the metrics fold and an
+    :class:`ActionLog` on the observer list; without it the list is
+    empty, and a step returns only what the kernel returns."""
+
+    def __init__(self, policy=None, frames_per_module: int = 3,
+                 observed: bool = True) -> None:
         params = MachineParams(n_processors=N_PROCESSORS).scaled(
             frames_per_module=frames_per_module, atc_entries=2)
         self.policy = policy if policy is not None else Scripted()
         self.kernel = Kernel(
             params=params, policy=self.policy, defrost_enabled=False,
-            trace=True, metrics=MetricsRegistry(enabled=True))
+            trace=observed, metrics=MetricsRegistry(enabled=observed))
         coherent = self.kernel.coherent
+        self.log = ActionLog() if observed else None
+        if observed:
+            coherent.observers.append(self.log)
         self.cpage = coherent.cpages.create(home_module=1, label="golden")
         self.asid = {}
         for name, rights in (("A", Rights.WRITE), ("B", Rights.WRITE),
@@ -100,12 +116,15 @@ class World:
                vpage: int | None = None) -> dict:
         vpage = VPAGE[aspace] if vpage is None else vpage
         try:
-            result = self.kernel.fault(
+            end = self.kernel.fault(
                 proc, self.asid[aspace], vpage, write, self.now)
         except Exception as exc:  # noqa: BLE001 - the error is the datum
             return {"error": [type(exc).__name__, str(exc)]}
-        return {"completion": result.completion, "action": result.action,
-                "contention_wait": result.contention_wait}
+        if self.log is None:
+            return {"completion": end}
+        action, _end, wait = self.log.faults[-1]
+        return {"completion": end, "action": action,
+                "contention_wait": wait}
 
     def _answer(self, action: str) -> None:
         self.policy.answer = Action(action)
@@ -141,17 +160,42 @@ class World:
         cmap.entries[VPAGE[aspace]].vm_rights = Rights.NONE
 
     def _shoot(self, directive: str, initiator: int) -> dict:
-        result = self.kernel.coherent.shootdown.shoot_cpage(
+        # the bindings in which a translation matches, the initiator's
+        # own included (what the pinned "messages_posted" counts)
+        matched = 0
+        for cmap, vpage in self.cpage.bindings:
+            entry = cmap.entries.get(vpage)
+            if entry is not None and any(
+                    vpage in cmap._pmaps[proc]._entries
+                    for proc in bits(entry.ref_mask)
+                    if proc in cmap._pmaps):
+                matched += 1
+        cost = self.kernel.coherent.shootdown.shoot_cpage(
             self.cpage, Directive(directive), initiator, self.now)
-        return {"initiator_cost": result.initiator_cost,
-                "interrupted": list(result.interrupted),
-                "deferred": list(result.deferred),
-                "messages_posted": result.messages_posted,
-                "n_targets": result.n_targets}
+        if self.log is None:
+            return {"initiator_cost": cost}
+        _cost, interrupted, deferred, _hits = self.log.shootdowns[-1]
+        return {"initiator_cost": cost,
+                "interrupted": bits(interrupted),
+                "deferred": bits(deferred),
+                "messages_posted": matched,
+                "n_targets": (interrupted | deferred).bit_count()}
 
     # -- everything observable -----------------------------------------------
 
     def observe(self) -> dict:
+        kernel = self.kernel
+        return {
+            **self.state(),
+            "trace": [e.record() for e in kernel.tracer.events],
+            "next_eid": kernel.coherent.observers.next_eid,
+            "metrics": kernel.metrics.summary(),
+            "metrics_sha256": hashlib.sha256(
+                kernel.metrics.to_jsonl().encode()).hexdigest(),
+        }
+
+    def state(self) -> dict:
+        """Everything observable of the kernel, observers aside."""
         kernel, cpage = self.kernel, self.cpage
         machine, coherent = kernel.machine, kernel.coherent
         resources = [m.bus for m in machine.modules] \
@@ -218,11 +262,6 @@ class World:
                           coherent.shootdown.total_interrupted,
                           coherent.shootdown.total_deferred],
             "fault_count": coherent.fault_handler.fault_count,
-            "trace": [e.record() for e in kernel.tracer.events],
-            "next_eid": coherent.observers.next_eid,
-            "metrics": kernel.metrics.summary(),
-            "metrics_sha256": hashlib.sha256(
-                kernel.metrics.to_jsonl().encode()).hexdigest(),
         }
 
 
@@ -457,6 +496,44 @@ def test_fault_transaction(name, golden, table):
 
 def test_the_file_is_reproduced_byte_for_byte(table):
     assert render(table) == SNAPSHOT.read_text()
+
+
+#: what a step returns only when an observer published it
+OBSERVED_ONLY = ("action", "contention_wait", "interrupted", "deferred",
+                 "messages_posted", "n_targets")
+
+
+def run_twice(name: str) -> tuple[list, list]:
+    """The case's steps in an observed and an unobserved world: per
+    step, what the kernel returned and the kernel state after it."""
+    cases = {**matrix(), **scripted()}
+    runs = []
+    for observed in (True, False):
+        if name in cases:
+            world = World(observed=observed)
+            steps = cases[name]
+        else:
+            args, steps = policy_driven()[name]
+            world = World(TimestampFreezePolicy(**args), observed=observed)
+        rows = []
+        for step in steps:
+            out = world.step(step)
+            rows.append(({k: v for k, v in out.items()
+                          if k not in OBSERVED_ONLY}, world.state()))
+        runs.append(rows)
+    return runs[0], runs[1]
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_an_unobserved_fault_does_what_an_observed_one_does(name):
+    """Cpage, Pmaps, ATCs, buses, interrupt rows and every returned time
+    agree step by step with and without observers on the list."""
+    observed, unobserved = run_twice(name)
+    for (want_out, want), (got_out, got) in zip(observed, unobserved):
+        assert got_out == want_out
+        for key in want:
+            assert got[key] == want[key], (want_out["step"], key)
+    assert len(observed) == len(unobserved)
 
 
 def test_every_action_and_error_is_reached(golden):

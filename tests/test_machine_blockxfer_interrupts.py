@@ -101,3 +101,72 @@ def test_interrupt_penalty_slows_victim():
     victim_finish, control_finish = result.thread_results
     assert victim_finish > control_finish
     assert victim_finish >= 50 * 11_000
+
+
+# -- a page copy's in-place bus reservation against occupy_endpoints ---------------
+
+
+def _reference_transfer(xfer, src, dst, now):
+    """``transfer_page`` as it was spelled before: ``occupy_endpoints``
+    for the page's duration, then ``Frame.copy_from``."""
+    words = len(src.data)
+    end = xfer.occupy_endpoints(src.module_index, dst.module_index, now,
+                                xfer.params.t_block_word * words)
+    if not xfer.modules[dst.module_index].dataless:
+        dst.copy_from(src)
+    xfer.transfer_count += 1
+    xfer.words_transferred += words
+    xfer.total_busy_time += end - now
+    return end
+
+
+@pytest.mark.parametrize("fraction", [0.75, 1.0, 0.3])
+@pytest.mark.parametrize("seed", range(10))
+def test_page_copy_reserves_as_occupy_endpoints_does(seed, fraction):
+    """Copies between random modules (the same one among them) at random
+    times, with the buses already busy to random horizons: both
+    spellings end at the same time and leave every bus, counter and
+    word the same.  The odd page sizes make the occupancy round."""
+    import random
+
+    rng = random.Random(seed)
+    params = MachineParams(n_processors=4, frames_per_module=4,
+                           page_bytes=rng.choice((64, 68, 4096)),
+                           t_block_word=rng.choice((1085, 1083, 7)),
+                           block_transfer_bus_fraction=fraction)
+    twins = [Machine(params), Machine(params)]
+    frames = [[[m.modules[i].allocate() for _ in range(2)]
+               for i in range(4)] for m in twins]
+    for machine, mine in zip(twins, frames):
+        for i, pair in enumerate(mine):
+            for j, frame in enumerate(pair):
+                frame.data[:] = 10 * i + j
+    t = 0
+    for _ in range(40):
+        t += rng.randrange(0, 3_000_000)
+        a, b = rng.randrange(4), rng.randrange(4)
+        slot = rng.randrange(2)
+        bump = rng.choice((None, rng.randrange(4)))
+        late = t + rng.randrange(0, 2_000_000)
+        ends = []
+        for machine, mine, how in zip(
+                twins, frames, ("fast", "reference")):
+            if bump is not None:
+                machine.modules[bump].bus.occupy(t, late - t)
+            src, dst = mine[a][slot], mine[b][1 - slot]
+            if how == "fast":
+                ends.append(machine.xfer.transfer_page(src, dst, t))
+            else:
+                ends.append(_reference_transfer(machine.xfer, src, dst, t))
+        assert ends[0] == ends[1]
+        fast, ref = twins
+        assert [(m.bus.busy_until, m.bus.busy_time, m.bus.wait_time,
+                 m.bus.requests) for m in fast.modules] == \
+            [(m.bus.busy_until, m.bus.busy_time, m.bus.wait_time,
+              m.bus.requests) for m in ref.modules]
+        assert (fast.xfer.transfer_count, fast.xfer.words_transferred,
+                fast.xfer.total_busy_time) == \
+            (ref.xfer.transfer_count, ref.xfer.words_transferred,
+             ref.xfer.total_busy_time)
+        assert [f.data.tolist() for pair in frames[0] for f in pair] == \
+            [f.data.tolist() for pair in frames[1] for f in pair]

@@ -1,5 +1,8 @@
 """Unit tests for Pmaps and inverted page tables."""
 
+import random
+
+import numpy as np
 import pytest
 
 from repro import make_kernel
@@ -10,6 +13,7 @@ from repro.machine import (
     Pmap,
     Rights,
 )
+from repro.machine.memory import WORD_DTYPE, OutOfFramesError
 
 
 @pytest.fixture
@@ -161,3 +165,123 @@ def test_pmap_entry_copies_like_a_dataclass(module):
     assert entry.rights == Rights.READ and not entry.modified
     with pytest.raises(AttributeError):
         entry.scratch = 1  # no __dict__ to grow
+
+
+# -- the IPT's in-place allocation against MemoryModule's ------------------------
+
+
+class ReferenceIPT(InvertedPageTable):
+    """Allocation and release as they were spelled before: the IPT half
+    around ``MemoryModule.allocate`` / ``release``, through ``LazyList``
+    indexing, and an ``OutOfFramesError`` when the module is full."""
+
+    def allocate_for(self, cpage_index):
+        if cpage_index in self._by_cpage:
+            raise RuntimeError("already backed")
+        try:
+            frame = self.module.allocate()
+        except OutOfFramesError:
+            return None
+        entry = self._entries[frame.frame_index]
+        entry.cpage_index = cpage_index
+        self._by_cpage[cpage_index] = frame.frame_index
+        return frame
+
+    def release(self, frame):
+        entry = self._entries[frame.frame_index]
+        cpage_index = entry.cpage_index
+        if cpage_index is None:
+            raise RuntimeError("releasing free frame")
+        entry.cpage_index = None
+        del self._by_cpage[cpage_index]
+        self.module.release(frame)
+        return cpage_index
+
+
+def _ipt_twin(cls, dataless):
+    params = MachineParams(n_processors=2, frames_per_module=6,
+                           page_bytes=64).validated()
+    shared = np.zeros(params.words_per_page, dtype=WORD_DTYPE) \
+        if dataless else None
+    return cls(MemoryModule(0, params, frame_data=shared))
+
+
+def _ipt_state(ipt):
+    module = ipt.module
+    return {
+        "free": list(module._free),
+        "counts": (module.alloc_count, module.free_count,
+                   module.frames.materialized, ipt._entries.materialized),
+        "by_cpage": dict(ipt._by_cpage),
+        "frames": [None if f is None else
+                   (f.frame_index, f.allocated, f.data.tolist())
+                   for f in module.frames._items],
+        "entries": [None if e is None else e.cpage_index
+                    for e in ipt._entries._items],
+    }
+
+
+@pytest.mark.parametrize("dataless", [False, True])
+@pytest.mark.parametrize("seed", range(20))
+def test_ipt_allocation_matches_memory_module(seed, dataless):
+    """Random allocations (a full module among them), releases, raw
+    ``MemoryModule.allocate`` calls that leave a built frame with no
+    IPT entry, and writes to allocated frames: both spellings return
+    the same frames and leave the same module, free list, counters,
+    materialised items and data (a reused frame comes back zeroed)."""
+    rng = random.Random(seed)
+    fast, ref = _ipt_twin(InvertedPageTable, dataless), \
+        _ipt_twin(ReferenceIPT, dataless)
+    held = {}  # cpage -> frame index
+    raw = []   # frame indices taken through MemoryModule.allocate
+    next_cpage = 0
+    for _ in range(60):
+        verb = rng.choice(("alloc", "alloc", "release", "raw", "write"))
+        if verb == "alloc":
+            got = fast.allocate_for(next_cpage)
+            want = ref.allocate_for(next_cpage)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.frame_index == want.frame_index
+                held[next_cpage] = got.frame_index
+            next_cpage += 1
+        elif verb == "release" and held:
+            cpage = rng.choice(sorted(held))
+            index = held.pop(cpage)
+            assert fast.release(fast.module.frames[index]) == cpage
+            assert ref.release(ref.module.frames[index]) == cpage
+        elif verb == "raw":
+            if fast.module.n_free:
+                raw.append(fast.module.allocate().frame_index)
+                ref.module.allocate()
+            elif raw:
+                index = raw.pop(rng.randrange(len(raw)))
+                fast.module.release(fast.module.frames[index])
+                ref.module.release(ref.module.frames[index])
+        elif verb == "write" and held and not dataless:
+            index = held[rng.choice(sorted(held))]
+            value = rng.randrange(1, 100)
+            fast.module.frames[index].data[:] = value
+            ref.module.frames[index].data[:] = value
+        assert _ipt_state(fast) == _ipt_state(ref)
+
+
+def test_ipt_allocate_and_release_errors_match_the_module():
+    module = MemoryModule(
+        0, MachineParams(n_processors=2, frames_per_module=2).validated())
+    ipt = InvertedPageTable(module)
+    frame = ipt.allocate_for(1)
+    with pytest.raises(RuntimeError, match="already backs"):
+        ipt.allocate_for(1)
+    ipt.release(frame)
+    with pytest.raises(RuntimeError, match="releasing free frame"):
+        ipt.release(frame)
+    other = MemoryModule(
+        1, MachineParams(n_processors=2, frames_per_module=2).validated())
+    stranger = InvertedPageTable(other).allocate_for(1)
+    # this table's entry at the stranger's frame index is bound: the
+    # release is refused before either half changes
+    ipt.allocate_for(2)
+    with pytest.raises(ValueError, match="does not belong"):
+        ipt.release(stranger)
+    assert ipt._by_cpage == {2: stranger.frame_index}

@@ -1,8 +1,8 @@
 """Differential test: the shootdown walks only the reference mask's set bits.
 
-``ShootdownMechanism._shoot_one`` and ``_account`` visit the set bits of
-each mask lowest first (``bit = mask & -mask``), and ``_shoot_one``
-applies ``InterruptController.send_ipi`` in place.  The walk they
+``ShootdownMechanism._shoot_one`` visits the set bits of each mask
+lowest first (``bit = mask & -mask``) and applies
+``InterruptController.send_ipi`` in place.  The walk they
 replaced -- every processor number up to the highest set bit, one
 shift at a time, with a ``send_ipi`` call per target -- lives on here as
 the reference.  Twin machines get the same random address space
@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.core.cmap import Cmap, CmapEntry, CmapMessage, Directive
-from repro.core.shootdown import ShootdownMechanism, ShootdownResult
+from repro.core.shootdown import ShootdownMechanism
 from repro.machine.machine import Machine
 from repro.machine.memory import WORD_DTYPE, Frame
 from repro.machine.params import MachineParams
@@ -30,7 +30,12 @@ VPAGES = (3, 4, 9)
 
 
 class ReferenceShootdown(ShootdownMechanism):
-    """The bit-by-bit walks, as they were spelled before."""
+    """The bit-by-bit walk, as it was spelled before; it notes, per
+    call, whether any translation matched."""
+
+    def __init__(self, machine) -> None:
+        super().__init__(machine)
+        self.found: list[bool] = []
 
     def _shoot_one(self, cmap, entry, directive, rights, initiator, now,
                    modules):
@@ -80,27 +85,8 @@ class ReferenceShootdown(ShootdownMechanism):
         elif interrupted:
             cmap.messages_posted += 1
         cmap.messages_applied += interrupted.bit_count()
-        return interrupted, deferred, found
-
-    def _account(self, interrupted, deferred, posted):
-        hit, missed = [], []
-        mask = interrupted | deferred
-        proc = 0
-        while mask:
-            if interrupted >> proc & 1:
-                hit.append(proc)
-            if deferred >> proc & 1:
-                missed.append(proc)
-            mask >>= 1
-            proc += 1
-        cost = 0
-        if hit:
-            p = self.machine.params
-            cost = p.shootdown_first + p.shootdown_per_cpu * (len(hit) - 1)
-        self.shootdowns += 1
-        self.total_interrupted += len(hit)
-        self.total_deferred += len(missed)
-        return ShootdownResult(cost, hit, missed, posted)
+        self.found.append(found)
+        return interrupted, deferred
 
 
 def build(cls, seed, metrics):
@@ -167,8 +153,10 @@ def observe(machine, mech, cmap):
 
 
 def shoot(machine, mech, cmap, rng):
-    """One shootdown per page drawn from ``rng``, then one of every page
-    through ``shoot_vpages``; their results."""
+    """One walk per page drawn from ``rng`` (published to the observers
+    as a shootdown), then one shootdown of every page through
+    ``shoot_vpages``; the walks' masks and the shootdown's cost, which
+    must be the section 4 sum over the processors it interrupted."""
     out = []
     for vpage in VPAGES:
         directive = rng.choice(list(Directive))
@@ -180,16 +168,21 @@ def shoot(machine, mech, cmap, rng):
         else:
             initiator = rng.randrange(N_PROCESSORS)
         modules = rng.choice((None, {0}, {1, 3}, set()))
-        one = mech._shoot_one(cmap, cmap.entries[vpage], directive, rights,
-                              initiator, 1_000 * vpage, modules)
-        result = mech._account(one[0], one[1], int(one[2]))
+        hit, missed = mech._shoot_one(cmap, cmap.entries[vpage], directive,
+                                      rights, initiator, 1_000 * vpage,
+                                      modules)
         for observer in mech.observers:
             observer.shootdown(1_000 * vpage, None, directive, initiator,
-                               None, result, [one[0]])
-        out.append((one, result))
-    result = mech.shoot_vpages(cmap, VPAGES, Directive.INVALIDATE,
-                               initiator=rng.randrange(N_PROCESSORS), now=7)
-    out.append(result)
+                               None, 0, hit, missed, [hit])
+        out.append((hit, missed))
+    before = mech.total_interrupted
+    cost = mech.shoot_vpages(cmap, VPAGES, Directive.INVALIDATE,
+                             initiator=rng.randrange(N_PROCESSORS), now=7)
+    n = mech.total_interrupted - before
+    p = machine.params
+    assert cost == (p.shootdown_first + p.shootdown_per_cpu * (n - 1)
+                    if n else 0)
+    out.append(cost)
     return out
 
 
@@ -210,7 +203,7 @@ def test_the_random_states_cover_every_case():
     filter that spares some translations, and IPIs all occur."""
     seen = set()
     for seed in range(40):
-        machine, mech, cmap = build(ShootdownMechanism, seed, False)
+        machine, mech, cmap = build(ReferenceShootdown, seed, False)
         rng = random.Random(seed)
         for vpage in VPAGES:
             entry = cmap.entries[vpage]
@@ -225,7 +218,7 @@ def test_the_random_states_cover_every_case():
             if {p for p in bits if not cmap.active_mask >> p & 1}:
                 seen.add("inactive holder")
         results = shoot(machine, mech, cmap, rng)
-        for (hit, missed, found), result in results[:-1]:
+        for (hit, missed), found in zip(results[:-1], mech.found):
             if hit:
                 seen.add("interrupted")
             if missed:
