@@ -105,14 +105,10 @@ def _label(source, cpage: int) -> str:
 # -- the event-stream detectors ------------------------------------------------
 
 def _attributed_ns(source) -> dict[int, int]:
-    """Per-page attributed protocol cost, the profiler's own accounting
-    (empty on sources the attribution cannot process)."""
+    """Per-page attributed protocol cost, the profiler's own accounting."""
     from ..profile.attribution import compute_attribution
 
-    try:
-        att = compute_attribution(source)
-    except Exception:
-        return {}
+    att = compute_attribution(source)
     return {c: cats.get("total", 0) for c, cats in att.per_page.items()}
 
 

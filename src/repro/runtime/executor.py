@@ -132,14 +132,10 @@ class OpProcess(Process):
             end = now
         if end > row.busy_until:
             row.busy_until = end
-        if (
-            end > now
-            and engine._tie_rng is None
-            and end >= engine._no_fast_before
-        ):
+        if end > now:
             seq = engine._seq
             engine._seq = seq + 1
-            heappush(engine._queue, (end, 0.0, seq, self._wake))
+            heappush(engine._queue, (end, seq, self._wake))
         else:
             engine.schedule_at(end, self._wake)
         self._wake_value = value
@@ -195,9 +191,9 @@ class OpProcess(Process):
 
     def _commit(self, end: int, value: Any = None) -> None:
         """Occupy the thread's processor until ``end``, then resume with
-        ``value`` (one ``_wake`` event).  A future wake-up with ties
-        unperturbed is pushed here as ``Engine.schedule_at``, the
-        reference, would push it (tests/test_engine_loop.py)."""
+        ``value`` (one ``_wake`` event).  A future wake-up is pushed here
+        as ``Engine.schedule_at``, the reference, would push it
+        (tests/test_engine_loop.py)."""
         engine = self.engine
         now = engine._now
         if end < now:
@@ -205,14 +201,10 @@ class OpProcess(Process):
         row = self.rows[self.thread.processor]
         if end > row.busy_until:
             row.busy_until = end
-        if (
-            end > now
-            and engine._tie_rng is None
-            and end >= engine._no_fast_before
-        ):
+        if end > now:
             seq = engine._seq
             engine._seq = seq + 1
-            heappush(engine._queue, (end, 0.0, seq, self._wake))
+            heappush(engine._queue, (end, seq, self._wake))
         else:
             engine.schedule_at(end, self._wake)
         self._wake_value = value

@@ -18,9 +18,9 @@ the heap costs two O(log n) sifts plus tuple comparisons for an ordering
 that is knowable in advance: a same-timestamp event scheduled now always
 runs after every already-queued event at this timestamp (its ``seq`` is
 larger) and before anything later.  So they go to a plain FIFO ``_ready``
-deque instead of the heap.  The fast path is bypassed whenever
-:meth:`perturb_ties` is active, because then same-timestamp order must
-follow the seeded priorities, not insertion order.
+deque instead of the heap.  Only the pop decides the order of
+same-timestamp events, so a push never needs to know whether
+:meth:`perturb_ties` is active.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ class Engine:
     order.  The schedule fuzzer (``repro.check.fuzz``) calls
     :meth:`perturb_ties` with a seeded RNG to explore other legal
     interleavings of same-timestamp events; a given seed still yields a
-    fully deterministic run.
+    fully deterministic run, with or without the fast path.
 
-    ``fast_path=False`` forces every event through the heap (the pre-
+    ``fast_path=False`` sends events through the heap (the pre-
     optimization behaviour); the determinism regression tests use it to
     show the fast path changes no simulated result.
     """
@@ -65,46 +65,28 @@ class Engine:
         "_stopped",
         "_tie_rng",
         "_fast_path",
-        "_no_fast_before",
     )
 
     def __init__(self, fast_path: bool = True) -> None:
         self._now: int = 0
-        self._queue: list[
-            tuple[int, float, int, Callable[[], None]]
-        ] = []
-        #: (seq, fn) events at exactly ``_now``, in insertion order
-        self._ready: deque[tuple[int, Callable[[], None]]] = deque()
+        #: (when, seq, fn) future events
+        self._queue: list[tuple[int, int, Callable[[], None]]] = []
+        #: events due at ``_now``, in insertion order
+        self._ready: deque[Callable[[], None]] = deque()
         self._seq: int = 0
         self._running = False
         self._stopped = False
         self._tie_rng: Optional[random.Random] = None
         self._fast_path = fast_path
-        # heap entries scheduled under a tie RNG carry random priorities;
-        # until the clock passes the last of them, same-timestamp inserts
-        # must keep going through the heap to order against them
-        self._no_fast_before: int = 0
 
     def perturb_ties(self, rng: Optional[random.Random]) -> None:
         """Randomize execution order among same-timestamp events.
 
-        ``rng`` draws a tie-breaking priority for every subsequently
-        scheduled event; events at different timestamps are unaffected.
-        Pass ``None`` to restore pure insertion order.
+        While ``rng`` is set, each pop draws with ``rng.randrange(n)``
+        (any object with that method will do) one of the ``n`` events
+        due at the earliest pending time, those queued before this call
+        included.  Pass ``None`` to restore pure insertion order.
         """
-        if rng is not None and self._ready:
-            # pending fast-path events keep their insertion order (they
-            # were scheduled with priority 0.0) but must live in the heap
-            # to be ordered against randomly-prioritized newcomers
-            for seq, fn in self._ready:
-                heapq.heappush(self._queue, (self._now, 0.0, seq, fn))
-            self._ready.clear()
-        if rng is None and self._tie_rng is not None and self._queue:
-            # events already in the heap keep their random priorities;
-            # new same-timestamp events would previously have been pushed
-            # with priority 0.0 (running *before* them), so the fast path
-            # must stay off until the clock passes every perturbed entry
-            self._no_fast_before = max(e[0] for e in self._queue) + 1
         self._tie_rng = rng
 
     @property
@@ -127,23 +109,12 @@ class Engine:
             )
         seq = self._seq
         self._seq = seq + 1
-        rng = self._tie_rng
-        if rng is None:
-            if (
-                when == now
-                and self._fast_path
-                and now >= self._no_fast_before
-            ):
-                self._ready.append((seq, fn))
-                return
-            # inside the no-fast window, perturbed entries (random
-            # priorities in [0, 1)) may still share this timestamp;
-            # priority 1.0 keeps insertion order against them, 0.0 would
-            # jump ahead of them
-            prio = 1.0 if when < self._no_fast_before else 0.0
-            heapq.heappush(self._queue, (when, prio, seq, fn))
+        # without the fast path the deque holds only what a perturbed pop
+        # left at this instant; a newcomer queues behind it
+        if when == now and (self._fast_path or self._ready):
+            self._ready.append(fn)
         else:
-            heapq.heappush(self._queue, (when, rng.random(), seq, fn))
+            heapq.heappush(self._queue, (when, seq, fn))
 
     def stop(self) -> None:
         """Stop the run loop after the current event completes."""
@@ -158,6 +129,22 @@ class Engine:
         """Events executed so far: scheduled minus still pending."""
         return self._seq - len(self._queue) - len(self._ready)
 
+    def _pop_tie(self, when: int) -> Callable[[], None]:
+        """Under :meth:`perturb_ties`: move the heap's events due at
+        ``when`` to the front of the ready deque (they are the older),
+        set the clock and remove the event the tie RNG draws from it."""
+        queue = self._queue
+        ready = self._ready
+        due = []
+        while queue and queue[0][0] == when:
+            due.append(heapq.heappop(queue)[2])
+        ready.extendleft(reversed(due))
+        self._now = when
+        index = self._tie_rng.randrange(len(ready))
+        fn = ready[index]
+        del ready[index]
+        return fn
+
     def step(self) -> bool:
         """Execute the next pending event.  Returns False if none remain.
 
@@ -165,16 +152,21 @@ class Engine:
         test in tests/test_engine_loop.py holds the two to one order."""
         queue = self._queue
         ready = self._ready
-        # a heap entry at the current time always has a smaller seq than
-        # anything in the ready deque (the deque only receives events
-        # scheduled *at* the current time, after those heap pushes)
-        if queue and (not ready or queue[0][0] == self._now):
-            when, _prio, _seq, fn = heapq.heappop(queue)
-            self._now = when
-        elif ready:
-            _seq, fn = ready.popleft()
+        if ready:
+            when = self._now
+        elif queue:
+            when = queue[0][0]
         else:
             return False
+        if self._tie_rng is not None:
+            fn = self._pop_tie(when)
+        # the heap's events due now are older than any in the deque
+        # (schedule_at and _pop_tie keep it so)
+        elif queue and queue[0][0] == when:
+            fn = heapq.heappop(queue)[2]
+            self._now = when
+        else:
+            fn = ready.popleft()
         fn()
         return True
 
@@ -198,7 +190,7 @@ class Engine:
         Returns the number of events executed.
 
         Each event is popped inline, by :meth:`step`'s rule: a frame less
-        per event.
+        per event (a perturbed tie takes :meth:`_pop_tie`'s).
         """
         if self._running:
             raise SimulationError("engine is already running (re-entrant run)")
@@ -214,8 +206,7 @@ class Engine:
             while not self._stopped:
                 if ready:
                     when = self._now
-                    # step's rule: a heap entry at the current time has a
-                    # smaller seq than anything in the ready deque
+                    # step's rule: the heap's events due now come first
                     from_heap = queue and queue[0][0] == when
                 elif queue:
                     when = queue[0][0]
@@ -232,11 +223,13 @@ class Engine:
                         f"exceeded max_events={max_events}; "
                         "possible runaway event loop"
                     )
-                if from_heap:
-                    fn = heappop(queue)[3]
+                if self._tie_rng is not None:
+                    fn = self._pop_tie(when)
+                elif from_heap:
+                    fn = heappop(queue)[2]
                     self._now = when
                 else:
-                    fn = popleft()[1]
+                    fn = popleft()
                 fn()
                 executed += 1
             if limit is not None and not self._stopped and limit > self._now:

@@ -164,9 +164,24 @@ def test_run_pops_in_steps_order(seed, fast_path, calls):
     assert inline == stepped
 
 
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32),
+       calls=st.lists(RUN_CALL, min_size=1, max_size=6))
+def test_fast_path_changes_no_order_with_ties_toggled(seed, calls):
+    """The same random schedules, perturbation switched on and off
+    mid-instant included, run in one order with and without the fast
+    path."""
+    calls = calls + [(None, None)]
+    fast_log, heap_log = [], []
+    fast = drive(scripted_engine(seed, True, fast_log), Engine.run, calls)
+    heap = drive(scripted_engine(seed, False, heap_log), Engine.run, calls)
+    assert fast_log == heap_log
+    assert fast == heap
+
+
 def test_scripted_schedules_reach_every_case():
     """The random schedules above are not vacuous: they perturb ties,
-    open a no-fast window, stop runs and hit the event budget."""
+    stop runs and hit the event budget."""
     met = set()
     for seed in range(200):
         log = []
@@ -175,9 +190,7 @@ def test_scripted_schedules_reach_every_case():
         met |= {entry[0] for entry in log if entry[0] in ACTIONS}
         if isinstance(outcome[0][0], str):
             met.add("max_events")
-        if engine._no_fast_before > engine.now:
-            met.add("window")
-    assert met == set(ACTIONS) | {"max_events", "window"}
+    assert met == set(ACTIONS) | {"max_events"}
 
 
 def test_run_until_compares_against_the_rounded_limit():
@@ -387,8 +400,8 @@ def observe(monkeypatch, cls, body, other=None, ties=None) -> tuple:
     """Run ``body`` (and ``other``) with ``cls`` as the thread process;
     ``ties`` perturbs the engine's tie order from the start, and
     "restored" switches it off and on again every 0.1 ms (on the
-    lockstep threads' wake-up times), each time opening the window in
-    which no wake-up may be pushed directly."""
+    lockstep threads' wake-up times), each time with wake-ups already
+    due at that instant."""
     monkeypatch.setattr(run_mod, "ThreadProcess", cls)
     kernel = make_kernel(n_processors=2, defrost_enabled=False, trace=True)
     engine = kernel.engine
@@ -593,14 +606,13 @@ def test_a_finished_thread_is_not_woken_again():
 
 def engine_state(engine) -> tuple:
     return (list(engine._queue), list(engine._ready), engine._seq,
-            engine._no_fast_before,
             None if engine._tie_rng is None else engine._tie_rng.getstate())
 
 
 @settings(max_examples=300, deadline=None)
 @given(now=st.integers(0, 1000), queued=st.lists(st.integers(0, 30),
                                                   max_size=6),
-       ties=st.sampled_from(["off", "perturbed", "window"]),
+       ties=st.sampled_from(["off", "perturbed"]),
        end=st.integers(-5, 40), seed=st.integers(0, 2**16))
 def test_commit_pushes_as_schedule_at_would(now, queued, ties, end, seed):
     engine = Engine()
@@ -609,9 +621,6 @@ def test_commit_pushes_as_schedule_at_would(now, queued, ties, end, seed):
         engine.perturb_ties(random.Random(seed))
     for delay in queued:
         engine.schedule(delay, lambda: None)
-    if ties == "window" and queued:
-        engine.perturb_ties(None)  # opens the no-fast window
-        assert engine._no_fast_before == now + max(queued) + 1
     end += now
     waker = lambda: None  # noqa: E731
     proc = types.SimpleNamespace(

@@ -16,21 +16,19 @@ from repro.obs import (
     strip_wall_findings,
 )
 from repro.obs.doctor import validate_detectors
+from repro.profile.source import ProfileSource
 
 MS = 1_000_000  # one simulated millisecond in ns
 
 
-class StubSource:
-    """A minimal ProfileSource stand-in for detector unit tests."""
-
-    def __init__(self, events, sim_time_ns=100 * MS, n_processors=4,
-                 params=None, page_labels=None, workload="stub"):
-        self.events = events
-        self.sim_time_ns = sim_time_ns
-        self.n_processors = n_processors
-        self.params = params or {}
-        self.page_labels = page_labels or {}
-        self.workload = workload
+def StubSource(events, sim_time_ns=100 * MS, n_processors=4, params=None,
+               page_labels=None, workload="stub"):
+    """A ProfileSource of synthetic events for detector unit tests: no
+    access counters, as a bare ``--trace-out`` trace loads."""
+    return ProfileSource(events=events, sim_time_ns=sim_time_ns,
+                         n_processors=n_processors, params=params or {},
+                         page_labels=page_labels or {}, complete=False,
+                         workload=workload)
 
 
 def ev(time, kind, cpage, proc=0, **detail):

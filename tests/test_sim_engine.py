@@ -235,12 +235,15 @@ def test_heap_and_ready_deque_interleave_correctly(fast_path):
     assert engine.now == 11
 
 
-def test_fast_path_equivalence_on_random_schedule():
+@pytest.mark.parametrize("tie_seed", [None, 0, 1989])
+def test_fast_path_equivalence_on_random_schedule(tie_seed):
     import random
 
     def build(fast_path):
         rng = random.Random(42)
         engine = Engine(fast_path=fast_path)
+        if tie_seed is not None:
+            engine.perturb_ties(random.Random(tie_seed))
         order = []
 
         def chain(i, depth):
@@ -297,8 +300,8 @@ def test_perturb_ties_bypasses_fast_path():
 
     def first():
         engine.perturb_ties(random.Random(3))
-        # these same-time events must take the heap (random priorities),
-        # not the FIFO deque
+        # these same-time events go to the ready deque, but each pop
+        # draws one of them instead of taking the oldest
         for tag in "abcdef":
             engine.schedule(0, lambda tag=tag: seen.append(tag))
 
@@ -308,24 +311,49 @@ def test_perturb_ties_bypasses_fast_path():
     assert seen != list("abcdef")  # Random(3) happens to reorder these
 
 
-def test_perturb_ties_migrates_pending_ready_events():
+def test_perturb_ties_reorders_events_queued_before_it():
+    import itertools
     import random
+
+    orders = set()
+    for seed in range(200):
+        engine = Engine()
+        seen = []
+
+        def first():
+            for tag in "abc":
+                engine.schedule(0, lambda tag=tag: seen.append(tag))
+            engine.perturb_ties(random.Random(seed))
+
+        engine.schedule(1, first)
+        engine.run()
+        orders.add("".join(seen))
+    # the draw is made at pop time, over every event then due: those
+    # queued before the perturbation are drawn like any other
+    assert orders == {"".join(p) for p in itertools.permutations("abc")}
+
+
+def test_perturb_ties_takes_any_chooser():
+    class Last:
+        """Always the newest candidate; records how many it was offered."""
+
+        def __init__(self):
+            self.offered = []
+
+        def randrange(self, n):
+            self.offered.append(n)
+            return n - 1
 
     engine = Engine()
     seen = []
-
-    def first():
-        engine.schedule(0, lambda: seen.append("early-a"))
-        engine.schedule(0, lambda: seen.append("early-b"))
-        engine.perturb_ties(random.Random(0))
-        engine.schedule(0, lambda: seen.append("late"))
-
-    engine.schedule(1, first)
+    for tag in "abc":
+        engine.schedule(5, lambda tag=tag: seen.append(tag))
+    engine.schedule(9, lambda: seen.append("later"))
+    chooser = Last()
+    engine.perturb_ties(chooser)
     engine.run()
-    # events queued before the perturbation keep insertion order and run
-    # before randomly-prioritized newcomers at the same timestamp
-    assert seen[:2] == ["early-a", "early-b"]
-    assert seen[2] == "late"
+    assert seen == ["c", "b", "a", "later"]
+    assert chooser.offered == [3, 2, 1, 1]
 
 
 def test_clearing_perturb_ties_keeps_ordering_safe():
