@@ -7,9 +7,11 @@ configuration is an isolated, deterministic, CPU-bound simulation on a
 fresh kernel.  That makes the sweep embarrassingly parallel, so this
 module runs tasks on a persistent pool of ``jobs`` worker processes:
 
-* workers are forked once and stream tasks through queues, so the
-  per-task overhead is one small pickle round-trip, not a process
-  launch;
+* workers are forked once and each has its own duplex pipe: the task
+  goes down it and the reply comes back up it, so the per-task overhead
+  is one small pickle round-trip, not a process launch, and a worker
+  that dies (even half-way through a reply) is EOF on its own pipe,
+  never a torn message on a shared one;
 * a per-task wall-clock timeout is enforced by terminating (and then
   respawning) the worker -- a runaway configuration cannot hang the
   sweep;
@@ -30,11 +32,12 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import queue as queue_mod
 import time
 import traceback
 import zlib
+from collections import deque
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Callable, Optional
 
 
@@ -93,15 +96,8 @@ def make_tasks(
     timeout_s: Optional[float] = None,
 ) -> list[Task]:
     """Build seeded tasks from (name, spec) pairs."""
-    return [
-        Task(
-            name=name,
-            spec=spec,
-            seed=task_seed(base_seed, name),
-            timeout_s=timeout_s,
-        )
-        for name, spec in specs
-    ]
+    return [Task(name, spec, task_seed(base_seed, name), timeout_s)
+            for name, spec in specs]
 
 
 def _execute(spec: dict, seed: int) -> dict:
@@ -112,61 +108,58 @@ def _execute(spec: dict, seed: int) -> dict:
     return execute_point(spec, seed)
 
 
-def _run_task_segment(spec: dict, seed: int,
-                      ctx: Optional[dict]) -> tuple[dict, dict]:
-    """Execute one task and measure its span segment in this process.
-
-    Returns ``(value, span)`` where ``span`` carries the propagated
+def _attempt(spec: dict, seed: int, ctx: Optional[dict]) -> tuple:
+    """Run one task in this process: ``(kind, payload, wall_s, span)``,
+    the reply a worker sends.  ``kind`` is ``"ok"`` (``payload`` is the
+    value) or ``"error"`` (a traceback); ``span`` carries the propagated
     ledger parent from ``ctx`` plus the wall-clock facts only the
     executing process knows (its pid and the in-process run duration)
-    -- the cross-process half of a ``bench.point`` span.
-    """
-    span: dict = {
-        "pid": os.getpid(),
-        "t0_s": round(time.time(), 6),
-        "parent": (ctx or {}).get("parent"),
-    }
+    -- the cross-process half of a ``bench.point`` span."""
+    span = {"pid": os.getpid(), "t0_s": round(time.time(), 6),
+            "parent": (ctx or {}).get("parent")}
     t0 = time.perf_counter()
     try:
         value = _execute(spec, seed)
-    finally:
-        span["exec_dur_s"] = round(time.perf_counter() - t0, 6)
-    return value, span
+    except BaseException:  # noqa: BLE001 - reported per task
+        return ("error", traceback.format_exc(limit=8),
+                time.perf_counter() - t0, None)
+    wall_s = time.perf_counter() - t0
+    span["exec_dur_s"] = round(wall_s, 6)
+    return "ok", value, wall_s, span
 
 
-def _worker_loop(worker_id: int, task_q, result_q) -> None:
-    """Worker-process entry point: stream tasks until the None sentinel.
+def _result(task: Task, kind: str, payload, wall_s: float,
+            span: Optional[dict]) -> TaskResult:
+    ok = kind == "ok"
+    return TaskResult(name=task.name, ok=ok, value=payload if ok else None,
+                      error=None if ok else payload, wall_s=wall_s,
+                      seed=task.seed, span=span)
 
-    Each message on ``task_q`` is ``(index, spec, seed, ctx)``; each
-    reply on ``result_q`` is
-    ``(worker_id, index, kind, payload, wall_s, span)``.
+
+def _worker_loop(conn, inherited: list) -> None:
+    """Worker-process entry point: answer tasks on ``conn`` until EOF.
+
+    Each message is ``(spec, seed, ctx)``; each reply, on the same pipe,
+    is :func:`_attempt`'s.  ``inherited`` are the fork's copies of the
+    parent's pipe ends: closed first, so that the parent's death is EOF
+    here and the worker exits with it.
     """
+    for end in inherited:
+        end.close()
     while True:
-        item = task_q.get()
-        if item is None:
-            return
-        index, spec, seed, ctx = item
-        t0 = time.perf_counter()
-        span: Optional[dict] = None
         try:
-            value, span = _run_task_segment(spec, seed, ctx)
-            result_q.put(
-                (worker_id, index, "ok", value,
-                 time.perf_counter() - t0, span)
-            )
-        except BaseException:  # noqa: BLE001 - the parent needs the report
-            result_q.put(
-                (worker_id, index, "error",
-                 traceback.format_exc(limit=8),
-                 time.perf_counter() - t0, span)
-            )
+            spec, seed, ctx = conn.recv()
+            conn.send(_attempt(spec, seed, ctx))
+        except (EOFError, OSError):
+            return
 
 
 @dataclass
 class _Worker:
     id: int
     process: "mp.Process"
-    task_q: "mp.Queue"
+    #: the parent's end of the worker's duplex pipe
+    conn: object
     #: (task index, Task, assignment time, queue wait) while busy
     busy: Optional[tuple[int, Task, float, float]] = None
 
@@ -204,23 +197,8 @@ class SweepRunner:
     # -- serial ------------------------------------------------------------
 
     def _run_serial(self, task: Task) -> TaskResult:
-        t0 = time.perf_counter()
-        span: Optional[dict] = None
-        try:
-            value, span = _run_task_segment(task.spec, task.seed,
-                                            self._ctx())
-            result = TaskResult(
-                name=task.name, ok=True, value=value,
-                wall_s=time.perf_counter() - t0, seed=task.seed,
-                worker="serial", span=span,
-            )
-        except BaseException:  # noqa: BLE001 - reported per-task
-            result = TaskResult(
-                name=task.name, ok=False,
-                error=traceback.format_exc(limit=8),
-                wall_s=time.perf_counter() - t0, seed=task.seed,
-                worker="serial", span=span,
-            )
+        result = _result(task, *_attempt(task.spec, task.seed, self._ctx()))
+        result.worker = "serial"
         if self.health is not None:
             self.health.task_finished("serial", result.ok)
             # the serial path has no poll loop: beat here so a
@@ -232,30 +210,53 @@ class SweepRunner:
 
     # -- the pool ----------------------------------------------------------
 
-    def _spawn_worker(
-        self, worker_id: int, result_q
-    ) -> Optional[_Worker]:
+    def _spawn_worker(self) -> Optional[_Worker]:
         """Start one pool worker; None means degrade to serial."""
         try:
             ctx = mp.get_context()
-            task_q: mp.Queue = ctx.Queue()
-            process = ctx.Process(
-                target=_worker_loop,
-                args=(worker_id, task_q, result_q),
-                daemon=True,
-            )
-            process.start()
+            conn, child = ctx.Pipe()
+            try:
+                process = ctx.Process(
+                    target=_worker_loop,
+                    args=(child, [conn] + [w.conn for w in self._workers]),
+                    daemon=True,
+                )
+                process.start()
+            finally:
+                child.close()  # the worker holds the only other end
         except (OSError, ValueError, ImportError):
             self.degraded = True
             return None
-        return _Worker(id=worker_id, process=process, task_q=task_q)
+        self._next_id += 1
+        return _Worker(id=self._next_id - 1, process=process, conn=conn)
+
+    def _replace(self, worker: _Worker) -> None:
+        """Swap a dead or terminated worker for a fresh one."""
+        worker.conn.close()
+        self._workers.remove(worker)
+        replacement = self._spawn_worker()
+        if replacement is not None:
+            self._workers.append(replacement)
+            if self.health is not None:
+                self.health.worker_respawned(replacement.id)
+
+    def _assign(self, worker: _Worker, index: int, task: Task,
+                queue_wait: float) -> bool:
+        """Send a task; False means the worker had died while idle, so
+        the task never reached it."""
+        try:
+            worker.conn.send((task.spec, task.seed, self._ctx()))
+        except OSError:
+            return False
+        worker.busy = (index, task, time.perf_counter(), queue_wait)
+        if self.health is not None:
+            self.health.task_assigned(worker.id, task.name)
+        return True
 
     def _finish(self, worker: _Worker, result: TaskResult,
-                results: list, index: int) -> None:
-        if worker.busy is not None:
-            result.queue_wait_s = worker.busy[3]
-        if result.worker is None:
-            result.worker = worker.id
+                results: list) -> None:
+        index, _task, _started, queue_wait = worker.busy
+        result.worker, result.queue_wait_s = worker.id, queue_wait
         results[index] = result
         worker.busy = None
         if self.health is not None:
@@ -263,191 +264,96 @@ class SweepRunner:
         if self.progress is not None:
             self.progress(result)
 
-    def _check_busy_worker(
-        self, worker: _Worker, results: list, result_q
-    ) -> bool:
-        """Handle a busy worker's timeout or death.
-
-        Returns True if the worker must be respawned (its process is
-        gone); the pending task has then already been resolved.
-        """
-        index, task, started, _wait = worker.busy
-        elapsed = time.perf_counter() - started
-        if worker.process.is_alive():
-            if task.timeout_s is not None and elapsed > task.timeout_s:
-                # a result may have raced in just before the deadline
-                try:
-                    worker_id, r_index, kind, payload, wall, span = \
-                        result_q.get_nowait()
-                except queue_mod.Empty:
-                    pass
-                else:
-                    if r_index == index:
-                        self._finish(worker, self._from_message(
-                            task, kind, payload, wall, span),
-                            results, index)
-                        return False
-                    self._resolve_foreign(worker_id, r_index, kind,
-                                          payload, wall, span, results)
-                if self.health is not None:
-                    self.health.task_timed_out(
-                        worker.id, task.name, task.timeout_s)
-                worker.process.terminate()
-                worker.process.join(timeout=5.0)
-                self._finish(worker, TaskResult(
-                    name=task.name, ok=False,
-                    error=(
-                        f"timed out after {task.timeout_s:.1f}s "
-                        "(worker terminated)"
-                    ),
-                    wall_s=elapsed, seed=task.seed, timed_out=True,
-                ), results, index)
-                return True
-            return False
-        # the worker died without posting a result (crash, OOM-kill);
-        # drain any result that raced with the death first
-        try:
-            worker_id, r_index, kind, payload, wall, span = \
-                result_q.get_nowait()
-        except queue_mod.Empty:
-            pass
-        else:
-            if r_index == index:
-                self._finish(worker, self._from_message(
-                    task, kind, payload, wall, span), results, index)
-                worker.process.join(timeout=1.0)
-                return True
-            # a different worker's result: resolve it out of band
-            self._resolve_foreign(worker_id, r_index, kind, payload,
-                                  wall, span, results)
-        worker.process.join(timeout=1.0)
-        if self.health is not None:
-            self.health.worker_died(worker.id, task.name,
-                                    exitcode=worker.process.exitcode)
+    def _lose(self, worker: _Worker, results: list, error: str,
+              timed_out: bool = False) -> None:
+        """End a busy worker's task without a result; replace the worker."""
+        _index, task, started, _wait = worker.busy
         self._finish(worker, TaskResult(
-            name=task.name, ok=False,
-            error=(
-                "worker died without a result "
-                f"(exitcode {worker.process.exitcode})"
-            ),
-            wall_s=elapsed, seed=task.seed,
-        ), results, index)
-        return True
+            name=task.name, ok=False, error=error, seed=task.seed,
+            wall_s=time.perf_counter() - started, timed_out=timed_out,
+        ), results)
+        self._replace(worker)
 
-    @staticmethod
-    def _from_message(task: Task, kind: str, payload, wall: float,
-                      span: Optional[dict] = None) -> TaskResult:
-        if kind == "ok":
-            return TaskResult(name=task.name, ok=True, value=payload,
-                              wall_s=wall, seed=task.seed, span=span)
-        return TaskResult(name=task.name, ok=False, error=payload,
-                          wall_s=wall, seed=task.seed, span=span)
+    def _receive(self, worker: _Worker, results: list) -> None:
+        """Take a ready worker's reply, or its death (EOF on its pipe)."""
+        task = worker.busy[1]
+        try:
+            reply = worker.conn.recv()
+        except (EOFError, OSError):
+            worker.process.join(timeout=1.0)
+            exitcode = worker.process.exitcode
+            if self.health is not None:
+                self.health.worker_died(worker.id, task.name,
+                                        exitcode=exitcode)
+            self._lose(worker, results, "worker died without a result "
+                                        f"(exitcode {exitcode})")
+            return
+        self._finish(worker, _result(task, *reply), results)
 
-    def _resolve_foreign(self, worker_id, index, kind, payload, wall,
-                         span, results) -> None:
-        for other in self._workers:
-            if other.id == worker_id and other.busy is not None:
-                o_index, o_task, _started, _wait = other.busy
-                if o_index == index:
-                    self._finish(other, self._from_message(
-                        o_task, kind, payload, wall, span),
-                        results, o_index)
-                return
+    def _enforce_deadline(self, worker: _Worker, results: list) -> None:
+        """Terminate a worker whose task ran past its timeout; a reply
+        already on the pipe is taken at the next wait instead."""
+        _index, task, started, _wait = worker.busy
+        if task.timeout_s is None or worker.conn.poll() \
+                or time.perf_counter() - started <= task.timeout_s:
+            return
+        if self.health is not None:
+            self.health.task_timed_out(worker.id, task.name, task.timeout_s)
+        worker.process.terminate()
+        worker.process.join(timeout=5.0)
+        self._lose(worker, results, f"timed out after {task.timeout_s:.1f}s "
+                                    "(worker terminated)", timed_out=True)
 
     # -- driver ------------------------------------------------------------
 
     def run(self, tasks: list[Task]) -> list[TaskResult]:
-        """Run all tasks; results come back in task order."""
-        results: list[Optional[TaskResult]] = [None] * len(tasks)
+        """Run all tasks; results come back in task order, one per task."""
         if self.jobs == 1 or len(tasks) <= 1:
             return [self._run_serial(t) for t in tasks]
-
-        ctx = mp.get_context()
-        try:
-            result_q: mp.Queue = ctx.Queue()
-        except (OSError, ValueError, ImportError):
-            self.degraded = True
-            return [self._run_serial(t) for t in tasks]
-
+        results: list = [None] * len(tasks)
         self._workers: list[_Worker] = []
-        for worker_id in range(min(self.jobs, len(tasks))):
-            worker = self._spawn_worker(worker_id, result_q)
-            if worker is None:
-                break
+        self._next_id = 0
+        while len(self._workers) < min(self.jobs, len(tasks)) \
+                and (worker := self._spawn_worker()) is not None:
             self._workers.append(worker)
-        if not self._workers:
-            self.degraded = True
-            return [self._run_serial(t) for t in tasks]
-
-        pending = list(enumerate(tasks))
-        next_worker_id = len(self._workers)
+        pending = deque(enumerate(tasks))
         sweep_t0 = time.perf_counter()
         try:
-            while pending or any(w.busy for w in self._workers):
-                # hand a task to every idle worker
-                for worker in self._workers:
-                    if worker.busy is None and pending:
-                        index, task = pending.pop(0)
-                        now = time.perf_counter()
-                        queue_wait = now - sweep_t0
-                        worker.busy = (index, task, now, queue_wait)
-                        if self.health is not None:
-                            self.health.task_assigned(worker.id, task.name)
-                        worker.task_q.put(
-                            (index, task.spec, task.seed, self._ctx())
-                        )
-                busy = [w for w in self._workers if w.busy]
-                if not busy:
-                    continue
-                # wait for one result (or a poll tick for timeouts)
-                try:
-                    worker_id, index, kind, payload, wall, span = \
-                        result_q.get(timeout=self.poll_interval_s)
-                except queue_mod.Empty:
-                    pass
-                else:
-                    self._resolve_foreign(worker_id, index, kind,
-                                          payload, wall, span, results)
+            while self._workers and (
+                    pending or any(w.busy for w in self._workers)):
+                # hand a task to every idle worker; one that died idle
+                # is replaced and the task goes to its replacement
+                for worker in [w for w in self._workers if not w.busy]:
+                    if not pending:
+                        break
+                    index, task = pending.popleft()
+                    if not self._assign(worker, index, task,
+                                        time.perf_counter() - sweep_t0):
+                        pending.appendleft((index, task))
+                        self._replace(worker)
+                busy = {w.conn: w for w in self._workers if w.busy}
+                if busy:
+                    for conn in wait(list(busy), self.poll_interval_s):
+                        self._receive(busy[conn], results)
                 if self.health is not None:
                     self.health.heartbeat(pending=len(pending),
                                           workers=len(self._workers))
-                # sweep for timeouts and dead workers
-                respawn: list[_Worker] = []
-                for worker in self._workers:
-                    if worker.busy is not None and \
-                            self._check_busy_worker(worker, results,
-                                                    result_q):
-                        respawn.append(worker)
-                for dead in respawn:
-                    self._workers.remove(dead)
-                    replacement = self._spawn_worker(
-                        next_worker_id, result_q
-                    )
-                    next_worker_id += 1
-                    if replacement is not None:
-                        self._workers.append(replacement)
-                        if self.health is not None:
-                            self.health.worker_respawned(
-                                replacement.id)
-                if not self._workers:
-                    # cannot respawn: finish the remainder serially
-                    self.degraded = True
-                    for index, task in pending:
-                        results[index] = self._run_serial(task)
-                    pending = []
-                    break
+                for worker in [w for w in self._workers if w.busy]:
+                    self._enforce_deadline(worker, results)
         finally:
             for worker in self._workers:
-                try:
-                    worker.task_q.put(None)
-                except (OSError, ValueError):
-                    pass
+                worker.conn.close()  # EOF: the worker returns
             for worker in self._workers:
                 worker.process.join(timeout=1.0)
                 if worker.process.is_alive():
                     worker.process.terminate()
             self._workers = []
-        return [r for r in results if r is not None]
+        if pending:
+            # no worker could be started: run the remainder serially
+            self.degraded = True
+            for index, task in pending:
+                results[index] = self._run_serial(task)
+        return results
 
 
 def run_sweep(

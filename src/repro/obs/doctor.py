@@ -367,9 +367,6 @@ def _pool_summary_from_ledger(records: list[dict]) -> dict:
             summary["tasks"] += 1
             if record.get("status") != "ok":
                 summary["failures"] += 1
-        elif record.get("record") == "event" \
-                and record.get("name") == "pool.summary":
-            pass
     # a pool.summary event (written at sweep end) is authoritative
     for record in records:
         if record.get("record") == "event" \

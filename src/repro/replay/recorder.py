@@ -1,10 +1,10 @@
 """Record one live run into a ``repro-trace/1`` bundle.
 
 The recorder piggybacks on the normal execution path: each thread runs as
-a :class:`RecordingThreadProcess` -- a :class:`ThreadProcess` that encodes
-every operation its generator yields before executing it normally.  The
-simulation is therefore bit-identical to an unrecorded run (the A/B suite
-asserts this); recording only *observes*.
+a plain :class:`ThreadProcess` over its body wrapped by :func:`_recorded`,
+which encodes every operation the body yields before the executor runs
+it normally.  The simulation is therefore bit-identical to an unrecorded
+run (the A/B suite asserts this); recording only *observes*.
 
 Two things need care beyond logging yielded ops:
 
@@ -39,7 +39,7 @@ from ..runtime.executor import ThreadProcess
 from ..runtime.program import Program, ProgramAPI
 from ..runtime.run import RunResult, run_threads
 from ..runtime.sync import Broadcast
-from ..sim.process import Delay, Op
+from ..sim.process import Delay, Op, ProcessCrashed
 from .bundle import (
     K_DELAY,
     K_FIRE,
@@ -148,44 +148,32 @@ class TraceRecorder:
         ]
 
 
-class RecordingThreadProcess(ThreadProcess):
-    """A ThreadProcess that logs each yielded op before executing it."""
+def _recorded(rec: TraceRecorder, tid: int, body):
+    """Wrap ``body`` for recording: each op it yields is logged, then
+    yielded.
 
-    __slots__ = ("rec", "local_tid")
-
-    def __init__(self, rec, local_tid, kernel, thread, body) -> None:
-        super().__init__(kernel, thread, body)
-        self.rec = rec
-        self.local_tid = local_tid
-
-    # generator execution happens inside _resume/_throw; mark this thread
-    # current for its duration so fires from plain Python land in the
-    # right stream.  Save/restore handles nested synchronous resumes
-    # (a satisfied WaitNewer resumes the generator within interpret).
-
-    def _resume(self, value) -> None:
-        rec = self.rec
-        prev = rec.current
-        rec.current = self.local_tid
+    ``rec.current`` is ``tid`` while ``body`` runs (and restored after),
+    so a fire from plain Python lands in this thread's stream; the
+    executor runs the ops outside it, as for any ``ThreadProcess``, on
+    the fused ``OpProcess._wake``.  A non-replayable op raises
+    ``RecordError`` before it runs, so the recording aborts loudly
+    instead of leaving a silently truncated stream.  Whatever the
+    executor throws goes into ``body``.
+    """
+    value, error = None, None
+    while True:
+        prev, rec.current = rec.current, tid
         try:
-            super()._resume(value)
+            op = body.send(value) if error is None else body.throw(error)
+        except StopIteration as stop:
+            return stop.value
         finally:
             rec.current = prev
-
-    def _throw(self, exc) -> None:
-        rec = self.rec
-        prev = rec.current
-        rec.current = self.local_tid
+        rec.log_op(tid, op)
         try:
-            super()._throw(exc)
-        finally:
-            rec.current = prev
-
-    def interpret(self, op: Op) -> None:
-        # encode before executing: a non-replayable op aborts the recording
-        # loudly instead of leaving a silently truncated stream
-        self.rec.log_op(self.local_tid, op)
-        super().interpret(op)
+            value, error = (yield op), None
+        except BaseException as exc:  # noqa: BLE001 - thrown into body
+            value, error = None, exc
 
 
 def _capture_layout(kernel, thread_specs) -> dict:
@@ -287,8 +275,8 @@ def record_program(
     rec = TraceRecorder()
     start = kernel.engine.now
     processes = [
-        RecordingThreadProcess(
-            rec, rec.add_thread(), kernel, spec.thread, spec.body)
+        ThreadProcess(kernel, spec.thread,
+                      _recorded(rec, rec.add_thread(), spec.body))
         for spec in api.thread_specs
     ]
     # install the fire hook only now: setup-time fires are part of each
@@ -298,6 +286,10 @@ def record_program(
         results = run_threads(
             kernel, processes, program.name, max_events, stall_limit_ns
         )
+    except ProcessCrashed as crash:
+        if isinstance(crash.__cause__, RecordError):
+            raise crash.__cause__ from None
+        raise
     finally:
         Broadcast.recorder = None
     kernel.check_invariants()

@@ -81,20 +81,11 @@ class OpProcess(Process):
 
     # -- operation dispatch -------------------------------------------------
 
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        # the fused _wake below spells Process._resume and interpret
-        # inline; a class that redefines either (or _throw) must have
-        # every wake-up go through its own version
-        super().__init_subclass__(**kwargs)
-        if "_wake" not in vars(cls) and any(
-            name in vars(cls) for name in ("_resume", "_throw", "interpret")
-        ):
-            cls._wake = Process._wake
-
     def _wake(self) -> None:
         """``Process._wake`` -> ``_resume`` -> ``interpret`` -> ``_run``
         in one frame, for an op of the cost table; those four stay the
-        reference (tests/test_engine_loop.py), and run any other op."""
+        reference (tests/test_engine_loop.py), and run any other op.  A
+        driver redefines none of the first three: this frame skips them."""
         value = self._wake_value
         self._wake_value = None
         if self.finished:

@@ -10,8 +10,7 @@ and once inline where every op pays for a frame:
   and pushes its own wake-up in one frame; ``Process._wake`` ->
   ``_resume`` -> ``interpret`` -> ``_run`` (``_begin``, the cost
   function, ``_commit``) is the chain it stands for, what an op subclass
-  takes, and what a subclass that redefines any of the first three gets
-  back (``OpProcess.__init_subclass__``).
+  takes, and what the reference classes below set as their ``_wake``.
 * ``OpProcess._commit`` pushes a future wake-up onto the heap itself;
   ``Engine.schedule_at`` is the rule.
 
@@ -211,22 +210,17 @@ def test_run_until_compares_against_the_rounded_limit():
 
 
 class ReferenceThreadProcess(ThreadProcess):
-    """A thread process that redefines ``interpret`` (as itself): the
-    guard gives it the reference ``Process._wake`` chain."""
+    """A thread process on the reference ``Process._wake`` chain."""
 
     __slots__ = ()
-
-    def interpret(self, op: Op) -> None:
-        super().interpret(op)
+    _wake = Process._wake
 
 
 class ReferenceSequentThreadProcess(sequent_mod.SequentThreadProcess):
-    """The Sequent's reference: the same guard, the same chain."""
+    """The Sequent's reference: the same chain."""
 
     __slots__ = ()
-
-    def interpret(self, op: Op) -> None:
-        super().interpret(op)
+    _wake = Process._wake
 
 
 class TaggedRead(Read):
@@ -645,7 +639,7 @@ def test_commit_pushes_as_schedule_at_would(now, queued, ties, end, seed):
     assert proc._wake_value == "value"
 
 
-# -- the guard: a redefined resume path gets the reference _wake --------------------
+# -- the guard: no driver leaves the one op path ------------------------------------
 
 
 def op_process_classes():
@@ -663,53 +657,28 @@ DRIVERS = (ThreadProcess, sequent_mod.SequentThreadProcess,
            replayer_mod.FastReplayThreadProcess)
 
 
-def test_every_redefined_resume_path_gets_the_reference_wake():
-    # the production subclasses and the test ones are imported above
-    classes = op_process_classes()
-    names = {cls.__name__ for cls in classes}
-    assert {cls.__name__ for cls in DRIVERS} | {
-        "RecordingThreadProcess", "ReferenceThreadProcess",
-        "ReferenceSequentThreadProcess"} <= names
+def test_no_driver_under_src_redefines_the_resume_path():
+    # the fused _wake spells _resume and interpret inline, so a
+    # production subclass that redefined either (or _throw, or _wake
+    # itself) would leave the one op path; recording wraps the body
+    # instead (replay/recorder.py's _recorded)
+    classes = [cls for cls in op_process_classes()
+               if cls.__module__.startswith("repro.")]
+    assert set(DRIVERS) <= set(classes)
     for cls in classes:
         below = cls.__mro__[:cls.__mro__.index(OpProcess)]
-        own = next((vars(klass)["_wake"] for klass in below
-                    if "_wake" in vars(klass)), Process._wake)
-        if own is not Process._wake:
-            assert cls._wake is own, cls  # a class's own _wake is kept
-            continue
-        redefined = any(
-            name in vars(klass)
-            for klass in below
-            for name in ("_resume", "_throw", "interpret")
-        )
-        want = Process._wake if redefined else OpProcess._wake
-        assert cls._wake is want, cls
-    assert recorder_mod.RecordingThreadProcess._wake is Process._wake
-    # one op path: no driver keeps a _wake, a resume or an interpreter
-    # of its own
-    for cls in DRIVERS:
-        for klass in cls.__mro__[:cls.__mro__.index(OpProcess)]:
+        for klass in below:
             assert not {"_wake", "_resume", "_throw", "interpret",
                         "_begin", "_commit"} & set(vars(klass)), klass
         assert cls._wake is OpProcess._wake, cls
-
-    class OwnWake(ThreadProcess):
-        __slots__ = ()
-
-        def _wake(self):  # a class's own _wake is its own business
-            pass
-
-        def _throw(self, exc):
-            pass
-
-    assert OwnWake._wake is not Process._wake
-    assert OwnWake._wake is not OpProcess._wake
+    assert not hasattr(recorder_mod, "RecordingThreadProcess")
+    assert "__init_subclass__" not in vars(OpProcess)
 
 
 def test_live_recorded_and_replayed_runs_agree(monkeypatch):
     """One spec live, recording and replayed: the fused op path over a
-    generator and over the replay cursor, and the recorder's reference
-    chain, give the same event count and sampler rows."""
+    generator, over the recorder's wrapped generator and over the replay
+    cursor gives the same event count and sampler rows."""
     spec = WorkloadSpec(
         name="guard", seed=7, threads=4, machine=4, words_per_op=8,
         phases=(PhaseSpec(ops=30, mix={"read": 0.5, "write": 0.5},
