@@ -95,7 +95,9 @@ class InvariantChecker:
     """
 
     def __init__(self, system: "CoherentMemorySystem") -> None:
-        self.system = system
+        # what it reads, not the system: that owns the list it may join
+        self.cpages, self.cmaps = system.cpages, system.cmaps
+        self.machine, self.policy = system.machine, system.policy
         #: number of full invariant sweeps performed
         self.checks = 0
 
@@ -119,7 +121,7 @@ class InvariantChecker:
     def _inv_single_writer(self, report: Callable[[str], None]) -> None:
         """Directory/state agreement per Cpage, including at most one
         ``modified`` copy and byte-equality of replicas (Figure 3)."""
-        for cpage in self.system.cpages:
+        for cpage in self.cpages:
             frames = cpage.frames
             n = len(frames)
             state = cpage.state
@@ -169,7 +171,7 @@ class InvariantChecker:
         maps an ``empty`` page.  Translations with a pending Cmap message
         are exempt first (module docstring).
         """
-        for cmap in self.system.cmaps.values():
+        for cmap in self.cmaps.values():
             entries = cmap.entries
             for proc, pmap in cmap.pmaps().items():
                 bit = 1 << proc
@@ -221,8 +223,8 @@ class InvariantChecker:
     def _inv_frame_ownership(self, report: Callable[[str], None]) -> None:
         """Directory frames are registered to their Cpage in the owning
         module's inverted page table (section 3.3's local probe)."""
-        ipts = self.system.machine.ipts
-        for cpage in self.system.cpages:
+        ipts = self.machine.ipts
+        for cpage in self.cpages:
             for module, frame in cpage.frames.items():
                 owner = ipts[module].owner_of(frame)
                 if owner != cpage.index:
@@ -233,7 +235,7 @@ class InvariantChecker:
     def _inv_frozen_pages(self, report: Callable[[str], None]) -> None:
         """Frozen pages have exactly one copy and are never replicated:
         freezing disables caching for the page (section 4.2)."""
-        for cpage in self.system.cpages:
+        for cpage in self.cpages:
             if not cpage.frozen:
                 continue
             if cpage.n_copies != 1:
@@ -248,14 +250,14 @@ class InvariantChecker:
 
     def _inv_defrost_queue(self, report: Callable[[str], None]) -> None:
         """The policy's frozen list holds exactly the frozen pages."""
-        queued = {id(c): c for c in self.system.policy.frozen_pages}
+        queued = {id(c): c for c in self.policy.frozen_pages}
         for cpage in queued.values():
             if not cpage.frozen:
                 report(
                     f"defrost-queue: {cpage!r} queued for defrost "
                     "but not frozen"
                 )
-        for cpage in self.system.cpages:
+        for cpage in self.cpages:
             if cpage.frozen and id(cpage) not in queued:
                 report(
                     f"defrost-queue: {cpage!r} is frozen but missing "
@@ -264,9 +266,9 @@ class InvariantChecker:
 
     def _inv_message_queue(self, report: Callable[[str], None]) -> None:
         """Queued Cmap messages have live targets within the machine."""
-        n = self.system.machine.params.n_processors
+        n = self.machine.params.n_processors
         full_mask = (1 << n) - 1
-        for cmap in self.system.cmaps.values():
+        for cmap in self.cmaps.values():
             for message in cmap.messages:
                 if message.target_mask == 0:
                     report(

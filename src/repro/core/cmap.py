@@ -73,12 +73,6 @@ class CmapEntry:
     #: bit per processor holding a v-to-p translation in its Pmap
     ref_mask: int = 0
 
-    def set_ref(self, processor: int) -> None:
-        self.ref_mask |= 1 << processor
-
-    def has_ref(self, processor: int) -> bool:
-        return bool(self.ref_mask & (1 << processor))
-
 
 class Cmap:
     """Coherency metadata for one address space."""
@@ -111,7 +105,7 @@ class Cmap:
             )
         entry = CmapEntry(vpage, cpage, vm_rights)
         self.entries[vpage] = entry
-        cpage.bind(self, vpage)
+        cpage.bindings.append((self.aspace_id, vpage))
         return entry
 
     def lookup(self, vpage: int) -> Optional[CmapEntry]:
@@ -120,7 +114,7 @@ class Cmap:
     def remove(self, vpage: int) -> Optional[CmapEntry]:
         entry = self.entries.pop(vpage, None)
         if entry is not None:
-            entry.cpage.unbind(self, vpage)
+            entry.cpage.bindings.remove((self.aspace_id, vpage))
         return entry
 
     # -- per-processor private Pmaps ------------------------------------------

@@ -14,7 +14,7 @@ from typing import Optional, Union
 from ..machine.machine import Machine
 from ..machine.pmap import Rights
 from ..telemetry.metrics import MetricsRegistry, ProtocolMetrics
-from .cmap import Cmap, CmapEntry
+from .cmap import Cmap, CmapEntry, Directive
 from .cpage import Cpage, CpageTable
 from .defrost import DefrostDaemon
 from .fault import CoherentFaultHandler
@@ -60,7 +60,8 @@ class CoherentMemorySystem:
             self.observers.append(fold)
         self.cpages = CpageTable(machine.params.n_modules)
         self.cmaps: dict[int, Cmap] = {}
-        self.shootdown = ShootdownMechanism(machine, self.observers)
+        self.shootdown = ShootdownMechanism(
+            machine, self.cmaps, self.observers)
         self.fault_handler = CoherentFaultHandler(
             machine, self.shootdown, self.policy, self.cmaps, self.observers)
         self.defrost = DefrostDaemon(
@@ -69,6 +70,9 @@ class CoherentMemorySystem:
         )
         if defrost_enabled:
             self.defrost.start()
+        #: the other daemons built on this kernel (section 8 migration,
+        #: samplers): the engine's queue holds their ticks weakly
+        self.daemons: list = []
         #: when True, remote accesses through established mappings are
         #: counted per (Cpage, processor) -- the simulated 'hardware
         #: reference counts' that competitive placement (section 8)
@@ -101,8 +105,6 @@ class CoherentMemorySystem:
         cmap = self.cmaps.get(aspace_id)
         if cmap is None:
             return
-        from .cmap import Directive  # local import to avoid cycle noise
-
         self.shootdown.shoot_vpages(
             cmap, [vpage], Directive.INVALIDATE, initiator,
             self.machine.engine.now,

@@ -27,6 +27,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..machine.params import MachineParams
+from ..sim.engine import Daemon
 from .coherent_memory import CoherentMemorySystem
 from .cpage import Cpage
 from ..policy.base import Action, FaultContext, ReplicationPolicy
@@ -70,7 +71,7 @@ def break_even_words(p: MachineParams) -> int:
     return max(1, round(migrate_cost / per_word_saving))
 
 
-class MigrationDaemon:
+class MigrationDaemon(Daemon):
     """Periodically re-places pages with heavy remote traffic.
 
     This is the software simulation of reference counting the paper's
@@ -85,8 +86,11 @@ class MigrationDaemon:
         period: float = 100e6,
         threshold_words: Optional[int] = None,
     ) -> None:
-        self.coherent = coherent
-        self.machine = coherent.machine
+        # what the sweep reads, not ``coherent``: that owns the daemon
+        coherent.daemons.append(self)
+        coherent.reference_counting = True
+        self.machine, self.cpages = coherent.machine, coherent.cpages
+        self.policy, self.defrost = coherent.policy, coherent.defrost
         self.period = period
         self.threshold_words = (
             threshold_words
@@ -95,25 +99,13 @@ class MigrationDaemon:
         )
         self.runs = 0
         self.pages_replaced = 0
-        self._scheduled = False
-
-    def start(self) -> None:
-        if self._scheduled:
-            return
-        self._scheduled = True
-        self.coherent.reference_counting = True
-        self.machine.engine.schedule(self.period, self._tick)
-
-    def _tick(self) -> None:
-        self.run_once()
-        self.machine.engine.schedule(self.period, self._tick)
 
     def run_once(self) -> int:
         """Sweep the counters; re-place pages past break-even."""
         self.runs += 1
         replaced = 0
         now = self.machine.engine.now
-        for cpage in self.coherent.cpages:
+        for cpage in self.cpages:
             total = sum(cpage.remote_counts.values())
             if total < self.threshold_words:
                 continue
@@ -127,12 +119,12 @@ class MigrationDaemon:
     def _replace(self, cpage: Cpage, now: int) -> None:
         """Invalidate all mappings so the next fault re-places the page
         at (one of) its heavy users."""
-        self.coherent.defrost.invalidate_mappings(cpage, now)
+        self.defrost.invalidate_mappings(cpage, now)
         # tell a cooperating policy who to move the page to
         heaviest = max(
             cpage.remote_counts, key=lambda proc: cpage.remote_counts[proc]
         )
-        policy = self.coherent.policy
+        policy = self.policy
         if hasattr(policy, "move_hints"):
             policy.move_hints[cpage.index] = heaviest
         cpage.remote_counts.clear()

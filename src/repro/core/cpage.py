@@ -11,8 +11,9 @@ Each Cpage records:
 * the time of the most recent invalidation by the coherency protocol (the
   replication policy's entire history, section 4.2);
 * whether the replication policy has frozen it;
-* the set of (Cmap, vpage) bindings mapping it, so protocol-driven mapping
-  changes can reach every address space that maps the page (section 3.1);
+* the set of (address space, vpage) bindings mapping it, so
+  protocol-driven mapping changes can reach every address space that
+  maps the page (section 3.1);
 * instrumentation counters for the kernel's post-mortem report.
 """
 
@@ -20,14 +21,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from ..machine.memory import Frame
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from .cmap import Cmap
 
 
 class CpageState(enum.Enum):
@@ -107,8 +105,9 @@ class Cpage:
         #: frozen pages the defrost daemon must leave alone (the kernel's
         #: own writable pages are permanently frozen, section 2.2)
         self.thaw_exempt = False
-        #: (cmap, vpage) pairs binding this Cpage into address spaces
-        self.bindings: list[tuple["Cmap", int]] = []
+        #: (aspace_id, vpage) pairs binding this Cpage into address
+        #: spaces: ids, not Cmaps, whose entries point back here
+        self.bindings: list[tuple[int, int]] = []
         #: serialization point of the fault handler for this page; modelled
         #: as a busy-until clock (see core.fault)
         self.handler_busy_until: int = 0
@@ -130,9 +129,6 @@ class Cpage:
     @property
     def n_copies(self) -> int:
         return len(self.frames)
-
-    def frame_at(self, module: int) -> Optional[Frame]:
-        return self.frames.get(module)
 
     def any_frame(self) -> Frame:
         """A deterministic representative copy (lowest module index)."""
@@ -160,20 +156,6 @@ class Cpage:
         if frame is None:
             raise CoherencyError(f"{self!r} has no copy on module {module}")
         return frame
-
-    # -- bindings -----------------------------------------------------------
-
-    def bind(self, cmap: "Cmap", vpage: int) -> None:
-        self.bindings.append((cmap, vpage))
-
-    def unbind(self, cmap: "Cmap", vpage: int) -> None:
-        try:
-            self.bindings.remove((cmap, vpage))
-        except ValueError as exc:
-            raise CoherencyError(
-                f"{self!r} is not bound to aspace {cmap.aspace_id} "
-                f"vpage {vpage}"
-            ) from exc
 
     # -- state bookkeeping ---------------------------------------------------
 

@@ -19,6 +19,7 @@ from typing import Optional
 
 from ..machine.machine import Machine
 from ..machine.pmap import Rights
+from ..sim.engine import Daemon
 from .cmap import Directive
 from .cpage import Cpage
 from ..policy.base import ReplicationPolicy
@@ -29,7 +30,7 @@ from .trace import Observers
 _INVALIDATE, _NONE = Directive.INVALIDATE, Rights.NONE
 
 
-class DefrostDaemon:
+class DefrostDaemon(Daemon):
     """Periodically thaws every frozen Cpage."""
 
     def __init__(
@@ -49,22 +50,8 @@ class DefrostDaemon:
             period if period is not None
             else machine.params.t2_defrost_period
         )
-        self.enabled = True
         self.runs = 0
         self.pages_thawed = 0
-        self._scheduled = False
-
-    def start(self) -> None:
-        """Schedule the periodic clock interrupt."""
-        if self._scheduled:
-            return
-        self._scheduled = True
-        self.machine.engine.schedule(self.period, self._tick)
-
-    def _tick(self) -> None:
-        if self.enabled:
-            self.run_once()
-        self.machine.engine.schedule(self.period, self._tick)
 
     def run_once(self) -> int:
         """Thaw all currently frozen pages; returns how many."""

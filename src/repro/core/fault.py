@@ -39,6 +39,8 @@ _READ, _WRITE = Rights.READ, Rights.WRITE
 _EMPTY, _PRESENT1, _PRESENT_PLUS, _MODIFIED = CpageState
 _CACHE = Action.CACHE
 _INVALIDATE, _RESTRICT = Directive.INVALIDATE, Directive.RESTRICT
+#: the base class's no-op hook: a policy that inherits it is not called
+_NO_NOTE = ReplicationPolicy.note_invalidation
 
 
 class ProtectionError(RuntimeError):
@@ -62,9 +64,9 @@ class CoherentFaultHandler:
         #: told of every fault and block transfer (repro.core.trace)
         self.observers = observers if observers is not None else Observers()
         self.cmaps = cmaps  #: by address space
-        #: the VM layer's ``resolve_fault(aspace_id, vpage) -> CmapEntry``
+        #: the VM layer's ``resolve(aspace_id, vpage) -> (cpage, rights)``
         #: for a fault with no Cmap entry (section 3.3); the kernel's
-        self.resolve: Optional[Callable[[int, int], CmapEntry]] = None
+        self.resolve: Optional[Callable[[int, int], tuple]] = None
         self.fault_count = 0
         #: the policy's action in the observed fault in progress, if any
         self.decision: Optional[Action] = None
@@ -85,8 +87,9 @@ class CoherentFaultHandler:
                 raise CoherencyError(f"no Cmap entry for aspace {aspace_id} "
                                      f"vpage {vpage} and no VM layer")
             # resolve first: a wild reference must leave no Cmap behind
-            entry = self.resolve(aspace_id, vpage)
+            cpage, rights = self.resolve(aspace_id, vpage)
             cmap = self.cmaps[aspace_id]
+            entry = cmap.enter(vpage, cpage, rights)
         # Rights are the ints 0 < 1 < 3: compared, never and-ed (an
         # IntFlag operator costs a microsecond)
         if entry.vm_rights < (3 if write else 1):
@@ -295,7 +298,9 @@ class CoherentFaultHandler:
             t += page_free
         cpage.has_write_mapping = False
         cpage.last_invalidation = t
-        self.policy.note_invalidation(cpage, t)
+        policy = self.policy
+        if type(policy).note_invalidation is not _NO_NOTE:
+            policy.note_invalidation(cpage, t)
         return t
 
     def _copy_page(self, cpage: Cpage, dst: Frame, t: int,
@@ -373,7 +378,7 @@ class CoherentFaultHandler:
         if aspace_id not in mmu._pmaps:
             mmu.attach_pmap(pmap)
         # replacing the Pmap entry orphans any cached ATC descriptor
-        # (ATC.flush_page, Pmap.enter and CmapEntry.set_ref, in place)
+        # (ATC.flush_page, Pmap.enter and the reference bit, in place)
         atc = mmu.atc
         if atc._entries.pop((aspace_id, vpage), None) is not None:
             atc.flushes += 1

@@ -33,9 +33,12 @@ class ShootdownMechanism:
     """Restricts or invalidates mappings across processors."""
 
     def __init__(
-        self, machine: Machine, observers: Optional[Observers] = None
+        self, machine: Machine, cmaps: dict[int, Cmap],
+        observers: Optional[Observers] = None,
     ) -> None:
         self.machine = machine
+        #: the Cmaps by address space, as a Cpage's bindings name them
+        self.cmaps = cmaps
         #: told of every shootdown and Cmap-queue application
         #: (repro.core.trace)
         self.observers = observers if observers is not None else Observers()
@@ -68,7 +71,9 @@ class ShootdownMechanism:
         """
         interrupted = deferred = 0
         hits = []
-        for cmap, vpage in cpage.bindings:
+        cmaps = self.cmaps
+        for aspace_id, vpage in cpage.bindings:
+            cmap = cmaps[aspace_id]
             entry = cmap.entries.get(vpage)
             if entry is not None and entry.ref_mask:
                 hit, missed = self._shoot_one(

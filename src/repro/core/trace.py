@@ -38,6 +38,7 @@ turns retention off entirely so the full history lives only on disk.
 from __future__ import annotations
 
 import enum
+import weakref
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import Any, MutableSequence, Optional
@@ -154,8 +155,9 @@ class ProtocolTracer:
 
     ``observers`` is the list the tracer joins (first, so that it has
     recorded an action before any later observer -- the invariant
-    checker -- can raise on it); a tracer built without one gets its
-    own.
+    checker -- can raise on it).  The tracer holds it weakly: the list
+    holds the tracer while it is enabled, and the kernel owns both.  A
+    tracer built without one is fed by :meth:`record` alone.
     """
 
     def __init__(
@@ -165,7 +167,8 @@ class ProtocolTracer:
         ring: bool = False,
         observers: Optional[Observers] = None,
     ):
-        self.observers = observers if observers is not None else Observers()
+        self._observers = (
+            weakref.ref(observers) if observers is not None else None)
         self.enabled = False
         self.max_events = max_events
         self.ring = ring
@@ -181,19 +184,25 @@ class ProtocolTracer:
         if enabled:
             self.enable()
 
+    @property
+    def observers(self) -> Optional[Observers]:
+        return self._observers() if self._observers is not None else None
+
     def enable(self) -> None:
         self.enabled = True
         observers = self.observers
-        observers.tracing = True
-        if self not in observers:
-            observers.insert(0, self)
+        if observers is not None:
+            observers.tracing = True
+            if self not in observers:
+                observers.insert(0, self)
 
     def disable(self) -> None:
         self.enabled = False
         observers = self.observers
-        observers.tracing = False
-        if self in observers:
-            observers.remove(self)
+        if observers is not None:
+            observers.tracing = False
+            if self in observers:
+                observers.remove(self)
 
     def use_ring(self, max_events: Optional[int] = None) -> None:
         """Switch to ring-buffer retention, keeping the newest events.
@@ -211,7 +220,8 @@ class ProtocolTracer:
     def clear(self) -> None:
         self.events.clear()
         self.dropped = 0
-        self.observers.next_eid = 0
+        if self.observers is not None:
+            self.observers.next_eid = 0
 
     # -- sinks ------------------------------------------------------------------
 
@@ -317,9 +327,6 @@ class ProtocolTracer:
 
     def by_cpage(self, cpage_index: int) -> list[TraceEvent]:
         return [e for e in self.ordered() if e.cpage_index == cpage_index]
-
-    def between(self, start: float, end: float) -> list[TraceEvent]:
-        return [e for e in self.ordered() if start <= e.time < end]
 
     def counts(self) -> dict[str, int]:
         return dict(Counter(e.kind.value for e in self.events))

@@ -56,7 +56,8 @@ class Kernel:
             metrics=metrics,
         )
         self.vm = VirtualMemorySystem(self.coherent)
-        self.coherent.fault_handler.resolve = self.vm.resolve_fault
+        # the VM's address-space table, not the VM: that owns the handler
+        self.coherent.fault_handler.resolve = self.vm.aspaces.resolve
         self.threads = ThreadManager(machine, self.coherent)
         self.ports = PortNamespace(machine)
 

@@ -10,7 +10,7 @@ memory object is the unit of sharing between address spaces.
 The coherent memory system caches the composition of the
 virtual-to-object and object-to-Cpage mappings in its Cmaps; this layer
 populates those Cmap entries lazily, on the first fault that reaches a
-page (``resolve_fault``).
+page (``AddressSpaces.resolve``).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from ..core.cmap import CmapEntry
+from ..core.cmap import Directive
 from ..core.coherent_memory import CoherentMemorySystem
 from ..core.cpage import Cpage
 from ..machine.pmap import Rights
@@ -88,16 +88,34 @@ class AddressSpace:
         )
 
 
+class AddressSpaces(dict):
+    """The address spaces by id, and the VM fault path the coherent
+    fault handler calls on a Cmap miss: it holds nothing of the coherent
+    layer, so the handler can hold it (DESIGN.md section 2)."""
+
+    def resolve(self, aspace_id: int, vpage: int) -> tuple[Cpage, Rights]:
+        """The Cpage and rights a faulting virtual page is bound to."""
+        aspace = self.get(aspace_id)
+        if aspace is None:
+            raise AddressError(f"unknown address space {aspace_id}")
+        binding = aspace.find_binding(vpage)
+        if binding is None:
+            raise AddressError(
+                f"aspace {aspace_id}: virtual page {vpage} is not bound "
+                "(wild access)"
+            )
+        return binding.cpage_for(vpage), binding.rights
+
+
 class VirtualMemorySystem:
     """Manages memory objects, address spaces and their bindings."""
 
     def __init__(self, coherent: CoherentMemorySystem) -> None:
         self.coherent = coherent
         self.objects: dict[int, MemoryObject] = {}
-        self.aspaces: dict[int, AddressSpace] = {}
+        self.aspaces = AddressSpaces()
         self._next_oid = 0
         self._next_asid = 0
-        self.vm_faults = 0
 
     # -- objects ---------------------------------------------------------------
 
@@ -213,8 +231,6 @@ class VirtualMemorySystem:
         discovers the new rights.  *Restricting* rights drives the
         shootdown mechanism, exactly like the data-coherency protocol.
         """
-        from ..core.cmap import Directive
-
         old = binding.rights
         binding.rights = rights
         cmap = self.coherent.cmaps.get(aspace.asid)
@@ -231,30 +247,10 @@ class VirtualMemorySystem:
                 cmap, vpages, Directive.INVALIDATE, initiator,
                 self.coherent.machine.engine.now,
             )
-        elif not old.allows(True) or rights.allows(True):
-            # relaxation (or no change in writability): lazy, no shootdown
-            pass
-        else:
+        elif old.allows(True) and not rights.allows(True):
+            # write access withdrawn; a relaxation (or no change in
+            # writability) is lazy and shoots nothing down
             self.coherent.shootdown.shoot_vpages(
                 cmap, vpages, Directive.RESTRICT, initiator,
                 self.coherent.machine.engine.now, rights=rights,
             )
-
-    # -- fault path -------------------------------------------------------------------
-
-    def resolve_fault(self, aspace_id: int, vpage: int) -> CmapEntry:
-        """Populate the Cmap entry for a faulting page (the VM fault path:
-        the composition cache missed)."""
-        aspace = self.aspaces.get(aspace_id)
-        if aspace is None:
-            raise AddressError(f"unknown address space {aspace_id}")
-        binding = aspace.find_binding(vpage)
-        if binding is None:
-            raise AddressError(
-                f"aspace {aspace_id}: virtual page {vpage} is not bound "
-                "(wild access)"
-            )
-        self.vm_faults += 1
-        return self.coherent.map_page(
-            aspace_id, vpage, binding.cpage_for(vpage), binding.rights
-        )

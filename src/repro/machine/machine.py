@@ -97,9 +97,6 @@ class Machine:
     def now(self) -> int:
         return self.engine.now
 
-    def ipt_of(self, node: int) -> InvertedPageTable:
-        return self.ipts[node]
-
     def access(
         self,
         src_node: int,

@@ -131,10 +131,6 @@ class IptEntry:
     #: coherent page index this frame backs, or None if free
     cpage_index: Optional[int] = None
 
-    @property
-    def free(self) -> bool:
-        return self.cpage_index is None
-
 
 class InvertedPageTable:
     """Per-module table mapping frames back to coherent pages.

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import weakref
 from collections import deque
 from typing import Callable, Optional
 
@@ -237,3 +238,34 @@ class Engine:
         finally:
             self._running = False
         return executed
+
+
+class Daemon:
+    """A periodic clock interrupt: :meth:`run_once` every ``period`` ns
+    of simulated time on ``machine.engine``, from :meth:`start` on,
+    while ``enabled`` (the defrost and migration daemons, the sampler).
+
+    The engine's queue holds the next tick weakly and a daemon holds
+    nothing that owns it: its kernel owns it, and a finished kernel is
+    freed by reference counting (DESIGN.md section 2).
+    """
+
+    enabled = True
+    _wake: Optional[Callable[[], None]] = None  # the tick, once started
+
+    def start(self) -> None:
+        """Schedule the periodic tick (idempotent)."""
+        if self._wake is None:
+            tick = weakref.WeakMethod(self._tick)
+
+            def wake() -> None:
+                bound = tick()
+                if bound is not None:
+                    bound()
+            self._wake = wake
+            self.machine.engine.schedule(self.period, wake)
+
+    def _tick(self) -> None:
+        if self.enabled:
+            self.run_once()
+        self.machine.engine.schedule(self.period, self._wake)

@@ -68,21 +68,29 @@ def _normalize_buckets(buckets: Sequence[float]) -> tuple[float, ...]:
     return tuple(sorted(set(finite)))
 
 
+class _Switch:
+    """A registry's ``enabled`` flag (``on``), shared with its
+    instruments: they read it here, not through the registry that owns
+    them."""
+
+    __slots__ = ("on",)
+
+
 class _Child:
     """One labeled series of a counter or gauge."""
 
-    __slots__ = ("registry", "value")
+    __slots__ = ("switch", "value")
 
-    def __init__(self, registry: "MetricsRegistry") -> None:
-        self.registry = registry
+    def __init__(self, switch: _Switch) -> None:
+        self.switch = switch
         self.value: float = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
-        if self.registry.enabled:
+        if self.switch.on:
             self.value += amount
 
     def set(self, value: float) -> None:
-        if self.registry.enabled:
+        if self.switch.on:
             self.value = value
 
     def get(self) -> float:
@@ -92,19 +100,17 @@ class _Child:
 class _HistogramChild:
     """One labeled series of a histogram."""
 
-    __slots__ = ("registry", "buckets", "counts", "sum", "count")
+    __slots__ = ("switch", "buckets", "counts", "sum", "count")
 
-    def __init__(
-        self, registry: "MetricsRegistry", buckets: Sequence[float]
-    ) -> None:
-        self.registry = registry
+    def __init__(self, switch: _Switch, buckets: Sequence[float]) -> None:
+        self.switch = switch
         self.buckets = tuple(buckets)
         self.counts = [0] * (len(self.buckets) + 1)  # +1: the +Inf bucket
         self.sum = 0.0
         self.count = 0
 
     def observe(self, value: float) -> None:
-        if not self.registry.enabled:
+        if not self.switch.on:
             return
         self.count += 1
         if value != value:  # NaN: unbinnable -> explicit overflow
@@ -121,7 +127,7 @@ class Metric:
 
     def __init__(
         self,
-        registry: "MetricsRegistry",
+        switch: _Switch,
         name: str,
         kind: str,
         help: str = "",
@@ -129,7 +135,7 @@ class Metric:
         unit: str = "",
         buckets: Optional[Sequence[float]] = None,
     ) -> None:
-        self.registry = registry
+        self.switch = switch
         self.name = name
         self.kind = kind
         self.help = help
@@ -144,8 +150,8 @@ class Metric:
     def _new_child(self):
         if self.kind == "histogram":
             assert self.buckets is not None
-            return _HistogramChild(self.registry, self.buckets)
-        return _Child(self.registry)
+            return _HistogramChild(self.switch, self.buckets)
+        return _Child(self.switch)
 
     def labels(self, *values):
         """The child series for one label-value tuple (cached)."""
@@ -210,14 +216,16 @@ class MetricsRegistry:
     """
 
     def __init__(self, enabled: bool = False) -> None:
-        self.enabled = enabled
+        self._switch = _Switch()
+        self._switch.on = enabled
         self._metrics: dict[str, Metric] = {}
 
-    def enable(self) -> None:
-        self.enabled = True
+    @property
+    def enabled(self) -> bool:
+        return self._switch.on
 
-    def disable(self) -> None:
-        self.enabled = False
+    def enable(self) -> None:
+        self._switch.on = True
 
     # -- instrument creation -------------------------------------------------
 
@@ -234,7 +242,7 @@ class MetricsRegistry:
                     f"re-register as {kind}{tuple(labels)}"
                 )
             return metric
-        metric = Metric(self, name, kind, help=help, labels=labels,
+        metric = Metric(self._switch, name, kind, help=help, labels=labels,
                         unit=unit, buckets=buckets)
         self._metrics[name] = metric
         return metric

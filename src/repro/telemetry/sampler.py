@@ -26,11 +26,12 @@ from __future__ import annotations
 from typing import IO, Optional
 
 from ..doc import jsonl
+from ..sim.engine import Daemon
 
 SAMPLE_RECORD = "sample"
 
 
-class SimTimeSampler:
+class SimTimeSampler(Daemon):
     """Snapshots kernel/machine state every N simulated milliseconds."""
 
     def __init__(
@@ -43,12 +44,15 @@ class SimTimeSampler:
         if period_ms <= 0:
             raise ValueError(f"sample period must be positive, "
                              f"got {period_ms}")
-        self.kernel = kernel
-        self.period_ns = period_ms * 1e6
+        # what a sample reads, not the kernel: that owns the sampler
+        kernel.coherent.daemons.append(self)
+        self.machine = kernel.machine
+        self.cpages = kernel.coherent.cpages
+        self.shootdown = kernel.coherent.shootdown
+        self.period = period_ms * 1e6  # ns
         self.max_samples = max_samples
         self.samples: list[dict] = []
         self.dropped = 0
-        self._started = False
         self._last = {"faults": 0, "local_words": 0, "remote_words": 0,
                       "events": 0, "time_ns": 0}
         self.registry = registry
@@ -67,28 +71,16 @@ class SimTimeSampler:
 
     @property
     def period_ms(self) -> float:
-        return self.period_ns / 1e6
-
-    def start(self) -> None:
-        """Schedule the periodic sampling tick (idempotent)."""
-        if self._started:
-            return
-        self._started = True
-        self.kernel.engine.schedule(self.period_ns, self._tick)
-
-    def _tick(self) -> None:
-        self.sample_now()
-        self.kernel.engine.schedule(self.period_ns, self._tick)
+        return self.period / 1e6
 
     # -- snapshotting --------------------------------------------------------
 
     def sample_now(self) -> dict:
         """Take one snapshot immediately (also used for the final row)."""
-        kernel = self.kernel
-        machine = kernel.machine
-        coherent = kernel.coherent
-        now = kernel.engine.now
-        rows = list(coherent.cpages)
+        machine = self.machine
+        engine = machine.engine
+        now = engine.now
+        rows = list(self.cpages)
         faults = sum(cp.stats.faults for cp in rows)
         frozen = sum(1 for cp in rows if cp.frozen)
         remote_mappings = sum(cp.stats.remote_mappings for cp in rows)
@@ -96,7 +88,7 @@ class SimTimeSampler:
         thaws = sum(cp.stats.thaws for cp in rows)
         local_words = int(sum(machine.local_words))
         remote_words = int(sum(machine.remote_words))
-        events = kernel.engine.events_executed
+        events = engine.events_executed
         pressure = [
             round(1.0 - ipt.n_free / max(1, len(ipt)), 6)
             for ipt in machine.ipts
@@ -125,10 +117,10 @@ class SimTimeSampler:
             "thaws": thaws,
             "remote_mappings": remote_mappings,
             "transfers": machine.xfer.transfer_count,
-            "shootdowns": coherent.shootdown.shootdowns,
+            "shootdowns": self.shootdown.shootdowns,
             "local_words_interval": local_words - last["local_words"],
             "remote_words_interval": remote_words - last["remote_words"],
-            "queue_depth": kernel.engine.pending_events,
+            "queue_depth": engine.pending_events,
             "events_interval": events - last["events"],
             "node_memory_pressure": pressure,
         }
@@ -139,7 +131,7 @@ class SimTimeSampler:
         last["time_ns"] = now
         if self._g_frozen is not None:
             self._g_frozen.set(frozen)
-            self._g_queue.set(kernel.engine.pending_events)
+            self._g_queue.set(engine.pending_events)
             for node, frac in enumerate(pressure):
                 self._g_pressure.labels(node).set(frac)
         if len(self.samples) >= self.max_samples:
@@ -147,6 +139,8 @@ class SimTimeSampler:
         else:
             self.samples.append(sample)
         return sample
+
+    run_once = sample_now  # the periodic tick
 
     # -- access --------------------------------------------------------------
 

@@ -121,7 +121,7 @@ def test_catches_translation_outside_reference_mask():
 def test_catches_unregistered_directory_frame():
     harness = corrupted(make_harness())
     frame = next(iter(harness.cpage.frames.values()))
-    ipt = harness.machine.ipt_of(frame.module_index)
+    ipt = harness.machine.ipts[frame.module_index]
     ipt._entries[frame.frame_index].cpage_index = 999  # rebind the frame
     assert_caught(harness, "frame-ownership")
 

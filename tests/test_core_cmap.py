@@ -20,7 +20,7 @@ def test_enter_and_lookup(cmap, cpage):
     entry = cmap.enter(5, cpage, Rights.WRITE)
     assert cmap.lookup(5) is entry
     assert cmap.lookup(6) is None
-    assert (cmap, 5) in cpage.bindings
+    assert (cmap.aspace_id, 5) in cpage.bindings
 
 
 def test_double_enter_rejected(cmap, cpage):
@@ -39,10 +39,9 @@ def test_remove_unbinds(cmap, cpage):
 
 def test_reference_mask_bits(cmap, cpage):
     entry = cmap.enter(5, cpage, Rights.WRITE)
-    entry.set_ref(2)
-    entry.set_ref(0)
+    entry.ref_mask |= 1 << 2
+    entry.ref_mask |= 1 << 0
     assert entry.ref_mask == 0b101
-    assert entry.has_ref(2) and not entry.has_ref(1)
     entry.ref_mask &= ~(1 << 2)
     assert entry.ref_mask == 0b001
 
@@ -51,13 +50,14 @@ def test_reference_union_across_bindings(cpage):
     cm_a, cm_b = Cmap(0, 4), Cmap(1, 4)
     ea = cm_a.enter(5, cpage, Rights.WRITE)
     eb = cm_b.enter(9, cpage, Rights.READ)
-    ea.set_ref(0)
-    eb.set_ref(3)
+    ea.ref_mask |= 1 << 0
+    eb.ref_mask |= 1 << 3
     # every processor that may hold a translation, over all bindings:
     # the union the shootdown walks
+    cmaps = {0: cm_a, 1: cm_b}
     union = 0
-    for cmap, vpage in cpage.bindings:
-        union |= cmap.entries[vpage].ref_mask
+    for aspace_id, vpage in cpage.bindings:
+        union |= cmaps[aspace_id].entries[vpage].ref_mask
     assert union == 0b1001
 
 

@@ -70,7 +70,7 @@ def test_invariant_checker_catches_corruption(system):
     system.activate(0, 0)
     fault(system, 0, 0, 5, True, 0)
     # corrupt: claim a write mapping exists on a replicated page
-    frame = system.machine.ipt_of(1).allocate_for(cpage.index)
+    frame = system.machine.ipts[1].allocate_for(cpage.index)
     cpage.add_frame(frame)
     with pytest.raises(CoherencyError):
         InvariantChecker(system).check()
@@ -84,7 +84,7 @@ def test_invariant_checker_catches_unregistered_frame(system):
     # steal the frame out of the inverted page table behind the
     # system's back
     frame = cpage.frames[0]
-    system.machine.ipt_of(0).release(frame)
+    system.machine.ipts[0].release(frame)
     system.machine.modules[0].allocate()  # reuse the slot
     with pytest.raises(CoherencyError):
         InvariantChecker(system).check()

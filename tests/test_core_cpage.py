@@ -13,7 +13,8 @@ from repro.machine import MachineParams, MemoryModule
 def problems(page, invariant="single_writer"):
     """What one per-Cpage invariant of the checker reports on ``page``."""
     found = []
-    checker = InvariantChecker(SimpleNamespace(cpages=[page]))
+    checker = InvariantChecker(SimpleNamespace(
+        cpages=[page], cmaps={}, machine=None, policy=None))
     getattr(checker, f"_inv_{invariant}")(found.append)
     return found
 
@@ -38,8 +39,8 @@ def test_module_mask_and_directory(modules):
     page.add_frame(f0)
     page.add_frame(f2)
     assert sorted(page.frames) == [0, 2]
-    assert page.frame_at(0) is f0
-    assert page.frame_at(1) is None
+    assert page.frames.get(0) is f0
+    assert page.frames.get(1) is None
     assert page.any_frame() is f0  # deterministic: lowest module
 
 

@@ -91,8 +91,6 @@ def test_query_filters():
     tracer = harness.kernel.tracer
     assert tracer.by_cpage(harness.cpage.index)
     assert tracer.by_cpage(999) == []
-    late = tracer.between(1, float("inf"))
-    assert all(e.time >= 1 for e in late)
 
 
 def test_counts_and_timeline():

@@ -51,6 +51,13 @@ for a built item, and a page copy reserves its buses in
 replicate 21.1 -> 13.5, fill 27.0 -> 21.8, remote_map 9.5 -> 7.5,
 upgrade 7.0 -> 5.0, map_local 6.0 -> 4.0).  Every budget is now that
 plus 10 %, the metrics-off mean rounded down to 14.0.
+12.29 / 19.37 once the kernel graph holds no cycles and a collapse
+calls the policy's invalidation hook only where the policy overrides
+the no-op: the handler enters a VM-resolved page in the Cmap itself
+(no ``map_page``/``cmap_for``/``Cpage.bind``; fill 21.8 -> 18.8) and a
+fixed policy is not called (collapse 14.3 -> 13.3, migrate 18.9 ->
+17.9).  The budgets of those three actions and both means are now that
+plus 10 %.
 
 Some costs a call count cannot see: a load of an ``Enum`` member through
 its class (``CpageState.EMPTY``) is one attribute load to a bytecode
@@ -87,19 +94,19 @@ from repro.workloads.spec import PhaseSpec, WorkloadSpec
 
 #: mean Python calls inside one fault (the handler's entry), by action
 BUDGET = {
-    "migrate": 20.8,     # 18.9 (was 30.7)
-    "fill": 23.9,        # 21.8 (was 27.0), the VM layer's resolve included
-    "collapse": 15.7,    # 14.3 (was 23.5)
+    "migrate": 19.7,     # 17.9 (was 30.7)
+    "fill": 20.6,        # 18.8 (was 27.0), the VM layer's resolve included
+    "collapse": 14.6,    # 13.3 (was 23.5)
     "replicate": 14.9,   # 13.5 (was 21.1)
     "remote_map": 8.2,   # 7.5 (was 9.5)
     "upgrade": 5.5,      # 5.0 (was 7.0)
     "map_local": 4.4,    # 4.0 (was 6.0)
 }
-#: ... and over every fault of the three replays (12.8; was 18.7)
-BUDGET_MEAN = 14.0
-#: ... and with the metrics registry enabled (19.9; 25.8 with the fault
+#: ... and over every fault of the three replays (12.3; was 18.7)
+BUDGET_MEAN = 13.5
+#: ... and with the metrics registry enabled (19.4; 25.8 with the fault
 #: records, 38.7 before each metric write became one call)
-BUDGET_MEAN_METRICS = 21.9
+BUDGET_MEAN_METRICS = 21.3
 
 #: per fault, inside ``Engine.run``: loads of an Enum member through its
 #: class, and Python frames that build a ``TranslationResult`` or a

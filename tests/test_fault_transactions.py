@@ -163,7 +163,8 @@ class World:
         # the bindings in which a translation matches, the initiator's
         # own included (what the pinned "messages_posted" counts)
         matched = 0
-        for cmap, vpage in self.cpage.bindings:
+        for aspace_id, vpage in self.cpage.bindings:
+            cmap = self.kernel.coherent.cmaps[aspace_id]
             entry = cmap.entries.get(vpage)
             if entry is not None and any(
                     vpage in cmap._pmaps[proc]._entries

@@ -138,7 +138,7 @@ def test_ipt_entries_appear_with_the_frames_they_describe(ipt, module):
     assert ipt.allocate_for(43) is frame
     assert ipt._entries.materialized == 1
     # walking the table sees real entries, not holes
-    assert [e.free for e in ipt._entries].count(False) == 1
+    assert [e.cpage_index is None for e in ipt._entries].count(False) == 1
 
 
 def test_fresh_kernel_has_no_ipt_entries():

@@ -33,8 +33,8 @@ class ReferenceShootdown(ShootdownMechanism):
     """The bit-by-bit walk, as it was spelled before; it notes, per
     call, whether any translation matched."""
 
-    def __init__(self, machine) -> None:
-        super().__init__(machine)
+    def __init__(self, machine, cmaps) -> None:
+        super().__init__(machine, cmaps)
         self.found: list[bool] = []
 
     def _shoot_one(self, cmap, entry, directive, rights, initiator, now,
@@ -95,11 +95,11 @@ def build(cls, seed, metrics):
     structure is drawn from ``seed``."""
     rng = random.Random(seed)
     machine = Machine(MachineParams(n_processors=N_PROCESSORS))
-    mech = cls(machine)
+    mech = cls(machine, {})
     if metrics:
         mech.observers.append(
             ProtocolMetrics(MetricsRegistry(enabled=True)))
-    cmap = Cmap(aspace_id=1, n_processors=N_PROCESSORS)
+    cmap = mech.cmaps[1] = Cmap(aspace_id=1, n_processors=N_PROCESSORS)
     cmap.active_mask = rng.getrandbits(N_PROCESSORS)
     for vpage in VPAGES:
         entry = CmapEntry(vpage, None, Rights.WRITE)
