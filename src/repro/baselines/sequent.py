@@ -197,7 +197,7 @@ class SequentThreadProcess(OpProcess):
         values = op.value
         if values.__class__ is not np.ndarray or values.dtype != WORD_DTYPE:
             values = write_words(values)  # an int64 array is its own
-        va, n = op.va, len(values)
+        va, n = op.va, values.size  # a 0-d array is one word
         self._check(va, n)
         self.memory[va: va + n] = values
         bus = self.bus

@@ -22,6 +22,7 @@ All output is plain text on stdout; every command is deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -881,6 +882,8 @@ def _cmd_gen_verify(args: argparse.Namespace) -> int:
     return 0
 
 
+# one parser a process (~1,700 objects in cycles); callers only parse with it
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -1425,8 +1428,7 @@ def _dispatch(args: argparse.Namespace,
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return _dispatch(args, argv)
     except BrokenPipeError:

@@ -28,6 +28,7 @@ Two things need care beyond logging yielded ops:
 
 from __future__ import annotations
 
+from array import array
 from typing import Optional
 
 import numpy as np
@@ -35,7 +36,7 @@ import numpy as np
 from ..analysis.costmodel import run_counters
 from ..point import point_kernel, point_program
 from ..runtime import ops
-from ..runtime.executor import ThreadProcess
+from ..runtime.executor import ThreadProcess, write_words
 from ..runtime.program import Program, ProgramAPI
 from ..runtime.run import RunResult, run_threads
 from ..runtime.sync import Broadcast
@@ -59,32 +60,30 @@ class TraceRecorder:
     """Accumulates per-thread op streams and the broadcast-channel table."""
 
     def __init__(self) -> None:
-        #: per-local-tid lists of (kind, a, b, c) rows
-        self.streams: list[list[tuple]] = []
+        #: per-local-tid (kind, a, b, c) rows, four doubles (32 B) an op
+        self.streams: list[array] = []
         #: local tid of the thread whose generator is currently executing
         self.current: Optional[int] = None
-        #: id(channel) -> (cid, channel, base_version).  The channel object
-        #: itself is held: if it were collected, id() could be reused by a
-        #: new channel and silently alias two channels in the trace.
+        #: id(channel) -> (cid, channel, base_version), in cid order.  The
+        #: channel object itself is held: if it were collected, id() could
+        #: be reused by a new channel and silently alias two channels.
         self._channels: dict = {}
-        self._channel_order: list = []
         self.errors: list[str] = []
 
     def add_thread(self) -> int:
-        self.streams.append([])
+        self.streams.append(array("d"))
         return len(self.streams) - 1
 
     def _channel_id(self, channel: Broadcast, fired: bool) -> int:
         entry = self._channels.get(id(channel))
         if entry is not None:
             return entry[0]
-        cid = len(self._channel_order)
+        cid = len(self._channels)
         # the fire hook runs after the version increment, so a channel
         # first seen firing was at version - 1 when recording started;
         # one first seen in a WaitNewer has had no recorded fires yet
         base = channel.version - 1 if fired else channel.version
         self._channels[id(channel)] = (cid, channel, base)
-        self._channel_order.append((channel, base))
         return cid
 
     def note_fire(self, channel: Broadcast) -> None:
@@ -96,24 +95,15 @@ class TraceRecorder:
                 "thread; the replayer has no position to fire it from"
             )
             return
-        self.streams[self.current].append((K_FIRE, float(cid), 0.0, 0.0))
-
-    def log_op(self, local_tid: int, op: Op) -> None:
-        self.streams[local_tid].append(self._encode(op))
+        self.streams[self.current].extend((K_FIRE, cid, 0.0, 0.0))
 
     def _encode(self, op: Op) -> tuple:
         if isinstance(op, ops.Compute):
             return (K_THINK, float(op.ns), 0.0, 0.0)
         if isinstance(op, ops.Read):
             return (K_READ, float(op.va), float(op.n), 0.0)
-        if isinstance(op, ops.Write):
-            if np.isscalar(op.value) or isinstance(
-                op.value, (int, np.integer)
-            ):
-                n = 1
-            else:
-                n = len(np.asarray(op.value))
-            return (K_WRITE, float(op.va), float(n), 0.0)
+        if isinstance(op, ops.Write):  # the words the executor stores
+            return (K_WRITE, float(op.va), write_words(op.value).size, 0.0)
         if isinstance(op, (ops.TestAndSet, ops.FetchAdd)):
             # a one-word write run; the returned value steered the live
             # generator, whose chosen path is what the stream records
@@ -136,15 +126,15 @@ class TraceRecorder:
     def channel_layout(self) -> list[dict]:
         return [
             {"cid": i, "name": ch.name, "base_version": base}
-            for i, (ch, base) in enumerate(self._channel_order)
+            for i, ch, base in self._channels.values()
         ]
 
     def stream_arrays(self) -> list[np.ndarray]:
-        # float64 keeps fractional Compute/Delay durations exact through
-        # the round trip (and integers below 2**53, far beyond any va)
+        # float64 keeps fractional durations and integers below 2**53
+        # exact; each array views its doubles (an empty one is not viewed)
         return [
-            np.array(s, dtype=np.float64).reshape(len(s), 4)
-            for s in self.streams
+            np.frombuffer(s, np.float64).reshape(-1, 4) if s
+            else np.zeros((0, 4)) for s in self.streams
         ]
 
 
@@ -161,6 +151,7 @@ def _recorded(rec: TraceRecorder, tid: int, body):
     executor throws goes into ``body``.
     """
     value, error = None, None
+    stream, encode = rec.streams[tid], rec._encode
     while True:
         prev, rec.current = rec.current, tid
         try:
@@ -169,7 +160,7 @@ def _recorded(rec: TraceRecorder, tid: int, body):
             return stop.value
         finally:
             rec.current = prev
-        rec.log_op(tid, op)
+        stream.extend(encode(op))  # logged before it runs
         try:
             value, error = (yield op), None
         except BaseException as exc:  # noqa: BLE001 - thrown into body

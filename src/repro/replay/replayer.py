@@ -128,17 +128,24 @@ class Runs(Op):
     runs: tuple
 
 
-def _decode_stream(index: int, arr, wpp: int) -> list:
+def _decode_stream(index: int, arr, wpp: int, shared: dict) -> list:
     """Turn thread ``index``'s (n, 4) op array into the ops its cursor
     yields: executor ops, :class:`Runs`, and ``(K_FIRE, cid)`` /
-    ``(K_WAIT, cid, seen)`` rows for the replay's channels.  An op no
-    recording can hold -- unknown kind, operands that are not integers,
-    a reference the live executor refuses (``check_access``: negative
-    address, no words), a think or delay that is not finite and >= 0
-    (live ``Compute`` and ``Engine.schedule`` refuse it) -- is a corrupt
-    trace, reported here so that neither mode ever prices it."""
-    decoded: list = []
-    for j, (kind, a, b, _c) in enumerate(arr.tolist()):
+    ``(K_WAIT, cid, seen)`` rows for the replay's channels.  Each row
+    distinct in its bytes is decoded once, and all rows whose ops are
+    equal yield the one object ``shared`` holds (ops are never mutated
+    once built, DESIGN.md section 5).  An op no recording can hold --
+    unknown kind, operands that are not integers, a reference the live
+    executor refuses (``check_access``: negative address, no words), a
+    think or delay that is not finite and >= 0 (live ``Compute`` and
+    ``Engine.schedule`` refuse it) -- is a corrupt trace, reported here
+    (the first in stream order) so that neither mode ever prices it."""
+    rows = np.ascontiguousarray(arr).view(f"V{4 * arr.itemsize}")
+    _, first, inverse = np.unique(
+        rows.ravel(), return_index=True, return_inverse=True)
+    table = [None] * len(first)
+    for j, u in sorted(zip(first.tolist(), range(len(first)))):
+        kind, a, b, _c = arr[j].tolist()
         try:
             k = int(kind)
             if k != kind:
@@ -158,25 +165,26 @@ def _decode_stream(index: int, arr, wpp: int) -> list:
                     vpage += 1
                     offset = 0
                     n -= take
-                decoded.append(Runs(k != K_READ, tuple(runs)))
+                op = Runs(k != K_READ, tuple(runs))
             elif k in (K_THINK, K_DELAY):
                 what = "think" if k == K_THINK else "delay"
                 if not 0 <= a < math.inf:  # NaN compares false
                     raise ValueError(f"{what} time {a!r} is not in [0, inf)")
-                decoded.append(Compute(a) if k == K_THINK else Delay(a))
+                op = Compute(a) if k == K_THINK else Delay(a)
             elif k == K_WAIT:
-                decoded.append((k, int(a), int(b)))
+                op = (k, int(a), int(b))
             elif k == K_FIRE:
-                decoded.append((k, int(a)))
+                op = (k, int(a))
             elif k == K_MIGRATE:
-                decoded.append(Migrate(int(a)))
+                op = Migrate(int(a))
             elif k == K_GETTIME:
-                decoded.append(GetTime())
+                op = GetTime()
             else:
                 raise ValueError(f"unknown op kind {k}")
         except (ValueError, OverflowError) as exc:  # int(nan), int(inf)
             raise ReplayError(f"stream {index} op {j}: {exc}") from None
-    return decoded
+        table[u] = shared.setdefault(op, op)
+    return list(map(table.__getitem__, inverse.tolist()))
 
 
 def _decoded_streams(bundle: TraceBundle, wpp: int) -> list[list]:
@@ -186,10 +194,9 @@ def _decoded_streams(bundle: TraceBundle, wpp: int) -> list[list]:
     key = (wpp, *map(id, bundle.streams))
     cached = bundle._decoded
     if cached is None or cached[0] != key:
-        decoded = [
-            _decode_stream(i, arr, wpp)
-            for i, arr in enumerate(bundle.streams)
-        ]
+        shared: dict = {}
+        decoded = [_decode_stream(i, arr, wpp, shared)
+                   for i, arr in enumerate(bundle.streams)]
         # holding the arrays keeps the ids in the key from being reused
         cached = bundle._decoded = (key, list(bundle.streams), decoded)
         bundle._slots = None
@@ -229,9 +236,9 @@ class _SlotTable:
 
     def __init__(self, decoded: list) -> None:
         m = len(decoded)
-        self.code = code = [_S_SCALAR] * (m + 1)
-        # the vpage ints are the decoded tuples' own: 8 bytes a slot
-        self.vpage = vpage = [None] * m
+        # typed arrays: 1 and 8 bytes a slot, a free slot's vpage is 0
+        self.code = code = array("b", [_S_SCALAR]) * (m + 1)
+        self.vpage = vpage = array("q", bytes(8 * m))
         self._words = words = np.zeros(m)
         self._think = think = np.zeros(m)
         for i, op in enumerate(decoded):

@@ -47,7 +47,7 @@ class WordArray:
 
     def write(self, i: int, value: Union[int, np.ndarray]) -> Write:
         self.va(i)
-        n = 1 if np.isscalar(value) else len(value)
+        n = 1 if np.isscalar(value) else np.size(value)  # 0-d: one word
         if i + n > self.n:
             raise IndexError(f"{self.name}[{i}:{i + n}] out of range")
         return Write(self.base_va + i, value)

@@ -47,9 +47,9 @@ def check_access(va: int, n: int) -> None:
 
 
 def write_words(value: Any) -> np.ndarray:
-    """What a ``Write`` of ``value`` stores, on either machine: an
-    integer or bool, or an array or sequence of them.  Anything else
-    would be cast to a silently wrong word: an ``ExecutionError``."""
+    """What a ``Write`` of ``value`` stores, on either machine, as its
+    ``.size`` words: an integer or bool, or an array or sequence of them.
+    Anything else would be a silently wrong word: an ``ExecutionError``."""
     if isinstance(value, (int, np.integer, np.bool_)):  # bool is an int
         return np.full(1, value, dtype=WORD_DTYPE)
     words = np.asarray(value)
@@ -439,7 +439,7 @@ class ThreadProcess(OpProcess):
         values = op.value
         if values.__class__ is not np.ndarray or values.dtype != WORD_DTYPE:
             values = write_words(values)  # an int64 array is its own
-        va, n = op.va, len(values)
+        va, n = op.va, values.size  # a 0-d array is one word
         wpp = self._wpp
         offset = va % wpp
         if 0 < n <= wpp - offset and va >= 0:

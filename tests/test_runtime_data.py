@@ -32,6 +32,8 @@ def test_word_array_bounds(api):
         arr.read(6, 3)
     with pytest.raises(IndexError):
         arr.write(7, np.zeros(2, dtype=np.int64))
+    # a 0-d array is one word, as the machines store it
+    assert arr.write(7, np.array(5)).va == arr.base_va + 7
 
 
 def test_empty_array_rejected():

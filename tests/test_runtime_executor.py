@@ -77,6 +77,7 @@ WRITABLE = [
     (np.array([5], dtype=np.uint8), [5]),
     (np.array([True, False]), [1, 0]),
     ([4, 5], [4, 5]),
+    (np.array(5), [5]),
 ]
 
 #: values that used to be cast to a silently wrong word (2.5 read back
