@@ -13,7 +13,8 @@ Run:  python examples/protocol_trace.py
 import numpy as np
 
 from repro import make_kernel
-from repro.core import EventKind, competitive_kernel
+from repro.core import EventKind
+from repro.point import point_kernel
 from repro.runtime import (
     Compute,
     Program,
@@ -88,7 +89,9 @@ def main() -> None:
 
     print("\nfor contrast, the section 8 competitive comparator needs")
     print("reference counts for the same information at runtime:")
-    kernel2, daemon = competitive_kernel(n_processors=4, period=20e6)
+    kernel2 = point_kernel(
+        {"machine": 4, "competitive": True, "competitive_period": 20e6})
+    (daemon,) = kernel2.coherent.daemons
     run_program(kernel2, PageLife())
     print(f"  daemon sweeps: {daemon.runs}, pages re-placed: "
           f"{daemon.pages_replaced}, threshold "

@@ -15,8 +15,8 @@ from .sequent import (
     SequentRunResult,
     run_on_sequent,
 )
-from .smp import SMPGauss, smp_kernel
-from .uniform_system import UniformSystemGauss, uniform_system_kernel
+from .smp import SMPGauss
+from .uniform_system import UniformSystemGauss
 
 __all__ = [
     "SMPGauss",
@@ -26,6 +26,4 @@ __all__ = [
     "SequentRunResult",
     "UniformSystemGauss",
     "run_on_sequent",
-    "smp_kernel",
-    "uniform_system_kernel",
 ]

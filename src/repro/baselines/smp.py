@@ -22,24 +22,16 @@ from typing import Optional
 
 import numpy as np
 
-from ..kernel.kernel import Kernel
 from ..machine.memory import WORD_DTYPE
 from ..runtime.data import Matrix
 from ..runtime.ops import Compute, RecvPort, SendPort
 from ..runtime.program import Program, ProgramAPI, ThreadEnv
-from ..runtime.run import make_kernel
 from ..workloads.gauss import (
     DEFAULT_COMPUTE_PER_WORD,
     MODULUS,
     eliminate_reference,
     make_input,
 )
-
-
-def smp_kernel(machine_processors: int = 16, **overrides) -> Kernel:
-    """Message-passing programs do not rely on coherent memory; keep the
-    kernel stock (the policy is simply never exercised by private data)."""
-    return make_kernel(n_processors=machine_processors, **overrides)
 
 
 class SMPGauss(Program):

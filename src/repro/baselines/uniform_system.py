@@ -12,7 +12,8 @@ program, with
 
 * the matrix pages placed round-robin over all memory modules
   ("interleave" placement) and *never* migrated or replicated
-  (:class:`~repro.policy.fixed.NeverCachePolicy` -- the Uniform System has
+  (:class:`~repro.policy.fixed.NeverCachePolicy` with defrost off, the
+  ``uniform`` row of ``repro.point.SYSTEMS`` -- the Uniform System has
   no coherent memory), and
 * the hand optimization of copying each pivot row into a private local
   buffer every round.
@@ -26,23 +27,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..policy.fixed import NeverCachePolicy
-from ..kernel.kernel import Kernel
-from ..runtime.run import make_kernel
 from ..workloads.gauss import GaussianElimination
-
-
-def uniform_system_kernel(
-    machine_processors: int = 16, **overrides
-) -> Kernel:
-    """A kernel configured as the Uniform System environment: no page
-    caching at all (static placement, remote access in place)."""
-    return make_kernel(
-        n_processors=machine_processors,
-        policy=NeverCachePolicy(),
-        defrost_enabled=False,
-        **overrides,
-    )
 
 
 class UniformSystemGauss(GaussianElimination):

@@ -2,19 +2,13 @@
 
 Cpages with a directory-based selective-invalidation protocol extended
 with remote mappings, per-address-space Cmaps with private per-processor
-Pmaps, the NUMA shootdown mechanism, the freeze/thaw replication policy
-family, the defrost daemon, and the kernel's post-mortem instrumentation.
+Pmaps, the NUMA shootdown mechanism, the defrost daemon, and the
+kernel's post-mortem instrumentation.  The policies the fault handler
+and the defrost daemon consult are ``repro.policy``'s.
 """
 
 from .cmap import Cmap, CmapEntry, CmapMessage, Directive
 from .coherent_memory import CoherentMemorySystem
-from .competitive import (
-    CompetitivePolicy,
-    MigrationDaemon,
-    attach_migration_daemon,
-    break_even_words,
-    competitive_kernel,
-)
 from .cpage import (
     CoherencyError,
     Cpage,
@@ -25,28 +19,17 @@ from .cpage import (
 from .defrost import DefrostDaemon
 from .fault import CoherentFaultHandler, ProtectionError
 from .instrumentation import CpageReportRow, MemoryReport, build_report
-from ..policy.base import Action, FaultContext, ReplicationPolicy
-from ..policy.fixed import (
-    AceStylePolicy,
-    AlwaysReplicatePolicy,
-    NeverCachePolicy,
-    TimestampFreezePolicy,
-)
 from .protocol import TRANSITIONS, Transition, format_table, lookup
 from .shootdown import ShootdownMechanism
 from .trace import EventKind, ProtocolTracer, TraceEvent
 
 __all__ = [
-    "AceStylePolicy",
-    "Action",
-    "AlwaysReplicatePolicy",
     "Cmap",
     "CmapEntry",
     "CmapMessage",
     "CoherencyError",
     "CoherentFaultHandler",
     "CoherentMemorySystem",
-    "CompetitivePolicy",
     "Cpage",
     "CpageReportRow",
     "CpageState",
@@ -55,21 +38,13 @@ __all__ = [
     "DefrostDaemon",
     "EventKind",
     "Directive",
-    "FaultContext",
     "MemoryReport",
-    "MigrationDaemon",
-    "NeverCachePolicy",
     "ProtectionError",
     "ProtocolTracer",
-    "ReplicationPolicy",
     "ShootdownMechanism",
     "TRANSITIONS",
-    "TimestampFreezePolicy",
     "TraceEvent",
     "Transition",
-    "attach_migration_daemon",
-    "break_even_words",
-    "competitive_kernel",
     "build_report",
     "format_table",
     "lookup",

@@ -73,14 +73,11 @@ class CoherentMemorySystem:
         #: the other daemons built on this kernel (section 8 migration,
         #: samplers): the engine's queue holds their ticks weakly
         self.daemons: list = []
-        #: when True, remote accesses through established mappings are
-        #: counted per (Cpage, processor) -- the simulated 'hardware
-        #: reference counts' that competitive placement (section 8)
-        #: depends on.  PLATINUM itself leaves this off.
-        self.reference_counting = False
-        #: optional repro.profile.AccessProbe recording per-(Cpage,
-        #: processor) word counts for cost attribution; one attribute
-        #: load + branch on the access hot path when None
+        #: the one access hook, ``note(cpage_index, proc, write, remote,
+        #: words, queue_delay)`` per access run through an established
+        #: mapping: a repro.profile.AccessProbe (cost attribution) or the
+        #: section 8 MigrationDaemon (its reference counts).  One
+        #: attribute load + branch on the access hot path when None
         self.access_probe = None
 
     # -- Cmap / mapping management (called by the VM layer) --------------------
@@ -131,20 +128,13 @@ class CoherentMemorySystem:
         if cmap is not None:
             cmap.deactivate(proc)
 
-    # -- reference counting -----------------------------------------------------------
-
-    def note_remote_access(
-        self, cpage_index: int, proc: int, n_words: int
-    ) -> None:
-        """Record remote traffic to a page (reference-count hardware).
-
-        Called once per contiguous batched run, not per word: the whole
-        run is a single pair of counter updates.
-        """
-        cpage = self.cpages.get(cpage_index)
-        counts = cpage.remote_counts
-        cpage.stats.remote_access_words += n_words
-        counts[proc] = counts.get(proc, 0) + n_words
+    def claim_access_probe(self, probe) -> None:
+        """Install ``probe`` as the access hook; a second claimant is
+        refused rather than silently displacing the first."""
+        if self.access_probe is not None:
+            raise ValueError(f"the access hook is taken by the "
+                             f"{type(self.access_probe).__name__}")
+        self.access_probe = probe
 
     # -- introspection ----------------------------------------------------------------
 

@@ -66,7 +66,7 @@ class CpageStats:
     handler_wait_ns: int = 0
     handler_busy_ns: int = 0
     #: words accessed through remote mappings (the 'hardware reference
-    #: count' the competitive policies of section 8 require)
+    #: count' of section 8, kept by its MigrationDaemon only)
     remote_access_words: int = 0
 
 
@@ -111,9 +111,6 @@ class Cpage:
         #: serialization point of the fault handler for this page; modelled
         #: as a busy-until clock (see core.fault)
         self.handler_busy_until: int = 0
-        #: per-processor remote-access word counts since the last reset
-        #: (maintained only when reference counting is enabled)
-        self.remote_counts: dict[int, int] = {}
         self.stats = CpageStats()
 
     def __repr__(self) -> str:

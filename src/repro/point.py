@@ -13,7 +13,11 @@ speak::
     defrost, defrost_period
 
 This module is the only place that knows how those keys become a
-:class:`Kernel` and a :class:`Program`; ``cli``, ``bench``, ``replay``,
+:class:`Kernel` and a :class:`Program`, and it builds every kernel with
+one ``Kernel(...)`` call: what a comparator fixes of its kernel -- the
+section 5.1 systems, section 8's migration daemon -- is a data row
+(``SYSTEMS``, ``COMPETITIVE``) that overrides the spec's own policy and
+defrost keys.  ``cli``, ``bench``, ``replay``,
 ``workloads.generate.run_spec`` and the fuzzer lower their inputs to a
 spec and call it.  Anything wrong with a spec -- an unknown workload,
 system, policy or parameter name, bad constructor arguments, an
@@ -27,16 +31,12 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable
 
-from .baselines import (
-    SMPGauss,
-    UniformSystemGauss,
-    smp_kernel,
-    uniform_system_kernel,
-)
-from .core import competitive_kernel
+from .baselines import SMPGauss, UniformSystemGauss
 from .kernel.kernel import Kernel
 from .machine.machine import Machine
 from .machine.params import MachineParams
+from .policy.competitive import CompetitivePolicy, MigrationDaemon
+from .policy.fixed import NeverCachePolicy
 from .policy.registry import make_policy
 from .runtime.program import Program
 from .workloads import (
@@ -67,12 +67,22 @@ WORKLOADS: dict[str, Callable[..., Program]] = {
 }
 
 #: programming system -> the programs written for it (section 5.1 ran
-#: Gauss three ways; everything else is a PLATINUM program)
-SYSTEMS: dict[str, dict[str, Callable[..., Program]]] = {
-    "platinum": WORKLOADS,
-    "uniform": {"gauss": UniformSystemGauss},
-    "smp": {"gauss": SMPGauss},
+#: Gauss three ways; everything else is a PLATINUM program) and the
+#: kernel a comparator fixes, whatever its spec says: ``(policy class or
+#: None for the kernel default, defrost on)``.  The Uniform System has
+#: no coherent memory (static placement, remote access in place); SMP's
+#: message passing never leans on it, so its kernel is stock.
+SYSTEMS: dict[str, tuple[dict[str, Callable[..., Program]], tuple]] = {
+    "platinum": (WORKLOADS, None),
+    "uniform": ({"gauss": UniformSystemGauss}, (NeverCachePolicy, False)),
+    "smp": ({"gauss": SMPGauss}, (None, True)),
 }
+
+#: section 8's comparator (``competitive: true`` on a PLATINUM point):
+#: pages held in one copy until a MigrationDaemon, sweeping every
+#: ``competitive_period`` (default 100 ms), moves them to their heaviest
+#: user; its reference counts take the place of defrost
+COMPETITIVE = (CompetitivePolicy, False)
 
 _PARAM_NAMES = frozenset(f.name for f in dataclasses.fields(MachineParams))
 
@@ -104,7 +114,7 @@ def _system_of(spec: dict) -> str:
 def point_program(spec: dict) -> Program:
     """A fresh instance of the program a point spec describes."""
     system = _system_of(spec)
-    programs = SYSTEMS[system]
+    programs = SYSTEMS[system][0]
     name = spec.get("workload")
     if name is None and len(programs) == 1:
         (name,) = programs  # a comparator system *is* its one program
@@ -145,25 +155,29 @@ def point_kernel(
     params = MachineParams(
         n_processors=spec.get("machine", 16)
     ).scaled(**overrides)
-    if system == "uniform":
-        return uniform_system_kernel(
-            params=params, trace=trace, metrics=metrics)
-    if system == "smp":
-        return smp_kernel(params=params, trace=trace, metrics=metrics)
-    if spec.get("competitive"):
-        kernel, _daemon = competitive_kernel(
-            period=_period_ns(spec, "competitive_period", 100_000_000),
-            params=params, trace=trace, metrics=metrics,
-        )
-        return kernel
-    return Kernel(
+    fixed = SYSTEMS[system][1]
+    if fixed is None and spec.get("competitive"):
+        fixed = COMPETITIVE
+        daemon_period = _period_ns(spec, "competitive_period", 100_000_000)
+    if fixed is None:
+        policy = make_policy(spec.get("policy"), spec.get("policy_args"))
+        defrost = bool(spec.get("defrost", True))
+        defrost_period = _period_ns(spec, "defrost_period")
+    else:  # a comparator fixes its kernel and carries its data
+        policy_class, defrost = fixed
+        policy = policy_class() if policy_class else None
+        defrost_period, dataless = None, False
+    kernel = Kernel(
         machine=Machine(params, dataless=dataless),
-        policy=make_policy(spec.get("policy"), spec.get("policy_args")),
-        defrost_enabled=bool(spec.get("defrost", True)),
-        defrost_period=_period_ns(spec, "defrost_period"),
+        policy=policy,
+        defrost_enabled=defrost,
+        defrost_period=defrost_period,
         trace=trace,
         metrics=metrics,
     )
+    if fixed is COMPETITIVE:
+        MigrationDaemon(kernel.coherent, period=daemon_period).start()
+    return kernel
 
 
 def sec42_spec(

@@ -52,7 +52,7 @@ class AccessProbe:
     def install(cls, coherent) -> "AccessProbe":
         """Attach a fresh probe to a CoherentMemorySystem; returns it."""
         probe = cls(coherent.cpages)
-        coherent.access_probe = probe
+        coherent.claim_access_probe(probe)
         return probe
 
     def note(self, cpage_index: int, proc: int, write: bool, remote: bool,

@@ -38,11 +38,21 @@ _MAGIC = b"REPROTRC1\n"
 _STREAM_DTYPE = "<f8"
 _STREAM_COLS = 4
 
-#: the JSON header; the binary payload's own bounds are ``from_bytes``'s
+#: the JSON header; the binary payload's own bounds are ``from_bytes``'s,
+#: and ``layout`` is typed as ``replayer._rebuild_layout`` reads it
 HEADER_SHAPE = {
     "schema": str,
     "config?": dict,
-    "layout?": dict,
+    "layout?": {
+        "objects?": [{"oid": int, "label": str, "n_pages": int,
+                      "cpage_start": int, "placement": [(int, None)]}],
+        "aspaces?": [{"asid": int, "bindings": [{
+            "vpage_start": int, "n_pages": int, "oid": int,
+            "obj_page_start": int, "rights": int}]}],
+        "channels?": [{"name": str, "base_version": int}],
+        "threads?": [{"tid": int, "asid": int, "processor": int,
+                      "name": str}],
+    },
     "expected?": dict,
     "streams?": [{
         "thread?": int,
@@ -170,9 +180,11 @@ class TraceBundle:
                 raise TraceError(
                     f"stream {i}: runs past the end of the bundle")
             try:
-                arr = np.frombuffer(
-                    raw[start:end], dtype=meta.get("dtype", _STREAM_DTYPE)
-                ).reshape(meta["n_ops"], _STREAM_COLS)
+                dtype = np.dtype(meta.get("dtype", _STREAM_DTYPE))
+                if dtype.kind not in "fiu":  # the decoder reads reals
+                    raise TypeError(f"dtype {dtype.str!r} is not real")
+                arr = np.frombuffer(raw[start:end], dtype=dtype).reshape(
+                    meta["n_ops"], _STREAM_COLS)
             except (TypeError, ValueError) as exc:  # bad dtype or size
                 raise TraceError(f"stream {i}: {exc}") from None
             streams.append(arr)

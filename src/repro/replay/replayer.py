@@ -620,6 +620,11 @@ def replay_trace(
         kernel = point_kernel(
             spec, trace=trace, metrics=metrics, dataless=dataless
         )
+        probe_obj = None
+        if probe:  # refused where a section 8 daemon holds the hook
+            from ..profile import AccessProbe
+
+            probe_obj = AccessProbe.install(kernel.coherent)
     except ValueError as exc:
         raise ReplayError(str(exc)) from None
     channels, threads = _rebuild_layout(kernel, bundle.layout)
@@ -628,11 +633,6 @@ def replay_trace(
             f"bundle has {len(bundle.streams)} op streams for "
             f"{len(threads)} threads"
         )
-    probe_obj = None
-    if probe:
-        from ..profile import AccessProbe
-
-        probe_obj = AccessProbe.install(kernel.coherent)
     decoded_streams = _decoded_streams(
         bundle, kernel.params.words_per_page)
     start = kernel.engine.now

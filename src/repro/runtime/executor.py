@@ -368,10 +368,7 @@ class ThreadProcess(OpProcess):
         module.accesses_served += 1
         cpage_index = entry.cpage_index
         if cpage_index is not None:
-            coherent = kernel.coherent
-            if remote and coherent.reference_counting:
-                coherent.note_remote_access(cpage_index, proc, n)
-            probe = coherent.access_probe
+            probe = kernel.coherent.access_probe
             if probe is not None:
                 probe.note(cpage_index, proc, write, remote, n,
                            queue_delay)

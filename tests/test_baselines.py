@@ -9,23 +9,26 @@ from repro.baselines import (
     SequentParams,
     UniformSystemGauss,
     run_on_sequent,
-    smp_kernel,
-    uniform_system_kernel,
 )
+from repro.point import point_kernel
 from repro.runtime import Compute, Program
 from repro.workloads import MergeSort, PrivateWork
+
+#: the section 5.1 comparators' kernels, as a bench point builds them
+UNIFORM = {"system": "uniform", "machine": 4}
+SMP = {"system": "smp", "machine": 4}
 
 
 # -- Uniform System -------------------------------------------------------------
 
 
 def test_uniform_system_gauss_correct():
-    kernel = uniform_system_kernel(4)
+    kernel = point_kernel(UNIFORM)
     run_program(kernel, UniformSystemGauss(n=16, n_threads=4))
 
 
 def test_uniform_system_never_replicates():
-    kernel = uniform_system_kernel(4)
+    kernel = point_kernel(UNIFORM)
     result = run_program(
         kernel, UniformSystemGauss(n=16, n_threads=4, verify_result=False)
     )
@@ -37,7 +40,7 @@ def test_uniform_system_never_replicates():
 
 
 def test_uniform_system_matrix_scattered():
-    kernel = uniform_system_kernel(4)
+    kernel = point_kernel(UNIFORM)
     # n=64 so the (unpadded) matrix spans several pages
     prog = UniformSystemGauss(n=64, n_threads=4, verify_result=False)
     run_program(kernel, prog)
@@ -48,7 +51,7 @@ def test_uniform_system_matrix_scattered():
 
 
 def test_uniform_system_mostly_remote():
-    kernel = uniform_system_kernel(4)
+    kernel = point_kernel(UNIFORM)
     result = run_program(
         kernel, UniformSystemGauss(n=16, n_threads=4, verify_result=False)
     )
@@ -59,18 +62,18 @@ def test_uniform_system_mostly_remote():
 
 
 def test_smp_gauss_correct():
-    kernel = smp_kernel(4)
+    kernel = point_kernel(SMP)
     run_program(kernel, SMPGauss(n=16, n_threads=4))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4])
 def test_smp_gauss_thread_counts(p):
-    kernel = smp_kernel(4)
+    kernel = point_kernel(SMP)
     run_program(kernel, SMPGauss(n=12, n_threads=p))
 
 
 def test_smp_rows_stay_private_and_local():
-    kernel = smp_kernel(4)
+    kernel = point_kernel(SMP)
     result = run_program(kernel, SMPGauss(n=16, n_threads=4,
                                           verify_result=False))
     row_pages = [
@@ -81,7 +84,7 @@ def test_smp_rows_stay_private_and_local():
 
 
 def test_smp_uses_ports_not_shared_memory():
-    kernel = smp_kernel(4)
+    kernel = point_kernel(SMP)
     prog = SMPGauss(n=16, n_threads=4, verify_result=False)
     run_program(kernel, prog)
     assert all(port.sends > 0 for port in prog.pivot_ports[1:])

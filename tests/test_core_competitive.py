@@ -1,15 +1,12 @@
-"""Tests for reference counting and the competitive migration daemon."""
+"""Tests for the section 8 migration daemon, its reference counts on
+the access hook, and the competitive bound."""
 
 import pytest
 
 from repro import make_kernel, run_program
-from repro.core import (
-    CpageState,
-    MigrationDaemon,
-    attach_migration_daemon,
-    break_even_words,
-    competitive_kernel,
-)
+from repro.core import CpageState
+from repro.point import point_kernel
+from repro.policy.competitive import MigrationDaemon, break_even_words
 from repro.policy.fixed import NeverCachePolicy
 from repro.runtime import Compute, Program, Read, Write
 from repro.workloads import GaussianElimination
@@ -77,11 +74,11 @@ class _RemoteReader(Program):
 
 def test_counters_accumulate_remote_traffic():
     kernel = make_kernel(n_processors=2, policy=NeverCachePolicy())
-    kernel.coherent.reference_counting = True
+    daemon = MigrationDaemon(kernel.coherent)  # counts; never sweeps
     prog = _RemoteReader(reads=4, words=100)
     run_program(kernel, prog)
     # reader (cpu1) read 4 * 100 remote words from the data page
-    assert prog.cpage.remote_counts.get(1, 0) == 400
+    assert daemon.counts[prog.cpage.index] == {1: 400}
     assert prog.cpage.stats.remote_access_words == 400
 
 
@@ -97,7 +94,7 @@ def test_daemon_replaces_hot_page():
     replaced = daemon.run_once()
     assert replaced == 1
     # the page lost its mappings and will be re-placed on next touch
-    assert prog.cpage.remote_counts == {}
+    assert daemon.counts[prog.cpage.index] == {}
     assert prog.cpage.state is CpageState.PRESENT1
 
 
@@ -113,9 +110,10 @@ def test_daemon_periodic_operation_end_to_end():
     """The full competitive configuration approximates dynamic
     placement: the hot remote page eventually lands at its heavy
     reader, so the remote counters stop growing."""
-    kernel, daemon = competitive_kernel(
-        n_processors=2, period=5e6, threshold_words=150
-    )
+    kernel = point_kernel(
+        {"machine": 2, "competitive": True, "competitive_period": 5e6})
+    (daemon,) = kernel.coherent.daemons
+    daemon.threshold_words = 150
     prog = _RemoteReader(reads=60, words=100)
     run_program(kernel, prog)
     assert daemon.pages_replaced >= 1
@@ -126,7 +124,7 @@ def test_daemon_periodic_operation_end_to_end():
 
 def test_daemon_does_not_break_applications():
     kernel = make_kernel(n_processors=4)
-    attach_migration_daemon(kernel, period=10e6)
+    MigrationDaemon(kernel.coherent, period=10e6).start()
     run_program(kernel, GaussianElimination(n=16, n_threads=4))
     kernel.check_invariants()
 
@@ -241,7 +239,6 @@ def test_daemon_ignores_single_writer_local_page():
     home processor accumulates no remote counts and is never
     re-placed."""
     kernel = make_kernel(n_processors=2, policy=NeverCachePolicy())
-    kernel.coherent.reference_counting = True
     daemon = MigrationDaemon(kernel.coherent, threshold_words=1)
 
     class _LocalWriter(Program):
@@ -261,5 +258,5 @@ def test_daemon_ignores_single_writer_local_page():
 
     prog = _LocalWriter()
     run_program(kernel, prog)
-    assert prog.cpage.remote_counts == {}
+    assert daemon.counts == {}
     assert daemon.run_once() == 0

@@ -71,7 +71,6 @@ def build(policy: str, topology: str = "butterfly",
         defrost_enabled=False, atc_entries=atc_entries,
         frames_per_module=32, topology=topology,
     )
-    kernel.coherent.reference_counting = True
     probe = LoggingProbe.install(kernel.coherent)
     aspace = kernel.vm.create_address_space()
     obj = kernel.vm.create_object(N_PAGES, label="shared")
@@ -97,10 +96,6 @@ def reference_cost_run(process, vpage, n, write, t):
         entry = result.entry
         if entry is not None:
             outcome = kernel.machine.access(proc, entry.frame, n, write, t)
-            if outcome.remote and kernel.coherent.reference_counting:
-                kernel.coherent.note_remote_access(
-                    entry.cpage_index, proc, n
-                )
             kernel.coherent.access_probe.note(
                 entry.cpage_index, proc, write, outcome.remote,
                 outcome.words, outcome.queue_delay,
@@ -145,10 +140,6 @@ def snapshot(kernel, probe):
             dataclasses.astuple(r) for r in machine.topology.all_resources()
         ],
         "probe": (probe.log, probe.counts),
-        "cpages": [
-            (c.stats.remote_access_words, dict(c.remote_counts))
-            for c in kernel.coherent.cpages
-        ],
         "report": dataclasses.asdict(kernel.report()),
     }
 

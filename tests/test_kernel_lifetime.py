@@ -24,7 +24,7 @@ import pytest
 
 from repro.bench.targets import execute_point
 from repro.check.fuzz import make_schedule, run_schedule
-from repro.core.competitive import MigrationDaemon
+from repro.policy.competitive import MigrationDaemon
 from repro.point import point_kernel, point_program
 from repro.replay import record_spec, replay_trace
 from repro.runtime.run import make_kernel, run_program

@@ -18,11 +18,11 @@ from pathlib import Path
 import pytest
 
 from repro.check import install_invariant_checker
-from repro.core.competitive import attach_migration_daemon
 from repro.core.trace import Observers, ProtocolTracer
 from repro.machine.memory import OutOfFramesError
 from repro.machine.pmap import Rights
 from repro.point import point_kernel
+from repro.policy.competitive import MigrationDaemon
 from repro.runtime.run import run_program
 from repro.workloads import GeneratedWorkload
 from repro.workloads.generate import bench_spec_for, corpus_paths
@@ -67,7 +67,8 @@ def observed():
     recorder = Recorder()
     coherent.observers.append(recorder)
     install_invariant_checker(coherent)
-    daemon = attach_migration_daemon(kernel, period=2e6, threshold_words=16)
+    daemon = MigrationDaemon(coherent, period=2e6, threshold_words=16)
+    daemon.start()
     run_program(kernel, GeneratedWorkload(spec))
     # the virtual memory layer's shootdowns: a protect deferred to
     # every holder (the threads have exited, so the address space is

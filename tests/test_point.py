@@ -9,9 +9,20 @@ import pytest
 from repro.bench.targets import TARGETS, execute_point
 from repro.cli import main
 from repro.obs import iter_spans, read_ledger
+from repro.machine.params import MachineParams
 from repro.point import point_kernel, point_program, sec42_spec
-from repro.policy.fixed import TimestampFreezePolicy
-from repro.replay import record_spec, replay_trace, save_trace
+from repro.policy.competitive import (
+    CompetitivePolicy,
+    MigrationDaemon,
+    break_even_words,
+)
+from repro.policy.fixed import (
+    AlwaysReplicatePolicy,
+    NeverCachePolicy,
+    TimestampFreezePolicy,
+)
+from repro.profile import AccessProbe
+from repro.replay import ReplayError, record_spec, replay_trace, save_trace
 from repro.workloads import bench_spec_for, generate_spec
 
 # -- (a) every bench point builds through the module --------------------------
@@ -127,6 +138,67 @@ def test_bad_specs_are_one_line_value_errors(build, spec, match):
     with pytest.raises(ValueError, match=match) as info:
         build(spec)
     assert "\n" not in str(info.value)
+
+
+# -- (e) a comparator row fixes its kernel ------------------------------------
+
+#: a PLATINUM kernel's own keys, which a comparator row overrides
+_PLATINUM_KEYS = {"policy": "always", "defrost": True, "defrost_period": 5e6}
+_STOCK_PERIOD = MachineParams().t2_defrost_period
+
+
+@pytest.mark.parametrize("row, policy, defrost, period, daemon_period", [
+    ({}, AlwaysReplicatePolicy, True, 5_000_000, None),
+    ({"system": "uniform"}, NeverCachePolicy, False, _STOCK_PERIOD, None),
+    ({"system": "smp"}, TimestampFreezePolicy, True, _STOCK_PERIOD, None),
+    ({"competitive": True}, CompetitivePolicy, False, _STOCK_PERIOD,
+     100_000_000),
+    ({"competitive": True, "competitive_period": 20e6}, CompetitivePolicy,
+     False, _STOCK_PERIOD, 20_000_000),
+    # a section 5.1 system is not a PLATINUM point: no section 8 daemon
+    ({"system": "smp", "competitive": True}, TimestampFreezePolicy, True,
+     _STOCK_PERIOD, None),
+], ids=["platinum", "uniform", "smp", "competitive", "competitive-20ms",
+        "smp-competitive"])
+def test_a_comparator_row_fixes_its_kernel(
+        row, policy, defrost, period, daemon_period):
+    coherent = point_kernel({**_GAUSS, **_PLATINUM_KEYS, **row}).coherent
+    assert type(coherent.policy) is policy
+    assert (coherent.defrost._wake is not None) is defrost  # started
+    assert coherent.defrost.period == period
+    if daemon_period is None:
+        assert coherent.daemons == [] and coherent.access_probe is None
+        return
+    (daemon,) = coherent.daemons
+    assert type(daemon) is MigrationDaemon
+    assert daemon.period == daemon_period
+    assert daemon.threshold_words == break_even_words(
+        coherent.machine.params)
+    assert coherent.access_probe is daemon  # its reference counts
+
+
+def test_a_second_access_hook_is_refused_loudly():
+    """The section 8 daemon counts references on the one access hook: a
+    probe on a competitive kernel (or a daemon on a probed one) is
+    refused rather than silently displacing the holder."""
+    kernel = point_kernel(dict(_GAUSS, competitive=True))
+    (daemon,) = kernel.coherent.daemons
+    with pytest.raises(ValueError, match="taken by the MigrationDaemon"):
+        AccessProbe.install(kernel.coherent)
+    assert kernel.coherent.access_probe is daemon
+    coherent = point_kernel(_GAUSS).coherent
+    probe = AccessProbe.install(coherent)
+    with pytest.raises(ValueError, match="taken by the AccessProbe"):
+        MigrationDaemon(coherent)
+    assert coherent.access_probe is probe and coherent.daemons == []
+
+
+def test_a_probed_replay_of_a_competitive_config_is_a_replay_error():
+    bundle, _result = record_spec(_GAUSS)
+    bundle.config["competitive"] = True
+    assert replay_trace(bundle).kernel.coherent.daemons
+    with pytest.raises(ReplayError, match="taken by the MigrationDaemon"):
+        replay_trace(bundle, probe=True)
 
 
 # -- policy args without a policy name (bug: silently dropped) ----------------

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import pytest
 
-import repro.core
 from repro import policy as policy_pkg
 from repro.policy.registry import make_policy
 from repro.replay import record_spec
@@ -82,16 +81,3 @@ def test_registry_freeze_is_the_papers_policy():
     assert policy.thaw_on_fault is False
 
 
-def test_core_package_reexports_zoo_classes():
-    """``repro.core`` re-exports the very same classes the zoo
-    exports -- no parallel hierarchies."""
-    for name in (
-        "Action",
-        "FaultContext",
-        "ReplicationPolicy",
-        "TimestampFreezePolicy",
-        "AlwaysReplicatePolicy",
-        "NeverCachePolicy",
-        "AceStylePolicy",
-    ):
-        assert getattr(repro.core, name) is getattr(policy_pkg, name)

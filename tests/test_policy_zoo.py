@@ -125,7 +125,7 @@ def test_competitive_invalidation_resets_epoch():
 
 
 def test_competitive_from_params_uses_break_even():
-    from repro.core.competitive import break_even_words
+    from repro.policy.competitive import break_even_words
     from repro.machine.machine import MachineParams
 
     params = MachineParams(n_processors=4)

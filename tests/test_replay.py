@@ -17,6 +17,9 @@ The load-bearing properties:
   analytic model on the section 4.2 anecdote's ranking.
 """
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -221,6 +224,90 @@ def test_a_bundle_cut_inside_its_header_says_so(gauss_recording):
     for keep in (8, 9, 40):
         with pytest.raises(TraceError, match="truncated bundle header$"):
             TraceBundle.from_bytes(raw[: len(_MAGIC) + keep])
+
+
+# -- hostile headers ----------------------------------------------------------
+
+
+def _rewritten(bundle, path, edit) -> str:
+    """``bundle`` saved at ``path`` with its JSON header passed through
+    ``edit`` first: a header as a hostile writer could spell it."""
+    raw = bundle.to_bytes()
+    pos = len(_MAGIC) + 8
+    (length,) = struct.unpack_from("<Q", raw, len(_MAGIC))
+    header = json.loads(raw[pos: pos + length])
+    edit(header)
+    text = json.dumps(header).encode()
+    path.write_bytes(_MAGIC + struct.pack("<Q", len(text)) + text
+                     + raw[pos + length:])
+    return str(path)
+
+
+def _replay_ends_in_one_line(path, capsys, flags=()) -> int:
+    """``repro replay`` of ``path`` returns, and a refusal is one
+    ``repro replay:`` line with exit 2."""
+    code = cli_main(["replay", path, *flags])
+    out = capsys.readouterr().out
+    if code != 0:
+        assert code == 2
+        assert out.startswith("repro replay: ") and out.count("\n") == 1
+    return code
+
+
+@pytest.mark.parametrize("dtype", ["<c8", "<i8", "S8", "V8", ">f8",
+                                   "<M8[s]"])
+def test_a_foreign_stream_dtype_is_refused_in_one_line(
+        gauss_recording, tmp_path, capsys, dtype):
+    """A header giving its streams a dtype the recorder never writes: a
+    non-real one (``<c8``, which the decoder cannot read as an op
+    kind) is refused at load, a real one decodes to ops no recording
+    holds; either way each mode ends in one line, exit 2."""
+
+    def retype(header):
+        for meta in header["streams"]:
+            meta["dtype"] = dtype
+
+    path = _rewritten(gauss_recording[0], tmp_path / "d.trace", retype)
+    for flags in ([], ["--fast"]):
+        assert _replay_ends_in_one_line(path, capsys, flags) == 2
+
+
+#: one leaf per key of each layout record ``_rebuild_layout`` reads
+_LAYOUT_LEAVES = [
+    *(("objects", 0, key) for key in (
+        "oid", "label", "n_pages", "cpage_start", "placement")),
+    ("objects", 0, "placement", 0),
+    ("aspaces", 0, "asid"),
+    ("aspaces", 0, "bindings"),
+    *(("aspaces", 0, "bindings", 0, key) for key in (
+        "vpage_start", "n_pages", "oid", "obj_page_start", "rights")),
+    ("channels", 0, "name"),
+    ("channels", 0, "base_version"),
+    *(("threads", 0, key) for key in ("tid", "asid", "processor", "name")),
+]
+
+
+@pytest.mark.parametrize("leaf", _LAYOUT_LEAVES,
+                         ids=lambda leaf: ".".join(map(str, leaf)))
+def test_a_mistyped_layout_leaf_is_refused_in_one_line(
+        gauss_recording, tmp_path, capsys, leaf):
+    """Every JSON type in the wrong place of the layout ends ``repro
+    replay`` in one line, not in a traceback out of the rebuild, or,
+    where the value is a legal one (a null placement), in a replay.
+    An emptied bindings list leaves a reference dangling, which no
+    type states, and is left out (ROADMAP, hostile input)."""
+    for value in (None, 1.5, "x", [], {}, True):
+        if leaf[-1] == "bindings" and value == []:
+            continue
+
+        def mistype(header):
+            node = header["layout"]
+            for step in leaf[:-1]:
+                node = node[step]
+            node[leaf[-1]] = value
+
+        path = _rewritten(gauss_recording[0], tmp_path / "l.trace", mistype)
+        _replay_ends_in_one_line(path, capsys)
 
 
 # -- variant replays ----------------------------------------------------------
