@@ -10,10 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from ..policy.base import ReplicationPolicy
 from ..kernel.kernel import Kernel
 from ..runtime.program import Program
-from ..runtime.run import RunResult, make_kernel, run_program
+from ..runtime.run import run_program
 
 
 @dataclass
@@ -23,7 +22,6 @@ class SpeedupPoint:
     processors: int
     sim_time_ns: int
     speedup: float
-    result: Optional[RunResult] = None
 
     @property
     def sim_time_ms(self) -> float:
@@ -36,7 +34,7 @@ class SpeedupPoint:
         return self.speedup / self.processors
 
     def to_dict(self) -> dict:
-        """JSON-able form (drops the heavyweight RunResult)."""
+        """JSON-able form."""
         return {
             "processors": self.processors,
             "sim_time_ns": self.sim_time_ns,
@@ -119,40 +117,27 @@ class SpeedupCurve:
 
 def measure_speedup(
     program_factory: Callable[[int], Program],
+    kernel_factory: Callable[[int], Kernel],
     processor_counts: Sequence[int] = (1, 2, 4, 8, 12, 16),
-    kernel_factory: Optional[Callable[[int], Kernel]] = None,
     label: str = "",
-    keep_results: bool = False,
-    policy_factory: Optional[Callable[[], ReplicationPolicy]] = None,
-    machine_processors: Optional[int] = None,
 ) -> SpeedupCurve:
     """Measure a speedup curve.
 
-    ``program_factory(p)`` builds the workload for ``p`` threads.  As in
-    the paper's experiments, the *machine* keeps its full size
-    (``machine_processors``, default the largest count measured) while
-    the program uses ``p`` of its processors -- this matters for the
-    static-placement baselines, whose data stays scattered over all the
-    memory modules even in the one-processor run.  ``kernel_factory(p)``
-    overrides kernel construction entirely.  The first entry of
+    ``program_factory(p)`` builds the workload for ``p`` threads and
+    ``kernel_factory(p)`` the machine it runs on.  As in the paper's
+    experiments, the machine keeps its full size while the program uses
+    ``p`` of its processors -- this matters for the static-placement
+    baselines, whose data stays scattered over all the memory modules
+    even in the one-processor run.  The first entry of
     ``processor_counts`` is the speedup baseline (normally 1).
     """
     counts = list(processor_counts)
     if not counts:
         raise ValueError("need at least one processor count")
-    if machine_processors is None:
-        machine_processors = max(counts)
     curve = SpeedupCurve(label=label or "speedup")
     base_time: Optional[int] = None
     for p in counts:
-        if kernel_factory is not None:
-            kernel = kernel_factory(p)
-        else:
-            policy = policy_factory() if policy_factory else None
-            kernel = make_kernel(
-                n_processors=machine_processors, policy=policy
-            )
-        result = run_program(kernel, program_factory(p))
+        result = run_program(kernel_factory(p), program_factory(p))
         if base_time is None:
             base_time = result.sim_time_ns * counts[0]
             # normalize: base is time(p0) * p0 so speedup(p0) == p0
@@ -162,7 +147,6 @@ def measure_speedup(
                 processors=p,
                 sim_time_ns=result.sim_time_ns,
                 speedup=speedup,
-                result=result if keep_results else None,
             )
         )
     return curve

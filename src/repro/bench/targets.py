@@ -35,7 +35,7 @@ from ..analysis.costmodel import (
 )
 from ..analysis.speedup import SpeedupCurve
 from ..baselines import run_on_sequent
-from ..point import point_kernel, point_program, sec42_spec
+from ..point import plain_platinum, point_kernel, point_program, sec42_spec
 from ..runtime import run_program
 from .schema import SCALES
 
@@ -52,11 +52,7 @@ def _exec_run(spec: dict, seed: int) -> dict:
     # {"profile": K} embeds a top-K cost-attribution summary; the
     # profiler needs the tracer and the access probe, so it is only
     # meaningful on plain platinum kernels
-    profile = (
-        int(spec.get("profile", 0))
-        if plain and not spec.get("competitive")
-        else 0
-    )
+    profile = int(spec.get("profile", 0)) if plain_platinum(spec) else 0
     kernel = point_kernel(spec, metrics=telemetry, trace=profile > 0)
     program = point_program(spec)
     probe = None

@@ -16,8 +16,8 @@ This module is the only place that knows how those keys become a
 :class:`Kernel` and a :class:`Program`, and it builds every kernel with
 one ``Kernel(...)`` call: what a comparator fixes of its kernel -- the
 section 5.1 systems, section 8's migration daemon -- is a data row
-(``SYSTEMS``, ``COMPETITIVE``) that overrides the spec's own policy and
-defrost keys.  ``cli``, ``bench``, ``replay``,
+(``SYSTEMS``, ``COMPETITIVE``) that refuses the spec's own policy and
+defrost keys.  ``cli``, ``bench``, ``replay`` (``plain_platinum`` only),
 ``workloads.generate.run_spec`` and the fuzzer lower their inputs to a
 spec and call it.  Anything wrong with a spec -- an unknown workload,
 system, policy or parameter name, bad constructor arguments, an
@@ -111,6 +111,13 @@ def _system_of(spec: dict) -> str:
     return system
 
 
+def plain_platinum(spec: dict) -> bool:
+    """No comparator: the only kernels recorded and replayed (section
+    5.1's use other executors, section 8's counts no trace holds)."""
+    return (spec.get("system", "platinum") == "platinum"
+            and not spec.get("competitive"))
+
+
 def point_program(spec: dict) -> Program:
     """A fresh instance of the program a point spec describes."""
     system = _system_of(spec)
@@ -164,6 +171,12 @@ def point_kernel(
         defrost = bool(spec.get("defrost", True))
         defrost_period = _period_ns(spec, "defrost_period")
     else:  # a comparator fixes its kernel and carries its data
+        named = [key for key in ("policy", "policy_args", "defrost",
+                                 "defrost_period") if key in spec]
+        if named:
+            raise ValueError(
+                f"{'competitive' if fixed is COMPETITIVE else system} fixes "
+                f"its kernel: {', '.join(named)} cannot be set")
         policy_class, defrost = fixed
         policy = policy_class() if policy_class else None
         defrost_period, dataless = None, False

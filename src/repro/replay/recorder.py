@@ -34,7 +34,7 @@ from typing import Optional
 import numpy as np
 
 from ..analysis.costmodel import run_counters
-from ..point import point_kernel, point_program
+from ..point import plain_platinum, point_kernel, point_program
 from ..runtime import ops
 from ..runtime.executor import ThreadProcess, write_words
 from ..runtime.program import Program, ProgramAPI
@@ -329,9 +329,7 @@ def record_spec(spec: dict) -> tuple[TraceBundle, RunResult]:
             f"cannot record point kind {spec.get('kind')!r}; only full "
             "program runs have a reference string"
         )
-    if spec.get("system", "platinum") != "platinum" or spec.get(
-        "competitive"
-    ):
+    if not plain_platinum(spec):
         raise RecordError(
             "recording supports plain PLATINUM kernels only (baseline "
             "systems use ports or different executors)"

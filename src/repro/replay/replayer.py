@@ -64,7 +64,7 @@ from ..analysis.costmodel import run_counters
 from ..core.instrumentation import MemoryReport
 from ..kernel.kernel import Kernel
 from ..machine.pmap import Rights
-from ..point import point_kernel
+from ..point import plain_platinum, point_kernel
 from ..runtime.executor import ThreadProcess
 from ..runtime.ops import Compute, GetTime, Migrate, WaitNewer
 from ..runtime.run import run_threads
@@ -128,10 +128,11 @@ class Runs(Op):
     runs: tuple
 
 
-def _decode_stream(index: int, arr, wpp: int, shared: dict) -> list:
+def _decode_stream(index: int, arr, wpp: int, shared: dict) -> tuple:
     """Turn thread ``index``'s (n, 4) op array into the ops its cursor
-    yields: executor ops, :class:`Runs`, and ``(K_FIRE, cid)`` /
-    ``(K_WAIT, cid, seen)`` rows for the replay's channels.  Each row
+    yields -- executor ops, :class:`Runs`, and ``(K_FIRE, cid)`` /
+    ``(K_WAIT, cid, seen)`` rows for the replay's channels -- and the
+    sets of pages and channels they name (``_rebuild_layout``).  Each row
     distinct in its bytes is decoded once, and all rows whose ops are
     equal yield the one object ``shared`` holds (ops are never mutated
     once built, DESIGN.md section 5).  An op no recording can hold --
@@ -184,23 +185,28 @@ def _decode_stream(index: int, arr, wpp: int, shared: dict) -> list:
         except (ValueError, OverflowError) as exc:  # int(nan), int(inf)
             raise ReplayError(f"stream {index} op {j}: {exc}") from None
         table[u] = shared.setdefault(op, op)
-    return list(map(table.__getitem__, inverse.tolist()))
+    pages = {vpage for op in table if op.__class__ is Runs
+             for vpage, _words in op.runs}
+    channels = {op[1] for op in table if op.__class__ is tuple}
+    return list(map(table.__getitem__, inverse.tolist())), (pages, channels)
 
 
-def _decoded_streams(bundle: TraceBundle, wpp: int) -> list[list]:
-    """The bundle's decoded streams, decoded once: decoding depends only
-    on the recording page size (structural params cannot be overridden),
-    so a variant sweep over one bundle shares the read-only result."""
+def _decoded_streams(bundle: TraceBundle, wpp: int) -> tuple[list, list]:
+    """The bundle's decoded streams and what each names, decoded once:
+    decoding depends only on the recording page size (structural params
+    cannot be overridden), so a sweep over one bundle shares it."""
     key = (wpp, *map(id, bundle.streams))
     cached = bundle._decoded
     if cached is None or cached[0] != key:
         shared: dict = {}
-        decoded = [_decode_stream(i, arr, wpp, shared)
-                   for i, arr in enumerate(bundle.streams)]
+        pairs = [_decode_stream(i, arr, wpp, shared)
+                 for i, arr in enumerate(bundle.streams)]
         # holding the arrays keeps the ids in the key from being reused
-        cached = bundle._decoded = (key, list(bundle.streams), decoded)
+        cached = bundle._decoded = (
+            key, list(bundle.streams), [ops for ops, _ in pairs],
+            [names for _, names in pairs])
         bundle._slots = None
-    return cached[2]
+    return cached[2], cached[3]
 
 
 def _prefix(values) -> array:
@@ -508,34 +514,30 @@ def _variant_spec(
 
 
 def _rebuild_layout(
-    kernel: Kernel, layout: dict
+    kernel: Kernel, layout: dict, streams: list
 ) -> tuple[list[Broadcast], list]:
+    """The layout rebuilt, refusing any reference it leaves dangling
+    (``streams``: the pages and channels each thread's ops name)."""
     vm = kernel.vm
     for obj_l in layout.get("objects", []):
         obj = vm.create_object(obj_l["n_pages"], label=obj_l["label"])
-        if obj.oid != obj_l["oid"] or (
-            obj.cpages[0].index != obj_l["cpage_start"]
-        ):
+        if (obj.oid, obj.cpages[0].index) != (obj_l["oid"],
+                                              obj_l["cpage_start"]):
             raise ReplayError(
-                f"layout rebuild diverged at object {obj_l['oid']}"
-            )
+                f"layout rebuild diverged at object {obj_l['oid']}")
         for cpage, placement in zip(obj.cpages, obj_l["placement"]):
             cpage.placement_module = placement
     for asp_l in layout.get("aspaces", []):
         aspace = vm.create_address_space()
         if aspace.asid != asp_l["asid"]:
             raise ReplayError(
-                f"layout rebuild diverged at aspace {asp_l['asid']}"
-            )
+                f"layout rebuild diverged at aspace {asp_l['asid']}")
         for b in asp_l["bindings"]:
-            vm.bind(
-                aspace,
-                b["vpage_start"],
-                vm.objects[b["oid"]],
-                rights=Rights(b["rights"]),
-                obj_page_start=b["obj_page_start"],
-                n_pages=b["n_pages"],
-            )
+            if b["oid"] not in vm.objects:
+                raise ReplayError(f"layout binds no object {b['oid']}")
+            vm.bind(aspace, b["vpage_start"], vm.objects[b["oid"]],
+                    rights=Rights(b["rights"]),
+                    obj_page_start=b["obj_page_start"], n_pages=b["n_pages"])
     channels = []
     for ch_l in layout.get("channels", []):
         ch = Broadcast(kernel.engine, ch_l["name"])
@@ -543,14 +545,24 @@ def _rebuild_layout(
         channels.append(ch)
     threads = []
     for t_l in layout.get("threads", []):
+        if t_l["asid"] not in vm.aspaces:
+            raise ReplayError(f"layout has no aspace {t_l['asid']}")
         thread = kernel.threads.spawn(
-            t_l["asid"], t_l["processor"], name=t_l["name"]
-        )
+            t_l["asid"], t_l["processor"], name=t_l["name"])
         if thread.tid != t_l["tid"]:
             raise ReplayError(
-                f"layout rebuild diverged at thread {t_l['tid']}"
-            )
+                f"layout rebuild diverged at thread {t_l['tid']}")
         threads.append(thread)
+    if len(threads) != len(streams):
+        raise ReplayError(f"bundle has {len(streams)} op streams for "
+                          f"{len(threads)} threads")
+    for index, (thread, (pages, cids)) in enumerate(zip(threads, streams)):
+        bound = {vpage for b in vm.aspaces[thread.aspace_id].bindings
+                 for vpage in range(b.vpage_start, b.vpage_end)}
+        missing = [f"page {v}" for v in sorted(pages - bound)] + [
+            f"channel {c}" for c in sorted(cids) if not 0 <= c < len(channels)]
+        if missing:
+            raise ReplayError(f"stream {index}: no {missing[0]} in the layout")
     return channels, threads
 
 
@@ -613,6 +625,10 @@ def replay_trace(
         )
     if not isinstance(bundle, TraceBundle):
         bundle = load_trace(bundle)
+    if not plain_platinum(bundle.config):
+        raise ReplayError(
+            "replay supports plain PLATINUM kernels only: the bundle's "
+            "config names a comparator, which no recording runs")
     spec = _variant_spec(
         bundle.config, policy, policy_args, defrost, defrost_period, params
     )
@@ -620,21 +636,16 @@ def replay_trace(
         kernel = point_kernel(
             spec, trace=trace, metrics=metrics, dataless=dataless
         )
-        probe_obj = None
-        if probe:  # refused where a section 8 daemon holds the hook
-            from ..profile import AccessProbe
-
-            probe_obj = AccessProbe.install(kernel.coherent)
     except ValueError as exc:
         raise ReplayError(str(exc)) from None
-    channels, threads = _rebuild_layout(kernel, bundle.layout)
-    if len(threads) != len(bundle.streams):
-        raise ReplayError(
-            f"bundle has {len(bundle.streams)} op streams for "
-            f"{len(threads)} threads"
-        )
-    decoded_streams = _decoded_streams(
+    probe_obj = None
+    if probe:
+        from ..profile import AccessProbe
+
+        probe_obj = AccessProbe.install(kernel.coherent)
+    decoded_streams, names = _decoded_streams(
         bundle, kernel.params.words_per_page)
+    channels, threads = _rebuild_layout(kernel, bundle.layout, names)
     start = kernel.engine.now
     if mode == "fast":
         if bundle._slots is None:

@@ -242,15 +242,14 @@ class Engine:
 
 class Daemon:
     """A periodic clock interrupt: :meth:`run_once` every ``period`` ns
-    of simulated time on ``machine.engine``, from :meth:`start` on,
-    while ``enabled`` (the defrost and migration daemons, the sampler).
+    of simulated time on ``machine.engine``, from :meth:`start` on and
+    never before (the defrost and migration daemons, the sampler).
 
     The engine's queue holds the next tick weakly and a daemon holds
     nothing that owns it: its kernel owns it, and a finished kernel is
     freed by reference counting (DESIGN.md section 2).
     """
 
-    enabled = True
     _wake: Optional[Callable[[], None]] = None  # the tick, once started
 
     def start(self) -> None:
@@ -266,6 +265,5 @@ class Daemon:
             self.machine.engine.schedule(self.period, wake)
 
     def _tick(self) -> None:
-        if self.enabled:
-            self.run_once()
+        self.run_once()
         self.machine.engine.schedule(self.period, self._wake)

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import faulthandler
+import hashlib
 import os
+import pickle
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import pytest
 
+from repro.doc import compact
 from repro.policy.fixed import (
     AlwaysReplicatePolicy,
     NeverCachePolicy,
@@ -18,6 +21,7 @@ from repro.policy.fixed import (
 from repro.kernel.kernel import Kernel
 from repro.machine.params import MachineParams
 from repro.machine.pmap import Rights
+from repro.telemetry.sampler import SimTimeSampler
 
 
 class ActionLog:
@@ -63,7 +67,136 @@ def bits(mask: int) -> list[int]:
     return [p for p in range(mask.bit_length()) if mask >> p & 1]
 
 
-@dataclass
+# -- the machine's state ------------------------------------------------------
+
+
+def machine_state(kernel: Kernel) -> dict:
+    """The valuation of every location of the simulated machine, as
+    JSON data: the only spelling of one (DESIGN.md section 5, "The
+    machine's state").  Order is kept where the machine reads it (ATC
+    LRU order, queues, free lists, a Cpage's bindings); dicts it only
+    looks up in are sorted.  Frame contents count only where frames
+    carry data; observers and host-only caches are not locations."""
+    machine, coherent, engine = kernel.machine, kernel.coherent, kernel.engine
+    modules, rows = machine.modules, machine.interrupts.state
+    xfer, shootdown, rng = machine.xfer, coherent.shootdown, engine._tie_rng
+    state = {
+        "cpages": [{
+            "label": c.label, "home_module": c.home_module,
+            "placement_module": c.placement_module, "state": c.state.value,
+            "directory": [[m, f.frame_index]
+                          for m, f in sorted(c.frames.items())],
+            "has_write_mapping": c.has_write_mapping,
+            "last_invalidation": c.last_invalidation, "frozen": c.frozen,
+            "frozen_at": c.frozen_at, "thaw_exempt": c.thaw_exempt,
+            "handler_busy_until": c.handler_busy_until,
+            "bindings": [list(b) for b in c.bindings],
+            "stats": list(vars(c.stats).values()),
+        } for c in coherent.cpages],
+        "frozen_list": [c.index for c in coherent.policy.frozen_pages],
+        # what the policy and the daemons decide later freezes, thaws
+        # and moves by (a sampler is an observer)
+        "policy": _fields(coherent.policy),
+        "daemons": [_fields(d) for d in [coherent.defrost, *coherent.daemons]
+                    if not isinstance(d, SimTimeSampler)],
+        # an entry's Cpage is spelled by the Cpage's bindings
+        "cmaps": {str(asid): {
+            "vm_rights": {str(v): int(e.vm_rights)
+                          for v, e in sorted(cmap.entries.items())},
+            "ref_masks": {str(v): e.ref_mask
+                          for v, e in sorted(cmap.entries.items())},
+            "active_mask": cmap.active_mask,
+            "queue": [[m.vpage, m.directive.value, int(m.rights),
+                       m.target_mask, m.posted_at] for m in cmap.messages],
+            "posted": cmap.messages_posted,
+            "applied": cmap.messages_applied,
+            "pmaps": {str(proc): [_pentry(e) for e in sorted(
+                pmap._entries.values(), key=lambda e: e.vpage)]
+                for proc, pmap in sorted(cmap._pmaps.items())},
+        } for asid, cmap in sorted(coherent.cmaps.items())},
+        "mmus": [{
+            "attached": sorted(mmu._pmaps),
+            "atc": [[list(key), _pentry(e)]
+                    for key, e in mmu.atc._entries.items()],
+            "hits": mmu.atc.hits, "misses": mmu.atc.misses,
+            "flushes": mmu.atc.flushes, "faults": mmu.faults,
+        } for mmu in machine.mmus],
+        "busy_until": [s.busy_until for s in rows],
+        "interrupts": [[s.pending_penalty, s.ipis_received, s.ipis_sent]
+                       for s in rows],
+        "resources": [
+            [r.name, r.busy_until, r.busy_time, r.wait_time, r.requests]
+            for r in [m.bus for m in modules]
+            + machine.topology.all_resources()],
+        "modules": [[m.n_free, m.alloc_count, m.free_count, ipt.probe_count,
+                     sorted(ipt._by_cpage.items())]
+                    for m, ipt in zip(modules, machine.ipts)],
+        "free_lists": [_digest(pickle.dumps(m._free)) for m in modules],
+        "words": [list(machine.local_words), list(machine.remote_words),
+                  list(machine.remote_write_words),
+                  list(machine.queue_delay_ns),
+                  [[m.words_served, m.accesses_served] for m in modules]],
+        "xfer": [xfer.transfer_count, xfer.words_transferred,
+                 xfer.total_busy_time],
+        "shootdown": [shootdown.shootdowns, shootdown.total_interrupted,
+                      shootdown.total_deferred],
+        "fault_count": coherent.fault_handler.fault_count,
+        # each pending event as (when, seq, qualname); the ready deque's
+        # are due now and keep no seq
+        "engine": {
+            "now": engine.now, "scheduled": engine._seq,
+            "queue": [[when, seq, _qualname(fn)]
+                      for when, seq, fn in sorted(engine._queue)],
+            "ready": [_qualname(fn) for fn in engine._ready],
+            "ties": None if rng is None
+            else _digest(pickle.dumps(rng.getstate())),
+        },
+    }
+    if not modules[0].dataless:
+        state["frames"] = {
+            "copies": [[m.index, f.frame_index, _digest(f.data.tobytes())]
+                       for m in modules for f in filter(None, m.frames._items)
+                       if f.allocated],
+            "backing": [[c.index, _digest(c.backing.tobytes())]
+                        for c in coherent.cpages if c.backing is not None],
+        }
+    return state
+
+
+def state_digest(kernel: Kernel) -> str:
+    """sha256 of the machine's state, spelled by ``repro.doc.compact``."""
+    return hashlib.sha256(compact(machine_state(kernel)).encode()).hexdigest()
+
+
+def _pentry(entry) -> list:
+    return [entry.vpage, entry.frame.module_index, entry.frame.frame_index,
+            int(entry.rights), entry.remote, entry.cpage_index,
+            entry.referenced, entry.modified]
+
+
+def _fields(obj) -> list:
+    """An object's class and data fields: scalars, and sets and dicts
+    of them, sorted.  Its references to other parts (the frozen list,
+    observers) are spelled where those parts are."""
+    fields = {}
+    for name, value in vars(obj).items():
+        if isinstance(value, (set, dict)):
+            value = sorted(value.items() if isinstance(value, dict) else value)
+        elif not isinstance(value, (bool, int, float, str, type(None))):
+            continue
+        fields[name] = value
+    return [type(obj).__qualname__, fields]
+
+
+def _qualname(fn) -> str:
+    return getattr(fn, "__qualname__", type(fn).__qualname__)
+
+
+def _digest(raw: bytes) -> str:
+    return hashlib.sha256(raw).hexdigest()[:16]
+
+
+@dataclasses.dataclass
 class ProtocolHarness:
     """A kernel plus one mapped Cpage, with helpers to drive faults.
 

@@ -151,14 +151,18 @@ def test_bad_inputs_rejected(paper_model):
 
 
 def test_measure_speedup_basic():
+    made = []
+
+    def factory(p):
+        made.append(p)
+        return make_kernel(n_processors=4)
+
     # fixed total work: 16 sweeps' worth, divided among the threads
     curve = measure_speedup(
-        lambda p: PrivateWork(n_threads=p, sweeps=16 // p),
-        processor_counts=(1, 2, 4),
-        machine_processors=4,
-        label="private",
+        lambda p: PrivateWork(n_threads=p, sweeps=16 // p), factory,
+        processor_counts=(1, 2, 4), label="private",
     )
-    assert curve.processors == [1, 2, 4]
+    assert made == curve.processors == [1, 2, 4]
     assert curve.points[0].speedup == pytest.approx(1.0)
     # perfectly partitioned work scales nearly linearly
     assert curve.at(4).speedup > 3.0
@@ -167,7 +171,8 @@ def test_measure_speedup_basic():
 
 def test_measure_speedup_empty_counts_rejected():
     with pytest.raises(ValueError):
-        measure_speedup(lambda p: PrivateWork(), processor_counts=())
+        measure_speedup(lambda p: PrivateWork(), make_kernel,
+                        processor_counts=())
 
 
 def test_format_table_alignment():
@@ -196,34 +201,6 @@ def test_speedup_point_derived_fields():
     pt = SpeedupPoint(processors=4, sim_time_ns=2_000_000, speedup=3.0)
     assert pt.sim_time_ms == pytest.approx(2.0)
     assert pt.efficiency == pytest.approx(0.75)
-
-
-def test_measure_speedup_with_kernel_factory():
-    made = []
-
-    def factory(p):
-        kernel = make_kernel(n_processors=4)
-        made.append(p)
-        return kernel
-
-    curve = measure_speedup(
-        lambda p: PrivateWork(n_threads=p, sweeps=4 // p),
-        processor_counts=(1, 2),
-        kernel_factory=factory,
-    )
-    assert made == [1, 2]
-    assert len(curve.points) == 2
-
-
-def test_measure_speedup_keep_results_exposes_reports():
-    curve = measure_speedup(
-        lambda p: PrivateWork(n_threads=p, sweeps=2),
-        processor_counts=(1,),
-        machine_processors=2,
-        keep_results=True,
-    )
-    assert curve.points[0].result is not None
-    assert curve.points[0].result.report.total_faults > 0
 
 
 def test_ascii_plot_degenerate_inputs():

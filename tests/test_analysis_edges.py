@@ -73,7 +73,8 @@ def test_curve_roundtrips_to_dict():
 
 def test_measure_speedup_rejects_empty_counts():
     with pytest.raises(ValueError, match="processor count"):
-        measure_speedup(lambda p: None, processor_counts=())
+        measure_speedup(lambda p: None, lambda p: None,
+                        processor_counts=())
 
 
 def test_curve_format_is_printable():

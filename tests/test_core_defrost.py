@@ -74,14 +74,16 @@ def test_periodic_daemon_fires_on_schedule():
 
 
 def test_disabled_daemon_leaves_pages_frozen():
+    """A daemon is off one way: never started (``defrost_enabled=False``,
+    the harness's default), it never ticks."""
     harness = make_harness(policy="freeze")
     daemon = harness.kernel.coherent.defrost
     daemon.period = 50e6
-    daemon.enabled = False
-    daemon.start()
     _freeze_by_interference(harness)
     harness.kernel.engine.run(until=harness.kernel.engine.now + 200e6)
     assert harness.cpage.frozen
+    assert daemon.runs == 0
+    assert harness.kernel.engine.pending_events == 0
 
 
 def test_run_once_with_nothing_frozen():

@@ -15,7 +15,6 @@ threads migrating between steps, and with a one-entry ATC where every
 reload evicts.
 """
 
-import dataclasses
 import random
 from collections import Counter
 
@@ -29,6 +28,8 @@ from repro.policy.fixed import NeverCachePolicy, TimestampFreezePolicy
 from repro.profile import AccessProbe
 from repro.runtime import ops
 from repro.runtime.executor import ExecutionError, ThreadProcess
+
+from tests.conftest import machine_state
 
 N_PROCESSORS = 5  # more than one switch: remote routes have two hops
 N_PAGES = 5
@@ -105,45 +106,6 @@ def reference_cost_run(process, vpage, n, write, t):
     raise AssertionError("no translation after repeated faults")
 
 
-def describe(entry):
-    return (
-        entry.vpage, entry.frame.module_index, entry.frame.frame_index,
-        int(entry.rights), entry.remote, entry.referenced, entry.modified,
-        entry.cpage_index,
-    )
-
-
-def snapshot(kernel, probe):
-    machine = kernel.machine
-    return {
-        "mmus": [
-            (
-                # ATC contents in LRU order, with the R/M bits
-                [(key, describe(e)) for key, e in mmu.atc._entries.items()],
-                mmu.atc.hits, mmu.atc.misses, mmu.atc.flushes, mmu.faults,
-                [
-                    sorted(describe(e) for e in pmap._entries.values())
-                    for pmap in mmu._pmaps.values()
-                ],
-            )
-            for mmu in machine.mmus
-        ],
-        "words": (
-            list(machine.local_words), list(machine.remote_words),
-            list(machine.remote_write_words), list(machine.queue_delay_ns),
-        ),
-        "modules": [
-            (m.words_served, m.accesses_served, dataclasses.astuple(m.bus))
-            for m in machine.modules
-        ],
-        "ports": [
-            dataclasses.astuple(r) for r in machine.topology.all_resources()
-        ],
-        "probe": (probe.log, probe.counts),
-        "report": dataclasses.asdict(kernel.report()),
-    }
-
-
 #: (thread, vpage, words, write?, ns since the previous step); thread
 #: ``i`` starts on processor ``i``
 ACCESS = st.tuples(
@@ -216,8 +178,9 @@ def run_string(policy, steps, topology="butterfly",
             threads_b[i], vpage, n, write, t
         )
         assert done_a == done_b
-        assert describe(entry_a) == describe(entry_b)
-        assert snapshot(kernel_a, probe_a) == snapshot(kernel_b, probe_b)
+        assert repr(entry_a) == repr(entry_b)
+        assert machine_state(kernel_a) == machine_state(kernel_b)
+        assert probe_a.log == probe_b.log
         if kernel_a.coherent.fault_handler.fault_count > faults:
             # the retry after the fault goes through the costing block
             met["fault, remote" if entry_a.remote else "fault, local"] += 1
@@ -343,8 +306,9 @@ def test_a_retry_off_the_pmap_hit_arm_takes_the_reference_loop(script):
     done_a, entry_a = threads_a[1]._cost_run(2, 16, True, 5_000)
     done_b, entry_b = reference_cost_run(threads_b[1], 2, 16, True, 5_000)
     assert done_a == done_b
-    assert describe(entry_a) == describe(entry_b)
-    assert snapshot(kernel_a, probe_a) == snapshot(kernel_b, probe_b)
+    assert repr(entry_a) == repr(entry_b)
+    assert machine_state(kernel_a) == machine_state(kernel_b)
+    assert probe_a.log == probe_b.log
     assert kernel_a.machine.mmus[1].faults == len(script)
 
 

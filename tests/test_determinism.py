@@ -43,6 +43,8 @@ from repro.workloads import (
 )
 from repro.workloads.generate import bench_spec_for, corpus_paths, run_spec
 
+from tests.conftest import machine_state, state_digest
+
 CORPUS = Path(__file__).parent / "corpus"
 
 
@@ -69,6 +71,7 @@ def test_fixed_seed_run_is_bit_stable():
     kernel_a, result_a = _run_gauss()
     kernel_b, result_b = _run_gauss()
     assert _trace_hash(kernel_a) == _trace_hash(kernel_b)
+    assert state_digest(kernel_a) == state_digest(kernel_b)
     assert result_a.sim_time_ns == result_b.sim_time_ns
     assert run_counters(result_a) == run_counters(result_b)
 
@@ -102,16 +105,11 @@ def _fast_path_ab(monkeypatch, run):
     return results
 
 
-def _observed(kernel, result, sampler) -> tuple:
-    return (_trace_hash(kernel), result.sim_time_ns, run_counters(result),
-            kernel.engine.events_executed, sampler.samples)
-
-
 @pytest.mark.parametrize("workload", ["gauss", "roundrobin"])
 def test_engine_fast_path_changes_nothing(monkeypatch, workload):
     """The ready-deque tie fast path must be invisible: identical trace,
-    counters, simulated time, event count and sampler rows with it on
-    or off."""
+    counters, simulated time, machine state (the clock and the event
+    count in it) and sampler rows with it on or off."""
 
     def run():
         kernel = make_kernel(n_processors=4, trace=True)
@@ -121,7 +119,10 @@ def test_engine_fast_path_changes_nothing(monkeypatch, workload):
                                           verify_result=False)
         else:
             program = RoundRobinSharing(n_threads=4, operations=16)
-        return _observed(kernel, run_program(kernel, program), sampler)
+        result = run_program(kernel, program)
+        return (_trace_hash(kernel), result.sim_time_ns,
+                run_counters(result), machine_state(kernel),
+                sampler.samples)
 
     fast, slow = _fast_path_ab(monkeypatch, run)
     assert fast == slow
@@ -225,7 +226,7 @@ def test_generated_workload_is_bit_stable(generated_workload):
         kernel = make_kernel(n_processors=spec.machine, trace=True)
         result = run_program(kernel, make_program())
         return _trace_hash(kernel), result.sim_time_ns, \
-            run_counters(result)
+            run_counters(result), state_digest(kernel)
 
     assert run() == run()
 
@@ -239,7 +240,7 @@ def test_generated_workload_telemetry_off_matches_on(generated_workload):
                              metrics=metrics)
         result = run_program(kernel, make_program())
         return _trace_hash(kernel), result.sim_time_ns, \
-            run_counters(result)
+            run_counters(result), machine_state(kernel)
 
     assert run(False) == run(True)
 
@@ -251,8 +252,10 @@ def test_generated_workload_fast_path_changes_nothing(
     def run():
         kernel = make_kernel(n_processors=spec.machine, trace=True)
         sampler = _sampled(kernel)
-        return _observed(kernel, run_program(kernel, make_program()),
-                         sampler)
+        result = run_program(kernel, make_program())
+        return (_trace_hash(kernel), result.sim_time_ns,
+                run_counters(result), machine_state(kernel),
+                sampler.samples)
 
     fast, slow = _fast_path_ab(monkeypatch, run)
     assert fast == slow
@@ -268,8 +271,8 @@ _BUNDLES: dict = {}
 def test_fast_path_is_invisible_on_the_corpus(monkeypatch, spec, mode):
     """Every corpus spec, live and replayed in both modes: the default
     engine and ``Engine(fast_path=False)`` agree on simulated time,
-    counters, event count and every sampler row (and on the protocol
-    trace, where one is kept)."""
+    counters, the machine's state and every sampler row (and on the
+    protocol trace, where one is kept)."""
     if spec.name not in _BUNDLES:  # recorded once, before any patching
         _BUNDLES[spec.name] = record_spec(bench_spec_for(spec))[0]
     bundle = _BUNDLES[spec.name]
@@ -292,7 +295,7 @@ def test_fast_path_is_invisible_on_the_corpus(monkeypatch, spec, mode):
             result = replay_trace(bundle, mode=mode, trace=mode == "exact")
             kernel, counters = result.kernel, result.counters
         return (_trace_hash(kernel), result.sim_time_ns, counters,
-                kernel.engine.events_executed, samplers.pop().samples)
+                machine_state(kernel), samplers.pop().samples)
 
     fast, slow = _fast_path_ab(monkeypatch, run)
     assert fast == slow
@@ -322,7 +325,7 @@ def test_telemetry_off_matches_untouched_run():
             n=24, n_threads=4, seed=1989, verify_result=False,
         ))
         return _trace_hash(kernel), result.sim_time_ns, \
-            run_counters(result)
+            run_counters(result), machine_state(kernel)
 
     off = run(False)
     on = run(True)

@@ -60,6 +60,8 @@ from repro.telemetry import SimTimeSampler
 from repro.workloads.generate import bench_spec_for, run_spec
 from repro.workloads.spec import PhaseSpec, WorkloadSpec
 
+from tests.conftest import machine_state
+
 # -- Engine.run against a loop over Engine.step ---------------------------------
 
 
@@ -391,8 +393,9 @@ def lockstep(prog, env):
 
 
 def observe(monkeypatch, cls, body, other=None, ties=None) -> tuple:
-    """Run ``body`` (and ``other``) with ``cls`` as the thread process;
-    ``ties`` perturbs the engine's tie order from the start, and
+    """Run ``body`` (and ``other``) with ``cls`` as the thread process:
+    the outcome, the protocol trace and the machine's state.  ``ties``
+    perturbs the engine's tie order from the start, and
     "restored" switches it off and on again every 0.1 ms (on the
     lockstep threads' wake-up times), each time with wake-ups already
     due at that instant."""
@@ -414,12 +417,7 @@ def observe(monkeypatch, cls, body, other=None, ties=None) -> tuple:
         outcome = ("crashed", str(crash), type(cause).__name__, str(cause))
     trace = [(e.time, e.kind.value, e.cpage_index, e.processor)
              for e in kernel.tracer.events]
-    interrupts = [(s.pending_penalty, s.ipis_received, s.ipis_sent)
-                  for s in kernel.machine.interrupts.state]
-    cpus = [s.busy_until for s in kernel.machine.interrupts.state]
-    return (outcome, engine.now, engine.events_executed,
-            engine.pending_events, trace, interrupts, cpus,
-            kernel.report())
+    return outcome, trace, machine_state(kernel)
 
 
 def capture(monkeypatch, name, cls) -> list:
@@ -521,7 +519,8 @@ def test_fused_push_matches_commit_with_ties_perturbed(monkeypatch, body,
     status, _results = fused[0]
     assert status == "ok"
     if body is churn:
-        assert all(received for _pending, received, _sent in fused[5])
+        assert all(received for _pending, received, _sent
+                   in fused[2]["interrupts"])
 
 
 def test_an_op_subclass_runs_as_its_base_through_interpret(monkeypatch):
@@ -534,7 +533,8 @@ def test_an_op_subclass_runs_as_its_base_through_interpret(monkeypatch):
         lambda prog, env: churn(prog, env, tagged=True),
         lambda prog, env: churn(prog, env, tagged=True))
     assert tagged == exact
-    assert all(received for _pending, received, _sent in exact[5])
+    assert all(received for _pending, received, _sent
+               in exact[2]["interrupts"])
 
 
 def test_migrate_occupies_the_new_processors_cpu(monkeypatch):
@@ -548,10 +548,10 @@ def test_migrate_occupies_the_new_processors_cpu(monkeypatch):
         yield Compute(700)
         return moved
 
-    outcome, now, *_rest, cpus, _report = observe(
-        monkeypatch, ThreadProcess, body)
+    outcome, _trace, state = observe(monkeypatch, ThreadProcess, body)
     (_status, (moved,)) = outcome
-    assert cpus == [500, now]
+    now = state["engine"]["now"]
+    assert state["busy_until"] == [500, now]
     assert moved > 500 and now == moved + 700
 
 
@@ -574,10 +574,10 @@ def test_a_thread_moved_in_its_body_occupies_its_new_processor(
     a thread the kernel moves between two of its ops waits for the
     thread already on its new processor, and leaves its old row as its
     last op there left it."""
-    outcome, now, *_rest, cpus, _report = observe(
-        monkeypatch, cls, mover, sitter)
+    outcome, _trace, state = observe(monkeypatch, cls, mover, sitter)
     assert outcome == ("ok", [2_500, None])
-    assert cpus == [1_000, 2_500] and now == 2_500
+    assert state["busy_until"] == [1_000, 2_500]
+    assert state["engine"]["now"] == 2_500
 
 
 def test_a_finished_thread_is_not_woken_again():

@@ -20,14 +20,14 @@ must reproduce the file byte for byte.
 The handler takes what only an observer reads (the Cpage's state before
 the fault, the policy's decision) only when an observer listens, so
 every case also runs with no observer at all and must leave the same
-kernel state and return the same times.
+machine state (``tests.conftest.machine_state``) and return the same
+times.
 
     python tests/test_fault_transactions.py --write   # regenerate
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import sys
@@ -36,6 +36,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.cmap import Directive
+from repro.doc import compact
 from repro.kernel.kernel import Kernel
 from repro.machine.params import MachineParams
 from repro.machine.pmap import Rights
@@ -43,7 +44,7 @@ from repro.policy.base import Action, ReplicationPolicy
 from repro.policy.fixed import TimestampFreezePolicy
 from repro.telemetry.metrics import MetricsRegistry
 
-from tests.conftest import ActionLog, bits
+from tests.conftest import ActionLog, bits, machine_state
 
 SNAPSHOT = Path(__file__).parent / "snapshots" / "fault_transactions.json"
 
@@ -187,7 +188,7 @@ class World:
     def observe(self) -> dict:
         kernel = self.kernel
         return {
-            **self.state(),
+            **pinned(machine_state(kernel)),
             "trace": [e.record() for e in kernel.tracer.events],
             "next_eid": kernel.coherent.observers.next_eid,
             "metrics": kernel.metrics.summary(),
@@ -195,85 +196,27 @@ class World:
                 kernel.metrics.to_jsonl().encode()).hexdigest(),
         }
 
-    def state(self) -> dict:
-        """Everything observable of the kernel, observers aside."""
-        kernel, cpage = self.kernel, self.cpage
-        machine, coherent = kernel.machine, kernel.coherent
-        resources = [m.bus for m in machine.modules] \
-            + machine.topology.all_resources()
-        return {
-            "cpage": {
-                "state": cpage.state.value,
-                "directory": [[m, f.frame_index]
-                              for m, f in sorted(cpage.frames.items())],
-                "has_write_mapping": cpage.has_write_mapping,
-                "last_invalidation": cpage.last_invalidation,
-                "frozen": cpage.frozen,
-                "frozen_at": cpage.frozen_at,
-                "handler_busy_until": cpage.handler_busy_until,
-                "stats": list(dataclasses.astuple(cpage.stats)),
-            },
-            "frozen_list": [c.index for c in self.policy.frozen_pages],
-            "cmaps": {
-                str(asid): {
-                    "ref_masks": {str(v): e.ref_mask
-                                  for v, e in sorted(cmap.entries.items())},
-                    "active_mask": cmap.active_mask,
-                    "queue": [[m.vpage, m.directive.value, int(m.rights),
-                               m.target_mask, m.posted_at]
-                              for m in cmap.messages],
-                    "posted": cmap.messages_posted,
-                    "applied": cmap.messages_applied,
-                    "pmaps": {
-                        str(proc): [_pentry(e) for e in sorted(
-                            pmap.entries(), key=lambda e: e.vpage)]
-                        for proc, pmap in sorted(cmap.pmaps().items())
-                    },
-                }
-                for asid, cmap in sorted(coherent.cmaps.items())
-            },
-            "mmus": [
-                {
-                    "attached": sorted(mmu._pmaps),
-                    "atc": [[list(key), _pentry(e)]
-                            for key, e in mmu.atc._entries.items()],
-                    "hits": mmu.atc.hits, "misses": mmu.atc.misses,
-                    "flushes": mmu.atc.flushes, "faults": mmu.faults,
-                }
-                for mmu in machine.mmus
-            ],
-            "resources": [
-                [r.name, r.busy_until, r.busy_time, r.wait_time, r.requests]
-                for r in resources
-            ],
-            "modules": [
-                [m.n_free, m.alloc_count, m.free_count,
-                 machine.ipts[m.index].probe_count,
-                 sorted(machine.ipts[m.index]._by_cpage.items())]
-                for m in machine.modules
-            ],
-            "interrupts": [
-                [s.pending_penalty, s.ipis_received, s.ipis_sent]
-                for s in machine.interrupts.state
-            ],
-            "xfer": [machine.xfer.transfer_count,
-                     machine.xfer.words_transferred,
-                     machine.xfer.total_busy_time],
-            "shootdown": [coherent.shootdown.shootdowns,
-                          coherent.shootdown.total_interrupted,
-                          coherent.shootdown.total_deferred],
-            "fault_count": coherent.fault_handler.fault_count,
-        }
+
+#: the locations the table pins, as ``machine_state`` spells them: of
+#: the one Cpage, of each Cmap, and of the machine
+PINNED_CPAGE = ("state", "directory", "has_write_mapping",
+                "last_invalidation", "frozen", "frozen_at",
+                "handler_busy_until", "stats")
+PINNED_CMAP = ("ref_masks", "active_mask", "queue", "posted", "applied",
+               "pmaps")
+PINNED = ("frozen_list", "mmus", "resources", "modules", "interrupts",
+          "xfer", "shootdown", "fault_count")
 
 
-def _pentry(entry) -> list:
-    return [entry.vpage, entry.frame.module_index, entry.frame.frame_index,
-            int(entry.rights), entry.remote, entry.cpage_index,
-            entry.referenced, entry.modified]
-
-
-def _canonical(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+def pinned(state: dict) -> dict:
+    """The machine's state projected onto the keys the table pins."""
+    (cpage,) = state["cpages"]
+    return {
+        "cpage": {key: cpage[key] for key in PINNED_CPAGE},
+        "cmaps": {asid: {key: cmap[key] for key in PINNED_CMAP}
+                  for asid, cmap in state["cmaps"].items()},
+        **{key: state[key] for key in PINNED},
+    }
 
 
 def run_case(steps: list[tuple], policy=None, **world) -> dict:
@@ -285,7 +228,7 @@ def run_case(steps: list[tuple], policy=None, **world) -> dict:
         row = w.step(step)
         state = w.observe()
         row["state_sha256"] = hashlib.sha256(
-            _canonical(state).encode()).hexdigest()[:16]
+            compact(state).encode()).hexdigest()[:16]
         rows.append(row)
     w.kernel.check_invariants()
     return {"steps": rows, "final": state}
@@ -459,7 +402,7 @@ def generate() -> dict[str, dict]:
 
 def render(table: dict[str, dict]) -> str:
     """One line per case, so a drift shows up as that case's line."""
-    lines = [f"{json.dumps(name)}: {_canonical(case)}"
+    lines = [f"{json.dumps(name)}: {compact(case)}"
              for name, case in table.items()]
     return "{\n" + ",\n".join(lines) + "\n}\n"
 
@@ -485,7 +428,7 @@ def test_the_table_has_exactly_the_pinned_cases(golden):
 
 @pytest.mark.parametrize("name", CASES)
 def test_fault_transaction(name, golden, table):
-    want, got = golden[name], json.loads(_canonical(table[name]))
+    want, got = golden[name], json.loads(compact(table[name]))
     # the first step that differs, then the first part of the final
     # state, before the whole: a drift should name where it is
     for w, g in zip(want["steps"], got["steps"]):
@@ -506,7 +449,7 @@ OBSERVED_ONLY = ("action", "contention_wait", "interrupted", "deferred",
 
 def run_twice(name: str) -> tuple[list, list]:
     """The case's steps in an observed and an unobserved world: per
-    step, what the kernel returned and the kernel state after it."""
+    step, what the kernel returned and the machine's state after it."""
     cases = {**matrix(), **scripted()}
     runs = []
     for observed in (True, False):
@@ -520,15 +463,16 @@ def run_twice(name: str) -> tuple[list, list]:
         for step in steps:
             out = world.step(step)
             rows.append(({k: v for k, v in out.items()
-                          if k not in OBSERVED_ONLY}, world.state()))
+                          if k not in OBSERVED_ONLY},
+                         machine_state(world.kernel)))
         runs.append(rows)
     return runs[0], runs[1]
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_an_unobserved_fault_does_what_an_observed_one_does(name):
-    """Cpage, Pmaps, ATCs, buses, interrupt rows and every returned time
-    agree step by step with and without observers on the list."""
+    """The whole machine state and every returned time agree step by
+    step with and without observers on the list."""
     observed, unobserved = run_twice(name)
     for (want_out, want), (got_out, got) in zip(observed, unobserved):
         assert got_out == want_out

@@ -21,9 +21,13 @@ from repro.policy.fixed import (
     NeverCachePolicy,
     TimestampFreezePolicy,
 )
+from repro.policy.registry import make_policy
 from repro.profile import AccessProbe
-from repro.replay import ReplayError, record_spec, replay_trace, save_trace
+from repro.replay import RecordError, record_spec, replay_trace, save_trace
+from repro.runtime import make_kernel
 from repro.workloads import bench_spec_for, generate_spec
+
+from tests.conftest import state_digest
 
 # -- (a) every bench point builds through the module --------------------------
 
@@ -101,8 +105,15 @@ def test_bundle_config_round_trips_through_point_kernel(extra):
     assert dataclasses.asdict(again.params) == bundle.config["params"] \
         == dataclasses.asdict(result.kernel.params)
     assert again.policy.name == result.kernel.policy.name
-    assert again.coherent.defrost.enabled \
-        == result.kernel.coherent.defrost.enabled
+    # the fresh machine a kernel built by hand from the spec's keys is
+    # (point_kernel holds a period in whole ns)
+    period = extra.get("defrost_period")
+    direct = make_kernel(
+        n_processors=4, policy=make_policy(extra.get("policy"),
+                                           extra.get("policy_args")),
+        defrost_enabled=extra.get("defrost", True),
+        defrost_period=period and int(period), **extra.get("params", {}))
+    assert state_digest(again) == state_digest(direct)
 
 
 # -- (d) every rejection is a one-line ValueError -----------------------------
@@ -133,6 +144,12 @@ _GAUSS = {"workload": "gauss", "machine": 2,
     (point_program, dict(_GAUSS, args={"n": 1}), "at least 2x2"),
     (point_program, {"workload": "generated", "args": {"spec": {}}},
      "spec"),
+    (point_kernel, dict(_GAUSS, system="uniform", policy="warp",
+                        policy_args={}),
+     "uniform fixes its kernel: policy, policy_args cannot be set"),
+    (point_kernel, dict(_GAUSS, competitive=True, defrost=False,
+                        defrost_period=5e6),
+     "competitive fixes its kernel: defrost, defrost_period cannot be set"),
 ])
 def test_bad_specs_are_one_line_value_errors(build, spec, match):
     with pytest.raises(ValueError, match=match) as info:
@@ -142,13 +159,12 @@ def test_bad_specs_are_one_line_value_errors(build, spec, match):
 
 # -- (e) a comparator row fixes its kernel ------------------------------------
 
-#: a PLATINUM kernel's own keys, which a comparator row overrides
-_PLATINUM_KEYS = {"policy": "always", "defrost": True, "defrost_period": 5e6}
 _STOCK_PERIOD = MachineParams().t2_defrost_period
 
 
 @pytest.mark.parametrize("row, policy, defrost, period, daemon_period", [
-    ({}, AlwaysReplicatePolicy, True, 5_000_000, None),
+    ({"policy": "always", "defrost": True, "defrost_period": 5e6},
+     AlwaysReplicatePolicy, True, 5_000_000, None),
     ({"system": "uniform"}, NeverCachePolicy, False, _STOCK_PERIOD, None),
     ({"system": "smp"}, TimestampFreezePolicy, True, _STOCK_PERIOD, None),
     ({"competitive": True}, CompetitivePolicy, False, _STOCK_PERIOD,
@@ -162,7 +178,7 @@ _STOCK_PERIOD = MachineParams().t2_defrost_period
         "smp-competitive"])
 def test_a_comparator_row_fixes_its_kernel(
         row, policy, defrost, period, daemon_period):
-    coherent = point_kernel({**_GAUSS, **_PLATINUM_KEYS, **row}).coherent
+    coherent = point_kernel({**_GAUSS, **row}).coherent
     assert type(coherent.policy) is policy
     assert (coherent.defrost._wake is not None) is defrost  # started
     assert coherent.defrost.period == period
@@ -193,12 +209,18 @@ def test_a_second_access_hook_is_refused_loudly():
     assert coherent.access_probe is probe and coherent.daemons == []
 
 
-def test_a_probed_replay_of_a_competitive_config_is_a_replay_error():
+@pytest.mark.parametrize("comparator", [
+    {"competitive": True}, {"system": "uniform"}])
+def test_a_comparator_config_is_not_replayed(comparator, tmp_path, capsys):
+    """Only plain PLATINUM runs are recorded, so a bundle whose config
+    names a comparator is refused, as the recorder refuses the spec."""
     bundle, _result = record_spec(_GAUSS)
-    bundle.config["competitive"] = True
-    assert replay_trace(bundle).kernel.coherent.daemons
-    with pytest.raises(ReplayError, match="taken by the MigrationDaemon"):
-        replay_trace(bundle, probe=True)
+    bundle.config.update(comparator)
+    with pytest.raises(RecordError, match="plain PLATINUM"):
+        record_spec(dict(_GAUSS, **comparator))
+    path = str(save_trace(bundle, tmp_path / "comparator.trace"))
+    assert "plain PLATINUM" in _one_line_exit_2(
+        capsys, ["replay", path], "replay")
 
 
 # -- policy args without a policy name (bug: silently dropped) ----------------

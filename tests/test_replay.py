@@ -5,8 +5,10 @@ The load-bearing properties:
 * recording is non-invasive -- a recorded run produces exactly the
   metrics of a plain run of the same spec;
 * a replay under the recording configuration reproduces the live run's
-  final simulated time, executed-event count and every protocol counter
-  exactly, for every recordable smoke point of every benchmark target;
+  final simulated time, executed-event count, every protocol counter
+  and the machine's state (``tests.conftest.machine_state``, less frame
+  contents) exactly, for every recordable smoke point of every
+  benchmark target;
 * ``repro-trace/1`` bundles are byte-stable: the same workload recorded
   twice yields identical files, and save/load round-trips exactly;
 * variant replays (other policies, slower machines) actually diverge,
@@ -26,6 +28,7 @@ import pytest
 from repro.bench import TARGETS
 from repro.bench.targets import execute_point
 from repro.cli import main as cli_main
+from repro.point import plain_platinum
 from repro.profile import (
     AccessProbe,
     ProfileSource,
@@ -53,6 +56,8 @@ from repro.runtime import (
 )
 from repro.workloads import GaussianElimination
 
+from tests.conftest import machine_state
+
 SPEC = {
     "kind": "run",
     "workload": "gauss",
@@ -67,6 +72,11 @@ COUNTER_KEYS = (
     "freezes", "local_words", "remote_words", "queue_delay_ms",
     "transfers", "shootdowns", "ipis",
 )
+
+
+def _without_frames(kernel) -> dict:
+    """A live kernel's state less frame contents: the dataless replay's."""
+    return {k: v for k, v in machine_state(kernel).items() if k != "frames"}
 
 
 @pytest.fixture(scope="module")
@@ -116,20 +126,13 @@ def test_replay_is_deterministic(gauss_recording):
     b = replay_trace(bundle)
     assert a.counters == b.counters
     assert a.events_executed == b.events_executed
+    assert machine_state(a.kernel) == machine_state(b.kernel)
 
 
 def _recordable_smoke_points(target_name):
     _config, points = TARGETS[target_name].points("smoke")
-    recordable = []
-    for name, spec in points:
-        if spec.get("kind", "run") != "run":
-            continue
-        if spec.get("system", "platinum") != "platinum":
-            continue
-        if spec.get("competitive"):
-            continue
-        recordable.append((name, spec))
-    return recordable
+    return [(name, spec) for name, spec in points
+            if spec.get("kind", "run") == "run" and plain_platinum(spec)]
 
 
 @pytest.mark.parametrize("target_name", sorted(TARGETS))
@@ -144,6 +147,8 @@ def test_replay_matches_live_on_bench_smoke_points(target_name):
         # check_expected asserts sim time, event count and all counters
         replay = replay_trace(bundle, check_expected=True)
         assert int(replay.sim_time_ns) == int(result.sim_time_ns), name
+        assert machine_state(replay.kernel) == \
+            _without_frames(result.kernel), name
 
 
 # -- generated workloads ------------------------------------------------------
@@ -152,7 +157,7 @@ def test_replay_matches_live_on_bench_smoke_points(target_name):
 def test_generated_workload_record_then_check(generated_workload):
     """The cross-suite guarantee: a generated program records, and the
     replay reproduces the recording's exact final state (sim time,
-    event count, every protocol counter)."""
+    event count, every protocol counter, the machine's state)."""
     from repro.workloads import bench_spec_for
 
     spec, _make_program = generated_workload
@@ -161,6 +166,7 @@ def test_generated_workload_record_then_check(generated_workload):
     assert int(replay.sim_time_ns) == int(result.sim_time_ns)
     for key in COUNTER_KEYS:
         assert replay.counters[key] == bundle.expected["counters"][key]
+    assert machine_state(replay.kernel) == _without_frames(result.kernel)
 
 
 def test_generated_workload_record_is_noninvasive(generated_workload):
@@ -272,8 +278,11 @@ def test_a_foreign_stream_dtype_is_refused_in_one_line(
         assert _replay_ends_in_one_line(path, capsys, flags) == 2
 
 
-#: one leaf per key of each layout record ``_rebuild_layout`` reads
+#: one leaf per key of each layout record ``_rebuild_layout`` reads,
+#: and each list whose emptying leaves a reference dangling (a binding's
+#: object, a thread's address space, a stream's pages and channels)
 _LAYOUT_LEAVES = [
+    ("objects",), ("aspaces",), ("channels",),
     *(("objects", 0, key) for key in (
         "oid", "label", "n_pages", "cpage_start", "placement")),
     ("objects", 0, "placement", 0),
@@ -291,14 +300,11 @@ _LAYOUT_LEAVES = [
                          ids=lambda leaf: ".".join(map(str, leaf)))
 def test_a_mistyped_layout_leaf_is_refused_in_one_line(
         gauss_recording, tmp_path, capsys, leaf):
-    """Every JSON type in the wrong place of the layout ends ``repro
-    replay`` in one line, not in a traceback out of the rebuild, or,
-    where the value is a legal one (a null placement), in a replay.
-    An emptied bindings list leaves a reference dangling, which no
-    type states, and is left out (ROADMAP, hostile input)."""
+    """Every JSON type in the wrong place of the layout, an emptied list
+    that other records refer to among them, ends ``repro replay`` in
+    one line, not in a traceback out of the rebuild or the run, or,
+    where the value is a legal one (a null placement), in a replay."""
     for value in (None, 1.5, "x", [], {}, True):
-        if leaf[-1] == "bindings" and value == []:
-            continue
 
         def mistype(header):
             node = header["layout"]
@@ -382,8 +388,9 @@ def _corpus_specs():
 def test_replay_adaptive_variant_agrees_with_live_run(spec):
     """The differential contract behind `repro replay --policy X`: a
     variant replay of a recorded trace is the *same simulation* as a
-    live run under policy X -- identical simulated time and identical
-    protocol counters -- for every golden-corpus spec.  The adaptive
+    live run under policy X -- identical simulated time, protocol
+    counters and machine state -- for every golden-corpus spec, as the
+    replay under the recorded policy is of the recording run.  The adaptive
     policy refines the recorded policy's decisions without perturbing
     the workloads' synchronization structure, so the replayer's
     exactness contract extends to the live comparison."""
@@ -391,9 +398,11 @@ def test_replay_adaptive_variant_agrees_with_live_run(spec):
     from repro.workloads import bench_spec_for
     from repro.workloads.generate import run_spec
 
-    bundle, _result = record_spec(bench_spec_for(spec))
+    bundle, recorded = record_spec(bench_spec_for(spec))
+    assert machine_state(replay_trace(bundle).kernel) == \
+        _without_frames(recorded.kernel)
     replayed = replay_trace(bundle, policy="adaptive")
-    _kernel, live = run_spec(spec, policy="adaptive")
+    kernel, live = run_spec(spec, policy="adaptive")
     live_counters = run_counters(live)
     assert int(replayed.sim_time_ns) == int(live.sim_time_ns), (
         f"{spec.name}: replay under 'adaptive' diverged from the "
@@ -401,6 +410,7 @@ def test_replay_adaptive_variant_agrees_with_live_run(spec):
     for key in COUNTER_KEYS:
         assert replayed.counters[key] == live_counters[key], (
             spec.name, key)
+    assert machine_state(replayed.kernel) == _without_frames(kernel)
 
 
 #: counters fully determined by the reference string and the policy --

@@ -8,8 +8,8 @@ shift at a time, with a ``send_ipi`` call per target -- lives on here as
 the reference.  Twin machines get the same random address space
 (reference masks with holes, stale bits, the initiator among the
 holders, inactive targets, translations on several modules, ATC copies)
-and the same directive, one through each walk, and must agree on every
-observable afterwards.
+and the same directive, one through each walk, and must agree on the
+whole machine state and the metrics afterwards.
 """
 
 import random
@@ -17,13 +17,14 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.cmap import Cmap, CmapEntry, CmapMessage, Directive
+from repro.core.cmap import CmapEntry, CmapMessage, Directive
 from repro.core.shootdown import ShootdownMechanism
-from repro.machine.machine import Machine
+from repro.kernel.kernel import Kernel
 from repro.machine.memory import WORD_DTYPE, Frame
 from repro.machine.params import MachineParams
 from repro.machine.pmap import PmapEntry, Rights
-from repro.telemetry.metrics import MetricsRegistry, ProtocolMetrics
+
+from tests.conftest import machine_state
 
 N_PROCESSORS = 12
 VPAGES = (3, 4, 9)
@@ -33,8 +34,8 @@ class ReferenceShootdown(ShootdownMechanism):
     """The bit-by-bit walk, as it was spelled before; it notes, per
     call, whether any translation matched."""
 
-    def __init__(self, machine, cmaps) -> None:
-        super().__init__(machine, cmaps)
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
         self.found: list[bool] = []
 
     def _shoot_one(self, cmap, entry, directive, rights, initiator, now,
@@ -90,16 +91,17 @@ class ReferenceShootdown(ShootdownMechanism):
 
 
 def build(cls, seed, metrics):
-    """A machine, a shootdown mechanism of class ``cls`` (observed by a
-    metrics fold when ``metrics``) and one address space whose every
-    structure is drawn from ``seed``."""
+    """A kernel whose shootdown mechanism is of class ``cls`` (observed
+    by the metrics fold when ``metrics``), with one address space whose
+    every structure is drawn from ``seed``: the kernel, the mechanism
+    and the address space's Cmap."""
     rng = random.Random(seed)
-    machine = Machine(MachineParams(n_processors=N_PROCESSORS))
-    mech = cls(machine, {})
-    if metrics:
-        mech.observers.append(
-            ProtocolMetrics(MetricsRegistry(enabled=True)))
-    cmap = mech.cmaps[1] = Cmap(aspace_id=1, n_processors=N_PROCESSORS)
+    kernel = Kernel(params=MachineParams(n_processors=N_PROCESSORS),
+                    defrost_enabled=False, metrics=metrics)
+    machine, coherent = kernel.machine, kernel.coherent
+    mech = coherent.shootdown = cls(machine, coherent.cmaps,
+                                    coherent.observers)
+    cmap = coherent.cmap_for(1, create=True)
     cmap.active_mask = rng.getrandbits(N_PROCESSORS)
     for vpage in VPAGES:
         entry = CmapEntry(vpage, None, Rights.WRITE)
@@ -124,35 +126,10 @@ def build(cls, seed, metrics):
             pmap._entries[vpage] = pentry
             if rng.random() < 0.6:
                 machine.mmus[proc].atc._entries[(1, vpage)] = pentry
-    return machine, mech, cmap
+    return kernel, mech, cmap
 
 
-def observe(machine, mech, cmap):
-    return {
-        "ipis": [
-            (s.pending_penalty, s.ipis_received, s.ipis_sent)
-            for s in machine.interrupts.state
-        ],
-        "ref_masks": {v: e.ref_mask for v, e in cmap.entries.items()},
-        "messages": [
-            (m.vpage, m.directive, m.rights, m.target_mask, m.posted_at)
-            for m in cmap.messages
-        ],
-        "posted_applied": (cmap.messages_posted, cmap.messages_applied),
-        "pmaps": {
-            proc: sorted((v, int(e.rights)) for v, e in pmap._entries.items())
-            for proc, pmap in cmap._pmaps.items()
-        },
-        "atcs": [
-            (list(mmu.atc._entries), mmu.atc.flushes) for mmu in machine.mmus
-        ],
-        "totals": (mech.shootdowns, mech.total_interrupted,
-                   mech.total_deferred),
-        "metrics": [fold.registry.collect() for fold in mech.observers],
-    }
-
-
-def shoot(machine, mech, cmap, rng):
+def shoot(kernel, mech, cmap, rng):
     """One walk per page drawn from ``rng`` (published to the observers
     as a shootdown), then one shootdown of every page through
     ``shoot_vpages``; the walks' masks and the shootdown's cost, which
@@ -179,7 +156,7 @@ def shoot(machine, mech, cmap, rng):
     cost = mech.shoot_vpages(cmap, VPAGES, Directive.INVALIDATE,
                              initiator=rng.randrange(N_PROCESSORS), now=7)
     n = mech.total_interrupted - before
-    p = machine.params
+    p = kernel.params
     assert cost == (p.shootdown_first + p.shootdown_per_cpu * (n - 1)
                     if n else 0)
     out.append(cost)
@@ -191,11 +168,12 @@ def shoot(machine, mech, cmap, rng):
 def test_set_bit_walk_matches_the_bit_by_bit_walk(seed, metrics):
     fast = build(ShootdownMechanism, seed, metrics)
     ref = build(ReferenceShootdown, seed, metrics)
-    assert observe(*fast) == observe(*ref)
+    assert machine_state(fast[0]) == machine_state(ref[0])
     got = shoot(*fast, random.Random(seed))
     want = shoot(*ref, random.Random(seed))
     assert got == want
-    assert observe(*fast) == observe(*ref)
+    assert machine_state(fast[0]) == machine_state(ref[0])
+    assert fast[0].metrics.collect() == ref[0].metrics.collect()
 
 
 def test_the_random_states_cover_every_case():
@@ -203,7 +181,7 @@ def test_the_random_states_cover_every_case():
     filter that spares some translations, and IPIs all occur."""
     seen = set()
     for seed in range(40):
-        machine, mech, cmap = build(ReferenceShootdown, seed, False)
+        kernel, mech, cmap = build(ReferenceShootdown, seed, False)
         rng = random.Random(seed)
         for vpage in VPAGES:
             entry = cmap.entries[vpage]
@@ -217,7 +195,7 @@ def test_the_random_states_cover_every_case():
                 seen.add("hole")
             if {p for p in bits if not cmap.active_mask >> p & 1}:
                 seen.add("inactive holder")
-        results = shoot(machine, mech, cmap, rng)
+        results = shoot(kernel, mech, cmap, rng)
         for (hit, missed), found in zip(results[:-1], mech.found):
             if hit:
                 seen.add("interrupted")

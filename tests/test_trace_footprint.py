@@ -78,7 +78,7 @@ def test_a_decoded_bundle_holds_one_object_per_distinct_op():
     bundle, _result = record_spec(spec)
     params = bundle.config["params"]
     wpp = params["page_bytes"] // params["word_bytes"]
-    decoded = _decoded_streams(bundle, wpp)
+    decoded, _names = _decoded_streams(bundle, wpp)
     ops = [op for stream in decoded for op in stream]
     rows = [tuple(row) for arr in bundle.streams for row in arr.tolist()]
     assert len(ops) == len(rows)

@@ -39,8 +39,8 @@ def test_near_linear_speedup():
     curve = measure_speedup(
         lambda p: MatrixMultiply(n=96, n_threads=p,
                                  verify_result=False),
+        lambda p: make_kernel(n_processors=4),
         processor_counts=(1, 4),
-        machine_processors=4,
     )
     assert curve.at(4).speedup > 3.2
 
