@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..kernel.kernel import Kernel
@@ -310,44 +311,44 @@ def fuzz(
     tie-breaking perturbation, so a reported seed is a complete
     reproduction recipe.
     """
-    report = FuzzReport(n_seeds=n_seeds, n_ops=n_ops)
+    def cases():
+        for seed in range(base_seed, base_seed + n_seeds):
+            ops = make_schedule(
+                random.Random(seed), n_ops, n_processors, n_pages
+            )
+            run = partial(run_schedule, n_processors=n_processors,
+                          n_pages=n_pages, tie_seed=seed, on_step=on_step)
+            yield seed, seed, ops, run, ""
 
-    def run(ops: Sequence[FuzzOp], seed: int) -> ScheduleOutcome:
-        return run_schedule(
-            ops,
-            n_processors=n_processors,
-            n_pages=n_pages,
-            tie_seed=seed,
-            on_step=on_step,
-        )
+    return _campaign(FuzzReport(n_seeds=n_seeds, n_ops=n_ops), cases(),
+                     shrink, progress)
 
-    for seed in range(base_seed, base_seed + n_seeds):
-        ops = make_schedule(
-            random.Random(seed), n_ops, n_processors, n_pages
-        )
-        outcome = run(ops, seed)
+
+def _campaign(report: FuzzReport, cases, shrink: bool,
+              progress: Optional[Callable]) -> FuzzReport:
+    """The one campaign loop.  Each case is ``(key, seed, ops, run,
+    prefix)``: ``run(ops)`` runs a schedule, ``progress`` hears ``(key,
+    outcome)``, and a failure is shrunk (``shrink``) and recorded with
+    ``prefix`` before its error."""
+    for key, seed, ops, run, prefix in cases:
+        outcome = run(ops)
         report.schedules_run += 1
         report.ops_run += outcome.ops_run
         report.checks += outcome.checks
         if progress is not None:
-            progress(seed, outcome)
+            progress(key, outcome)
         if outcome.failure is not None:
             _step, _op, exc = outcome.failure
             shrunk = (
-                shrink_schedule(
-                    ops, lambda sub: not run(sub, seed).ok
-                )
-                if shrink
-                else tuple(ops)
+                shrink_schedule(ops, lambda sub: not run(sub).ok)
+                if shrink else tuple(ops)
             )
-            report.failures.append(
-                FuzzFailure(
-                    seed=seed,
-                    error=f"{type(exc).__name__}: {exc}",
-                    schedule=tuple(ops),
-                    shrunk=shrunk,
-                )
-            )
+            report.failures.append(FuzzFailure(
+                seed=seed,
+                error=f"{prefix}{type(exc).__name__}: {exc}",
+                schedule=tuple(ops),
+                shrunk=shrunk,
+            ))
     return report
 
 
@@ -431,40 +432,19 @@ def fuzz_corpus(
     randomness, so machine-generated scenarios (skewed mixes, false
     sharing, phase structure) reach the protocol's tie-perturbed paths.
     """
-    report = FuzzReport(n_seeds=len(specs) * len(policies), n_ops=max_ops)
-    for spec in specs:
-        ops, n_processors, n_pages = schedule_from_spec(
-            spec, max_ops=max_ops)
-        seed = spec.seed if not isinstance(spec, dict) else spec["seed"]
-        name = spec.name if not isinstance(spec, dict) else spec["name"]
-        for policy in policies:
+    def cases():
+        for spec in specs:
+            ops, n_processors, n_pages = schedule_from_spec(
+                spec, max_ops=max_ops)
+            seed = spec.seed if not isinstance(spec, dict) else spec["seed"]
+            name = spec.name if not isinstance(spec, dict) else spec["name"]
+            for policy in policies:
+                run = partial(run_schedule, n_processors=n_processors,
+                              n_pages=n_pages, tie_seed=seed, policy=policy)
+                shown = policy or "freeze"
+                yield (f"{name}/{shown}", seed, ops, run,
+                       f"{name} under {shown}: ")
 
-            def run(sub: Sequence[FuzzOp]) -> ScheduleOutcome:
-                return run_schedule(
-                    sub,
-                    n_processors=n_processors,
-                    n_pages=n_pages,
-                    tie_seed=seed,
-                    policy=policy,
-                )
-
-            outcome = run(ops)
-            report.schedules_run += 1
-            report.ops_run += outcome.ops_run
-            report.checks += outcome.checks
-            if progress is not None:
-                progress(f"{name}/{policy or 'freeze'}", outcome)
-            if outcome.failure is not None:
-                _step, _op, exc = outcome.failure
-                shrunk = (
-                    shrink_schedule(ops, lambda sub: not run(sub).ok)
-                    if shrink else tuple(ops)
-                )
-                report.failures.append(FuzzFailure(
-                    seed=seed,
-                    error=(f"{name} under {policy or 'freeze'}: "
-                           f"{type(exc).__name__}: {exc}"),
-                    schedule=tuple(ops),
-                    shrunk=shrunk,
-                ))
-    return report
+    return _campaign(
+        FuzzReport(n_seeds=len(specs) * len(policies), n_ops=max_ops),
+        cases(), shrink, progress)

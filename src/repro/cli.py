@@ -114,7 +114,7 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         MigrationCostModel.paper_constants()
         if args.paper_constants
         else MigrationCostModel.from_params(
-            MachineParams(n_processors=2).validated()
+            MachineParams(n_processors=2)
         )
     )
     print(model.format_table1())
@@ -151,12 +151,18 @@ def _attach_trace_sink(kernel, destination: str):
     return sink
 
 
-def _start_sampler(kernel, sample_ms: float):
+def _start_sampler(kernel, verb: str, sample_ms: float):
+    """The run's sampler, started; ``None`` once a period the daemon
+    rule refuses is reported in one line."""
     from .telemetry import SimTimeSampler
 
-    sampler = SimTimeSampler(
-        kernel, period_ms=sample_ms, registry=kernel.metrics
-    )
+    try:
+        sampler = SimTimeSampler(
+            kernel, period_ms=sample_ms, registry=kernel.metrics
+        )
+    except ValueError as exc:
+        print(f"repro {verb}: --sample-ms {sample_ms}: {exc}")
+        return None
     sampler.start()
     return sampler
 
@@ -177,12 +183,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     kernel, program = _build_point(
         _point_spec(args), trace=args.trace, metrics=want_metrics)
+    sampler = None
+    if want_metrics:
+        sampler = _start_sampler(kernel, args.workload, args.sample_ms)
+        if sampler is None:
+            return 2
     if args.trace_out:
         _attach_trace_sink(kernel, args.trace_out)
         # without --trace the history lives only on disk: constant memory
         kernel.tracer.retain = args.trace
-    sampler = _start_sampler(kernel, args.sample_ms) if want_metrics \
-        else None
     try:
         from .obs import span as obs_span
 
@@ -246,7 +255,9 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
               f"got {args.sample_ms}")
         return 2
     kernel, program = _build_point(_point_spec(args), metrics=True)
-    sampler = _start_sampler(kernel, args.sample_ms)
+    sampler = _start_sampler(kernel, "metrics", args.sample_ms)
+    if sampler is None:
+        return 2
     result = run_program(kernel, program)
     if args.format == "prom":
         # stdout is the exposition document; human context to stderr

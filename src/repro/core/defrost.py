@@ -41,15 +41,16 @@ class DefrostDaemon(Daemon):
         period: Optional[float] = None,
         observers: Optional[Observers] = None,
     ) -> None:
+        self._set_period(
+            period if period is not None
+            else machine.params.t2_defrost_period,
+            "defrost_period",
+        )
         self.machine = machine
         self.shootdown = shootdown
         self.policy = policy
         #: told of every thaw and daemon run (repro.core.trace)
         self.observers = observers if observers is not None else Observers()
-        self.period = (
-            period if period is not None
-            else machine.params.t2_defrost_period
-        )
         self.runs = 0
         self.pages_thawed = 0
 

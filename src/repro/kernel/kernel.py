@@ -58,7 +58,7 @@ class Kernel:
         self.vm = VirtualMemorySystem(self.coherent)
         # the VM's address-space table, not the VM: that owns the handler
         self.coherent.fault_handler.resolve = self.vm.aspaces.resolve
-        self.threads = ThreadManager(machine, self.coherent)
+        self.threads = ThreadManager(machine, self.coherent, self.vm.aspaces)
         self.ports = PortNamespace(machine)
 
     def __repr__(self) -> str:

@@ -47,10 +47,13 @@ class ThreadManager:
     """Tracks threads and per-processor address-space activation."""
 
     def __init__(
-        self, machine: Machine, coherent: CoherentMemorySystem
+        self, machine: Machine, coherent: CoherentMemorySystem,
+        aspaces: dict,
     ) -> None:
         self.machine = machine
         self.coherent = coherent
+        #: the VM's address-space table: a thread runs in one of these
+        self.aspaces = aspaces
         self.threads: dict[int, Thread] = {}
         self._next_tid = 0
         #: (processor, aspace_id) -> number of threads bound there
@@ -66,6 +69,8 @@ class ThreadManager:
         n = self.machine.params.n_processors
         if not 0 <= processor < n:
             raise ValueError(f"processor {processor} out of range (n={n})")
+        if aspace_id not in self.aspaces:
+            raise ValueError(f"address space {aspace_id} does not exist")
         thread = Thread(
             tid=self._next_tid,
             aspace_id=aspace_id,

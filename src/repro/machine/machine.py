@@ -54,7 +54,7 @@ class Machine:
         engine: Optional[Engine] = None,
         dataless: bool = False,
     ) -> None:
-        self.params = params.validated()
+        self.params = params
         self.engine = engine if engine is not None else Engine()
         # dataless machines share one word array across every frame: the
         # trace replayer costs accesses without moving data, so it skips

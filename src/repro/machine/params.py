@@ -10,8 +10,11 @@ All times are whole nanoseconds, and this module owns that decision:
 a field annotated ``int`` -- latency or size -- is stored as an ``int``
 whatever it was given as (a bundle's recorded ``320.0``, ``--param
 t_remote_read=10000.0``), and a value that is not a whole number >= 0 is
-a ``ValueError`` at construction.  Behind this boundary sums of times
-are exact and nothing rounds (DESIGN.md section 5).
+a ``ValueError`` at construction, as is a set of fields no machine can
+have (no processor, a page that is not whole words, remote reads faster
+than local ones): an instance is valid from the moment it exists.
+Behind this boundary sums of times are exact and nothing rounds
+(DESIGN.md section 5).
 """
 
 from __future__ import annotations
@@ -143,6 +146,20 @@ class MachineParams:
 
     def __post_init__(self) -> None:
         coerce_int_fields(self)
+        if self.n_processors < 1:
+            raise ValueError("need at least one processor")
+        if self.page_bytes <= 0 or self.word_bytes <= 0:
+            raise ValueError("page and word sizes must be positive")
+        if self.page_bytes % self.word_bytes != 0:
+            raise ValueError("page size must be a whole number of words")
+        if self.frames_per_module < 1:
+            raise ValueError("each module needs at least one frame")
+        if not 0.0 < self.block_transfer_bus_fraction <= 1.0:
+            raise ValueError("bus fraction must be in (0, 1]")
+        if self.topology not in ("butterfly", "bus", "uniform"):
+            raise ValueError(f"unknown topology {self.topology!r}")
+        if self.t_remote_read < self.t_local:
+            raise ValueError("remote reads cannot be faster than local")
 
     # --- derived -----------------------------------------------------------
     @property
@@ -170,31 +187,13 @@ class MachineParams:
             for name, value in asdict(self).items()
         }
 
-    def validated(self) -> "MachineParams":
-        """Return self after sanity checks; raise ValueError on nonsense."""
-        if self.n_processors < 1:
-            raise ValueError("need at least one processor")
-        if self.page_bytes <= 0 or self.word_bytes <= 0:
-            raise ValueError("page and word sizes must be positive")
-        if self.page_bytes % self.word_bytes != 0:
-            raise ValueError("page size must be a whole number of words")
-        if self.frames_per_module < 1:
-            raise ValueError("each module needs at least one frame")
-        if not 0.0 < self.block_transfer_bus_fraction <= 1.0:
-            raise ValueError("bus fraction must be in (0, 1]")
-        if self.topology not in ("butterfly", "bus", "uniform"):
-            raise ValueError(f"unknown topology {self.topology!r}")
-        if self.t_remote_read < self.t_local:
-            raise ValueError("remote reads cannot be faster than local")
-        return self
-
     def scaled(self, **overrides) -> "MachineParams":
-        """A copy with the given fields replaced (validated)."""
-        return replace(self, **overrides).validated()
+        """A copy with the given fields replaced."""
+        return replace(self, **overrides)
 
 
 #: The machine the paper measured.
-BUTTERFLY_PLUS = MachineParams().validated()
+BUTTERFLY_PLUS = MachineParams()
 
 
 def butterfly_plus(n_processors: int = 16, **overrides) -> MachineParams:

@@ -87,23 +87,6 @@ COMPETITIVE = (CompetitivePolicy, False)
 _PARAM_NAMES = frozenset(f.name for f in dataclasses.fields(MachineParams))
 
 
-def _period_ns(spec: dict, key: str, default=None):
-    """A daemon period of a spec, to the nearest ns as ``Engine.schedule``
-    takes it; one that is not finite or rounds below 1 ns (the daemon
-    would reschedule itself at the same instant forever) is refused."""
-    value = spec.get(key, default)
-    if value is None:
-        return None
-    try:
-        period = int(round(value))
-    except (TypeError, ValueError, OverflowError):  # text, nan, inf
-        period = 0
-    if period < 1:
-        raise ValueError(
-            f"{key} must be a finite time >= 1 ns, got {value!r}")
-    return period
-
-
 def _system_of(spec: dict) -> str:
     system = spec.get("system", "platinum")
     if system not in SYSTEMS:
@@ -165,11 +148,11 @@ def point_kernel(
     fixed = SYSTEMS[system][1]
     if fixed is None and spec.get("competitive"):
         fixed = COMPETITIVE
-        daemon_period = _period_ns(spec, "competitive_period", 100_000_000)
+        daemon_period = spec.get("competitive_period", 100_000_000)
     if fixed is None:
         policy = make_policy(spec.get("policy"), spec.get("policy_args"))
         defrost = bool(spec.get("defrost", True))
-        defrost_period = _period_ns(spec, "defrost_period")
+        defrost_period = spec.get("defrost_period")
     else:  # a comparator fixes its kernel and carries its data
         named = [key for key in ("policy", "policy_args", "defrost",
                                  "defrost_period") if key in spec]

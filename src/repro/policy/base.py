@@ -18,8 +18,8 @@ kernel paths feed so online policies can learn from protocol history:
   frozen past the global ``t2`` period.
 
 Both hooks are no-ops in the base class, so the fixed policies behave
-bit-identically to the pre-zoo engine (proven by the differential
-policy-equivalence suite in ``tests/test_policy_equivalence.py``).
+bit-identically to the pre-zoo engine (proven by the pinned rows of
+the equivalence plan, ``tests/test_matrix.py``).
 """
 
 from __future__ import annotations

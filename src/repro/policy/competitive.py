@@ -83,12 +83,12 @@ class MigrationDaemon(Daemon):
 
     def __init__(self, coherent, period: float = 100e6,
                  threshold_words: Optional[int] = None) -> None:
+        self._set_period(period, "competitive_period")
         coherent.claim_access_probe(self)
         coherent.daemons.append(self)
         # what the sweep reads, not ``coherent``: that owns the daemon
         self.machine, self.cpages = coherent.machine, coherent.cpages
         self.policy, self.defrost = coherent.policy, coherent.defrost
-        self.period = period
         self.threshold_words = (
             threshold_words
             if threshold_words is not None

@@ -251,6 +251,22 @@ class Daemon:
     """
 
     _wake: Optional[Callable[[], None]] = None  # the tick, once started
+    #: whole ns between ticks, set by :meth:`_set_period`
+    period: int
+
+    def _set_period(self, value, name: str) -> None:
+        """Keep ``value`` as the period, rounded once to whole ns as
+        ``Engine.schedule`` takes it: the one rule of every daemon.  One
+        that is not finite or rounds below 1 ns is a ``ValueError``
+        naming ``name`` (the daemon would tick at one instant forever)."""
+        try:
+            period = int(round(value))
+        except (TypeError, ValueError, OverflowError):  # text, nan, inf
+            period = 0
+        if period < 1:
+            raise ValueError(
+                f"{name} must be a finite time >= 1 ns, got {value!r}")
+        self.period = period
 
     def start(self) -> None:
         """Schedule the periodic tick (idempotent)."""

@@ -41,15 +41,12 @@ class SimTimeSampler(Daemon):
         max_samples: int = 1_000_000,
         registry=None,
     ) -> None:
-        if period_ms <= 0:
-            raise ValueError(f"sample period must be positive, "
-                             f"got {period_ms}")
+        self._set_period(period_ms * 1e6, "sample period")
         # what a sample reads, not the kernel: that owns the sampler
         kernel.coherent.daemons.append(self)
         self.machine = kernel.machine
         self.cpages = kernel.coherent.cpages
         self.shootdown = kernel.coherent.shootdown
-        self.period = period_ms * 1e6  # ns
         self.max_samples = max_samples
         self.samples: list[dict] = []
         self.dropped = 0

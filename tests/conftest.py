@@ -12,6 +12,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.analysis import run_counters
 from repro.doc import compact
 from repro.policy.fixed import (
     AlwaysReplicatePolicy,
@@ -21,6 +22,7 @@ from repro.policy.fixed import (
 from repro.kernel.kernel import Kernel
 from repro.machine.params import MachineParams
 from repro.machine.pmap import Rights
+from repro.replay import record_spec
 from repro.telemetry.sampler import SimTimeSampler
 
 
@@ -306,6 +308,44 @@ def generated_workload(request):
 
     spec = generate_spec(request.param, "smoke")
     return spec, lambda: GeneratedWorkload(spec)
+
+
+# -- recordings ---------------------------------------------------------------
+
+
+def run_facts(result, kernel, counters) -> dict:
+    """What an equivalence check reads of a finished run: sim time,
+    events, counters and the machine's state digested per location, the
+    frames apart (only a machine with data has them)."""
+    state = {where: _digest(compact(value).encode())
+             for where, value in machine_state(kernel).items()}
+    return {"sim_time_ns": int(result.sim_time_ns), "counters": counters,
+            "events": kernel.engine.events_executed,
+            "frames": state.pop("frames", None), "state": state}
+
+
+def memo_recorder():
+    """``record(point)``: ``record_spec(point)``'s bundle and the
+    :func:`run_facts` of its run, made once per point spec.  The
+    recording's kernel is not kept; its bundle is only read, the input
+    of every replay of it."""
+    made = {}
+
+    def record(point: dict):
+        key = compact(point)
+        if key not in made:
+            bundle, result = record_spec(point)
+            made[key] = bundle, run_facts(result, result.kernel,
+                                          run_counters(result))
+        return made[key]
+    return record
+
+
+@pytest.fixture(scope="session")
+def recorded():
+    """One :func:`memo_recorder` for the session: each recording
+    configuration is recorded once, whichever suite asks first."""
+    return memo_recorder()
 
 
 # -- optional suite-wide invariant checking -----------------------------------

@@ -21,7 +21,7 @@ def problems(page, invariant="single_writer"):
 
 @pytest.fixture
 def modules():
-    params = MachineParams(n_processors=3, frames_per_module=8).validated()
+    params = MachineParams(n_processors=3, frames_per_module=8)
     return [MemoryModule(i, params) for i in range(3)]
 
 

@@ -15,7 +15,7 @@ from repro.machine import MachineParams, MemoryModule
 
 
 def _single_copy_page(written=True):
-    params = MachineParams(n_processors=2, frames_per_module=4).validated()
+    params = MachineParams(n_processors=2, frames_per_module=4)
     module = MemoryModule(0, params)
     page = Cpage(0, home_module=0)
     page.add_frame(module.allocate())
@@ -83,7 +83,7 @@ def test_thaw_on_fault_variant():
 
 def test_freeze_requires_single_copy():
     policy = TimestampFreezePolicy()
-    params = MachineParams(n_processors=2, frames_per_module=4).validated()
+    params = MachineParams(n_processors=2, frames_per_module=4)
     page = Cpage(0, 0)
     page.add_frame(MemoryModule(0, params).allocate())
     page.add_frame(MemoryModule(1, params).allocate())

@@ -1,8 +1,9 @@
 """The committed golden corpus (``tests/corpus/``): generation is
-byte-stable per seed, and every spec's recorded trace fingerprint
-reproduces exactly.  Mirrors the ``BENCH_smoke.json`` drift contract:
-if any of this fails, regenerate with ``python -m repro gen corpus``
-and commit the result -- after confirming the change is intentional.
+byte-stable per seed (that every spec's recorded trace fingerprint
+reproduces exactly is a pinned row of ``tests/test_matrix.py``).
+Mirrors the ``BENCH_smoke.json`` drift contract: if any of this fails,
+regenerate with ``python -m repro gen corpus`` and commit the result --
+after confirming the change is intentional.
 """
 
 import json
@@ -12,7 +13,6 @@ import pytest
 
 from repro.workloads import (
     WorkloadSpec,
-    fingerprint_spec,
     generate_spec,
     verify_corpus,
     write_corpus,
@@ -46,22 +46,9 @@ def test_corpus_specs_regenerate_byte_identically():
             f"{path.name}: generator drifted for seed {spec.seed}")
 
 
-def test_corpus_fingerprints_reproduce():
-    """Re-recording every corpus spec reproduces the committed
-    trace-level fingerprint: identical spec bytes, identical trace
-    bytes, identical protocol counters."""
-    committed = json.loads((CORPUS / FINGERPRINTS_FILE).read_text())
-    specs = corpus_specs()
-    assert set(committed) == {s.name for s in specs}
-    for spec in specs:
-        assert fingerprint_spec(spec) == committed[spec.name], (
-            f"{spec.name}: simulation drifted from the committed "
-            "fingerprint")
-
-
 def test_verify_corpus_clean_on_the_committed_corpus():
-    # bytes-only here; the fingerprint half is covered above without
-    # recording everything twice
+    # bytes-only here: every committed fingerprint is a pinned row of
+    # the equivalence plan (tests/test_matrix.py), recorded once there
     assert verify_corpus(CORPUS, fingerprints=False) == []
 
 

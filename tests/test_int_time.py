@@ -15,7 +15,7 @@ from repro.machine.cache import CacheParams
 from repro.machine.machine import Machine
 from repro.machine.params import MachineParams
 from repro.point import point_kernel, point_program
-from repro.replay import record_spec, replay_trace
+from repro.replay import replay_trace
 from repro.runtime.run import run_program
 from repro.workloads import WorkloadSpec
 from repro.workloads.generate import bench_spec_for, corpus_paths
@@ -77,13 +77,13 @@ def assert_all_int(kernel):
 
 
 @pytest.mark.parametrize("spec", POINTS)
-def test_every_kept_time_is_an_int(spec):
+def test_every_kept_time_is_an_int(spec, recorded):
     kernel = point_kernel(spec, trace=True)
     run_program(kernel, point_program(spec))
     assert len(kernel.tracer.events) > 0
     assert_all_int(kernel)
 
-    bundle, _result = record_spec(spec)
+    bundle, _result = recorded(spec)
     replayed = replay_trace(bundle, trace=True, check_expected=True)
     assert_all_int(replayed.kernel)
 

@@ -31,6 +31,13 @@ def test_spawn_out_of_range_rejected(kernel):
         kernel.threads.spawn(aspace.asid, 9)
 
 
+def test_spawn_into_an_address_space_never_created_rejected(kernel):
+    with pytest.raises(ValueError, match="address space 99 "):
+        kernel.threads.spawn(99, 0)
+    assert kernel.threads.threads == {}
+    assert 99 not in kernel.coherent.cmaps
+
+
 def test_exit_deactivates_when_last(kernel):
     aspace = _aspace(kernel)
     t1 = kernel.threads.spawn(aspace.asid, 1)

@@ -17,7 +17,7 @@ def pfn(frame):
 
 @pytest.fixture
 def module():
-    params = MachineParams(n_processors=2, frames_per_module=8).validated()
+    params = MachineParams(n_processors=2, frames_per_module=8)
     return MemoryModule(0, params)
 
 
@@ -80,7 +80,7 @@ def test_double_free_detected(module):
 
 
 def test_release_wrong_module_rejected():
-    params = MachineParams(n_processors=2, frames_per_module=4).validated()
+    params = MachineParams(n_processors=2, frames_per_module=4)
     m0, m1 = MemoryModule(0, params), MemoryModule(1, params)
     frame = m0.allocate()
     with pytest.raises(ValueError):
@@ -159,7 +159,7 @@ def test_run_materializes_at_most_what_it_allocates():
 
 
 def test_exhaustion_is_decided_by_the_free_list():
-    params = MachineParams(n_processors=2, frames_per_module=2).validated()
+    params = MachineParams(n_processors=2, frames_per_module=2)
     module = MemoryModule(0, params)
     first = module.allocate()
     module.allocate()

@@ -16,7 +16,7 @@ from repro.machine import (
 def setup():
     params = MachineParams(
         n_processors=2, frames_per_module=8, atc_entries=4
-    ).validated()
+    )
     module = MemoryModule(0, params)
     mmu = MMU(0, params)
     pmap = Pmap(0, 0)

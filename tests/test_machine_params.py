@@ -41,7 +41,7 @@ def test_butterfly_plus_override():
     assert p.words_per_page == 2048
 
 
-def test_scaled_returns_validated_copy():
+def test_scaled_returns_a_copy():
     p = BUTTERFLY_PLUS.scaled(t_local=100.0)
     assert p.t_local == 100.0
     assert BUTTERFLY_PLUS.t_local == 320.0  # original untouched
@@ -52,6 +52,7 @@ def test_scaled_returns_validated_copy():
     [
         {"n_processors": 0},
         {"page_bytes": 4095},
+        {"page_bytes": 6, "word_bytes": 4},
         {"frames_per_module": 0},
         {"block_transfer_bus_fraction": 0.0},
         {"block_transfer_bus_fraction": 1.5},
@@ -60,9 +61,9 @@ def test_scaled_returns_validated_copy():
         {"t_remote_read": 100.0},  # faster than local
     ],
 )
-def test_validation_rejects_nonsense(overrides):
+def test_construction_rejects_nonsense(overrides):
     with pytest.raises(ValueError):
-        MachineParams(**{**{}, **overrides}).validated()
+        MachineParams(**overrides)
 
 
 def test_params_frozen():

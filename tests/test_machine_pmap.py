@@ -18,7 +18,7 @@ from repro.machine.memory import WORD_DTYPE, OutOfFramesError
 
 @pytest.fixture
 def module():
-    params = MachineParams(n_processors=2, frames_per_module=8).validated()
+    params = MachineParams(n_processors=2, frames_per_module=8)
     return MemoryModule(0, params)
 
 
@@ -200,7 +200,7 @@ class ReferenceIPT(InvertedPageTable):
 
 def _ipt_twin(cls, dataless):
     params = MachineParams(n_processors=2, frames_per_module=6,
-                           page_bytes=64).validated()
+                           page_bytes=64)
     shared = np.zeros(params.words_per_page, dtype=WORD_DTYPE) \
         if dataless else None
     return cls(MemoryModule(0, params, frame_data=shared))
@@ -268,7 +268,7 @@ def test_ipt_allocation_matches_memory_module(seed, dataless):
 
 def test_ipt_allocate_and_release_errors_match_the_module():
     module = MemoryModule(
-        0, MachineParams(n_processors=2, frames_per_module=2).validated())
+        0, MachineParams(n_processors=2, frames_per_module=2))
     ipt = InvertedPageTable(module)
     frame = ipt.allocate_for(1)
     with pytest.raises(RuntimeError, match="already backs"):
@@ -277,7 +277,7 @@ def test_ipt_allocate_and_release_errors_match_the_module():
     with pytest.raises(RuntimeError, match="releasing free frame"):
         ipt.release(frame)
     other = MemoryModule(
-        1, MachineParams(n_processors=2, frames_per_module=2).validated())
+        1, MachineParams(n_processors=2, frames_per_module=2))
     stranger = InvertedPageTable(other).allocate_for(1)
     # this table's entry at the stranger's frame index is bound: the
     # release is refused before either half changes

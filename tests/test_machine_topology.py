@@ -14,7 +14,7 @@ from repro.machine import (
 def params(n=16, topology="butterfly", arity=4):
     return MachineParams(
         n_processors=n, topology=topology, switch_arity=arity
-    ).validated()
+    )
 
 
 def test_factory_dispatch():

@@ -25,7 +25,7 @@ from repro.policy.tune import (
     TuneError,
     tune,
 )
-from repro.replay import TraceError, record_spec, replay_trace
+from repro.replay import TraceError, replay_trace
 from repro.workloads import generate_spec
 from repro.workloads.generate import bench_spec_for, run_spec
 
@@ -83,10 +83,8 @@ def test_adaptive_win_reproduces_through_run_spec(seed):
 
 
 @pytest.fixture(scope="module")
-def fs_recording():
-    spec = generate_spec(FS_SEEDS[0], "smoke")
-    bundle, _result = record_spec(bench_spec_for(spec))
-    return bundle
+def fs_recording(recorded):
+    return recorded(bench_spec_for(generate_spec(FS_SEEDS[0], "smoke")))[0]
 
 
 def test_tune_document_shape(fs_recording):

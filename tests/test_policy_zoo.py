@@ -61,6 +61,13 @@ def test_make_policy_none_means_kernel_default():
     assert make_policy(None, None) is None
 
 
+def test_registry_freeze_is_the_papers_policy():
+    policy = make_policy("freeze", None)
+    assert isinstance(policy, TimestampFreezePolicy)
+    assert policy.t1 == 10_000_000.0
+    assert policy.thaw_on_fault is False
+
+
 def test_make_policy_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown policy"):
         make_policy("nope", None)

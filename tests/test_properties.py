@@ -130,7 +130,7 @@ def test_butterfly_routing_total(n, arity, pairs):
 
     params = MachineParams(
         n_processors=n, switch_arity=arity
-    ).validated()
+    )
     topo = ButterflyTopology(params)
     for src, dst in pairs:
         src %= n

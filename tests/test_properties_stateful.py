@@ -39,7 +39,7 @@ class ProtocolMachine(RuleBasedStateMachine):
     def boot(self):
         params = MachineParams(
             n_processors=N_PROCS, frames_per_module=16
-        ).validated()
+        )
         self.kernel = Kernel(
             params=params,
             policy=TimestampFreezePolicy(t1=2_000_000),  # 2 ms: freezes
@@ -157,7 +157,7 @@ class CheckedProtocolMachine(RuleBasedStateMachine):
 
         params = MachineParams(
             n_processors=self.N, frames_per_module=16
-        ).validated()
+        )
         self.kernel = Kernel(
             params=params,
             policy=TimestampFreezePolicy(t1=2_000_000),

@@ -1,14 +1,5 @@
-"""A/B determinism tests for the trace-driven replay engine.
+"""The replay engine beyond the rows of ``tests/test_matrix.py``:
 
-The load-bearing properties:
-
-* recording is non-invasive -- a recorded run produces exactly the
-  metrics of a plain run of the same spec;
-* a replay under the recording configuration reproduces the live run's
-  final simulated time, executed-event count, every protocol counter
-  and the machine's state (``tests.conftest.machine_state``, less frame
-  contents) exactly, for every recordable smoke point of every
-  benchmark target;
 * ``repro-trace/1`` bundles are byte-stable: the same workload recorded
   twice yields identical files, and save/load round-trips exactly;
 * variant replays (other policies, slower machines) actually diverge,
@@ -25,10 +16,10 @@ import struct
 import numpy as np
 import pytest
 
+from repro.analysis import COUNTER_FIELDS
 from repro.bench import TARGETS
 from repro.bench.targets import execute_point
 from repro.cli import main as cli_main
-from repro.point import plain_platinum
 from repro.profile import (
     AccessProbe,
     ProfileSource,
@@ -56,8 +47,6 @@ from repro.runtime import (
 )
 from repro.workloads import GaussianElimination
 
-from tests.conftest import machine_state
-
 SPEC = {
     "kind": "run",
     "workload": "gauss",
@@ -65,36 +54,10 @@ SPEC = {
     "args": {"n": 16, "n_threads": 2, "verify_result": False},
 }
 
-#: the counter keys a replay must reproduce exactly
-COUNTER_KEYS = (
-    "sim_time_ns", "faults", "read_faults", "write_faults",
-    "replications", "migrations", "invalidations", "remote_mappings",
-    "freezes", "local_words", "remote_words", "queue_delay_ms",
-    "transfers", "shootdowns", "ipis",
-)
-
-
-def _without_frames(kernel) -> dict:
-    """A live kernel's state less frame contents: the dataless replay's."""
-    return {k: v for k, v in machine_state(kernel).items() if k != "frames"}
-
 
 @pytest.fixture(scope="module")
-def gauss_recording():
-    return record_spec(dict(SPEC))
-
-
-# -- recording is non-invasive ------------------------------------------------
-
-
-def test_record_run_matches_plain_run(gauss_recording):
-    """The recording hooks must not perturb the simulation: a recorded
-    run and a plain run of the same spec agree on every metric."""
-    bundle, result = gauss_recording
-    live = execute_point(dict(SPEC), seed=0)
-    assert int(result.sim_time_ns) == live["sim_time_ns"]
-    for key in COUNTER_KEYS:
-        assert bundle.expected["counters"][key] == live[key], key
+def gauss_recording(recorded):
+    return recorded(SPEC)
 
 
 def test_bundle_shape(gauss_recording):
@@ -106,93 +69,6 @@ def test_bundle_shape(gauss_recording):
     assert len(bundle.layout["threads"]) == 2
     for stream in bundle.streams:
         assert stream.ndim == 2 and stream.shape[1] == 4
-
-
-# -- exact A/B replay ---------------------------------------------------------
-
-
-def test_replay_reproduces_recording_exactly(gauss_recording):
-    bundle, _result = gauss_recording
-    replay = replay_trace(bundle, check_expected=True)
-    assert int(replay.sim_time_ns) == bundle.expected["sim_time_ns"]
-    assert replay.events_executed == bundle.expected["events_executed"]
-    for key in COUNTER_KEYS:
-        assert replay.counters[key] == bundle.expected["counters"][key]
-
-
-def test_replay_is_deterministic(gauss_recording):
-    bundle, _result = gauss_recording
-    a = replay_trace(bundle)
-    b = replay_trace(bundle)
-    assert a.counters == b.counters
-    assert a.events_executed == b.events_executed
-    assert machine_state(a.kernel) == machine_state(b.kernel)
-
-
-def _recordable_smoke_points(target_name):
-    _config, points = TARGETS[target_name].points("smoke")
-    return [(name, spec) for name, spec in points
-            if spec.get("kind", "run") == "run" and plain_platinum(spec)]
-
-
-@pytest.mark.parametrize("target_name", sorted(TARGETS))
-def test_replay_matches_live_on_bench_smoke_points(target_name):
-    """Every recordable smoke point of every benchmark target replays
-    to the recording run's exact final state."""
-    points = _recordable_smoke_points(target_name)
-    if not points:
-        pytest.skip("no recordable run points in this target")
-    for name, spec in points:
-        bundle, result = record_spec(spec)
-        # check_expected asserts sim time, event count and all counters
-        replay = replay_trace(bundle, check_expected=True)
-        assert int(replay.sim_time_ns) == int(result.sim_time_ns), name
-        assert machine_state(replay.kernel) == \
-            _without_frames(result.kernel), name
-
-
-# -- generated workloads ------------------------------------------------------
-
-
-def test_generated_workload_record_then_check(generated_workload):
-    """The cross-suite guarantee: a generated program records, and the
-    replay reproduces the recording's exact final state (sim time,
-    event count, every protocol counter, the machine's state)."""
-    from repro.workloads import bench_spec_for
-
-    spec, _make_program = generated_workload
-    bundle, result = record_spec(bench_spec_for(spec))
-    replay = replay_trace(bundle, check_expected=True)
-    assert int(replay.sim_time_ns) == int(result.sim_time_ns)
-    for key in COUNTER_KEYS:
-        assert replay.counters[key] == bundle.expected["counters"][key]
-    assert machine_state(replay.kernel) == _without_frames(result.kernel)
-
-
-def test_generated_workload_record_is_noninvasive(generated_workload):
-    """Recording a generated program must not perturb it: the recorded
-    run's counters equal a plain run's."""
-    from repro.analysis import run_counters
-    from repro.runtime import run_program as run_prog
-    from repro.workloads import bench_spec_for
-
-    spec, make_program = generated_workload
-    bundle, _result = record_spec(bench_spec_for(spec))
-    kernel = make_kernel(n_processors=spec.machine)
-    plain = run_prog(kernel, make_program())
-    assert bundle.expected["counters"] == run_counters(plain)
-
-
-def test_generated_workload_cli_record_check_cycle(
-        generated_workload, tmp_path, capsys):
-    """`record` -> `repro replay --check` through an on-disk bundle."""
-    from repro.workloads import bench_spec_for
-
-    spec, _make_program = generated_workload
-    bundle, _result = record_spec(bench_spec_for(spec))
-    path = save_trace(bundle, tmp_path / "gen.trace")
-    assert cli_main(["replay", str(path), "--check"]) == 0
-    assert "reproduces the recording" in capsys.readouterr().out
 
 
 # -- byte-stable bundles ------------------------------------------------------
@@ -363,118 +239,14 @@ def test_zoo_policy_variants_replay(gauss_recording):
     competitive = replay_trace(
         bundle, policy="competitive", policy_args={"buy": 4.0})
     for replay in (adaptive, competitive):
-        for key in COUNTER_KEYS:
-            assert key in replay.counters
+        assert set(COUNTER_FIELDS) <= set(replay.counters)
     # competitive pays rent before its first buy, so some misses that
     # the recorded freeze policy cached go remote instead
     assert competitive.counters["remote_mappings"] > \
         bundle.expected["counters"]["remote_mappings"]
 
 
-# -- differential replay under the policy zoo ---------------------------------
-
-
-def _corpus_specs():
-    from pathlib import Path
-
-    from repro.workloads import WorkloadSpec
-    from repro.workloads.generate import corpus_paths
-
-    corpus = Path(__file__).parent / "corpus"
-    return [WorkloadSpec.load(p) for p in corpus_paths(corpus)]
-
-
-@pytest.mark.parametrize("spec", _corpus_specs(), ids=lambda s: s.name)
-def test_replay_adaptive_variant_agrees_with_live_run(spec):
-    """The differential contract behind `repro replay --policy X`: a
-    variant replay of a recorded trace is the *same simulation* as a
-    live run under policy X -- identical simulated time, protocol
-    counters and machine state -- for every golden-corpus spec, as the
-    replay under the recorded policy is of the recording run.  The adaptive
-    policy refines the recorded policy's decisions without perturbing
-    the workloads' synchronization structure, so the replayer's
-    exactness contract extends to the live comparison."""
-    from repro.analysis import run_counters
-    from repro.workloads import bench_spec_for
-    from repro.workloads.generate import run_spec
-
-    bundle, recorded = record_spec(bench_spec_for(spec))
-    assert machine_state(replay_trace(bundle).kernel) == \
-        _without_frames(recorded.kernel)
-    replayed = replay_trace(bundle, policy="adaptive")
-    kernel, live = run_spec(spec, policy="adaptive")
-    live_counters = run_counters(live)
-    assert int(replayed.sim_time_ns) == int(live.sim_time_ns), (
-        f"{spec.name}: replay under 'adaptive' diverged from the "
-        "live run")
-    for key in COUNTER_KEYS:
-        assert replayed.counters[key] == live_counters[key], (
-            spec.name, key)
-    assert machine_state(replayed.kernel) == _without_frames(kernel)
-
-
-#: counters fully determined by the reference string and the policy --
-#: they must survive a live comparison even when timing shifts
-_STRUCTURAL_KEYS = (
-    "faults", "read_faults", "write_faults", "replications",
-    "migrations", "invalidations", "remote_mappings", "freezes",
-    "local_words", "remote_words", "transfers", "shootdowns", "ipis",
-)
-
-
-@pytest.mark.parametrize("policy", ("competitive", "never"))
-@pytest.mark.parametrize("spec", _corpus_specs(), ids=lambda s: s.name)
-def test_replay_variant_matches_live_protocol_structure(spec, policy):
-    """For variants that *do* shift timing (never-cache and rent-or-buy
-    turn cached accesses remote), the replayer holds the recorded
-    reference string fixed while a live run's spin/queueing behaviour
-    may drift.  The protocol structure is still determined by the
-    reference string and the policy alone, so every structural counter
-    must agree with the live run exactly; only time-derived metrics may
-    deviate, and then only slightly."""
-    from repro.analysis import run_counters
-    from repro.workloads import bench_spec_for
-    from repro.workloads.generate import run_spec
-
-    bundle, _result = record_spec(bench_spec_for(spec))
-    replayed = replay_trace(bundle, policy=policy)
-    _kernel, live = run_spec(spec, policy=policy)
-    live_counters = run_counters(live)
-    for key in _STRUCTURAL_KEYS:
-        assert replayed.counters[key] == live_counters[key], (
-            spec.name, policy, key)
-    assert abs(replayed.sim_time_ns - live.sim_time_ns) \
-        <= 0.05 * live.sim_time_ns
-
-
 # -- fast mode (approximate window-at-a-time costing) -------------------------
-
-
-def test_fast_mode_is_deterministic(gauss_recording):
-    bundle, _result = gauss_recording
-    a = replay_trace(bundle, mode="fast")
-    b = replay_trace(bundle, mode="fast")
-    assert a.counters == b.counters
-    assert a.sim_time_ns == b.sim_time_ns
-    assert a.mode == "fast"
-    assert a.batched_ops == b.batched_ops
-
-
-def test_fast_mode_conserves_reference_string(gauss_recording):
-    """Fast mode may approximate *timing*, but the words moved are a
-    property of the trace and must be conserved exactly."""
-    bundle, _result = gauss_recording
-    exp = bundle.expected["counters"]
-    fast = replay_trace(bundle, mode="fast")
-    assert (fast.counters["local_words"] + fast.counters["remote_words"]
-            == exp["local_words"] + exp["remote_words"])
-    # protocol events still come from the real fault handler, so the
-    # structure stays close to the live run even where timing drifts
-    assert fast.counters["faults"] > 0
-    assert abs(fast.counters["faults"] - exp["faults"]) \
-        <= max(4, exp["faults"] * 0.05)
-    assert abs(fast.sim_time_ns - bundle.expected["sim_time_ns"]) \
-        <= 0.30 * bundle.expected["sim_time_ns"]
 
 
 def test_fast_mode_batches_ops(gauss_recording):
@@ -505,18 +277,6 @@ def test_fast_mode_policy_variant_diverges(gauss_recording):
     never = replay_trace(bundle, mode="fast", policy="never")
     assert never.counters["transfers"] == 0
     assert never.counters["remote_words"] > base.counters["remote_words"]
-
-
-def test_fast_replay_point_kind():
-    metrics = execute_point(
-        {"kind": "replay", "record": dict(SPEC), "mode": "fast"},
-        seed=0,
-    )
-    assert metrics["batched_ops"] > 0
-    assert metrics["windows"] > 0
-    live = execute_point(dict(SPEC), seed=0)
-    assert (metrics["local_words"] + metrics["remote_words"]
-            == live["local_words"] + live["remote_words"])
 
 
 # -- recorder failure modes ---------------------------------------------------
@@ -600,18 +360,6 @@ def test_counterfactual_replay_agrees_with_model_on_sec42():
 
 
 # -- bench integration --------------------------------------------------------
-
-
-def test_replay_point_kind():
-    metrics = execute_point(
-        {"kind": "replay", "record": dict(SPEC), "check_expected": True},
-        seed=0,
-    )
-    live = execute_point(dict(SPEC), seed=0)
-    for key in COUNTER_KEYS:
-        assert metrics[key] == live[key], key
-    assert metrics["trace_threads"] == 2
-    assert metrics["trace_ops"] > 0
 
 
 def test_ablation_replay_target_smoke():

@@ -1,37 +1,31 @@
-"""Fast replay: results pinned, and the window semantics stated directly.
+"""Fast replay: the window semantics stated directly.
 
 ``replay_trace(mode="fast")`` classifies a window by looking each memory
 slot up in the thread's live pmap when the window starts, and costs it
-from prefix sums.  These tests hold that to
+from prefix sums.  Its results over the golden corpus are pinned
+(``tests/snapshots/replay_fast.json``) and its words conserved by rows
+of the equivalence plan (``tests/test_matrix.py``).  These tests hold
+it to
 
-* the parent commit's results -- a table of digests over the golden
-  corpus, generated before the classification was rewritten;
 * the staleness contract -- another processor's shootdown, a defrost
   thaw and the thread's own migration are all seen at the next window
   boundary;
 * the window rules -- a lone op and a faulting first op stay on the
   scalar path, a window cut short by a fault still commits;
-* the reference string -- words moved agree with exact mode on
-  generated specs;
 * hostile bundles -- a corrupt memory op is a one-line ``ReplayError``
   in both modes, exit 2 from ``repro replay``.
 """
 
 import dataclasses
-import hashlib
-import json
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.replay import (
     ReplayError,
     TraceBundle,
-    record_spec,
     replay_trace,
     replayer,
     save_trace,
@@ -47,49 +41,10 @@ from repro.replay.bundle import (
     K_WRITE,
 )
 from repro.workloads import WorkloadSpec, bench_spec_for
-from repro.workloads.generate import corpus_paths, generate_spec
+from repro.workloads.generate import corpus_paths
 
 HERE = Path(__file__).parent
-POLICIES = (None, "always", "never", "adaptive")
-
-
-# -- results pinned across the rewrite -----------------------------------------
-
-#: sha256 of each fast replay's results, written by this file's
-#: ``_digest`` run against the commit *before* windows were classified
-#: off the pmap (773155f); the rewrite must not move any of them
-DIGESTS = json.loads((HERE / "snapshots" / "replay_fast.json").read_text())
-
-
-def _digest(result) -> str:
-    doc = {
-        "counters": result.counters,
-        "sim_time_ns": int(result.sim_time_ns),
-        "windows": result.windows,
-        "batched_ops": result.batched_ops,
-        "events_executed": result.events_executed,
-    }
-    return hashlib.sha256(
-        json.dumps(doc, sort_keys=True).encode()).hexdigest()
-
-
-def _corpus_specs():
-    return [WorkloadSpec.load(p) for p in corpus_paths(HERE / "corpus")]
-
-
-def test_digest_table_covers_the_corpus():
-    assert sorted(DIGESTS) == sorted(
-        f"{spec.name}:{policy or 'recorded'}"
-        for spec in _corpus_specs() for policy in POLICIES)
-
-
-@pytest.mark.parametrize("spec", _corpus_specs(), ids=lambda s: s.name)
-def test_fast_results_match_the_parent_commit(spec):
-    bundle, _live = record_spec(bench_spec_for(spec))
-    for policy in POLICIES:
-        result = replay_trace(bundle, mode="fast", policy=policy)
-        assert _digest(result) == \
-            DIGESTS[f"{spec.name}:{policy or 'recorded'}"], policy
+FIRST_SPEC = WorkloadSpec.load(corpus_paths(HERE / "corpus")[0])
 
 
 # -- hand-built bundles ---------------------------------------------------------
@@ -228,14 +183,16 @@ def test_a_page_crossing_reference_ends_the_stretch():
     _assert_windows(fast, exact, windows=2, batched_ops=3)
 
 
-def test_second_replay_touches_no_numpy(monkeypatch):
+def test_second_replay_touches_no_numpy(monkeypatch, recorded):
     """The slot tables are built once per bundle and per constants
     tuple: a policy sweep's later replays -- and every window -- run
     without the replayer calling numpy at all."""
-    bundle, _live = record_spec(bench_spec_for(_corpus_specs()[0]))
+    bundle = recorded(bench_spec_for(FIRST_SPEC))[0]
     first = replay_trace(bundle, mode="fast")
     monkeypatch.setattr(replayer, "np", None)
-    assert _digest(replay_trace(bundle, mode="fast")) == _digest(first)
+    again = replay_trace(bundle, mode="fast")
+    assert (again.counters, again.sim_time_ns, again.windows) == \
+        (first.counters, first.sim_time_ns, first.windows)
     assert replay_trace(bundle, mode="fast", policy="never").windows > 0
     with pytest.raises(AttributeError):  # new constants: tables rebuilt
         replay_trace(bundle, mode="fast", params={"t_local": 400.0})
@@ -258,20 +215,6 @@ def test_decode_caches_are_declared_and_keyed_to_the_streams():
     for mode in ("fast", "exact"):
         assert replay_trace(
             bundle, mode=mode).counters["local_words"] == 16
-
-
-# -- words conserved ---------------------------------------------------------------
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**31 - 1),
-       policy=st.sampled_from(POLICIES + ("competitive",)))
-def test_fast_mode_moves_the_words_exact_mode_moves(seed, policy):
-    bundle, _live = record_spec(bench_spec_for(generate_spec(seed)))
-    fast = replay_trace(bundle, mode="fast", policy=policy).counters
-    exact = replay_trace(bundle, mode="exact", policy=policy).counters
-    assert fast["local_words"] + fast["remote_words"] == \
-        exact["local_words"] + exact["remote_words"]
 
 
 # -- hostile bundles ----------------------------------------------------------------
@@ -310,8 +253,8 @@ def test_corrupt_op_is_a_one_line_replay_error(row, names, mode):
     assert "\n" not in message
 
 
-def test_cli_replay_of_a_corrupt_trace_exits_2(capsys, tmp_path):
-    bundle, _live = record_spec(bench_spec_for(_corpus_specs()[0]))
+def test_cli_replay_of_a_corrupt_trace_exits_2(capsys, tmp_path, recorded):
+    bundle = recorded(bench_spec_for(FIRST_SPEC))[0]
     good = save_trace(bundle, tmp_path / "good.trace")
     stream = bundle.streams[0].copy()
     index = int(np.nonzero(stream[:, 0] == K_READ)[0][0])
@@ -329,11 +272,12 @@ def test_cli_replay_of_a_corrupt_trace_exits_2(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("ns", [float("nan"), float("inf"), -5.0])
-def test_cli_replay_of_a_corrupt_think_exits_2(capsys, tmp_path, ns):
+def test_cli_replay_of_a_corrupt_think_exits_2(capsys, tmp_path, ns,
+                                              recorded):
     """A think that live ``Compute`` would refuse was a ``ProcessCrashed``
     traceback (NaN, inf) or replayed "ok", clamped to the current time
     (-5.0): now the same one-line refusal as a corrupt address."""
-    bundle, _live = record_spec(bench_spec_for(_corpus_specs()[0]))
+    bundle = recorded(bench_spec_for(FIRST_SPEC))[0]
     stream = bundle.streams[0].copy()
     index = int(np.nonzero(stream[:, 0] == K_THINK)[0][0])
     stream[index, 1] = ns

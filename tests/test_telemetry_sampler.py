@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro import make_kernel, run_program
+from repro.policy.competitive import MigrationDaemon
 from repro.telemetry import MetricsRegistry, SimTimeSampler
 from repro.workloads import GaussianElimination, PhaseChangeSharing
 
@@ -26,6 +27,24 @@ def test_period_must_be_positive():
         SimTimeSampler(kernel, period_ms=0)
     with pytest.raises(ValueError):
         SimTimeSampler(kernel, period_ms=-1)
+
+
+@pytest.mark.parametrize("build", [
+    lambda k, period: make_kernel(n_processors=2, defrost_period=period),
+    lambda k, period: MigrationDaemon(k.coherent, period=period),
+    lambda k, period: SimTimeSampler(k, period_ms=period / 1e6),
+], ids=["defrost", "migration", "sampler"])
+def test_every_daemon_keeps_one_period_rule(build):
+    """Each daemon rounds its period once to whole ns, and refuses one
+    that is not finite or rounds below 1 ns: it would tick at t = 0
+    forever."""
+    kernel = make_kernel(n_processors=2)
+    for period in (0.4, 0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="must be a finite time >= 1 ns"):
+            build(kernel, period)
+    built = build(kernel, 5e6)
+    daemon = built.coherent.defrost if hasattr(built, "coherent") else built
+    assert daemon.period == 5_000_000 and type(daemon.period) is int
 
 
 def test_sampler_ticks_once_per_period():
