@@ -337,14 +337,25 @@ def tier1() -> dict:
     return groups
 
 
+def row_id(row: tuple) -> str:
+    a, b, relation = row
+    return f"{a} {relation} {'again' if b == a else b or 'its pin'}"
+
+
+def problems(row: tuple, observed, recorded) -> list:
+    """How ``row`` breaks; ``observed`` is :func:`observe` once per cell,
+    and a row of a cell with itself runs that cell again."""
+    a, b, relation = row
+    if b is None:
+        return pinned(a, observed(a), recorded)
+    return RELATIONS[relation](
+        observed(a), observe(b, recorded) if b == a else observed(b))
+
+
 def check(c: Cell, observed, recorded, kinds=KINDS) -> list:
-    """Each broken row of ``c``, named; ``observed`` is :func:`observe`
-    once per cell, and a row of ``c`` with itself runs ``c`` again."""
-    return [f"{a} {relation} {'again' if b == a else b or 'its pin'}: {p}"
-            for a, b, relation in rows_of(c, kinds)
-            for p in (pinned(a, observed(a), recorded) if b is None
-                      else RELATIONS[relation](observed(a), observe(
-                          b, recorded) if b == a else observed(b)))]
+    """Each broken row of ``c``, named."""
+    return [f"{row_id(row)}: {p}" for row in rows_of(c, kinds)
+            for p in problems(row, observed, recorded)]
 
 
 @pytest.fixture(scope="module")
@@ -353,15 +364,22 @@ def observed(recorded):
 
 
 TIER1 = tier1()
+#: the tier-1 rows, each once, in plan order
+TIER1_ROWS = list(dict.fromkeys(row for group in TIER1.values()
+                                for c, kinds in group
+                                for row in rows_of(c, kinds)))
 
 
-@pytest.mark.parametrize("group", TIER1)
-def test_rows(group, observed, recorded):
-    """The rows of the tier-1 cells of ``group`` (a spec, the bench
-    smoke points or the all-pairs sample); a failure names each."""
-    assert all(rows_of(c, kinds) for c, kinds in TIER1[group])
-    assert [problem for c, kinds in TIER1[group]
-            for problem in check(c, observed, recorded, kinds)] == []
+def test_every_tier1_cell_has_a_row():
+    assert [(c, kinds) for group in TIER1.values() for c, kinds in group
+            if not rows_of(c, kinds)] == []
+
+
+@pytest.mark.parametrize("row", TIER1_ROWS, ids=row_id)
+def test_row(row, observed, recorded):
+    """One tier-1 row (a pair this plan replaced, or a row of the
+    all-pairs sample); a failure names each differing state location."""
+    assert problems(row, observed, recorded) == []
 
 
 def test_every_pin_is_a_row():
