@@ -7,11 +7,13 @@ import faulthandler
 import hashlib
 import os
 import pickle
+import subprocess
 import sys
 from contextlib import contextmanager
 
 import pytest
 
+import repro
 from repro.analysis import run_counters
 from repro.doc import compact
 from repro.policy.fixed import (
@@ -308,6 +310,20 @@ def generated_workload(request):
 
     spec = generate_spec(request.param, "smoke")
     return spec, lambda: GeneratedWorkload(spec)
+
+
+# -- the command line in a child process ---------------------------------------
+
+
+def repro_child(*argv, cwd=None) -> subprocess.CompletedProcess:
+    """``python -m repro *argv`` in a child process under a 10 s
+    timeout: a hang fails the test instead of holding the suite."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "repro", *argv], capture_output=True,
+        text=True, timeout=10, cwd=cwd,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))})
 
 
 # -- recordings ---------------------------------------------------------------

@@ -5,15 +5,13 @@ generated false-sharing spec through ``repro explain``.
 """
 
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import repro
 from repro.cli import main
+
+from tests.conftest import repro_child
 
 CORPUS = Path(__file__).parent / "corpus"
 FS_SPEC = CORPUS / "gen-smoke-00102-uniform.json"
@@ -95,13 +93,7 @@ def test_absurd_compute_ns_is_one_line_and_exit_2(tmp_path, verb,
         '{"schema": "repro-workload/1", "name": "absurd", "seed": 1,'
         ' "threads": 2, "machine": 2, "pages": 2,'
         f' "phases": [{{"ops": 2, "compute_ns": {compute_ns}}}]}}')
-    src = str(Path(repro.__file__).parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "repro", "gen", verb, str(path)],
-        capture_output=True, text=True, timeout=10,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))},
-    )
+    done = repro_child("gen", verb, str(path))
     assert done.returncode == 2, done.stdout + done.stderr
     assert done.stderr == ""
     (line,) = done.stdout.splitlines()

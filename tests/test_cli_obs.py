@@ -7,6 +7,8 @@ import pytest
 from repro.cli import main
 from repro.obs import read_ledger, validate_ledger
 
+from tests.conftest import repro_child
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -244,21 +246,8 @@ def test_a_sample_period_under_1_ns_is_one_line_not_a_hang(tmp_path, verb):
     """The sampler's period rule reaches the command line: 1e-7 ms used
     to tick at t = 0 forever.  A child process, so that a hang fails
     here instead of holding the suite."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import repro
-
-    src = str(Path(repro.__file__).parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "repro", *verb, "-n", "8", "--machine",
-         "2", "--sample-ms", "0.0000001"],
-        capture_output=True, text=True, timeout=10, cwd=tmp_path,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))},
-    )
+    done = repro_child(*verb, "-n", "8", "--machine", "2", "--sample-ms",
+                       "0.0000001", cwd=tmp_path)
     assert done.returncode == 2, done.stderr
     (line,) = done.stdout.splitlines()
     assert line.startswith(f"repro {verb[0]}: --sample-ms 1e-07: ")

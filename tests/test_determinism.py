@@ -79,25 +79,13 @@ def test_fast_path_engine_flag_wires_through():
     assert Engine(fast_path=False)._fast_path is False
 
 
-def test_serial_and_parallel_sweep_emit_equal_documents():
-    docs_serial, _ = run_bench(scale="smoke", jobs=1,
-                               filter_pattern="ablation_rpc")
+@pytest.mark.parametrize("target", ["ablation_rpc", "generated_matrix"])
+def test_serial_and_parallel_sweep_emit_equal_documents(target):
+    docs_serial, _ = run_bench(scale="smoke", jobs=1, filter_pattern=target)
     docs_parallel, _ = run_bench(scale="smoke", jobs=2,
-                                 filter_pattern="ablation_rpc")
-    assert strip_wall_clock(docs_serial["ablation_rpc"]) == \
-        strip_wall_clock(docs_parallel["ablation_rpc"])
-
-
-def test_generated_bench_serial_matches_parallel():
-    """The generated matrix target, swept serially and in parallel,
-    emits equal documents (the serial == parallel guarantee the other
-    targets already have)."""
-    docs_serial, _ = run_bench(scale="smoke", jobs=1,
-                               filter_pattern="generated_matrix")
-    docs_parallel, _ = run_bench(scale="smoke", jobs=2,
-                                 filter_pattern="generated_matrix")
-    assert strip_wall_clock(docs_serial["generated_matrix"]) == \
-        strip_wall_clock(docs_parallel["generated_matrix"])
+                                 filter_pattern=target)
+    assert strip_wall_clock(docs_serial[target]) == \
+        strip_wall_clock(docs_parallel[target])
 
 
 def test_base_seed_changes_point_seeds_not_results():

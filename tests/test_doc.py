@@ -11,17 +11,13 @@ from those two where no error is raised.
 
 import copy
 import json
-import os
 import struct
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro import doc
 from repro.bench import load_bench, load_snapshot
 from repro.bench.schema import make_doc
@@ -33,6 +29,8 @@ from repro.profile import AccessProbe, ProfileSource, build_explain
 from repro.replay import TraceBundle, load_trace, record_spec
 from repro.runtime import run_program
 from repro.workloads import WorkloadSpec, verify_corpus
+
+from tests.conftest import repro_child
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "tests" / "corpus"
@@ -338,13 +336,7 @@ def test_a_hostile_command_is_one_line_and_exit_2(hostile_dir, command,
                                                   prefix):
     # a child process under a timeout: a traceback, a hang and a wrong
     # answer with exit 0 all fail here
-    src = str(Path(repro.__file__).parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "repro", *command.split()],
-        capture_output=True, text=True, timeout=10, cwd=hostile_dir,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))},
-    )
+    done = repro_child(*command.split(), cwd=hostile_dir)
     assert done.returncode == 2, done.stdout + done.stderr
     assert done.stderr == ""
     (line,) = done.stdout.splitlines()

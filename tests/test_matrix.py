@@ -301,9 +301,9 @@ def all_pairs_sample() -> list:
     return chosen
 
 
-def tier1() -> dict:
-    """Group -> ``(cell, row kinds)``: the pairs this plan replaced by
-    spec, then the all-pairs sample with all its rows."""
+def tier1() -> list:
+    """``(cell, row kinds)``: the pairs this plan replaced, then the
+    all-pairs sample with all its rows."""
     plan = [(cell(name, telemetry=telemetry), ("fast_path",))
             for name in ("gauss", "roundrobin")
             for telemetry in ("trace", "sampled")]
@@ -329,12 +329,7 @@ def tier1() -> dict:
                      ("live", "exact"), ("exact", "fast"), ("fast", "pinned"))
                  if kind != "pinned" or f"{name}:{policy or 'recorded'}"
                  in FAST_PINS]
-    groups = {}
-    for c, kinds in plan:
-        groups.setdefault("bench smoke points" if c.spec in SMOKE_POINTS
-                          else c.spec, []).append((c, kinds))
-    groups["all-pairs sample"] = [(c, KINDS) for c in all_pairs_sample()]
-    return groups
+    return plan + [(c, KINDS) for c in all_pairs_sample()]
 
 
 def row_id(row: tuple) -> str:
@@ -352,12 +347,6 @@ def problems(row: tuple, observed, recorded) -> list:
         observed(a), observe(b, recorded) if b == a else observed(b))
 
 
-def check(c: Cell, observed, recorded, kinds=KINDS) -> list:
-    """Each broken row of ``c``, named."""
-    return [f"{row_id(row)}: {p}" for row in rows_of(c, kinds)
-            for p in problems(row, observed, recorded)]
-
-
 @pytest.fixture(scope="module")
 def observed(recorded):
     return functools.cache(functools.partial(observe, recorded=recorded))
@@ -365,14 +354,12 @@ def observed(recorded):
 
 TIER1 = tier1()
 #: the tier-1 rows, each once, in plan order
-TIER1_ROWS = list(dict.fromkeys(row for group in TIER1.values()
-                                for c, kinds in group
+TIER1_ROWS = list(dict.fromkeys(row for c, kinds in TIER1
                                 for row in rows_of(c, kinds)))
 
 
 def test_every_tier1_cell_has_a_row():
-    assert [(c, kinds) for group in TIER1.values() for c, kinds in group
-            if not rows_of(c, kinds)] == []
+    assert [(c, kinds) for c, kinds in TIER1 if not rows_of(c, kinds)] == []
 
 
 @pytest.mark.parametrize("row", TIER1_ROWS, ids=row_id)
@@ -383,8 +370,7 @@ def test_row(row, observed, recorded):
 
 
 def test_every_pin_is_a_row():
-    assert {pin_of(c) for group in TIER1.values() for c, kinds in group
-            if "pinned" in kinds} == {
+    assert {pin_of(c) for c, kinds in TIER1 if "pinned" in kinds} == {
         (FINGERPRINTS_FILE, name) for name in FINGERPRINTS} | {
         ("replay_fast.json", key) for key in FAST_PINS} | {None}
 
@@ -405,10 +391,6 @@ def test_what_is_not_a_cell_is_refused(recorded):
         with pytest.raises(ReplayError, match="fast mode is approximate"):
             replay_trace(bundle, mode="fast", trace=telemetry == "trace",
                          metrics=telemetry != "trace")
-    # a replay runs at its recording's P, page and word size
-    for key in ("n_processors", "page_bytes", "word_bytes"):
-        with pytest.raises(ReplayError):
-            replay_trace(bundle, params={key: 64})
 
 
 @pytest.mark.matrix_full
@@ -426,7 +408,8 @@ def test_the_full_cross(name):
             for rest in itertools.product((True, False), TELEMETRY,
                                           BUILDERS, MODES):
                 c = Cell(name, machine, policy, topology, *rest)
-                failures += check(c, observed, recorded)
+                failures += [f"{row_id(row)}: {p}" for row in rows_of(c)
+                             for p in problems(row, observed, recorded)]
                 if c == c._replace(mode="fast", telemetry="off",
                                    fast_path=True, builder="point"):
                     exact = observed(c._replace(mode="exact"))["sim_time_ns"]

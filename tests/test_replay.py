@@ -47,6 +47,8 @@ from repro.runtime import (
 )
 from repro.workloads import GaussianElimination
 
+from tests.conftest import repro_child
+
 SPEC = {
     "kind": "run",
     "workload": "gauss",
@@ -239,7 +241,8 @@ def test_zoo_policy_variants_replay(gauss_recording):
     competitive = replay_trace(
         bundle, policy="competitive", policy_args={"buy": 4.0})
     for replay in (adaptive, competitive):
-        assert set(COUNTER_FIELDS) <= set(replay.counters)
+        assert {"sim_time_ns", "queue_delay_ms", *COUNTER_FIELDS} <= \
+            set(replay.counters)
     # competitive pays rent before its first buy, so some misses that
     # the recorded freeze policy cached go remote instead
     assert competitive.counters["remote_mappings"] > \
@@ -247,6 +250,23 @@ def test_zoo_policy_variants_replay(gauss_recording):
 
 
 # -- fast mode (approximate window-at-a-time costing) -------------------------
+
+
+def test_fast_mode_conserves_reference_string(gauss_recording):
+    """Fast mode may approximate *timing*, but the words moved are a
+    property of the trace and must be conserved exactly."""
+    bundle, _result = gauss_recording
+    exp = bundle.expected["counters"]
+    fast = replay_trace(bundle, mode="fast")
+    assert (fast.counters["local_words"] + fast.counters["remote_words"]
+            == exp["local_words"] + exp["remote_words"])
+    # protocol events still come from the real fault handler, so the
+    # structure stays close to the live run even where timing drifts
+    assert fast.counters["faults"] > 0
+    assert abs(fast.counters["faults"] - exp["faults"]) \
+        <= max(4, exp["faults"] * 0.05)
+    assert abs(fast.sim_time_ns - bundle.expected["sim_time_ns"]) \
+        <= 0.30 * bundle.expected["sim_time_ns"]
 
 
 def test_fast_mode_batches_ops(gauss_recording):
@@ -414,28 +434,23 @@ def test_cli_record_and_replay(capsys, tmp_path):
     assert "simulated" in out
 
 
-def test_cli_replay_fast(capsys, tmp_path):
-    trace = tmp_path / "gauss.trace"
-    run_cli(capsys, "record", "gauss", "-n", "16", "-p", "2",
-            "--machine", "4", "--no-verify", "-o", str(trace))
-    code, out = run_cli(capsys, "replay", str(trace), "--fast")
+def test_cli_replay_fast(capsys, gauss_trace):
+    code, out = run_cli(capsys, "replay", str(gauss_trace), "--fast")
     assert code == 0
     assert "fast mode:" in out
     assert "windows" in out
-    code, out = run_cli(capsys, "replay", str(trace), "--fast", "--check")
+    code, out = run_cli(capsys, "replay", str(gauss_trace), "--fast",
+                        "--check")
     assert code == 2
     assert "exact" in out
 
 
-def test_cli_replay_error_paths(capsys, tmp_path):
-    trace = tmp_path / "gauss.trace"
-    run_cli(capsys, "record", "gauss", "-n", "16", "-p", "2",
-            "--machine", "4", "--no-verify", "-o", str(trace))
-    code, out = run_cli(capsys, "replay", str(trace),
+def test_cli_replay_error_paths(capsys, tmp_path, gauss_trace):
+    code, out = run_cli(capsys, "replay", str(gauss_trace),
                         "--param", "page_bytes=64")
     assert code == 2
     assert "page_bytes" in out
-    code, out = run_cli(capsys, "replay", str(trace),
+    code, out = run_cli(capsys, "replay", str(gauss_trace),
                         "--param", "notanumber")
     assert code == 2
     code, out = run_cli(capsys, "replay", str(tmp_path / "missing"))
@@ -443,14 +458,13 @@ def test_cli_replay_error_paths(capsys, tmp_path):
 
 
 @pytest.fixture(scope="module")
-def gauss_trace(tmp_path_factory):
-    trace = tmp_path_factory.mktemp("bad-options") / "gauss.trace"
-    bundle, _result = record_spec({
+def gauss_trace(tmp_path_factory, recorded):
+    """A recorded gauss run saved for ``repro replay``."""
+    trace = tmp_path_factory.mktemp("cli") / "gauss.trace"
+    return save_trace(recorded({
         "kind": "run", "workload": "gauss", "machine": 4,
         "args": {"n": 12, "n_threads": 2, "verify_result": False},
-    })
-    save_trace(bundle, trace)
-    return trace
+    })[0], trace)
 
 
 #: a time or size from the command line is checked once, where it
@@ -472,23 +486,7 @@ BAD_OPTIONS = [
 @pytest.mark.parametrize("options, field", BAD_OPTIONS,
                          ids=[" ".join(o) for o, _f in BAD_OPTIONS])
 def test_cli_replay_refuses_a_bad_time_or_size(gauss_trace, options, field):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import repro
-
-    # a child process, so that a hang is a failure here and not a stuck
-    # suite
-    src = str(Path(repro.__file__).parents[1])
-    done = subprocess.run(
-        [sys.executable, "-m", "repro", "replay", str(gauss_trace),
-         *options],
-        capture_output=True, text=True, timeout=10,
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))},
-    )
+    done = repro_child("replay", str(gauss_trace), *options)
     assert done.returncode == 2, done.stderr
     assert done.stderr == ""
     (line,) = done.stdout.splitlines()

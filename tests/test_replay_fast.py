@@ -7,6 +7,7 @@ from prefix sums.  Its results over the golden corpus are pinned
 of the equivalence plan (``tests/test_matrix.py``).  These tests hold
 it to
 
+* the words exact mode moves, on generated specs beyond the corpus;
 * the staleness contract -- another processor's shootdown, a defrost
   thaw and the thread's own migration are all seen at the next window
   boundary;
@@ -21,11 +22,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.replay import (
     ReplayError,
     TraceBundle,
+    record_spec,
     replay_trace,
     replayer,
     save_trace,
@@ -41,7 +45,7 @@ from repro.replay.bundle import (
     K_WRITE,
 )
 from repro.workloads import WorkloadSpec, bench_spec_for
-from repro.workloads.generate import corpus_paths
+from repro.workloads.generate import corpus_paths, generate_spec
 
 HERE = Path(__file__).parent
 FIRST_SPEC = WorkloadSpec.load(corpus_paths(HERE / "corpus")[0])
@@ -215,6 +219,20 @@ def test_decode_caches_are_declared_and_keyed_to_the_streams():
     for mode in ("fast", "exact"):
         assert replay_trace(
             bundle, mode=mode).counters["local_words"] == 16
+
+
+# -- words conserved ---------------------------------------------------------------
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**31 - 1), policy=st.sampled_from(
+    (None, "always", "never", "adaptive", "competitive")))
+def test_fast_mode_moves_the_words_exact_mode_moves(seed, policy):
+    bundle, _live = record_spec(bench_spec_for(generate_spec(seed)))
+    fast = replay_trace(bundle, mode="fast", policy=policy).counters
+    exact = replay_trace(bundle, mode="exact", policy=policy).counters
+    assert fast["local_words"] + fast["remote_words"] == \
+        exact["local_words"] + exact["remote_words"]
 
 
 # -- hostile bundles ----------------------------------------------------------------

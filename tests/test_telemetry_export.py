@@ -184,6 +184,26 @@ def test_streamed_jsonl_matches_retained_events():
     assert len(buf.getvalue().splitlines()) == len(kernel.tracer.events)
 
 
+def test_same_seed_runs_export_byte_identical_jsonl():
+    """Two same-seed runs streaming through JsonlTraceSink write
+    byte-identical files, and the metrics registry serializes
+    byte-identically too."""
+
+    def run():
+        kernel = make_kernel(n_processors=4, metrics=True, trace=True)
+        buf = io.StringIO()
+        kernel.tracer.add_sink(JsonlTraceSink(buf))
+        run_program(kernel, GaussianElimination(
+            n=24, n_threads=4, seed=1989, verify_result=False,
+        ))
+        kernel.tracer.close_sinks()
+        return buf.getvalue(), kernel.metrics.to_jsonl()
+
+    trace, metrics = run()
+    assert trace and metrics  # non-vacuous: something was exported
+    assert run() == (trace, metrics)
+
+
 def test_sink_close_is_idempotent(tmp_path):
     sink = JsonlTraceSink(tmp_path / "t.jsonl")
     sink.close()
